@@ -12,6 +12,7 @@ so a fuzz run is fully reproducible from its seed.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -257,10 +258,12 @@ class _FloodDriver:
         self.offered = 0
         self.sent = 0
         self.answered = 0
-        self.expired = 0
         self.latencies: list[int] = []
         self.result_codes: dict[str, int] = {}
         self.outstanding: dict[int, int] = {}  # hop-by-hop -> sent_at
+        # Every hop-by-hop id sent and not yet reaped, in send order; answered
+        # ids stay until they reach the front.
+        self.send_order: deque[int] = deque()
 
     def on_timer(self, sim, tag, now):
         if tag[0] != "flood-send":
@@ -274,19 +277,31 @@ class _FloodDriver:
         if hbh is not None:
             self.sent += 1
             self.outstanding[hbh] = now
+            self.send_order.append(hbh)
         if i % self._REAP_EVERY == 0:
             self.reap(now)
         if i + 1 < self.count:
             sim.schedule_timer(now + self.interval_us, self.ab.node, ("flood-send", i + 1))
 
     def reap(self, now) -> None:
-        """Give up on requests past the answer timeout; keeps the pending map small."""
-        dead = [hbh for hbh, sent_at in self.outstanding.items() if now - sent_at > self.timeout_us]
-        if not dead:
-            return
-        self.expired += self.ab.forget_pending_many(self.target.node, dead)
-        for hbh in dead:
-            del self.outstanding[hbh]
+        """Give up on requests past the answer timeout; keeps the pending map small.
+
+        Sends happen in time order, so the expired requests are the
+        unanswered ones at the front of `send_order`.
+        """
+        order, outstanding = self.send_order, self.outstanding
+        dead = []
+        while order:
+            hbh = order[0]
+            sent_at = outstanding.get(hbh)
+            if sent_at is not None:  # None: answered already
+                if now - sent_at <= self.timeout_us:
+                    break
+                del outstanding[hbh]
+                dead.append(hbh)
+            order.popleft()
+        if dead:
+            self.ab.forget_pending_many(self.target.node, dead)
 
     def on_answer(self, sim, pending, msg, now):
         ctx = pending.context
@@ -329,8 +344,7 @@ def run_flood(lab: Lab, spec: FloodSpec) -> tuple[FloodResult, list[Finding]]:
     ab.driver = None
 
     # Reconcile: anything still pending can no longer be answered.
-    ab.forget_pending_many(target.node, list(driver.outstanding))
-    driver.outstanding.clear()
+    ab.forget_pending_many(target.node, driver.outstanding)
     dropped = driver.offered - driver.answered
     lat = driver.latencies
     ratio = driver.answered / driver.offered if driver.offered else 1.0
@@ -649,7 +663,7 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
                         disposition = DISPOSITION_NO_RESPONSE
         else:
             disposition = DISPOSITION_NO_RESPONSE
-        ab.forget_pending(target.node, hbh)
+        ab.forget_pending_many(target.node, (hbh,))
 
         per_op = tallies[op.value]
         per_op[disposition] = per_op.get(disposition, 0) + 1

@@ -59,7 +59,7 @@ AVP_FLAG_MANDATORY = 0x40
 AVP_FLAG_PROTECTED = 0x20
 _AVP_RESERVED_MASK = 0x1F
 
-_U32_MAX = 0xFFFFFFFF
+U32_MAX = 0xFFFFFFFF
 _U24_MAX = 0xFFFFFF
 
 
@@ -206,9 +206,9 @@ def encode_avp(avp: Avp) -> bytes:
         raise CodecError(
             f"AVP {avp.code}: vendor_specific flag contradicts vendor_id presence"
         )
-    _check_range(avp.code, _U32_MAX, "AVP code")
+    _check_range(avp.code, U32_MAX, "AVP code")
     if avp.vendor_id is not None:
-        _check_range(avp.vendor_id, _U32_MAX, "vendor id")
+        _check_range(avp.vendor_id, U32_MAX, "vendor id")
     length = avp.wire_length
     _check_range(length, _U24_MAX, "AVP length")
     flags = (
@@ -232,9 +232,9 @@ def encode_message(m: Message) -> bytes:
     h = m.header
     _check_range(h.version, 0xFF, "version")
     _check_range(h.command_code, _U24_MAX, "command code")
-    _check_range(h.application_id, _U32_MAX, "application id")
-    _check_range(h.hop_by_hop_id, _U32_MAX, "hop-by-hop id")
-    _check_range(h.end_to_end_id, _U32_MAX, "end-to-end id")
+    _check_range(h.application_id, U32_MAX, "application id")
+    _check_range(h.hop_by_hop_id, U32_MAX, "hop-by-hop id")
+    _check_range(h.end_to_end_id, U32_MAX, "end-to-end id")
     body = b"".join(encode_avp(a) for a in m.avps)
     total = HEADER_LEN + len(body)
     _check_range(total, MAX_MESSAGE_LEN, "message length")

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
 from . import dictionary as dct
 from .codec import (
+    U32_MAX,
     Avp,
     Dictionary,
     Message,
@@ -34,6 +35,7 @@ from .codec import (
     decode_message,
     encode_message,
     first_avp,
+    replace_ids,
     validate_message,
 )
 from .peer import (
@@ -136,8 +138,17 @@ def element_admit(elem: "Element", request: object, now: int) -> Admission:
 
 @dataclass
 class PeerLink:
+    """One end of a peer connection: FSM state plus what changes per request.
+
+    `pending` maps hop-by-hop id to the outstanding request; it is empty
+    whenever the phase is not Open. `next_hop_by_hop` is the id the next
+    request sent on this link carries, wrapping within 32 bits.
+    """
+
     neighbor: NodeId
     state: PeerState = field(default_factory=PeerState)
+    pending: dict[int, PendingRequest] = field(default_factory=dict)
+    next_hop_by_hop: int = 1
 
 
 def _result_avp(code: int) -> Avp:
@@ -230,8 +241,10 @@ class Element:
     def feed_event(self, sim: Simulation, peer: NodeId, event: PeerEvent, now: int) -> None:
         link = self.links[peer.id]
         prev_deadline = link.state.watchdog_deadline
-        new_state, actions = handle_event(link.state, event, now, self.peer_config)
+        new_state, actions = handle_event(link.state, event, now, self.peer_config, link.pending)
         link.state = new_state
+        if new_state.phase is not Phase.OPEN and link.pending:
+            link.pending.clear()
         for action in actions:
             self._execute(sim, link, action, now)
         state = link.state
@@ -248,12 +261,17 @@ class Element:
             ActionKind.SEND_DPR,
             ActionKind.SEND_DPA,
         ):
-            sim.send(self.node, link.neighbor, encode_message(action.message))
+            msg = action.message
+            if msg.header.request:
+                hbh = self._alloc_hop_by_hop(link)
+                msg = replace_ids(msg, hbh, hbh)
+            sim.send(self.node, link.neighbor, encode_message(msg))
         elif kind is ActionKind.DELIVER_TO_APP:
             msg = action.message
             if msg.header.request:
                 self._admit_request(sim, link, msg, now)
             else:
+                del link.pending[action.pending.hop_by_hop_id]
                 self.on_app_answer(sim, link, action.pending, msg, now)
         elif kind is ActionKind.DROP_MESSAGE:
             self.fsm_drops += 1
@@ -390,8 +408,8 @@ class Element:
     # -- client-side sending ----------------------------------------------------------
 
     def _alloc_hop_by_hop(self, link: PeerLink) -> int:
-        hbh = link.state.next_hop_by_hop
-        link.state = replace(link.state, next_hop_by_hop=hbh + 1)
+        hbh = link.next_hop_by_hop
+        link.next_hop_by_hop = (hbh + 1) & U32_MAX
         return hbh
 
     def alloc_hop_by_hop(self, dst: NodeId) -> int:
@@ -414,9 +432,7 @@ class Element:
         msg = build_message(
             command_code, request=True, hop_by_hop_id=hbh, end_to_end_id=hbh, avps=avps
         )
-        link.state = register_request(
-            link.state, PendingRequest(hbh, command_code, now, context)
-        )
+        register_request(link, PendingRequest(hbh, command_code, now, context))
         sim.send(self.node, dst, encode_message(msg))
         return hbh
 
@@ -434,26 +450,14 @@ class Element:
         link = self.links[dst.id]
         if link.state.phase is not Phase.OPEN:
             return False
-        link.state = register_request(
-            link.state, PendingRequest(hop_by_hop_id, command_code, now, context)
-        )
+        register_request(link, PendingRequest(hop_by_hop_id, command_code, now, context))
         sim.send(self.node, dst, data)
         return True
 
-    def forget_pending(self, dst: NodeId, hop_by_hop_id: int) -> bool:
-        return self.forget_pending_many(dst, (hop_by_hop_id,)) == 1
-
     def forget_pending_many(self, dst: NodeId, hop_by_hop_ids) -> int:
-        """Reclaim abandoned pending entries in one pass; returns how many existed."""
-        link = self.links[dst.id]
-        doomed = set(hop_by_hop_ids) & link.state.pending.keys()
-        if not doomed:
-            return 0
-        remaining = {
-            hbh: entry for hbh, entry in link.state.pending.items() if hbh not in doomed
-        }
-        link.state = replace(link.state, pending=remaining)
-        return len(doomed)
+        """Reclaim abandoned pending entries; returns how many existed."""
+        pop = self.links[dst.id].pending.pop
+        return sum(pop(hbh, None) is not None for hbh in hop_by_hop_ids)
 
 
 class TargetServerElement(Element):

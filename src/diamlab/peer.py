@@ -6,14 +6,23 @@ TRANSITION_MATRIX; the same table appears in the README). Application
 traffic is delivered only in the Open phase; everywhere else it is
 dropped, never an error.
 
+The table of outstanding requests and the hop-by-hop counter belong to
+the link that owns this state (`elements.PeerLink`), which changes them
+in place. `handle_event` only reads the table, to decide whether an
+answer in Open matches a request; the link pops the entry it delivers
+and empties the table whenever the phase leaves Open. Requests the
+state machine builds (CER, DWR, DPR) carry hop-by-hop id 0 until the
+link stamps them with its next id.
+
 Timestamps are simulation microseconds throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from . import dictionary as dct
 from .codec import Avp, Message, build_answer, build_message
@@ -112,11 +121,12 @@ DEFAULT_CONFIG = PeerConfig()
 @dataclass(frozen=True)
 class PeerState:
     phase: Phase = Phase.CLOSED
-    pending: dict[int, PendingRequest] = field(default_factory=dict)
     watchdog_deadline: int = 0
     dwr_outstanding: bool = False
     missed_dwas: int = 0
-    next_hop_by_hop: int = 1
+
+
+_NO_PENDING: Mapping[int, PendingRequest] = MappingProxyType({})
 
 
 # --- message constructors -------------------------------------------------
@@ -202,33 +212,19 @@ def build_dpa(dpr: Message, identity: str, result_code: int = dct.RESULT_SUCCESS
 # --- correlation ----------------------------------------------------------
 
 
-def register_request(state: PeerState, pending: PendingRequest) -> PeerState:
-    """Record an outstanding application request. Only legal while Open."""
-    if state.phase is not Phase.OPEN:
-        raise ValueError("pending entries are only allowed in the Open phase")
-    if pending.hop_by_hop_id in state.pending:
-        raise ValueError(f"duplicate outstanding hop-by-hop id {pending.hop_by_hop_id}")
-    new_pending = dict(state.pending)
-    new_pending[pending.hop_by_hop_id] = pending
-    return replace(state, pending=new_pending)
+def register_request(link, pending: PendingRequest) -> None:
+    """Record an outstanding application request in `link.pending`, in place.
 
-
-def correlate_answer(
-    state: PeerState, answer: Message
-) -> tuple[PeerState, Optional[PendingRequest]]:
-    """Pop and return the pending entry matching the answer, if any.
-
-    No-match leaves the state unchanged.
+    `link` is any holder of a `state: PeerState` and a mutable `pending`
+    dict keyed by hop-by-hop id (`elements.PeerLink`). Only legal while Open.
     """
-    if answer.header.request:
-        raise ValueError("correlate_answer expects a message with the request flag clear")
-    hbh = answer.header.hop_by_hop_id
-    entry = state.pending.get(hbh)
-    if entry is None:
-        return state, None
-    new_pending = dict(state.pending)
-    del new_pending[hbh]
-    return replace(state, pending=new_pending), entry
+    if link.state.phase is not Phase.OPEN:
+        raise ValueError("pending entries are only allowed in the Open phase")
+    table = link.pending
+    hbh = pending.hop_by_hop_id
+    if hbh in table:
+        raise ValueError(f"duplicate outstanding hop-by-hop id {hbh}")
+    table[hbh] = pending
 
 
 # --- the transition function ----------------------------------------------
@@ -247,12 +243,14 @@ def handle_event(
     event: PeerEvent,
     now: int,
     config: PeerConfig = DEFAULT_CONFIG,
+    pending: Mapping[int, PendingRequest] = _NO_PENDING,
 ) -> tuple[PeerState, list[PeerAction]]:
     """Advance one peer link by one event.
 
     Total over the phase x event table: unexpected events drop or close,
-    they never raise. Answers consume their pending entry; leaving Open
-    always clears pending.
+    they never raise. `pending` is the link's table of outstanding
+    requests, read and never changed: an answer in Open is delivered with
+    the entry its hop-by-hop id matches, and dropped when none does.
     """
     phase, kind = state.phase, event.kind
 
@@ -263,15 +261,8 @@ def handle_event(
 
     if kind is EventKind.CONN_ACK:
         if phase is Phase.WAIT_CONN_ACK:
-            cer = build_cer(
-                config.identity,
-                config.application_ids,
-                hop_by_hop_id=state.next_hop_by_hop,
-                end_to_end_id=state.next_hop_by_hop,
-            )
-            new = replace(
-                state, phase=Phase.WAIT_CEA, next_hop_by_hop=state.next_hop_by_hop + 1
-            )
+            cer = build_cer(config.identity, config.application_ids)
+            new = replace(state, phase=Phase.WAIT_CEA)
             return new, [PeerAction(ActionKind.SEND_CER, message=cer)]
         return _ignore(state, event)
 
@@ -320,7 +311,7 @@ def handle_event(
     if kind is EventKind.RCV_DPR:
         if phase in (Phase.WAIT_CEA, Phase.OPEN, Phase.CLOSING):
             dpa = build_dpa(event.message, config.identity)
-            new = replace(state, phase=Phase.CLOSING, pending={})
+            new = replace(state, phase=Phase.CLOSING)
             return new, [PeerAction(ActionKind.SEND_DPA, message=dpa)]
         return _drop(state, event)
 
@@ -336,10 +327,10 @@ def handle_event(
 
     if kind is EventKind.RCV_ANSWER:
         if phase is Phase.OPEN:
-            new, entry = correlate_answer(state, event.message)
+            entry = pending.get(event.message.header.hop_by_hop_id)
             if entry is None:
                 return _drop(state, event)
-            return new, [
+            return state, [
                 PeerAction(ActionKind.DELIVER_TO_APP, message=event.message, pending=entry)
             ]
         return _drop(state, event)
@@ -352,40 +343,26 @@ def handle_event(
         if state.dwr_outstanding:
             missed = state.missed_dwas + 1
             if missed >= config.missed_dwa_limit:
-                new = replace(state, phase=Phase.CLOSED, pending={}, dwr_outstanding=False)
+                new = replace(state, phase=Phase.CLOSED, dwr_outstanding=False)
                 return new, [PeerAction(ActionKind.CLOSE_LINK)]
         else:
             missed = state.missed_dwas
-        dwr = build_dwr(
-            config.identity,
-            hop_by_hop_id=state.next_hop_by_hop,
-            end_to_end_id=state.next_hop_by_hop,
-        )
+        dwr = build_dwr(config.identity)
         new = replace(
             state,
             dwr_outstanding=True,
             missed_dwas=missed,
             watchdog_deadline=now + config.watchdog_interval_us,
-            next_hop_by_hop=state.next_hop_by_hop + 1,
         )
         return new, [PeerAction(ActionKind.SEND_DWR, message=dwr)]
 
     if kind is EventKind.STOP:
         if phase is Phase.OPEN:
-            dpr = build_dpr(
-                config.identity,
-                hop_by_hop_id=state.next_hop_by_hop,
-                end_to_end_id=state.next_hop_by_hop,
-            )
-            new = replace(
-                state,
-                phase=Phase.CLOSING,
-                pending={},
-                next_hop_by_hop=state.next_hop_by_hop + 1,
-            )
+            dpr = build_dpr(config.identity)
+            new = replace(state, phase=Phase.CLOSING)
             return new, [PeerAction(ActionKind.SEND_DPR, message=dpr)]
         if phase in (Phase.WAIT_CONN_ACK, Phase.WAIT_CEA, Phase.CLOSING):
-            return replace(state, phase=Phase.CLOSED, pending={}), [
+            return replace(state, phase=Phase.CLOSED), [
                 PeerAction(ActionKind.CLOSE_LINK)
             ]
         return _ignore(state, event)

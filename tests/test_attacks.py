@@ -13,6 +13,7 @@ from diamlab.attacks import (
     InterceptSpec,
     MutationOp,
     Severity,
+    _FloodDriver,
     mutate,
     run_flood,
     run_fuzz,
@@ -30,6 +31,8 @@ from diamlab.codec import (
     validate_message,
     ViolationKind,
 )
+
+from diamlab.peer import PendingRequest
 
 from tests.labs import core_lab_text, duo_lab_text, make_lab
 
@@ -199,6 +202,63 @@ class TestFlood:
         for finding in findings:
             if finding.severity is Severity.OUTAGE:
                 assert lab.element("target").failed
+
+
+class _StubBox:
+    """Just enough of an attack box and a simulation to drive a _FloodDriver."""
+
+    node = None
+
+    def __init__(self):
+        self.next_id = 1
+        self.forgotten = []
+
+    def send_app_request(self, sim, dst, command_code, avps, context, now):
+        self.next_id += 1
+        return self.next_id - 1
+
+    def forget_pending_many(self, dst, hop_by_hop_ids):
+        self.forgotten.append(list(hop_by_hop_ids))
+        return len(hop_by_hop_ids)
+
+    def schedule_timer(self, at, node, tag):
+        pass
+
+
+@st.composite
+def flood_histories(draw):
+    """Send times in nondecreasing order, which of them get answered, two reap times."""
+    gaps = draw(st.lists(st.integers(0, 3_000), min_size=1, max_size=120))
+    answered = draw(st.lists(st.booleans(), min_size=len(gaps), max_size=len(gaps)))
+    timeout = draw(st.integers(0, 20_000))
+    waits = draw(st.lists(st.integers(0, 40_000), min_size=2, max_size=2))
+    return gaps, answered, timeout, waits
+
+
+class TestFloodReap:
+    @given(flood_histories())
+    @settings(max_examples=300, deadline=None)
+    def test_fifo_reap_matches_brute_force_scan(self, history):
+        gaps, answered, timeout, waits = history
+        box = _StubBox()
+        driver = _FloodDriver(box, box, count=len(gaps) + 1, interval_us=1, timeout_us=timeout)
+        now = 0
+        for i, gap in enumerate(gaps, start=1):  # index 0 would trigger a scheduled reap
+            now += gap
+            driver.on_timer(box, ("flood-send", i), now)
+        for i, (hbh, sent_at) in enumerate(list(driver.outstanding.items())):
+            if answered[i]:
+                pending = PendingRequest(hbh, dct.CMD_ECHO, sent_at, ("flood", i))
+                driver.on_answer(box, pending, build_message(dct.CMD_ECHO), now)
+        for wait in waits:
+            now += wait
+            # reference: scan every outstanding entry, in send order
+            expected = [h for h, t in driver.outstanding.items() if now - t > timeout]
+            survivors = {h: t for h, t in driver.outstanding.items() if h not in expected}
+            box.forgotten.clear()
+            driver.reap(now)
+            assert box.forgotten == ([expected] if expected else [])
+            assert driver.outstanding == survivors
 
 
 class TestIntercept:

@@ -12,14 +12,16 @@ from diamlab.elements import (
     Admission,
     ElementCapacity,
     ElementFailedError,
+    PeerLink,
     SubscriberRecord,
     element_admit,
     required_tps,
     result_code_of,
 )
-from diamlab.peer import Phase
+from diamlab.peer import EventKind, PeerEvent, PendingRequest, Phase, build_dpr, register_request
 
 from tests.labs import core_lab_text, duo_lab_text, make_lab
+from tests.test_peer import event_sequences
 
 
 class TestRequiredTps:
@@ -364,3 +366,150 @@ class TestFailureModel:
         assert target.queued_total == (
             target.drained_served + target.dropped_at_failure + len(target.queue)
         )
+
+
+class _Answers:
+    """Attack-box driver that records every answer delivered with its entry."""
+
+    def __init__(self):
+        self.delivered = []
+
+    def on_answer(self, sim, pending, msg, now):
+        self.delivered.append((pending, msg.header.hop_by_hop_id))
+
+    def on_timer(self, sim, tag, now):
+        pass
+
+
+class TestPendingTable:
+    """The link owns the table of outstanding requests; the FSM only reads it."""
+
+    def _open_duo(self):
+        _, lab = make_lab(duo_lab_text())
+        ab, target = lab.element("attacker"), lab.element("target")
+        ab.driver = _Answers()
+        return lab, ab, target, ab.peer_link(target.node)
+
+    def _echo(self, lab, ab, target, context="ctx"):
+        return ab.send_app_request(lab.sim, target.node, dct.CMD_ECHO, [], context, lab.sim.clock)
+
+    def _feed_answer(self, lab, ab, target, hbh):
+        answer = build_message(dct.CMD_ECHO, hop_by_hop_id=hbh)
+        ab.feed_event(lab.sim, target.node, PeerEvent(EventKind.RCV_ANSWER, answer), lab.sim.clock)
+
+    @pytest.mark.parametrize("how", ["stop", "rcv-dpr", "missed-dwas"])
+    def test_leaving_open_clears_pending(self, how):
+        lab, ab, target, link = self._open_duo()
+        sim = lab.sim
+        for i in range(3):
+            self._echo(lab, ab, target, ("echo", i))
+        assert len(link.pending) == 3
+        if how == "stop":
+            ab.feed_event(sim, target.node, PeerEvent(EventKind.STOP), sim.clock)
+        elif how == "rcv-dpr":
+            dpr = PeerEvent(EventKind.RCV_DPR, build_dpr("target.lab"))
+            ab.feed_event(sim, target.node, dpr, sim.clock)
+        else:  # no DWA ever arrives: DWR, DWR, then the link closes
+            for _ in range(3):
+                deadline = link.state.watchdog_deadline
+                ab.feed_event(sim, target.node, PeerEvent(EventKind.WATCHDOG_TIMER), deadline)
+        assert link.state.phase is not Phase.OPEN
+        assert link.pending == {}
+
+    def test_matching_answer_pops_entry(self):
+        lab, ab, target, link = self._open_duo()
+        hbh = self._echo(lab, ab, target)
+        entry = link.pending[hbh]
+        assert entry == PendingRequest(hbh, dct.CMD_ECHO, lab.sim.clock, "ctx")
+        self._feed_answer(lab, ab, target, hbh)
+        assert ab.driver.delivered == [(entry, hbh)]
+        assert link.pending == {}
+
+    def test_unknown_id_is_no_match(self):
+        lab, ab, target, link = self._open_duo()
+        hbh = self._echo(lab, ab, target)
+        before, drops = dict(link.pending), ab.fsm_drops
+        self._feed_answer(lab, ab, target, hbh + 1)
+        assert ab.driver.delivered == []
+        assert ab.fsm_drops == drops + 1
+        assert link.pending == before
+
+    def test_second_answer_with_same_id_is_no_match(self):
+        lab, ab, target, link = self._open_duo()
+        hbh = self._echo(lab, ab, target)
+        self._feed_answer(lab, ab, target, hbh)
+        drops = ab.fsm_drops
+        self._feed_answer(lab, ab, target, hbh)
+        assert len(ab.driver.delivered) == 1
+        assert ab.fsm_drops == drops + 1
+
+    def test_request_with_a_pending_id_does_not_consume_it(self):
+        lab, ab, target, link = self._open_duo()
+        hbh = self._echo(lab, ab, target)
+        request = build_message(dct.CMD_ECHO, request=True, hop_by_hop_id=hbh)
+        event = PeerEvent(EventKind.RCV_REQUEST, request)
+        ab.feed_event(lab.sim, target.node, event, lab.sim.clock)
+        assert ab.driver.delivered == []
+        assert hbh in link.pending
+
+    def test_register_outside_open_rejected(self):
+        lab, ab, target, _ = self._open_duo()
+        with pytest.raises(ValueError):
+            register_request(PeerLink(neighbor=target.node), PendingRequest(1, 700, 0))
+
+    def test_duplicate_registration_rejected(self):
+        lab, ab, target, link = self._open_duo()
+        register_request(link, PendingRequest(1, 700, 0))
+        with pytest.raises(ValueError):
+            register_request(link, PendingRequest(1, 700, 0))
+
+    def test_answer_event_delivers_with_pending(self):
+        lab, ab, target, link = self._open_duo()
+        hbh = self._echo(lab, ab, target, ("flood", 0))
+        lab.sim.run_until(lab.sim.clock + 100_000)  # the target answers over the link
+        [(entry, answered)] = ab.driver.delivered
+        assert answered == hbh and entry.context == ("flood", 0)
+        assert link.pending == {}
+
+    def test_forget_pending_many_counts_what_existed(self):
+        lab, ab, target, link = self._open_duo()
+        ids = [self._echo(lab, ab, target) for _ in range(3)]
+        assert ab.forget_pending_many(target.node, [ids[0], ids[2], ids[2], 999]) == 2
+        assert list(link.pending) == [ids[1]]
+
+    def test_hop_by_hop_wraps_within_32_bits(self):
+        lab, ab, target, link = self._open_duo()
+        link.next_hop_by_hop = 2**32 - 1
+        ids = [self._echo(lab, ab, target, ("echo", i)) for i in range(3)]
+        assert ids == [2**32 - 1, 0, 1]
+        lab.sim.run_until(lab.sim.clock + 100_000)
+        assert sorted(answered for _, answered in ab.driver.delivered) == [0, 1, 2**32 - 1]
+        assert link.pending == {}
+
+    def test_state_machine_requests_take_the_link_ids(self):
+        lab, ab, target, link = self._open_duo()
+        tap = lab.sim.attach_tap(ab.node, target.node)
+        hbh = self._echo(lab, ab, target)
+        deadline = link.state.watchdog_deadline
+        ab.feed_event(lab.sim, target.node, PeerEvent(EventKind.WATCHDOG_TIMER), deadline)
+        lab.sim.run_until(lab.sim.clock + 1)
+        sent = [decode_message(r.data).header for r in tap.records if r.src.id == ab.node.id]
+        assert [(h.command_code, h.hop_by_hop_id) for h in sent] == [
+            (dct.CMD_ECHO, hbh),
+            (dct.CMD_DEVICE_WATCHDOG, hbh + 1),
+        ]
+
+    @given(event_sequences(), st.lists(st.booleans(), min_size=30, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_pending_empty_outside_open(self, events, sends):
+        _, lab = make_lab(duo_lab_text(), open_links=False)
+        ab, target = lab.element("attacker"), lab.element("target")
+        link = ab.peer_link(target.node)
+        now = 0
+        for event, send in zip(events, sends):
+            now += 1000
+            if send:
+                ab.send_app_request(lab.sim, target.node, dct.CMD_ECHO, [], None, now)
+            ab.feed_event(lab.sim, target.node, event, now)
+            if link.state.phase is not Phase.OPEN:
+                assert link.pending == {}

@@ -21,9 +21,7 @@ from diamlab.peer import (
     build_dpr,
     build_dwa,
     build_dwr,
-    correlate_answer,
     handle_event,
-    register_request,
 )
 from diamlab.codec import build_message
 
@@ -79,9 +77,11 @@ class TestTransitionMatrix:
     @pytest.mark.parametrize("kind", list(EventKind))
     def test_inputs_are_never_mutated(self, phase, kind):
         state = state_in(phase)
-        before = (state.phase, dict(state.pending), state.watchdog_deadline)
-        handle_event(state, PeerEvent(kind, message_for(kind)), now=0)
-        assert (state.phase, dict(state.pending), state.watchdog_deadline) == before
+        # an entry the RcvAnswer message matches, so Open/RcvAnswer delivers
+        pending = {12345: PendingRequest(12345, dct.CMD_ECHO, 0)}
+        before = (state.phase, state.watchdog_deadline, dict(pending))
+        handle_event(state, PeerEvent(kind, message_for(kind)), 0, DEFAULT_CONFIG, pending)
+        assert (state.phase, state.watchdog_deadline, pending) == before
 
 
 class TestLifecycleScenarios:
@@ -141,11 +141,13 @@ class TestLifecycleScenarios:
         assert s.phase is Phase.CLOSED
         assert [a.kind for a in actions] == [ActionKind.CLOSE_LINK]
 
-    def test_leaving_open_clears_pending(self):
-        s = state_in(Phase.OPEN)
-        s = register_request(s, PendingRequest(5, dct.CMD_ECHO, 0))
-        s2, _ = handle_event(s, PeerEvent(EventKind.STOP), 0)
-        assert s2.pending == {}
+    def test_fsm_requests_leave_the_id_to_the_link(self):
+        _, cer = handle_event(state_in(Phase.WAIT_CONN_ACK), PeerEvent(EventKind.CONN_ACK), 0)
+        s, dwr = handle_event(state_in(Phase.OPEN), PeerEvent(EventKind.WATCHDOG_TIMER), WD)
+        _, dpr = handle_event(s, PeerEvent(EventKind.STOP), WD)
+        for action in cer + dwr + dpr:
+            assert action.message.header.request
+            assert action.message.header.hop_by_hop_id == 0
 
 
 class TestWatchdog:
@@ -179,7 +181,6 @@ class TestWatchdog:
         s, a3 = handle_event(s, PeerEvent(EventKind.WATCHDOG_TIMER), 3 * WD)
         assert s.phase is Phase.CLOSED
         assert [a.kind for a in a3] == [ActionKind.CLOSE_LINK]
-        assert s.pending == {}
 
     def test_quiet_link_alternates_dwr_and_renewal(self):
         # traffic-free Open link: timer -> DWR, DWA -> renewal, repeatedly
@@ -196,53 +197,31 @@ class TestWatchdog:
 
 
 class TestCorrelation:
-    def _answer(self, hbh: int):
-        return build_message(dct.CMD_ECHO, hop_by_hop_id=hbh)
+    """The FSM side of correlation: it reads the link's table, never changes it.
 
-    def test_matching_answer_pops_entry(self):
-        s = state_in(Phase.OPEN)
-        entry = PendingRequest(7, dct.CMD_ECHO, 100, context="ctx")
-        s = register_request(s, entry)
-        s2, got = correlate_answer(s, self._answer(7))
-        assert got == entry
-        assert s2.pending == {}
+    Registering, popping and reclaiming entries are tested with the table's
+    owner in tests/test_elements.py (TestPendingTable).
+    """
 
-    def test_unknown_id_is_no_match(self):
-        s = state_in(Phase.OPEN)
-        s = register_request(s, PendingRequest(7, dct.CMD_ECHO, 100))
-        s2, got = correlate_answer(s, self._answer(8))
-        assert got is None
-        assert s2 == s
-
-    def test_second_answer_with_same_id_is_no_match(self):
-        s = state_in(Phase.OPEN)
-        s = register_request(s, PendingRequest(7, dct.CMD_ECHO, 100))
-        s, first = correlate_answer(s, self._answer(7))
-        s, second = correlate_answer(s, self._answer(7))
-        assert first is not None and second is None
-
-    def test_correlate_rejects_requests(self):
-        with pytest.raises(ValueError):
-            correlate_answer(state_in(Phase.OPEN), build_message(700, request=True))
-
-    def test_register_outside_open_rejected(self):
-        with pytest.raises(ValueError):
-            register_request(PeerState(), PendingRequest(1, 700, 0))
-
-    def test_duplicate_registration_rejected(self):
-        s = register_request(state_in(Phase.OPEN), PendingRequest(1, 700, 0))
-        with pytest.raises(ValueError):
-            register_request(s, PendingRequest(1, 700, 0))
-
-    def test_answer_event_delivers_with_pending(self):
-        s = state_in(Phase.OPEN)
+    def test_answer_matching_the_table_is_delivered_with_its_entry(self):
         entry = PendingRequest(21, dct.CMD_ECHO, 5, context=("flood", 0))
-        s = register_request(s, entry)
-        answer = self._answer(21)
-        s2, actions = handle_event(s, PeerEvent(EventKind.RCV_ANSWER, answer), 10)
+        pending = {21: entry}
+        answer = build_message(dct.CMD_ECHO, hop_by_hop_id=21)
+        s = state_in(Phase.OPEN)
+        event = PeerEvent(EventKind.RCV_ANSWER, answer)
+        s2, actions = handle_event(s, event, 10, DEFAULT_CONFIG, pending)
         assert [a.kind for a in actions] == [ActionKind.DELIVER_TO_APP]
-        assert actions[0].pending == entry
-        assert s2.pending == {}
+        assert actions[0].pending is entry
+        assert s2 == s and pending == {21: entry}
+
+    def test_answer_outside_open_is_dropped_even_when_it_matches(self):
+        pending = {21: PendingRequest(21, dct.CMD_ECHO, 5)}
+        event = PeerEvent(EventKind.RCV_ANSWER, build_message(dct.CMD_ECHO, hop_by_hop_id=21))
+        for phase in Phase:
+            if phase is Phase.OPEN:
+                continue
+            _, actions = handle_event(state_in(phase), event, 10, DEFAULT_CONFIG, pending)
+            assert [a.kind for a in actions] == [ActionKind.DROP_MESSAGE]
 
 
 class TestBuilders:
@@ -294,14 +273,3 @@ class TestSequenceProperties:
             for action in actions:
                 if action.kind is ActionKind.DELIVER_TO_APP:
                     assert pre_phase is Phase.OPEN
-
-    @given(event_sequences())
-    @settings(max_examples=200, deadline=None)
-    def test_pending_empty_outside_open(self, events):
-        s = PeerState()
-        now = 0
-        for event in events:
-            now += 1000
-            s, _ = handle_event(s, event, now)
-            if s.phase is not Phase.OPEN:
-                assert s.pending == {}
