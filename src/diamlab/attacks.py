@@ -15,7 +15,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 from . import dictionary as dct
 from .codec import (
@@ -42,7 +42,7 @@ class Severity(Enum):
 
 @dataclass
 class Finding:
-    attack_kind: str  # "flood" | "intercept" | "fuzz"
+    attack_kind: str  # the `kind` of the spec that produced it
     severity: Severity
     evidence: dict
     id: int = 0
@@ -67,6 +67,7 @@ class Finding:
 
 @dataclass(frozen=True)
 class FloodSpec:
+    kind: ClassVar[str] = "flood"
     target: str
     rate_tps: float
     duration_s: float
@@ -82,6 +83,7 @@ class FloodSpec:
 
 @dataclass(frozen=True)
 class InterceptSpec:
+    kind: ClassVar[str] = "intercept"
     link: tuple[str, str]
     avp_codes: tuple[int, ...]
 
@@ -101,6 +103,7 @@ ALL_MUTATION_OPS = tuple(MutationOp)
 
 @dataclass(frozen=True)
 class FuzzSpec:
+    kind: ClassVar[str] = "fuzz"
     target: str
     case_count: int
     ops: tuple[MutationOp, ...] = ALL_MUTATION_OPS
@@ -369,7 +372,7 @@ def run_flood(lab: Lab, spec: FloodSpec) -> tuple[FloodResult, list[Finding]]:
         severity = Severity.OUTAGE if target.failed else Severity.DEGRADED
         findings.append(
             Finding(
-                attack_kind="flood",
+                attack_kind=spec.kind,
                 severity=severity,
                 evidence={
                     "target": spec.target,
@@ -399,13 +402,7 @@ class InterceptResult:
     inventory: list[dict]  # {"avp_code", "value_hex", "value_text"}
 
     def to_dict(self) -> dict:
-        return {
-            "link": list(self.link),
-            "avp_codes": list(self.avp_codes),
-            "records_captured": self.records_captured,
-            "records_decoded": self.records_decoded,
-            "inventory": self.inventory,
-        }
+        return dict(self.__dict__, link=list(self.link), avp_codes=list(self.avp_codes))
 
 
 def run_intercept(
@@ -452,7 +449,7 @@ def run_intercept(
     if inventory:
         findings.append(
             Finding(
-                attack_kind="intercept",
+                attack_kind=spec.kind,
                 severity=Severity.EXPOSURE,
                 evidence={
                     "link": f"{spec.link[0]}<->{spec.link[1]}",
@@ -628,7 +625,7 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
                     target.failed_at = sim.clock
                     findings.append(
                         Finding(
-                            attack_kind="fuzz",
+                            attack_kind=spec.kind,
                             severity=Severity.OUTAGE,
                             evidence={
                                 "finding_type": "crash",
@@ -671,7 +668,7 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
             accepted_invalid += 1
             findings.append(
                 Finding(
-                    attack_kind="fuzz",
+                    attack_kind=spec.kind,
                     severity=Severity.INFO,
                     evidence={
                         "finding_type": "accepted-invalid",

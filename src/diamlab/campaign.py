@@ -11,24 +11,16 @@ Report value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_origin, get_type_hints
 
-from .attacks import (
-    Finding,
-    FloodSpec,
-    FuzzSpec,
-    InterceptSpec,
-    run_flood,
-    run_fuzz,
-    run_intercept,
-)
+from .attacks import Finding
 from .capture import write_capture
-from .config import CampaignConfig
+from .config import ATTACK_KINDS, CampaignConfig
 from .elements import Lab, LabError
 from .simnet import CaptureRecord
-from .taxonomy import Impact, Origin, TaxonomyLabel, Technique
+from .taxonomy import TaxonomyLabel
 
 TOOL_VERSION = "diamlab 0.1.0"
 
@@ -38,28 +30,11 @@ class CampaignError(RuntimeError):
 
 
 def classify(finding: Finding) -> TaxonomyLabel:
-    """Deterministic rule table from attack kind (and fuzz disposition) to cell.
-
-    All implemented attacks originate from the attack box reached over
-    the interconnect, so the origin axis is always external_interconnect;
-    the internal and compromised_element origins (and the spoofing
-    technique) are scheme completeness, produced by no current module.
-    """
-    kind = finding.attack_kind
-    if kind == "flood":
-        return TaxonomyLabel(Origin.EXTERNAL_INTERCONNECT, Technique.FLOODING, Impact.AVAILABILITY)
-    if kind == "intercept":
-        return TaxonomyLabel(
-            Origin.EXTERNAL_INTERCONNECT, Technique.INTERCEPTION, Impact.CONFIDENTIALITY
-        )
-    if kind == "fuzz":
-        impact = (
-            Impact.AVAILABILITY
-            if finding.evidence.get("finding_type") == "crash"
-            else Impact.INTEGRITY
-        )
-        return TaxonomyLabel(Origin.EXTERNAL_INTERCONNECT, Technique.MALFORMED_MESSAGE, impact)
-    raise CampaignError(f"no taxonomy rule for attack kind {kind!r}")
+    """The taxonomy cell of a finding, by its attack kind's rule in ATTACK_KINDS."""
+    entry = ATTACK_KINDS.get(finding.attack_kind)
+    if entry is None:
+        raise CampaignError(f"no taxonomy rule for attack kind {finding.attack_kind!r}")
+    return entry.label(finding)
 
 
 @dataclass
@@ -73,27 +48,19 @@ class Report:
     stats: dict
 
     def to_dict(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "phase": self.phase,
-            "seed": self.seed,
-            "config": self.config,
-            "attacks": self.attacks,
-            "findings": self.findings,
-            "stats": self.stats,
-        }
+        return dict(self.__dict__)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Report":
-        return cls(
-            tool_version=d["tool_version"],
-            phase=d["phase"],
-            seed=d["seed"],
-            config=d["config"],
-            attacks=d["attacks"],
-            findings=d["findings"],
-            stats=d["stats"],
-        )
+    def from_dict(cls, d: object) -> "Report":
+        """Inverse of to_dict; ValueError names a missing or mistyped key."""
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+        fields = get_type_hints(cls)
+        for key, hint in fields.items():
+            kind = get_origin(hint) or hint  # list[dict] -> list
+            if not isinstance(d.get(key), kind):
+                raise ValueError(f"{key!r} is missing or not a {kind.__name__}")
+        return cls(**{key: d[key] for key in fields})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -196,7 +163,8 @@ def build_lab(config: CampaignConfig) -> Lab:
     )
 
 
-def _derived_fuzz_seed(campaign_seed: int, attack_index: int) -> int:
+def _derived_seed(campaign_seed: int, attack_index: int) -> int:
+    """The seed an attack uses when its config section sets none."""
     return (campaign_seed * 1_000_003 + attack_index + 1) % 2**64
 
 
@@ -218,20 +186,13 @@ def run_campaign(
     attack_dicts: list[dict] = []
     captures: list[tuple[int, list[CaptureRecord]]] = []
     for index, spec in enumerate(config.attacks):
-        if isinstance(spec, FloodSpec):
-            result, new_findings = run_flood(lab, spec)
-        elif isinstance(spec, InterceptSpec):
-            result, new_findings, records = run_intercept(lab, spec)
+        run_attack = ATTACK_KINDS[spec.kind].run
+        result, new_findings, records = run_attack(lab, spec, _derived_seed(config.seed, index))
+        if records is not None:
             captures.append((index, records))
-        elif isinstance(spec, FuzzSpec):
-            if spec.seed is None:
-                spec = replace(spec, seed=_derived_fuzz_seed(config.seed, index))
-            result, new_findings = run_fuzz(lab, spec)
-        else:  # pragma: no cover - config layer rejects unknown kinds
-            raise CampaignError(f"unknown attack spec {spec!r}")
         results.append(result)
         findings.extend(new_findings)
-        attack_dicts.append({"kind": _kind_name(spec), "result": result.to_dict()})
+        attack_dicts.append({"kind": spec.kind, "result": result.to_dict()})
 
     for i, finding in enumerate(findings, start=1):
         finding.id = i
@@ -266,11 +227,3 @@ def run_campaign(
             write_capture(out / f"intercept-{index}.dcap", records)
         run.out_dir = out
     return run
-
-
-def _kind_name(spec) -> str:
-    if isinstance(spec, FloodSpec):
-        return "flood"
-    if isinstance(spec, InterceptSpec):
-        return "intercept"
-    return "fuzz"

@@ -47,20 +47,22 @@ def decode_capture(data: bytes, labels: Mapping[int, str] | None = None) -> list
         if off + _RECORD_HEAD.size > len(data):
             raise CaptureFormatError(f"truncated record header at offset {off}")
         at, src, dst, length = _RECORD_HEAD.unpack_from(data, off)
-        off += _RECORD_HEAD.size
-        end = off + length
+        body = off + _RECORD_HEAD.size
+        end = body + length
         if end > len(data):
-            raise CaptureFormatError(f"truncated record payload at offset {off}")
-        payload = data[off:end]
-        off = end + (-length % 4)
+            raise CaptureFormatError(f"truncated record payload at offset {body}")
+        padded = end + (-length % 4)
+        if data[end:padded] != bytes(padded - end):
+            raise CaptureFormatError(f"missing or nonzero padding in record at offset {off}")
         records.append(
             CaptureRecord(
                 at=at,
                 src=NodeId(id=src, label=labels.get(src, f"node-{src}")),
                 dst=NodeId(id=dst, label=labels.get(dst, f"node-{dst}")),
-                data=payload,
+                data=data[body:end],
             )
         )
+        off = padded
     return records
 
 

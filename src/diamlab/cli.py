@@ -12,6 +12,7 @@ Exit codes: 0 clean run with no findings, 2 findings present, 1 errors.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import dictionary as dct
@@ -75,7 +76,7 @@ def _cmd_phases(_args) -> int:
     for name, text in BUILTIN_CONFIGS.items():
         config = parse_campaign_config(text, source=name)
         kinds = ", ".join(f"{n.label}={config.kinds[n.label].value}" for n in config.topology.nodes)
-        attacks = ", ".join(a["kind"] for a in config.echo_dict()["attacks"])
+        attacks = ", ".join(a.kind for a in config.attacks)
         print(f"{name}: {len(config.topology.nodes)} nodes ({kinds}); attacks: {attacks}")
     return 0
 
@@ -111,15 +112,14 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    import json
-
     with open(args.input) as fh:
         try:
-            report = Report.from_dict(json.load(fh))
-        except (json.JSONDecodeError, KeyError) as exc:
+            # JSONDecodeError is a ValueError; the rest come from mistyped nested values
+            text = render_report(Report.from_dict(json.load(fh)), args.format)
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             print(f"error: {args.input} is not a campaign report: {exc}", file=sys.stderr)
             return 1
-    sys.stdout.write(render_report(report, args.format))
+    sys.stdout.write(text)
     return 0
 
 

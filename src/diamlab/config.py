@@ -13,14 +13,17 @@ is a pure function of its config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
+from . import attacks
 from . import dictionary as dct
 from .attacks import ALL_MUTATION_OPS, AttackSpec, FloodSpec, FuzzSpec, InterceptSpec, MutationOp
-from .elements import ElementCapacity, ElementKind, PolicyRule, SubscriberRecord
+from .elements import ElementCapacity, ElementKind, Lab, PolicyRule, SubscriberRecord
 from .simnet import LinkSpec, NodeSpec, TopologySpec
+from .taxonomy import Impact, Origin, TaxonomyLabel, Technique
 
 MAX_SEED = 2**64 - 1
 
@@ -84,9 +87,12 @@ def _get_float(sec: Section, key: str, source: str, default: Optional[float] = N
     if key not in sec.values:
         return default
     try:
-        return float(sec.values[key])
+        value = float(sec.values[key])
     except ValueError:
         raise ConfigError(f"{source}:{sec.where(key)}: {key} must be a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{source}:{sec.where(key)}: {key} must be a finite number")
+    return value
 
 
 def _get_bool(sec: Section, key: str, source: str, default: bool = False) -> bool:
@@ -100,12 +106,13 @@ def _get_bool(sec: Section, key: str, source: str, default: bool = False) -> boo
     raise ConfigError(f"{source}:{sec.where(key)}: {key} must be true/false")
 
 
-def _require(sec: Section, key: str, source: str) -> str:
+def _require(sec: Section, key: str, source: str, get: Optional[Callable] = None):
+    """The value of a required key, converted by `get` (one of the `_get_*`) if given."""
     if key not in sec.values:
         raise ConfigError(
             f"{source}:{sec.line}: [{sec.kind}] section is missing required field {key!r}"
         )
-    return sec.values[key]
+    return get(sec, key, source) if get else sec.values[key]
 
 
 @dataclass(frozen=True)
@@ -156,105 +163,171 @@ class CampaignConfig:
                 {"id": s.subscriber_id, "location": s.location, "profile": dict(s.profile)}
                 for s in self.subscribers
             ],
-            "attacks": [_attack_echo(a) for a in self.attacks],
+            "attacks": [{"kind": a.kind, **ATTACK_KINDS[a.kind].echo(a)} for a in self.attacks],
         }
-
-
-def _attack_echo(spec: AttackSpec) -> dict:
-    if isinstance(spec, FloodSpec):
-        return {
-            "kind": "flood",
-            "target": spec.target,
-            "rate_tps": spec.rate_tps,
-            "duration_s": spec.duration_s,
-            "degraded_answer_ratio": spec.degraded_answer_ratio,
-        }
-    if isinstance(spec, InterceptSpec):
-        return {"kind": "intercept", "link": list(spec.link), "avp_codes": list(spec.avp_codes)}
-    return {
-        "kind": "fuzz",
-        "target": spec.target,
-        "cases": spec.case_count,
-        "ops": [op.value for op in spec.ops],
-        "seed": spec.seed,
-    }
 
 
 _KIND_NAMES = {k.value: k for k in ElementKind}
 _CORE_KINDS = {ElementKind.HSS, ElementKind.MME, ElementKind.PCRF}
 
 
+# --- attack kinds ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AttackKind:
+    """Everything config and campaign know about one attack kind.
+
+    A new kind is a spec class and a runner in `attacks` plus one entry here.
+    `run(lab, spec, seed)` returns (result, findings, capture records or
+    None); `seed` is the campaign's default for a spec that sets none.
+    Runners are looked up in `attacks` at call time, so a wrapper installed
+    over `attacks.run_*` (a profiler, a test double) sees every call.
+    """
+
+    spec: type
+    parse: Callable[[Section, str, dict[str, ElementKind]], AttackSpec]
+    echo: Callable[[AttackSpec], dict]  # the report's config echo, less "kind"
+    phase1_error: Callable[[AttackSpec, dict[str, ElementKind]], Optional[str]]
+    run: Callable[[Lab, AttackSpec, int], tuple]
+    label: Callable[[attacks.Finding], TaxonomyLabel]  # the finding's taxonomy cell
+
+
+def _target(sec: Section, source: str, labels: dict[str, ElementKind]) -> str:
+    target = _require(sec, "target", source)
+    if target not in labels:
+        where = sec.where("target")
+        raise ConfigError(f"{source}:{where}: unknown {sec.args[0]} target {target!r}")
+    return target
+
+
+def _parse_flood(sec: Section, source: str, labels: dict[str, ElementKind]) -> FloodSpec:
+    target = _target(sec, source, labels)
+    rate = _require(sec, "rate_tps", source, _get_float)
+    duration = _require(sec, "duration_s", source, _get_float)
+    try:
+        return FloodSpec(
+            target=target,
+            rate_tps=rate,
+            duration_s=duration,
+            degraded_answer_ratio=_get_float(sec, "degraded_threshold", source, 0.95),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{source}:{sec.line}: {exc}") from None
+
+
+def _parse_intercept(sec: Section, source: str, labels: dict[str, ElementKind]) -> InterceptSpec:
+    link_value = _require(sec, "link", source).split()
+    if len(link_value) != 2:
+        raise ConfigError(f"{source}:{sec.where('link')}: link must name two nodes")
+    for label in link_value:
+        if label not in labels:
+            raise ConfigError(f"{source}:{sec.where('link')}: unknown node {label!r}")
+    codes = []
+    builtin = dct.builtin_dictionary()
+    for item in _require(sec, "avp_codes", source).split(","):
+        item = item.strip()
+        code = int(item) if item.isdigit() else builtin.code_for_name(item)
+        if code is None:
+            raise ConfigError(f"{source}:{sec.where('avp_codes')}: unknown AVP name {item!r}")
+        codes.append(code)
+    return InterceptSpec(link=(link_value[0], link_value[1]), avp_codes=tuple(codes))
+
+
+def _parse_fuzz(sec: Section, source: str, labels: dict[str, ElementKind]) -> FuzzSpec:
+    target = _target(sec, source, labels)
+    ops: tuple[MutationOp, ...] = ALL_MUTATION_OPS
+    if "ops" in sec.values:
+        names = [o.strip() for o in sec.values["ops"].split(",") if o.strip()]
+        try:
+            ops = tuple(MutationOp(name) for name in names)
+        except ValueError as exc:
+            raise ConfigError(f"{source}:{sec.where('ops')}: {exc}") from None
+    cases = _require(sec, "cases", source, _get_int)
+    try:
+        return FuzzSpec(
+            target=target, case_count=cases, ops=ops, seed=_get_int(sec, "seed", source, None)
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{source}:{sec.line}: {exc}") from None
+
+
+def _at_target_server(spec: FloodSpec | FuzzSpec, kinds: dict[str, ElementKind]) -> Optional[str]:
+    if kinds[spec.target] is not ElementKind.TARGET_SERVER:
+        return f"phase1 permits only TargetServer-directed attacks (got {spec.target!r})"
+    return None
+
+
+def _taps_target_server(spec: InterceptSpec, kinds: dict[str, ElementKind]) -> Optional[str]:
+    if all(kinds[label] is not ElementKind.TARGET_SERVER for label in spec.link):
+        return "phase1 intercepts must tap a TargetServer link"
+    return None
+
+
+def _run_fuzz(lab: Lab, spec: FuzzSpec, seed: int):
+    if spec.seed is None:
+        spec = replace(spec, seed=seed)
+    return (*attacks.run_fuzz(lab, spec), None)
+
+
+def _fuzz_label(finding: attacks.Finding) -> TaxonomyLabel:
+    crash = finding.evidence.get("finding_type") == "crash"
+    impact = Impact.AVAILABILITY if crash else Impact.INTEGRITY
+    return TaxonomyLabel(Origin.EXTERNAL_INTERCONNECT, Technique.MALFORMED_MESSAGE, impact)
+
+
+ATTACK_KINDS: dict[str, AttackKind] = {
+    entry.spec.kind: entry
+    for entry in (
+        AttackKind(
+            spec=FloodSpec,
+            parse=_parse_flood,
+            echo=lambda spec: {
+                "target": spec.target,
+                "rate_tps": spec.rate_tps,
+                "duration_s": spec.duration_s,
+                "degraded_answer_ratio": spec.degraded_answer_ratio,
+            },
+            phase1_error=_at_target_server,
+            run=lambda lab, spec, seed: (*attacks.run_flood(lab, spec), None),
+            label=lambda finding: TaxonomyLabel(
+                Origin.EXTERNAL_INTERCONNECT, Technique.FLOODING, Impact.AVAILABILITY
+            ),
+        ),
+        AttackKind(
+            spec=InterceptSpec,
+            parse=_parse_intercept,
+            echo=lambda spec: {"link": list(spec.link), "avp_codes": list(spec.avp_codes)},
+            phase1_error=_taps_target_server,
+            run=lambda lab, spec, seed: attacks.run_intercept(lab, spec),
+            label=lambda finding: TaxonomyLabel(
+                Origin.EXTERNAL_INTERCONNECT, Technique.INTERCEPTION, Impact.CONFIDENTIALITY
+            ),
+        ),
+        AttackKind(
+            spec=FuzzSpec,
+            parse=_parse_fuzz,
+            echo=lambda spec: {
+                "target": spec.target,
+                "cases": spec.case_count,
+                "ops": [op.value for op in spec.ops],
+                "seed": spec.seed,
+            },
+            phase1_error=_at_target_server,
+            run=_run_fuzz,
+            label=_fuzz_label,
+        ),
+    )
+}
+
+
 def _parse_attack(sec: Section, source: str, labels: dict[str, ElementKind]) -> AttackSpec:
     if len(sec.args) != 1:
         raise ConfigError(f"{source}:{sec.line}: [attack] needs exactly one kind argument")
-    kind = sec.args[0]
-    if kind == "flood":
-        target = _require(sec, "target", source)
-        if target not in labels:
-            raise ConfigError(f"{source}:{sec.where('target')}: unknown flood target {target!r}")
-        rate = _get_float(sec, "rate_tps", source, None)
-        duration = _get_float(sec, "duration_s", source, None)
-        if rate is None:
-            _missing(sec, "rate_tps", source)
-        if duration is None:
-            _missing(sec, "duration_s", source)
-        try:
-            return FloodSpec(
-                target=target,
-                rate_tps=rate,
-                duration_s=duration,
-                degraded_answer_ratio=_get_float(sec, "degraded_threshold", source, 0.95),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{source}:{sec.line}: {exc}") from None
-    if kind == "intercept":
-        link_value = _require(sec, "link", source).split()
-        if len(link_value) != 2:
-            raise ConfigError(f"{source}:{sec.where('link')}: link must name two nodes")
-        for label in link_value:
-            if label not in labels:
-                raise ConfigError(f"{source}:{sec.where('link')}: unknown node {label!r}")
-        codes = []
-        builtin = dct.builtin_dictionary()
-        for item in _require(sec, "avp_codes", source).split(","):
-            item = item.strip()
-            if item.isdigit():
-                codes.append(int(item))
-                continue
-            code = builtin.code_for_name(item)
-            if code is None:
-                raise ConfigError(
-                    f"{source}:{sec.where('avp_codes')}: unknown AVP name {item!r}"
-                )
-            codes.append(code)
-        return InterceptSpec(link=(link_value[0], link_value[1]), avp_codes=tuple(codes))
-    if kind == "fuzz":
-        target = _require(sec, "target", source)
-        if target not in labels:
-            raise ConfigError(f"{source}:{sec.where('target')}: unknown fuzz target {target!r}")
-        ops: tuple[MutationOp, ...] = ALL_MUTATION_OPS
-        if "ops" in sec.values:
-            names = [o.strip() for o in sec.values["ops"].split(",") if o.strip()]
-            try:
-                ops = tuple(MutationOp(name) for name in names)
-            except ValueError as exc:
-                raise ConfigError(f"{source}:{sec.where('ops')}: {exc}") from None
-        cases = _get_int(sec, "cases", source, None)
-        if cases is None:
-            _missing(sec, "cases", source)
-        try:
-            return FuzzSpec(
-                target=target, case_count=cases, ops=ops, seed=_get_int(sec, "seed", source, None)
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{source}:{sec.line}: {exc}") from None
-    raise ConfigError(f"{source}:{sec.line}: unknown attack kind {kind!r}")
-
-
-def _missing(sec: Section, key: str, source: str):
-    raise ConfigError(
-        f"{source}:{sec.line}: [{sec.kind}] section is missing required field {key!r}"
-    )
+    entry = ATTACK_KINDS.get(sec.args[0])
+    if entry is None:
+        raise ConfigError(f"{source}:{sec.line}: unknown attack kind {sec.args[0]!r}")
+    return entry.parse(sec, source, labels)
 
 
 def parse_campaign_config(
@@ -381,10 +454,6 @@ def parse_campaign_config(
         else:
             raise ConfigError(f"{source}:{sec.line}: unknown section kind {sec.kind!r}")
 
-    attacks = tuple(
-        _parse_attack(sec, source, kinds) for sec in sections if sec.kind == "attack"
-    )
-
     config = CampaignConfig(
         source=source,
         phase=phase,
@@ -395,7 +464,7 @@ def parse_campaign_config(
         capacities=capacities,
         subscribers=tuple(subscribers),
         rules=tuple(rules),
-        attacks=attacks,
+        attacks=tuple(_parse_attack(s, source, kinds) for s in sections if s.kind == "attack"),
         watchdog_interval_s=_get_float(camp, "watchdog_interval_s", source, 30.0),
         request_timeout_s=_get_float(camp, "request_timeout_s", source, 2.0),
     )
@@ -413,19 +482,9 @@ def _validate_phase(config: CampaignConfig, source: str) -> None:
             names = ", ".join(sorted(k.value for k in illegal))
             raise ConfigError(f"{source}: phase1 config may not declare core elements ({names})")
         for spec in config.attacks:
-            if isinstance(spec, (FloodSpec, FuzzSpec)):
-                if config.kinds[spec.target] is not ElementKind.TARGET_SERVER:
-                    raise ConfigError(
-                        f"{source}: phase1 permits only TargetServer-directed attacks"
-                        f" (got {spec.target!r})"
-                    )
-            else:
-                if all(
-                    config.kinds[label] is not ElementKind.TARGET_SERVER for label in spec.link
-                ):
-                    raise ConfigError(
-                        f"{source}: phase1 intercepts must tap a TargetServer link"
-                    )
+            error = ATTACK_KINDS[spec.kind].phase1_error(spec, config.kinds)
+            if error:
+                raise ConfigError(f"{source}: {error}")
     if config.phase == "phase2":
         missing = _CORE_KINDS - present
         if missing:

@@ -49,6 +49,7 @@ from .peer import (
     Phase,
     handle_event,
     register_request,
+    result_code_avp,
 )
 from .simnet import NodeId, Simulation, TopologySpec, US_PER_S, build_topology
 
@@ -127,15 +128,6 @@ class ElementFailedError(RuntimeError):
     """Admission was asked of an element that already marked itself failed."""
 
 
-def element_admit(elem: "Element", request: object, now: int) -> Admission:
-    """Admission decision for one inbound transaction at `now`.
-
-    Accepted requests consume a token and are served immediately; queued
-    ones wait for the drain timer; everything else is dropped.
-    """
-    return elem.admit(request, now)
-
-
 @dataclass
 class PeerLink:
     """One end of a peer connection: FSM state plus what changes per request.
@@ -151,12 +143,8 @@ class PeerLink:
     next_hop_by_hop: int = 1
 
 
-def _result_avp(code: int) -> Avp:
-    return Avp(code=dct.AVP_RESULT_CODE, data=code.to_bytes(4, "big"), mandatory=True)
-
-
 def _error_answer(req: Message, result_code: int) -> Message:
-    return build_answer(req, avps=[_result_avp(result_code)], error=result_code >= 3000)
+    return build_answer(req, avps=[result_code_avp(result_code)], error=result_code >= 3000)
 
 
 def result_code_of(msg: Message) -> Optional[int]:
@@ -327,6 +315,7 @@ class Element:
             self._last_accrual = now
 
     def admit(self, request: object, now: int) -> Admission:
+        """Admission at `now`: take a token, else join the bounded queue, else drop."""
         if self.failed:
             raise ElementFailedError(f"{self.node.label} has failed; it admits nothing")
         self.offered += 1
@@ -468,7 +457,7 @@ class TargetServerElement(Element):
     def handle_app_request(self, msg: Message, now: int) -> Optional[Message]:
         if msg.header.command_code == dct.CMD_ECHO:
             payload = [a for a in msg.avps if a.code == dct.AVP_ECHO_PAYLOAD]
-            return build_answer(msg, avps=[_result_avp(dct.RESULT_SUCCESS)] + payload)
+            return build_answer(msg, avps=[result_code_avp(dct.RESULT_SUCCESS)] + payload)
         return _error_answer(msg, dct.RESULT_COMMAND_UNSUPPORTED)
 
 
@@ -501,7 +490,7 @@ class HssElement(Element):
             if rec is None:
                 return _error_answer(msg, dct.RESULT_USER_UNKNOWN)
             avps = [
-                _result_avp(dct.RESULT_SUCCESS),
+                result_code_avp(dct.RESULT_SUCCESS),
                 Avp(code=dct.AVP_SUBSCRIBER_ID, data=rec.subscriber_id.encode(), mandatory=True),
                 Avp(code=dct.AVP_LOCATION, data=rec.location.encode(), mandatory=True),
             ]
@@ -522,7 +511,7 @@ class HssElement(Element):
             if rec is None:
                 return _error_answer(msg, dct.RESULT_USER_UNKNOWN)
             rec.location = loc_avp.data.decode("utf-8", "replace")
-            return build_answer(msg, avps=[_result_avp(dct.RESULT_SUCCESS)])
+            return build_answer(msg, avps=[result_code_avp(dct.RESULT_SUCCESS)])
         return _error_answer(msg, dct.RESULT_COMMAND_UNSUPPORTED)
 
 
@@ -557,7 +546,7 @@ class PcrfElement(Element):
             subscriber_id=sid_avp.data.decode("utf-8", "replace"),
             qos_class=int.from_bytes(qos_avp.data, "big"),
         )
-        return build_answer(msg, avps=[_result_avp(dct.RESULT_SUCCESS)])
+        return build_answer(msg, avps=[result_code_avp(dct.RESULT_SUCCESS)])
 
 
 @dataclass

@@ -26,8 +26,7 @@ from typing import Mapping, Optional
 
 from . import dictionary as dct
 from .codec import Avp, Message, build_answer, build_message
-
-US_PER_S = 1_000_000
+from .simnet import US_PER_S
 
 
 class Phase(Enum):
@@ -136,7 +135,7 @@ def _origin(identity: str) -> Avp:
     return Avp(code=dct.AVP_ORIGIN_HOST, data=identity.encode(), mandatory=True)
 
 
-def _result(code: int) -> Avp:
+def result_code_avp(code: int) -> Avp:
     return Avp(code=dct.AVP_RESULT_CODE, data=code.to_bytes(4, "big"), mandatory=True)
 
 
@@ -165,7 +164,7 @@ def build_cer(
 def build_cea(cer: Message, identity: str, result_code: int = dct.RESULT_SUCCESS) -> Message:
     if not identity:
         raise ValueError("identity must be non-empty")
-    return build_answer(cer, avps=[_result(result_code), _origin(identity)])
+    return build_answer(cer, avps=[result_code_avp(result_code), _origin(identity)])
 
 
 def build_dwr(identity: str, *, hop_by_hop_id: int = 0, end_to_end_id: int = 0) -> Message:
@@ -183,7 +182,7 @@ def build_dwr(identity: str, *, hop_by_hop_id: int = 0, end_to_end_id: int = 0) 
 def build_dwa(dwr: Message, identity: str, result_code: int = dct.RESULT_SUCCESS) -> Message:
     if not identity:
         raise ValueError("identity must be non-empty")
-    return build_answer(dwr, avps=[_result(result_code), _origin(identity)])
+    return build_answer(dwr, avps=[result_code_avp(result_code), _origin(identity)])
 
 
 def build_dpr(
@@ -206,7 +205,7 @@ def build_dpr(
 def build_dpa(dpr: Message, identity: str, result_code: int = dct.RESULT_SUCCESS) -> Message:
     if not identity:
         raise ValueError("identity must be non-empty")
-    return build_answer(dpr, avps=[_result(result_code), _origin(identity)])
+    return build_answer(dpr, avps=[result_code_avp(result_code), _origin(identity)])
 
 
 # --- correlation ----------------------------------------------------------

@@ -37,10 +37,6 @@ class TaxonomyLabel:
     technique: Technique
     impact: Impact
 
-    @property
-    def cell(self) -> str:
-        return f"{self.origin.value}/{self.technique.value}/{self.impact.value}"
-
     def to_dict(self) -> dict[str, str]:
         return {
             "origin": self.origin.value,

@@ -1,9 +1,11 @@
 """Campaign layer: classification, report round-trip, determinism, CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from diamlab import attacks
 from diamlab.attacks import Finding, Severity
 from diamlab.campaign import (
     CampaignError,
@@ -14,10 +16,12 @@ from diamlab.campaign import (
 )
 from diamlab.capture import read_capture
 from diamlab.cli import main
-from diamlab.config import load_config, parse_campaign_config
+from diamlab.config import ATTACK_KINDS, ConfigError, load_config, parse_campaign_config
 from diamlab.taxonomy import Impact, Origin, TaxonomyLabel, Technique
 
-from tests.labs import duo_lab_text
+from tests.labs import duo_lab_text, make_lab
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -259,3 +263,87 @@ class TestCli:
 
     def test_missing_report_file_exits_one(self, capsys):
         assert main(["report", "--input", "/nonexistent/report.json"]) == 1
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            ("[1, 2]", "expected a JSON object, got list"),
+            ("3", "expected a JSON object, got int"),
+            ("not json", "Expecting value"),
+            ("missing-stats", "'stats' is missing or not a dict"),
+            ("attacks-int", "'attacks' is missing or not a list"),
+            ("nodes-of-ints", ""),  # mistyped below the top level: caught while rendering
+        ],
+    )
+    def test_report_input_that_is_not_a_report_exits_one(
+        self, content, reason, phase1_run, tmp_path, capsys
+    ):
+        good = phase1_run.report.to_dict()
+        broken = {
+            "missing-stats": {k: v for k, v in good.items() if k != "stats"},
+            "attacks-int": {**good, "attacks": 5},
+            "nodes-of-ints": {**good, "config": {**good["config"], "nodes": [1]}},
+        }
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(broken[content]) if content in broken else content)
+        assert main(["report", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not a campaign report: {reason}")
+        assert "Traceback" not in err
+
+
+def readme_config() -> str:
+    """The complete config example in the README's campaign config section."""
+    section = README.read_text().split("## Campaign config format", 1)[1]
+    return section.split("```", 2)[1]
+
+
+def readme_attack_section(kind: str) -> str:
+    text = readme_config()
+    start = text.index(f"[attack {kind}]")
+    end = text.find("\n[", start)
+    return text[start:] if end < 0 else text[start:end]
+
+
+class TestAttackKinds:
+    """The attack-kind table: one entry per kind, each usable end to end."""
+
+    def test_readme_config_example_parses(self):
+        config = parse_campaign_config(readme_config(), source="README.md")
+        assert [a.kind for a in config.attacks] == ["flood", "intercept", "fuzz"]
+
+    @pytest.mark.parametrize("kind", sorted(ATTACK_KINDS))
+    def test_readme_example_parses_echoes_runs_and_classifies(self, kind):
+        entry = ATTACK_KINDS[kind]
+        assert entry.spec.kind == kind
+        config = parse_campaign_config(duo_lab_text() + readme_attack_section(kind))
+        (spec,) = config.attacks
+        assert type(spec) is entry.spec
+        assert config.echo_dict()["attacks"][0]["kind"] == kind
+        run = run_campaign(config, write_files=False)
+        assert run.report.attacks[0]["kind"] == kind
+        for f in run.findings:
+            assert f.attack_kind == kind
+            assert f.taxonomy == entry.label(f)
+        # the fuzz example finds nothing on a healthy target; its rule must still exist
+        assert classify(finding(kind)) == entry.label(finding(kind))
+
+    def test_unknown_kind_names_the_line(self):
+        text = duo_lab_text() + "\n[attack teleport]\ntarget = target\n"
+        line = text.splitlines().index("[attack teleport]") + 1
+        with pytest.raises(ConfigError, match=rf"<config>:{line}: unknown attack kind 'teleport'"):
+            parse_campaign_config(text)
+
+    @pytest.mark.parametrize("kind", sorted(ATTACK_KINDS))
+    def test_runner_is_looked_up_at_call_time(self, kind, monkeypatch):
+        # profilers time attacks by replacing attacks.run_<kind>; the table must see that
+        config, lab = make_lab(duo_lab_text() + readme_attack_section(kind))
+        calls = []
+
+        def stand_in(lab, spec):
+            calls.append(spec)
+            return ("result", [], []) if kind == "intercept" else ("result", [])
+
+        monkeypatch.setattr(attacks, f"run_{kind}", stand_in)
+        result, findings, _ = ATTACK_KINDS[kind].run(lab, config.attacks[0], 1)
+        assert (result, findings, len(calls)) == ("result", [], 1)

@@ -13,6 +13,8 @@ from diamlab.config import (
 )
 from diamlab.elements import ElementKind
 
+from tests.labs import duo_lab_text
+
 
 class TestSectionParser:
     def test_basic_structure(self):
@@ -193,6 +195,21 @@ class TestCampaignAssembly:
         path.write_text(minimal())
         config = load_config(path)
         assert config.source == str(path)
+
+
+FLOOD_LAB = duo_lab_text() + "\n[attack flood]\ntarget = target\nrate_tps = 100\nduration_s = 1\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize(
+    "key", ["rate_tps", "duration_s", "service_rate", "latency_ms", "failure_threshold_s"]
+)
+def test_non_finite_number_is_a_located_config_error(key, value):
+    lines = FLOOD_LAB.splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith(f"{key} ="))
+    lines[index] = f"{key} = {value}"
+    with pytest.raises(ConfigError, match=rf"<config>:{index + 1}: {key} must be a finite number"):
+        parse_campaign_config("\n".join(lines))
 
 
 class TestPhaseGating:

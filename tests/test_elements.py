@@ -14,7 +14,6 @@ from diamlab.elements import (
     ElementFailedError,
     PeerLink,
     SubscriberRecord,
-    element_admit,
     required_tps,
     result_code_of,
 )
@@ -69,13 +68,13 @@ class TestAdmission:
     def test_first_request_accepted(self):
         _, lab = make_lab(duo_lab_text())
         target = lab.element("target")
-        assert element_admit(target, ("x", None), lab.sim.clock) is Admission.ACCEPTED
+        assert target.admit(("x", None), lab.sim.clock) is Admission.ACCEPTED
 
     def test_queue_then_drop(self):
         _, lab = make_lab(duo_lab_text(service_rate=1, queue_capacity=2))
         target = lab.element("target")
         now = lab.sim.clock
-        outcomes = [element_admit(target, ("x", i), now) for i in range(5)]
+        outcomes = [target.admit(("x", i), now) for i in range(5)]
         assert outcomes == [
             Admission.ACCEPTED,
             Admission.QUEUED,
@@ -90,16 +89,16 @@ class TestAdmission:
         target = lab.element("target")
         target.failed = True
         with pytest.raises(ElementFailedError):
-            element_admit(target, ("x", None), lab.sim.clock)
+            target.admit(("x", None), lab.sim.clock)
 
     def test_tokens_refill_at_service_rate(self):
         _, lab = make_lab(duo_lab_text(service_rate=1000))
         target = lab.element("target")
         now = lab.sim.clock
-        assert element_admit(target, ("a", 0), now) is Admission.ACCEPTED
+        assert target.admit(("a", 0), now) is Admission.ACCEPTED
         # 1 ms later exactly one token has accrued
-        assert element_admit(target, ("b", 1), now + 1_000) is Admission.ACCEPTED
-        assert element_admit(target, ("c", 2), now + 1_000) is Admission.QUEUED
+        assert target.admit(("b", 1), now + 1_000) is Admission.ACCEPTED
+        assert target.admit(("c", 2), now + 1_000) is Admission.QUEUED
 
 
 class TestTargetServer:

@@ -286,6 +286,26 @@ class TestCaptureFile:
         with pytest.raises(CaptureFormatError, match="truncated"):
             decode_capture(blob[:-3])
 
+    def test_round_trip_over_every_pad_length(self):
+        a, b = NodeId(0, "node-0"), NodeId(1, "node-1")
+        records = [CaptureRecord(at=n, src=a, dst=b, data=bytes(range(n))) for n in range(9)]
+        assert decode_capture(encode_capture(records)) == records
+
+    def test_missing_padding_rejected_with_record_offset(self):
+        blob = encode_capture(self._records()[:1])  # b"hello": 3 pad bytes, record at 4
+        for cut in (1, 3):
+            with pytest.raises(CaptureFormatError, match="padding in record at offset 4$"):
+                decode_capture(blob[:-cut])
+
+    def test_nonzero_padding_rejected_with_record_offset(self):
+        # b"12345678" (no pad) then b"hello", whose record starts at 4 + 20 + 8
+        a, b = NodeId(0, "a"), NodeId(1, "b")
+        records = [CaptureRecord(1, a, b, b"12345678"), CaptureRecord(2, b, a, b"hello")]
+        blob = bytearray(encode_capture(records))
+        blob[-2] = 0x01
+        with pytest.raises(CaptureFormatError, match="padding in record at offset 32$"):
+            decode_capture(bytes(blob))
+
     def test_empty_capture(self, tmp_path):
         path = tmp_path / "empty.dcap"
         write_capture(path, [])
