@@ -65,6 +65,8 @@ def parse_sections(text: str, source: str = "<config>") -> list[Section]:
             key, value = key.strip(), value.strip()
             if not key:
                 raise ConfigError(f"{source}:{lineno}: empty key")
+            if "#" in value:
+                raise ConfigError(f"{source}:{lineno}: {key}: '#' in a value (comments take whole lines)")
             if key in current.values:
                 raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
             current.values[key] = value

@@ -1,15 +1,17 @@
 """Deterministic discrete-event network: clock, links, taps, delivery.
 
-The clock is an integer count of simulated microseconds. Events execute
-in (timestamp, insertion order) order, so a given (topology, seed,
-scripted inputs) triple always replays to the same schedule, the same
-loss draws, and byte-identical tap streams. The single random source is
-Python's Mersenne Twister (`random.Random`), seeded once per
-simulation.
+The clock is an integer count of simulated microseconds. Events are
+heap tuples that execute in (timestamp, insertion order) order, so a
+given (topology, seed, scripted inputs) triple always replays to the
+same schedule, the same loss draws, and byte-identical tap streams. The
+single random source is Python's Mersenne Twister (`random.Random`),
+seeded once per simulation.
 
-Links are point-to-point and bidirectional. A link with protected=True
+Links are point-to-point and bidirectional; each direction's route is
+resolved once, when the simulation is built. A link with protected=True
 models an encrypted or trusted transport: traffic still flows, but taps
-on it capture nothing.
+on it capture nothing. A tap on an unprotected link sees every
+traversal from the moment it is attached.
 """
 
 from __future__ import annotations
@@ -76,16 +78,6 @@ class Tap:
     records: list[CaptureRecord] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    at: int
-    kind: str  # "deliver" | "timer"
-    dst: NodeId
-    src: Optional[NodeId] = None
-    payload: Optional[bytes] = None
-    tag: object = None
-
-
 @dataclass
 class LinkStats:
     attempted: int = 0
@@ -135,10 +127,17 @@ class Simulation:
         self.link_stats: dict[tuple[int, int], LinkStats] = {
             key: LinkStats() for key in self.links
         }
-        self._queue: list[tuple[int, int, SimEvent]] = []
+        # (at, seq, LinkStats of a delivery or None for a timer, dst, src, payload or tag);
+        # seq is unique, so comparisons never look past it.
+        self._queue: list[tuple] = []
         self._seq = 0
         self._handlers: dict[int, object] = {}
         self._taps: dict[tuple[int, int], list[Tap]] = {key: [] for key in self.links}
+        # (src.id, dst.id) -> (link, its stats, its live taps list, latency_us), both directions
+        self._routes: dict[tuple[int, int], tuple[Link, LinkStats, list[Tap], int]] = {}
+        for key, link in self.links.items():
+            route = (link, self.link_stats[key], self._taps[key], link.latency_us)
+            self._routes[(link.a.id, link.b.id)] = self._routes[(link.b.id, link.a.id)] = route
 
     # -- wiring ------------------------------------------------------------
 
@@ -152,34 +151,30 @@ class Simulation:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _push(self, event: SimEvent) -> None:
-        if event.at < self.clock:
-            raise ValueError(f"cannot schedule into the past ({event.at} < {self.clock})")
-        heapq.heappush(self._queue, (event.at, self._seq, event))
-        self._seq += 1
-
     def schedule_timer(self, at: int, dst: NodeId, tag: object) -> None:
-        self._push(SimEvent(at=at, kind="timer", dst=dst, tag=tag))
+        if at < self.clock:
+            raise ValueError(f"cannot schedule into the past ({at} < {self.clock})")
+        heapq.heappush(self._queue, (at, self._seq, None, dst, None, tag))
+        self._seq += 1
 
     def send(self, src: NodeId, dst: NodeId, data: bytes) -> None:
         """Offer bytes to the link; taps see every traversal, loss is drawn after."""
-        link = self.link_between(src, dst)
-        if link is None:
+        route = self._routes.get((src.id, dst.id))
+        if route is None:
             raise NoSuchLinkError(f"no link between {src.label!r} and {dst.label!r}")
+        link, lstats, taps, latency_us = route
         self.stats.sends += 1
-        lstats = self.link_stats[link.key]
         lstats.attempted += 1
-        if not link.protected:
+        if taps and not link.protected:
             record = CaptureRecord(at=self.clock, src=src, dst=dst, data=bytes(data))
-            for tap in self._taps[link.key]:
+            for tap in taps:
                 tap.records.append(record)
         if link.loss_probability > 0 and self.rng.random() < link.loss_probability:
             lstats.lost += 1
             self.stats.lost += 1
             return
-        self._push(
-            SimEvent(at=self.clock + link.latency_us, kind="deliver", dst=dst, src=src, payload=data)
-        )
+        heapq.heappush(self._queue, (self.clock + latency_us, self._seq, lstats, dst, src, data))
+        self._seq += 1
 
     def attach_tap(self, a: NodeId, b: NodeId) -> Tap:
         link = self.link_between(a, b)
@@ -194,26 +189,27 @@ class Simulation:
     def next_event_at(self) -> Optional[int]:
         return self._queue[0][0] if self._queue else None
 
+    def queued_deliveries(self, stats: Optional[LinkStats] = None) -> int:
+        """Deliveries still queued: on the link whose stats are `stats`, or on every link."""
+        return sum(1 for e in self._queue if e[2] is not None and (stats is None or e[2] is stats))
+
     def run_until(self, t: int) -> SimStats:
         """Process every event with timestamp <= t; the clock ends exactly at t."""
         if t < self.clock:
             raise ValueError(f"cannot run backwards ({t} < {self.clock})")
-        while self._queue and self._queue[0][0] <= t:
-            _, _, event = heapq.heappop(self._queue)
-            self.clock = event.at
-            self.stats.events_processed += 1
-            handler = self._handlers.get(event.dst.id)
-            if event.kind == "deliver":
-                self.stats.delivered += 1
-                if event.src is not None:
-                    link = self.link_between(event.src, event.dst)
-                    if link is not None:
-                        self.link_stats[link.key].delivered += 1
+        queue, stats, handlers, pop = self._queue, self.stats, self._handlers, heapq.heappop
+        while queue and queue[0][0] <= t:
+            at, _, lstats, dst, src, item = pop(queue)
+            self.clock = at
+            stats.events_processed += 1
+            handler = handlers.get(dst.id)
+            if lstats is not None:
+                stats.delivered += 1
+                lstats.delivered += 1
                 if handler is not None:
-                    handler.on_message(self, event.src, event.payload, self.clock)
-            else:
-                if handler is not None:
-                    handler.on_timer(self, event.tag, self.clock)
+                    handler.on_message(self, src, item, at)
+            elif handler is not None:
+                handler.on_timer(self, item, at)
         self.clock = t
         return self.stats
 

@@ -126,6 +126,37 @@ class TestRunCampaign:
         assert r1.report.attacks[0]["result"]["seed"] == r2.report.attacks[0]["result"]["seed"]
 
 
+def assert_conserved(lab):
+    """Every offered request and every sent message is accounted for exactly once."""
+    for label, elem in lab.elements.items():
+        accounted = (
+            elem.direct_served
+            + elem.drained_served
+            + elem.dropped_overflow
+            + elem.dropped_at_failure
+            + len(elem.queue)
+        )
+        assert elem.offered == accounted, label
+    stats = lab.sim.stats
+    assert stats.sends == stats.delivered + stats.lost + lab.sim.queued_deliveries()
+
+
+class TestConservation:
+    def test_phase1_campaign(self, phase1_run):
+        assert_conserved(phase1_run.lab)
+
+    def test_phase2_campaign(self, phase2_run):
+        assert phase2_run.lab.elements["target"].dropped_at_failure > 0
+        assert_conserved(phase2_run.lab)
+
+    def test_flood_at_eight_times_capacity(self):
+        _, lab = make_lab(duo_lab_text(service_rate=1000))
+        attacks.run_flood(lab, attacks.FloodSpec(target="target", rate_tps=8000, duration_s=1.0))
+        target = lab.elements["target"]
+        assert target.offered >= 8000 and target.dropped_overflow > 0
+        assert_conserved(lab)
+
+
 class TestDeterminism:
     def test_phase1_reports_byte_identical(self, phase1_run, tmp_path):
         rerun = run_campaign(load_config("phase1"), out_dir=str(tmp_path / "again"))

@@ -212,6 +212,23 @@ def test_non_finite_number_is_a_located_config_error(key, value):
         parse_campaign_config("\n".join(lines))
 
 
+@pytest.mark.parametrize(
+    "key, line",
+    [
+        ("output", "output = out  # optional"),
+        ("location", "location = area-1 # home"),
+        ("rate_tps", "rate_tps = 100#tps"),
+    ],
+)
+def test_hash_in_a_value_is_a_located_config_error(key, line):
+    text = FLOOD_LAB.replace("seed = 7", "seed = 7\noutput = out") + "\n[subscriber s1]\nlocation = a\n"
+    lines = text.splitlines()
+    index = next(i for i, old in enumerate(lines) if old.startswith(f"{key} ="))
+    lines[index] = line
+    with pytest.raises(ConfigError, match=rf"^<config>:{index + 1}: {key}: '#' in a value"):
+        parse_campaign_config("\n".join(lines))
+
+
 class TestPhaseGating:
     def test_phase1_rejects_core_elements(self):
         text = minimal(phase="phase1") + "\n[node hss]\nkind = HSS\n"

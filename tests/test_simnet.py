@@ -1,6 +1,8 @@
 """Simulator: determinism, taps, loss accounting, the DCAP capture format."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diamlab.capture import (
     MAGIC,
@@ -46,6 +48,36 @@ def two_node_sim(latency_ms=10.0, loss=0.0, protected=False, seed=0):
     sim.register_handler(sim.node_by_label["a"], rec_a)
     sim.register_handler(sim.node_by_label["b"], rec_b)
     return sim, rec_a, rec_b
+
+
+def chain_sim(seed=3):
+    """a --3 ms-- b --7.25 ms, 30% loss-- c, with a Recorder on every node."""
+    spec = TopologySpec(
+        nodes=(NodeSpec("a"), NodeSpec("b"), NodeSpec("c")),
+        links=(
+            LinkSpec("a", "b", latency_ms=3.0),
+            LinkSpec("b", "c", latency_ms=7.25, loss_probability=0.3),
+        ),
+    )
+    sim = build_topology(spec, seed=seed)
+    recorders = {}
+    for node in sim.nodes:
+        recorders[node.label] = Recorder()
+        sim.register_handler(node, recorders[node.label])
+    return sim, recorders
+
+
+class OrderLog:
+    """Node handler that logs messages and timers in one list, in firing order."""
+
+    def __init__(self):
+        self.log = []
+
+    def on_message(self, sim, src, data, now):
+        self.log.append(("message", data))
+
+    def on_timer(self, sim, tag, now):
+        self.log.append(("timer", tag))
 
 
 class TestTopology:
@@ -134,6 +166,24 @@ class TestDelivery:
         sim.run_until(1_000_000)
         assert [m[2] for m in rec_b.messages] == [b"\x00", b"\x01", b"\x02", b"\x03"]
 
+    def test_timer_and_delivery_due_together_fire_in_scheduling_order(self):
+        sim, _, _ = two_node_sim(latency_ms=5)
+        a, b = sim.nodes
+        order = OrderLog()
+        sim.register_handler(b, order)
+        expected = []
+        for i in range(20):
+            if i % 2:
+                sim.send(a, b, bytes([i]))
+                expected.append(("message", bytes([i])))
+            else:
+                # dicts and None cannot be ordered: a comparison would raise TypeError
+                tag = None if i % 4 == 0 else {"i": i}
+                sim.schedule_timer(5_000, b, tag)
+                expected.append(("timer", tag))
+        sim.run_until(5_000)
+        assert order.log == expected
+
     def test_timers_fire_in_order(self):
         sim, rec_a, _ = two_node_sim()
         a, _ = sim.nodes
@@ -182,9 +232,84 @@ class TestDeterminism:
         assert stats.attempted == 500
         assert stats.delivered + stats.lost == stats.attempted
 
+    def test_per_link_conservation_during_and_after_the_run(self):
+        sim, _ = chain_sim()
+        a, b, c = sim.nodes
+        ab = sim.link_stats[sim.link_between(a, b).key]
+        bc = sim.link_stats[sim.link_between(b, c).key]
+        most_queued = 0
+        for _ in range(200):
+            sim.send(a, b, b"x")
+            sim.send(c, b, b"y")
+            sim.send(b, c, b"z")
+            sim.run_until(sim.clock + 2_500)
+            for stats in (ab, bc):
+                queued = sim.queued_deliveries(stats)
+                assert stats.attempted == stats.delivered + stats.lost + queued
+                most_queued = max(most_queued, queued)
+        assert most_queued > 0
+        sim.run_until(sim.clock + 1_000_000)
+        assert (ab.attempted, bc.attempted) == (200, 400)
+        assert ab.lost == 0 and bc.lost > 0
+        for stats in (ab, bc):
+            assert stats.attempted == stats.delivered + stats.lost
+        assert sim.queued_deliveries() == 0
+        assert sim.stats.sends == ab.attempted + bc.attempted
+        assert sim.stats.delivered == ab.delivered + bc.delivered
+
     def test_different_seeds_diverge(self):
         # not guaranteed in principle, overwhelmingly likely at n=1000
         assert self._run(1) != self._run(2)
+
+
+class TestMultiLink:
+    def test_each_direction_of_each_link_delivers_at_its_own_latency(self):
+        sim, recorders = chain_sim()
+        a, b, c = sim.nodes
+        for step in range(40):
+            for src, dst in ((a, b), (b, a), (b, c), (c, b)):
+                sim.send(src, dst, step.to_bytes(2, "big"))
+            sim.run_until(sim.clock + 1_000)
+        sim.run_until(sim.clock + 1_000_000)
+        delays = {}
+        for dst_label, recorder in recorders.items():
+            for now, src_label, data in recorder.messages:
+                sent_at = int.from_bytes(data, "big") * 1_000
+                delays.setdefault((src_label, dst_label), set()).add(now - sent_at)
+        assert delays == {
+            ("a", "b"): {3_000},
+            ("b", "a"): {3_000},
+            ("b", "c"): {7_250},
+            ("c", "b"): {7_250},
+        }
+
+    def test_unknown_pair_names_both_labels(self):
+        sim, _ = chain_sim()
+        a, _, c = sim.nodes
+        with pytest.raises(NoSuchLinkError, match="no link between 'c' and 'a'"):
+            sim.send(c, a, b"x")
+
+    def test_tap_attached_mid_run_sees_later_traversals_of_its_own_link(self):
+        sim, _ = chain_sim()
+        a, b, c = sim.nodes
+
+        def traffic(phase):
+            for src, dst in ((a, b), (b, a), (b, c), (c, b)):
+                sim.send(src, dst, phase + src.label.encode() + dst.label.encode())
+            sim.run_until(sim.clock + 20_000)
+
+        traffic(b"early:")
+        tap = sim.attach_tap(c, b)
+        traffic(b"late:")
+        traffic(b"later:")
+        # lost frames included: the tap sees the wire, loss is drawn after
+        assert [(r.src.label, r.dst.label, r.data) for r in tap.records] == [
+            ("b", "c", b"late:bc"),
+            ("c", "b", b"late:cb"),
+            ("b", "c", b"later:bc"),
+            ("c", "b", b"later:cb"),
+        ]
+        assert [r.at for r in tap.records] == [20_000, 20_000, 40_000, 40_000]
 
 
 class TestTaps:
@@ -237,6 +362,33 @@ class TestTaps:
         sim.send(a, b, b"\x01\x02")
         rec = tap.records[0]
         assert rec == CaptureRecord(at=12_345, src=a, dst=b, data=b"\x01\x02")
+
+
+node_ids = st.builds(NodeId, id=st.integers(0, 2**32 - 1), label=st.just("n"))
+
+
+@st.composite
+def capture_blobs(draw):
+    """Half random bytes, half valid captures, maybe with bit flips, a cut or a tail."""
+    if draw(st.booleans()):
+        return draw(st.one_of(st.binary(max_size=96), st.binary(max_size=92).map(MAGIC.__add__)))
+    records = draw(
+        st.lists(
+            st.builds(
+                CaptureRecord,
+                at=st.integers(0, 2**64 - 1),
+                src=node_ids,
+                dst=node_ids,
+                data=st.binary(max_size=12),
+            ),
+            max_size=4,
+        )
+    )
+    blob = bytearray(encode_capture(records))
+    for _ in range(draw(st.integers(0, 3))):
+        blob[draw(st.integers(0, len(blob) - 1))] ^= 1 << draw(st.integers(0, 7))
+    cut = draw(st.one_of(st.just(len(blob)), st.integers(0, len(blob))))
+    return bytes(blob[:cut]) + draw(st.one_of(st.just(b""), st.binary(max_size=8)))
 
 
 class TestCaptureFile:
@@ -305,6 +457,17 @@ class TestCaptureFile:
         blob[-2] = 0x01
         with pytest.raises(CaptureFormatError, match="padding in record at offset 32$"):
             decode_capture(bytes(blob))
+
+    @given(data=capture_blobs())
+    @settings(max_examples=500, deadline=None)
+    def test_decode_is_total(self, data):
+        """Random and structure-mutated bytes give records or CaptureFormatError, nothing else."""
+        try:
+            records = decode_capture(data)
+        except CaptureFormatError:
+            return
+        assert all(isinstance(r, CaptureRecord) for r in records)
+        assert encode_capture(records) == data  # decode accepts only what encode writes
 
     def test_empty_capture(self, tmp_path):
         path = tmp_path / "empty.dcap"
