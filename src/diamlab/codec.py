@@ -62,6 +62,18 @@ _AVP_RESERVED_MASK = 0x1F
 U32_MAX = 0xFFFFFFFF
 _U24_MAX = 0xFFFFFF
 
+# One pack or unpack per header. Message header words: version << 24 |
+# length, flags << 24 | command code, application id, hop-by-hop id,
+# end-to-end id. AVP header words: code, flags << 24 | length[, vendor id].
+_HEADER = struct.Struct(">IIIII")
+_AVP_HEADER = struct.Struct(">II")
+_AVP_HEADER_VENDOR = struct.Struct(">III")
+_U32 = struct.Struct(">I")
+# Zero padding after an AVP of length n is _PADDING[n & 3].
+_PADDING = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")
+
+_set = object.__setattr__
+
 
 class CodecError(ValueError):
     """A Message value cannot be put on the wire (range or flag contradiction)."""
@@ -87,7 +99,12 @@ class ParseError:
     offset: int
 
 
-@dataclass(frozen=True)
+# Avp and MessageHeader are built once or more per message, so they take
+# a positional __init__ instead of the generated one; it sets the slots in
+# field order with the fields' defaults.
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Avp:
     """One attribute-value pair.
 
@@ -103,9 +120,25 @@ class Avp:
     protected: bool = False
     vendor_specific: Optional[bool] = None
 
-    def __post_init__(self) -> None:
-        if self.vendor_specific is None:
-            object.__setattr__(self, "vendor_specific", self.vendor_id is not None)
+    def __init__(
+        self,
+        code: int,
+        data: bytes = b"",
+        vendor_id: Optional[int] = None,
+        mandatory: bool = False,
+        protected: bool = False,
+        vendor_specific: Optional[bool] = None,
+    ) -> None:
+        _set(self, "code", code)
+        _set(self, "data", data)
+        _set(self, "vendor_id", vendor_id)
+        _set(self, "mandatory", mandatory)
+        _set(self, "protected", protected)
+        _set(
+            self,
+            "vendor_specific",
+            vendor_id is not None if vendor_specific is None else vendor_specific,
+        )
 
     @property
     def wire_length(self) -> int:
@@ -114,7 +147,7 @@ class Avp:
         return base + len(self.data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MessageHeader:
     command_code: int
     application_id: int = 0
@@ -127,6 +160,30 @@ class MessageHeader:
     version: int = 1
     message_length: int = 0
 
+    def __init__(
+        self,
+        command_code: int,
+        application_id: int = 0,
+        hop_by_hop_id: int = 0,
+        end_to_end_id: int = 0,
+        request: bool = False,
+        proxiable: bool = False,
+        error: bool = False,
+        retransmit: bool = False,
+        version: int = 1,
+        message_length: int = 0,
+    ) -> None:
+        _set(self, "command_code", command_code)
+        _set(self, "application_id", application_id)
+        _set(self, "hop_by_hop_id", hop_by_hop_id)
+        _set(self, "end_to_end_id", end_to_end_id)
+        _set(self, "request", request)
+        _set(self, "proxiable", proxiable)
+        _set(self, "error", error)
+        _set(self, "retransmit", retransmit)
+        _set(self, "version", version)
+        _set(self, "message_length", message_length)
+
     @property
     def flags_byte(self) -> int:
         return (
@@ -137,7 +194,7 @@ class MessageHeader:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     header: MessageHeader
     avps: tuple[Avp, ...] = ()
@@ -161,19 +218,23 @@ def build_message(
     length-honesty invariant, so decode(encode(m)) == m.
     """
     avps = tuple(avps)
-    length = HEADER_LEN + sum(padded_length(a.wire_length) for a in avps)
+    length = HEADER_LEN
+    for a in avps:
+        n = (AVP_HEADER_LEN + 4 if a.vendor_specific else AVP_HEADER_LEN) + len(a.data)
+        length += (n + 3) & ~3  # padded wire_length
     header = MessageHeader(
-        command_code=command_code,
-        application_id=application_id,
-        hop_by_hop_id=hop_by_hop_id,
-        end_to_end_id=end_to_end_id,
-        request=request,
-        proxiable=proxiable,
-        error=error,
-        retransmit=retransmit,
-        message_length=length,
+        command_code,
+        application_id,
+        hop_by_hop_id,
+        end_to_end_id,
+        request,
+        proxiable,
+        error,
+        retransmit,
+        1,
+        length,
     )
-    return Message(header=header, avps=avps)
+    return Message(header, avps)
 
 
 def build_answer(req: Message, avps: tuple[Avp, ...] | list[Avp] = (), *, error: bool = False) -> Message:
@@ -196,31 +257,35 @@ def padded_length(n: int) -> int:
     return (n + 3) & ~3
 
 
-def _check_range(value: int, maximum: int, what: str) -> None:
-    if not 0 <= value <= maximum:
-        raise CodecError(f"{what} {value} out of range [0, {maximum}]")
+def _range_error(value: int, maximum: int, what: str) -> CodecError:
+    return CodecError(f"{what} {value} out of range [0, {maximum}]")
 
 
 def encode_avp(avp: Avp) -> bytes:
-    if avp.vendor_specific != (avp.vendor_id is not None):
+    code, vendor_id, data = avp.code, avp.vendor_id, avp.data
+    if avp.vendor_specific != (vendor_id is not None):
         raise CodecError(
-            f"AVP {avp.code}: vendor_specific flag contradicts vendor_id presence"
+            f"AVP {code}: vendor_specific flag contradicts vendor_id presence"
         )
-    _check_range(avp.code, U32_MAX, "AVP code")
-    if avp.vendor_id is not None:
-        _check_range(avp.vendor_id, U32_MAX, "vendor id")
-    length = avp.wire_length
-    _check_range(length, _U24_MAX, "AVP length")
-    flags = (
-        (AVP_FLAG_VENDOR if avp.vendor_specific else 0)
-        | (AVP_FLAG_MANDATORY if avp.mandatory else 0)
-        | (AVP_FLAG_PROTECTED if avp.protected else 0)
+    if not 0 <= code <= U32_MAX:
+        raise _range_error(code, U32_MAX, "AVP code")
+    flags = (AVP_FLAG_MANDATORY if avp.mandatory else 0) | (
+        AVP_FLAG_PROTECTED if avp.protected else 0
     )
-    out = struct.pack(">IB", avp.code, flags) + length.to_bytes(3, "big")
-    if avp.vendor_id is not None:
-        out += struct.pack(">I", avp.vendor_id)
-    out += avp.data
-    return out + b"\x00" * (padded_length(length) - length)
+    if vendor_id is None:
+        length = AVP_HEADER_LEN + len(data)
+    else:
+        if not 0 <= vendor_id <= U32_MAX:
+            raise _range_error(vendor_id, U32_MAX, "vendor id")
+        flags |= AVP_FLAG_VENDOR
+        length = AVP_HEADER_LEN + 4 + len(data)
+    if not 0 <= length <= _U24_MAX:
+        raise _range_error(length, _U24_MAX, "AVP length")
+    if vendor_id is None:
+        head = _AVP_HEADER.pack(code, flags << 24 | length)
+    else:
+        head = _AVP_HEADER_VENDOR.pack(code, flags << 24 | length, vendor_id)
+    return head + data + _PADDING[length & 3]
 
 
 def encode_message(m: Message) -> bytes:
@@ -230,20 +295,28 @@ def encode_message(m: Message) -> bytes:
     (range overflow, vendor flag contradiction).
     """
     h = m.header
-    _check_range(h.version, 0xFF, "version")
-    _check_range(h.command_code, _U24_MAX, "command code")
-    _check_range(h.application_id, U32_MAX, "application id")
-    _check_range(h.hop_by_hop_id, U32_MAX, "hop-by-hop id")
-    _check_range(h.end_to_end_id, U32_MAX, "end-to-end id")
-    body = b"".join(encode_avp(a) for a in m.avps)
+    version, command_code, application_id = h.version, h.command_code, h.application_id
+    hop_by_hop_id, end_to_end_id = h.hop_by_hop_id, h.end_to_end_id
+    if not 0 <= version <= 0xFF:
+        raise _range_error(version, 0xFF, "version")
+    if not 0 <= command_code <= _U24_MAX:
+        raise _range_error(command_code, _U24_MAX, "command code")
+    if not 0 <= application_id <= U32_MAX:
+        raise _range_error(application_id, U32_MAX, "application id")
+    if not 0 <= hop_by_hop_id <= U32_MAX:
+        raise _range_error(hop_by_hop_id, U32_MAX, "hop-by-hop id")
+    if not 0 <= end_to_end_id <= U32_MAX:
+        raise _range_error(end_to_end_id, U32_MAX, "end-to-end id")
+    body = b"".join([encode_avp(a) for a in m.avps])
     total = HEADER_LEN + len(body)
-    _check_range(total, MAX_MESSAGE_LEN, "message length")
-    head = (
-        struct.pack(">B", h.version)
-        + total.to_bytes(3, "big")
-        + struct.pack(">B", h.flags_byte)
-        + h.command_code.to_bytes(3, "big")
-        + struct.pack(">III", h.application_id, h.hop_by_hop_id, h.end_to_end_id)
+    if not 0 <= total <= MAX_MESSAGE_LEN:
+        raise _range_error(total, MAX_MESSAGE_LEN, "message length")
+    head = _HEADER.pack(
+        version << 24 | total,
+        h.flags_byte << 24 | command_code,
+        application_id,
+        hop_by_hop_id,
+        end_to_end_id,
     )
     return head + body
 
@@ -255,34 +328,33 @@ def _decode_avps(data: bytes, start: int, end: int) -> Union[list[Avp], ParseErr
     while off < end:
         if end - off < AVP_HEADER_LEN:
             return ParseError(ParseErrorKind.AVP_OVERRUN, off)
-        code = struct.unpack_from(">I", data, off)[0]
-        flags = data[off + 4]
+        code, word = _AVP_HEADER.unpack_from(data, off)
+        flags = word >> 24
         if flags & _AVP_RESERVED_MASK:
             return ParseError(ParseErrorKind.BAD_PADDING, off + 4)
-        length = int.from_bytes(data[off + 5 : off + 8], "big")
+        length = word & _U24_MAX
         vendor = bool(flags & AVP_FLAG_VENDOR)
-        hdr = AVP_HEADER_LEN + (4 if vendor else 0)
+        hdr = AVP_HEADER_LEN + 4 if vendor else AVP_HEADER_LEN
         if length < hdr:
             return ParseError(ParseErrorKind.BAD_LENGTH, off + 5)
         if off + length > end:
             return ParseError(ParseErrorKind.AVP_OVERRUN, off)
-        padded = padded_length(length)
+        padded = (length + 3) & ~3
         if off + padded > end:
             return ParseError(ParseErrorKind.BAD_PADDING, off + length)
-        pad = data[off + length : off + padded]
-        if any(pad):
-            return ParseError(
-                ParseErrorKind.BAD_PADDING, off + length + next(i for i, b in enumerate(pad) if b)
-            )
-        vendor_id = struct.unpack_from(">I", data, off + 8)[0] if vendor else None
+        if padded != length:
+            pad = data[off + length : off + padded]
+            if any(pad):
+                first_nonzero = next(i for i, b in enumerate(pad) if b)
+                return ParseError(ParseErrorKind.BAD_PADDING, off + length + first_nonzero)
         avps.append(
             Avp(
-                code=code,
-                data=bytes(data[off + hdr : off + length]),
-                vendor_id=vendor_id,
-                mandatory=bool(flags & AVP_FLAG_MANDATORY),
-                protected=bool(flags & AVP_FLAG_PROTECTED),
-                vendor_specific=vendor,
+                code,
+                bytes(data[off + hdr : off + length]),
+                _U32.unpack_from(data, off + 8)[0] if vendor else None,
+                bool(flags & AVP_FLAG_MANDATORY),
+                bool(flags & AVP_FLAG_PROTECTED),
+                vendor,
             )
         )
         off += padded
@@ -299,35 +371,35 @@ def decode_message(data: bytes) -> Union[Message, ParseError]:
     n = len(data)
     if n < HEADER_LEN:
         return ParseError(ParseErrorKind.TRUNCATED, n)
-    if data[0] != 1:
+    first, second, application_id, hop_by_hop_id, end_to_end_id = _HEADER.unpack_from(data)
+    if first >> 24 != 1:
         return ParseError(ParseErrorKind.BAD_VERSION, 0)
-    declared = int.from_bytes(data[1:4], "big")
+    declared = first & _U24_MAX
     if declared % 4 != 0 or declared < HEADER_LEN:
         return ParseError(ParseErrorKind.BAD_LENGTH, 1)
     if declared > n:
         return ParseError(ParseErrorKind.TRUNCATED, n)
     if declared < n:
         return ParseError(ParseErrorKind.BAD_LENGTH, 1)
-    flags = data[4]
+    flags = second >> 24
     if flags & _HEADER_RESERVED_MASK:
         return ParseError(ParseErrorKind.BAD_PADDING, 4)
-    command_code = int.from_bytes(data[5:8], "big")
-    application_id, hop_by_hop_id, end_to_end_id = struct.unpack_from(">III", data, 8)
     avps = _decode_avps(data, HEADER_LEN, declared)
     if isinstance(avps, ParseError):
         return avps
     header = MessageHeader(
-        command_code=command_code,
-        application_id=application_id,
-        hop_by_hop_id=hop_by_hop_id,
-        end_to_end_id=end_to_end_id,
-        request=bool(flags & FLAG_REQUEST),
-        proxiable=bool(flags & FLAG_PROXIABLE),
-        error=bool(flags & FLAG_ERROR),
-        retransmit=bool(flags & FLAG_RETRANSMIT),
-        message_length=declared,
+        second & _U24_MAX,
+        application_id,
+        hop_by_hop_id,
+        end_to_end_id,
+        bool(flags & FLAG_REQUEST),
+        bool(flags & FLAG_PROXIABLE),
+        bool(flags & FLAG_ERROR),
+        bool(flags & FLAG_RETRANSMIT),
+        1,
+        declared,
     )
-    return Message(header=header, avps=tuple(avps))
+    return Message(header, tuple(avps))
 
 
 # --- dictionary-scoped semantic validation -------------------------------
@@ -411,6 +483,5 @@ def first_avp(m: Message, code: int) -> Optional[Avp]:
 
 def replace_ids(m: Message, hop_by_hop_id: int, end_to_end_id: int) -> Message:
     return Message(
-        header=replace(m.header, hop_by_hop_id=hop_by_hop_id, end_to_end_id=end_to_end_id),
-        avps=m.avps,
+        replace(m.header, hop_by_hop_id=hop_by_hop_id, end_to_end_id=end_to_end_id), m.avps
     )

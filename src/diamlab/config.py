@@ -207,12 +207,10 @@ def _parse_flood(sec: Section, source: str, labels: dict[str, ElementKind]) -> F
     target = _target(sec, source, labels)
     rate = _require(sec, "rate_tps", source, _get_float)
     duration = _require(sec, "duration_s", source, _get_float)
+    ratio = _get_float(sec, "degraded_threshold", source, 0.95)
     try:
         return FloodSpec(
-            target=target,
-            rate_tps=rate,
-            duration_s=duration,
-            degraded_answer_ratio=_get_float(sec, "degraded_threshold", source, 0.95),
+            target=target, rate_tps=rate, duration_s=duration, degraded_answer_ratio=ratio
         )
     except ValueError as exc:
         raise ConfigError(f"{source}:{sec.line}: {exc}") from None
@@ -246,10 +244,9 @@ def _parse_fuzz(sec: Section, source: str, labels: dict[str, ElementKind]) -> Fu
         except ValueError as exc:
             raise ConfigError(f"{source}:{sec.where('ops')}: {exc}") from None
     cases = _require(sec, "cases", source, _get_int)
+    seed = _get_int(sec, "seed", source, None)
     try:
-        return FuzzSpec(
-            target=target, case_count=cases, ops=ops, seed=_get_int(sec, "seed", source, None)
-        )
+        return FuzzSpec(target=target, case_count=cases, ops=ops, seed=seed)
     except ValueError as exc:
         raise ConfigError(f"{source}:{sec.line}: {exc}") from None
 
@@ -378,6 +375,7 @@ def parse_campaign_config(
     capacities: dict[str, ElementCapacity] = {}
     nodes: list[NodeSpec] = []
     links: list[LinkSpec] = []
+    link_lines: dict[frozenset[str], int] = {}  # endpoint pair -> line of its [link]
     subscribers: list[SubscriberRecord] = []
     rules: list[PolicyRule] = []
 
@@ -396,11 +394,14 @@ def parse_campaign_config(
                     f"{source}:{sec.where('kind')}: unknown element kind {kind_name!r}"
                 )
             kinds[label] = _KIND_NAMES[kind_name]
+            service_rate = _get_float(sec, "service_rate", source, 1000.0)
+            queue_capacity = _get_int(sec, "queue_capacity", source, 100)
+            failure_threshold_s = _get_float(sec, "failure_threshold_s", source, 3600.0)
             try:
                 capacities[label] = ElementCapacity(
-                    service_rate=_get_float(sec, "service_rate", source, 1000.0),
-                    queue_capacity=_get_int(sec, "queue_capacity", source, 100),
-                    failure_threshold_s=_get_float(sec, "failure_threshold_s", source, 3600.0),
+                    service_rate=service_rate,
+                    queue_capacity=queue_capacity,
+                    failure_threshold_s=failure_threshold_s,
                 )
             except ValueError as exc:
                 raise ConfigError(f"{source}:{sec.line}: {exc}") from None
@@ -414,15 +415,24 @@ def parse_campaign_config(
                     raise ConfigError(
                         f"{source}:{sec.line}: link endpoint {label!r} is not a declared node"
                     )
-            links.append(
-                LinkSpec(
-                    a=a,
-                    b=b,
-                    latency_ms=_get_float(sec, "latency_ms", source, 10.0),
-                    loss_probability=_get_float(sec, "loss", source, 0.0),
-                    protected=_get_bool(sec, "protected", source, False),
+            if a == b:
+                raise ConfigError(
+                    f"{source}:{sec.line}: link {a!r} <-> {b!r} joins a node to itself"
                 )
-            )
+            pair = frozenset((a, b))
+            if pair in link_lines:
+                raise ConfigError(
+                    f"{source}:{sec.line}: duplicate link between {a!r} and {b!r}"
+                    f" (first declared on line {link_lines[pair]})"
+                )
+            link_lines[pair] = sec.line
+            latency_ms = _get_float(sec, "latency_ms", source, 10.0)
+            loss = _get_float(sec, "loss", source, 0.0)
+            protected = _get_bool(sec, "protected", source, False)
+            try:
+                links.append(LinkSpec(a, b, latency_ms, loss, protected))
+            except ValueError as exc:
+                raise ConfigError(f"{source}:{sec.line}: {exc}") from None
         elif sec.kind == "subscriber":
             if len(sec.args) != 1:
                 raise ConfigError(f"{source}:{sec.line}: [subscriber] needs one id argument")
@@ -444,9 +454,12 @@ def parse_campaign_config(
         elif sec.kind == "rule":
             if len(sec.args) != 1:
                 raise ConfigError(f"{source}:{sec.line}: [rule] needs one id argument")
+            rule_id = sec.args[0]
+            if any(r.rule_id == rule_id for r in rules):
+                raise ConfigError(f"{source}:{sec.line}: duplicate rule {rule_id!r}")
             rules.append(
                 PolicyRule(
-                    rule_id=sec.args[0],
+                    rule_id=rule_id,
                     subscriber_id=_require(sec, "subscriber", source),
                     qos_class=_get_int(sec, "qos_class", source, 9),
                 )

@@ -277,6 +277,10 @@ class Element:
         if isinstance(msg, ParseError):
             self.parse_drops += 1
             return
+        self.on_decoded(sim, src, msg, now)
+
+    def on_decoded(self, sim: Simulation, src: NodeId, msg: Message, now: int) -> None:
+        """Validate a decoded inbound message and feed it to the peer FSM."""
         if msg.header.request:
             violations = validate_message(msg, self.dictionary)
             if violations:
@@ -663,16 +667,15 @@ class AttackBoxElement(Element):
         super().__init__(*args, **kwargs)
         self.driver: Optional[object] = None  # exposes on_answer / on_timer
 
-    def on_message(self, sim: Simulation, src: NodeId, data: bytes, now: int) -> None:
+    def on_decoded(self, sim: Simulation, src: NodeId, msg: Message, now: int) -> None:
         # Drivers that watch the raw socket (the fuzzer) see every inbound
         # answer before peer-FSM routing: answers to mutated base-protocol
         # requests come back as CEA/DWA/DPA and never reach the app layer.
-        hook = getattr(self.driver, "on_wire_answer", None)
-        if hook is not None and not self.failed:
-            msg = decode_message(data)
-            if isinstance(msg, Message) and not msg.header.request:
+        if not msg.header.request:
+            hook = getattr(self.driver, "on_wire_answer", None)
+            if hook is not None:
                 hook(msg, now)
-        super().on_message(sim, src, data, now)
+        super().on_decoded(sim, src, msg, now)
 
     def on_app_answer(self, sim, link, pending, msg, now):
         if self.driver is not None:

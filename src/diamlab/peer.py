@@ -78,7 +78,7 @@ class ActionKind(Enum):
     CLOSE_LINK = "CloseLink"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeerEvent:
     kind: EventKind
     message: Optional[Message] = None
@@ -88,7 +88,7 @@ class PeerEvent:
             raise ValueError(f"event {self.kind.value} message presence mismatch")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PendingRequest:
     """Metadata kept for one outstanding application request."""
 
@@ -98,7 +98,7 @@ class PendingRequest:
     context: object = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeerAction:
     kind: ActionKind
     message: Optional[Message] = None

@@ -26,7 +26,8 @@ US_PER_S = 1_000_000
 
 
 class TopologyError(ValueError):
-    """Bad topology description: duplicate label or dangling link endpoint."""
+    """Bad topology description: duplicate label, duplicate or self link,
+    or dangling link endpoint."""
 
 
 class NoSuchLinkError(ValueError):
@@ -39,6 +40,13 @@ class NodeId:
     label: str
 
 
+def _check_link_parameters(latency_ms: float, loss_probability: float) -> None:
+    if latency_ms < 0:
+        raise ValueError("latency must be >= 0")
+    if not 0.0 <= loss_probability <= 1.0:
+        raise ValueError("loss_probability must be in [0, 1]")
+
+
 @dataclass(frozen=True)
 class Link:
     a: NodeId
@@ -48,10 +56,7 @@ class Link:
     protected: bool = False
 
     def __post_init__(self) -> None:
-        if self.latency_ms < 0:
-            raise ValueError("latency must be >= 0")
-        if not 0.0 <= self.loss_probability <= 1.0:
-            raise ValueError("loss_probability must be in [0, 1]")
+        _check_link_parameters(self.latency_ms, self.loss_probability)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -105,6 +110,9 @@ class LinkSpec:
     latency_ms: float = 10.0
     loss_probability: float = 0.0
     protected: bool = False
+
+    def __post_init__(self) -> None:
+        _check_link_parameters(self.latency_ms, self.loss_probability)
 
 
 @dataclass(frozen=True)
@@ -224,18 +232,21 @@ def build_topology(spec: TopologySpec, seed: int = 0) -> Simulation:
         seen.add(ns.label)
         nodes.append(NodeId(id=i, label=ns.label))
     by_label = {n.label: n for n in nodes}
-    links: list[Link] = []
+    links: dict[tuple[int, int], Link] = {}
     for ls in spec.links:
         if ls.a not in by_label or ls.b not in by_label:
             missing = ls.a if ls.a not in by_label else ls.b
             raise TopologyError(f"link endpoint {missing!r} is not a declared node")
-        links.append(
-            Link(
-                a=by_label[ls.a],
-                b=by_label[ls.b],
-                latency_ms=ls.latency_ms,
-                loss_probability=ls.loss_probability,
-                protected=ls.protected,
-            )
+        if ls.a == ls.b:
+            raise TopologyError(f"link {ls.a!r} <-> {ls.b!r} joins a node to itself")
+        link = Link(
+            a=by_label[ls.a],
+            b=by_label[ls.b],
+            latency_ms=ls.latency_ms,
+            loss_probability=ls.loss_probability,
+            protected=ls.protected,
         )
-    return Simulation(nodes=nodes, links=links, seed=seed)
+        if link.key in links:
+            raise TopologyError(f"duplicate link between {ls.a!r} and {ls.b!r}")
+        links[link.key] = link
+    return Simulation(nodes=nodes, links=list(links.values()), seed=seed)

@@ -1,9 +1,14 @@
 """Campaign layer: classification, report round-trip, determinism, CLI."""
 
+import contextlib
+import copy
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from diamlab import attacks
 from diamlab.attacks import Finding, Severity
@@ -321,6 +326,61 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path} is not a campaign report: {reason}")
         assert "Traceback" not in err
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def paths(node, depth):
+    """Key paths to every value at most `depth` levels into a JSON document."""
+    if depth == 0 or not isinstance(node, (dict, list)):
+        return
+    for key in node if isinstance(node, dict) else range(len(node)):
+        yield (key,)
+        for rest in paths(node[key], depth - 1):
+            yield (key, *rest)
+
+
+def corrupted(data, doc):
+    """`doc` with one to three values up to three levels deep replaced or deleted."""
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        *parents, key = data.draw(st.sampled_from(list(paths(doc, 3))))
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        if isinstance(node, dict) and data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), fmt=st.sampled_from(["text", "json"]))
+def test_report_input_is_total(phase1_run, phase2_run, tmp_path_factory, data, fmt):
+    """Any JSON value renders, or exits 1 with the not-a-report error; never a traceback."""
+    good = data.draw(st.sampled_from([phase1_run, phase2_run])).report.to_dict()
+    doc = corrupted(data, good) if data.draw(st.booleans()) else data.draw(JSON_VALUES)
+    path = tmp_path_factory.getbasetemp() / "fuzzed-report.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["report", "--input", str(path), "--format", fmt])
+    if code == 0:
+        assert out.getvalue() and not err.getvalue()
+    else:
+        assert code == 1 and not out.getvalue()
+        assert err.getvalue().startswith(f"error: {path} is not a campaign report: ")
 
 
 def readme_config() -> str:

@@ -1,5 +1,7 @@
 """Wire codec tests: byte-exact layout oracles, parse errors, round trips."""
 
+import dataclasses
+import inspect
 import random
 
 import pytest
@@ -25,6 +27,8 @@ from diamlab.codec import (
     padded_length,
     validate_message,
 )
+
+from diamlab.peer import ActionKind, EventKind, PeerAction, PeerEvent, PendingRequest
 
 from tests.strategies import messages
 
@@ -210,6 +214,66 @@ class TestEncodeErrors:
         with pytest.raises(CodecError):
             encode_message(build_message(700, application_id=2**32))
 
+    @pytest.mark.parametrize(
+        "avp, text",
+        [
+            (Avp(code=2**32), "AVP code 4294967296 out of range [0, 4294967295]"),
+            (Avp(code=-1), "AVP code -1 out of range [0, 4294967295]"),
+            (Avp(code=1, vendor_id=2**32), "vendor id 4294967296 out of range [0, 4294967295]"),
+            (Avp(code=1, vendor_id=-5), "vendor id -5 out of range [0, 4294967295]"),
+            # the largest data that still fits is 2**24 - 1 - header bytes
+            (Avp(code=1, data=bytes(2**24 - 8)), "AVP length 16777216 out of range [0, 16777215]"),
+            (
+                Avp(code=1, data=bytes(2**24 - 12), vendor_id=9),
+                "AVP length 16777216 out of range [0, 16777215]",
+            ),
+        ],
+        ids=["code-high", "code-negative", "vendor-high", "vendor-negative", "len", "len-vendor"],
+    )
+    def test_avp_range_error_text(self, avp, text):
+        with pytest.raises(CodecError) as info:
+            encode_message(build_message(700, avps=[avp]))
+        assert str(info.value) == text
+
+    @pytest.mark.parametrize(
+        "field, value, text",
+        [
+            ("version", 256, "version 256 out of range [0, 255]"),
+            ("version", -1, "version -1 out of range [0, 255]"),
+            ("hop_by_hop_id", 2**32, "hop-by-hop id 4294967296 out of range [0, 4294967295]"),
+            ("end_to_end_id", -1, "end-to-end id -1 out of range [0, 4294967295]"),
+        ],
+    )
+    def test_header_range_error_text(self, field, value, text):
+        msg = build_message(700)
+        bad = Message(dataclasses.replace(msg.header, **{field: value}), msg.avps)
+        with pytest.raises(CodecError) as info:
+            encode_message(bad)
+        assert str(info.value) == text
+
+    def test_message_length_error_text(self):
+        half = Avp(code=1, data=bytes(2**23))  # each AVP is 2**23 + 8 bytes on the wire
+        with pytest.raises(CodecError) as info:
+            encode_message(build_message(700, avps=[half, half]))
+        assert str(info.value) == "message length 16777252 out of range [0, 16777215]"
+
+    def test_longest_avp_encodes(self):
+        raw = encode_avp(Avp(code=1, data=bytes(2**24 - 1 - 8)))
+        assert raw[:8] == bytes([0, 0, 0, 1, 0x00, 0xFF, 0xFF, 0xFF])
+        assert len(raw) == 2**24  # AVP length 2**24 - 1, one padding byte
+
+    def test_checks_run_in_header_order(self):
+        bad = MessageHeader(0x1000000, application_id=2**32, version=300)
+        with pytest.raises(CodecError, match="^version 300"):
+            encode_message(Message(bad))
+        with pytest.raises(CodecError, match="^command code 16777216"):
+            encode_message(Message(dataclasses.replace(bad, version=1)))
+
+    def test_vendor_contradiction_is_checked_before_ranges(self):
+        bad = Avp(code=2**32, vendor_id=2**32, vendor_specific=False)
+        with pytest.raises(CodecError, match="contradicts vendor_id presence"):
+            encode_avp(bad)
+
 
 @pytest.fixture
 def tiny_dictionary() -> Dictionary:
@@ -341,3 +405,125 @@ class TestBuilders:
     def test_avp_vendor_specific_derived(self):
         assert Avp(code=1).vendor_specific is False
         assert Avp(code=1, vendor_id=10).vendor_specific is True
+
+
+# The six value types built per request: their fields, field order and
+# defaults, constructor arguments in field order, and one field change.
+_MSG = build_message(700, request=True, hop_by_hop_id=3, avps=[Avp(code=1, data=b"x")])
+_PENDING = PendingRequest(3, 700, 10, ("ctx", 1))
+VALUE_TYPES = [
+    (
+        Avp,
+        [
+            ("code", dataclasses.MISSING),
+            ("data", b""),
+            ("vendor_id", None),
+            ("mandatory", False),
+            ("protected", False),
+            ("vendor_specific", None),
+        ],
+        (5, b"ab", 10, True, False, True),
+        {"mandatory": False},
+    ),
+    (
+        MessageHeader,
+        [
+            ("command_code", dataclasses.MISSING),
+            ("application_id", 0),
+            ("hop_by_hop_id", 0),
+            ("end_to_end_id", 0),
+            ("request", False),
+            ("proxiable", False),
+            ("error", False),
+            ("retransmit", False),
+            ("version", 1),
+            ("message_length", 0),
+        ],
+        (700, 4, 5, 6, True, False, True, False, 1, 44),
+        {"hop_by_hop_id": 99},
+    ),
+    (
+        Message,
+        [("header", dataclasses.MISSING), ("avps", ())],
+        (_MSG.header, _MSG.avps),
+        {"avps": ()},
+    ),
+    (
+        PeerEvent,
+        [("kind", dataclasses.MISSING), ("message", None)],
+        (EventKind.RCV_REQUEST, _MSG),
+        {"kind": EventKind.RCV_ANSWER},
+    ),
+    (
+        PendingRequest,
+        [
+            ("hop_by_hop_id", dataclasses.MISSING),
+            ("command_code", dataclasses.MISSING),
+            ("sent_at", dataclasses.MISSING),
+            ("context", None),
+        ],
+        (3, 700, 10, ("ctx", 1)),
+        {"sent_at": 11},
+    ),
+    (
+        PeerAction,
+        [("kind", dataclasses.MISSING), ("message", None), ("pending", None)],
+        (ActionKind.DELIVER_TO_APP, _MSG, _PENDING),
+        {"pending": None},
+    ),
+]
+VALUE_TYPE_IDS = [cls.__name__ for cls, *_ in VALUE_TYPES]
+
+
+@pytest.mark.parametrize("cls, expected_fields, args, change", VALUE_TYPES, ids=VALUE_TYPE_IDS)
+class TestValueTypes:
+    def test_fields_order_and_defaults(self, cls, expected_fields, args, change):
+        fields = dataclasses.fields(cls)
+        assert [(f.name, f.default) for f in fields] == expected_fields
+        assert all(f.default_factory is dataclasses.MISSING for f in fields)
+
+    def test_frozen_and_slotted(self, cls, expected_fields, args, change):
+        value = cls(*args)
+        assert cls.__dataclass_params__.frozen
+        assert not hasattr(value, "__dict__")
+        for name, _ in expected_fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, getattr(value, name))
+
+    def test_positional_equals_keyword(self, cls, expected_fields, args, change):
+        names = [name for name, _ in expected_fields]
+        positional = cls(*args)
+        keyword = cls(**dict(zip(names, args)))
+        assert positional == keyword
+        assert hash(positional) == hash(keyword)
+        assert repr(positional) == repr(keyword)
+        assert tuple(getattr(positional, n) for n in names) == args
+
+    def test_init_defaults_are_the_field_defaults(self, cls, expected_fields, args, change):
+        params = inspect.signature(cls).parameters.values()
+        defaults = [
+            (p.name, dataclasses.MISSING if p.default is inspect.Parameter.empty else p.default)
+            for p in params
+        ]
+        assert defaults == expected_fields
+
+    def test_replace(self, cls, expected_fields, args, change):
+        value = cls(*args)
+        assert dataclasses.replace(value) == value
+        changed = dataclasses.replace(value, **change)
+        for name, _ in expected_fields:
+            assert getattr(changed, name) == change.get(name, getattr(value, name))
+
+
+class TestAvpVendorFlag:
+    def test_derived_when_omitted_positionally(self):
+        assert Avp(1, b"", 10).vendor_specific is True
+        assert Avp(1, b"", None).vendor_specific is False
+
+    def test_explicit_value_is_kept(self):
+        assert Avp(1, vendor_specific=True).vendor_specific is True
+        assert Avp(1, b"", 10, False, False, False).vendor_specific is False
+
+    def test_derived_flag_equals_explicit(self):
+        assert Avp(1, vendor_id=10) == Avp(1, vendor_id=10, vendor_specific=True)
+        assert hash(Avp(1)) == hash(Avp(1, vendor_specific=False))

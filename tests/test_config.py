@@ -1,11 +1,15 @@
 """Config parsing: section format, built-ins, phase gating, error reporting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diamlab import dictionary as dct
 from diamlab.attacks import FloodSpec, FuzzSpec, InterceptSpec, MutationOp
+from diamlab.campaign import build_lab
 from diamlab.config import (
     BUILTIN_CONFIGS,
+    CampaignConfig,
     ConfigError,
     load_config,
     parse_campaign_config,
@@ -126,6 +130,41 @@ class TestCampaignAssembly:
         with pytest.raises(ConfigError, match="not a declared node"):
             parse_campaign_config(text)
 
+    @pytest.mark.parametrize("second", ["attacker target", "target attacker"])
+    def test_duplicate_link_names_both_lines(self, second):
+        text = minimal(extra="latency_ms = 5") + f"\n[link {second}]\nlatency_ms = 50\n"
+        lines = text.splitlines()
+        first = lines.index("[link attacker target]") + 1
+        dup = len(lines) - 1
+        assert lines[dup - 1] == f"[link {second}]"
+        a, b = second.split()
+        with pytest.raises(
+            ConfigError,
+            match=rf"^<config>:{dup}: duplicate link between '{a}' and '{b}'"
+            rf" \(first declared on line {first}\)$",
+        ):
+            parse_campaign_config(text)
+
+    def test_self_link_names_its_line(self):
+        text = minimal() + "\n[link target target]\n"
+        line = text.splitlines().index("[link target target]") + 1
+        message = rf"^<config>:{line}: link 'target' <-> 'target' joins a node to itself$"
+        with pytest.raises(ConfigError, match=message):
+            parse_campaign_config(text)
+
+    @pytest.mark.parametrize(
+        "extra, text",
+        [
+            ("latency_ms = -1", "latency must be >= 0"),
+            ("loss = 1.5", "loss_probability must be in"),
+        ],
+    )
+    def test_bad_link_parameter_is_a_located_config_error(self, extra, text):
+        config_text = minimal(extra=extra)
+        line = config_text.splitlines().index("[link attacker target]") + 1
+        with pytest.raises(ConfigError, match=rf"^<config>:{line}: {text}"):
+            parse_campaign_config(config_text)
+
     def test_capacity_fields_parsed(self):
         text = minimal().replace(
             "kind = TargetServer",
@@ -153,6 +192,12 @@ class TestCampaignAssembly:
     def test_duplicate_subscriber(self):
         text = minimal() + "\n[subscriber s1]\nlocation = a\n[subscriber s1]\nlocation = b\n"
         with pytest.raises(ConfigError, match="duplicate subscriber"):
+            parse_campaign_config(text)
+
+    def test_duplicate_rule(self):
+        text = minimal() + "\n[rule r1]\nsubscriber = s1\n[rule r1]\nsubscriber = s2\n"
+        line = len(text.splitlines()) - 1
+        with pytest.raises(ConfigError, match=rf"^<config>:{line}: duplicate rule 'r1'$"):
             parse_campaign_config(text)
 
     def test_attack_order_preserved(self):
@@ -229,6 +274,30 @@ def test_hash_in_a_value_is_a_located_config_error(key, line):
         parse_campaign_config("\n".join(lines))
 
 
+@pytest.mark.parametrize(
+    "key, section",
+    [
+        ("degraded_threshold", "[attack flood]"),
+        ("seed", "[attack fuzz]"),
+        ("queue_capacity", "[node attacker]"),
+        ("loss", "[link attacker target]"),
+    ],
+)
+def test_bad_number_inside_a_section_carries_one_location(key, section):
+    text = (
+        duo_lab_text()
+        + "\n[attack flood]\ntarget = target\nrate_tps = 1\nduration_s = 1\n"
+        + "\n[attack fuzz]\ntarget = target\ncases = 1\n"
+    )
+    lines = text.splitlines()
+    index = lines.index(section) + 1
+    lines.insert(index, f"{key} = many")
+    with pytest.raises(ConfigError) as info:
+        parse_campaign_config("\n".join(lines))
+    assert str(info.value).startswith(f"<config>:{index + 1}: {key} must be ")
+    assert str(info.value).count("<config>") == 1
+
+
 class TestPhaseGating:
     def test_phase1_rejects_core_elements(self):
         text = minimal(phase="phase1") + "\n[node hss]\nkind = HSS\n"
@@ -272,3 +341,70 @@ duration_s = 1
         text = minimal().replace("phase = custom", "phase = custom\ntopology = phase1")
         with pytest.raises(ConfigError, match="both topology"):
             parse_campaign_config(text)
+
+
+# --- totality: any text is a config or a located ConfigError ---------------
+
+_SEED_TEXTS = [
+    BUILTIN_CONFIGS["phase1"],
+    BUILTIN_CONFIGS["phase2"],
+    FLOOD_LAB
+    + "\n[attack fuzz]\ntarget = target\ncases = 3\nops = truncate\n"
+    + "\n[attack intercept]\nlink = attacker target\navp_codes = location, 268\n",
+    BUILTIN_CONFIGS["phase2"] + "\n[rule r1]\nsubscriber = imsi-001001000000001\n",
+]
+_NUMBERS = [
+    "0", "1", "-1", "-0.5", "0.5", "1.5", "2", "1e400", "nan", "-inf", "99999999999999999999",
+]
+_WORDS = [
+    "", "x", "true", "no", "attacker", "target", "hss", "attacker target", "target target",
+    "AttackBox", "HSS", "PCRF", "phase1", "phase2", "custom", "truncate, bogus", "268, location",
+]
+_LINES = [
+    "[campaign]", "[node x]", "[node target]", "[link attacker target]", "[link target attacker]",
+    "[link target target]", "[link attacker ghost]", "[attack flood]", "[attack fuzz]",
+    "[attack intercept]", "[attack]", "[subscriber s1]", "[rule r1]", "[node]", "[link a]",
+    "kind = HSS", "target = target", "topology = phase2", "x = 1", "# c", "",
+]
+_OPS = ["revalue"] * 5 + ["delete", "insert", "insert", "insert-text"] + ["repeat-section"] * 2
+
+
+@st.composite
+def config_texts(draw):
+    """A working config with a few lines deleted, re-valued or inserted, or a section repeated."""
+    lines = draw(st.sampled_from(_SEED_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(_OPS))
+        if op == "insert" or i == len(lines):
+            lines.insert(i, draw(st.sampled_from(_LINES)))
+        elif op == "insert-text":
+            lines.insert(i, draw(st.text(max_size=12)).replace("\n", " "))
+        elif op == "delete":
+            del lines[i]
+        elif op == "repeat-section":
+            headers = [j for j, line in enumerate(lines) if line.startswith("[")] or [i]
+            start = draw(st.sampled_from(headers))
+            end = next((j for j in headers if j > start), len(lines))
+            lines[end:end] = lines[start:end]
+        else:
+            keyed = [j for j, line in enumerate(lines) if "=" in line] or [i]
+            j = draw(st.sampled_from(keyed))
+            key, _, value = (part.strip() for part in lines[j].partition("="))
+            numeric = value.replace(".", "", 1).isdigit()
+            lines[j] = f"{key or 'k'} = {draw(st.sampled_from(_NUMBERS if numeric else _WORDS))}"
+    return "\n".join(lines)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(config_texts(), st.text(max_size=80)))
+def test_any_config_text_is_a_config_or_a_located_error(text):
+    try:
+        config = parse_campaign_config(text, source="<fuzz>")
+    except ConfigError as exc:
+        assert str(exc).startswith("<fuzz>")
+        return
+    assert isinstance(config, CampaignConfig)
+    # whatever parses builds (no deferred TopologyError or ValueError), one link per [link]
+    lab = build_lab(config)
+    assert len(lab.sim.links) == len(config.topology.links)

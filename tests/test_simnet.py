@@ -111,6 +111,32 @@ class TestTopology:
         with pytest.raises(TopologyError, match="not a declared node"):
             build_topology(TopologySpec(nodes=(NodeSpec("x"),), links=(LinkSpec("x", "y"),)))
 
+    @pytest.mark.parametrize("second", [("x", "y"), ("y", "x")], ids=["same-order", "reversed"])
+    def test_duplicate_link_rejected(self, second):
+        spec = TopologySpec(
+            nodes=(NodeSpec("x"), NodeSpec("y")),
+            links=(LinkSpec("x", "y", latency_ms=5), LinkSpec(*second, latency_ms=50)),
+        )
+        message = f"duplicate link between '{second[0]}' and '{second[1]}'"
+        with pytest.raises(TopologyError, match=message):
+            build_topology(spec)
+
+    def test_self_link_rejected(self):
+        spec = TopologySpec(nodes=(NodeSpec("x"),), links=(LinkSpec("x", "x"),))
+        with pytest.raises(TopologyError, match="link 'x' <-> 'x' joins a node to itself"):
+            build_topology(spec)
+
+    @pytest.mark.parametrize(
+        "kwargs, text",
+        [
+            ({"latency_ms": -1}, "latency must be >= 0"),
+            ({"loss_probability": 1.5}, "in \\[0, 1\\]"),
+        ],
+    )
+    def test_link_spec_checks_its_parameters(self, kwargs, text):
+        with pytest.raises(ValueError, match=text):
+            LinkSpec("x", "y", **kwargs)
+
     def test_node_ids_unique_and_ordered(self):
         sim, _, _ = two_node_sim()
         assert [n.id for n in sim.nodes] == [0, 1]
