@@ -6,7 +6,10 @@ Subcommands:
     decode  dump a hex message or a DCAP capture file
     report  re-render a report.json
 
-Exit codes: 0 clean run with no findings, 2 findings present, 1 errors.
+Exit codes: run exits 0 on a clean run with no findings, 2 when findings
+are present; decode exits 0 when the message or capture was read. Every
+command exits 1 on an error (including a --hex message that does not
+parse) and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ def _cmd_phases(_args) -> int:
 
 def _cmd_decode(args) -> int:
     dictionary = dct.builtin_dictionary()
-    if args.hex:
+    if args.hex is not None:
         try:
             data = bytes.fromhex(args.hex.replace(" ", "").replace(":", ""))
         except ValueError:
@@ -91,9 +94,9 @@ def _cmd_decode(args) -> int:
             return 1
         msg = decode_message(data)
         if isinstance(msg, ParseError):
-            print(f"parse error: {msg.kind.value} at byte offset {msg.offset}")
-        else:
-            print(format_message(msg, dictionary))
+            print(f"parse error: {msg.kind.value} at byte offset {msg.offset}", file=sys.stderr)
+            return 1
+        print(format_message(msg, dictionary))
         return 0
     try:
         records = read_capture(args.capture)
@@ -114,9 +117,10 @@ def _cmd_decode(args) -> int:
 def _cmd_report(args) -> int:
     with open(args.input) as fh:
         try:
-            # JSONDecodeError is a ValueError; the rest come from mistyped nested values
+            # JSONDecodeError is a ValueError, RecursionError comes from nesting too deep
+            # to parse or render; the rest come from mistyped nested values
             text = render_report(Report.from_dict(json.load(fh)), args.format)
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
             print(f"error: {args.input} is not a campaign report: {exc}", file=sys.stderr)
             return 1
     sys.stdout.write(text)

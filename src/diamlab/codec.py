@@ -261,31 +261,72 @@ def _range_error(value: int, maximum: int, what: str) -> CodecError:
     return CodecError(f"{what} {value} out of range [0, {maximum}]")
 
 
-def encode_avp(avp: Avp) -> bytes:
-    code, vendor_id, data = avp.code, avp.vendor_id, avp.data
+def _checked_avp_length(avp: Avp) -> int:
+    """AVP Length of `avp`; CodecError if the AVP cannot be put on the wire."""
+    code, vendor_id = avp.code, avp.vendor_id
     if avp.vendor_specific != (vendor_id is not None):
         raise CodecError(
             f"AVP {code}: vendor_specific flag contradicts vendor_id presence"
         )
     if not 0 <= code <= U32_MAX:
         raise _range_error(code, U32_MAX, "AVP code")
+    if vendor_id is None:
+        length = AVP_HEADER_LEN + len(avp.data)
+    else:
+        if not 0 <= vendor_id <= U32_MAX:
+            raise _range_error(vendor_id, U32_MAX, "vendor id")
+        length = AVP_HEADER_LEN + 4 + len(avp.data)
+    if not 0 <= length <= _U24_MAX:
+        raise _range_error(length, _U24_MAX, "AVP length")
+    return length
+
+
+def _pack_avp(avp: Avp) -> bytes:
+    """Wire form of an AVP that passed _checked_avp_length."""
+    code, vendor_id, data = avp.code, avp.vendor_id, avp.data
     flags = (AVP_FLAG_MANDATORY if avp.mandatory else 0) | (
         AVP_FLAG_PROTECTED if avp.protected else 0
     )
     if vendor_id is None:
         length = AVP_HEADER_LEN + len(data)
-    else:
-        if not 0 <= vendor_id <= U32_MAX:
-            raise _range_error(vendor_id, U32_MAX, "vendor id")
-        flags |= AVP_FLAG_VENDOR
-        length = AVP_HEADER_LEN + 4 + len(data)
-    if not 0 <= length <= _U24_MAX:
-        raise _range_error(length, _U24_MAX, "AVP length")
-    if vendor_id is None:
         head = _AVP_HEADER.pack(code, flags << 24 | length)
     else:
-        head = _AVP_HEADER_VENDOR.pack(code, flags << 24 | length, vendor_id)
+        length = AVP_HEADER_LEN + 4 + len(data)
+        head = _AVP_HEADER_VENDOR.pack(code, (flags | AVP_FLAG_VENDOR) << 24 | length, vendor_id)
     return head + data + _PADDING[length & 3]
+
+
+def encode_avp(avp: Avp) -> bytes:
+    _checked_avp_length(avp)
+    return _pack_avp(avp)
+
+
+def _checked_length(m: Message) -> int:
+    """The Message Length encode_message writes for `m`.
+
+    Every range and flag check of the encoder lives here, in the order the
+    encoder meets the fields: version, command code, application id,
+    hop-by-hop id, end-to-end id, each AVP, the total. Raises CodecError
+    for the first value that cannot be represented on the wire.
+    """
+    h = m.header
+    version, command_code = h.version, h.command_code
+    if not 0 <= version <= 0xFF:
+        raise _range_error(version, 0xFF, "version")
+    if not 0 <= command_code <= _U24_MAX:
+        raise _range_error(command_code, _U24_MAX, "command code")
+    if not 0 <= h.application_id <= U32_MAX:
+        raise _range_error(h.application_id, U32_MAX, "application id")
+    if not 0 <= h.hop_by_hop_id <= U32_MAX:
+        raise _range_error(h.hop_by_hop_id, U32_MAX, "hop-by-hop id")
+    if not 0 <= h.end_to_end_id <= U32_MAX:
+        raise _range_error(h.end_to_end_id, U32_MAX, "end-to-end id")
+    total = HEADER_LEN
+    for a in m.avps:
+        total += (_checked_avp_length(a) + 3) & ~3
+    if not 0 <= total <= MAX_MESSAGE_LEN:
+        raise _range_error(total, MAX_MESSAGE_LEN, "message length")
+    return total
 
 
 def encode_message(m: Message) -> bytes:
@@ -294,31 +335,37 @@ def encode_message(m: Message) -> bytes:
     Raises CodecError for values that cannot be represented on the wire
     (range overflow, vendor flag contradiction).
     """
+    total = _checked_length(m)
     h = m.header
-    version, command_code, application_id = h.version, h.command_code, h.application_id
-    hop_by_hop_id, end_to_end_id = h.hop_by_hop_id, h.end_to_end_id
-    if not 0 <= version <= 0xFF:
-        raise _range_error(version, 0xFF, "version")
-    if not 0 <= command_code <= _U24_MAX:
-        raise _range_error(command_code, _U24_MAX, "command code")
-    if not 0 <= application_id <= U32_MAX:
-        raise _range_error(application_id, U32_MAX, "application id")
-    if not 0 <= hop_by_hop_id <= U32_MAX:
-        raise _range_error(hop_by_hop_id, U32_MAX, "hop-by-hop id")
-    if not 0 <= end_to_end_id <= U32_MAX:
-        raise _range_error(end_to_end_id, U32_MAX, "end-to-end id")
-    body = b"".join([encode_avp(a) for a in m.avps])
-    total = HEADER_LEN + len(body)
-    if not 0 <= total <= MAX_MESSAGE_LEN:
-        raise _range_error(total, MAX_MESSAGE_LEN, "message length")
     head = _HEADER.pack(
-        version << 24 | total,
-        h.flags_byte << 24 | command_code,
-        application_id,
-        hop_by_hop_id,
-        end_to_end_id,
+        h.version << 24 | total,
+        h.flags_byte << 24 | h.command_code,
+        h.application_id,
+        h.hop_by_hop_id,
+        h.end_to_end_id,
     )
-    return head + body
+    return head + b"".join([_pack_avp(a) for a in m.avps])
+
+
+def is_wire_canonical(m: Message) -> bool:
+    """True when decode_message(encode_message(m)) == m: `m` can stand for its bytes.
+
+    That holds when the encoder accepts `m`, the header declares the
+    version the decoder accepts and the length the encoder writes, and
+    the AVPs are a tuple of immutable `bytes` payloads. Field values are
+    taken to have their annotated types (ints, bools). Raises the same
+    CodecError as encode_message for a value the wire cannot carry.
+    """
+    h = m.header
+    if _checked_length(m) != h.message_length or h.version != 1:
+        return False
+    avps = m.avps
+    if type(avps) is not tuple:
+        return False
+    for a in avps:
+        if type(a.data) is not bytes:
+            return False
+    return True
 
 
 def _decode_avps(data: bytes, start: int, end: int) -> Union[list[Avp], ParseError]:

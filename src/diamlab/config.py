@@ -22,7 +22,7 @@ from . import attacks
 from . import dictionary as dct
 from .attacks import ALL_MUTATION_OPS, AttackSpec, FloodSpec, FuzzSpec, InterceptSpec, MutationOp
 from .elements import ElementCapacity, ElementKind, Lab, PolicyRule, SubscriberRecord
-from .simnet import LinkSpec, NodeSpec, TopologySpec
+from .simnet import US_PER_S, LinkSpec, NodeSpec, TopologySpec
 from .taxonomy import Impact, Origin, TaxonomyLabel, Technique
 
 MAX_SEED = 2**64 - 1
@@ -94,6 +94,17 @@ def _get_float(sec: Section, key: str, source: str, default: Optional[float] = N
         raise ConfigError(f"{source}:{sec.where(key)}: {key} must be a number") from None
     if not math.isfinite(value):
         raise ConfigError(f"{source}:{sec.where(key)}: {key} must be a finite number")
+    return value
+
+
+def _get_interval(sec: Section, key: str, source: str, default: float) -> float:
+    """A time in seconds that the simulation's microsecond clock can wait out."""
+    value = _get_float(sec, key, source, default)
+    us = value * US_PER_S
+    if not math.isfinite(us):
+        raise ConfigError(f"{source}:{sec.where(key)}: {key} is too large")
+    if round(us) < 1:  # the elements round to whole microseconds
+        raise ConfigError(f"{source}:{sec.where(key)}: {key} must be at least 1 microsecond")
     return value
 
 
@@ -344,7 +355,7 @@ def parse_campaign_config(
     if phase not in ("phase1", "phase2", "custom"):
         raise ConfigError(f"{source}:{camp.where('phase')}: phase must be phase1/phase2/custom")
     if seed_override is not None:
-        seed = seed_override
+        seed, where = seed_override, "--seed"  # the CLI flag that sets the override
     else:
         seed = _get_int(camp, "seed", source, None)
         if seed is None:
@@ -352,8 +363,9 @@ def parse_campaign_config(
                 f"{source}:{camp.line}: [campaign] section is missing required field 'seed'"
                 " (campaigns are reproducible; there is no wall-clock default)"
             )
+        where = f"{source}:{camp.where('seed')}"
     if not 0 <= seed <= MAX_SEED:
-        raise ConfigError(f"{source}:{camp.where('seed')}: seed must fit in 64 bits")
+        raise ConfigError(f"{where}: seed {seed} must fit in 64 bits")
     output_path = camp.values.get("output", "campaign-out")
 
     # `topology = <builtin>` splices the named built-in's topology sections.
@@ -480,8 +492,8 @@ def parse_campaign_config(
         subscribers=tuple(subscribers),
         rules=tuple(rules),
         attacks=tuple(_parse_attack(s, source, kinds) for s in sections if s.kind == "attack"),
-        watchdog_interval_s=_get_float(camp, "watchdog_interval_s", source, 30.0),
-        request_timeout_s=_get_float(camp, "request_timeout_s", source, 2.0),
+        watchdog_interval_s=_get_interval(camp, "watchdog_interval_s", source, 30.0),
+        request_timeout_s=_get_interval(camp, "request_timeout_s", source, 2.0),
     )
     _validate_phase(config, source)
     return config
@@ -621,6 +633,8 @@ def load_config(
     path = Path(path_or_name)
     if not path.exists():
         raise ConfigError(f"no such config file or built-in: {name}")
-    return parse_campaign_config(
-        path.read_text(), source=str(path), seed_override=seed_override
-    )
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    return parse_campaign_config(text, source=str(path), seed_override=seed_override)

@@ -4,6 +4,9 @@ Every element is one simulation node handler built around the same
 pipeline: decode strictly, validate requests against the dictionary,
 feed the peer state machine, and hand application requests to a
 capacity model before the element-specific command handler runs.
+Elements send a Message they built as the value itself whenever it is
+wire-canonical (see `simnet`), so the receiver skips the decode; bytes
+(fuzz cases, raw requests, tapped traffic) always take the decoder.
 
 The capacity model is a token-rate server (service_rate tokens per
 second, burst of one) in front of a bounded FIFO queue. A 1 Hz sampler
@@ -35,6 +38,7 @@ from .codec import (
     decode_message,
     encode_message,
     first_avp,
+    is_wire_canonical,
     replace_ids,
     validate_message,
 )
@@ -141,6 +145,12 @@ class PeerLink:
     state: PeerState = field(default_factory=PeerState)
     pending: dict[int, PendingRequest] = field(default_factory=dict)
     next_hop_by_hop: int = 1
+
+
+def _on_wire(msg: Message) -> Message | bytes:
+    """What to hand `Simulation.send` for `msg`: the value itself when it
+    equals its own decoded encoding, else the bytes (CodecError as encode)."""
+    return msg if is_wire_canonical(msg) else encode_message(msg)
 
 
 def _error_answer(req: Message, result_code: int) -> Message:
@@ -253,7 +263,7 @@ class Element:
             if msg.header.request:
                 hbh = self._alloc_hop_by_hop(link)
                 msg = replace_ids(msg, hbh, hbh)
-            sim.send(self.node, link.neighbor, encode_message(msg))
+            sim.send(self.node, link.neighbor, _on_wire(msg))
         elif kind is ActionKind.DELIVER_TO_APP:
             msg = action.message
             if msg.header.request:
@@ -268,12 +278,13 @@ class Element:
 
     # -- simnet handler protocol -----------------------------------------------
 
-    def on_message(self, sim: Simulation, src: NodeId, data: bytes, now: int) -> None:
+    def on_message(self, sim: Simulation, src: NodeId, payload: bytes | Message, now: int) -> None:
         self.rx_messages += 1
         if self.failed:
             self.dropped_failed_inbound += 1
             return
-        msg = decode_message(data)
+        # A carried Message is its own strict decode; bytes take the decoder.
+        msg = payload if isinstance(payload, Message) else decode_message(payload)
         if isinstance(msg, ParseError):
             self.parse_drops += 1
             return
@@ -289,7 +300,7 @@ class Element:
                     code = dct.RESULT_UNSUPPORTED_MANDATORY_AVP
                 else:
                     code = dct.RESULT_INVALID_AVP_LENGTH
-                sim.send(self.node, src, encode_message(_error_answer(msg, code)))
+                sim.send(self.node, src, _on_wire(_error_answer(msg, code)))
                 return
         self.feed_event(sim, src, PeerEvent(_event_kind_for(msg), msg), now)
 
@@ -381,7 +392,7 @@ class Element:
         answer = self.handle_app_request(msg, now)
         if answer is not None:
             self.served += 1
-            sim.send(self.node, self.links[neighbor_id].neighbor, encode_message(answer))
+            sim.send(self.node, self.links[neighbor_id].neighbor, _on_wire(answer))
 
     # -- application layer ---------------------------------------------------------
 
@@ -426,7 +437,7 @@ class Element:
             command_code, request=True, hop_by_hop_id=hbh, end_to_end_id=hbh, avps=avps
         )
         register_request(link, PendingRequest(hbh, command_code, now, context))
-        sim.send(self.node, dst, encode_message(msg))
+        sim.send(self.node, dst, _on_wire(msg))
         return hbh
 
     def send_raw_request(

@@ -7,6 +7,12 @@ same schedule, the same loss draws, and byte-identical tap streams. The
 single random source is Python's Mersenne Twister (`random.Random`),
 seeded once per simulation.
 
+A payload is wire bytes or a decoded `codec.Message`. A Message stands
+for its own encoding: it travels as itself, so neither end pays for an
+encode and a decode that would give it back unchanged, unless a tap
+records the traversal. Then it is encoded once, and those bytes are both
+the capture record and what the receiver gets.
+
 Links are point-to-point and bidirectional; each direction's route is
 resolved once, when the simulation is built. A link with protected=True
 models an encrypted or trusted transport: traffic still flows, but taps
@@ -19,7 +25,9 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
+
+from .codec import Message, encode_message
 
 US_PER_MS = 1_000
 US_PER_S = 1_000_000
@@ -150,7 +158,11 @@ class Simulation:
     # -- wiring ------------------------------------------------------------
 
     def register_handler(self, node: NodeId, handler: object) -> None:
-        """handler must expose on_message(sim, src, data, now) and on_timer(sim, tag, now)."""
+        """handler must expose on_message(sim, src, payload, now) and on_timer(sim, tag, now).
+
+        `payload` is what the sender passed to `send`: bytes, or a Message
+        when no tap recorded the traversal.
+        """
         self._handlers[node.id] = handler
 
     def link_between(self, a: NodeId, b: NodeId) -> Optional[Link]:
@@ -165,8 +177,12 @@ class Simulation:
         heapq.heappush(self._queue, (at, self._seq, None, dst, None, tag))
         self._seq += 1
 
-    def send(self, src: NodeId, dst: NodeId, data: bytes) -> None:
-        """Offer bytes to the link; taps see every traversal, loss is drawn after."""
+    def send(self, src: NodeId, dst: NodeId, payload: Union[bytes, Message]) -> None:
+        """Offer a payload to the link; taps see every traversal, loss is drawn after.
+
+        A Message is encoded only when a capture record needs its bytes (an
+        unprotected link with a tap); it then travels as those bytes.
+        """
         route = self._routes.get((src.id, dst.id))
         if route is None:
             raise NoSuchLinkError(f"no link between {src.label!r} and {dst.label!r}")
@@ -174,14 +190,16 @@ class Simulation:
         self.stats.sends += 1
         lstats.attempted += 1
         if taps and not link.protected:
-            record = CaptureRecord(at=self.clock, src=src, dst=dst, data=bytes(data))
+            if isinstance(payload, Message):
+                payload = encode_message(payload)
+            record = CaptureRecord(at=self.clock, src=src, dst=dst, data=bytes(payload))
             for tap in taps:
                 tap.records.append(record)
         if link.loss_probability > 0 and self.rng.random() < link.loss_probability:
             lstats.lost += 1
             self.stats.lost += 1
             return
-        heapq.heappush(self._queue, (self.clock + latency_us, self._seq, lstats, dst, src, data))
+        heapq.heappush(self._queue, (self.clock + latency_us, self._seq, lstats, dst, src, payload))
         self._seq += 1
 
     def attach_tap(self, a: NodeId, b: NodeId) -> Tap:

@@ -4,13 +4,15 @@ import contextlib
 import copy
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from diamlab import attacks
+from diamlab import dictionary as dct
 from diamlab.attacks import Finding, Severity
 from diamlab.campaign import (
     CampaignError,
@@ -21,12 +23,16 @@ from diamlab.campaign import (
 )
 from diamlab.capture import read_capture
 from diamlab.cli import main
+from diamlab.codec import Avp, build_message, encode_message
 from diamlab.config import ATTACK_KINDS, ConfigError, load_config, parse_campaign_config
 from diamlab.taxonomy import Impact, Origin, TaxonomyLabel, Technique
 
 from tests.labs import duo_lab_text, make_lab
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+ECHO_HEX = encode_message(
+    build_message(dct.CMD_ECHO, request=True, avps=[Avp(code=dct.AVP_ECHO_PAYLOAD, data=b"hi")])
+).hex()
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +189,26 @@ class TestDeterminism:
                 rerun.out_dir / cap
             ).read_bytes()
 
+    @pytest.mark.parametrize("phase", ["phase1", "phase2"])
+    def test_every_carried_message_round_trips(self, phase, carry_guard, phase1_run, phase2_run):
+        run = run_campaign(load_config(phase), write_files=False)
+        assert carry_guard["message"] > 0
+        assert run.report == {"phase1": phase1_run, "phase2": phase2_run}[phase].report
+
+    @pytest.mark.parametrize("phase", ["phase1", "phase2"])
+    def test_artifacts_identical_when_every_payload_is_bytes(
+        self, phase, bytes_only, phase1_run, phase2_run, tmp_path
+    ):
+        """Carrying Message values instead of their bytes changes no output byte."""
+        carried = {"phase1": phase1_run, "phase2": phase2_run}[phase].out_dir
+        as_bytes = run_campaign(load_config(phase), out_dir=str(tmp_path / "bytes")).out_dir
+        assert bytes_only["message"] > 0
+        names = sorted(p.name for p in carried.iterdir())
+        assert names == sorted(p.name for p in as_bytes.iterdir())
+        assert ("intercept-0.dcap" in names) == (phase == "phase2")
+        for name in names:
+            assert (carried / name).read_bytes() == (as_bytes / name).read_bytes(), name
+
     def test_different_seed_changes_the_report(self, phase1_run):
         other = run_campaign(load_config("phase1", seed_override=99), write_files=False)
         assert phase1_run.report.to_json() != other.report.to_json()
@@ -262,15 +288,7 @@ class TestCli:
         assert "phase1" in out and "phase2" in out
 
     def test_decode_hex(self, capsys):
-        from diamlab.codec import Avp, build_message, encode_message
-        from diamlab import dictionary as d
-
-        msg = build_message(
-            d.CMD_ECHO,
-            request=True,
-            avps=[Avp(code=d.AVP_ECHO_PAYLOAD, data=b"hi")],
-        )
-        assert main(["decode", "--hex", encode_message(msg).hex()]) == 0
+        assert main(["decode", "--hex", ECHO_HEX]) == 0
         out = capsys.readouterr().out
         assert "command=700 (echo)" in out
         assert "echo-payload" in out
@@ -278,9 +296,10 @@ class TestCli:
     def test_decode_bad_hex_input(self, capsys):
         assert main(["decode", "--hex", "zz"]) == 1
 
-    def test_decode_parse_error_is_reported_not_fatal(self, capsys):
-        assert main(["decode", "--hex", "02" * 20]) == 0
-        assert "bad_version" in capsys.readouterr().out
+    def test_decode_parse_error_is_reported_and_exits_one(self, capsys):
+        assert main(["decode", "--hex", "02" * 20]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "parse error: bad_version at byte offset 0\n")
 
     def test_decode_capture_file(self, cli_phase2_dir, capsys):
         cap = next(cli_phase2_dir.glob("*.dcap"))
@@ -438,3 +457,151 @@ class TestAttackKinds:
         monkeypatch.setattr(attacks, f"run_{kind}", stand_in)
         result, findings, _ = ATTACK_KINDS[kind].run(lab, config.attacks[0], 1)
         assert (result, findings, len(calls)) == ("result", [], 1)
+
+
+# --- the CLI as a total surface ------------------------------------------------
+
+TINY_FLOOD = "\n[attack flood]\ntarget = target\nrate_tps = 50\nduration_s = 0.2\n"
+
+
+def _config_with(line: str) -> str:
+    return duo_lab_text().replace("seed = 7\n", f"seed = 7\n{line}\n")
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory, phase2_run):
+    """Named inputs for every file-taking option, bad ones and good ones."""
+    root = tmp_path_factory.mktemp("cli-inputs")
+    capture = next(phase2_run.out_dir.glob("*.dcap")).read_bytes()
+    contents = {
+        "empty": b"",
+        "binary": bytes(range(256)),
+        "non_utf8": b"\xff\xfe[campaign]\nphase = custom\n",
+        "deep_json": b"[" * 100_000,
+        "deep_closed_json": b"[" * 900 + b"]" * 900,
+        "truncated_dcap": capture[: len(capture) // 2 + 3],
+        "dcap": capture,
+        "report": (phase2_run.out_dir / "report.json").read_bytes(),
+        "tiny_config": (duo_lab_text() + TINY_FLOOD).encode(),
+        "zero_watchdog": _config_with("watchdog_interval_s = 0").encode(),
+        "negative_watchdog": _config_with("watchdog_interval_s = -1").encode(),
+        "negative_timeout": _config_with("request_timeout_s = -1").encode(),
+        "zero_timeout": _config_with("request_timeout_s = 0").encode(),
+    }
+    files = {}
+    for name, data in contents.items():
+        files[name] = root / name
+        files[name].write_bytes(data)
+    files["directory"] = root / "a-directory"
+    files["directory"].mkdir()
+    files["missing"] = root / "missing"
+    return files
+
+
+FILE_NAMES = (
+    "empty binary non_utf8 deep_json deep_closed_json truncated_dcap dcap report"
+    " tiny_config zero_watchdog negative_watchdog negative_timeout zero_timeout"
+    " directory missing"
+).split()
+
+
+@st.composite
+def cli_argv(draw):
+    """argv over every subcommand; `@name` stands for the file `cli_files[name]`."""
+    file = st.sampled_from(FILE_NAMES).map("@".__add__)
+    junk = st.text(max_size=6)
+    command = draw(st.sampled_from(["run", "phases", "decode", "report", "nonsense", ""]))
+    argv = [command]
+    if command == "run":
+        # the built-in labs are run elsewhere; here they only meet seeds they reject
+        builtin = draw(st.sampled_from(["phase1", "phase2", None]))
+        if builtin is None:
+            argv += ["--config", draw(st.just("@tiny_config") | file)]
+            seed = draw(st.one_of(st.none(), st.integers(-2, 3), st.just(2**64)))
+        else:
+            argv += ["--config", builtin]
+            seed = draw(st.sampled_from([-1, 2**64, 2**70]))
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        argv += ["--out", "@out"] if draw(st.booleans()) else []
+        argv += draw(st.sampled_from([[], ["--format", "json"], ["--format", "text"]]))
+    elif command == "decode":
+        if draw(st.booleans()):
+            hexes = st.sampled_from(["", "00", ECHO_HEX]) | junk | st.binary(max_size=64).map(bytes.hex)
+            argv += ["--hex", draw(hexes)]
+        else:
+            argv += ["--capture", draw(file)]
+    elif command == "report":
+        argv += ["--input", draw(file), "--format", draw(st.sampled_from(["text", "json"]))]
+    if draw(st.integers(0, 9)) == 0:  # an unknown option or a stray word somewhere
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "x"]) | junk))
+    return argv
+
+
+FIXED_INPUTS = [
+    (["decode", "--hex", ""], "parse error: truncated at byte offset 0"),
+    (["decode", "--hex", "00"], "parse error: truncated at byte offset 1"),
+    (["run", "--config", "@non_utf8"], "error: @non_utf8: not UTF-8 text"),
+    (["report", "--input", "@deep_json"], "error: @deep_json is not a campaign report: "),
+    (["run", "--config", "@zero_watchdog"], "error: @zero_watchdog:5: watchdog_interval_s must be"),
+    (["run", "--config", "@negative_watchdog"], "error: @negative_watchdog:5: watchdog_interval_s"),
+    (["run", "--config", "@negative_timeout"], "error: @negative_timeout:5: request_timeout_s must"),
+    (["run", "--config", "@zero_timeout"], "error: @zero_timeout:5: request_timeout_s must be"),
+    (["run", "--config", "phase1", "--seed", "-1"], "error: --seed: seed -1 must fit in 64 bits"),
+]
+
+
+def run_cli(argv, files, out_dir):
+    """(exit code, stdout, stderr) of `main(argv)` with `@name` replaced by a path."""
+    paths = {f"@{name}": str(path) for name, path in files.items()}
+    paths["@out"] = str(out_dir)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([paths.get(arg, arg) for arg in argv])
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    text = err.getvalue()
+    for placeholder, path in paths.items():
+        text = text.replace(path, placeholder)
+    return code, out.getvalue(), text
+
+
+def with_fixed_inputs(test):
+    """`test` with every FIXED_INPUTS argv as an explicit hypothesis example."""
+    for argv, _ in FIXED_INPUTS:
+        test = example(argv=argv)(test)
+    return test
+
+
+@pytest.mark.parametrize("argv, error", FIXED_INPUTS, ids=[" ".join(a) for a, _ in FIXED_INPUTS])
+def test_unreadable_inputs_exit_one_with_a_located_error(argv, error, cli_files, tmp_path):
+    code, out, err = run_cli(argv, cli_files, tmp_path / "out")
+    assert code == 1 and out == ""
+    assert err.startswith(error) and err.count("\n") == 1, err
+
+
+def listing(directory: Path) -> list[Path]:
+    return sorted(directory.rglob("*"))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=cli_argv())
+@with_fixed_inputs
+def test_cli_is_total(cli_files, tmp_path_factory, argv):
+    """Any argv exits 0, 1 or 2, with no traceback, writing only under its own directory."""
+    work = tmp_path_factory.mktemp("cli-run")
+    inputs = cli_files["empty"].parent
+    repo = Path(__file__).resolve().parents[1]
+    before = (sorted(repo.iterdir()), listing(inputs))
+    cwd = os.getcwd()
+    os.chdir(work)  # a run without --out writes to the config's relative output path
+    try:
+        code, _, err = run_cli(argv, cli_files, work / "out")
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.count("\n") == 1 and err.startswith(("error: ", "parse error: ")), err
+    assert (sorted(repo.iterdir()), listing(inputs)) == before

@@ -24,6 +24,7 @@ from diamlab.codec import (
     decode_message,
     encode_avp,
     encode_message,
+    is_wire_canonical,
     padded_length,
     validate_message,
 )
@@ -193,6 +194,38 @@ class TestDecodeErrors:
             out = decode_message(blob)
             if isinstance(out, ParseError):
                 assert 0 <= out.offset <= len(blob)
+
+
+class TestWireCanonical:
+    """Which Message values may travel as themselves instead of their bytes."""
+
+    @given(messages())
+    @settings(max_examples=200)
+    def test_built_messages_are_canonical_and_round_trip(self, msg):
+        assert is_wire_canonical(msg)
+        assert decode_message(encode_message(msg)) == msg
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda m: Message(dataclasses.replace(m.header, message_length=4), m.avps),
+            lambda m: Message(dataclasses.replace(m.header, version=2), m.avps),
+            lambda m: Message(m.header, list(m.avps)),
+            lambda m: Message(m.header, (Avp(code=1, data=bytearray(b"abcd")),)),
+        ],
+        ids=["message-length", "version-2", "avp-list", "bytearray-data"],
+    )
+    def test_other_messages_are_not(self, change):
+        msg = change(build_message(700, avps=[Avp(code=1, data=b"abcd")]))
+        assert not is_wire_canonical(msg)
+        encode_message(msg)  # still encodable: these travel as bytes
+
+    def test_range_errors_are_the_encoders(self):
+        msg = build_message(700)
+        bad = Message(dataclasses.replace(msg.header, hop_by_hop_id=2**32), msg.avps)
+        for check in (is_wire_canonical, encode_message):
+            with pytest.raises(CodecError, match="^hop-by-hop id 4294967296 out of range"):
+                check(bad)
 
 
 class TestEncodeErrors:

@@ -257,6 +257,40 @@ def test_non_finite_number_is_a_located_config_error(key, value):
         parse_campaign_config("\n".join(lines))
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "-0.0", "0.0000004"])
+@pytest.mark.parametrize("key", ["watchdog_interval_s", "request_timeout_s"])
+def test_campaign_interval_under_one_microsecond_is_a_located_config_error(key, value):
+    text = FLOOD_LAB.replace("seed = 7", f"seed = 7\n{key} = {value}")
+    line = text.splitlines().index(f"{key} = {value}") + 1
+    with pytest.raises(ConfigError, match=rf"^<config>:{line}: {key} must be at least 1 microsecond$"):
+        parse_campaign_config(text)
+
+
+@pytest.mark.parametrize("key", ["watchdog_interval_s", "request_timeout_s"])
+def test_campaign_interval_bounds(key):
+    shortest = parse_campaign_config(FLOOD_LAB.replace("seed = 7", f"seed = 7\n{key} = 0.000001"))
+    assert getattr(shortest, key) == 0.000001
+    with pytest.raises(ConfigError, match=rf"^<config>:5: {key} is too large$"):
+        parse_campaign_config(FLOOD_LAB.replace("seed = 7", f"seed = 7\n{key} = 1e303"))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seed_override_names_the_flag(seed):
+    with pytest.raises(ConfigError, match=rf"^--seed: seed {seed} must fit in 64 bits$"):
+        load_config("phase1", seed_override=seed)
+    with pytest.raises(ConfigError, match=rf"^<config>:4: seed {seed} must fit in 64 bits$"):
+        parse_campaign_config(FLOOD_LAB.replace("seed = 7", f"seed = {seed}"))
+
+
+def test_config_file_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "latin1.conf"
+    data = minimal().replace("seed = 3", "# caf\xe9\nseed = 3").encode("latin-1")
+    path.write_bytes(data)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value).startswith(f"{path}: not UTF-8 text (byte {data.index(0xE9)}: ")
+
+
 @pytest.mark.parametrize(
     "key, line",
     [

@@ -1,9 +1,12 @@
 """Simulator: determinism, taps, loss accounting, the DCAP capture format."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diamlab import dictionary as dct
 from diamlab.capture import (
     MAGIC,
     CaptureFormatError,
@@ -22,6 +25,18 @@ from diamlab.simnet import (
     TopologySpec,
     build_topology,
 )
+from diamlab.codec import (
+    U32_MAX,
+    Avp,
+    CodecError,
+    Message,
+    build_message,
+    decode_message,
+    encode_message,
+)
+from diamlab.elements import result_code_of
+
+from tests.labs import duo_lab_text, make_lab
 
 
 class Recorder:
@@ -388,6 +403,134 @@ class TestTaps:
         sim.send(a, b, b"\x01\x02")
         rec = tap.records[0]
         assert rec == CaptureRecord(at=12_345, src=a, dst=b, data=b"\x01\x02")
+
+
+def _echo(hbh=1):
+    return build_message(
+        dct.CMD_ECHO,
+        request=True,
+        hop_by_hop_id=hbh,
+        end_to_end_id=hbh,
+        avps=[Avp(code=dct.AVP_ECHO_PAYLOAD, data=b"carried")],
+    )
+
+
+class TestCarriedMessages:
+    """A Message payload travels as itself unless a tap needs its bytes."""
+
+    def test_untapped_link_delivers_the_message_itself(self):
+        sim, _, rec_b = two_node_sim()
+        a, b = sim.nodes
+        msg = _echo()
+        sim.send(a, b, msg)
+        sim.run_until(1_000_000)
+        assert [data for _, _, data in rec_b.messages] == [msg]
+        assert rec_b.messages[0][2] is msg
+
+    def test_tapped_link_records_and_delivers_the_encoding(self):
+        msg = _echo()
+        streams = []
+        for payload in (encode_message(msg), msg):  # bytes as before, then the Message
+            sim, _, rec_b = two_node_sim()
+            a, b = sim.nodes
+            tap = sim.attach_tap(a, b)
+            sim.send(a, b, payload)
+            sim.run_until(1_000_000)
+            streams.append((tap.records, rec_b.messages))
+        assert streams[0] == streams[1]
+        records, delivered = streams[1]
+        assert records == [CaptureRecord(at=0, src=a, dst=b, data=encode_message(msg))]
+        assert delivered == [(10_000, "a", encode_message(msg))]
+
+    def test_protected_tapped_link_records_nothing_and_delivers(self):
+        sim, _, rec_b = two_node_sim(protected=True)
+        a, b = sim.nodes
+        tap = sim.attach_tap(a, b)
+        msg = _echo()
+        sim.send(a, b, msg)
+        sim.run_until(1_000_000)
+        assert tap.records == []
+        assert rec_b.messages == [(10_000, "a", msg)]
+
+    def test_lost_message_is_still_recorded(self):
+        sim, _, rec_b = two_node_sim(loss=1.0)
+        a, b = sim.nodes
+        tap = sim.attach_tap(a, b)
+        sim.send(a, b, _echo())
+        sim.run_until(1_000_000)
+        assert [r.data for r in tap.records] == [encode_message(_echo())]
+        assert rec_b.messages == [] and sim.stats.lost == 1
+
+    def test_elements_carry_requests_and_answers(self, carry_guard):
+        _, lab = make_lab(duo_lab_text())
+        ab, target = lab.element("attacker"), lab.element("target")
+        before = dict(carry_guard)
+        ab.send_app_request(lab.sim, target.node, dct.CMD_ECHO, [], "ctx", lab.sim.clock)
+        lab.sim.run_until(lab.sim.clock + 100_000)
+        assert carry_guard["message"] - before.get("message", 0) == 2  # request and answer
+        assert carry_guard["bytes"] == before.get("bytes", 0)
+        assert target.served == 1 and ab.stray_answers == 1  # no driver on a bare lab
+        assert target.parse_drops == 0
+
+    def test_out_of_range_hop_by_hop_id_raises_codec_error(self, carry_guard):
+        _, lab = make_lab(duo_lab_text())
+        ab, target = lab.element("attacker"), lab.element("target")
+        ab.peer_link(target.node).next_hop_by_hop = U32_MAX + 1
+        sends = lab.sim.stats.sends
+        with pytest.raises(CodecError, match="^hop-by-hop id 4294967296 out of range"):
+            ab.send_app_request(lab.sim, target.node, dct.CMD_ECHO, [], "ctx", lab.sim.clock)
+        assert lab.sim.stats.sends == sends
+
+    @pytest.mark.parametrize(
+        "change, outcome",
+        [
+            # the encoder writes the true length, so the answer arrives and correlates
+            ({"message_length": 4}, "answered"),
+            # the decoder accepts only version 1: the attack box drops the answer
+            ({"version": 2}, "parse_drop"),
+        ],
+        ids=["wrong-message-length", "version-2"],
+    )
+    def test_non_canonical_answers_travel_as_bytes(self, change, outcome, carry_guard, monkeypatch):
+        _, lab = make_lab(duo_lab_text())
+        ab, target = lab.element("attacker"), lab.element("target")
+        answer_of = target.handle_app_request
+
+        def skewed(msg, now):
+            answer = answer_of(msg, now)
+            return Message(dataclasses.replace(answer.header, **change), answer.avps)
+
+        monkeypatch.setattr(target, "handle_app_request", skewed)
+        before = dict(carry_guard)
+        hbh = ab.send_app_request(lab.sim, target.node, dct.CMD_ECHO, [], "ctx", lab.sim.clock)
+        lab.sim.run_until(lab.sim.clock + 100_000)
+        assert carry_guard["message"] - before.get("message", 0) == 1  # the request
+        assert carry_guard["bytes"] - before.get("bytes", 0) == 1  # the answer
+        pending = ab.peer_link(target.node).pending
+        if outcome == "answered":
+            assert ab.stray_answers == 1 and hbh not in pending and ab.parse_drops == 0
+        else:
+            assert ab.parse_drops == 1 and hbh in pending and ab.stray_answers == 0
+
+    def test_tapped_element_link_carries_bytes(self, monkeypatch):
+        _, lab = make_lab(duo_lab_text())
+        ab, target = lab.element("attacker"), lab.element("target")
+        tap = lab.sim.attach_tap(ab.node, target.node)
+        received = []
+        for elem in (ab, target):
+            handler = elem.on_message
+
+            def recording(sim, src, payload, now, handler=handler):
+                received.append(payload)
+                handler(sim, src, payload, now)
+
+            monkeypatch.setattr(elem, "on_message", recording)
+        hbh = ab.send_app_request(lab.sim, target.node, dct.CMD_ECHO, [], "ctx", lab.sim.clock)
+        lab.sim.run_until(lab.sim.clock + 100_000)
+        assert received == [r.data for r in tap.records] and len(received) == 2
+        request, answer = (decode_message(data) for data in received)
+        assert request.header.request and request.header.hop_by_hop_id == hbh
+        assert result_code_of(answer) == dct.RESULT_SUCCESS
 
 
 node_ids = st.builds(NodeId, id=st.integers(0, 2**32 - 1), label=st.just("n"))
