@@ -267,15 +267,18 @@ class _FloodDriver:
         # Every hop-by-hop id sent and not yet reaped, in send order; answered
         # ids stay until they reach the front.
         self.send_order: deque[int] = deque()
+        # Set when run_flood returns: send timers still queued then do nothing.
+        self.stopped = False
 
-    def on_timer(self, sim, tag, now):
-        if tag[0] != "flood-send":
+    def send(self, now: int, i: int) -> None:
+        """Send request `i` of the flood and schedule request `i + 1`."""
+        if self.stopped:
             return
-        i = tag[1]
         self.offered += 1
+        sim = self.ab.sim
         payload = Avp(code=dct.AVP_ECHO_PAYLOAD, data=i.to_bytes(4, "big"))
         hbh = self.ab.send_app_request(
-            sim, self.target.node, dct.CMD_ECHO, [payload], ("flood", i), now
+            sim, self.target.node, dct.CMD_ECHO, [payload], self.on_answer, now
         )
         if hbh is not None:
             self.sent += 1
@@ -284,7 +287,7 @@ class _FloodDriver:
         if i % self._REAP_EVERY == 0:
             self.reap(now)
         if i + 1 < self.count:
-            sim.schedule_timer(now + self.interval_us, self.ab.node, ("flood-send", i + 1))
+            sim.schedule_timer(now + self.interval_us, self.send, i + 1)
 
     def reap(self, now) -> None:
         """Give up on requests past the answer timeout; keeps the pending map small.
@@ -306,10 +309,7 @@ class _FloodDriver:
         if dead:
             self.ab.forget_pending_many(self.target.node, dead)
 
-    def on_answer(self, sim, pending, msg, now):
-        ctx = pending.context
-        if not (isinstance(ctx, tuple) and ctx and ctx[0] == "flood"):
-            return
+    def on_answer(self, pending, msg, now) -> None:
         self.answered += 1
         self.outstanding.pop(pending.hop_by_hop_id, None)
         self.latencies.append(now - pending.sent_at)
@@ -331,8 +331,7 @@ def run_flood(lab: Lab, spec: FloodSpec) -> tuple[FloodResult, list[Finding]]:
     interval_us = max(1, round(US_PER_S / spec.rate_tps))
     count = int(round(spec.rate_tps * spec.duration_s))
     driver = _FloodDriver(ab, target, count, interval_us, lab.request_timeout_us)
-    ab.driver = driver
-    sim.schedule_timer(sim.clock, ab.node, ("flood-send", 0))
+    sim.schedule_timer(sim.clock, driver.send, 0)
     drain_us = int(
         target.capacity.queue_capacity / target.capacity.service_rate * US_PER_S
     )
@@ -344,7 +343,7 @@ def run_flood(lab: Lab, spec: FloodSpec) -> tuple[FloodResult, list[Finding]]:
         + 2 * lab.max_latency_us()
     )
     sim.run_until(horizon)
-    ab.driver = None
+    driver.stopped = True
 
     # Reconcile: anything still pending can no longer be answered.
     ab.forget_pending_many(target.node, driver.outstanding)
@@ -477,14 +476,6 @@ DISPOSITION_DROPPED = "dropped"
 DISPOSITION_NO_RESPONSE = "no-response-timeout"
 DISPOSITION_CRASH = "crash"
 
-DISPOSITIONS = (
-    DISPOSITION_ANSWERED_ERROR,
-    DISPOSITION_ANSWERED_SUCCESS,
-    DISPOSITION_DROPPED,
-    DISPOSITION_NO_RESPONSE,
-    DISPOSITION_CRASH,
-)
-
 
 @dataclass
 class FuzzResult:
@@ -554,18 +545,8 @@ def seed_corpus(identity: str = "attacker.lab") -> list[tuple[str, Message]]:
     ]
 
 
-class _FuzzDriver:
-    def __init__(self):
-        self.wire_answers: dict[int, Optional[int]] = {}  # hop-by-hop -> result code
-
-    def on_wire_answer(self, msg, now):
-        self.wire_answers.setdefault(msg.header.hop_by_hop_id, result_code_of(msg))
-
-    def on_answer(self, sim, pending, msg, now):
-        pass  # dispositions are judged at the wire, before FSM routing
-
-    def on_timer(self, sim, tag, now):
-        pass
+def _ignore_answer(pending, msg, now) -> None:
+    """A fuzz case's on_answer: dispositions are judged at the wire, before FSM routing."""
 
 
 def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
@@ -583,8 +564,12 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
     target = lab.element(spec.target)
     rng = random.Random(spec.seed)
     corpus = seed_corpus(identity=ab.peer_config.identity)
-    driver = _FuzzDriver()
-    ab.driver = driver
+    wire_answers: dict[int, Optional[int]] = {}  # hop-by-hop -> result code
+
+    def on_wire_answer(msg: Message) -> None:
+        wire_answers.setdefault(msg.header.hop_by_hop_id, result_code_of(msg))
+
+    ab.on_wire_answer = on_wire_answer
 
     ops = [op.value for op in spec.ops]
     tallies: dict[str, dict[str, int]] = {op: {} for op in ops}
@@ -608,11 +593,11 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
 
         disposition = None
         sent = ab.send_raw_request(
-            sim, target.node, case, hbh, template.header.command_code, ("fuzz", i), sim.clock
+            sim, target.node, case, hbh, template.header.command_code, _ignore_answer, sim.clock
         )
         if sent:
             deadline = sim.clock + lab.request_timeout_us
-            while hbh not in driver.wire_answers:
+            while hbh not in wire_answers:
                 nxt = sim.next_event_at()
                 if nxt is None or nxt > deadline:
                     break
@@ -638,8 +623,8 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
                     )
                     break
             if disposition is None:
-                if hbh in driver.wire_answers:
-                    code = driver.wire_answers[hbh]
+                if hbh in wire_answers:
+                    code = wire_answers[hbh]
                     if code == dct.RESULT_SUCCESS:
                         disposition = DISPOSITION_ANSWERED_SUCCESS
                     else:
@@ -679,7 +664,7 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
                 )
             )
 
-    ab.driver = None
+    ab.on_wire_answer = None
     result = FuzzResult(
         target=spec.target,
         seed=spec.seed,

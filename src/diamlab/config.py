@@ -21,6 +21,7 @@ from typing import Callable, Optional, Union
 from . import attacks
 from . import dictionary as dct
 from .attacks import ALL_MUTATION_OPS, AttackSpec, FloodSpec, FuzzSpec, InterceptSpec, MutationOp
+from .codec import U32_MAX
 from .elements import ElementCapacity, ElementKind, Lab, PolicyRule, SubscriberRecord
 from .simnet import US_PER_S, LinkSpec, NodeSpec, TopologySpec
 from .taxonomy import Impact, Origin, TaxonomyLabel, Technique
@@ -236,11 +237,15 @@ def _parse_intercept(sec: Section, source: str, labels: dict[str, ElementKind]) 
             raise ConfigError(f"{source}:{sec.where('link')}: unknown node {label!r}")
     codes = []
     builtin = dct.builtin_dictionary()
+    where = f"{source}:{sec.where('avp_codes')}"
     for item in _require(sec, "avp_codes", source).split(","):
         item = item.strip()
-        code = int(item) if item.isdigit() else builtin.code_for_name(item)
+        # isascii: str.isdigit() also accepts digits that int() refuses, such as "²"
+        code = int(item) if item.isascii() and item.isdigit() else builtin.code_for_name(item)
         if code is None:
-            raise ConfigError(f"{source}:{sec.where('avp_codes')}: unknown AVP name {item!r}")
+            raise ConfigError(f"{where}: unknown AVP name {item!r}")
+        if code > U32_MAX:
+            raise ConfigError(f"{where}: AVP code {code} is above {U32_MAX}")
         codes.append(code)
     return InterceptSpec(link=(link_value[0], link_value[1]), avp_codes=tuple(codes))
 

@@ -1,8 +1,8 @@
-"""Built-in protocol numbers and the dictionary file loader.
+"""Built-in protocol numbers and the built-in AVP dictionary.
 
 Everything the rest of the testbed pins against lives here: command
 codes, result codes, AVP codes, and the built-in AVP dictionary. The
-dictionary file format is line-oriented text, one AVP entry per line:
+dictionary is written as line-oriented text, one AVP entry per line:
 
     code vendor_id name data_format mandatory_expected
 
@@ -10,9 +10,6 @@ with vendor_id 0 meaning "no vendor" and `#` starting a comment.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
-from typing import Union
 
 from .codec import DATA_FORMATS, DictEntry, Dictionary
 
@@ -26,11 +23,6 @@ CMD_ECHO = 700
 CMD_PROFILE_QUERY = 701
 CMD_LOCATION_UPDATE = 702
 CMD_POLICY_INSTALL = 703
-
-BASE_COMMANDS = frozenset(
-    {CMD_CAPABILITIES_EXCHANGE, CMD_DEVICE_WATCHDOG, CMD_DISCONNECT_PEER}
-)
-APP_COMMANDS = frozenset({CMD_ECHO, CMD_PROFILE_QUERY, CMD_LOCATION_UPDATE, CMD_POLICY_INSTALL})
 
 # Result codes carried in the result-code AVP of answers.
 RESULT_SUCCESS = 2001
@@ -69,7 +61,7 @@ BUILTIN_DICTIONARY_TEXT = """\
 
 
 class DictionaryError(ValueError):
-    """Malformed dictionary file; message carries the line number."""
+    """Malformed dictionary text; message carries the line number."""
 
 
 def parse_dictionary(text: str, source: str = "<builtin>") -> Dictionary:
@@ -96,11 +88,6 @@ def parse_dictionary(text: str, source: str = "<builtin>") -> Dictionary:
             raise DictionaryError(f"{source}:{lineno}: duplicate entry for {key}")
         entries[key] = DictEntry(name=name, data_format=fmt, mandatory_expected=mand_s == "true")
     return Dictionary(entries=entries)
-
-
-def load_dictionary(path: Union[str, Path]) -> Dictionary:
-    path = Path(path)
-    return parse_dictionary(path.read_text(), source=str(path))
 
 
 def builtin_dictionary() -> Dictionary:

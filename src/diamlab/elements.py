@@ -23,7 +23,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from . import dictionary as dct
 from .codec import (
@@ -44,6 +45,7 @@ from .codec import (
 )
 from .peer import (
     ActionKind,
+    AnswerCallback,
     EventKind,
     PeerAction,
     PeerConfig,
@@ -232,7 +234,7 @@ class Element:
         return self.links[neighbor.id]
 
     def start_sampler(self) -> None:
-        self.sim.schedule_timer(self.sim.clock + SAMPLE_INTERVAL_US, self.node, ("sample",))
+        self.sim.schedule_timer(self.sim.clock + SAMPLE_INTERVAL_US, self._sample)
 
     # -- peer FSM driving ------------------------------------------------------
 
@@ -247,7 +249,11 @@ class Element:
             self._execute(sim, link, action, now)
         state = link.state
         if state.phase is Phase.OPEN and state.watchdog_deadline != prev_deadline:
-            sim.schedule_timer(state.watchdog_deadline, self.node, ("watchdog", peer.id))
+            sim.schedule_timer(state.watchdog_deadline, self._watchdog, peer)
+
+    def _watchdog(self, now: int, peer: NodeId) -> None:
+        if not self.failed:
+            self.feed_event(self.sim, peer, PeerEvent(EventKind.WATCHDOG_TIMER), now)
 
     def _execute(self, sim: Simulation, link: PeerLink, action: PeerAction, now: int) -> None:
         kind = action.kind
@@ -269,8 +275,12 @@ class Element:
             if msg.header.request:
                 self._admit_request(sim, link, msg, now)
             else:
-                del link.pending[action.pending.hop_by_hop_id]
-                self.on_app_answer(sim, link, action.pending, msg, now)
+                pending = action.pending
+                del link.pending[pending.hop_by_hop_id]
+                if pending.on_answer is None:
+                    self.stray_answers += 1
+                else:
+                    pending.on_answer(pending, msg, now)
         elif kind is ActionKind.DROP_MESSAGE:
             self.fsm_drops += 1
         elif kind is ActionKind.CLOSE_LINK:
@@ -304,23 +314,6 @@ class Element:
                 return
         self.feed_event(sim, src, PeerEvent(_event_kind_for(msg), msg), now)
 
-    def on_timer(self, sim: Simulation, tag: object, now: int) -> None:
-        kind = tag[0]
-        if kind == "watchdog":
-            peer_id = tag[1]
-            link = self.links.get(peer_id)
-            if link is not None and not self.failed:
-                self.feed_event(sim, link.neighbor, PeerEvent(EventKind.WATCHDOG_TIMER), now)
-        elif kind == "drain":
-            self._drain(sim, now)
-        elif kind == "sample":
-            self._sample(sim, now)
-        else:
-            self.on_custom_timer(sim, tag, now)
-
-    def on_custom_timer(self, sim: Simulation, tag: object, now: int) -> None:
-        pass
-
     # -- capacity model ----------------------------------------------------------
 
     def _accrue(self, now: int) -> None:
@@ -351,10 +344,10 @@ class Element:
             return
         need = max(0.0, 1.0 - self._tokens)
         delay = max(1, math.ceil(need * US_PER_S / self.capacity.service_rate))
-        self.sim.schedule_timer(now + delay, self.node, ("drain",))
+        self.sim.schedule_timer(now + delay, self._drain)
         self._drain_scheduled = True
 
-    def _drain(self, sim: Simulation, now: int) -> None:
+    def _drain(self, now: int) -> None:
         self._drain_scheduled = False
         if self.failed:
             return
@@ -363,11 +356,11 @@ class Element:
             self._tokens -= 1.0
             neighbor_id, msg = self.queue.popleft()
             self.drained_served += 1
-            self._serve(sim, neighbor_id, msg, now)
+            self._serve(self.sim, neighbor_id, msg, now)
         if self.queue:
             self._ensure_drain(now)
 
-    def _sample(self, sim: Simulation, now: int) -> None:
+    def _sample(self, now: int) -> None:
         if self.failed:
             return
         if self.queue:
@@ -380,7 +373,7 @@ class Element:
             self.dropped_at_failure += len(self.queue)
             self.queue.clear()
             return
-        sim.schedule_timer(now + SAMPLE_INTERVAL_US, self.node, ("sample",))
+        self.sim.schedule_timer(now + SAMPLE_INTERVAL_US, self._sample)
 
     def _admit_request(self, sim: Simulation, link: PeerLink, msg: Message, now: int) -> None:
         outcome = self.admit((link.neighbor.id, msg), now)
@@ -399,16 +392,6 @@ class Element:
     def handle_app_request(self, msg: Message, now: int) -> Optional[Message]:
         return _error_answer(msg, dct.RESULT_COMMAND_UNSUPPORTED)
 
-    def on_app_answer(
-        self,
-        sim: Simulation,
-        link: PeerLink,
-        pending: Optional[PendingRequest],
-        msg: Message,
-        now: int,
-    ) -> None:
-        self.stray_answers += 1
-
     # -- client-side sending ----------------------------------------------------------
 
     def _alloc_hop_by_hop(self, link: PeerLink) -> int:
@@ -425,10 +408,14 @@ class Element:
         dst: NodeId,
         command_code: int,
         avps: list[Avp],
-        context: object,
+        on_answer: Optional[AnswerCallback],
         now: int,
     ) -> Optional[int]:
-        """Build, register, and send one application request; None if the link is not Open."""
+        """Build, register, and send one application request; None if the link is not Open.
+
+        `on_answer(pending, msg, now)` gets the answer; with None the answer
+        is counted in `stray_answers`.
+        """
         link = self.links[dst.id]
         if link.state.phase is not Phase.OPEN:
             return None
@@ -436,7 +423,7 @@ class Element:
         msg = build_message(
             command_code, request=True, hop_by_hop_id=hbh, end_to_end_id=hbh, avps=avps
         )
-        register_request(link, PendingRequest(hbh, command_code, now, context))
+        register_request(link, PendingRequest(hbh, command_code, now, on_answer))
         sim.send(self.node, dst, _on_wire(msg))
         return hbh
 
@@ -447,14 +434,14 @@ class Element:
         data: bytes,
         hop_by_hop_id: int,
         command_code: int,
-        context: object,
+        on_answer: Optional[AnswerCallback],
         now: int,
     ) -> bool:
         """Send pre-encoded (possibly malformed) bytes, still tracked as pending."""
         link = self.links[dst.id]
         if link.state.phase is not Phase.OPEN:
             return False
-        register_request(link, PendingRequest(hop_by_hop_id, command_code, now, context))
+        register_request(link, PendingRequest(hop_by_hop_id, command_code, now, on_answer))
         sim.send(self.node, dst, data)
         return True
 
@@ -629,23 +616,21 @@ class MmeElement(Element):
                     mandatory=True,
                 ),
             ]
-        sent = self.send_app_request(sim, dst, cmd, avps, ("attach", run_idx, step), now)
+        on_answer = partial(self._attach_answer, run_idx, step)
+        sent = self.send_app_request(sim, dst, cmd, avps, on_answer, now)
         if sent is None:
             self._finish(run, False, "link-not-open", now)
             return
-        sim.schedule_timer(now + self.request_timeout_us, self.node, ("attach-timeout", run_idx, step))
+        sim.schedule_timer(now + self.request_timeout_us, self._attach_timeout, run_idx, step)
 
     def _finish(self, run: AttachResult, success: bool, reason: str, now: int) -> None:
         run.success = success
         run.reason = reason
         run.finished_at = now
 
-    def on_app_answer(self, sim, link, pending, msg, now):
-        ctx = pending.context
-        if not (isinstance(ctx, tuple) and ctx and ctx[0] == "attach"):
-            self.stray_answers += 1
-            return
-        _, run_idx, step = ctx
+    def _attach_answer(
+        self, run_idx: int, step: int, pending: PendingRequest, msg: Message, now: int
+    ) -> None:
         run = self.attaches[run_idx]
         if run.success is not None or run.steps_completed != step:
             return  # stale answer after a timeout already decided this run
@@ -655,48 +640,37 @@ class MmeElement(Element):
             if run.steps_completed == len(self._STEPS):
                 self._finish(run, True, "", now)
             else:
-                self._send_step(sim, run_idx, now)
+                self._send_step(self.sim, run_idx, now)
         else:
             name = dct.RESULT_NAMES.get(code, str(code))
             self._finish(run, False, name, now)
 
-    def on_custom_timer(self, sim: Simulation, tag: object, now: int) -> None:
-        if tag[0] != "attach-timeout":
-            return
-        _, run_idx, step = tag
+    def _attach_timeout(self, now: int, run_idx: int, step: int) -> None:
         run = self.attaches[run_idx]
         if run.success is None and run.steps_completed == step:
             self._finish(run, False, "timeout", now)
 
 
 class AttackBoxElement(Element):
-    """Attack traffic source; the active attack driver plugs in here."""
+    """Attack traffic source.
+
+    An attack drives it by scheduling its own timers and by giving each
+    request it sends the callback that consumes the answer. A fuzz run
+    also sets `on_wire_answer(msg)`, which sees every decoded inbound
+    answer before peer-FSM routing: answers to mutated base-protocol
+    requests come back as CEA/DWA/DPA and never reach an `on_answer`.
+    """
 
     kind = ElementKind.ATTACK_BOX
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.driver: Optional[object] = None  # exposes on_answer / on_timer
+        self.on_wire_answer: Optional[Callable[[Message], object]] = None
 
     def on_decoded(self, sim: Simulation, src: NodeId, msg: Message, now: int) -> None:
-        # Drivers that watch the raw socket (the fuzzer) see every inbound
-        # answer before peer-FSM routing: answers to mutated base-protocol
-        # requests come back as CEA/DWA/DPA and never reach the app layer.
-        if not msg.header.request:
-            hook = getattr(self.driver, "on_wire_answer", None)
-            if hook is not None:
-                hook(msg, now)
+        if self.on_wire_answer is not None and not msg.header.request:
+            self.on_wire_answer(msg)
         super().on_decoded(sim, src, msg, now)
-
-    def on_app_answer(self, sim, link, pending, msg, now):
-        if self.driver is not None:
-            self.driver.on_answer(sim, pending, msg, now)
-        else:
-            self.stray_answers += 1
-
-    def on_custom_timer(self, sim: Simulation, tag: object, now: int) -> None:
-        if self.driver is not None:
-            self.driver.on_timer(sim, tag, now)
 
 
 _ELEMENT_CLASSES: dict[ElementKind, type[Element]] = {
@@ -872,9 +846,7 @@ class Lab:
         rtt = 2 * self.max_latency_us() + 10_000
         for i in range(count):
             payload = Avp(code=dct.AVP_ECHO_PAYLOAD, data=f"probe-{i}".encode())
-            ab.send_app_request(
-                sim, target.node, dct.CMD_ECHO, [payload], ("echo", i), sim.clock
-            )
+            ab.send_app_request(sim, target.node, dct.CMD_ECHO, [payload], None, sim.clock)
             sim.run_until(sim.clock + rtt)
 
     def scenario_traffic(self) -> None:

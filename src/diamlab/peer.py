@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from . import dictionary as dct
 from .codec import Avp, Message, build_answer, build_message
@@ -90,12 +90,19 @@ class PeerEvent:
 
 @dataclass(frozen=True, slots=True)
 class PendingRequest:
-    """Metadata kept for one outstanding application request."""
+    """Metadata kept for one outstanding application request.
+
+    `on_answer(pending, msg, now)` consumes the matching answer; None
+    means nobody waits for it.
+    """
 
     hop_by_hop_id: int
     command_code: int
     sent_at: int
-    context: object = None
+    on_answer: Optional[AnswerCallback] = None
+
+
+AnswerCallback = Callable[[PendingRequest, Message, int], None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,6 +139,8 @@ _NO_PENDING: Mapping[int, PendingRequest] = MappingProxyType({})
 
 
 def _origin(identity: str) -> Avp:
+    if not identity:
+        raise ValueError("identity must be non-empty")
     return Avp(code=dct.AVP_ORIGIN_HOST, data=identity.encode(), mandatory=True)
 
 
@@ -146,8 +155,6 @@ def build_cer(
     hop_by_hop_id: int = 0,
     end_to_end_id: int = 0,
 ) -> Message:
-    if not identity:
-        raise ValueError("identity must be non-empty")
     avps = [_origin(identity)] + [
         Avp(code=dct.AVP_AUTH_APPLICATION_ID, data=a.to_bytes(4, "big"), mandatory=True)
         for a in application_ids
@@ -161,15 +168,7 @@ def build_cer(
     )
 
 
-def build_cea(cer: Message, identity: str, result_code: int = dct.RESULT_SUCCESS) -> Message:
-    if not identity:
-        raise ValueError("identity must be non-empty")
-    return build_answer(cer, avps=[result_code_avp(result_code), _origin(identity)])
-
-
 def build_dwr(identity: str, *, hop_by_hop_id: int = 0, end_to_end_id: int = 0) -> Message:
-    if not identity:
-        raise ValueError("identity must be non-empty")
     return build_message(
         dct.CMD_DEVICE_WATCHDOG,
         request=True,
@@ -179,17 +178,9 @@ def build_dwr(identity: str, *, hop_by_hop_id: int = 0, end_to_end_id: int = 0) 
     )
 
 
-def build_dwa(dwr: Message, identity: str, result_code: int = dct.RESULT_SUCCESS) -> Message:
-    if not identity:
-        raise ValueError("identity must be non-empty")
-    return build_answer(dwr, avps=[result_code_avp(result_code), _origin(identity)])
-
-
 def build_dpr(
     identity: str, *, cause: int = 0, hop_by_hop_id: int = 0, end_to_end_id: int = 0
 ) -> Message:
-    if not identity:
-        raise ValueError("identity must be non-empty")
     return build_message(
         dct.CMD_DISCONNECT_PEER,
         request=True,
@@ -202,10 +193,11 @@ def build_dpr(
     )
 
 
-def build_dpa(dpr: Message, identity: str, result_code: int = dct.RESULT_SUCCESS) -> Message:
-    if not identity:
-        raise ValueError("identity must be non-empty")
-    return build_answer(dpr, avps=[result_code_avp(result_code), _origin(identity)])
+def build_base_answer(
+    req: Message, identity: str, result_code: int = dct.RESULT_SUCCESS
+) -> Message:
+    """The CEA, DWA or DPA to a CER, DWR or DPR: result code and origin host."""
+    return build_answer(req, avps=[result_code_avp(result_code), _origin(identity)])
 
 
 # --- correlation ----------------------------------------------------------
@@ -267,7 +259,7 @@ def handle_event(
 
     if kind is EventKind.RCV_CER:
         if phase is Phase.CLOSED:
-            cea = build_cea(event.message, config.identity)
+            cea = build_base_answer(event.message, config.identity)
             new = replace(
                 state,
                 phase=Phase.OPEN,
@@ -292,7 +284,7 @@ def handle_event(
 
     if kind is EventKind.RCV_DWR:
         if phase is Phase.OPEN:
-            dwa = build_dwa(event.message, config.identity)
+            dwa = build_base_answer(event.message, config.identity)
             return state, [PeerAction(ActionKind.SEND_DWA, message=dwa)]
         return _drop(state, event)
 
@@ -309,7 +301,7 @@ def handle_event(
 
     if kind is EventKind.RCV_DPR:
         if phase in (Phase.WAIT_CEA, Phase.OPEN, Phase.CLOSING):
-            dpa = build_dpa(event.message, config.identity)
+            dpa = build_base_answer(event.message, config.identity)
             new = replace(state, phase=Phase.CLOSING)
             return new, [PeerAction(ActionKind.SEND_DPA, message=dpa)]
         return _drop(state, event)

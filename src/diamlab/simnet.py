@@ -13,6 +13,10 @@ encode and a decode that would give it back unchanged, unless a tap
 records the traversal. Then it is encoded once, and those bytes are both
 the capture record and what the receiver gets.
 
+A timer is the callable it fires: `schedule_timer(at, fire, *args)`
+queues it, and when its time comes the loop calls `fire(now, *args)`.
+Node handlers see only deliveries.
+
 Links are point-to-point and bidirectional; each direction's route is
 resolved once, when the simulation is built. A link with protected=True
 models an encrypted or trusted transport: traffic still flows, but taps
@@ -25,7 +29,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .codec import Message, encode_message
 
@@ -143,7 +147,8 @@ class Simulation:
         self.link_stats: dict[tuple[int, int], LinkStats] = {
             key: LinkStats() for key in self.links
         }
-        # (at, seq, LinkStats of a delivery or None for a timer, dst, src, payload or tag);
+        # delivery: (at, seq, LinkStats, dst, src, payload)
+        # timer:    (at, seq, None, fire, None, args)
         # seq is unique, so comparisons never look past it.
         self._queue: list[tuple] = []
         self._seq = 0
@@ -158,10 +163,11 @@ class Simulation:
     # -- wiring ------------------------------------------------------------
 
     def register_handler(self, node: NodeId, handler: object) -> None:
-        """handler must expose on_message(sim, src, payload, now) and on_timer(sim, tag, now).
+        """handler must expose on_message(sim, src, payload, now).
 
         `payload` is what the sender passed to `send`: bytes, or a Message
-        when no tap recorded the traversal.
+        when no tap recorded the traversal. Timers do not go through the
+        handler: each calls the function it was scheduled with.
         """
         self._handlers[node.id] = handler
 
@@ -171,10 +177,11 @@ class Simulation:
 
     # -- scheduling ----------------------------------------------------------
 
-    def schedule_timer(self, at: int, dst: NodeId, tag: object) -> None:
+    def schedule_timer(self, at: int, fire: Callable[..., object], *args: object) -> None:
+        """Call `fire(at, *args)` once the clock reaches `at`."""
         if at < self.clock:
             raise ValueError(f"cannot schedule into the past ({at} < {self.clock})")
-        heapq.heappush(self._queue, (at, self._seq, None, dst, None, tag))
+        heapq.heappush(self._queue, (at, self._seq, None, fire, None, args))
         self._seq += 1
 
     def send(self, src: NodeId, dst: NodeId, payload: Union[bytes, Message]) -> None:
@@ -228,14 +235,14 @@ class Simulation:
             at, _, lstats, dst, src, item = pop(queue)
             self.clock = at
             stats.events_processed += 1
+            if lstats is None:
+                dst(at, *item)  # a timer: dst is the function it fires
+                continue
+            stats.delivered += 1
+            lstats.delivered += 1
             handler = handlers.get(dst.id)
-            if lstats is not None:
-                stats.delivered += 1
-                lstats.delivered += 1
-                if handler is not None:
-                    handler.on_message(self, src, item, at)
-            elif handler is not None:
-                handler.on_timer(self, item, at)
+            if handler is not None:
+                handler.on_message(self, src, item, at)
         self.clock = t
         return self.stats
 

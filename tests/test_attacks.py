@@ -196,6 +196,15 @@ class TestFlood:
         )
         assert result.dropped == element_side  # loss-free link: every drop is the element's
 
+    def test_send_timers_left_by_a_flood_do_not_feed_the_next(self):
+        _, lab = make_lab(duo_lab_text(queue_capacity=0, latency_ms=0.1))
+        # 1 us between 1,500 sends: the run ends while send timers are still queued
+        first = FloodSpec(target="target", rate_tps=1.5e6, duration_s=0.001, settle_grace_s=0)
+        result, _ = run_flood(lab, first)
+        assert result.offered < 1500
+        second, _ = run_flood(lab, FloodSpec(target="target", rate_tps=100, duration_s=0.05))
+        assert second.offered == 5 and second.sent == 5
+
     def test_no_false_outage(self):
         _, lab = make_lab(duo_lab_text(service_rate=1000, queue_capacity=100))
         _, findings = run_flood(lab, FloodSpec(target="target", rate_tps=1500, duration_s=5))
@@ -210,10 +219,11 @@ class _StubBox:
     node = None
 
     def __init__(self):
+        self.sim = self
         self.next_id = 1
         self.forgotten = []
 
-    def send_app_request(self, sim, dst, command_code, avps, context, now):
+    def send_app_request(self, sim, dst, command_code, avps, on_answer, now):
         self.next_id += 1
         return self.next_id - 1
 
@@ -221,7 +231,7 @@ class _StubBox:
         self.forgotten.append(list(hop_by_hop_ids))
         return len(hop_by_hop_ids)
 
-    def schedule_timer(self, at, node, tag):
+    def schedule_timer(self, at, fire, *args):
         pass
 
 
@@ -245,11 +255,11 @@ class TestFloodReap:
         now = 0
         for i, gap in enumerate(gaps, start=1):  # index 0 would trigger a scheduled reap
             now += gap
-            driver.on_timer(box, ("flood-send", i), now)
+            driver.send(now, i)
         for i, (hbh, sent_at) in enumerate(list(driver.outstanding.items())):
             if answered[i]:
-                pending = PendingRequest(hbh, dct.CMD_ECHO, sent_at, ("flood", i))
-                driver.on_answer(box, pending, build_message(dct.CMD_ECHO), now)
+                pending = PendingRequest(hbh, dct.CMD_ECHO, sent_at, driver.on_answer)
+                driver.on_answer(pending, build_message(dct.CMD_ECHO), now)
         for wait in waits:
             now += wait
             # reference: scan every outstanding entry, in send order

@@ -443,7 +443,13 @@ class TestBuilders:
 # The six value types built per request: their fields, field order and
 # defaults, constructor arguments in field order, and one field change.
 _MSG = build_message(700, request=True, hop_by_hop_id=3, avps=[Avp(code=1, data=b"x")])
-_PENDING = PendingRequest(3, 700, 10, ("ctx", 1))
+
+
+def _ignore_answer(pending, msg, now):
+    pass
+
+
+_PENDING = PendingRequest(3, 700, 10, _ignore_answer)
 VALUE_TYPES = [
     (
         Avp,
@@ -493,9 +499,9 @@ VALUE_TYPES = [
             ("hop_by_hop_id", dataclasses.MISSING),
             ("command_code", dataclasses.MISSING),
             ("sent_at", dataclasses.MISSING),
-            ("context", None),
+            ("on_answer", None),
         ],
-        (3, 700, 10, ("ctx", 1)),
+        (3, 700, 10, _ignore_answer),
         {"sent_at": 11},
     ),
     (

@@ -221,6 +221,20 @@ class TestCampaignAssembly:
         with pytest.raises(ConfigError, match="unknown AVP name"):
             parse_campaign_config(text)
 
+    @pytest.mark.parametrize(
+        "codes, error",
+        [
+            ("²", "unknown AVP name '²'"),  # str.isdigit() accepts it, int() does not
+            ("264, 4294967296", "AVP code 4294967296 is above 4294967295"),
+        ],
+        ids=["superscript-digit", "above-32-bits"],
+    )
+    def test_avp_codes_errors_name_their_line(self, codes, error):
+        text = minimal() + f"\n[attack intercept]\nlink = attacker target\navp_codes = {codes}\n"
+        line = text.splitlines().index(f"avp_codes = {codes}") + 1
+        with pytest.raises(ConfigError, match=f"^<config>:{line}: {error}$"):
+            parse_campaign_config(text)
+
     def test_fuzz_ops_filter(self):
         text = minimal() + "\n[attack fuzz]\ntarget = target\ncases = 5\nops = truncate,flip_flag\n"
         spec = parse_campaign_config(text).attacks[0]

@@ -1,4 +1,4 @@
-"""Dictionary file format and built-in registry pins."""
+"""Dictionary text format and built-in registry pins."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from diamlab import dictionary as dct
 from diamlab.dictionary import (
     DictionaryError,
     builtin_dictionary,
-    load_dictionary,
     parse_dictionary,
 )
 
@@ -77,15 +76,3 @@ class TestParser:
     def test_non_integer_code(self):
         with pytest.raises(DictionaryError, match="non-integer"):
             parse_dictionary("seven 0 a unsigned32 true\n")
-
-    def test_load_from_file(self, tmp_path):
-        path = tmp_path / "custom.dict"
-        path.write_text("5000 0 custom-avp octet-string false\n")
-        d = load_dictionary(path)
-        assert d.lookup(5000).name == "custom-avp"
-
-    def test_file_errors_name_the_path(self, tmp_path):
-        path = tmp_path / "bad.dict"
-        path.write_text("x\n")
-        with pytest.raises(DictionaryError, match="bad.dict:1"):
-            load_dictionary(path)

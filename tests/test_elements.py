@@ -368,16 +368,13 @@ class TestFailureModel:
 
 
 class _Answers:
-    """Attack-box driver that records every answer delivered with its entry."""
+    """An on_answer callback that records every answer delivered with its entry."""
 
     def __init__(self):
         self.delivered = []
 
-    def on_answer(self, sim, pending, msg, now):
+    def __call__(self, pending, msg, now):
         self.delivered.append((pending, msg.header.hop_by_hop_id))
-
-    def on_timer(self, sim, tag, now):
-        pass
 
 
 class TestPendingTable:
@@ -386,11 +383,13 @@ class TestPendingTable:
     def _open_duo(self):
         _, lab = make_lab(duo_lab_text())
         ab, target = lab.element("attacker"), lab.element("target")
-        ab.driver = _Answers()
+        self.answers = _Answers()
         return lab, ab, target, ab.peer_link(target.node)
 
-    def _echo(self, lab, ab, target, context="ctx"):
-        return ab.send_app_request(lab.sim, target.node, dct.CMD_ECHO, [], context, lab.sim.clock)
+    def _echo(self, lab, ab, target):
+        return ab.send_app_request(
+            lab.sim, target.node, dct.CMD_ECHO, [], self.answers, lab.sim.clock
+        )
 
     def _feed_answer(self, lab, ab, target, hbh):
         answer = build_message(dct.CMD_ECHO, hop_by_hop_id=hbh)
@@ -401,7 +400,7 @@ class TestPendingTable:
         lab, ab, target, link = self._open_duo()
         sim = lab.sim
         for i in range(3):
-            self._echo(lab, ab, target, ("echo", i))
+            self._echo(lab, ab, target)
         assert len(link.pending) == 3
         if how == "stop":
             ab.feed_event(sim, target.node, PeerEvent(EventKind.STOP), sim.clock)
@@ -419,9 +418,9 @@ class TestPendingTable:
         lab, ab, target, link = self._open_duo()
         hbh = self._echo(lab, ab, target)
         entry = link.pending[hbh]
-        assert entry == PendingRequest(hbh, dct.CMD_ECHO, lab.sim.clock, "ctx")
+        assert entry == PendingRequest(hbh, dct.CMD_ECHO, lab.sim.clock, self.answers)
         self._feed_answer(lab, ab, target, hbh)
-        assert ab.driver.delivered == [(entry, hbh)]
+        assert self.answers.delivered == [(entry, hbh)]
         assert link.pending == {}
 
     def test_unknown_id_is_no_match(self):
@@ -429,7 +428,7 @@ class TestPendingTable:
         hbh = self._echo(lab, ab, target)
         before, drops = dict(link.pending), ab.fsm_drops
         self._feed_answer(lab, ab, target, hbh + 1)
-        assert ab.driver.delivered == []
+        assert self.answers.delivered == []
         assert ab.fsm_drops == drops + 1
         assert link.pending == before
 
@@ -439,7 +438,7 @@ class TestPendingTable:
         self._feed_answer(lab, ab, target, hbh)
         drops = ab.fsm_drops
         self._feed_answer(lab, ab, target, hbh)
-        assert len(ab.driver.delivered) == 1
+        assert len(self.answers.delivered) == 1
         assert ab.fsm_drops == drops + 1
 
     def test_request_with_a_pending_id_does_not_consume_it(self):
@@ -448,7 +447,7 @@ class TestPendingTable:
         request = build_message(dct.CMD_ECHO, request=True, hop_by_hop_id=hbh)
         event = PeerEvent(EventKind.RCV_REQUEST, request)
         ab.feed_event(lab.sim, target.node, event, lab.sim.clock)
-        assert ab.driver.delivered == []
+        assert self.answers.delivered == []
         assert hbh in link.pending
 
     def test_register_outside_open_rejected(self):
@@ -464,10 +463,10 @@ class TestPendingTable:
 
     def test_answer_event_delivers_with_pending(self):
         lab, ab, target, link = self._open_duo()
-        hbh = self._echo(lab, ab, target, ("flood", 0))
+        hbh = self._echo(lab, ab, target)
         lab.sim.run_until(lab.sim.clock + 100_000)  # the target answers over the link
-        [(entry, answered)] = ab.driver.delivered
-        assert answered == hbh and entry.context == ("flood", 0)
+        [(entry, answered)] = self.answers.delivered
+        assert answered == hbh and entry.on_answer is self.answers
         assert link.pending == {}
 
     def test_forget_pending_many_counts_what_existed(self):
@@ -479,10 +478,10 @@ class TestPendingTable:
     def test_hop_by_hop_wraps_within_32_bits(self):
         lab, ab, target, link = self._open_duo()
         link.next_hop_by_hop = 2**32 - 1
-        ids = [self._echo(lab, ab, target, ("echo", i)) for i in range(3)]
+        ids = [self._echo(lab, ab, target) for _ in range(3)]
         assert ids == [2**32 - 1, 0, 1]
         lab.sim.run_until(lab.sim.clock + 100_000)
-        assert sorted(answered for _, answered in ab.driver.delivered) == [0, 1, 2**32 - 1]
+        assert sorted(answered for _, answered in self.answers.delivered) == [0, 1, 2**32 - 1]
         assert link.pending == {}
 
     def test_state_machine_requests_take_the_link_ids(self):

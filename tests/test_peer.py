@@ -15,11 +15,9 @@ from diamlab.peer import (
     PeerState,
     PendingRequest,
     Phase,
-    build_cea,
+    build_base_answer,
     build_cer,
-    build_dpa,
     build_dpr,
-    build_dwa,
     build_dwr,
     handle_event,
 )
@@ -33,15 +31,15 @@ def message_for(kind: EventKind):
     if kind is EventKind.RCV_CER:
         return build_cer("peer.example", [0])
     if kind is EventKind.RCV_CEA:
-        return build_cea(build_cer("peer.example", [0]), "other.example")
+        return build_base_answer(build_cer("peer.example", [0]), "other.example")
     if kind is EventKind.RCV_DWR:
         return build_dwr("peer.example")
     if kind is EventKind.RCV_DWA:
-        return build_dwa(build_dwr("peer.example"), "other.example")
+        return build_base_answer(build_dwr("peer.example"), "other.example")
     if kind is EventKind.RCV_DPR:
         return build_dpr("peer.example")
     if kind is EventKind.RCV_DPA:
-        return build_dpa(build_dpr("peer.example"), "other.example")
+        return build_base_answer(build_dpr("peer.example"), "other.example")
     if kind is EventKind.RCV_REQUEST:
         return build_message(dct.CMD_ECHO, request=True, hop_by_hop_id=9)
     if kind is EventKind.RCV_ANSWER:
@@ -95,7 +93,7 @@ class TestLifecycleScenarios:
         cer = actions[0].message
         assert cer.header.command_code == dct.CMD_CAPABILITIES_EXCHANGE
         assert cer.header.request
-        s, actions = handle_event(s, PeerEvent(EventKind.RCV_CEA, build_cea(cer, "b")), 10)
+        s, actions = handle_event(s, PeerEvent(EventKind.RCV_CEA, build_base_answer(cer, "b")), 10)
         assert s.phase is Phase.OPEN and actions == []
         assert s.watchdog_deadline == 10 + WD
 
@@ -136,7 +134,7 @@ class TestLifecycleScenarios:
         assert s.phase is Phase.CLOSING
         dpr = actions[0].message
         assert dpr.header.command_code == dct.CMD_DISCONNECT_PEER
-        dpa = build_dpa(dpr, "peer.example")
+        dpa = build_base_answer(dpr, "peer.example")
         s, actions = handle_event(s, PeerEvent(EventKind.RCV_DPA, dpa), 0)
         assert s.phase is Phase.CLOSED
         assert [a.kind for a in actions] == [ActionKind.CLOSE_LINK]
@@ -166,7 +164,7 @@ class TestWatchdog:
     def test_dwa_clears_outstanding(self):
         s = state_in(Phase.OPEN)
         s, _ = handle_event(s, PeerEvent(EventKind.WATCHDOG_TIMER), WD)
-        dwa = build_dwa(build_dwr("x"), "peer.example")
+        dwa = build_base_answer(build_dwr("x"), "peer.example")
         s, actions = handle_event(s, PeerEvent(EventKind.RCV_DWA, dwa), WD + 5)
         assert actions == []
         assert not s.dwr_outstanding and s.missed_dwas == 0
@@ -190,7 +188,7 @@ class TestWatchdog:
             now = s.watchdog_deadline
             s, actions = handle_event(s, PeerEvent(EventKind.WATCHDOG_TIMER), now)
             assert [a.kind for a in actions] == [ActionKind.SEND_DWR]
-            dwa = build_dwa(actions[0].message, "peer.example")
+            dwa = build_base_answer(actions[0].message, "peer.example")
             s, actions = handle_event(s, PeerEvent(EventKind.RCV_DWA, dwa), now + 100)
             assert actions == []
             assert s.phase is Phase.OPEN and s.missed_dwas == 0
@@ -204,7 +202,7 @@ class TestCorrelation:
     """
 
     def test_answer_matching_the_table_is_delivered_with_its_entry(self):
-        entry = PendingRequest(21, dct.CMD_ECHO, 5, context=("flood", 0))
+        entry = PendingRequest(21, dct.CMD_ECHO, 5, on_answer=lambda pending, msg, now: None)
         pending = {21: entry}
         answer = build_message(dct.CMD_ECHO, hop_by_hop_id=21)
         s = state_in(Phase.OPEN)
@@ -237,15 +235,18 @@ class TestBuilders:
 
     def test_cea_echoes_hop_by_hop(self):
         cer = build_cer("a.lab", [0], hop_by_hop_id=99, end_to_end_id=98)
-        cea = build_cea(cer, "b.lab")
+        cea = build_base_answer(cer, "b.lab")
         assert cea.header.hop_by_hop_id == 99
         assert cea.header.end_to_end_id == 98
         assert first_avp(cea, dct.AVP_RESULT_CODE).data == (2001).to_bytes(4, "big")
 
     def test_empty_identity_rejected(self):
         for builder in (build_cer, build_dwr, build_dpr):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="identity must be non-empty"):
                 builder("", [0]) if builder is build_cer else builder("")
+        for request in (build_cer("a.lab", [0]), build_dwr("a.lab"), build_dpr("a.lab")):
+            with pytest.raises(ValueError, match="identity must be non-empty"):
+                build_base_answer(request, "")
 
     def test_event_message_presence_invariant(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,45 @@
+"""Smoke runs of the scripts under scripts/: each exits 0 and prints what it promises."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name: str, *args: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_overload_sweep_prints_one_row_per_rate():
+    out = run_script("overload_sweep.py", "--duration", "0.2")
+    rows = [line.split() for line in out.splitlines()[2:] if line.strip()]
+    assert len(rows) == 9
+    for rate, offered, answered, dropped, _fluid, _delta in rows:
+        assert int(offered) == round(float(rate) * 0.2)
+        assert int(offered) == int(answered) + int(dropped)
+
+
+def test_codec_bench_json_has_every_operation():
+    out = run_script("codec_bench.py", "--repeat", "1", "--number", "10", "--json")
+    results = json.loads(out)
+    operations = {"build_message", "encode_message", "decode_message", "validate_message"}
+    assert set(results) == {"echo", "cer"}
+    for per_message in results.values():
+        assert set(per_message) == operations
+        for rates in per_message.values():
+            assert rates["min"] <= rates["median"] <= rates["max"]
+            assert rates["min"] > 0

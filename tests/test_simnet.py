@@ -40,7 +40,7 @@ from tests.labs import duo_lab_text, make_lab
 
 
 class Recorder:
-    """Node handler that remembers everything it sees."""
+    """Node handler that remembers every delivery, and every timer it is given to fire."""
 
     def __init__(self):
         self.messages = []
@@ -49,7 +49,7 @@ class Recorder:
     def on_message(self, sim, src, data, now):
         self.messages.append((now, src.label, data))
 
-    def on_timer(self, sim, tag, now):
+    def fire(self, now, tag):
         self.timers.append((now, tag))
 
 
@@ -83,7 +83,7 @@ def chain_sim(seed=3):
 
 
 class OrderLog:
-    """Node handler that logs messages and timers in one list, in firing order."""
+    """Node handler that logs messages and the timers it fires in one list, in firing order."""
 
     def __init__(self):
         self.log = []
@@ -91,7 +91,7 @@ class OrderLog:
     def on_message(self, sim, src, data, now):
         self.log.append(("message", data))
 
-    def on_timer(self, sim, tag, now):
+    def fire(self, now, tag):
         self.log.append(("timer", tag))
 
 
@@ -220,24 +220,32 @@ class TestDelivery:
             else:
                 # dicts and None cannot be ordered: a comparison would raise TypeError
                 tag = None if i % 4 == 0 else {"i": i}
-                sim.schedule_timer(5_000, b, tag)
+                sim.schedule_timer(5_000, order.fire, tag)
                 expected.append(("timer", tag))
         sim.run_until(5_000)
         assert order.log == expected
 
     def test_timers_fire_in_order(self):
         sim, rec_a, _ = two_node_sim()
-        a, _ = sim.nodes
-        sim.schedule_timer(500, a, "late")
-        sim.schedule_timer(100, a, "early")
+        sim.schedule_timer(500, rec_a.fire, "late")
+        sim.schedule_timer(100, rec_a.fire, "early")
         sim.run_until(1000)
-        assert [t[1] for t in rec_a.timers] == ["early", "late"]
+        assert rec_a.timers == [(100, "early"), (500, "late")]
+
+    def test_timer_calls_its_function_with_the_time_and_its_arguments(self):
+        sim = build_topology(TopologySpec(), seed=0)
+        calls = []
+        sim.schedule_timer(300, lambda now, *args: calls.append((now, args)), "x", 2)
+        sim.schedule_timer(200, lambda now: calls.append((now, ())))
+        stats = sim.run_until(1000)
+        assert calls == [(200, ()), (300, ("x", 2))]
+        assert stats.events_processed == 2 and stats.delivered == 0
 
     def test_cannot_schedule_into_past(self):
         sim, _, _ = two_node_sim()
         sim.run_until(1000)
         with pytest.raises(ValueError, match="past"):
-            sim.schedule_timer(500, sim.nodes[0], "t")
+            sim.schedule_timer(500, print)
 
     def test_cannot_run_backwards(self):
         sim, _, _ = two_node_sim()
@@ -465,11 +473,11 @@ class TestCarriedMessages:
         _, lab = make_lab(duo_lab_text())
         ab, target = lab.element("attacker"), lab.element("target")
         before = dict(carry_guard)
-        ab.send_app_request(lab.sim, target.node, dct.CMD_ECHO, [], "ctx", lab.sim.clock)
+        ab.send_app_request(lab.sim, target.node, dct.CMD_ECHO, [], None, lab.sim.clock)
         lab.sim.run_until(lab.sim.clock + 100_000)
         assert carry_guard["message"] - before.get("message", 0) == 2  # request and answer
         assert carry_guard["bytes"] == before.get("bytes", 0)
-        assert target.served == 1 and ab.stray_answers == 1  # no driver on a bare lab
+        assert target.served == 1 and ab.stray_answers == 1  # nobody waits for the answer
         assert target.parse_drops == 0
 
     def test_out_of_range_hop_by_hop_id_raises_codec_error(self, carry_guard):
@@ -478,7 +486,7 @@ class TestCarriedMessages:
         ab.peer_link(target.node).next_hop_by_hop = U32_MAX + 1
         sends = lab.sim.stats.sends
         with pytest.raises(CodecError, match="^hop-by-hop id 4294967296 out of range"):
-            ab.send_app_request(lab.sim, target.node, dct.CMD_ECHO, [], "ctx", lab.sim.clock)
+            ab.send_app_request(lab.sim, target.node, dct.CMD_ECHO, [], None, lab.sim.clock)
         assert lab.sim.stats.sends == sends
 
     @pytest.mark.parametrize(
@@ -502,7 +510,7 @@ class TestCarriedMessages:
 
         monkeypatch.setattr(target, "handle_app_request", skewed)
         before = dict(carry_guard)
-        hbh = ab.send_app_request(lab.sim, target.node, dct.CMD_ECHO, [], "ctx", lab.sim.clock)
+        hbh = ab.send_app_request(lab.sim, target.node, dct.CMD_ECHO, [], None, lab.sim.clock)
         lab.sim.run_until(lab.sim.clock + 100_000)
         assert carry_guard["message"] - before.get("message", 0) == 1  # the request
         assert carry_guard["bytes"] - before.get("bytes", 0) == 1  # the answer
@@ -525,7 +533,7 @@ class TestCarriedMessages:
                 handler(sim, src, payload, now)
 
             monkeypatch.setattr(elem, "on_message", recording)
-        hbh = ab.send_app_request(lab.sim, target.node, dct.CMD_ECHO, [], "ctx", lab.sim.clock)
+        hbh = ab.send_app_request(lab.sim, target.node, dct.CMD_ECHO, [], None, lab.sim.clock)
         lab.sim.run_until(lab.sim.clock + 100_000)
         assert received == [r.data for r in tap.records] and len(received) == 2
         request, answer = (decode_message(data) for data in received)
