@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""Record one benchmark run of a checkout to BENCH_<nn>_<label>.json.
+
+Runs, each as a subprocess of the checkout under --root:
+- perfbench/run.py for every workload in BENCHMARK.json, untraced and
+  traced, the same commands `perfbench/run.py --all` runs (`--all` prints
+  tables, not the JSON result lines this file keeps);
+- scripts/codec_bench.py --json.
+
+The file holds the machine line and git rev perfbench printed, every JSON
+result line, the codec numbers, and the golden digests from
+perfbench/golden.json of each workload whose run checked them (full
+sizes at the default seed; --smoke checks determinism only). It only
+measures: a failed check is recorded in the results, not acted on. Host
+times move with the machine and its load, so record the two checkouts
+being compared on the same machine, one after the other.
+
+Usage:
+    python3 scripts/bench_record.py NN LABEL [--seconds 30] [--smoke]
+        [--root CHECKOUT] [--out-dir DIR]
+
+For example, the parent and the change of one perf change:
+    git clone -q . /tmp/parent && git -C /tmp/parent checkout -q HEAD~1
+    python3 scripts/bench_record.py 8 parent --root /tmp/parent
+    python3 scripts/bench_record.py 8 change
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+
+def run(cmd: list[str], root: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        cmd, cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+    )
+
+
+def last_json(stdout: str):
+    """The JSON value on the last line of `stdout`, or None."""
+    lines = stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        return None
+
+
+def record(root: Path, seconds: int, smoke: bool) -> tuple[dict, bool]:
+    """(the record, whether every subprocess gave a result)."""
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    golden = json.loads((root / "perfbench" / "golden.json").read_text())
+    complete = True
+    machine = None
+    runs = []
+    checked = {}
+    for workload in [w["name"] for w in spec["workloads"]]:
+        for trace in (0, 1):
+            cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+                   "--seconds", str(seconds), "--trace", str(trace)]
+            if smoke:
+                cmd.append("--smoke")
+            proc = run(cmd, root)
+            result = last_json(proc.stdout)
+            entry = {"workload": workload, "trace": trace, "exit": proc.returncode,
+                     "result": result}
+            if result is None:
+                complete = False
+                entry["stderr"] = proc.stderr[-2000:]
+            runs.append(entry)
+            for line in proc.stdout.splitlines():
+                if line.startswith("machine: "):
+                    machine = machine or line
+                elif line.startswith(f"workload={workload} ") and "golden=checked" in line:
+                    checked[workload] = golden[workload]
+            print(f"{workload} trace={trace}: exit {proc.returncode}"
+                  f" correct={result and result['correct']}", file=sys.stderr)
+    codec_cmd = [sys.executable, "scripts/codec_bench.py", "--json"]
+    if smoke:
+        codec_cmd += ["--repeat", "1", "--number", "100"]
+    proc = run(codec_cmd, root)
+    try:
+        codec = json.loads(proc.stdout)
+    except json.JSONDecodeError:
+        codec, complete = None, False
+    git_rev = machine.rpartition("git_rev=")[2] if machine else None
+    return {
+        "machine": machine,
+        "git_rev": git_rev,
+        "seconds": seconds,
+        "smoke": smoke,
+        "perfbench": runs,
+        "codec_bench": codec,
+        "golden_checked": checked,
+    }, complete
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("nn", type=int, help="sequence number of the change, for the file name")
+    parser.add_argument("label", help="what was measured, e.g. parent or change")
+    parser.add_argument("--seconds", type=int, default=30, help="passed to perfbench/run.py")
+    parser.add_argument("--smoke", action="store_true", help="tiny sizes, for a quick check")
+    parser.add_argument("--root", type=Path, default=ROOT, help="the checkout to measure")
+    parser.add_argument("--out-dir", type=Path, default=ROOT, help="where the file goes")
+    args = parser.parse_args()
+
+    data, complete = record(args.root.resolve(), args.seconds, args.smoke)
+    path = args.out_dir / f"BENCH_{args.nn:02d}_{args.label}.json"
+    path.write_text(json.dumps({"label": args.label, **data}, indent=2, sort_keys=True) + "\n")
+    print(path)
+    return 0 if complete else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

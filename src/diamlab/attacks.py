@@ -11,6 +11,7 @@ so a fuzz run is fully reproducible from its seed.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -79,6 +80,13 @@ class FloodSpec:
             raise ValueError("flood rate must be > 0")
         if self.duration_s <= 0:
             raise ValueError("flood duration must be > 0")
+        # run_flood turns these into whole requests and microseconds
+        if not math.isfinite(self.rate_tps * self.duration_s):
+            raise ValueError("flood size rate_tps * duration_s is too large")
+        if not math.isfinite(self.duration_s * US_PER_S):
+            raise ValueError("flood duration is too large")
+        if not math.isfinite(US_PER_S / self.rate_tps):
+            raise ValueError("flood rate is too small")
 
 
 @dataclass(frozen=True)
@@ -278,7 +286,7 @@ class _FloodDriver:
         sim = self.ab.sim
         payload = Avp(code=dct.AVP_ECHO_PAYLOAD, data=i.to_bytes(4, "big"))
         hbh = self.ab.send_app_request(
-            sim, self.target.node, dct.CMD_ECHO, [payload], self.on_answer, now
+            self.target.node, dct.CMD_ECHO, [payload], self.on_answer, now
         )
         if hbh is not None:
             self.sent += 1
@@ -593,7 +601,7 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
 
         disposition = None
         sent = ab.send_raw_request(
-            sim, target.node, case, hbh, template.header.command_code, _ignore_answer, sim.clock
+            target.node, case, hbh, template.header.command_code, _ignore_answer, sim.clock
         )
         if sent:
             deadline = sim.clock + lab.request_timeout_us

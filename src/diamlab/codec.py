@@ -99,9 +99,9 @@ class ParseError:
     offset: int
 
 
-# Avp and MessageHeader are built once or more per message, so they take
-# a positional __init__ instead of the generated one; it sets the slots in
-# field order with the fields' defaults.
+# Avp, MessageHeader and Message are built once or more per message, so
+# they take a positional __init__ instead of the generated one; it sets
+# the slots in field order with the fields' defaults.
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -194,10 +194,14 @@ class MessageHeader:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Message:
     header: MessageHeader
     avps: tuple[Avp, ...] = ()
+
+    def __init__(self, header: MessageHeader, avps: tuple[Avp, ...] = ()) -> None:
+        _set(self, "header", header)
+        _set(self, "avps", avps)
 
 
 def build_message(

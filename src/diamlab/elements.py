@@ -44,7 +44,12 @@ from .codec import (
     validate_message,
 )
 from .peer import (
-    ActionKind,
+    DELIVER_TO_APP,
+    DROP_MESSAGE,
+    OPEN,
+    RCV_ANSWER,
+    RCV_REQUEST,
+    SEND_ACTIONS,
     AnswerCallback,
     EventKind,
     PeerAction,
@@ -52,7 +57,6 @@ from .peer import (
     PeerEvent,
     PeerState,
     PendingRequest,
-    Phase,
     handle_event,
     register_request,
     result_code_avp,
@@ -130,6 +134,12 @@ class Admission(Enum):
     DROPPED = "dropped"
 
 
+# Read per request, so bound once as module names: see the note above peer.Phase.
+ACCEPTED = Admission.ACCEPTED
+QUEUED = Admission.QUEUED
+DROPPED = Admission.DROPPED
+
+
 class ElementFailedError(RuntimeError):
     """Admission was asked of an element that already marked itself failed."""
 
@@ -166,15 +176,20 @@ def result_code_of(msg: Message) -> Optional[int]:
     return int.from_bytes(avp.data, "big")
 
 
+# Command code -> (request event, answer event); every other command is
+# application traffic.
+_BASE_EVENT_KINDS = {
+    dct.CMD_CAPABILITIES_EXCHANGE: (EventKind.RCV_CER, EventKind.RCV_CEA),
+    dct.CMD_DEVICE_WATCHDOG: (EventKind.RCV_DWR, EventKind.RCV_DWA),
+    dct.CMD_DISCONNECT_PEER: (EventKind.RCV_DPR, EventKind.RCV_DPA),
+}
+_APP_EVENT_KINDS = (RCV_REQUEST, RCV_ANSWER)
+
+
 def _event_kind_for(msg: Message) -> EventKind:
-    cmd, req = msg.header.command_code, msg.header.request
-    if cmd == dct.CMD_CAPABILITIES_EXCHANGE:
-        return EventKind.RCV_CER if req else EventKind.RCV_CEA
-    if cmd == dct.CMD_DEVICE_WATCHDOG:
-        return EventKind.RCV_DWR if req else EventKind.RCV_DWA
-    if cmd == dct.CMD_DISCONNECT_PEER:
-        return EventKind.RCV_DPR if req else EventKind.RCV_DPA
-    return EventKind.RCV_REQUEST if req else EventKind.RCV_ANSWER
+    header = msg.header
+    kinds = _BASE_EVENT_KINDS.get(header.command_code, _APP_EVENT_KINDS)
+    return kinds[0] if header.request else kinds[1]
 
 
 class Element:
@@ -238,42 +253,29 @@ class Element:
 
     # -- peer FSM driving ------------------------------------------------------
 
-    def feed_event(self, sim: Simulation, peer: NodeId, event: PeerEvent, now: int) -> None:
+    def feed_event(self, peer: NodeId, event: PeerEvent, now: int) -> None:
         link = self.links[peer.id]
         prev_deadline = link.state.watchdog_deadline
         new_state, actions = handle_event(link.state, event, now, self.peer_config, link.pending)
         link.state = new_state
-        if new_state.phase is not Phase.OPEN and link.pending:
+        if new_state.phase is not OPEN and link.pending:
             link.pending.clear()
         for action in actions:
-            self._execute(sim, link, action, now)
+            self._execute(link, action, now)
         state = link.state
-        if state.phase is Phase.OPEN and state.watchdog_deadline != prev_deadline:
-            sim.schedule_timer(state.watchdog_deadline, self._watchdog, peer)
+        if state.phase is OPEN and state.watchdog_deadline != prev_deadline:
+            self.sim.schedule_timer(state.watchdog_deadline, self._watchdog, peer)
 
     def _watchdog(self, now: int, peer: NodeId) -> None:
         if not self.failed:
-            self.feed_event(self.sim, peer, PeerEvent(EventKind.WATCHDOG_TIMER), now)
+            self.feed_event(peer, PeerEvent(EventKind.WATCHDOG_TIMER), now)
 
-    def _execute(self, sim: Simulation, link: PeerLink, action: PeerAction, now: int) -> None:
+    def _execute(self, link: PeerLink, action: PeerAction, now: int) -> None:
         kind = action.kind
-        if kind in (
-            ActionKind.SEND_CER,
-            ActionKind.SEND_CEA,
-            ActionKind.SEND_DWR,
-            ActionKind.SEND_DWA,
-            ActionKind.SEND_DPR,
-            ActionKind.SEND_DPA,
-        ):
+        if kind is DELIVER_TO_APP:
             msg = action.message
             if msg.header.request:
-                hbh = self._alloc_hop_by_hop(link)
-                msg = replace_ids(msg, hbh, hbh)
-            sim.send(self.node, link.neighbor, _on_wire(msg))
-        elif kind is ActionKind.DELIVER_TO_APP:
-            msg = action.message
-            if msg.header.request:
-                self._admit_request(sim, link, msg, now)
+                self._admit_request(link, msg, now)
             else:
                 pending = action.pending
                 del link.pending[pending.hop_by_hop_id]
@@ -281,10 +283,15 @@ class Element:
                     self.stray_answers += 1
                 else:
                     pending.on_answer(pending, msg, now)
-        elif kind is ActionKind.DROP_MESSAGE:
+        elif kind in SEND_ACTIONS:
+            msg = action.message
+            if msg.header.request:
+                hbh = self._alloc_hop_by_hop(link)
+                msg = replace_ids(msg, hbh, hbh)
+            self.sim.send(self.node, link.neighbor, _on_wire(msg))
+        elif kind is DROP_MESSAGE:
             self.fsm_drops += 1
-        elif kind is ActionKind.CLOSE_LINK:
-            pass  # transport is modeled as always-up; nothing to tear down
+        # CloseLink: the transport is modeled as always up; nothing to tear down.
 
     # -- simnet handler protocol -----------------------------------------------
 
@@ -298,9 +305,9 @@ class Element:
         if isinstance(msg, ParseError):
             self.parse_drops += 1
             return
-        self.on_decoded(sim, src, msg, now)
+        self.on_decoded(src, msg, now)
 
-    def on_decoded(self, sim: Simulation, src: NodeId, msg: Message, now: int) -> None:
+    def on_decoded(self, src: NodeId, msg: Message, now: int) -> None:
         """Validate a decoded inbound message and feed it to the peer FSM."""
         if msg.header.request:
             violations = validate_message(msg, self.dictionary)
@@ -310,9 +317,9 @@ class Element:
                     code = dct.RESULT_UNSUPPORTED_MANDATORY_AVP
                 else:
                     code = dct.RESULT_INVALID_AVP_LENGTH
-                sim.send(self.node, src, _on_wire(_error_answer(msg, code)))
+                self.sim.send(self.node, src, _on_wire(_error_answer(msg, code)))
                 return
-        self.feed_event(sim, src, PeerEvent(_event_kind_for(msg), msg), now)
+        self.feed_event(src, PeerEvent(_event_kind_for(msg), msg), now)
 
     # -- capacity model ----------------------------------------------------------
 
@@ -330,14 +337,14 @@ class Element:
         self._accrue(now)
         if self._tokens >= 1.0 and not self.queue:
             self._tokens -= 1.0
-            return Admission.ACCEPTED
+            return ACCEPTED
         if len(self.queue) < self.capacity.queue_capacity:
             self.queue.append(request)
             self.queued_total += 1
             self._ensure_drain(now)
-            return Admission.QUEUED
+            return QUEUED
         self.dropped_overflow += 1
-        return Admission.DROPPED
+        return DROPPED
 
     def _ensure_drain(self, now: int) -> None:
         if self._drain_scheduled:
@@ -356,7 +363,7 @@ class Element:
             self._tokens -= 1.0
             neighbor_id, msg = self.queue.popleft()
             self.drained_served += 1
-            self._serve(self.sim, neighbor_id, msg, now)
+            self._serve(neighbor_id, msg, now)
         if self.queue:
             self._ensure_drain(now)
 
@@ -375,17 +382,16 @@ class Element:
             return
         self.sim.schedule_timer(now + SAMPLE_INTERVAL_US, self._sample)
 
-    def _admit_request(self, sim: Simulation, link: PeerLink, msg: Message, now: int) -> None:
-        outcome = self.admit((link.neighbor.id, msg), now)
-        if outcome is Admission.ACCEPTED:
+    def _admit_request(self, link: PeerLink, msg: Message, now: int) -> None:
+        if self.admit((link.neighbor.id, msg), now) is ACCEPTED:
             self.direct_served += 1
-            self._serve(sim, link.neighbor.id, msg, now)
+            self._serve(link.neighbor.id, msg, now)
 
-    def _serve(self, sim: Simulation, neighbor_id: int, msg: Message, now: int) -> None:
+    def _serve(self, neighbor_id: int, msg: Message, now: int) -> None:
         answer = self.handle_app_request(msg, now)
         if answer is not None:
             self.served += 1
-            sim.send(self.node, self.links[neighbor_id].neighbor, _on_wire(answer))
+            self.sim.send(self.node, self.links[neighbor_id].neighbor, _on_wire(answer))
 
     # -- application layer ---------------------------------------------------------
 
@@ -404,7 +410,6 @@ class Element:
 
     def send_app_request(
         self,
-        sim: Simulation,
         dst: NodeId,
         command_code: int,
         avps: list[Avp],
@@ -417,19 +422,18 @@ class Element:
         is counted in `stray_answers`.
         """
         link = self.links[dst.id]
-        if link.state.phase is not Phase.OPEN:
+        if link.state.phase is not OPEN:
             return None
         hbh = self._alloc_hop_by_hop(link)
         msg = build_message(
             command_code, request=True, hop_by_hop_id=hbh, end_to_end_id=hbh, avps=avps
         )
         register_request(link, PendingRequest(hbh, command_code, now, on_answer))
-        sim.send(self.node, dst, _on_wire(msg))
+        self.sim.send(self.node, dst, _on_wire(msg))
         return hbh
 
     def send_raw_request(
         self,
-        sim: Simulation,
         dst: NodeId,
         data: bytes,
         hop_by_hop_id: int,
@@ -439,10 +443,10 @@ class Element:
     ) -> bool:
         """Send pre-encoded (possibly malformed) bytes, still tracked as pending."""
         link = self.links[dst.id]
-        if link.state.phase is not Phase.OPEN:
+        if link.state.phase is not OPEN:
             return False
         register_request(link, PendingRequest(hop_by_hop_id, command_code, now, on_answer))
-        sim.send(self.node, dst, data)
+        self.sim.send(self.node, dst, data)
         return True
 
     def forget_pending_many(self, dst: NodeId, hop_by_hop_ids) -> int:
@@ -575,16 +579,16 @@ class MmeElement(Element):
         self.attaches: list[AttachResult] = []
         self._locations: dict[int, str] = {}  # attach index -> target tracking area
 
-    def start_attach(self, sim: Simulation, subscriber_id: str, location: str, now: int) -> AttachResult:
+    def start_attach(self, subscriber_id: str, location: str, now: int) -> AttachResult:
         if self.hss_node is None or self.pcrf_node is None:
             raise ValueError("attach requires HSS and PCRF in the topology")
         run = AttachResult(subscriber_id=subscriber_id, started_at=now)
         self.attaches.append(run)
         self._locations[len(self.attaches) - 1] = location
-        self._send_step(sim, len(self.attaches) - 1, now)
+        self._send_step(len(self.attaches) - 1, now)
         return run
 
-    def _send_step(self, sim: Simulation, run_idx: int, now: int) -> None:
+    def _send_step(self, run_idx: int, now: int) -> None:
         run = self.attaches[run_idx]
         step = run.steps_completed
         sid = Avp(code=dct.AVP_SUBSCRIBER_ID, data=run.subscriber_id.encode(), mandatory=True)
@@ -617,11 +621,11 @@ class MmeElement(Element):
                 ),
             ]
         on_answer = partial(self._attach_answer, run_idx, step)
-        sent = self.send_app_request(sim, dst, cmd, avps, on_answer, now)
+        sent = self.send_app_request(dst, cmd, avps, on_answer, now)
         if sent is None:
             self._finish(run, False, "link-not-open", now)
             return
-        sim.schedule_timer(now + self.request_timeout_us, self._attach_timeout, run_idx, step)
+        self.sim.schedule_timer(now + self.request_timeout_us, self._attach_timeout, run_idx, step)
 
     def _finish(self, run: AttachResult, success: bool, reason: str, now: int) -> None:
         run.success = success
@@ -640,7 +644,7 @@ class MmeElement(Element):
             if run.steps_completed == len(self._STEPS):
                 self._finish(run, True, "", now)
             else:
-                self._send_step(self.sim, run_idx, now)
+                self._send_step(run_idx, now)
         else:
             name = dct.RESULT_NAMES.get(code, str(code))
             self._finish(run, False, name, now)
@@ -667,10 +671,10 @@ class AttackBoxElement(Element):
         super().__init__(*args, **kwargs)
         self.on_wire_answer: Optional[Callable[[Message], object]] = None
 
-    def on_decoded(self, sim: Simulation, src: NodeId, msg: Message, now: int) -> None:
+    def on_decoded(self, src: NodeId, msg: Message, now: int) -> None:
         if self.on_wire_answer is not None and not msg.header.request:
             self.on_wire_answer(msg)
-        super().on_decoded(sim, src, msg, now)
+        super().on_decoded(src, msg, now)
 
 
 _ELEMENT_CLASSES: dict[ElementKind, type[Element]] = {
@@ -801,14 +805,14 @@ class Lab:
                 (ea, eb), key=lambda e: (_INITIATOR_PRIORITY[e.kind], e.node.id)
             )
             responder = eb if initiator is ea else ea
-            initiator.feed_event(sim, responder.node, PeerEvent(EventKind.START), sim.clock)
-            initiator.feed_event(sim, responder.node, PeerEvent(EventKind.CONN_ACK), sim.clock)
+            initiator.feed_event(responder.node, PeerEvent(EventKind.START), sim.clock)
+            initiator.feed_event(responder.node, PeerEvent(EventKind.CONN_ACK), sim.clock)
         sim.run_until(sim.clock + 2 * self.max_latency_us() + 10_000)
         for key in sorted(self.sim.links):
             link = self.sim.links[key]
             for end, other in ((link.a, link.b), (link.b, link.a)):
                 state = self.elements[end.label].peer_link(other).state
-                if state.phase is not Phase.OPEN:
+                if state.phase is not OPEN:
                     raise LabError(
                         f"peer link {link.a.label}<->{link.b.label} failed to open "
                         f"({end.label} side is {state.phase.value})"
@@ -821,7 +825,7 @@ class Lab:
         if mme is None:
             raise LabError("attach scenario requires an MME element")
         sim = self.sim
-        run = mme.start_attach(sim, subscriber.subscriber_id, subscriber.location, sim.clock)
+        run = mme.start_attach(subscriber.subscriber_id, subscriber.location, sim.clock)
         deadline = sim.clock + 3 * (self.request_timeout_us + 2 * self.max_latency_us()) + US_PER_S
         while run.success is None:
             nxt = sim.next_event_at()
@@ -846,7 +850,7 @@ class Lab:
         rtt = 2 * self.max_latency_us() + 10_000
         for i in range(count):
             payload = Avp(code=dct.AVP_ECHO_PAYLOAD, data=f"probe-{i}".encode())
-            ab.send_app_request(sim, target.node, dct.CMD_ECHO, [payload], None, sim.clock)
+            ab.send_app_request(target.node, dct.CMD_ECHO, [payload], None, sim.clock)
             sim.run_until(sim.clock + rtt)
 
     def scenario_traffic(self) -> None:

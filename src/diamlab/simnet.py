@@ -27,6 +27,7 @@ traversal from the moment it is attached.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
@@ -53,8 +54,10 @@ class NodeId:
 
 
 def _check_link_parameters(latency_ms: float, loss_probability: float) -> None:
-    if latency_ms < 0:
+    if not latency_ms >= 0:
         raise ValueError("latency must be >= 0")
+    if not math.isfinite(latency_ms * US_PER_MS):
+        raise ValueError("latency is too large")
     if not 0.0 <= loss_probability <= 1.0:
         raise ValueError("loss_probability must be in [0, 1]")
 

@@ -223,7 +223,7 @@ class _StubBox:
         self.next_id = 1
         self.forgotten = []
 
-    def send_app_request(self, sim, dst, command_code, avps, on_answer, now):
+    def send_app_request(self, dst, command_code, avps, on_answer, now):
         self.next_id += 1
         return self.next_id - 1
 

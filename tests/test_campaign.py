@@ -464,6 +464,10 @@ class TestAttackKinds:
 TINY_FLOOD = "\n[attack flood]\ntarget = target\nrate_tps = 50\nduration_s = 0.2\n"
 
 
+def _flood(rate_tps: str, duration_s: str) -> str:
+    return f"\n[attack flood]\ntarget = target\nrate_tps = {rate_tps}\nduration_s = {duration_s}\n"
+
+
 def _config_with(line: str) -> str:
     return duo_lab_text().replace("seed = 7\n", f"seed = 7\n{line}\n")
 
@@ -487,6 +491,11 @@ def cli_files(tmp_path_factory, phase2_run):
         "negative_watchdog": _config_with("watchdog_interval_s = -1").encode(),
         "negative_timeout": _config_with("request_timeout_s = -1").encode(),
         "zero_timeout": _config_with("request_timeout_s = 0").encode(),
+        # finite numbers whose microseconds or request count overflow a float
+        "huge_latency": duo_lab_text(latency_ms="1e306").encode(),
+        "huge_flood": (duo_lab_text() + _flood("1e200", "1e200")).encode(),
+        "huge_flood_duration": (duo_lab_text() + _flood("1e-300", "1e306")).encode(),
+        "tiny_flood_rate": (duo_lab_text() + _flood("1e-310", "1")).encode(),
     }
     files = {}
     for name, data in contents.items():
@@ -501,7 +510,7 @@ def cli_files(tmp_path_factory, phase2_run):
 FILE_NAMES = (
     "empty binary non_utf8 deep_json deep_closed_json truncated_dcap dcap report"
     " tiny_config zero_watchdog negative_watchdog negative_timeout zero_timeout"
-    " directory missing"
+    " huge_latency huge_flood huge_flood_duration tiny_flood_rate directory missing"
 ).split()
 
 
@@ -547,6 +556,10 @@ FIXED_INPUTS = [
     (["run", "--config", "@negative_watchdog"], "error: @negative_watchdog:5: watchdog_interval_s"),
     (["run", "--config", "@negative_timeout"], "error: @negative_timeout:5: request_timeout_s must"),
     (["run", "--config", "@zero_timeout"], "error: @zero_timeout:5: request_timeout_s must be"),
+    (["run", "--config", "@huge_latency"], "error: @huge_latency:15: latency is too large"),
+    (["run", "--config", "@huge_flood"], "error: @huge_flood:19: flood size rate_tps * duration_s"),
+    (["run", "--config", "@huge_flood_duration"], "error: @huge_flood_duration:19: flood duration"),
+    (["run", "--config", "@tiny_flood_rate"], "error: @tiny_flood_rate:19: flood rate is too"),
     (["run", "--config", "phase1", "--seed", "-1"], "error: --seed: seed -1 must fit in 64 bits"),
 ]
 

@@ -156,6 +156,7 @@ class TestCampaignAssembly:
         "extra, text",
         [
             ("latency_ms = -1", "latency must be >= 0"),
+            ("latency_ms = 1e306", "latency is too large"),
             ("loss = 1.5", "loss_probability must be in"),
         ],
     )

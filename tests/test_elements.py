@@ -387,13 +387,11 @@ class TestPendingTable:
         return lab, ab, target, ab.peer_link(target.node)
 
     def _echo(self, lab, ab, target):
-        return ab.send_app_request(
-            lab.sim, target.node, dct.CMD_ECHO, [], self.answers, lab.sim.clock
-        )
+        return ab.send_app_request(target.node, dct.CMD_ECHO, [], self.answers, lab.sim.clock)
 
     def _feed_answer(self, lab, ab, target, hbh):
         answer = build_message(dct.CMD_ECHO, hop_by_hop_id=hbh)
-        ab.feed_event(lab.sim, target.node, PeerEvent(EventKind.RCV_ANSWER, answer), lab.sim.clock)
+        ab.feed_event(target.node, PeerEvent(EventKind.RCV_ANSWER, answer), lab.sim.clock)
 
     @pytest.mark.parametrize("how", ["stop", "rcv-dpr", "missed-dwas"])
     def test_leaving_open_clears_pending(self, how):
@@ -403,14 +401,14 @@ class TestPendingTable:
             self._echo(lab, ab, target)
         assert len(link.pending) == 3
         if how == "stop":
-            ab.feed_event(sim, target.node, PeerEvent(EventKind.STOP), sim.clock)
+            ab.feed_event(target.node, PeerEvent(EventKind.STOP), sim.clock)
         elif how == "rcv-dpr":
             dpr = PeerEvent(EventKind.RCV_DPR, build_dpr("target.lab"))
-            ab.feed_event(sim, target.node, dpr, sim.clock)
+            ab.feed_event(target.node, dpr, sim.clock)
         else:  # no DWA ever arrives: DWR, DWR, then the link closes
             for _ in range(3):
                 deadline = link.state.watchdog_deadline
-                ab.feed_event(sim, target.node, PeerEvent(EventKind.WATCHDOG_TIMER), deadline)
+                ab.feed_event(target.node, PeerEvent(EventKind.WATCHDOG_TIMER), deadline)
         assert link.state.phase is not Phase.OPEN
         assert link.pending == {}
 
@@ -446,7 +444,7 @@ class TestPendingTable:
         hbh = self._echo(lab, ab, target)
         request = build_message(dct.CMD_ECHO, request=True, hop_by_hop_id=hbh)
         event = PeerEvent(EventKind.RCV_REQUEST, request)
-        ab.feed_event(lab.sim, target.node, event, lab.sim.clock)
+        ab.feed_event(target.node, event, lab.sim.clock)
         assert self.answers.delivered == []
         assert hbh in link.pending
 
@@ -489,7 +487,7 @@ class TestPendingTable:
         tap = lab.sim.attach_tap(ab.node, target.node)
         hbh = self._echo(lab, ab, target)
         deadline = link.state.watchdog_deadline
-        ab.feed_event(lab.sim, target.node, PeerEvent(EventKind.WATCHDOG_TIMER), deadline)
+        ab.feed_event(target.node, PeerEvent(EventKind.WATCHDOG_TIMER), deadline)
         lab.sim.run_until(lab.sim.clock + 1)
         sent = [decode_message(r.data).header for r in tap.records if r.src.id == ab.node.id]
         assert [(h.command_code, h.hop_by_hop_id) for h in sent] == [
@@ -507,7 +505,7 @@ class TestPendingTable:
         for event, send in zip(events, sends):
             now += 1000
             if send:
-                ab.send_app_request(lab.sim, target.node, dct.CMD_ECHO, [], None, now)
-            ab.feed_event(lab.sim, target.node, event, now)
+                ab.send_app_request(target.node, dct.CMD_ECHO, [], None, now)
+            ab.feed_event(target.node, event, now)
             if link.state.phase is not Phase.OPEN:
                 assert link.pending == {}

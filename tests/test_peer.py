@@ -8,6 +8,7 @@ from diamlab import dictionary as dct
 from diamlab.codec import decode_message, encode_message, first_avp
 from diamlab.peer import (
     DEFAULT_CONFIG,
+    MESSAGE_EVENTS,
     TRANSITION_MATRIX,
     ActionKind,
     EventKind,
@@ -253,6 +254,18 @@ class TestBuilders:
             PeerEvent(EventKind.START, message=build_message(700))
         with pytest.raises(ValueError):
             PeerEvent(EventKind.RCV_CER)
+
+    @pytest.mark.parametrize("with_message", [False, True], ids=["bare", "with-message"])
+    @pytest.mark.parametrize("kind", list(EventKind), ids=lambda k: k.value)
+    def test_every_kind_checks_message_presence(self, kind, with_message):
+        """Raises exactly when the message's presence disagrees with MESSAGE_EVENTS."""
+        message = build_message(700) if with_message else None
+        if with_message != (kind in MESSAGE_EVENTS):
+            with pytest.raises(ValueError, match=f"^event {kind.value} message presence mismatch$"):
+                PeerEvent(kind, message)
+        else:
+            event = PeerEvent(kind, message)
+            assert (event.kind, event.message) == (kind, message)
 
 
 @st.composite

@@ -43,3 +43,21 @@ def test_codec_bench_json_has_every_operation():
         for rates in per_message.values():
             assert rates["min"] <= rates["median"] <= rates["max"]
             assert rates["min"] > 0
+
+
+def test_bench_record_writes_every_workload(tmp_path):
+    out = run_script(
+        "bench_record.py", "8", "smoke", "--smoke", "--seconds", "1", "--out-dir", str(tmp_path)
+    )
+    path = tmp_path / "BENCH_08_smoke.json"
+    assert out.strip() == str(path)
+    record = json.loads(path.read_text())
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert [(r["workload"], r["trace"]) for r in record["perfbench"]] == [
+        (w, t) for w in workloads for t in (0, 1)
+    ]
+    assert set(workloads) == {"phase1", "phase2", "flood-overload"}
+    assert all(r["result"]["correct"] for r in record["perfbench"])
+    assert record["machine"].startswith("machine: ") and record["git_rev"]
+    assert set(record["codec_bench"]) == {"echo", "cer"}
+    assert record["golden_checked"] == {}  # smoke sizes have no golden digests

@@ -145,6 +145,8 @@ class TestTopology:
         "kwargs, text",
         [
             ({"latency_ms": -1}, "latency must be >= 0"),
+            ({"latency_ms": float("nan")}, "latency must be >= 0"),
+            ({"latency_ms": 1e306}, "latency is too large"),
             ({"loss_probability": 1.5}, "in \\[0, 1\\]"),
         ],
     )
@@ -473,7 +475,7 @@ class TestCarriedMessages:
         _, lab = make_lab(duo_lab_text())
         ab, target = lab.element("attacker"), lab.element("target")
         before = dict(carry_guard)
-        ab.send_app_request(lab.sim, target.node, dct.CMD_ECHO, [], None, lab.sim.clock)
+        ab.send_app_request(target.node, dct.CMD_ECHO, [], None, lab.sim.clock)
         lab.sim.run_until(lab.sim.clock + 100_000)
         assert carry_guard["message"] - before.get("message", 0) == 2  # request and answer
         assert carry_guard["bytes"] == before.get("bytes", 0)
@@ -486,7 +488,7 @@ class TestCarriedMessages:
         ab.peer_link(target.node).next_hop_by_hop = U32_MAX + 1
         sends = lab.sim.stats.sends
         with pytest.raises(CodecError, match="^hop-by-hop id 4294967296 out of range"):
-            ab.send_app_request(lab.sim, target.node, dct.CMD_ECHO, [], None, lab.sim.clock)
+            ab.send_app_request(target.node, dct.CMD_ECHO, [], None, lab.sim.clock)
         assert lab.sim.stats.sends == sends
 
     @pytest.mark.parametrize(
@@ -510,7 +512,7 @@ class TestCarriedMessages:
 
         monkeypatch.setattr(target, "handle_app_request", skewed)
         before = dict(carry_guard)
-        hbh = ab.send_app_request(lab.sim, target.node, dct.CMD_ECHO, [], None, lab.sim.clock)
+        hbh = ab.send_app_request(target.node, dct.CMD_ECHO, [], None, lab.sim.clock)
         lab.sim.run_until(lab.sim.clock + 100_000)
         assert carry_guard["message"] - before.get("message", 0) == 1  # the request
         assert carry_guard["bytes"] - before.get("bytes", 0) == 1  # the answer
@@ -533,7 +535,7 @@ class TestCarriedMessages:
                 handler(sim, src, payload, now)
 
             monkeypatch.setattr(elem, "on_message", recording)
-        hbh = ab.send_app_request(lab.sim, target.node, dct.CMD_ECHO, [], None, lab.sim.clock)
+        hbh = ab.send_app_request(target.node, dct.CMD_ECHO, [], None, lab.sim.clock)
         lab.sim.run_until(lab.sim.clock + 100_000)
         assert received == [r.data for r in tap.records] and len(received) == 2
         request, answer = (decode_message(data) for data in received)
