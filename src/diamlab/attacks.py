@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, ClassVar, Optional
@@ -87,6 +86,13 @@ class FloodSpec:
             raise ValueError("flood duration is too large")
         if not math.isfinite(US_PER_S / self.rate_tps):
             raise ValueError("flood rate is too small")
+        if self.count == 0:
+            raise ValueError("flood size rate_tps * duration_s rounds to zero requests")
+
+    @property
+    def count(self) -> int:
+        """How many requests the flood sends."""
+        return round(self.rate_tps * self.duration_s)
 
 
 @dataclass(frozen=True)
@@ -271,10 +277,6 @@ class _FloodDriver:
         self.answered = 0
         self.latencies: list[int] = []
         self.result_codes: dict[str, int] = {}
-        self.outstanding: dict[int, int] = {}  # hop-by-hop -> sent_at
-        # Every hop-by-hop id sent and not yet reaped, in send order; answered
-        # ids stay until they reach the front.
-        self.send_order: deque[int] = deque()
         # Set when run_flood returns: send timers still queued then do nothing.
         self.stopped = False
 
@@ -290,36 +292,35 @@ class _FloodDriver:
         )
         if hbh is not None:
             self.sent += 1
-            self.outstanding[hbh] = now
-            self.send_order.append(hbh)
         if i % self._REAP_EVERY == 0:
             self.reap(now)
         if i + 1 < self.count:
             sim.schedule_timer(now + self.interval_us, self.send, i + 1)
 
-    def reap(self, now) -> None:
-        """Give up on requests past the answer timeout; keeps the pending map small.
+    def sent_before(self, cutoff: float) -> list[int]:
+        """Hop-by-hop ids of this flood's unanswered requests sent before `cutoff`.
 
-        Sends happen in time order, so the expired requests are the
-        unanswered ones at the front of `send_order`.
+        The link's pending table is in send order and answers have already
+        left it, so they are at its front. Entries of other senders (a probe,
+        a fuzz case) are skipped.
         """
-        order, outstanding = self.send_order, self.outstanding
-        dead = []
-        while order:
-            hbh = order[0]
-            sent_at = outstanding.get(hbh)
-            if sent_at is not None:  # None: answered already
-                if now - sent_at <= self.timeout_us:
-                    break
-                del outstanding[hbh]
-                dead.append(hbh)
-            order.popleft()
+        mine = self.on_answer
+        ids = []
+        for hbh, request in self.ab.peer_link(self.target.node).pending.items():
+            if request.sent_at >= cutoff:
+                break
+            if request.on_answer == mine:
+                ids.append(hbh)
+        return ids
+
+    def reap(self, now: int) -> None:
+        """Give up on requests past the answer timeout; keeps the pending table small."""
+        dead = self.sent_before(now - self.timeout_us)
         if dead:
             self.ab.forget_pending_many(self.target.node, dead)
 
     def on_answer(self, pending, msg, now) -> None:
         self.answered += 1
-        self.outstanding.pop(pending.hop_by_hop_id, None)
         self.latencies.append(now - pending.sent_at)
         code = result_code_of(msg)
         key = str(code) if code is not None else "none"
@@ -337,16 +338,12 @@ def run_flood(lab: Lab, spec: FloodSpec) -> tuple[FloodResult, list[Finding]]:
     ab = lab.attack_box()
     target = lab.element(spec.target)
     interval_us = max(1, round(US_PER_S / spec.rate_tps))
-    count = int(round(spec.rate_tps * spec.duration_s))
-    driver = _FloodDriver(ab, target, count, interval_us, lab.request_timeout_us)
+    driver = _FloodDriver(ab, target, spec.count, interval_us, lab.request_timeout_us)
     sim.schedule_timer(sim.clock, driver.send, 0)
-    drain_us = int(
-        target.capacity.queue_capacity / target.capacity.service_rate * US_PER_S
-    )
     horizon = (
         sim.clock
         + int(round(spec.duration_s * US_PER_S))
-        + drain_us
+        + int(target.capacity.drain_us)
         + int(round(spec.settle_grace_s * US_PER_S))
         + 2 * lab.max_latency_us()
     )
@@ -354,7 +351,7 @@ def run_flood(lab: Lab, spec: FloodSpec) -> tuple[FloodResult, list[Finding]]:
     driver.stopped = True
 
     # Reconcile: anything still pending can no longer be answered.
-    ab.forget_pending_many(target.node, driver.outstanding)
+    ab.forget_pending_many(target.node, driver.sent_before(math.inf))
     dropped = driver.offered - driver.answered
     lat = driver.latencies
     ratio = driver.answered / driver.offered if driver.offered else 1.0

@@ -78,7 +78,7 @@ def _cmd_run(args) -> int:
 def _cmd_phases(_args) -> int:
     for name, text in BUILTIN_CONFIGS.items():
         config = parse_campaign_config(text, source=name)
-        kinds = ", ".join(f"{n.label}={config.kinds[n.label].value}" for n in config.topology.nodes)
+        kinds = ", ".join(f"{label}={kind.value}" for label, kind in config.kinds.items())
         attacks = ", ".join(a.kind for a in config.attacks)
         print(f"{name}: {len(config.topology.nodes)} nodes ({kinds}); attacks: {attacks}")
     return 0

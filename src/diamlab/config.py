@@ -23,7 +23,7 @@ from . import dictionary as dct
 from .attacks import ALL_MUTATION_OPS, AttackSpec, FloodSpec, FuzzSpec, InterceptSpec, MutationOp
 from .codec import U32_MAX
 from .elements import ElementCapacity, ElementKind, Lab, PolicyRule, SubscriberRecord
-from .simnet import US_PER_S, LinkSpec, NodeSpec, TopologySpec
+from .simnet import US_PER_S, LinkSpec, TopologySpec
 from .taxonomy import Impact, Origin, TaxonomyLabel, Technique
 
 MAX_SEED = 2**64 - 1
@@ -141,8 +141,8 @@ class CampaignConfig:
     subscribers: tuple[SubscriberRecord, ...]
     rules: tuple[PolicyRule, ...]
     attacks: tuple[AttackSpec, ...]
-    watchdog_interval_s: float = 30.0
-    request_timeout_s: float = 2.0
+    watchdog_interval_s: float
+    request_timeout_s: float
 
     def echo_dict(self) -> dict:
         """Configuration echo embedded in reports (resolved, deterministic)."""
@@ -155,13 +155,13 @@ class CampaignConfig:
             "request_timeout_s": self.request_timeout_s,
             "nodes": [
                 {
-                    "label": n.label,
-                    "kind": self.kinds[n.label].value,
-                    "service_rate": self.capacities[n.label].service_rate,
-                    "queue_capacity": self.capacities[n.label].queue_capacity,
-                    "failure_threshold_s": self.capacities[n.label].failure_threshold_s,
+                    "label": label,
+                    "kind": self.kinds[label].value,
+                    "service_rate": self.capacities[label].service_rate,
+                    "queue_capacity": self.capacities[label].queue_capacity,
+                    "failure_threshold_s": self.capacities[label].failure_threshold_s,
                 }
-                for n in self.topology.nodes
+                for label in self.topology.nodes
             ],
             "links": [
                 {
@@ -193,6 +193,8 @@ class AttackKind:
     """Everything config and campaign know about one attack kind.
 
     A new kind is a spec class and a runner in `attacks` plus one entry here.
+    `path_error(spec, config)` names what the topology lacks for the attack
+    to run (a link to send or tap on), or returns None.
     `run(lab, spec, seed)` returns (result, findings, capture records or
     None); `seed` is the campaign's default for a spec that sets none.
     Runners are looked up in `attacks` at call time, so a wrapper installed
@@ -203,6 +205,7 @@ class AttackKind:
     parse: Callable[[Section, str, dict[str, ElementKind]], AttackSpec]
     echo: Callable[[AttackSpec], dict]  # the report's config echo, less "kind"
     phase1_error: Callable[[AttackSpec, dict[str, ElementKind]], Optional[str]]
+    path_error: Callable[[AttackSpec, CampaignConfig], Optional[str]]
     run: Callable[[Lab, AttackSpec, int], tuple]
     label: Callable[[attacks.Finding], TaxonomyLabel]  # the finding's taxonomy cell
 
@@ -279,6 +282,44 @@ def _taps_target_server(spec: InterceptSpec, kinds: dict[str, ElementKind]) -> O
     return None
 
 
+def _first_of_kind(config: CampaignConfig, kind: ElementKind) -> Optional[str]:
+    """The first node of `kind` in node order: the one `Lab.first_of_kind` picks."""
+    return next((label for label, k in config.kinds.items() if k is kind), None)
+
+
+def _linked(config: CampaignConfig, a: Optional[str], b: Optional[str]) -> bool:
+    return any({link.a, link.b} == {a, b} for link in config.topology.links)
+
+
+def _sent_from_attack_box(spec: FloodSpec | FuzzSpec, config: CampaignConfig) -> Optional[str]:
+    box = _first_of_kind(config, ElementKind.ATTACK_BOX)
+    if box is None:
+        return f"{spec.kind} needs an AttackBox node to send from"
+    if spec.target == box:
+        return f"{spec.kind} target {box!r} is the attack box it would be sent from"
+    if not _linked(config, box, spec.target):
+        return f"{spec.kind} target {spec.target!r} has no link to the attack box {box!r}"
+    return None
+
+
+def _intercept_path_error(spec: InterceptSpec, config: CampaignConfig) -> Optional[str]:
+    """The tapped link must exist, and so must the links of the attach
+    traffic that `Lab.scenario_traffic` runs for an MME with subscribers."""
+    a, b = spec.link
+    if not _linked(config, a, b):
+        return f"intercept link {a!r} <-> {b!r} is not a declared link"
+    mme = _first_of_kind(config, ElementKind.MME)
+    if mme is None or not config.subscribers:
+        return None
+    for kind in (ElementKind.HSS, ElementKind.PCRF):
+        if not _linked(config, mme, _first_of_kind(config, kind)):
+            return (
+                f"intercept traffic attaches subscribers through MME {mme!r},"
+                f" which has no link to a node of kind {kind.value}"
+            )
+    return None
+
+
 def _run_fuzz(lab: Lab, spec: FuzzSpec, seed: int):
     if spec.seed is None:
         spec = replace(spec, seed=seed)
@@ -304,6 +345,7 @@ ATTACK_KINDS: dict[str, AttackKind] = {
                 "degraded_answer_ratio": spec.degraded_answer_ratio,
             },
             phase1_error=_at_target_server,
+            path_error=_sent_from_attack_box,
             run=lambda lab, spec, seed: (*attacks.run_flood(lab, spec), None),
             label=lambda finding: TaxonomyLabel(
                 Origin.EXTERNAL_INTERCONNECT, Technique.FLOODING, Impact.AVAILABILITY
@@ -314,6 +356,7 @@ ATTACK_KINDS: dict[str, AttackKind] = {
             parse=_parse_intercept,
             echo=lambda spec: {"link": list(spec.link), "avp_codes": list(spec.avp_codes)},
             phase1_error=_taps_target_server,
+            path_error=_intercept_path_error,
             run=lambda lab, spec, seed: attacks.run_intercept(lab, spec),
             label=lambda finding: TaxonomyLabel(
                 Origin.EXTERNAL_INTERCONNECT, Technique.INTERCEPTION, Impact.CONFIDENTIALITY
@@ -329,6 +372,7 @@ ATTACK_KINDS: dict[str, AttackKind] = {
                 "seed": spec.seed,
             },
             phase1_error=_at_target_server,
+            path_error=_sent_from_attack_box,
             run=_run_fuzz,
             label=_fuzz_label,
         ),
@@ -390,7 +434,7 @@ def parse_campaign_config(
 
     kinds: dict[str, ElementKind] = {}
     capacities: dict[str, ElementCapacity] = {}
-    nodes: list[NodeSpec] = []
+    nodes: list[str] = []
     links: list[LinkSpec] = []
     link_lines: dict[frozenset[str], int] = {}  # endpoint pair -> line of its [link]
     subscribers: list[SubscriberRecord] = []
@@ -422,7 +466,7 @@ def parse_campaign_config(
                 )
             except ValueError as exc:
                 raise ConfigError(f"{source}:{sec.line}: {exc}") from None
-            nodes.append(NodeSpec(label=label))
+            nodes.append(label)
         elif sec.kind == "link":
             if len(sec.args) != 2:
                 raise ConfigError(f"{source}:{sec.line}: [link] needs two node labels")
@@ -486,6 +530,7 @@ def parse_campaign_config(
         else:
             raise ConfigError(f"{source}:{sec.line}: unknown section kind {sec.kind!r}")
 
+    attack_secs = [s for s in sections if s.kind == "attack"]
     config = CampaignConfig(
         source=source,
         phase=phase,
@@ -496,11 +541,15 @@ def parse_campaign_config(
         capacities=capacities,
         subscribers=tuple(subscribers),
         rules=tuple(rules),
-        attacks=tuple(_parse_attack(s, source, kinds) for s in sections if s.kind == "attack"),
+        attacks=tuple(_parse_attack(s, source, kinds) for s in attack_secs),
         watchdog_interval_s=_get_interval(camp, "watchdog_interval_s", source, 30.0),
         request_timeout_s=_get_interval(camp, "request_timeout_s", source, 2.0),
     )
     _validate_phase(config, source)
+    for sec, spec in zip(attack_secs, config.attacks):
+        error = ATTACK_KINDS[spec.kind].path_error(spec, config)
+        if error:
+            raise ConfigError(f"{source}:{sec.line}: {error}")
     return config
 
 

@@ -65,7 +65,6 @@ from .simnet import NodeId, Simulation, TopologySpec, US_PER_S, build_topology
 
 TPS_PER_MILLION_SUBSCRIBERS = 235_000
 DEFAULT_QOS_CLASS = 9
-DEFAULT_REQUEST_TIMEOUT_US = 2 * US_PER_S
 SAMPLE_INTERVAL_US = US_PER_S  # overload sampling runs at 1 Hz
 
 
@@ -106,12 +105,28 @@ class ElementCapacity:
     failure_threshold_s: float = 3600.0
 
     def __post_init__(self) -> None:
-        if self.service_rate <= 0:
+        if not self.service_rate > 0:
             raise ValueError("service_rate must be > 0")
         if self.queue_capacity < 0:
             raise ValueError("queue_capacity must be >= 0")
         if self.failure_threshold_s <= 0:
             raise ValueError("failure_threshold_s must be > 0")
+        # The drain timer and the flood's horizon turn these into whole microseconds.
+        if not math.isfinite(US_PER_S / self.service_rate):
+            raise ValueError("service_rate is too small: one request takes too long to serve")
+        try:
+            drain_us = self.drain_us
+        except OverflowError:  # a queue_capacity too large for a float
+            drain_us = math.inf
+        if not math.isfinite(drain_us):
+            raise ValueError(
+                "queue_capacity / service_rate is too large: a full queue takes too long to drain"
+            )
+
+    @property
+    def drain_us(self) -> float:
+        """Microseconds to serve a full queue at the service rate."""
+        return self.queue_capacity / self.service_rate * US_PER_S
 
 
 @dataclass
@@ -202,15 +217,15 @@ class Element:
         node: NodeId,
         sim: Simulation,
         dictionary: Dictionary,
-        capacity: ElementCapacity | None = None,
-        peer_config: PeerConfig | None = None,
-        request_timeout_us: int = DEFAULT_REQUEST_TIMEOUT_US,
+        capacity: ElementCapacity,
+        peer_config: PeerConfig,
+        request_timeout_us: int,
     ):
         self.node = node
         self.sim = sim
         self.dictionary = dictionary
-        self.capacity = capacity or ElementCapacity()
-        self.peer_config = peer_config or PeerConfig(identity=f"{node.label}.lab")
+        self.capacity = capacity
+        self.peer_config = peer_config
         self.request_timeout_us = request_timeout_us
         self.links: dict[int, PeerLink] = {}
 
@@ -621,11 +636,13 @@ class MmeElement(Element):
                 ),
             ]
         on_answer = partial(self._attach_answer, run_idx, step)
-        sent = self.send_app_request(dst, cmd, avps, on_answer, now)
-        if sent is None:
+        hbh = self.send_app_request(dst, cmd, avps, on_answer, now)
+        if hbh is None:
             self._finish(run, False, "link-not-open", now)
             return
-        self.sim.schedule_timer(now + self.request_timeout_us, self._attach_timeout, run_idx, step)
+        self.sim.schedule_timer(
+            now + self.request_timeout_us, self._attach_timeout, run_idx, step, dst, hbh
+        )
 
     def _finish(self, run: AttachResult, success: bool, reason: str, now: int) -> None:
         run.success = success
@@ -637,7 +654,7 @@ class MmeElement(Element):
     ) -> None:
         run = self.attaches[run_idx]
         if run.success is not None or run.steps_completed != step:
-            return  # stale answer after a timeout already decided this run
+            return  # stale: `attach_subscriber` already gave this run up as stalled
         code = result_code_of(msg)
         if code == dct.RESULT_SUCCESS:
             run.steps_completed += 1
@@ -649,9 +666,12 @@ class MmeElement(Element):
             name = dct.RESULT_NAMES.get(code, str(code))
             self._finish(run, False, name, now)
 
-    def _attach_timeout(self, now: int, run_idx: int, step: int) -> None:
+    def _attach_timeout(self, now: int, run_idx: int, step: int, dst: NodeId, hbh: int) -> None:
+        """Give up on the step's request: a late answer then finds no pending
+        entry, and the peer state machine drops it as unmatched."""
         run = self.attaches[run_idx]
         if run.success is None and run.steps_completed == step:
+            self.forget_pending_many(dst, (hbh,))
             self._finish(run, False, "timeout", now)
 
 
@@ -699,7 +719,7 @@ class Lab:
         elements: dict[str, Element],
         dictionary: Dictionary,
         subscribers: list[SubscriberRecord],
-        request_timeout_us: int = DEFAULT_REQUEST_TIMEOUT_US,
+        request_timeout_us: int,
     ):
         self.sim = sim
         self.elements = elements
@@ -712,18 +732,15 @@ class Lab:
         cls,
         topology: TopologySpec,
         kinds: dict[str, ElementKind],
-        capacities: dict[str, ElementCapacity] | None = None,
-        subscribers: list[SubscriberRecord] | None = None,
-        rules: list[PolicyRule] | None = None,
-        seed: int = 0,
-        watchdog_interval_s: float = 30.0,
-        request_timeout_s: float = 2.0,
+        capacities: dict[str, ElementCapacity],
+        subscribers: list[SubscriberRecord],
+        rules: list[PolicyRule],
+        seed: int,
+        watchdog_interval_s: float,
+        request_timeout_s: float,
     ) -> "Lab":
         sim = build_topology(topology, seed=seed)
         dictionary = dct.builtin_dictionary()
-        capacities = capacities or {}
-        subscribers = subscribers or []
-        rules = rules or []
         timeout_us = int(round(request_timeout_s * US_PER_S))
         elements: dict[str, Element] = {}
         for node in sim.nodes:
@@ -738,7 +755,7 @@ class Lab:
                 node,
                 sim,
                 dictionary,
-                capacity=capacities.get(node.label),
+                capacity=capacities[node.label],
                 peer_config=peer_config,
                 request_timeout_us=timeout_us,
             )
@@ -841,10 +858,11 @@ class Lab:
         return [self.attach_subscriber(sub) for sub in self.subscribers]
 
     def echo_probes(self, count: int = 3) -> None:
-        """Minimal background traffic when there is no core to attach against."""
-        ab = self.attack_box()
+        """Minimal background traffic when there is no core to attach against:
+        the first AttackBox echoes the first TargetServer, if they are linked."""
+        ab = self.first_of_kind(ElementKind.ATTACK_BOX)
         target = self.first_of_kind(ElementKind.TARGET_SERVER)
-        if target is None:
+        if ab is None or target is None or self.sim.link_between(ab.node, target.node) is None:
             return
         sim = self.sim
         rtt = 2 * self.max_latency_us() + 10_000

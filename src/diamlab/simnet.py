@@ -17,11 +17,12 @@ A timer is the callable it fires: `schedule_timer(at, fire, *args)`
 queues it, and when its time comes the loop calls `fire(now, *args)`.
 Node handlers see only deliveries.
 
-Links are point-to-point and bidirectional; each direction's route is
-resolved once, when the simulation is built. A link with protected=True
-models an encrypted or trusted transport: traffic still flows, but taps
-on it capture nothing. A tap on an unprotected link sees every
-traversal from the moment it is attached.
+Links are point-to-point and bidirectional; each direction's route
+resolves, once, to the link's one `Link` record, which counts what
+crosses it and holds its taps. `Simulation.stats` sums those counters
+on demand. A link with protected=True models an encrypted or trusted
+transport: traffic still flows, but taps on it capture nothing. A tap on
+an unprotected link sees every traversal from the moment it is attached.
 """
 
 from __future__ import annotations
@@ -53,35 +54,6 @@ class NodeId:
     label: str
 
 
-def _check_link_parameters(latency_ms: float, loss_probability: float) -> None:
-    if not latency_ms >= 0:
-        raise ValueError("latency must be >= 0")
-    if not math.isfinite(latency_ms * US_PER_MS):
-        raise ValueError("latency is too large")
-    if not 0.0 <= loss_probability <= 1.0:
-        raise ValueError("loss_probability must be in [0, 1]")
-
-
-@dataclass(frozen=True)
-class Link:
-    a: NodeId
-    b: NodeId
-    latency_ms: float = 10.0
-    loss_probability: float = 0.0
-    protected: bool = False
-
-    def __post_init__(self) -> None:
-        _check_link_parameters(self.latency_ms, self.loss_probability)
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.a.id, self.b.id) if self.a.id <= self.b.id else (self.b.id, self.a.id)
-
-    @property
-    def latency_us(self) -> int:
-        return int(round(self.latency_ms * US_PER_MS))
-
-
 @dataclass(frozen=True)
 class CaptureRecord:
     at: int  # microseconds
@@ -94,28 +66,36 @@ class CaptureRecord:
 class Tap:
     """Passive capture stream attached to one link."""
 
-    link_key: tuple[int, int]
     records: list[CaptureRecord] = field(default_factory=list)
 
 
-@dataclass
-class LinkStats:
+@dataclass(slots=True, eq=False)
+class Link:
+    """The one runtime record of a link: its ends, its parameters, what crossed it, its taps."""
+
+    a: NodeId
+    b: NodeId
+    latency_us: int
+    loss_probability: float
+    protected: bool
     attempted: int = 0
     delivered: int = 0
     lost: int = 0
+    taps: list[Tap] = field(default_factory=list)
 
-
-@dataclass
-class SimStats:
-    events_processed: int = 0
-    delivered: int = 0
-    lost: int = 0
-    sends: int = 0
+    @property
+    def key(self) -> tuple[int, int]:
+        return (self.a.id, self.b.id) if self.a.id <= self.b.id else (self.b.id, self.a.id)
 
 
 @dataclass(frozen=True)
-class NodeSpec:
-    label: str
+class SimStats:
+    """A snapshot: the events run so far, and the link counters summed."""
+
+    events_processed: int
+    delivered: int
+    lost: int
+    sends: int
 
 
 @dataclass(frozen=True)
@@ -127,12 +107,17 @@ class LinkSpec:
     protected: bool = False
 
     def __post_init__(self) -> None:
-        _check_link_parameters(self.latency_ms, self.loss_probability)
+        if not self.latency_ms >= 0:
+            raise ValueError("latency must be >= 0")
+        if not math.isfinite(self.latency_ms * US_PER_MS):
+            raise ValueError("latency is too large")
+        if not 0.0 <= self.loss_probability <= 1.0:
+            raise ValueError("loss_probability must be in [0, 1]")
 
 
 @dataclass(frozen=True)
 class TopologySpec:
-    nodes: tuple[NodeSpec, ...] = ()
+    nodes: tuple[str, ...] = ()  # labels; a node's id is its index
     links: tuple[LinkSpec, ...] = ()
 
 
@@ -146,22 +131,17 @@ class Simulation:
         self.seed = seed
         self.rng = random.Random(seed)
         self.clock: int = 0
-        self.stats = SimStats()
-        self.link_stats: dict[tuple[int, int], LinkStats] = {
-            key: LinkStats() for key in self.links
-        }
-        # delivery: (at, seq, LinkStats, dst, src, payload)
+        self.events_processed = 0
+        # delivery: (at, seq, Link, dst, src, payload)
         # timer:    (at, seq, None, fire, None, args)
         # seq is unique, so comparisons never look past it.
         self._queue: list[tuple] = []
         self._seq = 0
         self._handlers: dict[int, object] = {}
-        self._taps: dict[tuple[int, int], list[Tap]] = {key: [] for key in self.links}
-        # (src.id, dst.id) -> (link, its stats, its live taps list, latency_us), both directions
-        self._routes: dict[tuple[int, int], tuple[Link, LinkStats, list[Tap], int]] = {}
-        for key, link in self.links.items():
-            route = (link, self.link_stats[key], self._taps[key], link.latency_us)
-            self._routes[(link.a.id, link.b.id)] = self._routes[(link.b.id, link.a.id)] = route
+        # (src.id, dst.id) -> the link between them, both directions
+        self._routes: dict[tuple[int, int], Link] = {}
+        for link in links:
+            self._routes[(link.a.id, link.b.id)] = self._routes[(link.b.id, link.a.id)] = link
 
     # -- wiring ------------------------------------------------------------
 
@@ -175,8 +155,17 @@ class Simulation:
         self._handlers[node.id] = handler
 
     def link_between(self, a: NodeId, b: NodeId) -> Optional[Link]:
-        key = (a.id, b.id) if a.id <= b.id else (b.id, a.id)
-        return self.links.get(key)
+        return self._routes.get((a.id, b.id))
+
+    @property
+    def stats(self) -> SimStats:
+        links = self.links.values()
+        return SimStats(
+            events_processed=self.events_processed,
+            delivered=sum(l.delivered for l in links),
+            lost=sum(l.lost for l in links),
+            sends=sum(l.attempted for l in links),
+        )
 
     # -- scheduling ----------------------------------------------------------
 
@@ -193,31 +182,29 @@ class Simulation:
         A Message is encoded only when a capture record needs its bytes (an
         unprotected link with a tap); it then travels as those bytes.
         """
-        route = self._routes.get((src.id, dst.id))
-        if route is None:
+        link = self._routes.get((src.id, dst.id))
+        if link is None:
             raise NoSuchLinkError(f"no link between {src.label!r} and {dst.label!r}")
-        link, lstats, taps, latency_us = route
-        self.stats.sends += 1
-        lstats.attempted += 1
-        if taps and not link.protected:
+        link.attempted += 1
+        if link.taps and not link.protected:
             if isinstance(payload, Message):
                 payload = encode_message(payload)
             record = CaptureRecord(at=self.clock, src=src, dst=dst, data=bytes(payload))
-            for tap in taps:
+            for tap in link.taps:
                 tap.records.append(record)
         if link.loss_probability > 0 and self.rng.random() < link.loss_probability:
-            lstats.lost += 1
-            self.stats.lost += 1
+            link.lost += 1
             return
-        heapq.heappush(self._queue, (self.clock + latency_us, self._seq, lstats, dst, src, payload))
+        at = self.clock + link.latency_us
+        heapq.heappush(self._queue, (at, self._seq, link, dst, src, payload))
         self._seq += 1
 
     def attach_tap(self, a: NodeId, b: NodeId) -> Tap:
         link = self.link_between(a, b)
         if link is None:
             raise NoSuchLinkError(f"no link between {a.label!r} and {b.label!r}")
-        tap = Tap(link_key=link.key)
-        self._taps[link.key].append(tap)
+        tap = Tap()
+        link.taps.append(tap)
         return tap
 
     # -- execution -----------------------------------------------------------
@@ -225,40 +212,38 @@ class Simulation:
     def next_event_at(self) -> Optional[int]:
         return self._queue[0][0] if self._queue else None
 
-    def queued_deliveries(self, stats: Optional[LinkStats] = None) -> int:
-        """Deliveries still queued: on the link whose stats are `stats`, or on every link."""
-        return sum(1 for e in self._queue if e[2] is not None and (stats is None or e[2] is stats))
+    def queued_deliveries(self, link: Optional[Link] = None) -> int:
+        """Deliveries still queued: on `link`, or on every link."""
+        return sum(1 for e in self._queue if e[2] is not None and (link is None or e[2] is link))
 
-    def run_until(self, t: int) -> SimStats:
+    def run_until(self, t: int) -> None:
         """Process every event with timestamp <= t; the clock ends exactly at t."""
         if t < self.clock:
             raise ValueError(f"cannot run backwards ({t} < {self.clock})")
-        queue, stats, handlers, pop = self._queue, self.stats, self._handlers, heapq.heappop
+        queue, handlers, pop = self._queue, self._handlers, heapq.heappop
         while queue and queue[0][0] <= t:
-            at, _, lstats, dst, src, item = pop(queue)
+            at, _, link, dst, src, item = pop(queue)
             self.clock = at
-            stats.events_processed += 1
-            if lstats is None:
+            self.events_processed += 1
+            if link is None:
                 dst(at, *item)  # a timer: dst is the function it fires
                 continue
-            stats.delivered += 1
-            lstats.delivered += 1
+            link.delivered += 1
             handler = handlers.get(dst.id)
             if handler is not None:
                 handler.on_message(self, src, item, at)
         self.clock = t
-        return self.stats
 
 
 def build_topology(spec: TopologySpec, seed: int = 0) -> Simulation:
     """Materialize a simulation at clock 0 from a declarative description."""
     nodes: list[NodeId] = []
     seen: set[str] = set()
-    for i, ns in enumerate(spec.nodes):
-        if ns.label in seen:
-            raise TopologyError(f"duplicate node label {ns.label!r}")
-        seen.add(ns.label)
-        nodes.append(NodeId(id=i, label=ns.label))
+    for i, label in enumerate(spec.nodes):
+        if label in seen:
+            raise TopologyError(f"duplicate node label {label!r}")
+        seen.add(label)
+        nodes.append(NodeId(id=i, label=label))
     by_label = {n.label: n for n in nodes}
     links: dict[tuple[int, int], Link] = {}
     for ls in spec.links:
@@ -270,7 +255,7 @@ def build_topology(spec: TopologySpec, seed: int = 0) -> Simulation:
         link = Link(
             a=by_label[ls.a],
             b=by_label[ls.b],
-            latency_ms=ls.latency_ms,
+            latency_us=int(round(ls.latency_ms * US_PER_MS)),
             loss_probability=ls.loss_probability,
             protected=ls.protected,
         )

@@ -1,5 +1,7 @@
 """Attack engine: mutation operators, flood/intercept/fuzz runners."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -214,22 +216,33 @@ class TestFlood:
 
 
 class _StubBox:
-    """Just enough of an attack box and a simulation to drive a _FloodDriver."""
+    """Just enough of an attack box and a simulation to drive a _FloodDriver:
+    one pending table, kept in send order like `Element`'s."""
 
     node = None
 
     def __init__(self):
         self.sim = self
         self.next_id = 1
+        self.pending = {}
         self.forgotten = []
 
+    def peer_link(self, dst):
+        return self
+
     def send_app_request(self, dst, command_code, avps, on_answer, now):
-        self.next_id += 1
-        return self.next_id - 1
+        hbh, self.next_id = self.next_id, self.next_id + 1
+        self.pending[hbh] = PendingRequest(hbh, command_code, now, on_answer)
+        return hbh
+
+    def answer(self, hbh, now):
+        pending = self.pending.pop(hbh)
+        if pending.on_answer is not None:
+            pending.on_answer(pending, build_message(dct.CMD_ECHO), now)
 
     def forget_pending_many(self, dst, hop_by_hop_ids):
         self.forgotten.append(list(hop_by_hop_ids))
-        return len(hop_by_hop_ids)
+        return sum(self.pending.pop(hbh, None) is not None for hbh in hop_by_hop_ids)
 
     def schedule_timer(self, at, fire, *args):
         pass
@@ -237,38 +250,61 @@ class _StubBox:
 
 @st.composite
 def flood_histories(draw):
-    """Send times in nondecreasing order, which of them get answered, two reap times."""
+    """Send times in nondecreasing order, which of them get answered, where a
+    request of another sender goes, two reap times."""
     gaps = draw(st.lists(st.integers(0, 3_000), min_size=1, max_size=120))
     answered = draw(st.lists(st.booleans(), min_size=len(gaps), max_size=len(gaps)))
+    foreign_at = draw(st.integers(0, len(gaps)))
     timeout = draw(st.integers(0, 20_000))
     waits = draw(st.lists(st.integers(0, 40_000), min_size=2, max_size=2))
-    return gaps, answered, timeout, waits
+    return gaps, answered, foreign_at, timeout, waits
 
 
 class TestFloodReap:
     @given(flood_histories())
     @settings(max_examples=300, deadline=None)
     def test_fifo_reap_matches_brute_force_scan(self, history):
-        gaps, answered, timeout, waits = history
+        gaps, answered, foreign_at, timeout, waits = history
         box = _StubBox()
         driver = _FloodDriver(box, box, count=len(gaps) + 1, interval_us=1, timeout_us=timeout)
         now = 0
         for i, gap in enumerate(gaps, start=1):  # index 0 would trigger a scheduled reap
             now += gap
+            if i - 1 == foreign_at:
+                foreign = box.send_app_request(None, dct.CMD_ECHO, [], None, now)
             driver.send(now, i)
-        for i, (hbh, sent_at) in enumerate(list(driver.outstanding.items())):
-            if answered[i]:
-                pending = PendingRequest(hbh, dct.CMD_ECHO, sent_at, driver.on_answer)
-                driver.on_answer(pending, build_message(dct.CMD_ECHO), now)
+        if foreign_at == len(gaps):
+            foreign = box.send_app_request(None, dct.CMD_ECHO, [], None, now)
+        for hbh, was_answered in zip([h for h in box.pending if h != foreign], answered):
+            if was_answered:
+                box.answer(hbh, now)
         for wait in waits:
             now += wait
-            # reference: scan every outstanding entry, in send order
-            expected = [h for h, t in driver.outstanding.items() if now - t > timeout]
-            survivors = {h: t for h, t in driver.outstanding.items() if h not in expected}
+            # reference: scan every pending entry of the flood
+            expected = [
+                h
+                for h, p in box.pending.items()
+                if p.on_answer == driver.on_answer and now - p.sent_at > timeout
+            ]
+            survivors = {h: p for h, p in box.pending.items() if h not in expected}
             box.forgotten.clear()
             driver.reap(now)
             assert box.forgotten == ([expected] if expected else [])
-            assert driver.outstanding == survivors
+            assert box.pending == survivors
+            assert foreign in box.pending  # another sender's request is never reaped
+
+    def test_reconcile_forgets_every_flood_entry_and_only_those(self):
+        box = _StubBox()
+        driver = _FloodDriver(box, box, count=10, interval_us=1, timeout_us=10**9)
+        for i in (1, 2, 3):
+            driver.send(i, i)
+        foreign = box.send_app_request(None, dct.CMD_ECHO, [], None, 4)
+        driver.send(5, 4)
+        box.answer(2, 6)
+        assert driver.sent_before(4) == [1, 3]
+        assert driver.sent_before(math.inf) == [1, 3, 5]
+        box.forget_pending_many(None, driver.sent_before(math.inf))
+        assert list(box.pending) == [foreign]
 
 
 class TestIntercept:
@@ -292,6 +328,25 @@ class TestIntercept:
         assert result.inventory == []
         assert findings == []
         assert records == []
+
+    @pytest.mark.parametrize(
+        "text, link",
+        [
+            (duo_lab_text().replace("kind = AttackBox", "kind = TargetServer"), ("attacker", "target")),
+            (
+                duo_lab_text().replace(
+                    "[link attacker target]", "[node t2]\nkind = TargetServer\n\n[link t2 target]"
+                ),
+                ("t2", "target"),
+            ),
+        ],
+        ids=["no-attack-box", "target-not-linked-to-attack-box"],
+    )
+    def test_no_echo_path_means_no_traffic_to_see(self, text, link):
+        _, lab = make_lab(text)
+        spec = InterceptSpec(link=link, avp_codes=(dct.AVP_LOCATION,))
+        result, findings, records = run_intercept(lab, spec)
+        assert (result.records_captured, findings, records) == (0, [], [])
 
     def test_soundness_every_value_appears_in_some_record(self):
         _, lab = make_lab(core_lab_text())
@@ -390,3 +445,6 @@ class TestFuzz:
             FuzzSpec(target="t", case_count=0)
         with pytest.raises(ValueError):
             FloodSpec(target="t", rate_tps=0, duration_s=1)
+        with pytest.raises(ValueError, match="rounds to zero requests"):
+            FloodSpec(target="t", rate_tps=0.4, duration_s=1)
+        assert FloodSpec(target="t", rate_tps=0.6, duration_s=1).count == 1

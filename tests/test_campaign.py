@@ -27,7 +27,7 @@ from diamlab.codec import Avp, build_message, encode_message
 from diamlab.config import ATTACK_KINDS, ConfigError, load_config, parse_campaign_config
 from diamlab.taxonomy import Impact, Origin, TaxonomyLabel, Technique
 
-from tests.labs import duo_lab_text, make_lab
+from tests.labs import core_lab_text, duo_lab_text, make_lab
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 ECHO_HEX = encode_message(
@@ -461,11 +461,20 @@ class TestAttackKinds:
 
 # --- the CLI as a total surface ------------------------------------------------
 
-TINY_FLOOD = "\n[attack flood]\ntarget = target\nrate_tps = 50\nduration_s = 0.2\n"
+def _flood(rate_tps: str, duration_s: str, target: str = "target") -> str:
+    return f"\n[attack flood]\ntarget = {target}\nrate_tps = {rate_tps}\nduration_s = {duration_s}\n"
 
 
-def _flood(rate_tps: str, duration_s: str) -> str:
-    return f"\n[attack flood]\ntarget = target\nrate_tps = {rate_tps}\nduration_s = {duration_s}\n"
+def _intercept(a: str, b: str) -> str:
+    return f"\n[attack intercept]\nlink = {a} {b}\navp_codes = location\n"
+
+
+TINY_FLOOD = _flood("50", "0.2")
+# the duo lab plus a target server that no link reaches
+TRIO = duo_lab_text() + "\n[node other]\nkind = TargetServer\n"
+NO_ATTACK_BOX = duo_lab_text().replace("kind = AttackBox", "kind = TargetServer")
+# an MME with a subscriber: an intercept's traffic would attach it through HSS and PCRF
+LONE_MME = "\n[node mme]\nkind = MME\n\n[link attacker mme]\n\n[subscriber imsi-1]\nlocation = a\n"
 
 
 def _config_with(line: str) -> str:
@@ -496,6 +505,24 @@ def cli_files(tmp_path_factory, phase2_run):
         "huge_flood": (duo_lab_text() + _flood("1e200", "1e200")).encode(),
         "huge_flood_duration": (duo_lab_text() + _flood("1e-300", "1e306")).encode(),
         "tiny_flood_rate": (duo_lab_text() + _flood("1e-310", "1")).encode(),
+        "empty_flood": (duo_lab_text() + _flood("0.4", "1")).encode(),
+        # capacities whose token or queue drain time in microseconds overflows a float
+        "tiny_service_rate": (duo_lab_text(service_rate="1e-303") + TINY_FLOOD).encode(),
+        "subnormal_service_rate": (duo_lab_text(service_rate="1e-320") + TINY_FLOOD).encode(),
+        "huge_queue": (duo_lab_text(queue_capacity="1" + "0" * 400) + TINY_FLOOD).encode(),
+        # attacks that need a path the topology does not have
+        "flood_unlinked": (TRIO + _flood("50", "0.2", target="other")).encode(),
+        "flood_at_attack_box": (duo_lab_text() + _flood("50", "0.2", target="attacker")).encode(),
+        "fuzz_unlinked": (TRIO + "\n[attack fuzz]\ntarget = other\ncases = 5\n").encode(),
+        "flood_no_attack_box": (NO_ATTACK_BOX + TINY_FLOOD).encode(),
+        "intercept_no_link": (TRIO + _intercept("attacker", "other")).encode(),
+        "attach_without_core": (duo_lab_text() + LONE_MME + _intercept("attacker", "target")).encode(),
+        "attach_mme_unlinked": (
+            core_lab_text().replace("[link mme pcrf]\nlatency_ms = 10\n", "")
+            + _intercept("mme", "hss")
+        ).encode(),
+        # an intercept with no traffic to see: it runs and captures nothing
+        "intercept_no_attack_box": (NO_ATTACK_BOX + _intercept("attacker", "target")).encode(),
     }
     files = {}
     for name, data in contents.items():
@@ -510,7 +537,10 @@ def cli_files(tmp_path_factory, phase2_run):
 FILE_NAMES = (
     "empty binary non_utf8 deep_json deep_closed_json truncated_dcap dcap report"
     " tiny_config zero_watchdog negative_watchdog negative_timeout zero_timeout"
-    " huge_latency huge_flood huge_flood_duration tiny_flood_rate directory missing"
+    " huge_latency huge_flood huge_flood_duration tiny_flood_rate empty_flood tiny_service_rate"
+    " subnormal_service_rate huge_queue flood_unlinked flood_at_attack_box fuzz_unlinked"
+    " flood_no_attack_box intercept_no_link attach_without_core attach_mme_unlinked"
+    " intercept_no_attack_box directory missing"
 ).split()
 
 
@@ -560,6 +590,17 @@ FIXED_INPUTS = [
     (["run", "--config", "@huge_flood"], "error: @huge_flood:19: flood size rate_tps * duration_s"),
     (["run", "--config", "@huge_flood_duration"], "error: @huge_flood_duration:19: flood duration"),
     (["run", "--config", "@tiny_flood_rate"], "error: @tiny_flood_rate:19: flood rate is too"),
+    (["run", "--config", "@empty_flood"], "error: @empty_flood:19: flood size rate_tps * duration_s rounds to zero"),
+    (["run", "--config", "@tiny_service_rate"], "error: @tiny_service_rate:9: service_rate is too small"),
+    (["run", "--config", "@subnormal_service_rate"], "error: @subnormal_service_rate:9: service_rate is too"),
+    (["run", "--config", "@huge_queue"], "error: @huge_queue:9: queue_capacity / service_rate is too large"),
+    (["run", "--config", "@flood_unlinked"], "error: @flood_unlinked:22: flood target 'other' has no link"),
+    (["run", "--config", "@flood_at_attack_box"], "error: @flood_at_attack_box:19: flood target 'attacker' is"),
+    (["run", "--config", "@fuzz_unlinked"], "error: @fuzz_unlinked:22: fuzz target 'other' has no link"),
+    (["run", "--config", "@flood_no_attack_box"], "error: @flood_no_attack_box:19: flood needs an AttackBox"),
+    (["run", "--config", "@intercept_no_link"], "error: @intercept_no_link:22: intercept link 'attacker' <-> 'other'"),
+    (["run", "--config", "@attach_without_core"], "error: @attach_without_core:27: intercept traffic attaches"),
+    (["run", "--config", "@attach_mme_unlinked"], "error: @attach_mme_unlinked:39: intercept traffic attaches"),
     (["run", "--config", "phase1", "--seed", "-1"], "error: --seed: seed -1 must fit in 64 bits"),
 ]
 

@@ -376,15 +376,17 @@ phase = phase2
 seed = 5
 topology = phase2
 
-[attack flood]
-target = hss
-rate_tps = 100
-duration_s = 1
+[attack intercept]
+link = mme hss
+avp_codes = location
 """
         config = parse_campaign_config(text)
         assert len(config.topology.nodes) == 5
-        assert isinstance(config.attacks[0], FloodSpec)
-        assert config.attacks[0].target == "hss"
+        assert config.attacks[0].link == ("mme", "hss")
+        # the spliced links are checked too: the attack box has no link to the HSS
+        flood = "[attack flood]\ntarget = hss\nrate_tps = 100\nduration_s = 1\n"
+        with pytest.raises(ConfigError, match="<config>:10: flood target 'hss' has no link"):
+            parse_campaign_config(text + flood)
 
     def test_topology_splice_conflicts_with_own_nodes(self):
         text = minimal().replace("phase = custom", "phase = custom\ntopology = phase1")

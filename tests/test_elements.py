@@ -1,5 +1,6 @@
 """Element behaviors: sizing model, capacity/failure, HSS/PCRF/MME/target logic."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,24 @@ class TestCapacityInvariants:
     def test_zero_failure_threshold_rejected(self):
         with pytest.raises(ValueError):
             ElementCapacity(failure_threshold_s=0)
+
+    @pytest.mark.parametrize(
+        "kwargs, text",
+        [
+            ({"service_rate": 1e-303}, "service_rate is too small"),
+            ({"service_rate": 1e-320}, "service_rate is too small"),
+            ({"service_rate": float("nan")}, "service_rate must be > 0"),
+            ({"service_rate": 1e-300, "queue_capacity": 1000}, "queue_capacity / service_rate"),
+            ({"queue_capacity": 10**400}, "queue_capacity / service_rate"),
+        ],
+    )
+    def test_capacity_whose_times_overflow_a_float_rejected(self, kwargs, text):
+        with pytest.raises(ValueError, match=text):
+            ElementCapacity(**kwargs)
+
+    def test_slowest_capacity_with_finite_times_accepted(self):
+        capacity = ElementCapacity(service_rate=1e-300, queue_capacity=100)
+        assert math.isfinite(capacity.drain_us)
 
 
 def _probe(command=dct.CMD_ECHO, avps=(), hbh=1):
@@ -287,6 +306,29 @@ class TestAttachFlow:
         assert result.success is False
         assert result.reason == "timeout"
         assert result.finished_at - result.started_at >= lab.request_timeout_us
+
+    def test_timed_out_step_leaves_no_pending_entry(self):
+        text = core_lab_text().replace(
+            "[node hss]\nkind = HSS\n",
+            "[node hss]\nkind = HSS\nservice_rate = 0.001\nqueue_capacity = 0\n",
+        )
+        _, lab = make_lab(text)
+        assert [r.reason for r in lab.attach_all()] == ["timeout"] * 3
+        assert lab.element("mme").peer_link(lab.node("hss")).pending == {}
+
+    def test_late_answer_after_a_timeout_is_dropped_as_unmatched(self):
+        # 10 ms each way on the HSS link and a 15 ms timeout: the answer comes 5 ms late
+        text = core_lab_text(subscribers=1).replace(
+            "seed = 11\n", "seed = 11\nrequest_timeout_s = 0.015\n"
+        )
+        _, lab = make_lab(text)
+        mme = lab.element("mme")
+        (result,) = lab.attach_all()
+        assert (result.reason, result.steps_completed) == ("timeout", 0)
+        assert mme.peer_link(lab.node("hss")).pending == {}
+        drops = mme.fsm_drops
+        lab.sim.run_until(lab.sim.clock + 100_000)
+        assert (mme.fsm_drops, mme.stray_answers) == (drops + 1, 0)
 
     def test_unknown_subscriber_fails_with_user_unknown(self):
         _, lab = make_lab(core_lab_text())

@@ -19,7 +19,6 @@ from diamlab.simnet import (
     CaptureRecord,
     LinkSpec,
     NodeId,
-    NodeSpec,
     NoSuchLinkError,
     TopologyError,
     TopologySpec,
@@ -55,7 +54,7 @@ class Recorder:
 
 def two_node_sim(latency_ms=10.0, loss=0.0, protected=False, seed=0):
     spec = TopologySpec(
-        nodes=(NodeSpec("a"), NodeSpec("b")),
+        nodes=("a", "b"),
         links=(LinkSpec("a", "b", latency_ms=latency_ms, loss_probability=loss, protected=protected),),
     )
     sim = build_topology(spec, seed=seed)
@@ -68,7 +67,7 @@ def two_node_sim(latency_ms=10.0, loss=0.0, protected=False, seed=0):
 def chain_sim(seed=3):
     """a --3 ms-- b --7.25 ms, 30% loss-- c, with a Recorder on every node."""
     spec = TopologySpec(
-        nodes=(NodeSpec("a"), NodeSpec("b"), NodeSpec("c")),
+        nodes=("a", "b", "c"),
         links=(
             LinkSpec("a", "b", latency_ms=3.0),
             LinkSpec("b", "c", latency_ms=7.25, loss_probability=0.3),
@@ -105,7 +104,7 @@ class TestTopology:
     def test_five_node_build(self):
         labels = ("attacker", "target", "hss", "mme", "pcrf")
         spec = TopologySpec(
-            nodes=tuple(NodeSpec(l) for l in labels),
+            nodes=labels,
             links=(LinkSpec("attacker", "target"), LinkSpec("mme", "hss"), LinkSpec("mme", "pcrf")),
         )
         sim = build_topology(spec, seed=1)
@@ -114,22 +113,23 @@ class TestTopology:
 
     def test_empty_spec_runs_immediately(self):
         sim = build_topology(TopologySpec(), seed=0)
-        stats = sim.run_until(10_000_000)
+        sim.run_until(10_000_000)
+        stats = sim.stats
         assert stats.events_processed == 0
         assert sim.clock == 10_000_000
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(TopologyError, match="duplicate"):
-            build_topology(TopologySpec(nodes=(NodeSpec("x"), NodeSpec("x"))))
+            build_topology(TopologySpec(nodes=("x", "x")))
 
     def test_dangling_link_rejected(self):
         with pytest.raises(TopologyError, match="not a declared node"):
-            build_topology(TopologySpec(nodes=(NodeSpec("x"),), links=(LinkSpec("x", "y"),)))
+            build_topology(TopologySpec(nodes=("x",), links=(LinkSpec("x", "y"),)))
 
     @pytest.mark.parametrize("second", [("x", "y"), ("y", "x")], ids=["same-order", "reversed"])
     def test_duplicate_link_rejected(self, second):
         spec = TopologySpec(
-            nodes=(NodeSpec("x"), NodeSpec("y")),
+            nodes=("x", "y"),
             links=(LinkSpec("x", "y", latency_ms=5), LinkSpec(*second, latency_ms=50)),
         )
         message = f"duplicate link between '{second[0]}' and '{second[1]}'"
@@ -137,7 +137,7 @@ class TestTopology:
             build_topology(spec)
 
     def test_self_link_rejected(self):
-        spec = TopologySpec(nodes=(NodeSpec("x"),), links=(LinkSpec("x", "x"),))
+        spec = TopologySpec(nodes=("x",), links=(LinkSpec("x", "x"),))
         with pytest.raises(TopologyError, match="link 'x' <-> 'x' joins a node to itself"):
             build_topology(spec)
 
@@ -172,7 +172,8 @@ class TestDelivery:
         a, b = sim.nodes
         for _ in range(3):
             sim.send(a, b, b"x")
-        stats = sim.run_until(1_000_000)
+        sim.run_until(1_000_000)
+        stats = sim.stats
         assert stats.delivered == 3 and stats.lost == 0
 
     def test_loss_probability_one_never_delivers(self):
@@ -180,12 +181,13 @@ class TestDelivery:
         a, b = sim.nodes
         for _ in range(50):
             sim.send(a, b, b"x")
-        stats = sim.run_until(1_000_000)
+        sim.run_until(1_000_000)
+        stats = sim.stats
         assert rec_b.messages == []
         assert stats.lost == 50 and stats.delivered == 0
 
     def test_no_such_link(self):
-        spec = TopologySpec(nodes=(NodeSpec("a"), NodeSpec("b"), NodeSpec("c")),
+        spec = TopologySpec(nodes=("a", "b", "c"),
                             links=(LinkSpec("a", "b"),))
         sim = build_topology(spec)
         a, _, c = sim.nodes
@@ -239,7 +241,8 @@ class TestDelivery:
         calls = []
         sim.schedule_timer(300, lambda now, *args: calls.append((now, args)), "x", 2)
         sim.schedule_timer(200, lambda now: calls.append((now, ())))
-        stats = sim.run_until(1000)
+        sim.run_until(1000)
+        stats = sim.stats
         assert calls == [(200, ()), (300, ("x", 2))]
         assert stats.events_processed == 2 and stats.delivered == 0
 
@@ -262,7 +265,8 @@ class TestDeterminism:
         a, b = sim.nodes
         for _ in range(1000):
             sim.send(a, b, b"probe")
-        stats = sim.run_until(10_000_000)
+        sim.run_until(10_000_000)
+        stats = sim.stats
         return stats.delivered, stats.lost, len(rec_b.messages)
 
     def test_same_seed_same_schedule(self):
@@ -279,34 +283,36 @@ class TestDeterminism:
         for _ in range(500):
             sim.send(a, b, b"x")
         sim.run_until(60_000_000)
-        stats = sim.link_stats[sim.link_between(a, b).key]
-        assert stats.attempted == 500
-        assert stats.delivered + stats.lost == stats.attempted
+        link = sim.link_between(a, b)
+        assert link is sim.link_between(b, a)
+        assert link.attempted == 500
+        assert link.delivered + link.lost == link.attempted
 
     def test_per_link_conservation_during_and_after_the_run(self):
         sim, _ = chain_sim()
         a, b, c = sim.nodes
-        ab = sim.link_stats[sim.link_between(a, b).key]
-        bc = sim.link_stats[sim.link_between(b, c).key]
+        ab, bc = sim.link_between(a, b), sim.link_between(b, c)
         most_queued = 0
         for _ in range(200):
             sim.send(a, b, b"x")
             sim.send(c, b, b"y")
             sim.send(b, c, b"z")
             sim.run_until(sim.clock + 2_500)
-            for stats in (ab, bc):
-                queued = sim.queued_deliveries(stats)
-                assert stats.attempted == stats.delivered + stats.lost + queued
+            for link in (ab, bc):
+                queued = sim.queued_deliveries(link)
+                assert link.attempted == link.delivered + link.lost + queued
                 most_queued = max(most_queued, queued)
         assert most_queued > 0
         sim.run_until(sim.clock + 1_000_000)
         assert (ab.attempted, bc.attempted) == (200, 400)
         assert ab.lost == 0 and bc.lost > 0
-        for stats in (ab, bc):
-            assert stats.attempted == stats.delivered + stats.lost
+        for link in (ab, bc):
+            assert link.attempted == link.delivered + link.lost
         assert sim.queued_deliveries() == 0
-        assert sim.stats.sends == ab.attempted + bc.attempted
-        assert sim.stats.delivered == ab.delivered + bc.delivered
+        stats = sim.stats
+        assert stats.sends == ab.attempted + bc.attempted
+        assert stats.delivered == ab.delivered + bc.delivered
+        assert stats.lost == ab.lost + bc.lost
 
     def test_different_seeds_diverge(self):
         # not guaranteed in principle, overwhelmingly likely at n=1000
