@@ -52,7 +52,7 @@ def main() -> int:
     parser.add_argument("--json", action="store_true", help="print one JSON object instead")
     args = parser.parse_args()
 
-    dictionary = dct.builtin_dictionary()
+    dictionary = dct.BUILTIN_DICTIONARY
     results: dict[str, dict[str, dict[str, float]]] = {}
     for name, (kwargs, msg) in cases().items():
         wire = encode_message(msg)

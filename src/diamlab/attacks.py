@@ -27,8 +27,8 @@ from .codec import (
     encode_message,
     replace_ids,
 )
-from .elements import AttackBoxElement, Element, Lab, result_code_of
-from .peer import build_cer, build_dwr
+from .elements import DEFAULT_QOS_CLASS, AttackBoxElement, Element, Lab, result_code_of
+from .peer import APPLICATION_IDS, build_cer, build_dwr
 from .simnet import CaptureRecord, US_PER_S
 from .taxonomy import TaxonomyLabel
 
@@ -264,26 +264,24 @@ class _FloodDriver:
         ab: AttackBoxElement,
         target: Element,
         count: int,
-        interval_us: int,
+        start: int,
+        rate_tps: float,
         timeout_us: int,
     ):
         self.ab = ab
         self.target = target
         self.count = count
-        self.interval_us = interval_us
+        self.start = start
+        self.rate_tps = rate_tps
         self.timeout_us = timeout_us
         self.offered = 0
         self.sent = 0
         self.answered = 0
         self.latencies: list[int] = []
         self.result_codes: dict[str, int] = {}
-        # Set when run_flood returns: send timers still queued then do nothing.
-        self.stopped = False
 
     def send(self, now: int, i: int) -> None:
         """Send request `i` of the flood and schedule request `i + 1`."""
-        if self.stopped:
-            return
         self.offered += 1
         sim = self.ab.sim
         payload = Avp(code=dct.AVP_ECHO_PAYLOAD, data=i.to_bytes(4, "big"))
@@ -295,7 +293,9 @@ class _FloodDriver:
         if i % self._REAP_EVERY == 0:
             self.reap(now)
         if i + 1 < self.count:
-            sim.schedule_timer(now + self.interval_us, self.send, i + 1)
+            # Rounded from the exact schedule, so the error never adds up over the flood.
+            at = self.start + round((i + 1) * US_PER_S / self.rate_tps)
+            sim.schedule_timer(at, self.send, i + 1)
 
     def sent_before(self, cutoff: float) -> list[int]:
         """Hop-by-hop ids of this flood's unanswered requests sent before `cutoff`.
@@ -337,8 +337,9 @@ def run_flood(lab: Lab, spec: FloodSpec) -> tuple[FloodResult, list[Finding]]:
     sim = lab.sim
     ab = lab.attack_box()
     target = lab.element(spec.target)
-    interval_us = max(1, round(US_PER_S / spec.rate_tps))
-    driver = _FloodDriver(ab, target, spec.count, interval_us, lab.request_timeout_us)
+    driver = _FloodDriver(
+        ab, target, spec.count, sim.clock, spec.rate_tps, lab.config.request_timeout_us
+    )
     sim.schedule_timer(sim.clock, driver.send, 0)
     horizon = (
         sim.clock
@@ -347,8 +348,7 @@ def run_flood(lab: Lab, spec: FloodSpec) -> tuple[FloodResult, list[Finding]]:
         + int(round(spec.settle_grace_s * US_PER_S))
         + 2 * lab.max_latency_us()
     )
-    sim.run_until(horizon)
-    driver.stopped = True
+    sim.run_until(horizon)  # past the last send, so no send timer outlives the run
 
     # Reconcile: anything still pending can no longer be answered.
     ab.forget_pending_many(target.node, driver.sent_before(math.inf))
@@ -415,14 +415,19 @@ def run_intercept(
     """Tap one link, let scenario traffic run, inventory interesting AVPs.
 
     On a protected link the tap stays silent, the inventory stays empty,
-    and no finding is emitted. The captured records are returned so the
-    campaign can persist them as a capture file.
+    and no finding is emitted. The tap comes off the link when the
+    traffic ends, so later traffic on it is neither recorded nor encoded.
+    The captured records are returned so the campaign can persist them
+    as a capture file.
     """
     sim = lab.sim
     a, b = lab.node(spec.link[0]), lab.node(spec.link[1])
     tap = sim.attach_tap(a, b)
-    (traffic if traffic is not None else lab.scenario_traffic)()
-    records = list(tap.records)
+    try:
+        (traffic if traffic is not None else lab.scenario_traffic)()
+    finally:
+        sim.link_between(a, b).taps.remove(tap)
+    records = tap.records
     wanted = set(spec.avp_codes)
     seen: dict[tuple[int, bytes], None] = {}
     decoded = 0
@@ -541,11 +546,11 @@ def seed_corpus(identity: str = "attacker.lab") -> list[tuple[str, Message]]:
                 avps=[
                     txt(dct.AVP_RULE_ID, "seed-rule"),
                     txt(dct.AVP_SUBSCRIBER_ID, "imsi-001001000000001"),
-                    Avp(code=dct.AVP_QOS_CLASS, data=(9).to_bytes(4, "big"), mandatory=True),
+                    Avp(dct.AVP_QOS_CLASS, DEFAULT_QOS_CLASS.to_bytes(4, "big"), mandatory=True),
                 ],
             ),
         ),
-        ("cer", build_cer(identity, [0])),
+        ("cer", build_cer(identity, APPLICATION_IDS)),
         ("dwr", build_dwr(identity)),
     ]
 
@@ -601,7 +606,7 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
             target.node, case, hbh, template.header.command_code, _ignore_answer, sim.clock
         )
         if sent:
-            deadline = sim.clock + lab.request_timeout_us
+            deadline = sim.clock + lab.config.request_timeout_us
             while hbh not in wire_answers:
                 nxt = sim.next_event_at()
                 if nxt is None or nxt > deadline:

@@ -151,16 +151,7 @@ class CampaignRun:
 
 
 def build_lab(config: CampaignConfig) -> Lab:
-    return Lab.build(
-        topology=config.topology,
-        kinds=config.kinds,
-        capacities=config.capacities,
-        subscribers=list(config.subscribers),
-        rules=list(config.rules),
-        seed=config.seed,
-        watchdog_interval_s=config.watchdog_interval_s,
-        request_timeout_s=config.request_timeout_s,
-    )
+    return Lab.build(config)
 
 
 def _derived_seed(campaign_seed: int, attack_index: int) -> int:

@@ -21,7 +21,7 @@ import sys
 from . import dictionary as dct
 from .campaign import CampaignError, Report, render_report, run_campaign
 from .capture import CaptureFormatError, read_capture
-from .codec import Dictionary, Message, ParseError, decode_message, validate_message
+from .codec import Message, ParseError, decode_message, validate_message
 from .config import BUILTIN_CONFIGS, ConfigError, load_config, parse_campaign_config
 
 
@@ -35,7 +35,7 @@ def _flag_string(header) -> str:
     return "".join(name for name, on in flags if on) or "-"
 
 
-def format_message(msg: Message, dictionary: Dictionary) -> str:
+def format_message(msg: Message) -> str:
     h = msg.header
     cmd_name = dct.COMMAND_NAMES.get(h.command_code, "?")
     lines = [
@@ -44,7 +44,7 @@ def format_message(msg: Message, dictionary: Dictionary) -> str:
         f" end_to_end=0x{h.end_to_end_id:08x} length={h.message_length}"
     ]
     for avp in msg.avps:
-        entry = dictionary.lookup(avp.code, avp.vendor_id)
+        entry = dct.BUILTIN_DICTIONARY.lookup(avp.code, avp.vendor_id)
         name = entry.name if entry else "unknown"
         flagbits = "".join(
             b for b, on in (("V", avp.vendor_specific), ("M", avp.mandatory), ("P", avp.protected)) if on
@@ -59,7 +59,7 @@ def format_message(msg: Message, dictionary: Dictionary) -> str:
             f"  avp code={avp.code} ({name}) flags={flagbits}{vendor}"
             f" len={avp.wire_length} data={shown}"
         )
-    violations = validate_message(msg, dictionary)
+    violations = validate_message(msg, dct.BUILTIN_DICTIONARY)
     for v in violations:
         lines.append(f"  violation {v.kind.value} avp_code={v.avp_code} index={v.avp_index}")
     return "\n".join(lines)
@@ -85,7 +85,6 @@ def _cmd_phases(_args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    dictionary = dct.builtin_dictionary()
     if args.hex is not None:
         try:
             data = bytes.fromhex(args.hex.replace(" ", "").replace(":", ""))
@@ -96,7 +95,7 @@ def _cmd_decode(args) -> int:
         if isinstance(msg, ParseError):
             print(f"parse error: {msg.kind.value} at byte offset {msg.offset}", file=sys.stderr)
             return 1
-        print(format_message(msg, dictionary))
+        print(format_message(msg))
         return 0
     try:
         records = read_capture(args.capture)
@@ -109,7 +108,7 @@ def _cmd_decode(args) -> int:
         if isinstance(msg, ParseError):
             print(f"  parse error: {msg.kind.value} at byte offset {msg.offset}")
         else:
-            for line in format_message(msg, dictionary).splitlines():
+            for line in format_message(msg).splitlines():
                 print(f"  {line}")
     return 0
 

@@ -20,9 +20,18 @@ from typing import Callable, Optional, Union
 
 from . import attacks
 from . import dictionary as dct
-from .attacks import ALL_MUTATION_OPS, AttackSpec, FloodSpec, FuzzSpec, InterceptSpec, MutationOp
+from .attacks import AttackSpec, FloodSpec, FuzzSpec, InterceptSpec, MutationOp
 from .codec import U32_MAX
-from .elements import ElementCapacity, ElementKind, Lab, PolicyRule, SubscriberRecord
+from .elements import (
+    DEFAULT_QOS_CLASS,
+    ElementCapacity,
+    ElementKind,
+    Lab,
+    PolicyRule,
+    SubscriberRecord,
+    first_of_kind,
+)
+from .peer import PeerConfig
 from .simnet import US_PER_S, LinkSpec, TopologySpec
 from .taxonomy import Impact, Origin, TaxonomyLabel, Technique
 
@@ -98,15 +107,22 @@ def _get_float(sec: Section, key: str, source: str, default: Optional[float] = N
     return value
 
 
-def _get_interval(sec: Section, key: str, source: str, default: float) -> float:
-    """A time in seconds that the simulation's microsecond clock can wait out."""
-    value = _get_float(sec, key, source, default)
-    us = value * US_PER_S
+def _get_interval_us(sec: Section, key: str, source: str, default_us: int) -> int:
+    """A time given in seconds, as the whole microseconds the simulation's clock waits out."""
+    if key not in sec.values:
+        return default_us
+    us = _get_float(sec, key, source) * US_PER_S
     if not math.isfinite(us):
         raise ConfigError(f"{source}:{sec.where(key)}: {key} is too large")
-    if round(us) < 1:  # the elements round to whole microseconds
+    us = round(us)
+    if us < 1:
         raise ConfigError(f"{source}:{sec.where(key)}: {key} must be at least 1 microsecond")
-    return value
+    return us
+
+
+def _check_seed(seed: int, where: str) -> None:
+    if not 0 <= seed <= MAX_SEED:
+        raise ConfigError(f"{where}: seed {seed} must fit in 64 bits")
 
 
 def _get_bool(sec: Section, key: str, source: str, default: bool = False) -> bool:
@@ -141,8 +157,8 @@ class CampaignConfig:
     subscribers: tuple[SubscriberRecord, ...]
     rules: tuple[PolicyRule, ...]
     attacks: tuple[AttackSpec, ...]
-    watchdog_interval_s: float
-    request_timeout_s: float
+    watchdog_interval_us: int
+    request_timeout_us: int
 
     def echo_dict(self) -> dict:
         """Configuration echo embedded in reports (resolved, deterministic)."""
@@ -151,8 +167,8 @@ class CampaignConfig:
             "phase": self.phase,
             "seed": self.seed,
             "output": self.output_path,
-            "watchdog_interval_s": self.watchdog_interval_s,
-            "request_timeout_s": self.request_timeout_s,
+            "watchdog_interval_s": self.watchdog_interval_us / US_PER_S,
+            "request_timeout_s": self.request_timeout_us / US_PER_S,
             "nodes": [
                 {
                     "label": label,
@@ -182,6 +198,12 @@ class CampaignConfig:
 
 
 _KIND_NAMES = {k.value: k for k in ElementKind}
+# [node] keys, named as the ElementCapacity fields they set
+_CAPACITY_KEYS = (
+    ("service_rate", _get_float),
+    ("queue_capacity", _get_int),
+    ("failure_threshold_s", _get_float),
+)
 _CORE_KINDS = {ElementKind.HSS, ElementKind.MME, ElementKind.PCRF}
 
 
@@ -222,7 +244,7 @@ def _parse_flood(sec: Section, source: str, labels: dict[str, ElementKind]) -> F
     target = _target(sec, source, labels)
     rate = _require(sec, "rate_tps", source, _get_float)
     duration = _require(sec, "duration_s", source, _get_float)
-    ratio = _get_float(sec, "degraded_threshold", source, 0.95)
+    ratio = _get_float(sec, "degraded_threshold", source, FloodSpec.degraded_answer_ratio)
     try:
         return FloodSpec(
             target=target, rate_tps=rate, duration_s=duration, degraded_answer_ratio=ratio
@@ -239,12 +261,12 @@ def _parse_intercept(sec: Section, source: str, labels: dict[str, ElementKind]) 
         if label not in labels:
             raise ConfigError(f"{source}:{sec.where('link')}: unknown node {label!r}")
     codes = []
-    builtin = dct.builtin_dictionary()
+    code_for_name = dct.BUILTIN_DICTIONARY.code_for_name
     where = f"{source}:{sec.where('avp_codes')}"
     for item in _require(sec, "avp_codes", source).split(","):
         item = item.strip()
         # isascii: str.isdigit() also accepts digits that int() refuses, such as "²"
-        code = int(item) if item.isascii() and item.isdigit() else builtin.code_for_name(item)
+        code = int(item) if item.isascii() and item.isdigit() else code_for_name(item)
         if code is None:
             raise ConfigError(f"{where}: unknown AVP name {item!r}")
         if code > U32_MAX:
@@ -255,7 +277,7 @@ def _parse_intercept(sec: Section, source: str, labels: dict[str, ElementKind]) 
 
 def _parse_fuzz(sec: Section, source: str, labels: dict[str, ElementKind]) -> FuzzSpec:
     target = _target(sec, source, labels)
-    ops: tuple[MutationOp, ...] = ALL_MUTATION_OPS
+    ops: tuple[MutationOp, ...] = FuzzSpec.ops
     if "ops" in sec.values:
         names = [o.strip() for o in sec.values["ops"].split(",") if o.strip()]
         try:
@@ -264,6 +286,8 @@ def _parse_fuzz(sec: Section, source: str, labels: dict[str, ElementKind]) -> Fu
             raise ConfigError(f"{source}:{sec.where('ops')}: {exc}") from None
     cases = _require(sec, "cases", source, _get_int)
     seed = _get_int(sec, "seed", source, None)
+    if seed is not None:
+        _check_seed(seed, f"{source}:{sec.where('seed')}")
     try:
         return FuzzSpec(target=target, case_count=cases, ops=ops, seed=seed)
     except ValueError as exc:
@@ -282,17 +306,12 @@ def _taps_target_server(spec: InterceptSpec, kinds: dict[str, ElementKind]) -> O
     return None
 
 
-def _first_of_kind(config: CampaignConfig, kind: ElementKind) -> Optional[str]:
-    """The first node of `kind` in node order: the one `Lab.first_of_kind` picks."""
-    return next((label for label, k in config.kinds.items() if k is kind), None)
-
-
 def _linked(config: CampaignConfig, a: Optional[str], b: Optional[str]) -> bool:
     return any({link.a, link.b} == {a, b} for link in config.topology.links)
 
 
 def _sent_from_attack_box(spec: FloodSpec | FuzzSpec, config: CampaignConfig) -> Optional[str]:
-    box = _first_of_kind(config, ElementKind.ATTACK_BOX)
+    box = first_of_kind(config.kinds, ElementKind.ATTACK_BOX)
     if box is None:
         return f"{spec.kind} needs an AttackBox node to send from"
     if spec.target == box:
@@ -308,11 +327,11 @@ def _intercept_path_error(spec: InterceptSpec, config: CampaignConfig) -> Option
     a, b = spec.link
     if not _linked(config, a, b):
         return f"intercept link {a!r} <-> {b!r} is not a declared link"
-    mme = _first_of_kind(config, ElementKind.MME)
+    mme = first_of_kind(config.kinds, ElementKind.MME)
     if mme is None or not config.subscribers:
         return None
     for kind in (ElementKind.HSS, ElementKind.PCRF):
-        if not _linked(config, mme, _first_of_kind(config, kind)):
+        if not _linked(config, mme, first_of_kind(config.kinds, kind)):
             return (
                 f"intercept traffic attaches subscribers through MME {mme!r},"
                 f" which has no link to a node of kind {kind.value}"
@@ -413,8 +432,7 @@ def parse_campaign_config(
                 " (campaigns are reproducible; there is no wall-clock default)"
             )
         where = f"{source}:{camp.where('seed')}"
-    if not 0 <= seed <= MAX_SEED:
-        raise ConfigError(f"{where}: seed {seed} must fit in 64 bits")
+    _check_seed(seed, where)
     output_path = camp.values.get("output", "campaign-out")
 
     # `topology = <builtin>` splices the named built-in's topology sections.
@@ -455,15 +473,9 @@ def parse_campaign_config(
                     f"{source}:{sec.where('kind')}: unknown element kind {kind_name!r}"
                 )
             kinds[label] = _KIND_NAMES[kind_name]
-            service_rate = _get_float(sec, "service_rate", source, 1000.0)
-            queue_capacity = _get_int(sec, "queue_capacity", source, 100)
-            failure_threshold_s = _get_float(sec, "failure_threshold_s", source, 3600.0)
+            given = {key: get(sec, key, source) for key, get in _CAPACITY_KEYS if key in sec.values}
             try:
-                capacities[label] = ElementCapacity(
-                    service_rate=service_rate,
-                    queue_capacity=queue_capacity,
-                    failure_threshold_s=failure_threshold_s,
-                )
+                capacities[label] = ElementCapacity(**given)  # its defaults fill the rest
             except ValueError as exc:
                 raise ConfigError(f"{source}:{sec.line}: {exc}") from None
             nodes.append(label)
@@ -487,9 +499,9 @@ def parse_campaign_config(
                     f" (first declared on line {link_lines[pair]})"
                 )
             link_lines[pair] = sec.line
-            latency_ms = _get_float(sec, "latency_ms", source, 10.0)
-            loss = _get_float(sec, "loss", source, 0.0)
-            protected = _get_bool(sec, "protected", source, False)
+            latency_ms = _get_float(sec, "latency_ms", source, LinkSpec.latency_ms)
+            loss = _get_float(sec, "loss", source, LinkSpec.loss_probability)
+            protected = _get_bool(sec, "protected", source, LinkSpec.protected)
             try:
                 links.append(LinkSpec(a, b, latency_ms, loss, protected))
             except ValueError as exc:
@@ -522,7 +534,7 @@ def parse_campaign_config(
                 PolicyRule(
                     rule_id=rule_id,
                     subscriber_id=_require(sec, "subscriber", source),
-                    qos_class=_get_int(sec, "qos_class", source, 9),
+                    qos_class=_get_int(sec, "qos_class", source, DEFAULT_QOS_CLASS),
                 )
             )
         elif sec.kind == "attack":
@@ -542,8 +554,10 @@ def parse_campaign_config(
         subscribers=tuple(subscribers),
         rules=tuple(rules),
         attacks=tuple(_parse_attack(s, source, kinds) for s in attack_secs),
-        watchdog_interval_s=_get_interval(camp, "watchdog_interval_s", source, 30.0),
-        request_timeout_s=_get_interval(camp, "request_timeout_s", source, 2.0),
+        watchdog_interval_us=_get_interval_us(
+            camp, "watchdog_interval_s", source, PeerConfig.watchdog_interval_us
+        ),
+        request_timeout_us=_get_interval_us(camp, "request_timeout_s", source, 2 * US_PER_S),
     )
     _validate_phase(config, source)
     for sec, spec in zip(attack_secs, config.attacks):

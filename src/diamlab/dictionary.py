@@ -90,8 +90,8 @@ def parse_dictionary(text: str, source: str = "<builtin>") -> Dictionary:
     return Dictionary(entries=entries)
 
 
-def builtin_dictionary() -> Dictionary:
-    return parse_dictionary(BUILTIN_DICTIONARY_TEXT)
+# Parsed once, at import: every element validates against this value.
+BUILTIN_DICTIONARY = parse_dictionary(BUILTIN_DICTIONARY_TEXT)
 
 
 RESULT_NAMES = {

@@ -24,13 +24,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional
 
 from . import dictionary as dct
 from .codec import (
     U32_MAX,
     Avp,
-    Dictionary,
     Message,
     ParseError,
     ViolationKind,
@@ -61,7 +60,10 @@ from .peer import (
     register_request,
     result_code_avp,
 )
-from .simnet import NodeId, Simulation, TopologySpec, US_PER_S, build_topology
+from .simnet import NodeId, Simulation, US_PER_S, build_topology
+
+if TYPE_CHECKING:
+    from .config import CampaignConfig
 
 TPS_PER_MILLION_SUBSCRIBERS = 235_000
 DEFAULT_QOS_CLASS = 9
@@ -86,6 +88,12 @@ class ElementKind(Enum):
     MME = "MME"
     PCRF = "PCRF"
     ATTACK_BOX = "AttackBox"
+
+
+def first_of_kind(kinds: Mapping[str, ElementKind], kind: ElementKind) -> Optional[str]:
+    """The label of the node that plays `kind`'s role in a lab: the first node
+    of that kind in node order (`kinds` maps labels to kinds in that order)."""
+    return next((label for label, k in kinds.items() if k is kind), None)
 
 
 # Lower value opens the peer connection on a link.
@@ -216,14 +224,12 @@ class Element:
         self,
         node: NodeId,
         sim: Simulation,
-        dictionary: Dictionary,
         capacity: ElementCapacity,
         peer_config: PeerConfig,
         request_timeout_us: int,
     ):
         self.node = node
         self.sim = sim
-        self.dictionary = dictionary
         self.capacity = capacity
         self.peer_config = peer_config
         self.request_timeout_us = request_timeout_us
@@ -325,7 +331,7 @@ class Element:
     def on_decoded(self, src: NodeId, msg: Message, now: int) -> None:
         """Validate a decoded inbound message and feed it to the peer FSM."""
         if msg.header.request:
-            violations = validate_message(msg, self.dictionary)
+            violations = validate_message(msg, dct.BUILTIN_DICTIONARY)
             if violations:
                 self.validation_rejects += 1
                 if any(v.kind is ViolationKind.UNSUPPORTED_MANDATORY_AVP for v in violations):
@@ -491,7 +497,7 @@ class HssElement(Element):
         super().__init__(*args, **kwargs)
         self.store: dict[str, SubscriberRecord] = {}
 
-    def seed_subscribers(self, subscribers: list[SubscriberRecord]) -> None:
+    def seed_subscribers(self, subscribers: Iterable[SubscriberRecord]) -> None:
         for sub in subscribers:
             if sub.subscriber_id in self.store:
                 raise ValueError(f"duplicate subscriber id {sub.subscriber_id!r}")
@@ -545,7 +551,7 @@ class PcrfElement(Element):
         super().__init__(*args, **kwargs)
         self.rules: dict[str, PolicyRule] = {}
 
-    def seed_rules(self, rules: list[PolicyRule]) -> None:
+    def seed_rules(self, rules: Iterable[PolicyRule]) -> None:
         for rule in rules:
             if rule.rule_id in self.rules:
                 raise ValueError(f"duplicate rule id {rule.rule_id!r}")
@@ -711,75 +717,44 @@ class LabError(RuntimeError):
 
 
 class Lab:
-    """A running testbed: simulation plus the elements wired onto it."""
+    """A running testbed: the simulation and the elements its config wires onto it."""
 
-    def __init__(
-        self,
-        sim: Simulation,
-        elements: dict[str, Element],
-        dictionary: Dictionary,
-        subscribers: list[SubscriberRecord],
-        request_timeout_us: int,
-    ):
+    def __init__(self, config: CampaignConfig, sim: Simulation, elements: dict[str, Element]):
+        self.config = config
         self.sim = sim
         self.elements = elements
-        self.dictionary = dictionary
-        self.subscribers = subscribers
-        self.request_timeout_us = request_timeout_us
 
     @classmethod
-    def build(
-        cls,
-        topology: TopologySpec,
-        kinds: dict[str, ElementKind],
-        capacities: dict[str, ElementCapacity],
-        subscribers: list[SubscriberRecord],
-        rules: list[PolicyRule],
-        seed: int,
-        watchdog_interval_s: float,
-        request_timeout_s: float,
-    ) -> "Lab":
-        sim = build_topology(topology, seed=seed)
-        dictionary = dct.builtin_dictionary()
-        timeout_us = int(round(request_timeout_s * US_PER_S))
+    def build(cls, config: CampaignConfig) -> Lab:
+        sim = build_topology(config.topology, seed=config.seed)
         elements: dict[str, Element] = {}
         for node in sim.nodes:
-            kind = kinds.get(node.label)
-            if kind is None:
-                raise LabError(f"node {node.label!r} has no element kind")
-            peer_config = PeerConfig(
-                identity=f"{node.label}.lab",
-                watchdog_interval_us=int(round(watchdog_interval_s * US_PER_S)),
-            )
-            elem = _ELEMENT_CLASSES[kind](
+            elem = _ELEMENT_CLASSES[config.kinds[node.label]](
                 node,
                 sim,
-                dictionary,
-                capacity=capacities[node.label],
-                peer_config=peer_config,
-                request_timeout_us=timeout_us,
+                capacity=config.capacities[node.label],
+                peer_config=PeerConfig(f"{node.label}.lab", config.watchdog_interval_us),
+                request_timeout_us=config.request_timeout_us,
             )
             elements[node.label] = elem
             sim.register_handler(node, elem)
         for link in sim.links.values():
-            ea = elements[link.a.label]
-            eb = elements[link.b.label]
-            ea.add_link(link.b)
-            eb.add_link(link.a)
-        hss = next((e for e in elements.values() if isinstance(e, HssElement)), None)
-        pcrf = next((e for e in elements.values() if isinstance(e, PcrfElement)), None)
+            elements[link.a.label].add_link(link.b)
+            elements[link.b.label].add_link(link.a)
+        lab = cls(config, sim, elements)
+        hss = lab._role(ElementKind.HSS)
+        pcrf = lab._role(ElementKind.PCRF)
+        mme = lab._role(ElementKind.MME)
         if hss is not None:
-            hss.seed_subscribers(subscribers)
+            hss.seed_subscribers(config.subscribers)
         if pcrf is not None:
-            pcrf.seed_rules(rules)
+            pcrf.seed_rules(config.rules)
+        if mme is not None:
+            mme.hss_node = hss.node if hss is not None else None
+            mme.pcrf_node = pcrf.node if pcrf is not None else None
         for elem in elements.values():
-            if isinstance(elem, MmeElement):
-                if hss is not None:
-                    elem.hss_node = hss.node
-                if pcrf is not None:
-                    elem.pcrf_node = pcrf.node
             elem.start_sampler()
-        return cls(sim, elements, dictionary, list(subscribers), timeout_us)
+        return lab
 
     # -- lookups ------------------------------------------------------------
 
@@ -792,15 +767,17 @@ class Lab:
     def node(self, label: str) -> NodeId:
         return self.element(label).node
 
-    def first_of_kind(self, kind: ElementKind) -> Optional[Element]:
-        for node in self.sim.nodes:  # node order, deterministic
-            elem = self.elements[node.label]
-            if elem.kind is kind:
-                return elem
-        return None
+    def _role(self, kind: ElementKind) -> Optional[Element]:
+        """The element that plays `kind`'s role (see `first_of_kind`), or None if there is none.
+
+        The roles: the attack box, the MME and the HSS and PCRF it attaches
+        through, and the target server that echo probes go to.
+        """
+        label = first_of_kind(self.config.kinds, kind)
+        return None if label is None else self.elements[label]
 
     def attack_box(self) -> AttackBoxElement:
-        elem = self.first_of_kind(ElementKind.ATTACK_BOX)
+        elem = self._role(ElementKind.ATTACK_BOX)
         if elem is None:
             raise LabError("topology has no AttackBox element")
         return elem
@@ -838,12 +815,13 @@ class Lab:
     # -- scenario traffic ----------------------------------------------------------
 
     def attach_subscriber(self, subscriber: SubscriberRecord) -> AttachResult:
-        mme = self.first_of_kind(ElementKind.MME)
+        mme = self._role(ElementKind.MME)
         if mme is None:
             raise LabError("attach scenario requires an MME element")
         sim = self.sim
         run = mme.start_attach(subscriber.subscriber_id, subscriber.location, sim.clock)
-        deadline = sim.clock + 3 * (self.request_timeout_us + 2 * self.max_latency_us()) + US_PER_S
+        timeout_us = self.config.request_timeout_us
+        deadline = sim.clock + 3 * (timeout_us + 2 * self.max_latency_us()) + US_PER_S
         while run.success is None:
             nxt = sim.next_event_at()
             if nxt is None or nxt > deadline:
@@ -855,13 +833,13 @@ class Lab:
         return run
 
     def attach_all(self) -> list[AttachResult]:
-        return [self.attach_subscriber(sub) for sub in self.subscribers]
+        return [self.attach_subscriber(sub) for sub in self.config.subscribers]
 
     def echo_probes(self, count: int = 3) -> None:
         """Minimal background traffic when there is no core to attach against:
         the first AttackBox echoes the first TargetServer, if they are linked."""
-        ab = self.first_of_kind(ElementKind.ATTACK_BOX)
-        target = self.first_of_kind(ElementKind.TARGET_SERVER)
+        ab = self._role(ElementKind.ATTACK_BOX)
+        target = self._role(ElementKind.TARGET_SERVER)
         if ab is None or target is None or self.sim.link_between(ab.node, target.node) is None:
             return
         sim = self.sim
@@ -872,7 +850,7 @@ class Lab:
             sim.run_until(sim.clock + rtt)
 
     def scenario_traffic(self) -> None:
-        if self.first_of_kind(ElementKind.MME) is not None and self.subscribers:
+        if self._role(ElementKind.MME) is not None and self.config.subscribers:
             self.attach_all()
         else:
             self.echo_probes()

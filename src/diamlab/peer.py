@@ -174,12 +174,16 @@ class PeerAction:
         _set(self, "pending", pending)
 
 
+# What every peer advertises in its CER, and how many watchdog periods in a
+# row may pass without a DWA before it closes the link.
+APPLICATION_IDS = (0,)
+MISSED_DWA_LIMIT = 2
+
+
 @dataclass(frozen=True)
 class PeerConfig:
     identity: str = "peer.lab"
-    application_ids: tuple[int, ...] = (0,)
     watchdog_interval_us: int = 30 * US_PER_S
-    missed_dwa_limit: int = 2
 
 
 DEFAULT_CONFIG = PeerConfig()
@@ -328,7 +332,7 @@ def handle_event(
 
     if kind is EventKind.CONN_ACK:
         if phase is Phase.WAIT_CONN_ACK:
-            cer = build_cer(config.identity, config.application_ids)
+            cer = build_cer(config.identity, APPLICATION_IDS)
             new = replace(state, phase=Phase.WAIT_CEA)
             return new, [PeerAction(ActionKind.SEND_CER, message=cer)]
         return _ignore(state, event)
@@ -394,7 +398,7 @@ def handle_event(
             return _ignore(state, event)  # stale timer from a renewed deadline
         if state.dwr_outstanding:
             missed = state.missed_dwas + 1
-            if missed >= config.missed_dwa_limit:
+            if missed >= MISSED_DWA_LIMIT:
                 new = replace(state, phase=Phase.CLOSED, dwr_outstanding=False)
                 return new, [PeerAction(ActionKind.CLOSE_LINK)]
         else:

@@ -1,6 +1,7 @@
 """Attack engine: mutation operators, flood/intercept/fuzz runners."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -98,7 +99,7 @@ class TestMutationOps:
         mutated = mutate(sample_bytes(), MutationOp.SET_MANDATORY_UNKNOWN_AVP, draw)
         msg = decode_message(mutated)
         assert isinstance(msg, Message)
-        violations = validate_message(msg, dct.builtin_dictionary())
+        violations = validate_message(msg, dct.BUILTIN_DICTIONARY)
         assert any(v.kind is ViolationKind.UNSUPPORTED_MANDATORY_AVP for v in violations)
 
     @given(draw=st.integers(0, 2**32 - 1))
@@ -131,7 +132,7 @@ class TestMutationOps:
             assert isinstance(out, bytes)
 
     def test_seed_corpus_is_valid_and_clean(self):
-        d = dct.builtin_dictionary()
+        d = dct.BUILTIN_DICTIONARY
         for name, msg in seed_corpus():
             encoded = encode_message(msg)
             decoded = decode_message(encoded)
@@ -200,12 +201,50 @@ class TestFlood:
 
     def test_send_timers_left_by_a_flood_do_not_feed_the_next(self):
         _, lab = make_lab(duo_lab_text(queue_capacity=0, latency_ms=0.1))
-        # 1 us between 1,500 sends: the run ends while send timers are still queued
+        # 1,500 sends within 1 ms and no settling time: the run ends just after the last
         first = FloodSpec(target="target", rate_tps=1.5e6, duration_s=0.001, settle_grace_s=0)
         result, _ = run_flood(lab, first)
-        assert result.offered < 1500
+        assert result.offered == 1500
         second, _ = run_flood(lab, FloodSpec(target="target", rate_tps=100, duration_s=0.05))
         assert second.offered == 5 and second.sent == 5
+
+    @pytest.mark.parametrize("rate", [235_000, 600_000])
+    def test_sends_keep_the_configured_rate(self, rate, monkeypatch):
+        # neither rate is a whole number of microseconds apart: 4.26 us and 1.67 us
+        _, lab = make_lab(duo_lab_text())
+        ab = lab.attack_box()
+        sent_at = []
+        send = ab.send_app_request
+
+        def record(dst, command_code, avps, on_answer, now):
+            sent_at.append(now)
+            return send(dst, command_code, avps, on_answer, now)
+
+        monkeypatch.setattr(ab, "send_app_request", record)
+        start = lab.sim.clock
+        spec = FloodSpec(target="target", rate_tps=rate, duration_s=0.01)
+        result, _ = run_flood(lab, spec)
+        assert len(sent_at) == result.offered == spec.count
+        assert sent_at[0] == start
+        assert sent_at[-1] == start + round((spec.count - 1) * 10**6 / rate)
+
+    @given(
+        count=st.integers(1, 1500),
+        rate=st.floats(0.5, 2e6),
+        slack=st.floats(-0.49, 0.49),
+        grace=st.sampled_from([0.0, 2.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_no_send_timer_outlives_the_flood(self, count, rate, slack, grace):
+        # the tightest horizon: no queue to drain, no latency, optionally no settling
+        _, lab = make_lab(duo_lab_text(queue_capacity=0, latency_ms=0))
+        spec = FloodSpec(
+            target="target", rate_tps=rate, duration_s=(count + slack) / rate, settle_grace_s=grace
+        )
+        result, _ = run_flood(lab, spec)
+        assert result.offered == spec.count
+        timers = [e[3] for e in lab.sim._queue if e[2] is None]
+        assert [t for t in timers if getattr(t, "__func__", None) is _FloodDriver.send] == []
 
     def test_no_false_outage(self):
         _, lab = make_lab(duo_lab_text(service_rate=1000, queue_capacity=100))
@@ -266,7 +305,7 @@ class TestFloodReap:
     def test_fifo_reap_matches_brute_force_scan(self, history):
         gaps, answered, foreign_at, timeout, waits = history
         box = _StubBox()
-        driver = _FloodDriver(box, box, count=len(gaps) + 1, interval_us=1, timeout_us=timeout)
+        driver = _FloodDriver(box, box, len(gaps) + 1, start=0, rate_tps=1e6, timeout_us=timeout)
         now = 0
         for i, gap in enumerate(gaps, start=1):  # index 0 would trigger a scheduled reap
             now += gap
@@ -295,7 +334,7 @@ class TestFloodReap:
 
     def test_reconcile_forgets_every_flood_entry_and_only_those(self):
         box = _StubBox()
-        driver = _FloodDriver(box, box, count=10, interval_us=1, timeout_us=10**9)
+        driver = _FloodDriver(box, box, 10, start=0, rate_tps=1e6, timeout_us=10**9)
         for i in (1, 2, 3):
             driver.send(i, i)
         foreign = box.send_app_request(None, dct.CMD_ECHO, [], None, 4)
@@ -368,6 +407,30 @@ class TestIntercept:
             for avp in msg.avps:
                 if avp.code == dct.AVP_LOCATION:
                     assert avp.data in inventoried
+
+    def test_tap_comes_off_the_link_when_the_intercept_returns(self, monkeypatch):
+        _, lab = make_lab(duo_lab_text())
+        link = lab.sim.link_between(lab.node("attacker"), lab.node("target"))
+        spec = InterceptSpec(link=("attacker", "target"), avp_codes=(dct.AVP_ECHO_PAYLOAD,))
+        result, findings, records = run_intercept(lab, spec)
+        assert link.taps == []
+        # three echo probes and their answers
+        assert result.records_captured == result.records_decoded == len(records) == 6
+        assert [e["value_text"] for e in result.inventory] == ["probe-0", "probe-1", "probe-2"]
+        assert len(findings) == 1
+
+        target = lab.element("target")
+        received = Counter()
+        on_message = target.on_message
+
+        def spy(sim, src, payload, now):
+            received[type(payload).__name__] += 1
+            on_message(sim, src, payload, now)
+
+        monkeypatch.setattr(target, "on_message", spy)
+        flood, _ = run_flood(lab, FloodSpec(target="target", rate_tps=1000, duration_s=0.05))
+        assert received == {"Message": flood.offered}
+        assert len(records) == 6
 
     def test_echo_traffic_fallback_without_core(self):
         _, lab = make_lab(duo_lab_text())

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -30,6 +31,7 @@ from diamlab.taxonomy import Impact, Origin, TaxonomyLabel, Technique
 from tests.labs import core_lab_text, duo_lab_text, make_lab
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 ECHO_HEX = encode_message(
     build_message(dct.CMD_ECHO, request=True, avps=[Avp(code=dct.AVP_ECHO_PAYLOAD, data=b"hi")])
 ).hex()
@@ -221,6 +223,17 @@ class TestDeterminism:
         assert (tmp_path / "here" / "report.json").read_bytes() == (
             tmp_path / "there" / "report.json"
         ).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["phase1", "phase2"])
+def test_builtin_outputs_match_golden_digests(name, tmp_path):
+    """Every file a built-in campaign writes has the SHA-256 the benchmark pins."""
+    golden = json.loads(GOLDEN.read_text())[name]
+    config = load_config(name)
+    assert golden["seed"] == config.seed
+    run_campaign(config, out_dir=str(tmp_path))
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == golden["digests"]
 
 
 class TestReportRendering:

@@ -284,7 +284,8 @@ def test_campaign_interval_under_one_microsecond_is_a_located_config_error(key, 
 @pytest.mark.parametrize("key", ["watchdog_interval_s", "request_timeout_s"])
 def test_campaign_interval_bounds(key):
     shortest = parse_campaign_config(FLOOD_LAB.replace("seed = 7", f"seed = 7\n{key} = 0.000001"))
-    assert getattr(shortest, key) == 0.000001
+    assert getattr(shortest, key.removesuffix("_s") + "_us") == 1
+    assert shortest.echo_dict()[key] == 0.000001
     with pytest.raises(ConfigError, match=rf"^<config>:5: {key} is too large$"):
         parse_campaign_config(FLOOD_LAB.replace("seed = 7", f"seed = 7\n{key} = 1e303"))
 
@@ -295,6 +296,26 @@ def test_out_of_range_seed_override_names_the_flag(seed):
         load_config("phase1", seed_override=seed)
     with pytest.raises(ConfigError, match=rf"^<config>:4: seed {seed} must fit in 64 bits$"):
         parse_campaign_config(FLOOD_LAB.replace("seed = 7", f"seed = {seed}"))
+
+
+def _fuzz_with_seed(seed: int) -> str:
+    return minimal() + f"\n[attack fuzz]\ntarget = target\ncases = 1\nseed = {seed}\n"
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_fuzz_seed_names_its_line(seed):
+    # random.Random(-5) draws what random.Random(5) draws: a negative seed would
+    # repeat another seed's cases under a different name
+    text = _fuzz_with_seed(seed)
+    line = text.splitlines().index(f"seed = {seed}") + 1
+    with pytest.raises(ConfigError, match=rf"^<config>:{line}: seed {seed} must fit in 64 bits$"):
+        parse_campaign_config(text)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_fuzz_seed_bounds_are_accepted(seed):
+    (spec,) = parse_campaign_config(_fuzz_with_seed(seed)).attacks
+    assert spec.seed == seed
 
 
 def test_config_file_that_is_not_utf8_names_the_file(tmp_path):

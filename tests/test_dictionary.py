@@ -4,8 +4,8 @@ import pytest
 
 from diamlab import dictionary as dct
 from diamlab.dictionary import (
+    BUILTIN_DICTIONARY,
     DictionaryError,
-    builtin_dictionary,
     parse_dictionary,
 )
 
@@ -27,7 +27,7 @@ class TestBuiltin:
         assert dct.RESULT_DUPLICATE_RULE == 5100
 
     def test_builtin_entries(self):
-        d = builtin_dictionary()
+        d = BUILTIN_DICTIONARY
         origin = d.lookup(dct.AVP_ORIGIN_HOST)
         assert origin.name == "origin-host"
         assert origin.data_format == "utf8-text"
@@ -37,7 +37,7 @@ class TestBuiltin:
         assert d.lookup(424242) is None
 
     def test_name_lookup(self):
-        d = builtin_dictionary()
+        d = BUILTIN_DICTIONARY
         assert d.code_for_name("location") == dct.AVP_LOCATION
         assert d.code_for_name("nope") is None
 

@@ -300,12 +300,12 @@ class TestAttachFlow:
         }
 
     def test_hss_failure_times_out_the_attach(self):
-        _, lab = make_lab(core_lab_text())
+        config, lab = make_lab(core_lab_text())
         lab.element("hss").failed = True
-        result = lab.attach_subscriber(lab.subscribers[0])
+        result = lab.attach_subscriber(config.subscribers[0])
         assert result.success is False
         assert result.reason == "timeout"
-        assert result.finished_at - result.started_at >= lab.request_timeout_us
+        assert result.finished_at - result.started_at >= config.request_timeout_us
 
     def test_timed_out_step_leaves_no_pending_entry(self):
         text = core_lab_text().replace(
