@@ -35,19 +35,20 @@ def _flag_string(header) -> str:
     return "".join(name for name, on in flags if on) or "-"
 
 
-def format_message(msg: Message) -> str:
+def format_message(msg: Message, length: int) -> str:
+    """`msg`, decoded from `length` bytes, one line per header and AVP."""
     h = msg.header
     cmd_name = dct.COMMAND_NAMES.get(h.command_code, "?")
     lines = [
         f"message command={h.command_code} ({cmd_name}) flags={_flag_string(h)}"
         f" app={h.application_id} hop_by_hop=0x{h.hop_by_hop_id:08x}"
-        f" end_to_end=0x{h.end_to_end_id:08x} length={h.message_length}"
+        f" end_to_end=0x{h.end_to_end_id:08x} length={length}"
     ]
     for avp in msg.avps:
         entry = dct.BUILTIN_DICTIONARY.lookup(avp.code, avp.vendor_id)
         name = entry.name if entry else "unknown"
         flagbits = "".join(
-            b for b, on in (("V", avp.vendor_specific), ("M", avp.mandatory), ("P", avp.protected)) if on
+            b for b, on in (("V", avp.vendor_id is not None), ("M", avp.mandatory), ("P", avp.protected)) if on
         ) or "-"
         vendor = f" vendor={avp.vendor_id}" if avp.vendor_id is not None else ""
         try:
@@ -95,7 +96,7 @@ def _cmd_decode(args) -> int:
         if isinstance(msg, ParseError):
             print(f"parse error: {msg.kind.value} at byte offset {msg.offset}", file=sys.stderr)
             return 1
-        print(format_message(msg))
+        print(format_message(msg, len(data)))
         return 0
     try:
         records = read_capture(args.capture)
@@ -108,7 +109,7 @@ def _cmd_decode(args) -> int:
         if isinstance(msg, ParseError):
             print(f"  parse error: {msg.kind.value} at byte offset {msg.offset}")
         else:
-            for line in format_message(msg).splitlines():
+            for line in format_message(msg, len(rec.data)).splitlines():
                 print(f"  {line}")
     return 0
 

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Optional, Union
 
+_VERSION = 1  # the only Diameter version (RFC 6733)
 HEADER_LEN = 20
 AVP_HEADER_LEN = 8
 MAX_MESSAGE_LEN = 0xFFFFFF
@@ -76,7 +77,7 @@ _set = object.__setattr__
 
 
 class CodecError(ValueError):
-    """A Message value cannot be put on the wire (range or flag contradiction)."""
+    """A Message value cannot be put on the wire (a field out of range)."""
 
 
 class ParseErrorKind(Enum):
@@ -106,19 +107,13 @@ class ParseError:
 
 @dataclass(frozen=True, slots=True, init=False)
 class Avp:
-    """One attribute-value pair.
-
-    vendor_specific defaults to "derived from vendor_id" so the common
-    construction stays one-liner; pass it explicitly only to build a
-    deliberately contradictory AVP (which encode_message rejects).
-    """
+    """One attribute-value pair. The V flag is set exactly when vendor_id is not None."""
 
     code: int
     data: bytes = b""
     vendor_id: Optional[int] = None
     mandatory: bool = False
     protected: bool = False
-    vendor_specific: Optional[bool] = None
 
     def __init__(
         self,
@@ -127,23 +122,17 @@ class Avp:
         vendor_id: Optional[int] = None,
         mandatory: bool = False,
         protected: bool = False,
-        vendor_specific: Optional[bool] = None,
     ) -> None:
         _set(self, "code", code)
         _set(self, "data", data)
         _set(self, "vendor_id", vendor_id)
         _set(self, "mandatory", mandatory)
         _set(self, "protected", protected)
-        _set(
-            self,
-            "vendor_specific",
-            vendor_id is not None if vendor_specific is None else vendor_specific,
-        )
 
     @property
     def wire_length(self) -> int:
         """Declared AVP length: header + data, excluding padding."""
-        base = AVP_HEADER_LEN + (4 if self.vendor_specific else 0)
+        base = AVP_HEADER_LEN if self.vendor_id is None else AVP_HEADER_LEN + 4
         return base + len(self.data)
 
 
@@ -157,8 +146,6 @@ class MessageHeader:
     proxiable: bool = False
     error: bool = False
     retransmit: bool = False
-    version: int = 1
-    message_length: int = 0
 
     def __init__(
         self,
@@ -170,8 +157,6 @@ class MessageHeader:
         proxiable: bool = False,
         error: bool = False,
         retransmit: bool = False,
-        version: int = 1,
-        message_length: int = 0,
     ) -> None:
         _set(self, "command_code", command_code)
         _set(self, "application_id", application_id)
@@ -181,8 +166,6 @@ class MessageHeader:
         _set(self, "proxiable", proxiable)
         _set(self, "error", error)
         _set(self, "retransmit", retransmit)
-        _set(self, "version", version)
-        _set(self, "message_length", message_length)
 
     @property
     def flags_byte(self) -> int:
@@ -216,29 +199,27 @@ def build_message(
     retransmit: bool = False,
     avps: tuple[Avp, ...] | list[Avp] = (),
 ) -> Message:
-    """Assemble a Message with its message_length precomputed.
+    """Assemble a Message and run the encoder's checks on it.
 
-    This is the canonical constructor: messages built here satisfy the
-    length-honesty invariant, so decode(encode(m)) == m.
+    This is the canonical constructor: it raises the CodecError that
+    encode_message would raise, so every Message it returns stands for
+    its own encoding, decode(encode(m)) == m.
     """
-    avps = tuple(avps)
-    length = HEADER_LEN
-    for a in avps:
-        n = (AVP_HEADER_LEN + 4 if a.vendor_specific else AVP_HEADER_LEN) + len(a.data)
-        length += (n + 3) & ~3  # padded wire_length
-    header = MessageHeader(
-        command_code,
-        application_id,
-        hop_by_hop_id,
-        end_to_end_id,
-        request,
-        proxiable,
-        error,
-        retransmit,
-        1,
-        length,
+    m = Message(
+        MessageHeader(
+            command_code,
+            application_id,
+            hop_by_hop_id,
+            end_to_end_id,
+            request,
+            proxiable,
+            error,
+            retransmit,
+        ),
+        tuple(avps),
     )
-    return Message(header, avps)
+    _checked_length(m)
+    return m
 
 
 def build_answer(req: Message, avps: tuple[Avp, ...] | list[Avp] = (), *, error: bool = False) -> Message:
@@ -254,24 +235,20 @@ def build_answer(req: Message, avps: tuple[Avp, ...] | list[Avp] = (), *, error:
     )
 
 
-def padded_length(n: int) -> int:
-    """Smallest multiple of 4 that is >= n."""
-    if n < 0:
-        raise ValueError("negative length")
-    return (n + 3) & ~3
-
-
 def _range_error(value: int, maximum: int, what: str) -> CodecError:
     return CodecError(f"{what} {value} out of range [0, {maximum}]")
+
+
+def _check_ids(hop_by_hop_id: int, end_to_end_id: int) -> None:
+    if not 0 <= hop_by_hop_id <= U32_MAX:
+        raise _range_error(hop_by_hop_id, U32_MAX, "hop-by-hop id")
+    if not 0 <= end_to_end_id <= U32_MAX:
+        raise _range_error(end_to_end_id, U32_MAX, "end-to-end id")
 
 
 def _checked_avp_length(avp: Avp) -> int:
     """AVP Length of `avp`; CodecError if the AVP cannot be put on the wire."""
     code, vendor_id = avp.code, avp.vendor_id
-    if avp.vendor_specific != (vendor_id is not None):
-        raise CodecError(
-            f"AVP {code}: vendor_specific flag contradicts vendor_id presence"
-        )
     if not 0 <= code <= U32_MAX:
         raise _range_error(code, U32_MAX, "AVP code")
     if vendor_id is None:
@@ -308,23 +285,17 @@ def encode_avp(avp: Avp) -> bytes:
 def _checked_length(m: Message) -> int:
     """The Message Length encode_message writes for `m`.
 
-    Every range and flag check of the encoder lives here, in the order the
-    encoder meets the fields: version, command code, application id,
-    hop-by-hop id, end-to-end id, each AVP, the total. Raises CodecError
-    for the first value that cannot be represented on the wire.
+    Every range check of the encoder lives here, in the order the encoder
+    meets the fields: command code, application id, hop-by-hop id,
+    end-to-end id, each AVP, the total. Raises CodecError for the first
+    value that cannot be represented on the wire.
     """
     h = m.header
-    version, command_code = h.version, h.command_code
-    if not 0 <= version <= 0xFF:
-        raise _range_error(version, 0xFF, "version")
-    if not 0 <= command_code <= _U24_MAX:
-        raise _range_error(command_code, _U24_MAX, "command code")
+    if not 0 <= h.command_code <= _U24_MAX:
+        raise _range_error(h.command_code, _U24_MAX, "command code")
     if not 0 <= h.application_id <= U32_MAX:
         raise _range_error(h.application_id, U32_MAX, "application id")
-    if not 0 <= h.hop_by_hop_id <= U32_MAX:
-        raise _range_error(h.hop_by_hop_id, U32_MAX, "hop-by-hop id")
-    if not 0 <= h.end_to_end_id <= U32_MAX:
-        raise _range_error(h.end_to_end_id, U32_MAX, "end-to-end id")
+    _check_ids(h.hop_by_hop_id, h.end_to_end_id)
     total = HEADER_LEN
     for a in m.avps:
         total += (_checked_avp_length(a) + 3) & ~3
@@ -337,39 +308,18 @@ def encode_message(m: Message) -> bytes:
     """Serialize a Message. The length field is computed from the parts.
 
     Raises CodecError for values that cannot be represented on the wire
-    (range overflow, vendor flag contradiction).
+    (range overflow). A Message from build_message never raises here.
     """
     total = _checked_length(m)
     h = m.header
     head = _HEADER.pack(
-        h.version << 24 | total,
+        _VERSION << 24 | total,
         h.flags_byte << 24 | h.command_code,
         h.application_id,
         h.hop_by_hop_id,
         h.end_to_end_id,
     )
     return head + b"".join([_pack_avp(a) for a in m.avps])
-
-
-def is_wire_canonical(m: Message) -> bool:
-    """True when decode_message(encode_message(m)) == m: `m` can stand for its bytes.
-
-    That holds when the encoder accepts `m`, the header declares the
-    version the decoder accepts and the length the encoder writes, and
-    the AVPs are a tuple of immutable `bytes` payloads. Field values are
-    taken to have their annotated types (ints, bools). Raises the same
-    CodecError as encode_message for a value the wire cannot carry.
-    """
-    h = m.header
-    if _checked_length(m) != h.message_length or h.version != 1:
-        return False
-    avps = m.avps
-    if type(avps) is not tuple:
-        return False
-    for a in avps:
-        if type(a.data) is not bytes:
-            return False
-    return True
 
 
 def _decode_avps(data: bytes, start: int, end: int) -> Union[list[Avp], ParseError]:
@@ -405,7 +355,6 @@ def _decode_avps(data: bytes, start: int, end: int) -> Union[list[Avp], ParseErr
                 _U32.unpack_from(data, off + 8)[0] if vendor else None,
                 bool(flags & AVP_FLAG_MANDATORY),
                 bool(flags & AVP_FLAG_PROTECTED),
-                vendor,
             )
         )
         off += padded
@@ -423,7 +372,7 @@ def decode_message(data: bytes) -> Union[Message, ParseError]:
     if n < HEADER_LEN:
         return ParseError(ParseErrorKind.TRUNCATED, n)
     first, second, application_id, hop_by_hop_id, end_to_end_id = _HEADER.unpack_from(data)
-    if first >> 24 != 1:
+    if first >> 24 != _VERSION:
         return ParseError(ParseErrorKind.BAD_VERSION, 0)
     declared = first & _U24_MAX
     if declared % 4 != 0 or declared < HEADER_LEN:
@@ -447,8 +396,6 @@ def decode_message(data: bytes) -> Union[Message, ParseError]:
         bool(flags & FLAG_PROXIABLE),
         bool(flags & FLAG_ERROR),
         bool(flags & FLAG_RETRANSMIT),
-        1,
-        declared,
     )
     return Message(header, tuple(avps))
 
@@ -533,6 +480,8 @@ def first_avp(m: Message, code: int) -> Optional[Avp]:
 
 
 def replace_ids(m: Message, hop_by_hop_id: int, end_to_end_id: int) -> Message:
+    """`m` with new correlation ids; the encoder's CodecError for an id out of range."""
+    _check_ids(hop_by_hop_id, end_to_end_id)
     return Message(
         replace(m.header, hop_by_hop_id=hop_by_hop_id, end_to_end_id=end_to_end_id), m.avps
     )

@@ -4,9 +4,11 @@ Every element is one simulation node handler built around the same
 pipeline: decode strictly, validate requests against the dictionary,
 feed the peer state machine, and hand application requests to a
 capacity model before the element-specific command handler runs.
-Elements send a Message they built as the value itself whenever it is
-wire-canonical (see `simnet`), so the receiver skips the decode; bytes
-(fuzz cases, raw requests, tapped traffic) always take the decoder.
+Elements send the Message value itself (see `simnet`): every Message
+they send comes from `build_message`, `build_answer` or `replace_ids`,
+which run the encoder's checks, so it stands for its own encoding and
+the receiver skips the decode. Bytes (fuzz cases, raw requests, tapped
+traffic) always take the decoder.
 
 The capacity model is a token-rate server (service_rate tokens per
 second, burst of one) in front of a bounded FIFO queue. A 1 Hz sampler
@@ -36,9 +38,7 @@ from .codec import (
     build_answer,
     build_message,
     decode_message,
-    encode_message,
     first_avp,
-    is_wire_canonical,
     replace_ids,
     validate_message,
 )
@@ -182,12 +182,6 @@ class PeerLink:
     next_hop_by_hop: int = 1
 
 
-def _on_wire(msg: Message) -> Message | bytes:
-    """What to hand `Simulation.send` for `msg`: the value itself when it
-    equals its own decoded encoding, else the bytes (CodecError as encode)."""
-    return msg if is_wire_canonical(msg) else encode_message(msg)
-
-
 def _error_answer(req: Message, result_code: int) -> Message:
     return build_answer(req, avps=[result_code_avp(result_code)], error=result_code >= 3000)
 
@@ -226,13 +220,11 @@ class Element:
         sim: Simulation,
         capacity: ElementCapacity,
         peer_config: PeerConfig,
-        request_timeout_us: int,
     ):
         self.node = node
         self.sim = sim
         self.capacity = capacity
         self.peer_config = peer_config
-        self.request_timeout_us = request_timeout_us
         self.links: dict[int, PeerLink] = {}
 
         # token-rate service state
@@ -309,7 +301,7 @@ class Element:
             if msg.header.request:
                 hbh = self._alloc_hop_by_hop(link)
                 msg = replace_ids(msg, hbh, hbh)
-            self.sim.send(self.node, link.neighbor, _on_wire(msg))
+            self.sim.send(self.node, link.neighbor, msg)
         elif kind is DROP_MESSAGE:
             self.fsm_drops += 1
         # CloseLink: the transport is modeled as always up; nothing to tear down.
@@ -338,7 +330,7 @@ class Element:
                     code = dct.RESULT_UNSUPPORTED_MANDATORY_AVP
                 else:
                     code = dct.RESULT_INVALID_AVP_LENGTH
-                self.sim.send(self.node, src, _on_wire(_error_answer(msg, code)))
+                self.sim.send(self.node, src, _error_answer(msg, code))
                 return
         self.feed_event(src, PeerEvent(_event_kind_for(msg), msg), now)
 
@@ -412,11 +404,13 @@ class Element:
         answer = self.handle_app_request(msg, now)
         if answer is not None:
             self.served += 1
-            self.sim.send(self.node, self.links[neighbor_id].neighbor, _on_wire(answer))
+            self.sim.send(self.node, self.links[neighbor_id].neighbor, answer)
 
     # -- application layer ---------------------------------------------------------
 
     def handle_app_request(self, msg: Message, now: int) -> Optional[Message]:
+        """The answer to send back, or None. It is sent as the value itself, so
+        it comes from `build_answer` or `build_message`."""
         return _error_answer(msg, dct.RESULT_COMMAND_UNSUPPORTED)
 
     # -- client-side sending ----------------------------------------------------------
@@ -450,7 +444,7 @@ class Element:
             command_code, request=True, hop_by_hop_id=hbh, end_to_end_id=hbh, avps=avps
         )
         register_request(link, PendingRequest(hbh, command_code, now, on_answer))
-        self.sim.send(self.node, dst, _on_wire(msg))
+        self.sim.send(self.node, dst, msg)
         return hbh
 
     def send_raw_request(
@@ -499,8 +493,6 @@ class HssElement(Element):
 
     def seed_subscribers(self, subscribers: Iterable[SubscriberRecord]) -> None:
         for sub in subscribers:
-            if sub.subscriber_id in self.store:
-                raise ValueError(f"duplicate subscriber id {sub.subscriber_id!r}")
             self.store[sub.subscriber_id] = SubscriberRecord(
                 subscriber_id=sub.subscriber_id,
                 location=sub.location,
@@ -553,8 +545,6 @@ class PcrfElement(Element):
 
     def seed_rules(self, rules: Iterable[PolicyRule]) -> None:
         for rule in rules:
-            if rule.rule_id in self.rules:
-                raise ValueError(f"duplicate rule id {rule.rule_id!r}")
             self.rules[rule.rule_id] = PolicyRule(rule.rule_id, rule.subscriber_id, rule.qos_class)
 
     def handle_app_request(self, msg: Message, now: int) -> Optional[Message]:
@@ -595,8 +585,10 @@ class MmeElement(Element):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        # Lab.build wires these from the config.
         self.hss_node: Optional[NodeId] = None
         self.pcrf_node: Optional[NodeId] = None
+        self.request_timeout_us: int
         self.attaches: list[AttachResult] = []
         self._locations: dict[int, str] = {}  # attach index -> target tracking area
 
@@ -734,7 +726,6 @@ class Lab:
                 sim,
                 capacity=config.capacities[node.label],
                 peer_config=PeerConfig(f"{node.label}.lab", config.watchdog_interval_us),
-                request_timeout_us=config.request_timeout_us,
             )
             elements[node.label] = elem
             sim.register_handler(node, elem)
@@ -752,6 +743,7 @@ class Lab:
         if mme is not None:
             mme.hss_node = hss.node if hss is not None else None
             mme.pcrf_node = pcrf.node if pcrf is not None else None
+            mme.request_timeout_us = config.request_timeout_us
         for elem in elements.values():
             elem.start_sampler()
         return lab

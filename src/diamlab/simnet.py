@@ -7,11 +7,12 @@ same schedule, the same loss draws, and byte-identical tap streams. The
 single random source is Python's Mersenne Twister (`random.Random`),
 seeded once per simulation.
 
-A payload is wire bytes or a decoded `codec.Message`. A Message stands
-for its own encoding: it travels as itself, so neither end pays for an
-encode and a decode that would give it back unchanged, unless a tap
-records the traversal. Then it is encoded once, and those bytes are both
-the capture record and what the receiver gets.
+A payload is wire bytes or a `codec.Message`. Elements send the Message
+value itself, built by `codec.build_message` and so standing for its own
+encoding: it travels as itself, and neither end pays for an encode and a
+decode that would give it back unchanged, unless a tap records the
+traversal. Then it is encoded once, and those bytes are both the capture
+record and what the receiver gets.
 
 A timer is the callable it fires: `schedule_timer(at, fire, *args)`
 queues it, and when its time comes the loop calls `fire(now, *args)`.
@@ -126,7 +127,6 @@ class Simulation:
 
     def __init__(self, nodes: list[NodeId], links: list[Link], seed: int):
         self.nodes = list(nodes)
-        self.node_by_label = {n.label: n for n in self.nodes}
         self.links: dict[tuple[int, int], Link] = {l.key: l for l in links}
         self.seed = seed
         self.rng = random.Random(seed)

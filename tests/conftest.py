@@ -1,9 +1,10 @@
 """Fixtures that watch or change what crosses `Simulation.send`.
 
-An element hands `send` the Message value itself when it is
-wire-canonical, and the receiver skips the decode. These fixtures check
-that shortcut from outside the program: `carry_guard` asserts that every
-carried Message equals the decode of its own encoding, and `bytes_only`
+An element hands `send` the Message value itself, and the receiver skips
+the decode. These fixtures check that shortcut from outside the program:
+`carry_guard` asserts that every carried Message equals the decode of its
+own encoding, which also catches a Message a test's own handler built by
+hand with a field the wire cannot carry, and `bytes_only`
 encodes every Message before it reaches the link, so every payload takes
 the encode, tap and strict-decode path.
 """

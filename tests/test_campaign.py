@@ -35,6 +35,9 @@ GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 ECHO_HEX = encode_message(
     build_message(dct.CMD_ECHO, request=True, avps=[Avp(code=dct.AVP_ECHO_PAYLOAD, data=b"hi")])
 ).hex()
+VENDOR_ECHO_HEX = encode_message(
+    build_message(dct.CMD_ECHO, request=True, avps=[Avp(code=1, data=b"hi", vendor_id=10)])
+).hex()
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +308,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert "command=700 (echo)" in out
         assert "echo-payload" in out
+
+    @pytest.mark.parametrize(
+        "hex_, expected",
+        [
+            (
+                ECHO_HEX,
+                "message command=700 (echo) flags=R app=0 hop_by_hop=0x00000000"
+                " end_to_end=0x00000000 length=32\n"
+                "  avp code=2005 (echo-payload) flags=- len=10 data='hi'\n",
+            ),
+            (
+                VENDOR_ECHO_HEX,
+                "message command=700 (echo) flags=R app=0 hop_by_hop=0x00000000"
+                " end_to_end=0x00000000 length=36\n"
+                "  avp code=1 (unknown) flags=V vendor=10 len=14 data='hi'\n",
+            ),
+        ],
+        ids=["echo", "vendor-avp"],
+    )
+    def test_decode_hex_output_is_pinned(self, hex_, expected, capsys):
+        assert main(["decode", "--hex", hex_]) == 0
+        assert capsys.readouterr() == (expected, "")
 
     def test_decode_bad_hex_input(self, capsys):
         assert main(["decode", "--hex", "zz"]) == 1

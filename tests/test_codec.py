@@ -24,34 +24,13 @@ from diamlab.codec import (
     decode_message,
     encode_avp,
     encode_message,
-    is_wire_canonical,
-    padded_length,
+    replace_ids,
     validate_message,
 )
 
 from diamlab.peer import ActionKind, EventKind, PeerAction, PeerEvent, PendingRequest
 
 from tests.strategies import messages
-
-
-class TestPaddedLength:
-    def test_ceil_to_boundary(self):
-        assert padded_length(5) == 8
-
-    def test_already_aligned(self):
-        assert padded_length(8) == 8
-
-    def test_zero(self):
-        assert padded_length(0) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            padded_length(-1)
-
-    @given(st.integers(min_value=0, max_value=10**9))
-    def test_smallest_multiple_of_four(self, n):
-        p = padded_length(n)
-        assert p % 4 == 0 and p >= n and p - n < 4
 
 
 class TestHeaderLayout:
@@ -84,7 +63,6 @@ class TestHeaderLayout:
         assert msg.header.command_code == 700
         assert msg.header.request and not msg.header.error
         assert msg.header.hop_by_hop_id == 0x11223344
-        assert msg.header.message_length == 20
 
     def test_one_avp_with_five_data_bytes(self):
         # AVP: code 2005, mandatory, 5 data bytes -> 8 header + 5 data + 3 pad
@@ -196,57 +174,21 @@ class TestDecodeErrors:
                 assert 0 <= out.offset <= len(blob)
 
 
-class TestWireCanonical:
-    """Which Message values may travel as themselves instead of their bytes."""
+def _built(command_code=700, avps=(), **header):
+    return build_message(command_code, avps=avps, **header)
 
-    @given(messages())
-    @settings(max_examples=200)
-    def test_built_messages_are_canonical_and_round_trip(self, msg):
-        assert is_wire_canonical(msg)
-        assert decode_message(encode_message(msg)) == msg
 
-    @pytest.mark.parametrize(
-        "change",
-        [
-            lambda m: Message(dataclasses.replace(m.header, message_length=4), m.avps),
-            lambda m: Message(dataclasses.replace(m.header, version=2), m.avps),
-            lambda m: Message(m.header, list(m.avps)),
-            lambda m: Message(m.header, (Avp(code=1, data=bytearray(b"abcd")),)),
-        ],
-        ids=["message-length", "version-2", "avp-list", "bytearray-data"],
-    )
-    def test_other_messages_are_not(self, change):
-        msg = change(build_message(700, avps=[Avp(code=1, data=b"abcd")]))
-        assert not is_wire_canonical(msg)
-        encode_message(msg)  # still encodable: these travel as bytes
+def _hand_built(command_code=700, avps=(), **header):
+    return encode_message(Message(MessageHeader(command_code, **header), tuple(avps)))
 
-    def test_range_errors_are_the_encoders(self):
-        msg = build_message(700)
-        bad = Message(dataclasses.replace(msg.header, hop_by_hop_id=2**32), msg.avps)
-        for check in (is_wire_canonical, encode_message):
-            with pytest.raises(CodecError, match="^hop-by-hop id 4294967296 out of range"):
-                check(bad)
+
+# Each check runs when build_message builds a Message and again when
+# encode_message meets one built by hand: the same CodecError either way.
+CHECKED_BY = pytest.mark.parametrize("check", [_built, _hand_built], ids=["build", "encode"])
 
 
 class TestEncodeErrors:
-    def test_vendor_flag_contradiction_rejected(self):
-        bad = Avp(code=1, data=b"", vendor_id=None, vendor_specific=True)
-        with pytest.raises(CodecError):
-            encode_message(build_message(700, avps=[bad]))
-
-    def test_vendor_id_without_flag_rejected(self):
-        bad = Avp(code=1, data=b"", vendor_id=5, vendor_specific=False)
-        with pytest.raises(CodecError):
-            encode_avp(bad)
-
-    def test_command_code_range(self):
-        with pytest.raises(CodecError):
-            encode_message(build_message(0x1000000))
-
-    def test_application_id_range(self):
-        with pytest.raises(CodecError):
-            encode_message(build_message(700, application_id=2**32))
-
+    @CHECKED_BY
     @pytest.mark.parametrize(
         "avp, text",
         [
@@ -263,49 +205,46 @@ class TestEncodeErrors:
         ],
         ids=["code-high", "code-negative", "vendor-high", "vendor-negative", "len", "len-vendor"],
     )
-    def test_avp_range_error_text(self, avp, text):
+    def test_avp_range_error_text(self, check, avp, text):
         with pytest.raises(CodecError) as info:
-            encode_message(build_message(700, avps=[avp]))
+            check(avps=[avp])
         assert str(info.value) == text
 
+    @CHECKED_BY
     @pytest.mark.parametrize(
         "field, value, text",
         [
-            ("version", 256, "version 256 out of range [0, 255]"),
-            ("version", -1, "version -1 out of range [0, 255]"),
+            ("command_code", 2**24, "command code 16777216 out of range [0, 16777215]"),
+            ("command_code", -1, "command code -1 out of range [0, 16777215]"),
+            ("application_id", 2**32, "application id 4294967296 out of range [0, 4294967295]"),
             ("hop_by_hop_id", 2**32, "hop-by-hop id 4294967296 out of range [0, 4294967295]"),
             ("end_to_end_id", -1, "end-to-end id -1 out of range [0, 4294967295]"),
         ],
     )
-    def test_header_range_error_text(self, field, value, text):
-        msg = build_message(700)
-        bad = Message(dataclasses.replace(msg.header, **{field: value}), msg.avps)
+    def test_header_range_error_text(self, check, field, value, text):
         with pytest.raises(CodecError) as info:
-            encode_message(bad)
+            check(**{field: value})
         assert str(info.value) == text
 
-    def test_message_length_error_text(self):
+    @CHECKED_BY
+    def test_message_length_error_text(self, check):
         half = Avp(code=1, data=bytes(2**23))  # each AVP is 2**23 + 8 bytes on the wire
         with pytest.raises(CodecError) as info:
-            encode_message(build_message(700, avps=[half, half]))
+            check(avps=[half, half])
         assert str(info.value) == "message length 16777252 out of range [0, 16777215]"
+
+    @CHECKED_BY
+    def test_checks_run_in_header_order(self, check):
+        later = {"hop_by_hop_id": -1, "avps": [Avp(code=2**32)]}
+        with pytest.raises(CodecError, match="^command code 16777216"):
+            check(0x1000000, application_id=2**32, **later)
+        with pytest.raises(CodecError, match="^application id 4294967296"):
+            check(700, application_id=2**32, **later)
 
     def test_longest_avp_encodes(self):
         raw = encode_avp(Avp(code=1, data=bytes(2**24 - 1 - 8)))
         assert raw[:8] == bytes([0, 0, 0, 1, 0x00, 0xFF, 0xFF, 0xFF])
         assert len(raw) == 2**24  # AVP length 2**24 - 1, one padding byte
-
-    def test_checks_run_in_header_order(self):
-        bad = MessageHeader(0x1000000, application_id=2**32, version=300)
-        with pytest.raises(CodecError, match="^version 300"):
-            encode_message(Message(bad))
-        with pytest.raises(CodecError, match="^command code 16777216"):
-            encode_message(Message(dataclasses.replace(bad, version=1)))
-
-    def test_vendor_contradiction_is_checked_before_ranges(self):
-        bad = Avp(code=2**32, vendor_id=2**32, vendor_specific=False)
-        with pytest.raises(CodecError, match="contradicts vendor_id presence"):
-            encode_avp(bad)
 
 
 @pytest.fixture
@@ -394,7 +333,6 @@ class TestRoundTripProperties:
     def test_alignment_and_length_honesty(self, msg):
         encoded = encode_message(msg)
         assert len(encoded) % 4 == 0
-        assert len(encoded) == msg.header.message_length
         assert int.from_bytes(encoded[1:4], "big") == len(encoded)
 
     @given(messages())
@@ -432,12 +370,21 @@ class TestBuilders:
 
     def test_header_dataclass_defaults(self):
         h = MessageHeader(command_code=1)
-        assert h.version == 1
         assert not (h.request or h.proxiable or h.error or h.retransmit)
 
-    def test_avp_vendor_specific_derived(self):
-        assert Avp(code=1).vendor_specific is False
-        assert Avp(code=1, vendor_id=10).vendor_specific is True
+    @pytest.mark.parametrize(
+        "ids, text",
+        [
+            ((2**32, 0), "hop-by-hop id 4294967296 out of range [0, 4294967295]"),
+            ((-1, 0), "hop-by-hop id -1 out of range [0, 4294967295]"),
+            ((0, 2**32), "end-to-end id 4294967296 out of range [0, 4294967295]"),
+            ((0, -1), "end-to-end id -1 out of range [0, 4294967295]"),
+        ],
+    )
+    def test_replace_ids_range_error_text(self, ids, text):
+        with pytest.raises(CodecError) as info:
+            replace_ids(build_message(700), *ids)
+        assert str(info.value) == text
 
 
 # The six value types built per request: their fields, field order and
@@ -459,9 +406,8 @@ VALUE_TYPES = [
             ("vendor_id", None),
             ("mandatory", False),
             ("protected", False),
-            ("vendor_specific", None),
         ],
-        (5, b"ab", 10, True, False, True),
+        (5, b"ab", 10, True, False),
         {"mandatory": False},
     ),
     (
@@ -475,10 +421,8 @@ VALUE_TYPES = [
             ("proxiable", False),
             ("error", False),
             ("retransmit", False),
-            ("version", 1),
-            ("message_length", 0),
         ],
-        (700, 4, 5, 6, True, False, True, False, 1, 44),
+        (700, 4, 5, 6, True, False, True, False),
         {"hop_by_hop_id": 99},
     ),
     (
@@ -552,17 +496,3 @@ class TestValueTypes:
         changed = dataclasses.replace(value, **change)
         for name, _ in expected_fields:
             assert getattr(changed, name) == change.get(name, getattr(value, name))
-
-
-class TestAvpVendorFlag:
-    def test_derived_when_omitted_positionally(self):
-        assert Avp(1, b"", 10).vendor_specific is True
-        assert Avp(1, b"", None).vendor_specific is False
-
-    def test_explicit_value_is_kept(self):
-        assert Avp(1, vendor_specific=True).vendor_specific is True
-        assert Avp(1, b"", 10, False, False, False).vendor_specific is False
-
-    def test_derived_flag_equals_explicit(self):
-        assert Avp(1, vendor_id=10) == Avp(1, vendor_id=10, vendor_specific=True)
-        assert hash(Avp(1)) == hash(Avp(1, vendor_specific=False))

@@ -237,11 +237,6 @@ class TestHss:
             == dct.RESULT_COMMAND_UNSUPPORTED
         )
 
-    def test_duplicate_seed_rejected(self):
-        hss = self._hss()
-        with pytest.raises(ValueError, match="duplicate"):
-            hss.seed_subscribers([SubscriberRecord("imsi-001001000000001", "x")])
-
 
 class TestPcrf:
     def _pcrf(self):

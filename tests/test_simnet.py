@@ -1,7 +1,5 @@
 """Simulator: determinism, taps, loss accounting, the DCAP capture format."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +26,6 @@ from diamlab.codec import (
     U32_MAX,
     Avp,
     CodecError,
-    Message,
     build_message,
     decode_message,
     encode_message,
@@ -59,8 +56,9 @@ def two_node_sim(latency_ms=10.0, loss=0.0, protected=False, seed=0):
     )
     sim = build_topology(spec, seed=seed)
     rec_a, rec_b = Recorder(), Recorder()
-    sim.register_handler(sim.node_by_label["a"], rec_a)
-    sim.register_handler(sim.node_by_label["b"], rec_b)
+    a, b = sim.nodes
+    sim.register_handler(a, rec_a)
+    sim.register_handler(b, rec_b)
     return sim, rec_a, rec_b
 
 
@@ -496,37 +494,6 @@ class TestCarriedMessages:
         with pytest.raises(CodecError, match="^hop-by-hop id 4294967296 out of range"):
             ab.send_app_request(target.node, dct.CMD_ECHO, [], None, lab.sim.clock)
         assert lab.sim.stats.sends == sends
-
-    @pytest.mark.parametrize(
-        "change, outcome",
-        [
-            # the encoder writes the true length, so the answer arrives and correlates
-            ({"message_length": 4}, "answered"),
-            # the decoder accepts only version 1: the attack box drops the answer
-            ({"version": 2}, "parse_drop"),
-        ],
-        ids=["wrong-message-length", "version-2"],
-    )
-    def test_non_canonical_answers_travel_as_bytes(self, change, outcome, carry_guard, monkeypatch):
-        _, lab = make_lab(duo_lab_text())
-        ab, target = lab.element("attacker"), lab.element("target")
-        answer_of = target.handle_app_request
-
-        def skewed(msg, now):
-            answer = answer_of(msg, now)
-            return Message(dataclasses.replace(answer.header, **change), answer.avps)
-
-        monkeypatch.setattr(target, "handle_app_request", skewed)
-        before = dict(carry_guard)
-        hbh = ab.send_app_request(target.node, dct.CMD_ECHO, [], None, lab.sim.clock)
-        lab.sim.run_until(lab.sim.clock + 100_000)
-        assert carry_guard["message"] - before.get("message", 0) == 1  # the request
-        assert carry_guard["bytes"] - before.get("bytes", 0) == 1  # the answer
-        pending = ab.peer_link(target.node).pending
-        if outcome == "answered":
-            assert ab.stray_answers == 1 and hbh not in pending and ab.parse_drops == 0
-        else:
-            assert ab.parse_drops == 1 and hbh in pending and ab.stray_answers == 0
 
     def test_tapped_element_link_carries_bytes(self, monkeypatch):
         _, lab = make_lab(duo_lab_text())
