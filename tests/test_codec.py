@@ -30,7 +30,7 @@ from diamlab.codec import (
 
 from diamlab.peer import ActionKind, EventKind, PeerAction, PeerEvent, PendingRequest
 
-from tests.strategies import messages
+from tests.strategies import avps, messages
 
 
 class TestHeaderLayout:
@@ -334,6 +334,13 @@ class TestRoundTripProperties:
         encoded = encode_message(msg)
         assert len(encoded) % 4 == 0
         assert int.from_bytes(encoded[1:4], "big") == len(encoded)
+
+    @given(avps())
+    @settings(max_examples=200)
+    def test_vendor_flag_follows_vendor_id(self, avp):
+        raw = encode_avp(avp)
+        assert bool(raw[4] & 0x80) == (avp.vendor_id is not None)
+        assert int.from_bytes(raw[5:8], "big") == avp.wire_length
 
     @given(messages())
     @settings(max_examples=200)

@@ -302,6 +302,13 @@ class TestAttachFlow:
         assert result.reason == "timeout"
         assert result.finished_at - result.started_at >= config.request_timeout_us
 
+    def test_only_the_mme_holds_the_request_timeout(self):
+        text = core_lab_text().replace("seed = 11\n", "seed = 11\nrequest_timeout_s = 0.015\n")
+        config, lab = make_lab(text)
+        assert lab.element("mme").request_timeout_us == config.request_timeout_us == 15_000
+        holders = [e for e in lab.elements.values() if hasattr(e, "request_timeout_us")]
+        assert holders == [lab.element("mme")]
+
     def test_timed_out_step_leaves_no_pending_entry(self):
         text = core_lab_text().replace(
             "[node hss]\nkind = HSS\n",

@@ -1,5 +1,7 @@
 """Simulator: determinism, taps, loss accounting, the DCAP capture format."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,7 @@ from diamlab.codec import (
     U32_MAX,
     Avp,
     CodecError,
+    Message,
     build_message,
     decode_message,
     encode_message,
@@ -494,6 +497,29 @@ class TestCarriedMessages:
         with pytest.raises(CodecError, match="^hop-by-hop id 4294967296 out of range"):
             ab.send_app_request(target.node, dct.CMD_ECHO, [], None, lab.sim.clock)
         assert lab.sim.stats.sends == sends
+
+    @pytest.mark.parametrize(
+        "change, text",
+        [
+            ({"application_id": 2**32}, "application id 4294967296 out of range"),
+            ({"end_to_end_id": -1}, "end-to-end id -1 out of range"),
+        ],
+        ids=["application-id", "end-to-end-id"],
+    )
+    def test_hand_built_answer_out_of_range_is_caught(self, change, text, carry_guard, monkeypatch):
+        # a handler that skips build_answer can still hand send an int the wire cannot carry
+        _, lab = make_lab(duo_lab_text())
+        ab, target = lab.element("attacker"), lab.element("target")
+        answer_of = target.handle_app_request
+
+        def skewed(msg, now):
+            answer = answer_of(msg, now)
+            return Message(dataclasses.replace(answer.header, **change), answer.avps)
+
+        monkeypatch.setattr(target, "handle_app_request", skewed)
+        ab.send_app_request(target.node, dct.CMD_ECHO, [], None, lab.sim.clock)
+        with pytest.raises(CodecError, match="^" + text):
+            lab.sim.run_until(lab.sim.clock + 100_000)
 
     def test_tapped_element_link_carries_bytes(self, monkeypatch):
         _, lab = make_lab(duo_lab_text())
