@@ -256,6 +256,12 @@ class FloodResult:
         return dict(self.__dict__)
 
 
+def _count_result_code(counts: dict[str, int], code: Optional[int]) -> None:
+    """Tally one answer in a flood's or fuzz op's result-code counts ("none": no code)."""
+    key = str(code) if code is not None else "none"
+    counts[key] = counts.get(key, 0) + 1
+
+
 class _FloodDriver:
     _REAP_EVERY = 1024  # sends between sweeps of expired pending entries
 
@@ -322,9 +328,7 @@ class _FloodDriver:
     def on_answer(self, pending, msg, now) -> None:
         self.answered += 1
         self.latencies.append(now - pending.sent_at)
-        code = result_code_of(msg)
-        key = str(code) if code is not None else "none"
-        self.result_codes[key] = self.result_codes.get(key, 0) + 1
+        _count_result_code(self.result_codes, result_code_of(msg))
 
 
 def run_flood(lab: Lab, spec: FloodSpec) -> tuple[FloodResult, list[Finding]]:
@@ -443,7 +447,7 @@ def run_intercept(
         {
             "avp_code": code,
             "value_hex": value.hex(),
-            "value_text": _as_text(value),
+            "value_text": as_text(value),
         }
         for (code, value) in seen
     ]
@@ -470,7 +474,8 @@ def run_intercept(
     return result, findings, records
 
 
-def _as_text(value: bytes) -> Optional[str]:
+def as_text(value: bytes) -> Optional[str]:
+    """`value` as text if it is printable UTF-8, else None."""
     try:
         text = value.decode("utf-8")
     except UnicodeDecodeError:
@@ -602,9 +607,7 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
         drops_before = (target.parse_drops, target.fsm_drops, target.dropped_failed_inbound)
 
         disposition = None
-        sent = ab.send_raw_request(
-            target.node, case, hbh, template.header.command_code, _ignore_answer, sim.clock
-        )
+        sent = ab.send_raw_request(target.node, case, hbh, _ignore_answer, sim.clock)
         if sent:
             deadline = sim.clock + lab.config.request_timeout_us
             while hbh not in wire_answers:
@@ -639,9 +642,7 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
                         disposition = DISPOSITION_ANSWERED_SUCCESS
                     else:
                         disposition = DISPOSITION_ANSWERED_ERROR
-                    key = str(code) if code is not None else "none"
-                    per_op = result_codes[op.value]
-                    per_op[key] = per_op.get(key, 0) + 1
+                    _count_result_code(result_codes[op.value], code)
                 else:
                     sim.run_until(deadline)
                     drops_after = (

@@ -19,6 +19,7 @@ import json
 import sys
 
 from . import dictionary as dct
+from .attacks import as_text
 from .campaign import CampaignError, Report, render_report, run_campaign
 from .capture import CaptureFormatError, read_capture
 from .codec import Message, ParseError, decode_message, validate_message
@@ -51,11 +52,8 @@ def format_message(msg: Message, length: int) -> str:
             b for b, on in (("V", avp.vendor_id is not None), ("M", avp.mandatory), ("P", avp.protected)) if on
         ) or "-"
         vendor = f" vendor={avp.vendor_id}" if avp.vendor_id is not None else ""
-        try:
-            text = avp.data.decode("utf-8")
-            shown = repr(text) if text.isprintable() else avp.data.hex()
-        except UnicodeDecodeError:
-            shown = avp.data.hex()
+        text = as_text(avp.data)
+        shown = avp.data.hex() if text is None else repr(text)
         lines.append(
             f"  avp code={avp.code} ({name}) flags={flagbits}{vendor}"
             f" len={avp.wire_length} data={shown}"

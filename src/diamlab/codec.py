@@ -402,14 +402,10 @@ def decode_message(data: bytes) -> Union[Message, ParseError]:
 
 # --- dictionary-scoped semantic validation -------------------------------
 
-DATA_FORMATS = ("unsigned32", "unsigned64", "octet-string", "utf8-text", "address", "grouped")
-
-
 @dataclass(frozen=True)
 class DictEntry:
     name: str
-    data_format: str
-    mandatory_expected: bool
+    data_format: str  # unsigned32, unsigned64, octet-string, utf8-text, address or grouped
 
 
 @dataclass(frozen=True)

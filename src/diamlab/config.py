@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, TypeVar, Union
 
 from . import attacks
 from . import dictionary as dct
@@ -36,6 +36,12 @@ from .simnet import US_PER_S, LinkSpec, TopologySpec
 from .taxonomy import Impact, Origin, TaxonomyLabel, Technique
 
 MAX_SEED = 2**64 - 1
+# Longest node label, and longest subscriber (id, location and profile.* keys
+# and values together), in UTF-8 bytes: at this bound every CER, DWR, DPR and
+# every attach or profile message stays under the 2**24 - 1 byte message limit.
+MAX_TEXT_BYTES = 2**20
+
+T = TypeVar("T")
 
 
 class ConfigError(ValueError):
@@ -48,10 +54,20 @@ class Section:
     args: tuple[str, ...]
     values: dict[str, str]
     line: int
+    source: str
     value_lines: dict[str, int] = field(default_factory=dict)
 
-    def where(self, key: Optional[str] = None) -> int:
-        return self.value_lines.get(key, self.line) if key else self.line
+    def error(self, message: str, key: Optional[str] = None) -> ConfigError:
+        """A ConfigError located at `key`'s line, or at the section header."""
+        line = self.value_lines.get(key, self.line) if key else self.line
+        return ConfigError(f"{self.source}:{line}: {message}")
+
+    def build(self, make: Callable[..., T], /, *args, **kwargs) -> T:
+        """`make(*args, **kwargs)`: a value type whose ValueError is located at the header."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            raise self.error(str(exc)) from None
 
 
 def parse_sections(text: str, source: str = "<config>") -> list[Section]:
@@ -65,7 +81,9 @@ def parse_sections(text: str, source: str = "<config>") -> list[Section]:
             parts = line[1:-1].split()
             if not parts:
                 raise ConfigError(f"{source}:{lineno}: empty section header")
-            current = Section(kind=parts[0], args=tuple(parts[1:]), values={}, line=lineno)
+            current = Section(
+                kind=parts[0], args=tuple(parts[1:]), values={}, line=lineno, source=source
+            )
             sections.append(current)
             continue
         if "=" in line:
@@ -86,46 +104,54 @@ def parse_sections(text: str, source: str = "<config>") -> list[Section]:
     return sections
 
 
-def _get_int(sec: Section, key: str, source: str, default: Optional[int] = None) -> Optional[int]:
+def _get_int(sec: Section, key: str, default: Optional[int] = None) -> Optional[int]:
     if key not in sec.values:
         return default
     try:
         return int(sec.values[key])
     except ValueError:
-        raise ConfigError(f"{source}:{sec.where(key)}: {key} must be an integer") from None
+        raise sec.error(f"{key} must be an integer", key) from None
 
 
-def _get_float(sec: Section, key: str, source: str, default: Optional[float] = None) -> Optional[float]:
+def _get_float(sec: Section, key: str, default: Optional[float] = None) -> Optional[float]:
     if key not in sec.values:
         return default
     try:
         value = float(sec.values[key])
     except ValueError:
-        raise ConfigError(f"{source}:{sec.where(key)}: {key} must be a number") from None
+        raise sec.error(f"{key} must be a number", key) from None
     if not math.isfinite(value):
-        raise ConfigError(f"{source}:{sec.where(key)}: {key} must be a finite number")
+        raise sec.error(f"{key} must be a finite number", key)
     return value
 
 
-def _get_interval_us(sec: Section, key: str, source: str, default_us: int) -> int:
+def _get_interval_us(sec: Section, key: str, default_us: int) -> int:
     """A time given in seconds, as the whole microseconds the simulation's clock waits out."""
     if key not in sec.values:
         return default_us
-    us = _get_float(sec, key, source) * US_PER_S
+    us = _get_float(sec, key) * US_PER_S
     if not math.isfinite(us):
-        raise ConfigError(f"{source}:{sec.where(key)}: {key} is too large")
+        raise sec.error(f"{key} is too large", key)
     us = round(us)
     if us < 1:
-        raise ConfigError(f"{source}:{sec.where(key)}: {key} must be at least 1 microsecond")
+        raise sec.error(f"{key} must be at least 1 microsecond", key)
     return us
 
 
-def _check_seed(seed: int, where: str) -> None:
-    if not 0 <= seed <= MAX_SEED:
-        raise ConfigError(f"{where}: seed {seed} must fit in 64 bits")
+def _seed_error(seed: int) -> Optional[str]:
+    """Why `seed` is refused (random.Random(-5) draws as Random(5)), or None."""
+    return None if 0 <= seed <= MAX_SEED else f"seed {seed} must fit in 64 bits"
 
 
-def _get_bool(sec: Section, key: str, source: str, default: bool = False) -> bool:
+def _get_seed(sec: Section) -> Optional[int]:
+    seed = _get_int(sec, "seed")
+    error = None if seed is None else _seed_error(seed)
+    if error:
+        raise sec.error(error, "seed")
+    return seed
+
+
+def _get_bool(sec: Section, key: str, default: bool = False) -> bool:
     if key not in sec.values:
         return default
     value = sec.values[key].lower()
@@ -133,16 +159,14 @@ def _get_bool(sec: Section, key: str, source: str, default: bool = False) -> boo
         return True
     if value in ("false", "no", "0"):
         return False
-    raise ConfigError(f"{source}:{sec.where(key)}: {key} must be true/false")
+    raise sec.error(f"{key} must be true/false", key)
 
 
-def _require(sec: Section, key: str, source: str, get: Optional[Callable] = None):
+def _require(sec: Section, key: str, get: Optional[Callable] = None):
     """The value of a required key, converted by `get` (one of the `_get_*`) if given."""
     if key not in sec.values:
-        raise ConfigError(
-            f"{source}:{sec.line}: [{sec.kind}] section is missing required field {key!r}"
-        )
-    return get(sec, key, source) if get else sec.values[key]
+        raise sec.error(f"[{sec.kind}] section is missing required field {key!r}")
+    return get(sec, key) if get else sec.values[key]
 
 
 @dataclass(frozen=True)
@@ -224,7 +248,7 @@ class AttackKind:
     """
 
     spec: type
-    parse: Callable[[Section, str, dict[str, ElementKind]], AttackSpec]
+    parse: Callable[[Section, dict[str, ElementKind]], AttackSpec]
     echo: Callable[[AttackSpec], dict]  # the report's config echo, less "kind"
     phase1_error: Callable[[AttackSpec, dict[str, ElementKind]], Optional[str]]
     path_error: Callable[[AttackSpec, CampaignConfig], Optional[str]]
@@ -232,66 +256,58 @@ class AttackKind:
     label: Callable[[attacks.Finding], TaxonomyLabel]  # the finding's taxonomy cell
 
 
-def _target(sec: Section, source: str, labels: dict[str, ElementKind]) -> str:
-    target = _require(sec, "target", source)
+def _target(sec: Section, labels: dict[str, ElementKind]) -> str:
+    target = _require(sec, "target")
     if target not in labels:
-        where = sec.where("target")
-        raise ConfigError(f"{source}:{where}: unknown {sec.args[0]} target {target!r}")
+        raise sec.error(f"unknown {sec.args[0]} target {target!r}", "target")
     return target
 
 
-def _parse_flood(sec: Section, source: str, labels: dict[str, ElementKind]) -> FloodSpec:
-    target = _target(sec, source, labels)
-    rate = _require(sec, "rate_tps", source, _get_float)
-    duration = _require(sec, "duration_s", source, _get_float)
-    ratio = _get_float(sec, "degraded_threshold", source, FloodSpec.degraded_answer_ratio)
-    try:
-        return FloodSpec(
-            target=target, rate_tps=rate, duration_s=duration, degraded_answer_ratio=ratio
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{source}:{sec.line}: {exc}") from None
+def _parse_flood(sec: Section, labels: dict[str, ElementKind]) -> FloodSpec:
+    return sec.build(
+        FloodSpec,
+        target=_target(sec, labels),
+        rate_tps=_require(sec, "rate_tps", _get_float),
+        duration_s=_require(sec, "duration_s", _get_float),
+        degraded_answer_ratio=_get_float(
+            sec, "degraded_threshold", FloodSpec.degraded_answer_ratio
+        ),
+    )
 
 
-def _parse_intercept(sec: Section, source: str, labels: dict[str, ElementKind]) -> InterceptSpec:
-    link_value = _require(sec, "link", source).split()
+def _parse_intercept(sec: Section, labels: dict[str, ElementKind]) -> InterceptSpec:
+    link_value = _require(sec, "link").split()
     if len(link_value) != 2:
-        raise ConfigError(f"{source}:{sec.where('link')}: link must name two nodes")
+        raise sec.error("link must name two nodes", "link")
     for label in link_value:
         if label not in labels:
-            raise ConfigError(f"{source}:{sec.where('link')}: unknown node {label!r}")
+            raise sec.error(f"unknown node {label!r}", "link")
     codes = []
     code_for_name = dct.BUILTIN_DICTIONARY.code_for_name
-    where = f"{source}:{sec.where('avp_codes')}"
-    for item in _require(sec, "avp_codes", source).split(","):
+    for item in _require(sec, "avp_codes").split(","):
         item = item.strip()
         # isascii: str.isdigit() also accepts digits that int() refuses, such as "²"
         code = int(item) if item.isascii() and item.isdigit() else code_for_name(item)
         if code is None:
-            raise ConfigError(f"{where}: unknown AVP name {item!r}")
+            raise sec.error(f"unknown AVP name {item!r}", "avp_codes")
         if code > U32_MAX:
-            raise ConfigError(f"{where}: AVP code {code} is above {U32_MAX}")
+            raise sec.error(f"AVP code {code} is above {U32_MAX}", "avp_codes")
         codes.append(code)
     return InterceptSpec(link=(link_value[0], link_value[1]), avp_codes=tuple(codes))
 
 
-def _parse_fuzz(sec: Section, source: str, labels: dict[str, ElementKind]) -> FuzzSpec:
-    target = _target(sec, source, labels)
+def _parse_fuzz(sec: Section, labels: dict[str, ElementKind]) -> FuzzSpec:
+    target = _target(sec, labels)
     ops: tuple[MutationOp, ...] = FuzzSpec.ops
     if "ops" in sec.values:
         names = [o.strip() for o in sec.values["ops"].split(",") if o.strip()]
         try:
             ops = tuple(MutationOp(name) for name in names)
         except ValueError as exc:
-            raise ConfigError(f"{source}:{sec.where('ops')}: {exc}") from None
-    cases = _require(sec, "cases", source, _get_int)
-    seed = _get_int(sec, "seed", source, None)
-    if seed is not None:
-        _check_seed(seed, f"{source}:{sec.where('seed')}")
-    try:
-        return FuzzSpec(target=target, case_count=cases, ops=ops, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(f"{source}:{sec.line}: {exc}") from None
+            raise sec.error(str(exc), "ops") from None
+    cases = _require(sec, "cases", _get_int)
+    seed = _get_seed(sec)
+    return sec.build(FuzzSpec, target=target, case_count=cases, ops=ops, seed=seed)
 
 
 def _at_target_server(spec: FloodSpec | FuzzSpec, kinds: dict[str, ElementKind]) -> Optional[str]:
@@ -399,13 +415,13 @@ ATTACK_KINDS: dict[str, AttackKind] = {
 }
 
 
-def _parse_attack(sec: Section, source: str, labels: dict[str, ElementKind]) -> AttackSpec:
+def _parse_attack(sec: Section, labels: dict[str, ElementKind]) -> AttackSpec:
     if len(sec.args) != 1:
-        raise ConfigError(f"{source}:{sec.line}: [attack] needs exactly one kind argument")
+        raise sec.error("[attack] needs exactly one kind argument")
     entry = ATTACK_KINDS.get(sec.args[0])
     if entry is None:
-        raise ConfigError(f"{source}:{sec.line}: unknown attack kind {sec.args[0]!r}")
-    return entry.parse(sec, source, labels)
+        raise sec.error(f"unknown attack kind {sec.args[0]!r}")
+    return entry.parse(sec, labels)
 
 
 def parse_campaign_config(
@@ -419,128 +435,113 @@ def parse_campaign_config(
     if len(campaign_secs) != 1:
         raise ConfigError(f"{source}: expected exactly one [campaign] section")
     camp = campaign_secs[0]
-    phase = _require(camp, "phase", source)
+    phase = _require(camp, "phase")
     if phase not in ("phase1", "phase2", "custom"):
-        raise ConfigError(f"{source}:{camp.where('phase')}: phase must be phase1/phase2/custom")
+        raise camp.error("phase must be phase1/phase2/custom", "phase")
     if seed_override is not None:
-        seed, where = seed_override, "--seed"  # the CLI flag that sets the override
+        seed, error = seed_override, _seed_error(seed_override)
+        if error:
+            raise ConfigError(f"--seed: {error}")  # the CLI flag that sets the override
     else:
-        seed = _get_int(camp, "seed", source, None)
+        seed = _get_seed(camp)
         if seed is None:
-            raise ConfigError(
-                f"{source}:{camp.line}: [campaign] section is missing required field 'seed'"
+            raise camp.error(
+                "[campaign] section is missing required field 'seed'"
                 " (campaigns are reproducible; there is no wall-clock default)"
             )
-        where = f"{source}:{camp.where('seed')}"
-    _check_seed(seed, where)
     output_path = camp.values.get("output", "campaign-out")
 
     # `topology = <builtin>` splices the named built-in's topology sections.
     if "topology" in camp.values:
         name = camp.values["topology"]
         if name not in BUILTIN_CONFIGS:
-            raise ConfigError(f"{source}:{camp.where('topology')}: unknown built-in {name!r}")
+            raise camp.error(f"unknown built-in {name!r}", "topology")
         if any(s.kind in ("node", "link", "subscriber", "rule") for s in sections):
-            raise ConfigError(
-                f"{source}:{camp.where('topology')}: config declares both topology="
-                f"{name} and its own topology sections"
+            raise camp.error(
+                f"config declares both topology={name} and its own topology sections", "topology"
             )
         spliced = parse_sections(BUILTIN_CONFIGS[name], source=f"<builtin:{name}>")
         sections = sections + [
             s for s in spliced if s.kind in ("node", "link", "subscriber", "rule")
         ]
 
+    # Labelled sections are keyed by label (node order is insertion order),
+    # so each uniqueness rule is one lookup.
     kinds: dict[str, ElementKind] = {}
     capacities: dict[str, ElementCapacity] = {}
-    nodes: list[str] = []
     links: list[LinkSpec] = []
     link_lines: dict[frozenset[str], int] = {}  # endpoint pair -> line of its [link]
-    subscribers: list[SubscriberRecord] = []
-    rules: list[PolicyRule] = []
+    subscribers: dict[str, SubscriberRecord] = {}
+    rules: dict[str, PolicyRule] = {}
 
     for sec in sections:
         if sec.kind == "campaign":
             continue
         if sec.kind == "node":
             if len(sec.args) != 1:
-                raise ConfigError(f"{source}:{sec.line}: [node] needs exactly one label")
+                raise sec.error("[node] needs exactly one label")
             label = sec.args[0]
+            if len(label.encode()) > MAX_TEXT_BYTES:
+                raise sec.error(f"node label is longer than {MAX_TEXT_BYTES} UTF-8 bytes")
             if label in kinds:
-                raise ConfigError(f"{source}:{sec.line}: duplicate node label {label!r}")
-            kind_name = _require(sec, "kind", source)
+                raise sec.error(f"duplicate node label {label!r}")
+            kind_name = _require(sec, "kind")
             if kind_name not in _KIND_NAMES:
-                raise ConfigError(
-                    f"{source}:{sec.where('kind')}: unknown element kind {kind_name!r}"
-                )
+                raise sec.error(f"unknown element kind {kind_name!r}", "kind")
             kinds[label] = _KIND_NAMES[kind_name]
-            given = {key: get(sec, key, source) for key, get in _CAPACITY_KEYS if key in sec.values}
-            try:
-                capacities[label] = ElementCapacity(**given)  # its defaults fill the rest
-            except ValueError as exc:
-                raise ConfigError(f"{source}:{sec.line}: {exc}") from None
-            nodes.append(label)
+            given = {key: get(sec, key) for key, get in _CAPACITY_KEYS if key in sec.values}
+            capacities[label] = sec.build(ElementCapacity, **given)  # its defaults fill the rest
         elif sec.kind == "link":
             if len(sec.args) != 2:
-                raise ConfigError(f"{source}:{sec.line}: [link] needs two node labels")
+                raise sec.error("[link] needs two node labels")
             a, b = sec.args
             for label in (a, b):
                 if label not in kinds:
-                    raise ConfigError(
-                        f"{source}:{sec.line}: link endpoint {label!r} is not a declared node"
-                    )
+                    raise sec.error(f"link endpoint {label!r} is not a declared node")
             if a == b:
-                raise ConfigError(
-                    f"{source}:{sec.line}: link {a!r} <-> {b!r} joins a node to itself"
-                )
+                raise sec.error(f"link {a!r} <-> {b!r} joins a node to itself")
             pair = frozenset((a, b))
             if pair in link_lines:
-                raise ConfigError(
-                    f"{source}:{sec.line}: duplicate link between {a!r} and {b!r}"
+                raise sec.error(
+                    f"duplicate link between {a!r} and {b!r}"
                     f" (first declared on line {link_lines[pair]})"
                 )
             link_lines[pair] = sec.line
-            latency_ms = _get_float(sec, "latency_ms", source, LinkSpec.latency_ms)
-            loss = _get_float(sec, "loss", source, LinkSpec.loss_probability)
-            protected = _get_bool(sec, "protected", source, LinkSpec.protected)
-            try:
-                links.append(LinkSpec(a, b, latency_ms, loss, protected))
-            except ValueError as exc:
-                raise ConfigError(f"{source}:{sec.line}: {exc}") from None
+            latency_ms = _get_float(sec, "latency_ms", LinkSpec.latency_ms)
+            loss = _get_float(sec, "loss", LinkSpec.loss_probability)
+            protected = _get_bool(sec, "protected", LinkSpec.protected)
+            links.append(sec.build(LinkSpec, a, b, latency_ms, loss, protected))
         elif sec.kind == "subscriber":
             if len(sec.args) != 1:
-                raise ConfigError(f"{source}:{sec.line}: [subscriber] needs one id argument")
+                raise sec.error("[subscriber] needs one id argument")
             sid = sec.args[0]
-            if any(s.subscriber_id == sid for s in subscribers):
-                raise ConfigError(f"{source}:{sec.line}: duplicate subscriber {sid!r}")
-            profile = {
-                key[len("profile.") :]: value
-                for key, value in sec.values.items()
-                if key.startswith("profile.")
-            }
-            subscribers.append(
-                SubscriberRecord(
-                    subscriber_id=sid,
-                    location=_require(sec, "location", source),
-                    profile=profile,
+            if sid in subscribers:
+                raise sec.error(f"duplicate subscriber {sid!r}")
+            location = _require(sec, "location")
+            given = {key: value for key, value in sec.values.items() if key.startswith("profile.")}
+            written = "".join((sid, location, *given, *given.values()))
+            if len(written.encode()) > MAX_TEXT_BYTES:
+                raise sec.error(
+                    "subscriber id, location and profile.* keys and values are longer"
+                    f" than {MAX_TEXT_BYTES} UTF-8 bytes"
                 )
-            )
+            profile = {key[len("profile.") :]: value for key, value in given.items()}
+            subscribers[sid] = SubscriberRecord(sid, location, profile)
         elif sec.kind == "rule":
             if len(sec.args) != 1:
-                raise ConfigError(f"{source}:{sec.line}: [rule] needs one id argument")
+                raise sec.error("[rule] needs one id argument")
             rule_id = sec.args[0]
-            if any(r.rule_id == rule_id for r in rules):
-                raise ConfigError(f"{source}:{sec.line}: duplicate rule {rule_id!r}")
-            rules.append(
-                PolicyRule(
-                    rule_id=rule_id,
-                    subscriber_id=_require(sec, "subscriber", source),
-                    qos_class=_get_int(sec, "qos_class", source, DEFAULT_QOS_CLASS),
-                )
+            if rule_id in rules:
+                raise sec.error(f"duplicate rule {rule_id!r}")
+            rules[rule_id] = PolicyRule(
+                rule_id=rule_id,
+                subscriber_id=_require(sec, "subscriber"),
+                qos_class=_get_int(sec, "qos_class", DEFAULT_QOS_CLASS),
             )
         elif sec.kind == "attack":
             pass  # handled below, in order, after labels are known
         else:
-            raise ConfigError(f"{source}:{sec.line}: unknown section kind {sec.kind!r}")
+            raise sec.error(f"unknown section kind {sec.kind!r}")
 
     attack_secs = [s for s in sections if s.kind == "attack"]
     config = CampaignConfig(
@@ -548,26 +549,27 @@ def parse_campaign_config(
         phase=phase,
         seed=seed,
         output_path=output_path,
-        topology=TopologySpec(nodes=tuple(nodes), links=tuple(links)),
+        topology=TopologySpec(nodes=tuple(kinds), links=tuple(links)),
         kinds=kinds,
         capacities=capacities,
-        subscribers=tuple(subscribers),
-        rules=tuple(rules),
-        attacks=tuple(_parse_attack(s, source, kinds) for s in attack_secs),
+        subscribers=tuple(subscribers.values()),
+        rules=tuple(rules.values()),
+        attacks=tuple(_parse_attack(s, kinds) for s in attack_secs),
         watchdog_interval_us=_get_interval_us(
-            camp, "watchdog_interval_s", source, PeerConfig.watchdog_interval_us
+            camp, "watchdog_interval_s", PeerConfig.watchdog_interval_us
         ),
-        request_timeout_us=_get_interval_us(camp, "request_timeout_s", source, 2 * US_PER_S),
+        request_timeout_us=_get_interval_us(camp, "request_timeout_s", 2 * US_PER_S),
     )
-    _validate_phase(config, source)
+    _validate_phase(config)
     for sec, spec in zip(attack_secs, config.attacks):
         error = ATTACK_KINDS[spec.kind].path_error(spec, config)
         if error:
-            raise ConfigError(f"{source}:{sec.line}: {error}")
+            raise sec.error(error)
     return config
 
 
-def _validate_phase(config: CampaignConfig, source: str) -> None:
+def _validate_phase(config: CampaignConfig) -> None:
+    source = config.source
     if not config.topology.nodes:
         raise ConfigError(f"{source}: config declares no nodes")
     present = set(config.kinds.values())

@@ -1,17 +1,13 @@
 """Built-in protocol numbers and the built-in AVP dictionary.
 
 Everything the rest of the testbed pins against lives here: command
-codes, result codes, AVP codes, and the built-in AVP dictionary. The
-dictionary is written as line-oriented text, one AVP entry per line:
-
-    code vendor_id name data_format mandatory_expected
-
-with vendor_id 0 meaning "no vendor" and `#` starting a comment.
+codes, result codes, AVP codes, and the built-in AVP dictionary, a
+literal keyed by the AVP code constants (no entry has a vendor).
 """
 
 from __future__ import annotations
 
-from .codec import DATA_FORMATS, DictEntry, Dictionary
+from .codec import DictEntry, Dictionary
 
 # Base-protocol command codes (capabilities / watchdog / disconnect).
 CMD_CAPABILITIES_EXCHANGE = 257
@@ -45,53 +41,21 @@ AVP_RULE_ID = 2003
 AVP_QOS_CLASS = 2004
 AVP_ECHO_PAYLOAD = 2005
 
-BUILTIN_DICTIONARY_TEXT = """\
-# code vendor_id name data_format mandatory_expected
-258  0  auth-application-id  unsigned32    true
-264  0  origin-host          utf8-text     true
-268  0  result-code          unsigned32    true
-273  0  disconnect-cause     unsigned32    true
-2000 0  subscriber-id        utf8-text     true
-2001 0  location             utf8-text     true
-2002 0  profile-attribute    utf8-text     false
-2003 0  rule-id              utf8-text     true
-2004 0  qos-class            unsigned32    true
-2005 0  echo-payload         octet-string  false
-"""
-
-
-class DictionaryError(ValueError):
-    """Malformed dictionary text; message carries the line number."""
-
-
-def parse_dictionary(text: str, source: str = "<builtin>") -> Dictionary:
-    entries: dict[tuple[int, int | None], DictEntry] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 5:
-            raise DictionaryError(f"{source}:{lineno}: expected 5 fields, got {len(fields)}")
-        code_s, vendor_s, name, fmt, mand_s = fields
-        try:
-            code = int(code_s)
-            vendor = int(vendor_s)
-        except ValueError as exc:
-            raise DictionaryError(f"{source}:{lineno}: non-integer code field") from exc
-        if fmt not in DATA_FORMATS:
-            raise DictionaryError(f"{source}:{lineno}: unknown data format {fmt!r}")
-        if mand_s not in ("true", "false"):
-            raise DictionaryError(f"{source}:{lineno}: mandatory flag must be true/false")
-        key = (code, None if vendor == 0 else vendor)
-        if key in entries:
-            raise DictionaryError(f"{source}:{lineno}: duplicate entry for {key}")
-        entries[key] = DictEntry(name=name, data_format=fmt, mandatory_expected=mand_s == "true")
-    return Dictionary(entries=entries)
-
-
-# Parsed once, at import: every element validates against this value.
-BUILTIN_DICTIONARY = parse_dictionary(BUILTIN_DICTIONARY_TEXT)
+# Every element validates against this value, keyed by (code, vendor id).
+BUILTIN_DICTIONARY = Dictionary(
+    {
+        (AVP_AUTH_APPLICATION_ID, None): DictEntry("auth-application-id", "unsigned32"),
+        (AVP_ORIGIN_HOST, None): DictEntry("origin-host", "utf8-text"),
+        (AVP_RESULT_CODE, None): DictEntry("result-code", "unsigned32"),
+        (AVP_DISCONNECT_CAUSE, None): DictEntry("disconnect-cause", "unsigned32"),
+        (AVP_SUBSCRIBER_ID, None): DictEntry("subscriber-id", "utf8-text"),
+        (AVP_LOCATION, None): DictEntry("location", "utf8-text"),
+        (AVP_PROFILE_ATTRIBUTE, None): DictEntry("profile-attribute", "utf8-text"),
+        (AVP_RULE_ID, None): DictEntry("rule-id", "utf8-text"),
+        (AVP_QOS_CLASS, None): DictEntry("qos-class", "unsigned32"),
+        (AVP_ECHO_PAYLOAD, None): DictEntry("echo-payload", "octet-string"),
+    }
+)
 
 
 RESULT_NAMES = {

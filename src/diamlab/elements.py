@@ -443,7 +443,7 @@ class Element:
         msg = build_message(
             command_code, request=True, hop_by_hop_id=hbh, end_to_end_id=hbh, avps=avps
         )
-        register_request(link, PendingRequest(hbh, command_code, now, on_answer))
+        register_request(link, PendingRequest(hbh, now, on_answer))
         self.sim.send(self.node, dst, msg)
         return hbh
 
@@ -452,7 +452,6 @@ class Element:
         dst: NodeId,
         data: bytes,
         hop_by_hop_id: int,
-        command_code: int,
         on_answer: Optional[AnswerCallback],
         now: int,
     ) -> bool:
@@ -460,7 +459,7 @@ class Element:
         link = self.links[dst.id]
         if link.state.phase is not OPEN:
             return False
-        register_request(link, PendingRequest(hop_by_hop_id, command_code, now, on_answer))
+        register_request(link, PendingRequest(hop_by_hop_id, now, on_answer))
         self.sim.send(self.node, dst, data)
         return True
 

@@ -136,19 +136,16 @@ class PendingRequest:
     """
 
     hop_by_hop_id: int
-    command_code: int
     sent_at: int
     on_answer: Optional[AnswerCallback] = None
 
     def __init__(
         self,
         hop_by_hop_id: int,
-        command_code: int,
         sent_at: int,
         on_answer: Optional[AnswerCallback] = None,
     ) -> None:
         _set(self, "hop_by_hop_id", hop_by_hop_id)
-        _set(self, "command_code", command_code)
         _set(self, "sent_at", sent_at)
         _set(self, "on_answer", on_answer)
 
@@ -213,49 +210,22 @@ def result_code_avp(code: int) -> Avp:
     return Avp(code=dct.AVP_RESULT_CODE, data=code.to_bytes(4, "big"), mandatory=True)
 
 
-def build_cer(
-    identity: str,
-    application_ids: list[int] | tuple[int, ...],
-    *,
-    hop_by_hop_id: int = 0,
-    end_to_end_id: int = 0,
-) -> Message:
+def build_cer(identity: str, application_ids: list[int] | tuple[int, ...]) -> Message:
+    """A CER with ids 0, as are the DWR and DPR: the sending link stamps its own (`replace_ids`)."""
     avps = [_origin(identity)] + [
         Avp(code=dct.AVP_AUTH_APPLICATION_ID, data=a.to_bytes(4, "big"), mandatory=True)
         for a in application_ids
     ]
-    return build_message(
-        dct.CMD_CAPABILITIES_EXCHANGE,
-        request=True,
-        hop_by_hop_id=hop_by_hop_id,
-        end_to_end_id=end_to_end_id,
-        avps=avps,
-    )
+    return build_message(dct.CMD_CAPABILITIES_EXCHANGE, request=True, avps=avps)
 
 
-def build_dwr(identity: str, *, hop_by_hop_id: int = 0, end_to_end_id: int = 0) -> Message:
-    return build_message(
-        dct.CMD_DEVICE_WATCHDOG,
-        request=True,
-        hop_by_hop_id=hop_by_hop_id,
-        end_to_end_id=end_to_end_id,
-        avps=[_origin(identity)],
-    )
+def build_dwr(identity: str) -> Message:
+    return build_message(dct.CMD_DEVICE_WATCHDOG, request=True, avps=[_origin(identity)])
 
 
-def build_dpr(
-    identity: str, *, cause: int = 0, hop_by_hop_id: int = 0, end_to_end_id: int = 0
-) -> Message:
-    return build_message(
-        dct.CMD_DISCONNECT_PEER,
-        request=True,
-        hop_by_hop_id=hop_by_hop_id,
-        end_to_end_id=end_to_end_id,
-        avps=[
-            _origin(identity),
-            Avp(code=dct.AVP_DISCONNECT_CAUSE, data=cause.to_bytes(4, "big"), mandatory=True),
-        ],
-    )
+def build_dpr(identity: str) -> Message:
+    cause = Avp(code=dct.AVP_DISCONNECT_CAUSE, data=bytes(4), mandatory=True)  # REBOOTING (0)
+    return build_message(dct.CMD_DISCONNECT_PEER, request=True, avps=[_origin(identity), cause])
 
 
 def build_base_answer(

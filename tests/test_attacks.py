@@ -271,7 +271,7 @@ class _StubBox:
 
     def send_app_request(self, dst, command_code, avps, on_answer, now):
         hbh, self.next_id = self.next_id, self.next_id + 1
-        self.pending[hbh] = PendingRequest(hbh, command_code, now, on_answer)
+        self.pending[hbh] = PendingRequest(hbh, now, on_answer)
         return hbh
 
     def answer(self, hbh, now):

@@ -25,7 +25,13 @@ from diamlab.campaign import (
 from diamlab.capture import read_capture
 from diamlab.cli import main
 from diamlab.codec import Avp, build_message, encode_message
-from diamlab.config import ATTACK_KINDS, ConfigError, load_config, parse_campaign_config
+from diamlab.config import (
+    ATTACK_KINDS,
+    MAX_TEXT_BYTES,
+    ConfigError,
+    load_config,
+    parse_campaign_config,
+)
 from diamlab.taxonomy import Impact, Origin, TaxonomyLabel, Technique
 
 from tests.labs import core_lab_text, duo_lab_text, make_lab
@@ -519,6 +525,13 @@ def _config_with(line: str) -> str:
     return duo_lab_text().replace("seed = 7\n", f"seed = 7\n{line}\n")
 
 
+def _core_lab_with(sid: str, hss: str = "hss", profile: str = "") -> str:
+    """The core lab plus one more subscriber, its HSS labelled `hss`, and an
+    intercept on the MME-HSS link, which carries that subscriber's attach."""
+    text = core_lab_text().replace(" hss]", f" {hss}]")
+    return text + f"\n[subscriber {sid}]\nlocation = a\n{profile}" + _intercept("mme", hss)
+
+
 @pytest.fixture(scope="module")
 def cli_files(tmp_path_factory, phase2_run):
     """Named inputs for every file-taking option, bad ones and good ones."""
@@ -561,6 +574,16 @@ def cli_files(tmp_path_factory, phase2_run):
         ).encode(),
         # an intercept with no traffic to see: it runs and captures nothing
         "intercept_no_attack_box": (NO_ATTACK_BOX + _intercept("attacker", "target")).encode(),
+        # a label whose CER Origin-Host AVP, "<label>.lab", is 2**24 bytes long
+        "huge_label": duo_lab_text().replace("attacker", "a" * (2**24 - 12)).encode(),
+        # an id whose profile answer is 18 MiB long
+        "huge_subscriber": _core_lab_with("i" * 9 * 2**20).encode(),
+        # a label and a subscriber (id, location and profile line) just at the bound
+        "longest_lab_text": _core_lab_with(
+            "i" * (MAX_TEXT_BYTES - len("a" + "profile.tier" + "gold")),
+            hss="h" * MAX_TEXT_BYTES,
+            profile="profile.tier = gold\n",
+        ).encode(),
     }
     files = {}
     for name, data in contents.items():
@@ -640,6 +663,8 @@ FIXED_INPUTS = [
     (["run", "--config", "@attach_without_core"], "error: @attach_without_core:27: intercept traffic attaches"),
     (["run", "--config", "@attach_mme_unlinked"], "error: @attach_mme_unlinked:39: intercept traffic attaches"),
     (["run", "--config", "phase1", "--seed", "-1"], "error: --seed: seed -1 must fit in 64 bits"),
+    (["run", "--config", "@huge_label"], "error: @huge_label:6: node label is longer than 1048576 UTF-8"),
+    (["run", "--config", "@huge_subscriber"], "error: @huge_subscriber:41: subscriber id, location and"),
 ]
 
 
@@ -671,6 +696,17 @@ def test_unreadable_inputs_exit_one_with_a_located_error(argv, error, cli_files,
     code, out, err = run_cli(argv, cli_files, tmp_path / "out")
     assert code == 1 and out == ""
     assert err.startswith(error) and err.count("\n") == 1, err
+
+
+def test_lab_text_at_the_length_bound_runs(cli_files, tmp_path):
+    argv = ["run", "--config", "@longest_lab_text", "--out", "@out"]
+    code, _, err = run_cli(argv, cli_files, tmp_path)
+    assert (code, err) == (2, "")  # the intercept's finding
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert len(report["config"]["nodes"][2]["label"]) == MAX_TEXT_BYTES
+    result = report["attacks"][0]["result"]
+    assert result["records_decoded"] == result["records_captured"] > 0
+    assert "61" in [item["value_hex"] for item in result["inventory"]]  # its location, "a"
 
 
 def listing(directory: Path) -> list[Path]:

@@ -251,12 +251,12 @@ class TestEncodeErrors:
 def tiny_dictionary() -> Dictionary:
     return Dictionary(
         entries={
-            (1, None): DictEntry("counter", "unsigned32", True),
-            (2, None): DictEntry("wide", "unsigned64", False),
-            (3, None): DictEntry("blob", "octet-string", False),
-            (4, None): DictEntry("name", "utf8-text", False),
-            (5, None): DictEntry("addr", "address", False),
-            (6, None): DictEntry("bundle", "grouped", False),
+            (1, None): DictEntry("counter", "unsigned32"),
+            (2, None): DictEntry("wide", "unsigned64"),
+            (3, None): DictEntry("blob", "octet-string"),
+            (4, None): DictEntry("name", "utf8-text"),
+            (5, None): DictEntry("addr", "address"),
+            (6, None): DictEntry("bundle", "grouped"),
         }
     )
 
@@ -403,7 +403,7 @@ def _ignore_answer(pending, msg, now):
     pass
 
 
-_PENDING = PendingRequest(3, 700, 10, _ignore_answer)
+_PENDING = PendingRequest(3, 10, _ignore_answer)
 VALUE_TYPES = [
     (
         Avp,
@@ -448,11 +448,10 @@ VALUE_TYPES = [
         PendingRequest,
         [
             ("hop_by_hop_id", dataclasses.MISSING),
-            ("command_code", dataclasses.MISSING),
             ("sent_at", dataclasses.MISSING),
             ("on_answer", None),
         ],
-        (3, 700, 10, _ignore_answer),
+        (3, 10, _ignore_answer),
         {"sent_at": 11},
     ),
     (

@@ -9,6 +9,7 @@ from diamlab.attacks import FloodSpec, FuzzSpec, InterceptSpec, MutationOp
 from diamlab.campaign import build_lab
 from diamlab.config import (
     BUILTIN_CONFIGS,
+    MAX_TEXT_BYTES,
     CampaignConfig,
     ConfigError,
     load_config,
@@ -44,8 +45,9 @@ class TestSectionParser:
             parse_sections("[]\n")
 
     def test_values_keep_line_numbers(self):
-        sections = parse_sections("[s]\na = 1\nb = 2\n")
-        assert sections[0].where("b") == 3
+        (section,) = parse_sections("[s]\na = 1\nb = 2\n", source="<x>")
+        assert str(section.error("bad", "b")) == "<x>:3: bad"
+        assert str(section.error("bad")) == "<x>:1: bad"
 
 
 class TestBuiltins:
@@ -194,6 +196,22 @@ class TestCampaignAssembly:
         text = minimal() + "\n[subscriber s1]\nlocation = a\n[subscriber s1]\nlocation = b\n"
         with pytest.raises(ConfigError, match="duplicate subscriber"):
             parse_campaign_config(text)
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-bound", "one-byte-over"])
+    def test_label_and_subscriber_lengths_count_utf8_bytes(self, over):
+        half = "é" * (MAX_TEXT_BYTES // 2)  # two UTF-8 bytes each
+        label = minimal().replace("[node target]", f"[node {half}{'x' * over}]")
+        label = label.replace("[link attacker target]", f"[link attacker {half}{'x' * over}]")
+        # id, location and profile key and value: MAX_TEXT_BYTES - 16 + 1 + 12 + 3 bytes
+        location = "ab"[: 1 + over]
+        sub = minimal() + f"\n[subscriber {half[8:]}]\nlocation = {location}\nprofile.tier = abc\n"
+        for text, message in [(label, "node label"), (sub, "subscriber id, location")]:
+            if not over:
+                parse_campaign_config(text)
+                continue
+            line = next(n for n, row in enumerate(text.splitlines(), 1) if len(row) > 2**19)
+            with pytest.raises(ConfigError, match=rf"^<config>:{line}: {message}"):
+                parse_campaign_config(text)
 
     def test_duplicate_rule(self):
         text = minimal() + "\n[rule r1]\nsubscriber = s1\n[rule r1]\nsubscriber = s2\n"
@@ -477,6 +495,6 @@ def test_any_config_text_is_a_config_or_a_located_error(text):
         assert str(exc).startswith("<fuzz>")
         return
     assert isinstance(config, CampaignConfig)
-    # whatever parses builds (no deferred TopologyError or ValueError), one link per [link]
+    # whatever parses builds (no deferred ValueError), one link per [link]
     lab = build_lab(config)
     assert len(lab.sim.links) == len(config.topology.links)

@@ -460,7 +460,7 @@ class TestPendingTable:
         lab, ab, target, link = self._open_duo()
         hbh = self._echo(lab, ab, target)
         entry = link.pending[hbh]
-        assert entry == PendingRequest(hbh, dct.CMD_ECHO, lab.sim.clock, self.answers)
+        assert entry == PendingRequest(hbh, lab.sim.clock, self.answers)
         self._feed_answer(lab, ab, target, hbh)
         assert self.answers.delivered == [(entry, hbh)]
         assert link.pending == {}
@@ -495,13 +495,13 @@ class TestPendingTable:
     def test_register_outside_open_rejected(self):
         lab, ab, target, _ = self._open_duo()
         with pytest.raises(ValueError):
-            register_request(PeerLink(neighbor=target.node), PendingRequest(1, 700, 0))
+            register_request(PeerLink(neighbor=target.node), PendingRequest(1, 0))
 
     def test_duplicate_registration_rejected(self):
         lab, ab, target, link = self._open_duo()
-        register_request(link, PendingRequest(1, 700, 0))
+        register_request(link, PendingRequest(1, 0))
         with pytest.raises(ValueError):
-            register_request(link, PendingRequest(1, 700, 0))
+            register_request(link, PendingRequest(1, 0))
 
     def test_answer_event_delivers_with_pending(self):
         lab, ab, target, link = self._open_duo()

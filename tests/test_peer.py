@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamlab import dictionary as dct
-from diamlab.codec import decode_message, encode_message, first_avp
+from diamlab.codec import decode_message, encode_message, first_avp, replace_ids
 from diamlab.peer import (
     DEFAULT_CONFIG,
     MESSAGE_EVENTS,
@@ -77,7 +77,7 @@ class TestTransitionMatrix:
     def test_inputs_are_never_mutated(self, phase, kind):
         state = state_in(phase)
         # an entry the RcvAnswer message matches, so Open/RcvAnswer delivers
-        pending = {12345: PendingRequest(12345, dct.CMD_ECHO, 0)}
+        pending = {12345: PendingRequest(12345, 0)}
         before = (state.phase, state.watchdog_deadline, dict(pending))
         handle_event(state, PeerEvent(kind, message_for(kind)), 0, DEFAULT_CONFIG, pending)
         assert (state.phase, state.watchdog_deadline, pending) == before
@@ -99,7 +99,7 @@ class TestLifecycleScenarios:
         assert s.watchdog_deadline == 10 + WD
 
     def test_responder_happy_path(self):
-        cer = build_cer("a.lab", [0], hop_by_hop_id=3, end_to_end_id=3)
+        cer = replace_ids(build_cer("a.lab", [0]), 3, 3)
         s, actions = handle_event(PeerState(), PeerEvent(EventKind.RCV_CER, cer), 5)
         assert s.phase is Phase.OPEN
         assert [a.kind for a in actions] == [ActionKind.SEND_CEA]
@@ -116,7 +116,7 @@ class TestLifecycleScenarios:
 
     def test_dwr_echo_in_open(self):
         s = state_in(Phase.OPEN)
-        dwr = build_dwr("peer.example", hop_by_hop_id=44)
+        dwr = replace_ids(build_dwr("peer.example"), 44, 0)
         s2, actions = handle_event(s, PeerEvent(EventKind.RCV_DWR, dwr), 0)
         assert s2.phase is Phase.OPEN
         assert [a.kind for a in actions] == [ActionKind.SEND_DWA]
@@ -203,7 +203,7 @@ class TestCorrelation:
     """
 
     def test_answer_matching_the_table_is_delivered_with_its_entry(self):
-        entry = PendingRequest(21, dct.CMD_ECHO, 5, on_answer=lambda pending, msg, now: None)
+        entry = PendingRequest(21, 5, on_answer=lambda pending, msg, now: None)
         pending = {21: entry}
         answer = build_message(dct.CMD_ECHO, hop_by_hop_id=21)
         s = state_in(Phase.OPEN)
@@ -214,7 +214,7 @@ class TestCorrelation:
         assert s2 == s and pending == {21: entry}
 
     def test_answer_outside_open_is_dropped_even_when_it_matches(self):
-        pending = {21: PendingRequest(21, dct.CMD_ECHO, 5)}
+        pending = {21: PendingRequest(21, 5)}
         event = PeerEvent(EventKind.RCV_ANSWER, build_message(dct.CMD_ECHO, hop_by_hop_id=21))
         for phase in Phase:
             if phase is Phase.OPEN:
@@ -235,7 +235,7 @@ class TestBuilders:
         assert [int.from_bytes(a.data, "big") for a in apps] == [0, 5]
 
     def test_cea_echoes_hop_by_hop(self):
-        cer = build_cer("a.lab", [0], hop_by_hop_id=99, end_to_end_id=98)
+        cer = replace_ids(build_cer("a.lab", [0]), 99, 98)
         cea = build_base_answer(cer, "b.lab")
         assert cea.header.hop_by_hop_id == 99
         assert cea.header.end_to_end_id == 98
