@@ -17,6 +17,8 @@ from diamlab.attacks import (
     MutationOp,
     Severity,
     _FloodDriver,
+    _count_result_code,
+    as_text,
     mutate,
     run_flood,
     run_fuzz,
@@ -502,6 +504,26 @@ class TestFuzz:
         _, lab = make_lab(duo_lab_text())
         with pytest.raises(ValueError, match="seed"):
             run_fuzz(lab, FuzzSpec(target="target", case_count=10))
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (b"area-1", "area-1"),
+            ("zoné".encode(), "zoné"),
+            (b"\xff\xfe", None),
+            (b"tab\there", None),
+            (b"", ""),
+        ],
+        ids=["ascii", "utf8", "not-utf8", "control", "empty"],
+    )
+    def test_as_text_keeps_only_printable_utf8(self, value, text):
+        assert as_text(value) == text
+
+    def test_result_codes_are_tallied_by_their_text(self):
+        counts: dict[str, int] = {}
+        for code in [2001, None, 2001, 5001, None, None]:
+            _count_result_code(counts, code)
+        assert counts == {"2001": 2, "none": 3, "5001": 1}
 
     def test_spec_invariants(self):
         with pytest.raises(ValueError):

@@ -49,6 +49,22 @@ class TestSectionParser:
         assert str(section.error("bad", "b")) == "<x>:3: bad"
         assert str(section.error("bad")) == "<x>:1: bad"
 
+    def test_build_returns_the_value(self):
+        (section,) = parse_sections("[s]\na = 1\n", source="<x>")
+        assert section.build(FuzzSpec, target="t", case_count=2) == FuzzSpec(target="t", case_count=2)
+
+    def test_build_locates_a_value_error_at_the_header(self):
+        (section,) = parse_sections("# top\n[s]\na = 1\n", source="<x>")
+        with pytest.raises(ConfigError) as info:
+            section.build(FuzzSpec, target="t", case_count=0)
+        assert str(info.value) == "<x>:2: fuzz case count must be > 0"
+        assert info.value.__cause__ is None
+
+    def test_build_lets_other_errors_through(self):
+        (section,) = parse_sections("[s]\n")
+        with pytest.raises(TypeError):
+            section.build(FuzzSpec, target="t", case_count=2, no_such_field=1)
+
 
 class TestBuiltins:
     def test_phase1_shape(self):
@@ -181,6 +197,29 @@ class TestCampaignAssembly:
         text = minimal().replace("kind = TargetServer", "kind = TargetServer\nservice_rate = 0")
         with pytest.raises(ConfigError, match="service_rate must be > 0"):
             parse_campaign_config(text)
+
+    @pytest.mark.parametrize(
+        "header, old, new, text",
+        [
+            ("[node target]", "kind = TargetServer", "kind = TargetServer\nqueue_capacity = -1",
+             "queue_capacity must be >= 0"),
+            ("[link attacker target]", "[link attacker target]",
+             "[link attacker target]\nloss = -0.5", "loss_probability must be in"),
+            ("[attack flood]", "\n[attack flood]\ntarget = target\nrate_tps = -5\nduration_s = 1\n",
+             None, "flood rate must be > 0"),
+            ("[attack fuzz]", "\n[attack fuzz]\ntarget = target\ncases = 0\n",
+             None, "fuzz case count must be > 0"),
+            ("[attack fuzz]", "\n[attack fuzz]\ntarget = target\ncases = 3\nops = ,\n",
+             None, "fuzz op set must be non-empty"),
+        ],
+        ids=["capacity", "link", "flood", "fuzz-cases", "fuzz-ops"],
+    )
+    def test_value_type_errors_are_located_at_the_header(self, header, old, new, text):
+        config_text = minimal().replace(old, new) if new is not None else minimal() + old
+        line = config_text.splitlines().index(header) + 1
+        with pytest.raises(ConfigError) as info:
+            parse_campaign_config(config_text)
+        assert str(info.value).startswith(f"<config>:{line}: {text}")
 
     def test_link_attributes(self):
         text = minimal(extra="latency_ms = 3\nloss = 0.25\nprotected = yes")
