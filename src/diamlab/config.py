@@ -162,6 +162,17 @@ def _get_bool(sec: Section, key: str, default: bool = False) -> bool:
     raise sec.error(f"{key} must be true/false", key)
 
 
+def _check_keys(sec: Section, known: tuple[str, ...]) -> None:
+    """Refuse a key the section does not read: a misspelt key would leave its
+    default in place silently. A known key ending in `*` stands for every
+    key that starts with the rest of it."""
+    for key in sec.values:
+        if key not in known and not any(
+            k.endswith("*") and key.startswith(k[:-1]) for k in known
+        ):
+            raise sec.error(f"unknown key {key!r} (known: {', '.join(known)})", key)
+
+
 def _require(sec: Section, key: str, get: Optional[Callable] = None):
     """The value of a required key, converted by `get` (one of the `_get_*`) if given."""
     if key not in sec.values:
@@ -228,6 +239,7 @@ _CAPACITY_KEYS = (
     ("queue_capacity", _get_int),
     ("failure_threshold_s", _get_float),
 )
+_NODE_KEYS = ("kind", *(key for key, _ in _CAPACITY_KEYS))
 _CORE_KINDS = {ElementKind.HSS, ElementKind.MME, ElementKind.PCRF}
 
 
@@ -264,6 +276,7 @@ def _target(sec: Section, labels: dict[str, ElementKind]) -> str:
 
 
 def _parse_flood(sec: Section, labels: dict[str, ElementKind]) -> FloodSpec:
+    _check_keys(sec, ("target", "rate_tps", "duration_s", "degraded_threshold"))
     return sec.build(
         FloodSpec,
         target=_target(sec, labels),
@@ -276,6 +289,7 @@ def _parse_flood(sec: Section, labels: dict[str, ElementKind]) -> FloodSpec:
 
 
 def _parse_intercept(sec: Section, labels: dict[str, ElementKind]) -> InterceptSpec:
+    _check_keys(sec, ("link", "avp_codes"))
     link_value = _require(sec, "link").split()
     if len(link_value) != 2:
         raise sec.error("link must name two nodes", "link")
@@ -297,6 +311,7 @@ def _parse_intercept(sec: Section, labels: dict[str, ElementKind]) -> InterceptS
 
 
 def _parse_fuzz(sec: Section, labels: dict[str, ElementKind]) -> FuzzSpec:
+    _check_keys(sec, ("target", "ops", "cases", "seed"))
     target = _target(sec, labels)
     ops: tuple[MutationOp, ...] = FuzzSpec.ops
     if "ops" in sec.values:
@@ -435,6 +450,10 @@ def parse_campaign_config(
     if len(campaign_secs) != 1:
         raise ConfigError(f"{source}: expected exactly one [campaign] section")
     camp = campaign_secs[0]
+    _check_keys(
+        camp,
+        ("phase", "seed", "output", "topology", "watchdog_interval_s", "request_timeout_s"),
+    )
     phase = _require(camp, "phase")
     if phase not in ("phase1", "phase2", "custom"):
         raise camp.error("phase must be phase1/phase2/custom", "phase")
@@ -485,6 +504,7 @@ def parse_campaign_config(
                 raise sec.error(f"node label is longer than {MAX_TEXT_BYTES} UTF-8 bytes")
             if label in kinds:
                 raise sec.error(f"duplicate node label {label!r}")
+            _check_keys(sec, _NODE_KEYS)
             kind_name = _require(sec, "kind")
             if kind_name not in _KIND_NAMES:
                 raise sec.error(f"unknown element kind {kind_name!r}", "kind")
@@ -507,6 +527,7 @@ def parse_campaign_config(
                     f" (first declared on line {link_lines[pair]})"
                 )
             link_lines[pair] = sec.line
+            _check_keys(sec, ("latency_ms", "loss", "protected"))
             latency_ms = _get_float(sec, "latency_ms", LinkSpec.latency_ms)
             loss = _get_float(sec, "loss", LinkSpec.loss_probability)
             protected = _get_bool(sec, "protected", LinkSpec.protected)
@@ -517,6 +538,7 @@ def parse_campaign_config(
             sid = sec.args[0]
             if sid in subscribers:
                 raise sec.error(f"duplicate subscriber {sid!r}")
+            _check_keys(sec, ("location", "profile.*"))
             location = _require(sec, "location")
             given = {key: value for key, value in sec.values.items() if key.startswith("profile.")}
             written = "".join((sid, location, *given, *given.values()))
@@ -533,6 +555,7 @@ def parse_campaign_config(
             rule_id = sec.args[0]
             if rule_id in rules:
                 raise sec.error(f"duplicate rule {rule_id!r}")
+            _check_keys(sec, ("subscriber", "qos_class"))
             rules[rule_id] = PolicyRule(
                 rule_id=rule_id,
                 subscriber_id=_require(sec, "subscriber"),

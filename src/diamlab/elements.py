@@ -1,9 +1,13 @@
 """Simulated core elements: target server, HSS, MME, PCRF, attack box.
 
 Every element is one simulation node handler built around the same
-pipeline: decode strictly, validate requests against the dictionary,
-feed the peer state machine, and hand application requests to a
-capacity model before the element-specific command handler runs.
+pipeline: decode strictly and validate requests against the dictionary.
+Then base-protocol messages (CER/CEA, DWR/DWA, DPR/DPA) and timers feed
+the peer state machine, and application messages take the direct path,
+judged by `peer.deliverable` and built into no event or action: a
+delivered request goes to the capacity model before the element-specific
+command handler runs, a delivered answer pops its pending entry and goes
+to the entry's `on_answer`, and anything else counts an FSM drop.
 Elements send the Message value itself (see `simnet`): every Message
 they send comes from `build_message`, `build_answer` or `replace_ids`,
 which run the encoder's checks, so it stands for its own encoding and
@@ -15,7 +19,8 @@ second, burst of one) in front of a bounded FIFO queue. A 1 Hz sampler
 watches the queue: once it has been non-empty at every sample for
 failure_threshold_s consecutive seconds the element marks itself failed
 and answers nothing for the rest of the run. That makes overload and
-failure directly observable and checkable against a fluid model.
+failure directly observable and checkable against a fluid model, and
+exactly against the discrete reference model in the tests.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from .codec import (
     validate_message,
 )
 from .peer import (
-    DELIVER_TO_APP,
     DROP_MESSAGE,
     OPEN,
     RCV_ANSWER,
@@ -56,6 +60,7 @@ from .peer import (
     PeerEvent,
     PeerState,
     PendingRequest,
+    deliverable,
     handle_event,
     register_request,
     result_code_avp,
@@ -193,20 +198,13 @@ def result_code_of(msg: Message) -> Optional[int]:
     return int.from_bytes(avp.data, "big")
 
 
-# Command code -> (request event, answer event); every other command is
-# application traffic.
+# Base-protocol command code -> (request event, answer event); every other
+# command is application traffic, which `Element._deliver` takes directly.
 _BASE_EVENT_KINDS = {
     dct.CMD_CAPABILITIES_EXCHANGE: (EventKind.RCV_CER, EventKind.RCV_CEA),
     dct.CMD_DEVICE_WATCHDOG: (EventKind.RCV_DWR, EventKind.RCV_DWA),
     dct.CMD_DISCONNECT_PEER: (EventKind.RCV_DPR, EventKind.RCV_DPA),
 }
-_APP_EVENT_KINDS = (RCV_REQUEST, RCV_ANSWER)
-
-
-def _event_kind_for(msg: Message) -> EventKind:
-    header = msg.header
-    kinds = _BASE_EVENT_KINDS.get(header.command_code, _APP_EVENT_KINDS)
-    return kinds[0] if header.request else kinds[1]
 
 
 class Element:
@@ -227,8 +225,13 @@ class Element:
         self.peer_config = peer_config
         self.links: dict[int, PeerLink] = {}
 
-        # token-rate service state
-        self._tokens = 1.0
+        # Token-rate service state, in exact integer credit: a token is
+        # `_token` credit and a microsecond earns `_rate` (their ratio is
+        # service_rate per microsecond, exactly), so fractions of a token
+        # never add up to a hair under a whole one.
+        self._rate, per_token = capacity.service_rate.as_integer_ratio()
+        self._token = per_token * US_PER_S
+        self._credit = self._token  # a burst of one
         self._last_accrual = 0
         self._drain_scheduled = False
         self.queue: deque[tuple[int, Message]] = deque()
@@ -267,7 +270,13 @@ class Element:
     # -- peer FSM driving ------------------------------------------------------
 
     def feed_event(self, peer: NodeId, event: PeerEvent, now: int) -> None:
+        """Advance the link to `peer` by `event`; an application event takes
+        `_deliver`, as an application message does in `on_decoded`."""
         link = self.links[peer.id]
+        kind = event.kind
+        if kind is RCV_REQUEST or kind is RCV_ANSWER:
+            self._deliver(link, event.message, now)
+            return
         prev_deadline = link.state.watchdog_deadline
         new_state, actions = handle_event(link.state, event, now, self.peer_config, link.pending)
         link.state = new_state
@@ -285,18 +294,7 @@ class Element:
 
     def _execute(self, link: PeerLink, action: PeerAction, now: int) -> None:
         kind = action.kind
-        if kind is DELIVER_TO_APP:
-            msg = action.message
-            if msg.header.request:
-                self._admit_request(link, msg, now)
-            else:
-                pending = action.pending
-                del link.pending[pending.hop_by_hop_id]
-                if pending.on_answer is None:
-                    self.stray_answers += 1
-                else:
-                    pending.on_answer(pending, msg, now)
-        elif kind in SEND_ACTIONS:
+        if kind in SEND_ACTIONS:
             msg = action.message
             if msg.header.request:
                 hbh = self._alloc_hop_by_hop(link)
@@ -321,8 +319,10 @@ class Element:
         self.on_decoded(src, msg, now)
 
     def on_decoded(self, src: NodeId, msg: Message, now: int) -> None:
-        """Validate a decoded inbound message and feed it to the peer FSM."""
-        if msg.header.request:
+        """Validate a decoded inbound message, then deliver it if it is
+        application traffic, or feed it to the peer FSM if it is not."""
+        header = msg.header
+        if header.request:
             violations = validate_message(msg, dct.BUILTIN_DICTIONARY)
             if violations:
                 self.validation_rejects += 1
@@ -332,14 +332,36 @@ class Element:
                     code = dct.RESULT_INVALID_AVP_LENGTH
                 self.sim.send(self.node, src, _error_answer(msg, code))
                 return
-        self.feed_event(src, PeerEvent(_event_kind_for(msg), msg), now)
+        kinds = _BASE_EVENT_KINDS.get(header.command_code)
+        if kinds is None:
+            self._deliver(self.links[src.id], msg, now)
+        else:
+            self.feed_event(src, PeerEvent(kinds[0] if header.request else kinds[1], msg), now)
+
+    def _deliver(self, link: PeerLink, msg: Message, now: int) -> None:
+        """Application traffic: admit a request, or hand an answer to the
+        request it matches, if `deliverable`; else count an FSM drop. The
+        peer state never changes."""
+        if not deliverable(link.state.phase, msg, link.pending):
+            self.fsm_drops += 1
+        elif msg.header.request:
+            neighbor_id = link.neighbor.id
+            if self.admit((neighbor_id, msg), now) is ACCEPTED:
+                self.direct_served += 1
+                self._serve(neighbor_id, msg, now)
+        else:
+            pending = link.pending.pop(msg.header.hop_by_hop_id)
+            if pending.on_answer is None:
+                self.stray_answers += 1
+            else:
+                pending.on_answer(pending, msg, now)
 
     # -- capacity model ----------------------------------------------------------
 
     def _accrue(self, now: int) -> None:
         if now > self._last_accrual:
-            gained = self.capacity.service_rate * (now - self._last_accrual) / US_PER_S
-            self._tokens = min(1.0, self._tokens + gained)
+            gained = self._rate * (now - self._last_accrual)
+            self._credit = min(self._token, self._credit + gained)
             self._last_accrual = now
 
     def admit(self, request: object, now: int) -> Admission:
@@ -348,8 +370,8 @@ class Element:
             raise ElementFailedError(f"{self.node.label} has failed; it admits nothing")
         self.offered += 1
         self._accrue(now)
-        if self._tokens >= 1.0 and not self.queue:
-            self._tokens -= 1.0
+        if self._credit >= self._token and not self.queue:
+            self._credit -= self._token
             return ACCEPTED
         if len(self.queue) < self.capacity.queue_capacity:
             self.queue.append(request)
@@ -362,8 +384,7 @@ class Element:
     def _ensure_drain(self, now: int) -> None:
         if self._drain_scheduled:
             return
-        need = max(0.0, 1.0 - self._tokens)
-        delay = max(1, math.ceil(need * US_PER_S / self.capacity.service_rate))
+        delay = max(1, -(-(self._token - self._credit) // self._rate))  # ceil, in integers
         self.sim.schedule_timer(now + delay, self._drain)
         self._drain_scheduled = True
 
@@ -372,8 +393,8 @@ class Element:
         if self.failed:
             return
         self._accrue(now)
-        while self._tokens >= 1.0 and self.queue:
-            self._tokens -= 1.0
+        while self._credit >= self._token and self.queue:
+            self._credit -= self._token
             neighbor_id, msg = self.queue.popleft()
             self.drained_served += 1
             self._serve(neighbor_id, msg, now)
@@ -394,11 +415,6 @@ class Element:
             self.queue.clear()
             return
         self.sim.schedule_timer(now + SAMPLE_INTERVAL_US, self._sample)
-
-    def _admit_request(self, link: PeerLink, msg: Message, now: int) -> None:
-        if self.admit((link.neighbor.id, msg), now) is ACCEPTED:
-            self.direct_served += 1
-            self._serve(link.neighbor.id, msg, now)
 
     def _serve(self, neighbor_id: int, msg: Message, now: int) -> None:
         answer = self.handle_app_request(msg, now)

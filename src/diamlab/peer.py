@@ -3,14 +3,17 @@
 One PeerState per link endpoint, advanced exclusively through
 `handle_event`, a pure function over the full phase x event table (see
 TRANSITION_MATRIX; the same table appears in the README). Application
-traffic is delivered only in the Open phase; everywhere else it is
-dropped, never an error.
+traffic never changes the state: `deliverable` is the one rule for it
+(RFC 6733 section 5.6), read by `handle_event`'s two application rows
+and by the element, which applies it to an application message
+directly, without building an event. Undeliverable traffic is dropped,
+never an error.
 
 The table of outstanding requests and the hop-by-hop counter belong to
 the link that owns this state (`elements.PeerLink`), which changes them
-in place. `handle_event` only reads the table, to decide whether an
-answer in Open matches a request; the link pops the entry it delivers
-and empties the table whenever the phase leaves Open. Requests the
+in place. The rule only reads the table, to decide whether an answer in
+Open matches a request; the link pops the entry it delivers and empties
+the table whenever the phase leaves Open. Requests the
 state machine builds (CER, DWR, DPR) carry hop-by-hop id 0 until the
 link stamps them with its next id.
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cache
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
@@ -206,7 +210,9 @@ def _origin(identity: str) -> Avp:
     return Avp(code=dct.AVP_ORIGIN_HOST, data=identity.encode(), mandatory=True)
 
 
+@cache
 def result_code_avp(code: int) -> Avp:
+    """The Result-Code AVP for `code`: one shared value per code (an Avp is frozen)."""
     return Avp(code=dct.AVP_RESULT_CODE, data=code.to_bytes(4, "big"), mandatory=True)
 
 
@@ -256,6 +262,14 @@ def register_request(link, pending: PendingRequest) -> None:
 # --- the transition function ----------------------------------------------
 
 
+def deliverable(phase: Phase, message: Message, pending: Mapping[int, PendingRequest]) -> bool:
+    """Whether application traffic reaches the application: only in Open,
+    and an answer only with the pending entry its hop-by-hop id matches."""
+    return phase is OPEN and (
+        message.header.request or message.header.hop_by_hop_id in pending
+    )
+
+
 def _drop(state: PeerState, event: PeerEvent) -> tuple[PeerState, list[PeerAction]]:
     return state, [PeerAction(DROP_MESSAGE, event.message)]
 
@@ -275,25 +289,18 @@ def handle_event(
 
     Total over the phase x event table: unexpected events drop or close,
     they never raise. `pending` is the link's table of outstanding
-    requests, read and never changed: an answer in Open is delivered with
-    the entry its hop-by-hop id matches, and dropped when none does.
+    requests, read and never changed: a delivered answer carries the entry
+    its hop-by-hop id matches (see `deliverable`).
     """
     phase, kind = state.phase, event.kind
 
-    # The application rows carry nearly every message, so they come first.
-    if kind is RCV_REQUEST:
-        if phase is OPEN:
-            return state, [PeerAction(DELIVER_TO_APP, event.message)]
-        return _drop(state, event)
-
-    if kind is RCV_ANSWER:
-        if phase is OPEN:
-            message = event.message
-            entry = pending.get(message.header.hop_by_hop_id)
-            if entry is None:
-                return _drop(state, event)
-            return state, [PeerAction(DELIVER_TO_APP, message, entry)]
-        return _drop(state, event)
+    if kind is RCV_REQUEST or kind is RCV_ANSWER:
+        message = event.message
+        if not deliverable(phase, message, pending):
+            return _drop(state, event)
+        header = message.header
+        entry = None if header.request else pending[header.hop_by_hop_id]
+        return state, [PeerAction(DELIVER_TO_APP, message, entry)]
 
     if kind is EventKind.START:
         if phase is Phase.CLOSED:

@@ -1,10 +1,13 @@
 """Attack engine: mutation operators, flood/intercept/fuzz runners."""
 
+import heapq
+import itertools
 import math
-from collections import Counter
+from collections import Counter, deque
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diamlab import dictionary as dct
@@ -254,6 +257,135 @@ class TestFlood:
         for finding in findings:
             if finding.severity is Severity.OUTAGE:
                 assert lab.element("target").failed
+
+
+def reference_flood(start, count, rate, latency, service_rate, queue_capacity, threshold_s,
+                    timeout, horizon):
+    """The capacity model from its definition, in exact rationals.
+
+    A flood of `count` requests from `start` at `rate` per second meets a
+    token bucket (`service_rate` tokens per second, burst of one) in front
+    of a FIFO of `queue_capacity`, drained by a timer due at the ceil of
+    the time the missing token takes. A 1 Hz sample on the lab's grid
+    fails the element after ceil(`threshold_s`) non-empty samples in a
+    row. Answers come back after `latency`; the flood counts those that
+    land by `horizon`, unless a reap (every 1024th send) gave their
+    request up as older than `timeout`. Due events run in the order they
+    were scheduled. Returns (sent, answered, failed_at, target counters).
+    """
+    events, seq = [], itertools.count()
+
+    def at(t, kind, i=None):
+        heapq.heappush(events, (t, next(seq), kind, i))
+
+    per_us = Fraction(service_rate) / 1_000_000
+    tokens, last, queue, drain_due, streak, failed_at = Fraction(1), 0, deque(), False, 0, None
+    n = Counter(offered=0, accepted=0, queued=0, overflow=0, drained=0, at_failure=0)
+    sent_at, answered, reaped = [], set(), set()
+    at(1_000_000, "sample")  # the samplers start when the lab is built
+    at(start, "send", 0)
+    while events and events[0][0] <= horizon:
+        now, _, kind, i = heapq.heappop(events)
+        if kind == "send":
+            sent_at.append(now)
+            at(now + latency, "arrive", i)
+            if i % 1024 == 0:
+                reaped |= {j for j, t in enumerate(sent_at) if t < now - timeout} - answered
+            if i + 1 < count:
+                at(start + round((i + 1) * 1_000_000 / rate), "send", i + 1)
+            continue
+        if kind == "answer":
+            answered |= {i} - reaped
+            continue
+        if failed_at is not None:
+            continue
+        tokens, last = min(1, tokens + per_us * (now - last)), now
+        if kind == "arrive":
+            n["offered"] += 1
+            if tokens >= 1 and not queue:
+                tokens -= 1
+                n["accepted"] += 1
+                at(now + latency, "answer", i)
+            elif len(queue) < queue_capacity:
+                queue.append(i)
+                n["queued"] += 1
+            else:
+                n["overflow"] += 1
+        elif kind == "drain":
+            drain_due = False
+            while tokens >= 1 and queue:
+                tokens -= 1
+                n["drained"] += 1
+                at(now + latency, "answer", queue.popleft())
+        else:
+            streak = streak + 1 if queue else 0
+            if streak >= math.ceil(threshold_s):
+                failed_at, n["at_failure"] = now, len(queue)
+                queue.clear()
+                continue
+            at(now + 1_000_000, "sample")
+        if queue and not drain_due:
+            at(now + max(1, math.ceil((1 - tokens) / per_us)), "drain")
+            drain_due = True
+    return len(sent_at), len(answered), failed_at, dict(n)
+
+
+class TestCapacityOracle:
+    """The flood against `reference_flood`: equal counts, not a tolerance."""
+
+    @given(
+        rate=st.floats(5, 4000),
+        duration=st.floats(0.2, 4),
+        service_rate=st.one_of(st.integers(5, 2000), st.floats(5, 2000)),
+        queue_capacity=st.integers(0, 200),
+        latency_ms=st.one_of(st.integers(0, 50), st.floats(0, 50)),
+        threshold=st.one_of(st.floats(0.5, 6), st.just(3600)),
+    )
+    # a request reaped before its answer lands
+    @example(rate=500, duration=4, service_rate=5, queue_capacity=200, latency_ms=5, threshold=3600)
+    # token fractions that sum to exactly one (0.884 + 0.116), which floats missed
+    @example(rate=3109, duration=0.3943250152677322, service_rate=1000, queue_capacity=200,
+             latency_ms=41.49264518294957, threshold=3.7086012170026716)
+    @settings(max_examples=50, deadline=None)
+    def test_flood_equals_the_reference_model(
+        self, rate, duration, service_rate, queue_capacity, latency_ms, threshold
+    ):
+        _, lab = make_lab(
+            duo_lab_text(
+                service_rate=service_rate,
+                queue_capacity=queue_capacity,
+                failure_threshold_s=threshold,
+                latency_ms=latency_ms,
+            )
+        )
+        spec = FloodSpec(target="target", rate_tps=rate, duration_s=min(duration, 2000 / rate))
+        start = lab.sim.clock
+        result, _ = run_flood(lab, spec)
+        target = lab.element("target")
+        expected = reference_flood(
+            start,
+            spec.count,
+            rate,
+            lab.max_latency_us(),
+            target.capacity.service_rate,
+            queue_capacity,
+            threshold,
+            lab.config.request_timeout_us,
+            horizon=lab.sim.clock,  # run_flood runs the clock to its horizon
+        )
+        sent, answered, failed_at, counters = expected
+        assert (result.offered, result.answered, result.dropped) == (
+            sent, answered, sent - answered
+        )
+        assert (result.element_failed, target.failed_at) == (failed_at is not None, failed_at)
+        assert {
+            "offered": target.offered,
+            "accepted": target.direct_served,
+            "queued": target.queued_total,
+            "overflow": target.dropped_overflow,
+            "drained": target.drained_served,
+            "at_failure": target.dropped_at_failure,
+        } == counters
 
 
 class _StubBox:

@@ -574,6 +574,8 @@ def cli_files(tmp_path_factory, phase2_run):
         ).encode(),
         # an intercept with no traffic to see: it runs and captures nothing
         "intercept_no_attack_box": (NO_ATTACK_BOX + _intercept("attacker", "target")).encode(),
+        # `service_rate` misspelt: it would silently keep its default
+        "misspelt_key": (duo_lab_text().replace("service_rate", "service_rat") + TINY_FLOOD).encode(),
         # a label whose CER Origin-Host AVP, "<label>.lab", is 2**24 bytes long
         "huge_label": duo_lab_text().replace("attacker", "a" * (2**24 - 12)).encode(),
         # an id whose profile answer is 18 MiB long
@@ -665,6 +667,7 @@ FIXED_INPUTS = [
     (["run", "--config", "phase1", "--seed", "-1"], "error: --seed: seed -1 must fit in 64 bits"),
     (["run", "--config", "@huge_label"], "error: @huge_label:6: node label is longer than 1048576 UTF-8"),
     (["run", "--config", "@huge_subscriber"], "error: @huge_subscriber:41: subscriber id, location and"),
+    (["run", "--config", "@misspelt_key"], "error: @misspelt_key:11: unknown key 'service_rat'"),
 ]
 
 

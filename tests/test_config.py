@@ -221,6 +221,37 @@ class TestCampaignAssembly:
             parse_campaign_config(config_text)
         assert str(info.value).startswith(f"<config>:{line}: {text}")
 
+    EVERY_SECTION = minimal() + (
+        "\n[subscriber s1]\nlocation = a\nprofile.tier = gold\n"
+        "\n[rule r1]\nsubscriber = s1\n"
+        "\n[attack flood]\ntarget = target\nrate_tps = 10\nduration_s = 1\n"
+        "\n[attack intercept]\nlink = attacker target\navp_codes = location\n"
+        "\n[attack fuzz]\ntarget = target\ncases = 1\n"
+    )
+
+    @pytest.mark.parametrize(
+        "header, key",
+        [
+            ("[campaign]", "sed"),
+            ("[node target]", "service_rat"),
+            ("[link attacker target]", "latncy_ms"),
+            ("[subscriber s1]", "locaton"),
+            ("[subscriber s1]", "profile"),
+            ("[rule r1]", "qos"),
+            ("[attack flood]", "rate"),
+            ("[attack intercept]", "avp_code"),
+            ("[attack fuzz]", "case"),
+        ],
+    )
+    def test_unknown_key_is_located_at_its_line(self, header, key):
+        lines = self.EVERY_SECTION.splitlines()
+        assert parse_campaign_config(self.EVERY_SECTION).attacks  # parses without the key
+        at = lines.index(header) + 1
+        lines.insert(at, f"{key} = 5")
+        with pytest.raises(ConfigError) as info:
+            parse_campaign_config("\n".join(lines))
+        assert str(info.value).startswith(f"<config>:{at + 1}: unknown key {key!r} (known: ")
+
     def test_link_attributes(self):
         text = minimal(extra="latency_ms = 3\nloss = 0.25\nprotected = yes")
         link = parse_campaign_config(text).topology.links[0]

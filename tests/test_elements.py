@@ -18,10 +18,19 @@ from diamlab.elements import (
     required_tps,
     result_code_of,
 )
-from diamlab.peer import EventKind, PeerEvent, PendingRequest, Phase, build_dpr, register_request
+from diamlab.peer import (
+    ActionKind,
+    EventKind,
+    PeerEvent,
+    PendingRequest,
+    Phase,
+    build_dpr,
+    handle_event,
+    register_request,
+)
 
 from tests.labs import core_lab_text, duo_lab_text, make_lab
-from tests.test_peer import event_sequences
+from tests.test_peer import event_sequences, state_in
 
 
 class TestRequiredTps:
@@ -553,3 +562,53 @@ class TestPendingTable:
             ab.feed_event(target.node, event, now)
             if link.state.phase is not Phase.OPEN:
                 assert link.pending == {}
+
+
+class TestDirectDeliveryAgreesWithTheTable:
+    """`Element.on_decoded` takes application messages past the peer state
+    machine: it must reach the outcome `handle_event` gives the same message."""
+
+    HBH = 77
+
+    @pytest.mark.parametrize(
+        "case", ["request", "matched-answer", "matched-answer-nobody-waits", "unmatched-answer"]
+    )
+    @pytest.mark.parametrize("phase", list(Phase))
+    def test_on_decoded_delivers_exactly_when_handle_event_does(self, phase, case):
+        _, lab = make_lab(duo_lab_text())
+        target, ab = lab.element("target"), lab.element("attacker")
+        link = target.peer_link(ab.node)
+        link.state = state = state_in(phase)
+        answers = _Answers()
+        if case != "unmatched-answer":  # a request finds an entry too, and must leave it
+            on_answer = None if case == "matched-answer-nobody-waits" else answers
+            link.pending[self.HBH] = PendingRequest(self.HBH, 0, on_answer)
+        if case == "request":
+            kind, msg = EventKind.RCV_REQUEST, _probe(hbh=self.HBH)
+        else:
+            hbh = self.HBH + 1 if case == "unmatched-answer" else self.HBH
+            kind, msg = EventKind.RCV_ANSWER, build_message(dct.CMD_ECHO, hop_by_hop_id=hbh)
+        now = lab.sim.clock
+
+        def tally():
+            return target.offered, len(answers.delivered), target.stray_answers, target.fsm_drops
+
+        consumed = 0
+        for _ in range(2):  # a second copy of an answer finds its entry gone
+            pending = dict(link.pending)
+            _, actions = handle_event(state, PeerEvent(kind, msg), now, target.peer_config, pending)
+            outcome = [a.kind for a in actions]
+            assert outcome in ([ActionKind.DELIVER_TO_APP], [ActionKind.DROP_MESSAGE])
+            before = tally()
+            target.on_decoded(ab.node, msg, now)
+            admitted, answered, strays, drops = (a - b for a, b in zip(tally(), before))
+            delivered = admitted + answered + strays
+            assert delivered == (outcome == [ActionKind.DELIVER_TO_APP])
+            assert drops == (outcome == [ActionKind.DROP_MESSAGE])
+            popped = {hbh: entry for hbh, entry in pending.items() if hbh not in link.pending}
+            answer_delivered = delivered and not msg.header.request
+            assert popped == ({self.HBH: actions[0].pending} if answer_delivered else {})
+            consumed += len(popped)
+            assert link.state is state
+        assert consumed <= 1
+        assert answers.delivered in ([], [(PendingRequest(self.HBH, 0, answers), self.HBH)])
