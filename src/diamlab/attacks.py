@@ -414,7 +414,7 @@ class InterceptResult:
 
 
 def run_intercept(
-    lab: Lab, spec: InterceptSpec, traffic: Optional[Callable[[], None]] = None
+    lab: Lab, spec: InterceptSpec
 ) -> tuple[InterceptResult, list[Finding], list[CaptureRecord]]:
     """Tap one link, let scenario traffic run, inventory interesting AVPs.
 
@@ -428,7 +428,7 @@ def run_intercept(
     a, b = lab.node(spec.link[0]), lab.node(spec.link[1])
     tap = sim.attach_tap(a, b)
     try:
-        (traffic if traffic is not None else lab.scenario_traffic)()
+        lab.scenario_traffic()
     finally:
         sim.link_between(a, b).taps.remove(tap)
     records = tap.records

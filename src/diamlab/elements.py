@@ -48,11 +48,9 @@ from .codec import (
     validate_message,
 )
 from .peer import (
-    DROP_MESSAGE,
     OPEN,
-    RCV_ANSWER,
-    RCV_REQUEST,
     SEND_ACTIONS,
+    ActionKind,
     AnswerCallback,
     EventKind,
     PeerAction,
@@ -274,7 +272,7 @@ class Element:
         `_deliver`, as an application message does in `on_decoded`."""
         link = self.links[peer.id]
         kind = event.kind
-        if kind is RCV_REQUEST or kind is RCV_ANSWER:
+        if kind is EventKind.RCV_REQUEST or kind is EventKind.RCV_ANSWER:
             self._deliver(link, event.message, now)
             return
         prev_deadline = link.state.watchdog_deadline
@@ -300,7 +298,7 @@ class Element:
                 hbh = self._alloc_hop_by_hop(link)
                 msg = replace_ids(msg, hbh, hbh)
             self.sim.send(self.node, link.neighbor, msg)
-        elif kind is DROP_MESSAGE:
+        elif kind is ActionKind.DROP_MESSAGE:
             self.fsm_drops += 1
         # CloseLink: the transport is modeled as always up; nothing to tear down.
 
@@ -667,7 +665,7 @@ class MmeElement(Element):
     ) -> None:
         run = self.attaches[run_idx]
         if run.success is not None or run.steps_completed != step:
-            return  # stale: `attach_subscriber` already gave this run up as stalled
+            return  # stale: the step's own timeout already ended this run
         code = result_code_of(msg)
         if code == dct.RESULT_SUCCESS:
             run.steps_completed += 1
@@ -681,7 +679,7 @@ class MmeElement(Element):
 
     def _attach_timeout(self, now: int, run_idx: int, step: int, dst: NodeId, hbh: int) -> None:
         """Give up on the step's request: a late answer then finds no pending
-        entry, and the peer state machine drops it as unmatched."""
+        entry, and `_deliver` drops it as unmatched."""
         run = self.attaches[run_idx]
         if run.success is None and run.steps_completed == step:
             self.forget_pending_many(dst, (hbh,))
@@ -827,16 +825,9 @@ class Lab:
             raise LabError("attach scenario requires an MME element")
         sim = self.sim
         run = mme.start_attach(subscriber.subscriber_id, subscriber.location, sim.clock)
-        timeout_us = self.config.request_timeout_us
-        deadline = sim.clock + 3 * (timeout_us + 2 * self.max_latency_us()) + US_PER_S
+        # Each step sent has its own timeout queued, so the run always ends.
         while run.success is None:
-            nxt = sim.next_event_at()
-            if nxt is None or nxt > deadline:
-                break
-            sim.run_until(nxt)
-        if run.success is None:
-            run.success = False
-            run.reason = "stalled"
+            sim.run_until(sim.next_event_at())
         return run
 
     def attach_all(self) -> list[AttachResult]:

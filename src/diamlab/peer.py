@@ -4,18 +4,19 @@ One PeerState per link endpoint, advanced exclusively through
 `handle_event`, a pure function over the full phase x event table (see
 TRANSITION_MATRIX; the same table appears in the README). Application
 traffic never changes the state: `deliverable` is the one rule for it
-(RFC 6733 section 5.6), read by `handle_event`'s two application rows
-and by the element, which applies it to an application message
-directly, without building an event. Undeliverable traffic is dropped,
-never an error.
+(RFC 6733 section 5.6). The element applies it to each application
+message directly, building no event or action; `handle_event`'s two
+application rows call it too, and stay as the table's executable
+statement of the rule, answering with a `DeliverToApp` that carries the
+message only. Undeliverable traffic is dropped, never an error.
 
 The table of outstanding requests and the hop-by-hop counter belong to
 the link that owns this state (`elements.PeerLink`), which changes them
 in place. The rule only reads the table, to decide whether an answer in
 Open matches a request; the link pops the entry it delivers and empties
-the table whenever the phase leaves Open. Requests the
-state machine builds (CER, DWR, DPR) carry hop-by-hop id 0 until the
-link stamps them with its next id.
+the table whenever the phase leaves Open. Requests the state machine
+builds (CER, DWR, DPR) carry hop-by-hop id 0 until the link stamps them
+with its next id.
 
 Timestamps are simulation microseconds throughout.
 """
@@ -33,10 +34,10 @@ from .codec import Avp, Message, build_answer, build_message
 from .simnet import US_PER_S
 
 
-# The per-message path reads the Enum members it needs through module
-# names bound once next to each Enum: on CPython < 3.12 EnumType defines
-# __getattr__, so every `Phase.OPEN` read goes through a Python-level slot
-# hook (~100 ns, against ~7 ns for a module global).
+# The per-message path (`deliverable`, `register_request`) reads
+# `Phase.OPEN` through the module name OPEN: on CPython < 3.12 EnumType
+# defines __getattr__, so every `Phase.OPEN` read goes through a
+# Python-level slot hook (~100 ns, against ~7 ns for a module global).
 
 
 class Phase(Enum):
@@ -65,9 +66,6 @@ class EventKind(Enum):
     STOP = "Stop"
 
 
-RCV_REQUEST = EventKind.RCV_REQUEST
-RCV_ANSWER = EventKind.RCV_ANSWER
-
 MESSAGE_EVENTS = frozenset(
     {
         EventKind.RCV_CER,
@@ -76,8 +74,8 @@ MESSAGE_EVENTS = frozenset(
         EventKind.RCV_DWA,
         EventKind.RCV_DPR,
         EventKind.RCV_DPA,
-        RCV_REQUEST,
-        RCV_ANSWER,
+        EventKind.RCV_REQUEST,
+        EventKind.RCV_ANSWER,
     }
 )
 
@@ -94,9 +92,6 @@ class ActionKind(Enum):
     CLOSE_LINK = "CloseLink"
 
 
-DELIVER_TO_APP = ActionKind.DELIVER_TO_APP
-DROP_MESSAGE = ActionKind.DROP_MESSAGE
-
 # The actions that put a base-protocol message on the link. A tuple, so
 # that `in` compares identities instead of calling Enum.__hash__.
 SEND_ACTIONS = (
@@ -108,29 +103,22 @@ SEND_ACTIONS = (
     ActionKind.SEND_DPA,
 )
 
-_set = object.__setattr__
 
-
-# PeerEvent, PendingRequest and PeerAction are built once or more per
-# message, so like codec.Avp they take a positional __init__ instead of
-# the generated one.
-
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class PeerEvent:
     kind: EventKind
     message: Optional[Message] = None
 
-    def __init__(self, kind: EventKind, message: Optional[Message] = None) -> None:
-        # The application kinds are tested by identity first: membership in
-        # MESSAGE_EVENTS would hash the kind through Enum.__hash__.
-        carries = kind is RCV_REQUEST or kind is RCV_ANSWER or kind in MESSAGE_EVENTS
-        if (message is not None) != carries:
-            raise ValueError(f"event {kind.value} message presence mismatch")
-        _set(self, "kind", kind)
-        _set(self, "message", message)
+    def __post_init__(self) -> None:
+        if (self.message is not None) != (self.kind in MESSAGE_EVENTS):
+            raise ValueError(f"event {self.kind.value} message presence mismatch")
 
 
+_set = object.__setattr__
+
+
+# Built once per application request, so like codec.Avp it takes a
+# positional __init__ instead of the generated one.
 @dataclass(frozen=True, slots=True, init=False)
 class PendingRequest:
     """Metadata kept for one outstanding application request.
@@ -157,22 +145,10 @@ class PendingRequest:
 AnswerCallback = Callable[[PendingRequest, Message, int], None]
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class PeerAction:
     kind: ActionKind
     message: Optional[Message] = None
-    # For DeliverToApp on an answer: the pending entry the answer consumed.
-    pending: Optional[PendingRequest] = None
-
-    def __init__(
-        self,
-        kind: ActionKind,
-        message: Optional[Message] = None,
-        pending: Optional[PendingRequest] = None,
-    ) -> None:
-        _set(self, "kind", kind)
-        _set(self, "message", message)
-        _set(self, "pending", pending)
 
 
 # What every peer advertises in its CER, and how many watchdog periods in a
@@ -271,7 +247,7 @@ def deliverable(phase: Phase, message: Message, pending: Mapping[int, PendingReq
 
 
 def _drop(state: PeerState, event: PeerEvent) -> tuple[PeerState, list[PeerAction]]:
-    return state, [PeerAction(DROP_MESSAGE, event.message)]
+    return state, [PeerAction(ActionKind.DROP_MESSAGE, event.message)]
 
 
 def _ignore(state: PeerState, _event: PeerEvent) -> tuple[PeerState, list[PeerAction]]:
@@ -289,18 +265,14 @@ def handle_event(
 
     Total over the phase x event table: unexpected events drop or close,
     they never raise. `pending` is the link's table of outstanding
-    requests, read and never changed: a delivered answer carries the entry
-    its hop-by-hop id matches (see `deliverable`).
+    requests, read and never changed (see `deliverable`).
     """
     phase, kind = state.phase, event.kind
 
-    if kind is RCV_REQUEST or kind is RCV_ANSWER:
-        message = event.message
-        if not deliverable(phase, message, pending):
+    if kind is EventKind.RCV_REQUEST or kind is EventKind.RCV_ANSWER:
+        if not deliverable(phase, event.message, pending):
             return _drop(state, event)
-        header = message.header
-        entry = None if header.request else pending[header.hop_by_hop_id]
-        return state, [PeerAction(DELIVER_TO_APP, message, entry)]
+        return state, [PeerAction(ActionKind.DELIVER_TO_APP, event.message)]
 
     if kind is EventKind.START:
         if phase is Phase.CLOSED:

@@ -123,7 +123,6 @@ class Simulation:
     def __init__(self, nodes: list[NodeId], links: list[Link], seed: int):
         self.nodes = list(nodes)
         self.links: dict[tuple[int, int], Link] = {l.key: l for l in links}
-        self.seed = seed
         self.rng = random.Random(seed)
         self.clock: int = 0
         self.events_processed = 0

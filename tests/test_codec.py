@@ -394,7 +394,7 @@ class TestBuilders:
         assert str(info.value) == text
 
 
-# The six value types built per request: their fields, field order and
+# The six frozen, slotted value types: their fields, field order and
 # defaults, constructor arguments in field order, and one field change.
 _MSG = build_message(700, request=True, hop_by_hop_id=3, avps=[Avp(code=1, data=b"x")])
 
@@ -403,7 +403,6 @@ def _ignore_answer(pending, msg, now):
     pass
 
 
-_PENDING = PendingRequest(3, 10, _ignore_answer)
 VALUE_TYPES = [
     (
         Avp,
@@ -456,9 +455,9 @@ VALUE_TYPES = [
     ),
     (
         PeerAction,
-        [("kind", dataclasses.MISSING), ("message", None), ("pending", None)],
-        (ActionKind.DELIVER_TO_APP, _MSG, _PENDING),
-        {"pending": None},
+        [("kind", dataclasses.MISSING), ("message", None)],
+        (ActionKind.DELIVER_TO_APP, _MSG),
+        {"message": None},
     ),
 ]
 VALUE_TYPE_IDS = [cls.__name__ for cls, *_ in VALUE_TYPES]

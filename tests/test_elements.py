@@ -303,13 +303,18 @@ class TestAttachFlow:
             "attach-imsi-001001000000003",
         }
 
-    def test_hss_failure_times_out_the_attach(self):
+    @pytest.mark.parametrize("silent, step", [("hss", 0), ("pcrf", 2)])
+    def test_silent_element_times_out_the_attach_at_its_step(self, silent, step):
         config, lab = make_lab(core_lab_text())
-        lab.element("hss").failed = True
+        lab.element(silent).failed = True  # a failed element answers nothing
+        tap = lab.sim.attach_tap(lab.node("mme"), lab.node(silent))
         result = lab.attach_subscriber(config.subscribers[0])
+        [request] = tap.records  # the silent step's request, and no answer
+        assert request.src == lab.node("mme")
         assert result.success is False
         assert result.reason == "timeout"
-        assert result.finished_at - result.started_at >= config.request_timeout_us
+        assert result.steps_completed == step
+        assert result.finished_at == request.at + config.request_timeout_us
 
     def test_only_the_mme_holds_the_request_timeout(self):
         text = core_lab_text().replace("seed = 11\n", "seed = 11\nrequest_timeout_s = 0.015\n")
@@ -607,7 +612,7 @@ class TestDirectDeliveryAgreesWithTheTable:
             assert drops == (outcome == [ActionKind.DROP_MESSAGE])
             popped = {hbh: entry for hbh, entry in pending.items() if hbh not in link.pending}
             answer_delivered = delivered and not msg.header.request
-            assert popped == ({self.HBH: actions[0].pending} if answer_delivered else {})
+            assert popped == ({self.HBH: pending[self.HBH]} if answer_delivered else {})
             consumed += len(popped)
             assert link.state is state
         assert consumed <= 1

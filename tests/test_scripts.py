@@ -1,4 +1,5 @@
-"""Smoke runs of the scripts under scripts/: each exits 0 and prints what it promises."""
+"""Smoke runs of the scripts under scripts/ and of perfbench/run.py: each
+exits 0 and prints what it promises."""
 
 import json
 import os
@@ -9,11 +10,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name: str, *args: str) -> str:
+def run_script(name: str, *args: str, folder: str = "scripts") -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, str(ROOT / folder / name), *args],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -61,3 +62,16 @@ def test_bench_record_writes_every_workload(tmp_path):
     assert record["machine"].startswith("machine: ") and record["git_rev"]
     assert set(record["codec_bench"]) == {"echo", "cer"}
     assert record["golden_checked"] == {}  # smoke sizes have no golden digests
+
+
+def test_perfbench_traces_every_target_diamlab_defines():
+    # A traced function that diamlab renames would read 0 in its per-layer
+    # metric; run.py names each target it cannot find. Only the stale
+    # `peer.correlate_answer` target may be missing.
+    out = run_script(
+        "run.py", "--workload", "phase1", "--smoke", "--seconds", "1", "--trace", "1",
+        folder="perfbench",
+    )
+    prefix = "not traced, diamlab no longer defines it:"
+    missing = [line.split(prefix)[1].strip() for line in out.splitlines() if prefix in line]
+    assert missing == ["peer.correlate_answer"]
