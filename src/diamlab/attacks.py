@@ -24,6 +24,7 @@ from .codec import (
     ParseError,
     build_message,
     decode_message,
+    encode_avp,
     encode_message,
     replace_ids,
 )
@@ -181,7 +182,7 @@ def _mut_inflate_length(data: bytes, draw: int) -> bytes:
 
 def _mut_set_mandatory_unknown_avp(data: bytes, draw: int) -> bytes:
     code = _UNKNOWN_AVP_CODE_BASE + draw % 100_000
-    avp = encode_avp_raw(code, 0x40, (draw & 0xFFFFFFFF).to_bytes(4, "big"))
+    avp = encode_avp(Avp(code, (draw & 0xFFFFFFFF).to_bytes(4, "big"), mandatory=True))
     out = bytearray(data)
     if not _patch_declared_length(out, len(avp)):
         return data
@@ -203,13 +204,6 @@ def _mut_shuffle_avps(data: bytes, draw: int) -> bytes:
     order = list(msg.avps)
     random.Random(draw).shuffle(order)
     return encode_message(Message(header=msg.header, avps=tuple(order)))
-
-
-def encode_avp_raw(code: int, flags: int, payload: bytes) -> bytes:
-    """Hand-rolled AVP bytes, no object-level checks: fuzzing building block."""
-    length = 8 + len(payload)
-    raw = code.to_bytes(4, "big") + bytes([flags]) + length.to_bytes(3, "big") + payload
-    return raw + b"\x00" * (-length % 4)
 
 
 _MUTATORS: dict[MutationOp, Callable[[bytes, int], bytes]] = {

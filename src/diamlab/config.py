@@ -14,7 +14,7 @@ is a pure function of its config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, TypeVar, Union
 
@@ -205,25 +205,10 @@ class CampaignConfig:
             "watchdog_interval_s": self.watchdog_interval_us / US_PER_S,
             "request_timeout_s": self.request_timeout_us / US_PER_S,
             "nodes": [
-                {
-                    "label": label,
-                    "kind": self.kinds[label].value,
-                    "service_rate": self.capacities[label].service_rate,
-                    "queue_capacity": self.capacities[label].queue_capacity,
-                    "failure_threshold_s": self.capacities[label].failure_threshold_s,
-                }
+                {"label": label, "kind": self.kinds[label].value, **asdict(self.capacities[label])}
                 for label in self.topology.nodes
             ],
-            "links": [
-                {
-                    "a": l.a,
-                    "b": l.b,
-                    "latency_ms": l.latency_ms,
-                    "loss_probability": l.loss_probability,
-                    "protected": l.protected,
-                }
-                for l in self.topology.links
-            ],
+            "links": [asdict(link) for link in self.topology.links],
             "subscribers": [
                 {"id": s.subscriber_id, "location": s.location, "profile": dict(s.profile)}
                 for s in self.subscribers
@@ -251,8 +236,9 @@ class AttackKind:
     """Everything config and campaign know about one attack kind.
 
     A new kind is a spec class and a runner in `attacks` plus one entry here.
-    `path_error(spec, config)` names what the topology lacks for the attack
-    to run (a link to send or tap on), or returns None.
+    `path_error(spec, config)` names what the config forbids or the topology
+    lacks for the attack to run (phase1's TargetServer rule, a link to send
+    or tap on), or returns None; the parser locates it at the [attack] line.
     `run(lab, spec, seed)` returns (result, findings, capture records or
     None); `seed` is the campaign's default for a spec that sets none.
     Runners are looked up in `attacks` at call time, so a wrapper installed
@@ -262,7 +248,6 @@ class AttackKind:
     spec: type
     parse: Callable[[Section, dict[str, ElementKind]], AttackSpec]
     echo: Callable[[AttackSpec], dict]  # the report's config echo, less "kind"
-    phase1_error: Callable[[AttackSpec, dict[str, ElementKind]], Optional[str]]
     path_error: Callable[[AttackSpec, CampaignConfig], Optional[str]]
     run: Callable[[Lab, AttackSpec, int], tuple]
     label: Callable[[attacks.Finding], TaxonomyLabel]  # the finding's taxonomy cell
@@ -325,23 +310,13 @@ def _parse_fuzz(sec: Section, labels: dict[str, ElementKind]) -> FuzzSpec:
     return sec.build(FuzzSpec, target=target, case_count=cases, ops=ops, seed=seed)
 
 
-def _at_target_server(spec: FloodSpec | FuzzSpec, kinds: dict[str, ElementKind]) -> Optional[str]:
-    if kinds[spec.target] is not ElementKind.TARGET_SERVER:
-        return f"phase1 permits only TargetServer-directed attacks (got {spec.target!r})"
-    return None
-
-
-def _taps_target_server(spec: InterceptSpec, kinds: dict[str, ElementKind]) -> Optional[str]:
-    if all(kinds[label] is not ElementKind.TARGET_SERVER for label in spec.link):
-        return "phase1 intercepts must tap a TargetServer link"
-    return None
-
-
 def _linked(config: CampaignConfig, a: Optional[str], b: Optional[str]) -> bool:
     return any({link.a, link.b} == {a, b} for link in config.topology.links)
 
 
 def _sent_from_attack_box(spec: FloodSpec | FuzzSpec, config: CampaignConfig) -> Optional[str]:
+    if config.phase == "phase1" and config.kinds[spec.target] is not ElementKind.TARGET_SERVER:
+        return f"phase1 permits only TargetServer-directed attacks (got {spec.target!r})"
     box = first_of_kind(config.kinds, ElementKind.ATTACK_BOX)
     if box is None:
         return f"{spec.kind} needs an AttackBox node to send from"
@@ -353,9 +328,13 @@ def _sent_from_attack_box(spec: FloodSpec | FuzzSpec, config: CampaignConfig) ->
 
 
 def _intercept_path_error(spec: InterceptSpec, config: CampaignConfig) -> Optional[str]:
-    """The tapped link must exist, and so must the links of the attach
-    traffic that `Lab.scenario_traffic` runs for an MME with subscribers."""
+    """The tapped link must exist (in phase1, at a TargetServer), and so must
+    the links of the attach traffic that `Lab.scenario_traffic` runs for an
+    MME with subscribers."""
     a, b = spec.link
+    kinds = config.kinds
+    if config.phase == "phase1" and ElementKind.TARGET_SERVER not in (kinds[a], kinds[b]):
+        return "phase1 intercepts must tap a TargetServer link"
     if not _linked(config, a, b):
         return f"intercept link {a!r} <-> {b!r} is not a declared link"
     mme = first_of_kind(config.kinds, ElementKind.MME)
@@ -394,7 +373,6 @@ ATTACK_KINDS: dict[str, AttackKind] = {
                 "duration_s": spec.duration_s,
                 "degraded_answer_ratio": spec.degraded_answer_ratio,
             },
-            phase1_error=_at_target_server,
             path_error=_sent_from_attack_box,
             run=lambda lab, spec, seed: (*attacks.run_flood(lab, spec), None),
             label=lambda finding: TaxonomyLabel(
@@ -405,7 +383,6 @@ ATTACK_KINDS: dict[str, AttackKind] = {
             spec=InterceptSpec,
             parse=_parse_intercept,
             echo=lambda spec: {"link": list(spec.link), "avp_codes": list(spec.avp_codes)},
-            phase1_error=_taps_target_server,
             path_error=_intercept_path_error,
             run=lambda lab, spec, seed: attacks.run_intercept(lab, spec),
             label=lambda finding: TaxonomyLabel(
@@ -421,7 +398,6 @@ ATTACK_KINDS: dict[str, AttackKind] = {
                 "ops": [op.value for op in spec.ops],
                 "seed": spec.seed,
             },
-            phase1_error=_at_target_server,
             path_error=_sent_from_attack_box,
             run=_run_fuzz,
             label=_fuzz_label,
@@ -592,6 +568,7 @@ def parse_campaign_config(
 
 
 def _validate_phase(config: CampaignConfig) -> None:
+    """The phase's node rules; its attack rule is part of each kind's `path_error`."""
     source = config.source
     if not config.topology.nodes:
         raise ConfigError(f"{source}: config declares no nodes")
@@ -601,10 +578,6 @@ def _validate_phase(config: CampaignConfig) -> None:
         if illegal:
             names = ", ".join(sorted(k.value for k in illegal))
             raise ConfigError(f"{source}: phase1 config may not declare core elements ({names})")
-        for spec in config.attacks:
-            error = ATTACK_KINDS[spec.kind].phase1_error(spec, config.kinds)
-            if error:
-                raise ConfigError(f"{source}: {error}")
     if config.phase == "phase2":
         missing = _CORE_KINDS - present
         if missing:

@@ -71,6 +71,7 @@ if TYPE_CHECKING:
 TPS_PER_MILLION_SUBSCRIBERS = 235_000
 DEFAULT_QOS_CLASS = 9
 SAMPLE_INTERVAL_US = US_PER_S  # overload sampling runs at 1 Hz
+ECHO_PROBES = 3  # background echoes in a lab with no core to attach against
 
 
 def required_tps(subscribers: int) -> Fraction:
@@ -232,7 +233,7 @@ class Element:
         self._credit = self._token  # a burst of one
         self._last_accrual = 0
         self._drain_scheduled = False
-        self.queue: deque[tuple[int, Message]] = deque()
+        self.queue: deque[tuple[NodeId, Message]] = deque()
 
         # failure state
         self.failed = False
@@ -245,7 +246,6 @@ class Element:
         self.validation_rejects = 0
         self.fsm_drops = 0
         self.offered = 0
-        self.served = 0
         self.direct_served = 0
         self.drained_served = 0
         self.queued_total = 0
@@ -343,10 +343,10 @@ class Element:
         if not deliverable(link.state.phase, msg, link.pending):
             self.fsm_drops += 1
         elif msg.header.request:
-            neighbor_id = link.neighbor.id
-            if self.admit((neighbor_id, msg), now) is ACCEPTED:
+            neighbor = link.neighbor
+            if self.admit((neighbor, msg), now) is ACCEPTED:
                 self.direct_served += 1
-                self._serve(neighbor_id, msg, now)
+                self._serve(neighbor, msg, now)
         else:
             pending = link.pending.pop(msg.header.hop_by_hop_id)
             if pending.on_answer is None:
@@ -393,9 +393,9 @@ class Element:
         self._accrue(now)
         while self._credit >= self._token and self.queue:
             self._credit -= self._token
-            neighbor_id, msg = self.queue.popleft()
+            neighbor, msg = self.queue.popleft()
             self.drained_served += 1
-            self._serve(neighbor_id, msg, now)
+            self._serve(neighbor, msg, now)
         if self.queue:
             self._ensure_drain(now)
 
@@ -414,17 +414,14 @@ class Element:
             return
         self.sim.schedule_timer(now + SAMPLE_INTERVAL_US, self._sample)
 
-    def _serve(self, neighbor_id: int, msg: Message, now: int) -> None:
-        answer = self.handle_app_request(msg, now)
-        if answer is not None:
-            self.served += 1
-            self.sim.send(self.node, self.links[neighbor_id].neighbor, answer)
+    def _serve(self, neighbor: NodeId, msg: Message, now: int) -> None:
+        self.sim.send(self.node, neighbor, self.handle_app_request(msg, now))
 
     # -- application layer ---------------------------------------------------------
 
-    def handle_app_request(self, msg: Message, now: int) -> Optional[Message]:
-        """The answer to send back, or None. It is sent as the value itself, so
-        it comes from `build_answer` or `build_message`."""
+    def handle_app_request(self, msg: Message, now: int) -> Message:
+        """The answer to send back; every request gets one. It is sent as the
+        value itself, so it comes from `build_answer` or `build_message`."""
         return _error_answer(msg, dct.RESULT_COMMAND_UNSUPPORTED)
 
     # -- client-side sending ----------------------------------------------------------
@@ -488,7 +485,7 @@ class TargetServerElement(Element):
 
     kind = ElementKind.TARGET_SERVER
 
-    def handle_app_request(self, msg: Message, now: int) -> Optional[Message]:
+    def handle_app_request(self, msg: Message, now: int) -> Message:
         if msg.header.command_code == dct.CMD_ECHO:
             payload = [a for a in msg.avps if a.code == dct.AVP_ECHO_PAYLOAD]
             return build_answer(msg, avps=[result_code_avp(dct.RESULT_SUCCESS)] + payload)
@@ -512,7 +509,7 @@ class HssElement(Element):
                 profile=dict(sub.profile),
             )
 
-    def handle_app_request(self, msg: Message, now: int) -> Optional[Message]:
+    def handle_app_request(self, msg: Message, now: int) -> Message:
         cmd = msg.header.command_code
         if cmd == dct.CMD_PROFILE_QUERY:
             sid_avp = first_avp(msg, dct.AVP_SUBSCRIBER_ID)
@@ -560,7 +557,7 @@ class PcrfElement(Element):
         for rule in rules:
             self.rules[rule.rule_id] = PolicyRule(rule.rule_id, rule.subscriber_id, rule.qos_class)
 
-    def handle_app_request(self, msg: Message, now: int) -> Optional[Message]:
+    def handle_app_request(self, msg: Message, now: int) -> Message:
         if msg.header.command_code != dct.CMD_POLICY_INSTALL:
             return _error_answer(msg, dct.RESULT_COMMAND_UNSUPPORTED)
         rule_avp = first_avp(msg, dct.AVP_RULE_ID)
@@ -582,6 +579,7 @@ class PcrfElement(Element):
 @dataclass
 class AttachResult:
     subscriber_id: str
+    location: str  # the tracking area the subscriber attaches at
     success: Optional[bool] = None  # None while in progress
     reason: str = ""
     started_at: int = 0
@@ -590,7 +588,11 @@ class AttachResult:
 
 
 class MmeElement(Element):
-    """Attach coordinator: drives HSS and PCRF through the scripted flow."""
+    """Attach coordinator: drives HSS and PCRF through the scripted flow.
+
+    Each attach is its own `AttachResult`, which each step's answer callback
+    and timeout hold; the MME keeps no table of runs.
+    """
 
     kind = ElementKind.MME
 
@@ -602,32 +604,20 @@ class MmeElement(Element):
         self.hss_node: Optional[NodeId] = None
         self.pcrf_node: Optional[NodeId] = None
         self.request_timeout_us: int
-        self.attaches: list[AttachResult] = []
-        self._locations: dict[int, str] = {}  # attach index -> target tracking area
 
-    def start_attach(self, subscriber_id: str, location: str, now: int) -> AttachResult:
+    def start_attach(self, subscriber: SubscriberRecord, now: int) -> AttachResult:
         if self.hss_node is None or self.pcrf_node is None:
             raise ValueError("attach requires HSS and PCRF in the topology")
-        run = AttachResult(subscriber_id=subscriber_id, started_at=now)
-        self.attaches.append(run)
-        self._locations[len(self.attaches) - 1] = location
-        self._send_step(len(self.attaches) - 1, now)
+        run = AttachResult(subscriber.subscriber_id, subscriber.location, started_at=now)
+        self._send_step(run, now)
         return run
 
-    def _send_step(self, run_idx: int, now: int) -> None:
-        run = self.attaches[run_idx]
+    def _send_step(self, run: AttachResult, now: int) -> None:
         step = run.steps_completed
         sid = Avp(code=dct.AVP_SUBSCRIBER_ID, data=run.subscriber_id.encode(), mandatory=True)
         if step == 0:
             dst, cmd = self.hss_node, dct.CMD_LOCATION_UPDATE
-            avps = [
-                sid,
-                Avp(
-                    code=dct.AVP_LOCATION,
-                    data=self._locations[run_idx].encode(),
-                    mandatory=True,
-                ),
-            ]
+            avps = [sid, Avp(code=dct.AVP_LOCATION, data=run.location.encode(), mandatory=True)]
         elif step == 1:
             dst, cmd = self.hss_node, dct.CMD_PROFILE_QUERY
             avps = [sid]
@@ -646,13 +636,12 @@ class MmeElement(Element):
                     mandatory=True,
                 ),
             ]
-        on_answer = partial(self._attach_answer, run_idx, step)
-        hbh = self.send_app_request(dst, cmd, avps, on_answer, now)
+        hbh = self.send_app_request(dst, cmd, avps, partial(self._attach_answer, run), now)
         if hbh is None:
             self._finish(run, False, "link-not-open", now)
             return
         self.sim.schedule_timer(
-            now + self.request_timeout_us, self._attach_timeout, run_idx, step, dst, hbh
+            now + self.request_timeout_us, self._attach_timeout, run, step, dst, hbh
         )
 
     def _finish(self, run: AttachResult, success: bool, reason: str, now: int) -> None:
@@ -661,26 +650,26 @@ class MmeElement(Element):
         run.finished_at = now
 
     def _attach_answer(
-        self, run_idx: int, step: int, pending: PendingRequest, msg: Message, now: int
+        self, run: AttachResult, pending: PendingRequest, msg: Message, now: int
     ) -> None:
-        run = self.attaches[run_idx]
-        if run.success is not None or run.steps_completed != step:
-            return  # stale: the step's own timeout already ended this run
+        """The answer to the run's current step: a step that timed out has no
+        pending entry left, so its late answer never gets here."""
         code = result_code_of(msg)
         if code == dct.RESULT_SUCCESS:
             run.steps_completed += 1
             if run.steps_completed == len(self._STEPS):
                 self._finish(run, True, "", now)
             else:
-                self._send_step(run_idx, now)
+                self._send_step(run, now)
         else:
             name = dct.RESULT_NAMES.get(code, str(code))
             self._finish(run, False, name, now)
 
-    def _attach_timeout(self, now: int, run_idx: int, step: int, dst: NodeId, hbh: int) -> None:
-        """Give up on the step's request: a late answer then finds no pending
-        entry, and `_deliver` drops it as unmatched."""
-        run = self.attaches[run_idx]
+    def _attach_timeout(
+        self, now: int, run: AttachResult, step: int, dst: NodeId, hbh: int
+    ) -> None:
+        """Give up on the step's request, unless it was answered: a late answer
+        then finds no pending entry, and `_deliver` drops it as unmatched."""
         if run.success is None and run.steps_completed == step:
             self.forget_pending_many(dst, (hbh,))
             self._finish(run, False, "timeout", now)
@@ -709,11 +698,8 @@ class AttackBoxElement(Element):
 
 
 _ELEMENT_CLASSES: dict[ElementKind, type[Element]] = {
-    ElementKind.TARGET_SERVER: TargetServerElement,
-    ElementKind.HSS: HssElement,
-    ElementKind.MME: MmeElement,
-    ElementKind.PCRF: PcrfElement,
-    ElementKind.ATTACK_BOX: AttackBoxElement,
+    cls.kind: cls
+    for cls in (TargetServerElement, HssElement, MmeElement, PcrfElement, AttackBoxElement)
 }
 
 
@@ -824,7 +810,7 @@ class Lab:
         if mme is None:
             raise LabError("attach scenario requires an MME element")
         sim = self.sim
-        run = mme.start_attach(subscriber.subscriber_id, subscriber.location, sim.clock)
+        run = mme.start_attach(subscriber, sim.clock)
         # Each step sent has its own timeout queued, so the run always ends.
         while run.success is None:
             sim.run_until(sim.next_event_at())
@@ -833,7 +819,7 @@ class Lab:
     def attach_all(self) -> list[AttachResult]:
         return [self.attach_subscriber(sub) for sub in self.config.subscribers]
 
-    def echo_probes(self, count: int = 3) -> None:
+    def echo_probes(self) -> None:
         """Minimal background traffic when there is no core to attach against:
         the first AttackBox echoes the first TargetServer, if they are linked."""
         ab = self._role(ElementKind.ATTACK_BOX)
@@ -842,7 +828,7 @@ class Lab:
             return
         sim = self.sim
         rtt = 2 * self.max_latency_us() + 10_000
-        for i in range(count):
+        for i in range(ECHO_PROBES):
             payload = Avp(code=dct.AVP_ECHO_PAYLOAD, data=f"probe-{i}".encode())
             ab.send_app_request(target.node, dct.CMD_ECHO, [payload], None, sim.clock)
             sim.run_until(sim.clock + rtt)

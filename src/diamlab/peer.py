@@ -254,6 +254,11 @@ def _ignore(state: PeerState, _event: PeerEvent) -> tuple[PeerState, list[PeerAc
     return state, []
 
 
+def _opened(now: int, config: PeerConfig) -> PeerState:
+    """A link that is Open as of `now`: no DWR outstanding, none missed."""
+    return PeerState(OPEN, now + config.watchdog_interval_us)
+
+
 def handle_event(
     state: PeerState,
     event: PeerEvent,
@@ -289,26 +294,12 @@ def handle_event(
     if kind is EventKind.RCV_CER:
         if phase is Phase.CLOSED:
             cea = build_base_answer(event.message, config.identity)
-            new = replace(
-                state,
-                phase=Phase.OPEN,
-                watchdog_deadline=now + config.watchdog_interval_us,
-                dwr_outstanding=False,
-                missed_dwas=0,
-            )
-            return new, [PeerAction(ActionKind.SEND_CEA, message=cea)]
+            return _opened(now, config), [PeerAction(ActionKind.SEND_CEA, message=cea)]
         return _drop(state, event)
 
     if kind is EventKind.RCV_CEA:
         if phase is Phase.WAIT_CEA:
-            new = replace(
-                state,
-                phase=Phase.OPEN,
-                watchdog_deadline=now + config.watchdog_interval_us,
-                dwr_outstanding=False,
-                missed_dwas=0,
-            )
-            return new, []
+            return _opened(now, config), []
         return _drop(state, event)
 
     if kind is EventKind.RCV_DWR:
@@ -319,13 +310,7 @@ def handle_event(
 
     if kind is EventKind.RCV_DWA:
         if phase is Phase.OPEN:
-            new = replace(
-                state,
-                dwr_outstanding=False,
-                missed_dwas=0,
-                watchdog_deadline=now + config.watchdog_interval_us,
-            )
-            return new, []
+            return _opened(now, config), []
         return _drop(state, event)
 
     if kind is EventKind.RCV_DPR:

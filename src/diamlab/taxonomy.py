@@ -43,11 +43,3 @@ class TaxonomyLabel:
             "technique": self.technique.value,
             "impact": self.impact.value,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, str]) -> "TaxonomyLabel":
-        return cls(
-            origin=Origin(d["origin"]),
-            technique=Technique(d["technique"]),
-            impact=Impact(d["impact"]),
-        )

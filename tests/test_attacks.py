@@ -107,6 +107,15 @@ class TestMutationOps:
         violations = validate_message(msg, dct.BUILTIN_DICTIONARY)
         assert any(v.kind is ViolationKind.UNSUPPORTED_MANDATORY_AVP for v in violations)
 
+    @pytest.mark.parametrize("draw", [0, 1, 99_999, 100_000, 123_456_789, 2**32 - 1])
+    def test_set_mandatory_unknown_avp_appends_these_bytes(self, draw):
+        base = sample_bytes()
+        code = 900_000 + draw % 100_000
+        avp = code.to_bytes(4, "big") + b"\x40" + (12).to_bytes(3, "big") + draw.to_bytes(4, "big")
+        length = (int.from_bytes(base[1:4], "big") + 12).to_bytes(3, "big")
+        expected = base[:1] + length + base[4:] + avp
+        assert mutate(base, MutationOp.SET_MANDATORY_UNKNOWN_AVP, draw) == expected
+
     @given(draw=st.integers(0, 2**32 - 1))
     @settings(max_examples=60)
     def test_flip_flag_touches_exactly_one_defined_bit(self, draw):

@@ -462,13 +462,37 @@ class TestPhaseGating:
         with pytest.raises(ConfigError, match="phase1.*HSS"):
             parse_campaign_config(text)
 
+    @staticmethod
+    def _assert_error_at(text: str, header: str, message: str) -> None:
+        """Parsing `text` fails with `message`, located at `header`'s line."""
+        line = text.splitlines().index(header) + 1
+        with pytest.raises(ConfigError) as info:
+            parse_campaign_config(text)
+        assert str(info.value) == f"<config>:{line}: {message}"
+
     def test_phase1_rejects_attacks_on_non_target(self):
         text = (
             minimal(phase="phase1")
             + "\n[attack flood]\ntarget = attacker\nrate_tps = 10\nduration_s = 1\n"
         )
-        with pytest.raises(ConfigError, match="only TargetServer-directed"):
-            parse_campaign_config(text)
+        self._assert_error_at(
+            text, "[attack flood]", "phase1 permits only TargetServer-directed attacks (got 'attacker')"
+        )
+
+    def test_phase1_rejects_a_fuzz_at_the_attack_box(self):
+        text = minimal(phase="phase1") + "\n[attack fuzz]\ntarget = attacker\ncases = 1\n"
+        self._assert_error_at(
+            text, "[attack fuzz]", "phase1 permits only TargetServer-directed attacks (got 'attacker')"
+        )
+
+    def test_phase1_rejects_an_intercept_that_taps_no_target(self):
+        text = minimal(phase="phase1") + (
+            "\n[node spare]\nkind = AttackBox\n\n[link attacker spare]\n"
+            "\n[attack intercept]\nlink = attacker spare\navp_codes = 268\n"
+        )
+        self._assert_error_at(
+            text, "[attack intercept]", "phase1 intercepts must tap a TargetServer link"
+        )
 
     def test_phase1_intercept_must_touch_target(self):
         text = minimal(phase="phase1") + "\n[attack intercept]\nlink = attacker target\navp_codes = 268\n"

@@ -332,19 +332,29 @@ class TestAttachFlow:
         assert [r.reason for r in lab.attach_all()] == ["timeout"] * 3
         assert lab.element("mme").peer_link(lab.node("hss")).pending == {}
 
-    def test_late_answer_after_a_timeout_is_dropped_as_unmatched(self):
-        # 10 ms each way on the HSS link and a 15 ms timeout: the answer comes 5 ms late
+    @pytest.mark.parametrize(
+        "timeout_s",
+        [
+            0.015,  # the answer comes 5 ms late
+            0.020,  # both due at the same microsecond: the timeout was scheduled first
+        ],
+    )
+    def test_late_answer_after_a_timeout_is_dropped_as_unmatched(self, timeout_s):
+        # 10 ms each way on the HSS link: the answer is due 20 ms after the request
         text = core_lab_text(subscribers=1).replace(
-            "seed = 11\n", "seed = 11\nrequest_timeout_s = 0.015\n"
+            "seed = 11\n", f"seed = 11\nrequest_timeout_s = {timeout_s}\n"
         )
         _, lab = make_lab(text)
         mme = lab.element("mme")
+        drops = mme.fsm_drops
         (result,) = lab.attach_all()
         assert (result.reason, result.steps_completed) == ("timeout", 0)
+        assert result.finished_at - result.started_at == round(timeout_s * 1_000_000)
         assert mme.peer_link(lab.node("hss")).pending == {}
-        drops = mme.fsm_drops
+        finished = (result.success, result.reason, result.steps_completed, result.finished_at)
         lab.sim.run_until(lab.sim.clock + 100_000)
         assert (mme.fsm_drops, mme.stray_answers) == (drops + 1, 0)
+        assert (result.success, result.reason, result.steps_completed, result.finished_at) == finished
 
     def test_unknown_subscriber_fails_with_user_unknown(self):
         _, lab = make_lab(core_lab_text())
@@ -395,7 +405,7 @@ class TestFailureModel:
         _, lab = make_lab(duo_lab_text())
         target = lab.element("target")
         target.failed = True
-        served_before = target.served
+        served_before = target.direct_served + target.drained_served
         from diamlab.codec import encode_message
 
         sim = lab.sim
@@ -403,7 +413,7 @@ class TestFailureModel:
             sim.send(lab.element("attacker").node, target.node,
                      encode_message(_probe(hbh=100 + i)))
         sim.run_until(sim.clock + 1_000_000)
-        assert target.served == served_before
+        assert target.direct_served + target.drained_served == served_before
         assert target.dropped_failed_inbound >= 10
 
     def test_conservation_identity(self):
