@@ -563,8 +563,10 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
 
     Dispositions are judged from the attacker's answers plus the
     target's own drop counters (the testbed is omniscient about its
-    elements). A crash escaping the target handler is caught here,
-    recorded, and the element is marked failed.
+    elements). A crash is the exception the target recorded as its own
+    `crash` when its handler raised (see `Element._serve`), which also
+    failed it; that one is a finding. Any other exception is a fault of
+    the testbed and propagates.
     """
     if spec.seed is None:
         raise ValueError("fuzz runs need an explicit seed")
@@ -580,12 +582,39 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
 
     ab.on_wire_answer = on_wire_answer
 
+    def target_drops() -> int:
+        return target.parse_drops + target.fsm_drops + target.dropped_failed_inbound
+
+    def judge(case: bytes, hbh: int, codes: dict[str, int]) -> str:
+        """Send one case and run until it is answered, dropped, crashes the
+        target or times out; an answer's result code is tallied in `codes`."""
+        drops_before = target_drops()
+        if not ab.send_raw_request(target.node, case, hbh, _ignore_answer, sim.clock):
+            return DISPOSITION_NO_RESPONSE
+        deadline = sim.clock + lab.config.request_timeout_us
+        while hbh not in wire_answers:
+            nxt = sim.next_event_at()
+            if nxt is None or nxt > deadline:
+                sim.run_until(deadline)
+                if target_drops() != drops_before:
+                    return DISPOSITION_DROPPED
+                return DISPOSITION_NO_RESPONSE
+            try:
+                sim.run_until(nxt)
+            except Exception as exc:
+                if exc is target.crash:
+                    return DISPOSITION_CRASH
+                raise
+        code = wire_answers[hbh]
+        _count_result_code(codes, code)
+        if code == dct.RESULT_SUCCESS:
+            return DISPOSITION_ANSWERED_SUCCESS
+        return DISPOSITION_ANSWERED_ERROR
+
     ops = [op.value for op in spec.ops]
     tallies: dict[str, dict[str, int]] = {op: {} for op in ops}
     result_codes: dict[str, dict[str, int]] = {op: {} for op in ops}
     no_op_cases = 0
-    crash_cases = 0
-    accepted_invalid = 0
     findings: list[Finding] = []
 
     for i in range(spec.case_count):
@@ -598,76 +627,21 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
         if case == base:
             no_op_cases += 1
         structurally_valid = not isinstance(decode_message(case), ParseError)
-        drops_before = (target.parse_drops, target.fsm_drops, target.dropped_failed_inbound)
-
-        disposition = None
-        sent = ab.send_raw_request(target.node, case, hbh, _ignore_answer, sim.clock)
-        if sent:
-            deadline = sim.clock + lab.config.request_timeout_us
-            while hbh not in wire_answers:
-                nxt = sim.next_event_at()
-                if nxt is None or nxt > deadline:
-                    break
-                try:
-                    sim.run_until(nxt)
-                except Exception as exc:  # a crashing target is a finding, not a test abort
-                    disposition = DISPOSITION_CRASH
-                    crash_cases += 1
-                    target.failed = True
-                    target.failed_at = sim.clock
-                    findings.append(
-                        Finding(
-                            attack_kind=spec.kind,
-                            severity=Severity.OUTAGE,
-                            evidence={
-                                "finding_type": "crash",
-                                "case_index": i,
-                                "mutation_op": op.value,
-                                "exception": f"{type(exc).__name__}: {exc}",
-                                "case_hex": case.hex(),
-                            },
-                        )
-                    )
-                    break
-            if disposition is None:
-                if hbh in wire_answers:
-                    code = wire_answers[hbh]
-                    if code == dct.RESULT_SUCCESS:
-                        disposition = DISPOSITION_ANSWERED_SUCCESS
-                    else:
-                        disposition = DISPOSITION_ANSWERED_ERROR
-                    _count_result_code(result_codes[op.value], code)
-                else:
-                    sim.run_until(deadline)
-                    drops_after = (
-                        target.parse_drops,
-                        target.fsm_drops,
-                        target.dropped_failed_inbound,
-                    )
-                    if drops_after != drops_before:
-                        disposition = DISPOSITION_DROPPED
-                    else:
-                        disposition = DISPOSITION_NO_RESPONSE
-        else:
-            disposition = DISPOSITION_NO_RESPONSE
+        disposition = judge(case, hbh, result_codes[op.value])
         ab.forget_pending_many(target.node, (hbh,))
 
         per_op = tallies[op.value]
         per_op[disposition] = per_op.get(disposition, 0) + 1
-        if disposition == DISPOSITION_ANSWERED_SUCCESS and not structurally_valid:
-            accepted_invalid += 1
-            findings.append(
-                Finding(
-                    attack_kind=spec.kind,
-                    severity=Severity.INFO,
-                    evidence={
-                        "finding_type": "accepted-invalid",
-                        "case_index": i,
-                        "mutation_op": op.value,
-                        "case_hex": case.hex(),
-                    },
-                )
-            )
+        if disposition == DISPOSITION_CRASH:
+            exc = target.crash
+            severity = Severity.OUTAGE
+            evidence = {"finding_type": "crash", "exception": f"{type(exc).__name__}: {exc}"}
+        elif disposition == DISPOSITION_ANSWERED_SUCCESS and not structurally_valid:
+            severity, evidence = Severity.INFO, {"finding_type": "accepted-invalid"}
+        else:
+            continue
+        evidence.update(case_index=i, mutation_op=op.value, case_hex=case.hex())
+        findings.append(Finding(spec.kind, severity, evidence))
 
     ab.on_wire_answer = None
     result = FuzzResult(
@@ -676,8 +650,10 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
         case_count=spec.case_count,
         ops=ops,
         no_op_cases=no_op_cases,
-        crash_cases=crash_cases,
-        accepted_invalid_cases=accepted_invalid,
+        crash_cases=sum(t.get(DISPOSITION_CRASH, 0) for t in tallies.values()),
+        accepted_invalid_cases=sum(
+            f.evidence["finding_type"] == "accepted-invalid" for f in findings
+        ),
         tallies={op: dict(sorted(t.items())) for op, t in tallies.items()},
         result_codes={op: dict(sorted(t.items())) for op, t in result_codes.items()},
     )

@@ -17,10 +17,12 @@ traffic) always take the decoder.
 The capacity model is a token-rate server (service_rate tokens per
 second, burst of one) in front of a bounded FIFO queue. A 1 Hz sampler
 watches the queue: once it has been non-empty at every sample for
-failure_threshold_s consecutive seconds the element marks itself failed
-and answers nothing for the rest of the run. That makes overload and
-failure directly observable and checkable against a fluid model, and
-exactly against the discrete reference model in the tests.
+failure_threshold_s consecutive seconds the element fails and answers
+nothing for the rest of the run. That makes overload and failure directly
+observable and checkable against a fluid model, and exactly against the
+discrete reference model in the tests. A command handler that raises
+fails its element the same way, through `Element.fail`, and keeps the
+exception as the element's `crash` before it propagates.
 """
 
 from __future__ import annotations
@@ -235,13 +237,12 @@ class Element:
         self._drain_scheduled = False
         self.queue: deque[tuple[NodeId, Message]] = deque()
 
-        # failure state
-        self.failed = False
+        # failure state: only `fail` writes `failed_at`, only `_serve` writes `crash`
         self.failed_at: Optional[int] = None
+        self.crash: Optional[Exception] = None
         self._overload_streak = 0
 
         # counters
-        self.rx_messages = 0
         self.parse_drops = 0
         self.validation_rejects = 0
         self.fsm_drops = 0
@@ -276,7 +277,7 @@ class Element:
             self._deliver(link, event.message, now)
             return
         prev_deadline = link.state.watchdog_deadline
-        new_state, actions = handle_event(link.state, event, now, self.peer_config, link.pending)
+        new_state, actions = handle_event(link.state, event, now, self.peer_config)
         link.state = new_state
         if new_state.phase is not OPEN and link.pending:
             link.pending.clear()
@@ -305,8 +306,8 @@ class Element:
     # -- simnet handler protocol -----------------------------------------------
 
     def on_message(self, sim: Simulation, src: NodeId, payload: bytes | Message, now: int) -> None:
-        self.rx_messages += 1
-        if self.failed:
+        # Per message, so the test reads the field: a property call costs ~10x as much.
+        if self.failed_at is not None:
             self.dropped_failed_inbound += 1
             return
         # A carried Message is its own strict decode; bytes take the decoder.
@@ -364,7 +365,7 @@ class Element:
 
     def admit(self, request: object, now: int) -> Admission:
         """Admission at `now`: take a token, else join the bounded queue, else drop."""
-        if self.failed:
+        if self.failed_at is not None:  # per request: see on_message
             raise ElementFailedError(f"{self.node.label} has failed; it admits nothing")
         self.offered += 1
         self._accrue(now)
@@ -388,8 +389,6 @@ class Element:
 
     def _drain(self, now: int) -> None:
         self._drain_scheduled = False
-        if self.failed:
-            return
         self._accrue(now)
         while self._credit >= self._token and self.queue:
             self._credit -= self._token
@@ -407,15 +406,34 @@ class Element:
         else:
             self._overload_streak = 0
         if self._overload_streak >= math.ceil(self.capacity.failure_threshold_s):
-            self.failed = True
-            self.failed_at = now
-            self.dropped_at_failure += len(self.queue)
-            self.queue.clear()
+            self.fail(now)
             return
         self.sim.schedule_timer(now + SAMPLE_INTERVAL_US, self._sample)
 
+    @property
+    def failed(self) -> bool:
+        return self.failed_at is not None
+
+    def fail(self, now: int) -> None:
+        """Fail the element at `now`, the one place a failure is written: it
+        answers nothing from then on, and its queued requests are dropped
+        (`dropped_at_failure`). The sampler's overload rule and a crashing
+        handler (see `_serve`) both end here."""
+        self.failed_at = now
+        self.dropped_at_failure += len(self.queue)
+        self.queue.clear()
+
     def _serve(self, neighbor: NodeId, msg: Message, now: int) -> None:
-        self.sim.send(self.node, neighbor, self.handle_app_request(msg, now))
+        """Answer an admitted request, direct or drained. A handler that
+        raises is the element's own crash: it is recorded, the element
+        fails, and the exception propagates."""
+        try:
+            answer = self.handle_app_request(msg, now)
+        except Exception as exc:
+            self.crash = exc
+            self.fail(now)
+            raise
+        self.sim.send(self.node, neighbor, answer)
 
     # -- application layer ---------------------------------------------------------
 

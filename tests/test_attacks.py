@@ -43,6 +43,7 @@ from diamlab.codec import (
 from diamlab.peer import PendingRequest
 
 from tests.labs import core_lab_text, duo_lab_text, make_lab
+from tests.test_campaign import assert_conserved
 
 
 def sample_bytes(n_avps=2) -> bytes:
@@ -640,6 +641,40 @@ class TestFuzz:
         assert crash_findings
         assert crash_findings[0].severity is Severity.OUTAGE
         assert target.failed  # a crashed element is a failed element
+
+    def test_a_fault_in_the_attack_box_propagates_and_leaves_the_target_up(self):
+        _, lab = make_lab(duo_lab_text())
+        target = lab.element("target")
+
+        def on_decoded(src, msg, now):
+            raise KeyError("attack box bug")
+
+        lab.attack_box().on_decoded = on_decoded
+        with pytest.raises(KeyError, match="attack box bug"):
+            run_fuzz(lab, FuzzSpec(target="target", case_count=5, seed=3))
+        assert target.failed_at is None and target.crash is None
+
+    def test_a_crash_with_a_request_queued_fails_the_target_through_fail(self):
+        _, lab = make_lab(duo_lab_text(service_rate=0.2, queue_capacity=10))
+        target = lab.element("target")
+        serve = target.handle_app_request
+        bug, called_at = RuntimeError("rigged handler bug"), []
+
+        def handler(msg, now):
+            called_at.append(now)
+            if len(called_at) == 2:
+                raise bug
+            return serve(msg, now)
+
+        target.handle_app_request = handler
+        result, _ = run_fuzz(
+            lab, FuzzSpec(target="target", case_count=12, ops=(MutationOp.FLIP_FLAG,), seed=3)
+        )
+        assert result.crash_cases == 1
+        assert target.crash is bug
+        assert target.failed_at == called_at[1]
+        assert not target.queue and target.dropped_at_failure == 1
+        assert_conserved(lab)
 
     def test_fuzz_requires_seed(self):
         _, lab = make_lab(duo_lab_text())

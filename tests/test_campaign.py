@@ -34,6 +34,7 @@ from diamlab.config import (
     load_config,
     parse_campaign_config,
 )
+from diamlab.elements import TargetServerElement
 from diamlab.taxonomy import Impact, Origin, TaxonomyLabel, Technique
 
 from tests.labs import core_lab_text, duo_lab_text, make_lab
@@ -144,6 +145,28 @@ class TestRunCampaign:
         r1 = run_campaign(config, write_files=False)
         r2 = run_campaign(config, write_files=False)
         assert r1.report.attacks[0]["result"]["seed"] == r2.report.attacks[0]["result"]["seed"]
+
+    def test_a_crashing_target_is_one_availability_finding(self, monkeypatch, tmp_path, capsys):
+        def explode(self, msg, now):
+            raise RuntimeError("rigged handler bug")
+
+        monkeypatch.setattr(TargetServerElement, "handle_app_request", explode)
+        config = parse_campaign_config(
+            duo_lab_text() + "\n[attack fuzz]\ntarget = target\ncases = 20\n"
+        )
+        run = run_campaign(config, out_dir=str(tmp_path))
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["attacks"][0]["result"]["crash_cases"] == 1
+        [finding] = report["findings"]
+        assert finding["taxonomy"] == {
+            "origin": "external_interconnect",
+            "technique": "malformed_message",
+            "impact": "availability",
+        }
+        assert_conserved(run.lab)
+        capsys.readouterr()
+        assert main(["report", "--input", str(tmp_path / "report.json"), "--format", "text"]) == 0
+        assert capsys.readouterr().out == (tmp_path / "report.txt").read_text()
 
 
 def assert_conserved(lab):

@@ -115,7 +115,7 @@ class TestAdmission:
     def test_failed_element_raises(self):
         _, lab = make_lab(duo_lab_text())
         target = lab.element("target")
-        target.failed = True
+        target.fail(lab.sim.clock)
         with pytest.raises(ElementFailedError):
             target.admit(("x", None), lab.sim.clock)
 
@@ -306,7 +306,7 @@ class TestAttachFlow:
     @pytest.mark.parametrize("silent, step", [("hss", 0), ("pcrf", 2)])
     def test_silent_element_times_out_the_attach_at_its_step(self, silent, step):
         config, lab = make_lab(core_lab_text())
-        lab.element(silent).failed = True  # a failed element answers nothing
+        lab.element(silent).fail(lab.sim.clock)  # a failed element answers nothing
         tap = lab.sim.attach_tap(lab.node("mme"), lab.node(silent))
         result = lab.attach_subscriber(config.subscribers[0])
         [request] = tap.records  # the silent step's request, and no answer
@@ -404,7 +404,7 @@ class TestFailureModel:
     def test_failed_element_answers_nothing(self):
         _, lab = make_lab(duo_lab_text())
         target = lab.element("target")
-        target.failed = True
+        target.fail(lab.sim.clock)
         served_before = target.direct_served + target.drained_served
         from diamlab.codec import encode_message
 
