@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Per-call cost of the codec layer: build, encode, decode and validate.
+"""Per-call cost of the codec layer: build, encode, decode, validate and replace_ids.
 
 Two messages: the flood's echo request (one 4-byte Echo-Payload AVP,
 32 bytes on the wire) and a CER (Origin-Host plus one
-Auth-Application-Id). Each operation runs in timed batches of --number
+Auth-Application-Id). replace_ids restamps the correlation ids, as each
+fuzz case, CER and DWR is restamped before it is sent. Each operation runs in timed batches of --number
 calls; the script prints the median ops/s over --repeat batches, with the
 lowest and highest batch. Host time only: the numbers move with the
 machine and its load, so compare two checkouts on the same machine, one
@@ -18,7 +19,14 @@ import statistics
 import timeit
 
 from diamlab import dictionary as dct
-from diamlab.codec import Avp, build_message, decode_message, encode_message, validate_message
+from diamlab.codec import (
+    Avp,
+    build_message,
+    decode_message,
+    encode_message,
+    replace_ids,
+    validate_message,
+)
 from diamlab.peer import build_cer
 
 
@@ -62,6 +70,7 @@ def main() -> int:
             "encode_message": lambda msg=msg: encode_message(msg),
             "decode_message": lambda wire=wire: decode_message(wire),
             "validate_message": lambda msg=msg: validate_message(msg, dictionary),
+            "replace_ids": lambda msg=msg: replace_ids(msg, 9, 9),
         }
         results[name] = {op: measure(fn, args.repeat, args.number) for op, fn in ops.items()}
 

@@ -279,14 +279,19 @@ class _FloodDriver:
         self.answered = 0
         self.latencies: list[int] = []
         self.result_codes: dict[str, int] = {}
+        # One callback object for the whole flood, stored in every pending
+        # entry it sends: `self._count_answer` read per send would make a new
+        # bound method each time (~16k held at once by an overloaded target),
+        # and `sent_before` can match the flood's entries by identity.
+        self.on_answer = self._count_answer
 
     def send(self, now: int, i: int) -> None:
         """Send request `i` of the flood and schedule request `i + 1`."""
         self.offered += 1
         sim = self.ab.sim
-        payload = Avp(code=dct.AVP_ECHO_PAYLOAD, data=i.to_bytes(4, "big"))
+        payload = Avp(dct.AVP_ECHO_PAYLOAD, i.to_bytes(4, "big"))
         hbh = self.ab.send_app_request(
-            self.target.node, dct.CMD_ECHO, [payload], self.on_answer, now
+            self.target.node, dct.CMD_ECHO, (payload,), self.on_answer, now
         )
         if hbh is not None:
             self.sent += 1
@@ -309,7 +314,7 @@ class _FloodDriver:
         for hbh, request in self.ab.peer_link(self.target.node).pending.items():
             if request.sent_at >= cutoff:
                 break
-            if request.on_answer == mine:
+            if request.on_answer is mine:
                 ids.append(hbh)
         return ids
 
@@ -319,7 +324,7 @@ class _FloodDriver:
         if dead:
             self.ab.forget_pending_many(self.target.node, dead)
 
-    def on_answer(self, pending, msg, now) -> None:
+    def _count_answer(self, pending, msg, now) -> None:
         self.answered += 1
         self.latencies.append(now - pending.sent_at)
         _count_result_code(self.result_codes, result_code_of(msg))

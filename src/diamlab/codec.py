@@ -38,9 +38,9 @@ what makes it a safe fuzzing surface.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 _VERSION = 1  # the only Diameter version (RFC 6733)
 HEADER_LEN = 20
@@ -73,8 +73,6 @@ _U32 = struct.Struct(">I")
 # Zero padding after an AVP of length n is _PADDING[n & 3].
 _PADDING = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")
 
-_set = object.__setattr__
-
 
 class CodecError(ValueError):
     """A Message value cannot be put on the wire (a field out of range)."""
@@ -102,7 +100,16 @@ class ParseError:
 
 # Avp, MessageHeader and Message are built once or more per message, so
 # they take a positional __init__ instead of the generated one; it sets
-# the slots in field order with the fields' defaults.
+# the slots in field order with the fields' defaults, each through its
+# slot's member descriptor, bound once below the class by slot_setters.
+# object.__setattr__ ends in the same __set__ after looking the slot up by
+# name on every call. Like it, the descriptor passes by the frozen class's
+# __setattr__, which still refuses every write after __init__.
+
+
+def slot_setters(cls: type) -> tuple[Callable[[object, object], None], ...]:
+    """The __set__ of each slot of a slotted dataclass, in field order."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -123,17 +130,20 @@ class Avp:
         mandatory: bool = False,
         protected: bool = False,
     ) -> None:
-        _set(self, "code", code)
-        _set(self, "data", data)
-        _set(self, "vendor_id", vendor_id)
-        _set(self, "mandatory", mandatory)
-        _set(self, "protected", protected)
+        _avp_code(self, code)
+        _avp_data(self, data)
+        _avp_vendor_id(self, vendor_id)
+        _avp_mandatory(self, mandatory)
+        _avp_protected(self, protected)
 
     @property
     def wire_length(self) -> int:
         """Declared AVP length: header + data, excluding padding."""
         base = AVP_HEADER_LEN if self.vendor_id is None else AVP_HEADER_LEN + 4
         return base + len(self.data)
+
+
+_avp_code, _avp_data, _avp_vendor_id, _avp_mandatory, _avp_protected = slot_setters(Avp)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -158,14 +168,14 @@ class MessageHeader:
         error: bool = False,
         retransmit: bool = False,
     ) -> None:
-        _set(self, "command_code", command_code)
-        _set(self, "application_id", application_id)
-        _set(self, "hop_by_hop_id", hop_by_hop_id)
-        _set(self, "end_to_end_id", end_to_end_id)
-        _set(self, "request", request)
-        _set(self, "proxiable", proxiable)
-        _set(self, "error", error)
-        _set(self, "retransmit", retransmit)
+        _h_command_code(self, command_code)
+        _h_application_id(self, application_id)
+        _h_hop_by_hop_id(self, hop_by_hop_id)
+        _h_end_to_end_id(self, end_to_end_id)
+        _h_request(self, request)
+        _h_proxiable(self, proxiable)
+        _h_error(self, error)
+        _h_retransmit(self, retransmit)
 
     @property
     def flags_byte(self) -> int:
@@ -177,14 +187,29 @@ class MessageHeader:
         )
 
 
+(
+    _h_command_code,
+    _h_application_id,
+    _h_hop_by_hop_id,
+    _h_end_to_end_id,
+    _h_request,
+    _h_proxiable,
+    _h_error,
+    _h_retransmit,
+) = slot_setters(MessageHeader)
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class Message:
     header: MessageHeader
     avps: tuple[Avp, ...] = ()
 
     def __init__(self, header: MessageHeader, avps: tuple[Avp, ...] = ()) -> None:
-        _set(self, "header", header)
-        _set(self, "avps", avps)
+        _m_header(self, header)
+        _m_avps(self, avps)
+
+
+_m_header, _m_avps = slot_setters(Message)
 
 
 def build_message(
@@ -197,7 +222,7 @@ def build_message(
     proxiable: bool = False,
     error: bool = False,
     retransmit: bool = False,
-    avps: tuple[Avp, ...] | list[Avp] = (),
+    avps: Sequence[Avp] = (),
 ) -> Message:
     """Assemble a Message and run the encoder's checks on it.
 
@@ -436,17 +461,15 @@ class Violation:
     avp_index: int
 
 
-def _data_length_ok(fmt: str, data: bytes) -> bool:
-    if fmt == "unsigned32":
-        return len(data) == 4
-    if fmt == "unsigned64":
-        return len(data) == 8
-    if fmt == "address":
-        return len(data) in (4, 16)
-    if fmt == "grouped":
-        # One level deep: the payload must itself be a packed AVP sequence.
-        return not isinstance(_decode_avps(data, 0, len(data)), ParseError)
-    return True  # octet-string, utf8-text: any length
+# The payload length rule of each data format that has one; octet-string
+# and utf8-text take any length.
+_LENGTH_RULES: dict[str, Callable[[bytes], bool]] = {
+    "unsigned32": lambda data: len(data) == 4,
+    "unsigned64": lambda data: len(data) == 8,
+    "address": lambda data: len(data) in (4, 16),
+    # One level deep: the payload must itself be a packed AVP sequence.
+    "grouped": lambda data: not isinstance(_decode_avps(data, 0, len(data)), ParseError),
+}
 
 
 def validate_message(m: Message, d: Dictionary) -> list[Violation]:
@@ -456,14 +479,16 @@ def validate_message(m: Message, d: Dictionary) -> list[Violation]:
     flag set, or a known AVP whose payload length is illegal for its
     dictionary data format.
     """
+    entries = d.entries
     out: list[Violation] = []
     for i, avp in enumerate(m.avps):
-        entry = d.lookup(avp.code, avp.vendor_id)
+        entry = entries.get((avp.code, avp.vendor_id))
         if entry is None:
             if avp.mandatory:
                 out.append(Violation(ViolationKind.UNSUPPORTED_MANDATORY_AVP, avp.code, i))
             continue
-        if not _data_length_ok(entry.data_format, avp.data):
+        rule = _LENGTH_RULES.get(entry.data_format)
+        if rule is not None and not rule(avp.data):
             out.append(Violation(ViolationKind.BAD_AVP_LENGTH, avp.code, i))
     return out
 
@@ -478,6 +503,17 @@ def first_avp(m: Message, code: int) -> Optional[Avp]:
 def replace_ids(m: Message, hop_by_hop_id: int, end_to_end_id: int) -> Message:
     """`m` with new correlation ids; the encoder's CodecError for an id out of range."""
     _check_ids(hop_by_hop_id, end_to_end_id)
+    h = m.header
     return Message(
-        replace(m.header, hop_by_hop_id=hop_by_hop_id, end_to_end_id=end_to_end_id), m.avps
+        MessageHeader(
+            h.command_code,
+            h.application_id,
+            hop_by_hop_id,
+            end_to_end_id,
+            h.request,
+            h.proxiable,
+            h.error,
+            h.retransmit,
+        ),
+        m.avps,
     )

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 from . import dictionary as dct
 from .codec import (
@@ -311,7 +311,10 @@ class Element:
             self.dropped_failed_inbound += 1
             return
         # A carried Message is its own strict decode; bytes take the decoder.
-        msg = payload if isinstance(payload, Message) else decode_message(payload)
+        if isinstance(payload, Message):
+            self.on_decoded(src, payload, now)
+            return
+        msg = decode_message(payload)
         if isinstance(msg, ParseError):
             self.parse_drops += 1
             return
@@ -456,7 +459,7 @@ class Element:
         self,
         dst: NodeId,
         command_code: int,
-        avps: list[Avp],
+        avps: Sequence[Avp],
         on_answer: Optional[AnswerCallback],
         now: int,
     ) -> Optional[int]:

@@ -30,7 +30,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
 from . import dictionary as dct
-from .codec import Avp, Message, build_answer, build_message
+from .codec import Avp, Message, build_answer, build_message, slot_setters
 from .simnet import US_PER_S
 
 
@@ -114,11 +114,10 @@ class PeerEvent:
             raise ValueError(f"event {self.kind.value} message presence mismatch")
 
 
-_set = object.__setattr__
-
-
 # Built once per application request, so like codec.Avp it takes a
-# positional __init__ instead of the generated one.
+# positional __init__ instead of the generated one, which sets each slot
+# through its member descriptor's __set__: no lookup of the slot by name,
+# and the frozen __setattr__ still refuses every other write.
 @dataclass(frozen=True, slots=True, init=False)
 class PendingRequest:
     """Metadata kept for one outstanding application request.
@@ -137,9 +136,12 @@ class PendingRequest:
         sent_at: int,
         on_answer: Optional[AnswerCallback] = None,
     ) -> None:
-        _set(self, "hop_by_hop_id", hop_by_hop_id)
-        _set(self, "sent_at", sent_at)
-        _set(self, "on_answer", on_answer)
+        _pending_hop_by_hop_id(self, hop_by_hop_id)
+        _pending_sent_at(self, sent_at)
+        _pending_on_answer(self, on_answer)
+
+
+_pending_hop_by_hop_id, _pending_sent_at, _pending_on_answer = slot_setters(PendingRequest)
 
 
 AnswerCallback = Callable[[PendingRequest, Message, int], None]

@@ -490,6 +490,19 @@ class TestFloodReap:
         assert list(box.pending) == [foreign]
 
 
+class TestFloodCallback:
+    def test_a_flood_stores_one_answer_callback(self):
+        box = _StubBox()
+        driver = _FloodDriver(box, box, 10, start=0, rate_tps=1e6, timeout_us=10**9)
+        for i in (1, 2, 3, 4):
+            driver.send(i, i)
+        callbacks = [p.on_answer for p in box.pending.values()]
+        assert len(callbacks) == 4
+        assert all(c is driver.on_answer for c in callbacks)
+        box.answer(2, 7)
+        assert (driver.answered, driver.latencies) == (1, [5])
+
+
 class TestIntercept:
     def test_attach_scenario_inventories_locations(self):
         _, lab = make_lab(core_lab_text())

@@ -19,6 +19,7 @@ from diamlab.codec import (
     ParseErrorKind,
     Violation,
     ViolationKind,
+    _decode_avps,
     build_answer,
     build_message,
     decode_message,
@@ -28,9 +29,10 @@ from diamlab.codec import (
     validate_message,
 )
 
+from diamlab.dictionary import BUILTIN_DICTIONARY
 from diamlab.peer import ActionKind, EventKind, PeerAction, PeerEvent, PendingRequest
 
-from tests.strategies import avps, messages
+from tests.strategies import avps, messages, u32
 
 
 class TestHeaderLayout:
@@ -320,6 +322,74 @@ class TestValidate:
             ViolationKind.UNSUPPORTED_MANDATORY_AVP,
             ViolationKind.BAD_AVP_LENGTH,
         ]
+
+
+def _reference_length_ok(fmt: str, data: bytes) -> bool:
+    if fmt == "unsigned32":
+        return len(data) == 4
+    if fmt == "unsigned64":
+        return len(data) == 8
+    if fmt == "address":
+        return len(data) in (4, 16)
+    if fmt == "grouped":
+        return not isinstance(_decode_avps(data, 0, len(data)), ParseError)
+    return True
+
+
+def _reference_violations(m: Message, d: Dictionary) -> list[Violation]:
+    """validate_message as a per-AVP `d.lookup`, then the format's length rule."""
+    out = []
+    for i, avp in enumerate(m.avps):
+        entry = d.lookup(avp.code, avp.vendor_id)
+        if entry is None:
+            if avp.mandatory:
+                out.append(Violation(ViolationKind.UNSUPPORTED_MANDATORY_AVP, avp.code, i))
+            continue
+        if not _reference_length_ok(entry.data_format, avp.data):
+            out.append(Violation(ViolationKind.BAD_AVP_LENGTH, avp.code, i))
+    return out
+
+
+# AVP codes that BUILTIN_DICTIONARY or tiny_dictionary knows, so that the
+# length rules run; a payload is sometimes a packed AVP sequence, so that
+# the grouped rule passes as well as fails.
+_KNOWN_CODES = sorted({code for code, _ in BUILTIN_DICTIONARY.entries} | set(range(1, 7)))
+_known_avps = st.builds(
+    Avp,
+    code=st.sampled_from(_KNOWN_CODES),
+    data=st.one_of(
+        st.binary(max_size=20),
+        st.lists(avps(), max_size=3).map(lambda xs: b"".join(encode_avp(a) for a in xs)),
+    ),
+    mandatory=st.booleans(),
+)
+
+
+class TestValidateEquivalence:
+    def test_matches_the_per_avp_reference(self, tiny_dictionary):
+        @given(messages(), st.lists(_known_avps, max_size=6), st.randoms())
+        @settings(max_examples=300)
+        def check(msg, known, rnd):
+            mixed = list(msg.avps) + known
+            rnd.shuffle(mixed)
+            m = Message(msg.header, tuple(mixed))
+            for d in (BUILTIN_DICTIONARY, tiny_dictionary):
+                assert validate_message(m, d) == _reference_violations(m, d)
+
+        check()
+
+    @given(messages(), u32, u32, st.tuples(*[st.booleans()] * 4))
+    @settings(max_examples=300)
+    def test_replace_ids_changes_the_ids_alone(self, msg, hbh, e2e, flags):
+        request, proxiable, error, retransmit = flags
+        header = dataclasses.replace(
+            msg.header, request=request, proxiable=proxiable, error=error, retransmit=retransmit
+        )
+        m = Message(header, msg.avps)
+        expected = Message(
+            dataclasses.replace(header, hop_by_hop_id=hbh, end_to_end_id=e2e), m.avps
+        )
+        assert replace_ids(m, hbh, e2e) == expected
 
 
 class TestRoundTripProperties:

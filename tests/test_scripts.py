@@ -37,7 +37,13 @@ def test_overload_sweep_prints_one_row_per_rate():
 def test_codec_bench_json_has_every_operation():
     out = run_script("codec_bench.py", "--repeat", "1", "--number", "10", "--json")
     results = json.loads(out)
-    operations = {"build_message", "encode_message", "decode_message", "validate_message"}
+    operations = {
+        "build_message",
+        "encode_message",
+        "decode_message",
+        "validate_message",
+        "replace_ids",
+    }
     assert set(results) == {"echo", "cer"}
     for per_message in results.values():
         assert set(per_message) == operations
