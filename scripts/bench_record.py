@@ -8,8 +8,9 @@ Runs, each as a subprocess of the checkout under --root:
 - scripts/codec_bench.py --json.
 
 The file holds the machine line and git rev perfbench printed, every JSON
-result line, the codec numbers, and the golden digests from
-perfbench/golden.json of each workload whose run checked them (full
+result line, the fuzz_cases_per_s line (median, q1, q3, n) of each
+untraced run that has a fuzz, the codec numbers, and the golden digests
+from perfbench/golden.json of each workload whose run checked them (full
 sizes at the default seed; --smoke checks determinism only). It only
 measures: a failed check is recorded in the results, not acted on. Host
 times move with the machine and its load, so record the two checkouts
@@ -53,6 +54,12 @@ def last_json(stdout: str):
         return None
 
 
+def quartiles(line: str) -> dict:
+    """median, q1, q3 and n of a perfbench line `name median M unit q1 A q3 B n=N`."""
+    _name, _, median, _unit, _, q1, _, q3, n = line.split()
+    return {"median": float(median), "q1": float(q1), "q3": float(q3), "n": int(n[2:])}
+
+
 def record(root: Path, seconds: int, smoke: bool) -> tuple[dict, bool]:
     """(the record, whether every subprocess gave a result)."""
     spec = json.loads((root / "BENCHMARK.json").read_text())
@@ -80,6 +87,8 @@ def record(root: Path, seconds: int, smoke: bool) -> tuple[dict, bool]:
                     machine = machine or line
                 elif line.startswith(f"workload={workload} ") and "golden=checked" in line:
                     checked[workload] = golden[workload]
+                elif line.lstrip().startswith("fuzz_cases_per_s "):
+                    entry["fuzz_cases_per_s"] = quartiles(line)
             print(f"{workload} trace={trace}: exit {proc.returncode}"
                   f" correct={result and result['correct']}", file=sys.stderr)
     codec_cmd = [sys.executable, "scripts/codec_bench.py", "--json"]

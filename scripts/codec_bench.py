@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Per-call cost of the codec layer: build, encode, decode, validate and replace_ids.
+"""Per-call cost of the codec layer: build, encode, decode, validate, replace_ids, stamp_ids.
 
 Two messages: the flood's echo request (one 4-byte Echo-Payload AVP,
 32 bytes on the wire) and a CER (Origin-Host plus one
-Auth-Application-Id). replace_ids restamps the correlation ids, as each
-fuzz case, CER and DWR is restamped before it is sent. Each operation runs in timed batches of --number
+Auth-Application-Id). replace_ids restamps the correlation ids of a
+Message, as each CER and DWR is restamped before it is sent; stamp_ids
+writes them into encoded bytes, as each fuzz case is stamped from its
+pre-encoded template. Each operation runs in timed batches of --number
 calls; the script prints the median ops/s over --repeat batches, with the
 lowest and highest batch. Host time only: the numbers move with the
 machine and its load, so compare two checkouts on the same machine, one
@@ -25,6 +27,7 @@ from diamlab.codec import (
     decode_message,
     encode_message,
     replace_ids,
+    stamp_ids,
     validate_message,
 )
 from diamlab.peer import build_cer
@@ -71,6 +74,7 @@ def main() -> int:
             "decode_message": lambda wire=wire: decode_message(wire),
             "validate_message": lambda msg=msg: validate_message(msg, dictionary),
             "replace_ids": lambda msg=msg: replace_ids(msg, 9, 9),
+            "stamp_ids": lambda wire=wire: stamp_ids(wire, 9, 9),
         }
         results[name] = {op: measure(fn, args.repeat, args.number) for op, fn in ops.items()}
 

@@ -26,7 +26,7 @@ from .codec import (
     decode_message,
     encode_avp,
     encode_message,
-    replace_ids,
+    stamp_ids,
 )
 from .elements import DEFAULT_QOS_CLASS, AttackBoxElement, Element, Lab, result_code_of
 from .peer import APPLICATION_IDS, build_cer, build_dwr
@@ -579,7 +579,8 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
     ab = lab.attack_box()
     target = lab.element(spec.target)
     rng = random.Random(spec.seed)
-    corpus = seed_corpus(identity=ab.peer_config.identity)
+    # Each template is encoded once; a case stamps its ids into the bytes.
+    corpus = [encode_message(m) for _, m in seed_corpus(identity=ab.peer_config.identity)]
     wire_answers: dict[int, Optional[int]] = {}  # hop-by-hop -> result code
 
     def on_wire_answer(msg: Message) -> None:
@@ -623,15 +624,14 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
     findings: list[Finding] = []
 
     for i in range(spec.case_count):
-        _, template = corpus[rng.randrange(len(corpus))]
+        template = corpus[rng.randrange(len(corpus))]
         op = spec.ops[rng.randrange(len(spec.ops))]
         draw = rng.getrandbits(32)
         hbh = ab.alloc_hop_by_hop(target.node)
-        base = encode_message(replace_ids(template, hbh, hbh))
+        base = stamp_ids(template, hbh, hbh)
         case = mutate(base, op, draw)
         if case == base:
             no_op_cases += 1
-        structurally_valid = not isinstance(decode_message(case), ParseError)
         disposition = judge(case, hbh, result_codes[op.value])
         ab.forget_pending_many(target.node, (hbh,))
 
@@ -641,7 +641,9 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
             exc = target.crash
             severity = Severity.OUTAGE
             evidence = {"finding_type": "crash", "exception": f"{type(exc).__name__}: {exc}"}
-        elif disposition == DISPOSITION_ANSWERED_SUCCESS and not structurally_valid:
+        elif disposition == DISPOSITION_ANSWERED_SUCCESS and isinstance(
+            decode_message(case), ParseError
+        ):
             severity, evidence = Severity.INFO, {"finding_type": "accepted-invalid"}
         else:
             continue

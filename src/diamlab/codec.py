@@ -70,6 +70,8 @@ _HEADER = struct.Struct(">IIIII")
 _AVP_HEADER = struct.Struct(">II")
 _AVP_HEADER_VENDOR = struct.Struct(">III")
 _U32 = struct.Struct(">I")
+# The hop-by-hop and end-to-end ids, bytes 12-19 of a message.
+_IDS = struct.Struct(">II")
 # Zero padding after an AVP of length n is _PADDING[n & 3].
 _PADDING = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")
 
@@ -314,16 +316,29 @@ def _checked_length(m: Message) -> int:
     meets the fields: command code, application id, hop-by-hop id,
     end-to-end id, each AVP, the total. Raises CodecError for the first
     value that cannot be represented on the wire.
+
+    In-range values pass with no call per field or AVP: the ids and each
+    AVP are inline comparisons, and only a fault falls through to the
+    _check_ids or _checked_avp_length that names it.
     """
     h = m.header
     if not 0 <= h.command_code <= _U24_MAX:
         raise _range_error(h.command_code, _U24_MAX, "command code")
     if not 0 <= h.application_id <= U32_MAX:
         raise _range_error(h.application_id, U32_MAX, "application id")
-    _check_ids(h.hop_by_hop_id, h.end_to_end_id)
+    if not (0 <= h.hop_by_hop_id <= U32_MAX and 0 <= h.end_to_end_id <= U32_MAX):
+        _check_ids(h.hop_by_hop_id, h.end_to_end_id)  # raises, naming the id
     total = HEADER_LEN
     for a in m.avps:
-        total += (_checked_avp_length(a) + 3) & ~3
+        vendor_id = a.vendor_id
+        length = len(a.data) + (AVP_HEADER_LEN if vendor_id is None else AVP_HEADER_LEN + 4)
+        if not (
+            0 <= a.code <= U32_MAX
+            and length <= _U24_MAX
+            and (vendor_id is None or 0 <= vendor_id <= U32_MAX)
+        ):
+            _checked_avp_length(a)  # raises this AVP's first fault
+        total += (length + 3) & ~3
     if not 0 <= total <= MAX_MESSAGE_LEN:
         raise _range_error(total, MAX_MESSAGE_LEN, "message length")
     return total
@@ -517,3 +532,14 @@ def replace_ids(m: Message, hop_by_hop_id: int, end_to_end_id: int) -> Message:
         ),
         m.avps,
     )
+
+
+def stamp_ids(data: bytes, hop_by_hop_id: int, end_to_end_id: int) -> bytes:
+    """`data`, an encode_message result, with new correlation ids.
+
+    The same bytes as encode_message(replace_ids(m, hop_by_hop_id,
+    end_to_end_id)) for the m that `data` encodes, and the same CodecError
+    for an id out of range, without building or encoding a Message.
+    """
+    _check_ids(hop_by_hop_id, end_to_end_id)
+    return data[:12] + _IDS.pack(hop_by_hop_id, end_to_end_id) + data[HEADER_LEN:]

@@ -14,6 +14,7 @@ from diamlab import dictionary as dct
 from diamlab.attacks import (
     ALL_MUTATION_OPS,
     DISPOSITION_ANSWERED_ERROR,
+    DISPOSITION_ANSWERED_SUCCESS,
     FloodSpec,
     FuzzSpec,
     InterceptSpec,
@@ -40,7 +41,7 @@ from diamlab.codec import (
     ViolationKind,
 )
 
-from diamlab.peer import PendingRequest
+from diamlab.peer import PendingRequest, result_code_avp
 
 from tests.labs import core_lab_text, duo_lab_text, make_lab
 from tests.test_campaign import assert_conserved
@@ -688,6 +689,42 @@ class TestFuzz:
         assert target.failed_at == called_at[1]
         assert not target.queue and target.dropped_at_failure == 1
         assert_conserved(lab)
+
+    def test_accepted_invalid_is_each_case_the_decoder_rejects(self, monkeypatch):
+        # A target that answers success to every case, bytes it cannot parse
+        # included: exactly the cases decode_message rejects are accepted-invalid.
+        _, lab = make_lab(duo_lab_text())
+        ab, target = lab.attack_box(), lab.element("target")
+        sent = []  # (hop-by-hop id, bytes) of each case, in case order
+        send_raw_request, on_message = ab.send_raw_request, target.on_message
+
+        def record(dst, data, hop_by_hop_id, on_answer, now):
+            sent.append((hop_by_hop_id, data))
+            return send_raw_request(dst, data, hop_by_hop_id, on_answer, now)
+
+        def answer_success(sim, src, payload, now):
+            if isinstance(payload, Message):  # the lab's own traffic
+                return on_message(sim, src, payload, now)
+            hbh = sent[-1][0]
+            avps = [result_code_avp(dct.RESULT_SUCCESS)]
+            sim.send(target.node, src, build_message(
+                dct.CMD_ECHO, hop_by_hop_id=hbh, end_to_end_id=hbh, avps=avps
+            ))
+
+        monkeypatch.setattr(ab, "send_raw_request", record)
+        monkeypatch.setattr(target, "on_message", answer_success)
+        result, findings = run_fuzz(lab, FuzzSpec(target="target", case_count=200, seed=5))
+
+        assert len(sent) == 200
+        assert sum(t.get(DISPOSITION_ANSWERED_SUCCESS, 0) for t in result.tallies.values()) == 200
+        rejected = [i for i, (_, case) in enumerate(sent)
+                    if isinstance(decode_message(case), ParseError)]
+        assert 0 < len(rejected) < 200
+        assert result.accepted_invalid_cases == len(rejected)
+        assert [f.evidence["finding_type"] for f in findings] == ["accepted-invalid"] * len(rejected)
+        assert [f.evidence["case_index"] for f in findings] == rejected
+        assert [f.evidence["case_hex"] for f in findings] == [sent[i][1].hex() for i in rejected]
+        assert all(f.severity is Severity.INFO for f in findings)
 
     def test_fuzz_requires_seed(self):
         _, lab = make_lab(duo_lab_text())

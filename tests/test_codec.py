@@ -17,8 +17,10 @@ from diamlab.codec import (
     MessageHeader,
     ParseError,
     ParseErrorKind,
+    U32_MAX,
     Violation,
     ViolationKind,
+    _checked_length,
     _decode_avps,
     build_answer,
     build_message,
@@ -26,9 +28,11 @@ from diamlab.codec import (
     encode_avp,
     encode_message,
     replace_ids,
+    stamp_ids,
     validate_message,
 )
 
+from diamlab.attacks import seed_corpus
 from diamlab.dictionary import BUILTIN_DICTIONARY
 from diamlab.peer import ActionKind, EventKind, PeerAction, PeerEvent, PendingRequest
 
@@ -405,6 +409,14 @@ class TestRoundTripProperties:
         assert len(encoded) % 4 == 0
         assert int.from_bytes(encoded[1:4], "big") == len(encoded)
 
+    @given(messages())
+    @settings(max_examples=300)
+    def test_checked_length_is_the_encoded_length(self, msg):
+        assert _checked_length(msg) == len(encode_message(msg))
+        h = msg.header
+        fields = {f.name: getattr(h, f.name) for f in dataclasses.fields(h)}
+        assert build_message(**fields, avps=msg.avps) == msg
+
     @given(avps())
     @settings(max_examples=200)
     def test_vendor_flag_follows_vendor_id(self, avp):
@@ -462,6 +474,18 @@ class TestBuilders:
         with pytest.raises(CodecError) as info:
             replace_ids(build_message(700), *ids)
         assert str(info.value) == text
+
+    @pytest.mark.parametrize("template", [pytest.param(t, id=n) for n, t in seed_corpus()])
+    def test_stamp_ids_is_encode_of_replace_ids(self, template):
+        data = encode_message(template)
+        for ids in (0, 1, 2**31, U32_MAX):
+            assert stamp_ids(data, ids, ids) == encode_message(replace_ids(template, ids, ids))
+        for bad in (2**32, -1):
+            with pytest.raises(CodecError) as expected:
+                replace_ids(template, bad, bad)
+            with pytest.raises(CodecError) as info:
+                stamp_ids(data, bad, bad)
+            assert str(info.value) == str(expected.value)
 
 
 # The six frozen, slotted value types: their fields, field order and

@@ -43,6 +43,7 @@ def test_codec_bench_json_has_every_operation():
         "decode_message",
         "validate_message",
         "replace_ids",
+        "stamp_ids",
     }
     assert set(results) == {"echo", "cer"}
     for per_message in results.values():
@@ -68,6 +69,12 @@ def test_bench_record_writes_every_workload(tmp_path):
     assert record["machine"].startswith("machine: ") and record["git_rev"]
     assert set(record["codec_bench"]) == {"echo", "cer"}
     assert record["golden_checked"] == {}  # smoke sizes have no golden digests
+    # phase1 is the only workload with a fuzz, and only untraced runs time it
+    fuzz = {(r["workload"], r["trace"]): r.get("fuzz_cases_per_s") for r in record["perfbench"]}
+    rate = fuzz.pop(("phase1", 0))
+    assert set(fuzz.values()) == {None}
+    assert set(rate) == {"median", "q1", "q3", "n"}
+    assert 0 < rate["q1"] <= rate["median"] <= rate["q3"] and rate["n"] >= 3
 
 
 def test_perfbench_traces_every_target_diamlab_defines():
