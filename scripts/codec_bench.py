@@ -8,9 +8,11 @@ Message, as each CER and DWR is restamped before it is sent; stamp_ids
 writes them into encoded bytes, as each fuzz case is stamped from its
 pre-encoded template. Each operation runs in timed batches of --number
 calls; the script prints the median ops/s over --repeat batches, with the
-lowest and highest batch. Host time only: the numbers move with the
-machine and its load, so compare two checkouts on the same machine, one
-run after the other.
+lowest and highest batch. The batches are timed in reference-speed
+seconds by perfbench's SpeedClock (perfbench/hostspeed.py), which
+rescales host time by the host's measured speed, so that the numbers of
+two runs minutes apart stay comparable on a host whose speed drifts.
+Compare two checkouts on the same machine, one run after the other.
 
 Usage: PYTHONPATH=src python scripts/codec_bench.py [--repeat 7] [--number 20000] [--json]
 """
@@ -18,7 +20,10 @@ Usage: PYTHONPATH=src python scripts/codec_bench.py [--repeat 7] [--number 20000
 import argparse
 import json
 import statistics
+import sys
 import timeit
+from pathlib import Path
+from typing import Callable
 
 from diamlab import dictionary as dct
 from diamlab.codec import (
@@ -31,6 +36,9 @@ from diamlab.codec import (
     validate_message,
 )
 from diamlab.peer import build_cer
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from hostspeed import SpeedClock  # noqa: E402
 
 
 def cases() -> dict[str, tuple[dict, object]]:
@@ -51,8 +59,8 @@ def cases() -> dict[str, tuple[dict, object]]:
     return {"echo": (echo, build_message(**echo)), "cer": (cer_args, cer)}
 
 
-def measure(fn, repeat: int, number: int) -> dict[str, float]:
-    rates = [number / t for t in timeit.repeat(fn, repeat=repeat, number=number)]
+def measure(fn, repeat: int, number: int, timer: Callable[[], float]) -> dict[str, float]:
+    rates = [number / t for t in timeit.repeat(fn, repeat=repeat, number=number, timer=timer)]
     return {"median": statistics.median(rates), "min": min(rates), "max": max(rates)}
 
 
@@ -65,18 +73,25 @@ def main() -> int:
 
     dictionary = dct.BUILTIN_DICTIONARY
     results: dict[str, dict[str, dict[str, float]]] = {}
-    for name, (kwargs, msg) in cases().items():
-        wire = encode_message(msg)
-        assert decode_message(wire) == msg
-        ops = {
-            "build_message": lambda kwargs=kwargs: build_message(**kwargs),
-            "encode_message": lambda msg=msg: encode_message(msg),
-            "decode_message": lambda wire=wire: decode_message(wire),
-            "validate_message": lambda msg=msg: validate_message(msg, dictionary),
-            "replace_ids": lambda msg=msg: replace_ids(msg, 9, 9),
-            "stamp_ids": lambda wire=wire: stamp_ids(wire, 9, 9),
-        }
-        results[name] = {op: measure(fn, args.repeat, args.number) for op, fn in ops.items()}
+    clock = SpeedClock()
+    clock.start()
+    try:
+        for name, (kwargs, msg) in cases().items():
+            wire = encode_message(msg)
+            assert decode_message(wire) == msg
+            ops = {
+                "build_message": lambda kwargs=kwargs: build_message(**kwargs),
+                "encode_message": lambda msg=msg: encode_message(msg),
+                "decode_message": lambda wire=wire: decode_message(wire),
+                "validate_message": lambda msg=msg: validate_message(msg, dictionary),
+                "replace_ids": lambda msg=msg: replace_ids(msg, 9, 9),
+                "stamp_ids": lambda wire=wire: stamp_ids(wire, 9, 9),
+            }
+            results[name] = {
+                op: measure(fn, args.repeat, args.number, clock.now) for op, fn in ops.items()
+            }
+    finally:
+        clock.stop()
 
     if args.json:
         print(json.dumps(results, indent=2, sort_keys=True))

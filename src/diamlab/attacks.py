@@ -53,15 +53,6 @@ class Finding:
         if not self.evidence:
             raise ValueError("a finding must carry evidence")
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "attack_kind": self.attack_kind,
-            "severity": self.severity.value,
-            "evidence": self.evidence,
-            "taxonomy": self.taxonomy.to_dict() if self.taxonomy else None,
-        }
-
 
 # --- attack specs -----------------------------------------------------------
 
@@ -247,6 +238,7 @@ class FloodResult:
     result_code_counts: dict[str, int]
 
     def to_dict(self) -> dict:
+        """The benchmark's digest input; equal to the report's `campaign.to_json(self)`."""
         return dict(self.__dict__)
 
 
@@ -408,9 +400,6 @@ class InterceptResult:
     records_decoded: int
     inventory: list[dict]  # {"avp_code", "value_hex", "value_text"}
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__, link=list(self.link), avp_codes=list(self.avp_codes))
-
 
 def run_intercept(
     lab: Lab, spec: InterceptSpec
@@ -502,9 +491,6 @@ class FuzzResult:
     accepted_invalid_cases: int
     tallies: dict[str, dict[str, int]]  # op -> disposition -> count
     result_codes: dict[str, dict[str, int]]  # op -> result code -> count
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def seed_corpus(identity: str = "attacker.lab") -> list[tuple[str, Message]]:

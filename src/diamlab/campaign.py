@@ -11,10 +11,12 @@ Report value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Optional, get_origin, get_type_hints
 
+from . import __version__
 from .attacks import Finding
 from .capture import write_capture
 from .config import ATTACK_KINDS, CampaignConfig
@@ -22,7 +24,7 @@ from .elements import Lab, LabError
 from .simnet import CaptureRecord
 from .taxonomy import TaxonomyLabel
 
-TOOL_VERSION = "diamlab 0.1.0"
+TOOL_VERSION = f"diamlab {__version__}"
 
 
 class CampaignError(RuntimeError):
@@ -37,6 +39,20 @@ def classify(finding: Finding) -> TaxonomyLabel:
     return entry.label(finding)
 
 
+def to_json(value: object) -> object:
+    """`value` as JSON data: a dataclass is the dict of its fields, an Enum
+    its value, a tuple a list; dicts and lists are walked, the rest kept."""
+    if is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (list, tuple)):
+        return [to_json(item) for item in value]
+    if isinstance(value, dict):
+        return {key: to_json(item) for key, item in value.items()}
+    return value
+
+
 @dataclass
 class Report:
     tool_version: str
@@ -47,23 +63,20 @@ class Report:
     findings: list[dict]
     stats: dict
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
     @classmethod
     def from_dict(cls, d: object) -> "Report":
-        """Inverse of to_dict; ValueError names a missing or mistyped key."""
+        """Inverse of to_json (the parsed JSON); ValueError names a missing or mistyped key."""
         if not isinstance(d, dict):
             raise ValueError(f"expected a JSON object, got {type(d).__name__}")
-        fields = get_type_hints(cls)
-        for key, hint in fields.items():
+        hints = get_type_hints(cls)
+        for key, hint in hints.items():
             kind = get_origin(hint) or hint  # list[dict] -> list
             if not isinstance(d.get(key), kind):
                 raise ValueError(f"{key!r} is missing or not a {kind.__name__}")
-        return cls(**{key: d[key] for key in fields})
+        return cls(**{key: d[key] for key in hints})
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(to_json(self), indent=2, sort_keys=True) + "\n"
 
 
 def render_report(report: Report, fmt: str) -> str:
@@ -183,7 +196,7 @@ def run_campaign(
             captures.append((index, records))
         results.append(result)
         findings.extend(new_findings)
-        attack_dicts.append({"kind": spec.kind, "result": result.to_dict()})
+        attack_dicts.append({"kind": spec.kind, "result": to_json(result)})
 
     for i, finding in enumerate(findings, start=1):
         finding.id = i
@@ -196,7 +209,7 @@ def run_campaign(
         seed=config.seed,
         config=config.echo_dict(),
         attacks=attack_dicts,
-        findings=[f.to_dict() for f in findings],
+        findings=[to_json(f) for f in findings],
         stats={
             "events_processed": stats.events_processed,
             "messages_delivered": stats.delivered,

@@ -445,6 +445,8 @@ def parse_campaign_config(
                 " (campaigns are reproducible; there is no wall-clock default)"
             )
     output_path = camp.values.get("output", "campaign-out")
+    if not output_path:  # an empty path would write the report into the working directory
+        raise camp.error("output must be a non-empty path", "output")
 
     # `topology = <builtin>` splices the named built-in's topology sections.
     if "topology" in camp.values:

@@ -30,7 +30,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
 from . import dictionary as dct
-from .codec import Avp, Message, build_answer, build_message, slot_setters
+from .codec import Avp, Message, build_answer, build_message, slot_init
 from .simnet import US_PER_S
 
 
@@ -114,10 +114,9 @@ class PeerEvent:
             raise ValueError(f"event {self.kind.value} message presence mismatch")
 
 
-# Built once per application request, so like codec.Avp it takes a
-# positional __init__ instead of the generated one, which sets each slot
-# through its member descriptor's __set__: no lookup of the slot by name,
-# and the frozen __setattr__ still refuses every other write.
+# Built once per application request, so like codec.Avp it takes the
+# positional __init__ of codec.slot_init instead of the generated one.
+@slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class PendingRequest:
     """Metadata kept for one outstanding application request.
@@ -129,19 +128,6 @@ class PendingRequest:
     hop_by_hop_id: int
     sent_at: int
     on_answer: Optional[AnswerCallback] = None
-
-    def __init__(
-        self,
-        hop_by_hop_id: int,
-        sent_at: int,
-        on_answer: Optional[AnswerCallback] = None,
-    ) -> None:
-        _pending_hop_by_hop_id(self, hop_by_hop_id)
-        _pending_sent_at(self, sent_at)
-        _pending_on_answer(self, on_answer)
-
-
-_pending_hop_by_hop_id, _pending_sent_at, _pending_on_answer = slot_setters(PendingRequest)
 
 
 AnswerCallback = Callable[[PendingRequest, Message, int], None]

@@ -36,10 +36,3 @@ class TaxonomyLabel:
     origin: Origin
     technique: Technique
     impact: Impact
-
-    def to_dict(self) -> dict[str, str]:
-        return {
-            "origin": self.origin.value,
-            "technique": self.technique.value,
-            "impact": self.impact.value,
-        }

@@ -16,17 +16,18 @@ from hypothesis import strategies as st
 
 from diamlab import attacks
 from diamlab import dictionary as dct
-from diamlab.attacks import Finding, Severity
+from diamlab.attacks import Finding, FloodResult, Severity
 from diamlab.campaign import (
     CampaignError,
     Report,
     classify,
     render_report,
     run_campaign,
+    to_json,
 )
 from diamlab.capture import read_capture
 from diamlab.cli import main
-from diamlab.codec import Avp, build_message, encode_message
+from diamlab.codec import Avp, Message, build_message, encode_message
 from diamlab.config import (
     ATTACK_KINDS,
     MAX_TEXT_BYTES,
@@ -35,6 +36,7 @@ from diamlab.config import (
     parse_campaign_config,
 )
 from diamlab.elements import TargetServerElement
+from diamlab.peer import result_code_avp
 from diamlab.taxonomy import Impact, Origin, TaxonomyLabel, Technique
 
 from tests.labs import core_lab_text, duo_lab_text, make_lab
@@ -157,16 +159,87 @@ class TestRunCampaign:
         run = run_campaign(config, out_dir=str(tmp_path))
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["attacks"][0]["result"]["crash_cases"] == 1
-        [finding] = report["findings"]
-        assert finding["taxonomy"] == {
-            "origin": "external_interconnect",
-            "technique": "malformed_message",
-            "impact": "availability",
-        }
+        assert report["findings"] == run.report.findings == [
+            {
+                "id": 1,
+                "attack_kind": "fuzz",
+                "severity": "outage",
+                "evidence": {
+                    "finding_type": "crash",
+                    "exception": "RuntimeError: rigged handler bug",
+                    "case_index": 0,
+                    "mutation_op": "shuffle_avps",
+                    "case_hex": "01000014800002bc000000000000000200000002",
+                },
+                "taxonomy": {
+                    "origin": "external_interconnect",
+                    "technique": "malformed_message",
+                    "impact": "availability",
+                },
+            }
+        ]
         assert_conserved(run.lab)
         capsys.readouterr()
         assert main(["report", "--input", str(tmp_path / "report.json"), "--format", "text"]) == 0
         assert capsys.readouterr().out == (tmp_path / "report.txt").read_text()
+
+
+    def test_an_accepted_invalid_case_is_one_integrity_finding(self, monkeypatch, tmp_path):
+        # A target that answers success to every case of 20 bytes or more,
+        # ones it cannot parse included.
+        on_message = TargetServerElement.on_message
+
+        def answer_success(self, sim, src, payload, now):
+            if isinstance(payload, Message) or len(payload) < 20:
+                return on_message(self, sim, src, payload, now)
+            hbh = int.from_bytes(payload[12:16], "big")
+            avps = [result_code_avp(dct.RESULT_SUCCESS)]
+            sim.send(self.node, src, build_message(
+                dct.CMD_ECHO, hop_by_hop_id=hbh, end_to_end_id=hbh, avps=avps
+            ))
+
+        monkeypatch.setattr(TargetServerElement, "on_message", answer_success)
+        config = parse_campaign_config(
+            duo_lab_text() + "\n[attack fuzz]\ntarget = target\ncases = 6\n"
+        )
+        run = run_campaign(config, out_dir=str(tmp_path))
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["attacks"][0]["result"]["accepted_invalid_cases"] == 1
+        assert report["findings"] == run.report.findings == [
+            {
+                "id": 1,
+                "attack_kind": "fuzz",
+                "severity": "info",
+                "evidence": {
+                    "finding_type": "accepted-invalid",
+                    "case_index": 5,
+                    "mutation_op": "corrupt_version",
+                    "case_hex": "6400002880000118000000000000000700000007"
+                    "000001084000001461747461636b65722e6c6162",
+                },
+                "taxonomy": {
+                    "origin": "external_interconnect",
+                    "technique": "malformed_message",
+                    "impact": "integrity",
+                },
+            }
+        ]
+
+    def test_to_json_walks_lists_tuples_and_dicts(self):
+        label = TaxonomyLabel(Origin.INTERNAL, Technique.SPOOFING, Impact.INTEGRITY)
+        written = {"origin": "internal", "technique": "spoofing", "impact": "integrity"}
+        assert to_json({"a": [Severity.INFO, (1, (2, label))], "b": None}) == {
+            "a": ["info", [1, [2, written]]],
+            "b": None,
+        }
+
+    def test_a_flood_result_dict_is_its_report_entry(self, phase1_run, phase2_run):
+        # perfbench digests FloodResult.to_dict(); the report writes to_json(result)
+        for run in (phase1_run, phase2_run):
+            [(index, flood)] = [
+                (i, r) for i, r in enumerate(run.results) if isinstance(r, FloodResult)
+            ]
+            assert flood.to_dict() == to_json(flood) == run.report.attacks[index]["result"]
 
 
 def assert_conserved(lab):
@@ -418,7 +491,7 @@ class TestCli:
     def test_report_input_that_is_not_a_report_exits_one(
         self, content, reason, phase1_run, tmp_path, capsys
     ):
-        good = phase1_run.report.to_dict()
+        good = json.loads(phase1_run.report.to_json())
         broken = {
             "missing-stats": {k: v for k, v in good.items() if k != "stats"},
             "attacks-int": {**good, "attacks": 5},
@@ -473,7 +546,7 @@ def corrupted(data, doc):
 @given(data=st.data(), fmt=st.sampled_from(["text", "json"]))
 def test_report_input_is_total(phase1_run, phase2_run, tmp_path_factory, data, fmt):
     """Any JSON value renders, or exits 1 with the not-a-report error; never a traceback."""
-    good = data.draw(st.sampled_from([phase1_run, phase2_run])).report.to_dict()
+    good = json.loads(data.draw(st.sampled_from([phase1_run, phase2_run])).report.to_json())
     doc = corrupted(data, good) if data.draw(st.booleans()) else data.draw(JSON_VALUES)
     path = tmp_path_factory.getbasetemp() / "fuzzed-report.json"
     path.write_text(json.dumps(doc))

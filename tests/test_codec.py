@@ -595,3 +595,10 @@ class TestValueTypes:
         changed = dataclasses.replace(value, **change)
         for name, _ in expected_fields:
             assert getattr(changed, name) == change.get(name, getattr(value, name))
+
+
+@pytest.mark.parametrize("cls", [Avp, MessageHeader, Message, PendingRequest])
+def test_slot_init_is_named_after_its_class(cls):
+    # tracebacks and profilers name a function by its module and qualname
+    assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__

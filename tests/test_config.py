@@ -386,6 +386,15 @@ def test_out_of_range_seed_override_names_the_flag(seed):
         parse_campaign_config(FLOOD_LAB.replace("seed = 7", f"seed = {seed}"))
 
 
+@pytest.mark.parametrize("line", ["output =", "output =   "])
+def test_empty_output_is_a_located_config_error(line):
+    # an empty output path would write report.json and report.txt into
+    # the working directory
+    text = FLOOD_LAB.replace("seed = 7", f"seed = 7\n{line}")
+    with pytest.raises(ConfigError, match=r"^<config>:5: output must be a non-empty path$"):
+        parse_campaign_config(text)
+
+
 def _fuzz_with_seed(seed: int) -> str:
     return minimal() + f"\n[attack fuzz]\ntarget = target\ncases = 1\nseed = {seed}\n"
 
