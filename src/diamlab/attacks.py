@@ -28,7 +28,7 @@ from .codec import (
     encode_message,
     stamp_ids,
 )
-from .elements import DEFAULT_QOS_CLASS, AttackBoxElement, Element, Lab, result_code_of
+from .elements import AttackBoxElement, Element, Lab, attach_request, result_code_of
 from .peer import APPLICATION_IDS, build_cer, build_dwr
 from .simnet import CaptureRecord, US_PER_S
 from .taxonomy import TaxonomyLabel
@@ -171,21 +171,23 @@ def _mut_inflate_length(data: bytes, draw: int) -> bytes:
     return bytes(out)
 
 
-def _mut_set_mandatory_unknown_avp(data: bytes, draw: int) -> bytes:
-    code = _UNKNOWN_AVP_CODE_BASE + draw % 100_000
-    avp = encode_avp(Avp(code, (draw & 0xFFFFFFFF).to_bytes(4, "big"), mandatory=True))
+def _append_avp(data: bytes, avp: bytes) -> bytes:
+    """`data` with `avp` appended and its declared length grown to match."""
     out = bytearray(data)
     if not _patch_declared_length(out, len(avp)):
         return data
     return bytes(out) + avp
+
+
+def _mut_set_mandatory_unknown_avp(data: bytes, draw: int) -> bytes:
+    code = _UNKNOWN_AVP_CODE_BASE + draw % 100_000
+    avp = encode_avp(Avp(code, (draw & 0xFFFFFFFF).to_bytes(4, "big"), mandatory=True))
+    return _append_avp(data, avp)
 
 
 def _mut_zero_length_avp(data: bytes, draw: int) -> bytes:
     avp = (draw & 0xFFFFFFFF).to_bytes(4, "big") + b"\x00" + (0).to_bytes(3, "big")
-    out = bytearray(data)
-    if not _patch_declared_length(out, len(avp)):
-        return data
-    return bytes(out) + avp
+    return _append_avp(data, avp)
 
 
 def _mut_shuffle_avps(data: bytes, draw: int) -> bytes:
@@ -494,10 +496,12 @@ class FuzzResult:
 
 
 def seed_corpus(identity: str = "attacker.lab") -> list[tuple[str, Message]]:
-    """Valid messages of the testbed's own protocol surface."""
+    """Valid messages of the testbed's own protocol surface; the attach
+    templates are the MME's own `attach_request`s."""
 
-    def txt(code: int, value: str, mandatory: bool = True) -> Avp:
-        return Avp(code=code, data=value.encode(), mandatory=mandatory)
+    def attach_step(name: str, step: int) -> tuple[str, Message]:
+        cmd, avps = attach_request(step, "imsi-001001000000001", "tracking-area-1", "seed-rule")
+        return name, build_message(cmd, request=True, avps=avps)
 
     return [
         (
@@ -509,37 +513,9 @@ def seed_corpus(identity: str = "attacker.lab") -> list[tuple[str, Message]]:
             ),
         ),
         ("echo-empty", build_message(dct.CMD_ECHO, request=True)),
-        (
-            "profile-query",
-            build_message(
-                dct.CMD_PROFILE_QUERY,
-                request=True,
-                avps=[txt(dct.AVP_SUBSCRIBER_ID, "imsi-001001000000001")],
-            ),
-        ),
-        (
-            "location-update",
-            build_message(
-                dct.CMD_LOCATION_UPDATE,
-                request=True,
-                avps=[
-                    txt(dct.AVP_SUBSCRIBER_ID, "imsi-001001000000001"),
-                    txt(dct.AVP_LOCATION, "tracking-area-1"),
-                ],
-            ),
-        ),
-        (
-            "policy-install",
-            build_message(
-                dct.CMD_POLICY_INSTALL,
-                request=True,
-                avps=[
-                    txt(dct.AVP_RULE_ID, "seed-rule"),
-                    txt(dct.AVP_SUBSCRIBER_ID, "imsi-001001000000001"),
-                    Avp(dct.AVP_QOS_CLASS, DEFAULT_QOS_CLASS.to_bytes(4, "big"), mandatory=True),
-                ],
-            ),
-        ),
+        attach_step("profile-query", 1),
+        attach_step("location-update", 0),
+        attach_step("policy-install", 2),
         ("cer", build_cer(identity, APPLICATION_IDS)),
         ("dwr", build_dwr(identity)),
     ]

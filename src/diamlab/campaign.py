@@ -87,6 +87,11 @@ def render_report(report: Report, fmt: str) -> str:
     raise ValueError(f"unknown report format {fmt!r} (expected 'text' or 'json')")
 
 
+def _text_value(value: object) -> object:
+    """A report value as the text report shows it: a dict or list as sorted JSON."""
+    return json.dumps(value, sort_keys=True) if isinstance(value, (dict, list)) else value
+
+
 def _render_text(report: Report) -> str:
     lines: list[str] = []
     add = lines.append
@@ -118,10 +123,7 @@ def _render_text(report: Report) -> str:
     for i, attack in enumerate(report.attacks):
         add(f"  [{i}] {attack['kind']}")
         for key, value in sorted(attack["result"].items()):
-            if isinstance(value, (dict, list)):
-                add(f"        {key} = {json.dumps(value, sort_keys=True)}")
-            else:
-                add(f"        {key} = {value}")
+            add(f"        {key} = {_text_value(value)}")
     add("")
     add("-- findings --")
     if not report.findings:
@@ -142,9 +144,7 @@ def _render_text(report: Report) -> str:
                     f" severity={finding['severity']}"
                 )
                 for key, value in sorted(finding["evidence"].items()):
-                    if isinstance(value, (dict, list)):
-                        value = json.dumps(value, sort_keys=True)
-                    add(f"        {key}: {value}")
+                    add(f"        {key}: {_text_value(value)}")
     add("")
     add("-- simulation --")
     for key, value in sorted(report.stats.items()):
@@ -155,12 +155,11 @@ def _render_text(report: Report) -> str:
 
 @dataclass
 class CampaignRun:
-    config: CampaignConfig
     lab: Lab
     report: Report
     findings: list[Finding]
     results: list[object]
-    out_dir: Optional[Path] = None
+    out_dir: Path  # where report.json, report.txt and the captures were written
 
 
 def build_lab(config: CampaignConfig) -> Lab:
@@ -172,13 +171,11 @@ def _derived_seed(campaign_seed: int, attack_index: int) -> int:
     return (campaign_seed * 1_000_003 + attack_index + 1) % 2**64
 
 
-def run_campaign(
-    config: CampaignConfig,
-    *,
-    out_dir: Optional[str] = None,
-    write_files: bool = True,
-) -> CampaignRun:
-    """Execute every attack in order on a fresh lab and assemble the report."""
+def run_campaign(config: CampaignConfig, *, out_dir: Optional[str] = None) -> CampaignRun:
+    """Execute every attack in order on a fresh lab, assemble the report and
+    write it, with its captures, to `out_dir` (the config's output by default)."""
+    if out_dir == "":  # an empty path would write the report into the working directory
+        raise CampaignError("the output directory must be a non-empty path")
     try:
         lab = build_lab(config)
         lab.bring_links_open()
@@ -219,15 +216,10 @@ def run_campaign(
         },
     )
 
-    run = CampaignRun(
-        config=config, lab=lab, report=report, findings=findings, results=results
-    )
-    if write_files:
-        out = Path(out_dir or config.output_path)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(render_report(report, "json"))
-        (out / "report.txt").write_text(render_report(report, "text"))
-        for index, records in captures:
-            write_capture(out / f"intercept-{index}.dcap", records)
-        run.out_dir = out
-    return run
+    out = Path(config.output_path if out_dir is None else out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "report.json").write_text(render_report(report, "json"))
+    (out / "report.txt").write_text(render_report(report, "text"))
+    for index, records in captures:
+        write_capture(out / f"intercept-{index}.dcap", records)
+    return CampaignRun(lab=lab, report=report, findings=findings, results=results, out_dir=out)

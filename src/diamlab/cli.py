@@ -67,9 +67,8 @@ def format_message(msg: Message, length: int) -> str:
 def _cmd_run(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
     run = run_campaign(config, out_dir=args.out)
-    fmt = args.format or "text"
-    sys.stdout.write(render_report(run.report, fmt))
-    if run.out_dir is not None:
+    sys.stdout.write(render_report(run.report, args.format))
+    if args.format == "text":  # JSON on stdout is exactly report.json
         sys.stdout.write(f"\nwrote report.json, report.txt to {run.out_dir}\n")
     return 2 if run.findings else 0
 
@@ -125,6 +124,12 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _non_empty(value: str) -> str:
+    if not value:
+        raise argparse.ArgumentTypeError("must be a non-empty path")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diamlab", description="Diameter signaling security testbed"
@@ -134,9 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute a campaign")
     run_p.add_argument("--config", required=True, help="config file path or built-in name")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run_p.add_argument("--out", default=None, help="override the output directory")
     run_p.add_argument(
-        "--format", choices=("text", "json"), default=None, help="stdout report format"
+        "--out", type=_non_empty, default=None, help="override the output directory"
+    )
+    run_p.add_argument(
+        "--format", choices=("text", "json"), default="text", help="stdout report format"
     )
     run_p.set_defaults(func=_cmd_run)
 

@@ -244,7 +244,6 @@ class Element:
 
         # counters
         self.parse_drops = 0
-        self.validation_rejects = 0
         self.fsm_drops = 0
         self.offered = 0
         self.direct_served = 0
@@ -327,7 +326,6 @@ class Element:
         if header.request:
             violations = validate_message(msg, dct.BUILTIN_DICTIONARY)
             if violations:
-                self.validation_rejects += 1
                 if any(v.kind is ViolationKind.UNSUPPORTED_MANDATORY_AVP for v in violations):
                     code = dct.RESULT_UNSUPPORTED_MANDATORY_AVP
                 else:
@@ -510,7 +508,7 @@ class TargetServerElement(Element):
         if msg.header.command_code == dct.CMD_ECHO:
             payload = [a for a in msg.avps if a.code == dct.AVP_ECHO_PAYLOAD]
             return build_answer(msg, avps=[result_code_avp(dct.RESULT_SUCCESS)] + payload)
-        return _error_answer(msg, dct.RESULT_COMMAND_UNSUPPORTED)
+        return super().handle_app_request(msg, now)
 
 
 class HssElement(Element):
@@ -531,38 +529,29 @@ class HssElement(Element):
             )
 
     def handle_app_request(self, msg: Message, now: int) -> Message:
-        cmd = msg.header.command_code
-        if cmd == dct.CMD_PROFILE_QUERY:
-            sid_avp = first_avp(msg, dct.AVP_SUBSCRIBER_ID)
-            if sid_avp is None:
-                return _error_answer(msg, dct.RESULT_MISSING_AVP)
-            rec = self.store.get(sid_avp.data.decode("utf-8", "replace"))
-            if rec is None:
-                return _error_answer(msg, dct.RESULT_USER_UNKNOWN)
-            avps = [
-                result_code_avp(dct.RESULT_SUCCESS),
-                Avp(code=dct.AVP_SUBSCRIBER_ID, data=rec.subscriber_id.encode(), mandatory=True),
-                Avp(code=dct.AVP_LOCATION, data=rec.location.encode(), mandatory=True),
-            ]
-            for key in sorted(rec.profile):
-                avps.append(
-                    Avp(
-                        code=dct.AVP_PROFILE_ATTRIBUTE,
-                        data=f"{key}={rec.profile[key]}".encode(),
-                    )
-                )
-            return build_answer(msg, avps=avps)
-        if cmd == dct.CMD_LOCATION_UPDATE:
-            sid_avp = first_avp(msg, dct.AVP_SUBSCRIBER_ID)
-            loc_avp = first_avp(msg, dct.AVP_LOCATION)
-            if sid_avp is None or loc_avp is None:
-                return _error_answer(msg, dct.RESULT_MISSING_AVP)
-            rec = self.store.get(sid_avp.data.decode("utf-8", "replace"))
-            if rec is None:
-                return _error_answer(msg, dct.RESULT_USER_UNKNOWN)
+        """A location update needs the subscriber and location AVPs, a profile
+        query the subscriber's; either names a subscriber in the store."""
+        update = msg.header.command_code == dct.CMD_LOCATION_UPDATE
+        if not update and msg.header.command_code != dct.CMD_PROFILE_QUERY:
+            return super().handle_app_request(msg, now)
+        sid_avp = first_avp(msg, dct.AVP_SUBSCRIBER_ID)
+        loc_avp = first_avp(msg, dct.AVP_LOCATION) if update else None
+        if sid_avp is None or (update and loc_avp is None):
+            return _error_answer(msg, dct.RESULT_MISSING_AVP)
+        rec = self.store.get(sid_avp.data.decode("utf-8", "replace"))
+        if rec is None:
+            return _error_answer(msg, dct.RESULT_USER_UNKNOWN)
+        if update:
             rec.location = loc_avp.data.decode("utf-8", "replace")
             return build_answer(msg, avps=[result_code_avp(dct.RESULT_SUCCESS)])
-        return _error_answer(msg, dct.RESULT_COMMAND_UNSUPPORTED)
+        avps = [
+            result_code_avp(dct.RESULT_SUCCESS),
+            Avp(code=dct.AVP_SUBSCRIBER_ID, data=rec.subscriber_id.encode(), mandatory=True),
+            Avp(code=dct.AVP_LOCATION, data=rec.location.encode(), mandatory=True),
+        ]
+        for key, value in sorted(rec.profile.items()):
+            avps.append(Avp(code=dct.AVP_PROFILE_ATTRIBUTE, data=f"{key}={value}".encode()))
+        return build_answer(msg, avps=avps)
 
 
 class PcrfElement(Element):
@@ -580,7 +569,7 @@ class PcrfElement(Element):
 
     def handle_app_request(self, msg: Message, now: int) -> Message:
         if msg.header.command_code != dct.CMD_POLICY_INSTALL:
-            return _error_answer(msg, dct.RESULT_COMMAND_UNSUPPORTED)
+            return super().handle_app_request(msg, now)
         rule_avp = first_avp(msg, dct.AVP_RULE_ID)
         sid_avp = first_avp(msg, dct.AVP_SUBSCRIBER_ID)
         qos_avp = first_avp(msg, dct.AVP_QOS_CLASS)
@@ -595,6 +584,23 @@ class PcrfElement(Element):
             qos_class=int.from_bytes(qos_avp.data, "big"),
         )
         return build_answer(msg, avps=[result_code_avp(dct.RESULT_SUCCESS)])
+
+
+def attach_request(
+    step: int, subscriber_id: str, location: str, rule_id: str
+) -> tuple[int, list[Avp]]:
+    """The command code and AVPs of attach step `step` (see `MmeElement._STEPS`):
+    0 updates the subscriber's location, 1 queries its profile, 2 installs
+    its policy rule `rule_id` with the default QoS class."""
+    sid = Avp(code=dct.AVP_SUBSCRIBER_ID, data=subscriber_id.encode(), mandatory=True)
+    if step == 0:
+        loc = Avp(code=dct.AVP_LOCATION, data=location.encode(), mandatory=True)
+        return dct.CMD_LOCATION_UPDATE, [sid, loc]
+    if step == 1:
+        return dct.CMD_PROFILE_QUERY, [sid]
+    rule = Avp(code=dct.AVP_RULE_ID, data=rule_id.encode(), mandatory=True)
+    qos = Avp(code=dct.AVP_QOS_CLASS, data=DEFAULT_QOS_CLASS.to_bytes(4, "big"), mandatory=True)
+    return dct.CMD_POLICY_INSTALL, [rule, sid, qos]
 
 
 @dataclass
@@ -635,28 +641,9 @@ class MmeElement(Element):
 
     def _send_step(self, run: AttachResult, now: int) -> None:
         step = run.steps_completed
-        sid = Avp(code=dct.AVP_SUBSCRIBER_ID, data=run.subscriber_id.encode(), mandatory=True)
-        if step == 0:
-            dst, cmd = self.hss_node, dct.CMD_LOCATION_UPDATE
-            avps = [sid, Avp(code=dct.AVP_LOCATION, data=run.location.encode(), mandatory=True)]
-        elif step == 1:
-            dst, cmd = self.hss_node, dct.CMD_PROFILE_QUERY
-            avps = [sid]
-        else:
-            dst, cmd = self.pcrf_node, dct.CMD_POLICY_INSTALL
-            avps = [
-                Avp(
-                    code=dct.AVP_RULE_ID,
-                    data=f"attach-{run.subscriber_id}".encode(),
-                    mandatory=True,
-                ),
-                sid,
-                Avp(
-                    code=dct.AVP_QOS_CLASS,
-                    data=DEFAULT_QOS_CLASS.to_bytes(4, "big"),
-                    mandatory=True,
-                ),
-            ]
+        sid = run.subscriber_id
+        cmd, avps = attach_request(step, sid, run.location, f"attach-{sid}")
+        dst = self.pcrf_node if cmd == dct.CMD_POLICY_INSTALL else self.hss_node
         hbh = self.send_app_request(dst, cmd, avps, partial(self._attach_answer, run), now)
         if hbh is None:
             self._finish(run, False, "link-not-open", now)

@@ -155,6 +155,33 @@ class TestMutationOps:
             assert decoded == msg, name
             assert validate_message(decoded, d) == [], name
 
+    def test_seed_corpus_bytes_are_pinned(self):
+        encoded = [(name, encode_message(msg).hex()) for name, msg in seed_corpus()]
+        assert encoded == list(SEED_CORPUS_HEX.items())
+
+
+SEED_CORPUS_HEX = {
+    "echo": "01000028800002bc000000000000000000000000000007d500000013736565642d636f7270757300",
+    "echo-empty": "01000014800002bc000000000000000000000000",
+    "profile-query": (
+        "01000030800002bd000000000000000000000000000007d04000001c696d73692d30303130303130"
+        "3030303030303031"
+    ),
+    "location-update": (
+        "01000048800002be000000000000000000000000000007d04000001c696d73692d30303130303130"
+        "3030303030303031000007d140000017747261636b696e672d617265612d3100"
+    ),
+    "policy-install": (
+        "01000050800002bf000000000000000000000000000007d340000011736565642d72756c65000000"
+        "000007d04000001c696d73692d303031303031303030303030303031000007d44000000c00000009"
+    ),
+    "cer": (
+        "0100003480000101000000000000000000000000000001084000001461747461636b65722e6c6162"
+        "000001024000000c00000000"
+    ),
+    "dwr": "0100002880000118000000000000000000000000000001084000001461747461636b65722e6c6162",
+}
+
 
 class TestFlood:
     def test_fluid_model_agreement(self):

@@ -134,18 +134,24 @@ class TestRunCampaign:
         assert len(captures) == 1  # one intercept attack in the built-in
         assert read_capture(captures[0])  # non-empty, parseable
 
-    def test_misconfigured_lab_aborts_with_diagnostic(self):
+    def test_misconfigured_lab_aborts_with_diagnostic(self, tmp_path):
         text = duo_lab_text().replace("latency_ms = 5", "latency_ms = 5\nloss = 1.0")
         config = parse_campaign_config(text)
         with pytest.raises(CampaignError, match="failed to open"):
-            run_campaign(config, write_files=False)
+            run_campaign(config, out_dir=str(tmp_path))
 
-    def test_fuzz_seed_derived_from_campaign_seed(self):
+    def test_an_empty_out_dir_is_refused(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # phase1's own output directory is relative
+        with pytest.raises(CampaignError, match="non-empty path"):
+            run_campaign(load_config("phase1"), out_dir="")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fuzz_seed_derived_from_campaign_seed(self, tmp_path):
         config = parse_campaign_config(
             duo_lab_text(seed=10) + "\n[attack fuzz]\ntarget = target\ncases = 50\n"
         )
-        r1 = run_campaign(config, write_files=False)
-        r2 = run_campaign(config, write_files=False)
+        r1 = run_campaign(config, out_dir=str(tmp_path))
+        r2 = run_campaign(config, out_dir=str(tmp_path))
         assert r1.report.attacks[0]["result"]["seed"] == r2.report.attacks[0]["result"]["seed"]
 
     def test_a_crashing_target_is_one_availability_finding(self, monkeypatch, tmp_path, capsys):
@@ -295,8 +301,10 @@ class TestDeterminism:
             ).read_bytes()
 
     @pytest.mark.parametrize("phase", ["phase1", "phase2"])
-    def test_every_carried_message_round_trips(self, phase, carry_guard, phase1_run, phase2_run):
-        run = run_campaign(load_config(phase), write_files=False)
+    def test_every_carried_message_round_trips(
+        self, phase, carry_guard, phase1_run, phase2_run, tmp_path
+    ):
+        run = run_campaign(load_config(phase), out_dir=str(tmp_path))
         assert carry_guard["message"] > 0
         assert run.report == {"phase1": phase1_run, "phase2": phase2_run}[phase].report
 
@@ -314,8 +322,8 @@ class TestDeterminism:
         for name in names:
             assert (carried / name).read_bytes() == (as_bytes / name).read_bytes(), name
 
-    def test_different_seed_changes_the_report(self, phase1_run):
-        other = run_campaign(load_config("phase1", seed_override=99), write_files=False)
+    def test_different_seed_changes_the_report(self, phase1_run, tmp_path):
+        other = run_campaign(load_config("phase1", seed_override=99), out_dir=str(tmp_path))
         assert phase1_run.report.to_json() != other.report.to_json()
 
     def test_output_directory_does_not_leak_into_the_report(self, tmp_path):
@@ -408,8 +416,24 @@ class TestCli:
         )
         assert code == 0
         stdout = capsys.readouterr().out
-        payload = json.loads(stdout[: stdout.rindex("}") + 1])
+        payload = json.loads(stdout)
         assert payload["phase"] == "phase1"
+        assert stdout == (tmp_path / "o3" / "report.json").read_text()
+
+    def test_run_text_format_ends_with_the_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "o4"
+        assert main(["run", "--config", "phase1", "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        report = (out / "report.txt").read_text()
+        assert stdout == f"{report}\nwrote report.json, report.txt to {out}\n"
+
+    def test_an_empty_out_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # phase1's own output directory is relative
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", "phase1", "--out", ""])
+        assert exc.value.code == 2
+        assert "argument --out: must be a non-empty path" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.conf"
@@ -581,14 +605,14 @@ class TestAttackKinds:
         assert [a.kind for a in config.attacks] == ["flood", "intercept", "fuzz"]
 
     @pytest.mark.parametrize("kind", sorted(ATTACK_KINDS))
-    def test_readme_example_parses_echoes_runs_and_classifies(self, kind):
+    def test_readme_example_parses_echoes_runs_and_classifies(self, kind, tmp_path):
         entry = ATTACK_KINDS[kind]
         assert entry.spec.kind == kind
         config = parse_campaign_config(duo_lab_text() + readme_attack_section(kind))
         (spec,) = config.attacks
         assert type(spec) is entry.spec
         assert config.echo_dict()["attacks"][0]["kind"] == kind
-        run = run_campaign(config, write_files=False)
+        run = run_campaign(config, out_dir=str(tmp_path))
         assert run.report.attacks[0]["kind"] == kind
         for f in run.findings:
             assert f.attack_kind == kind

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamlab import dictionary as dct
+from diamlab.campaign import build_lab
 from diamlab.codec import Avp, Message, build_message, decode_message, first_avp
+from diamlab.config import load_config
 from diamlab.elements import (
     Admission,
     ElementCapacity,
@@ -232,6 +234,14 @@ class TestHss:
         )
         assert result_code_of(hss.handle_app_request(update, 0)) == dct.RESULT_USER_UNKNOWN
 
+    def test_update_without_location_is_missing_avp_before_the_lookup(self):
+        hss = self._hss()
+        update = _probe(
+            command=dct.CMD_LOCATION_UPDATE,
+            avps=[Avp(code=dct.AVP_SUBSCRIBER_ID, data=b"imsi-ghost", mandatory=True)],
+        )
+        assert result_code_of(hss.handle_app_request(update, 0)) == dct.RESULT_MISSING_AVP
+
     def test_missing_subscriber_avp(self):
         hss = self._hss()
         assert (
@@ -289,6 +299,30 @@ class TestPcrf:
         )
 
 
+# (at, destination, bytes) of each request the MME sends for phase2's first subscriber
+PHASE2_FIRST_ATTACH_REQUESTS = [
+    (
+        30000,
+        "hss",
+        "01000048800002be000000000000000200000002000007d04000001c696d73692d30303130303130"
+        "3030303030303031000007d140000017747261636b696e672d617265612d3700",
+    ),
+    (
+        50000,
+        "hss",
+        "01000030800002bd000000000000000300000003000007d04000001c696d73692d30303130303130"
+        "3030303030303031",
+    ),
+    (
+        70000,
+        "pcrf",
+        "01000060800002bf000000000000000200000002000007d3400000236174746163682d696d73692d"
+        "30303130303130303030303030303100000007d04000001c696d73692d3030313030313030303030"
+        "30303031000007d44000000c00000009",
+    ),
+]
+
+
 class TestAttachFlow:
     def test_healthy_attach_succeeds_in_three_steps(self):
         _, lab = make_lab(core_lab_text())
@@ -315,6 +349,16 @@ class TestAttachFlow:
         assert result.reason == "timeout"
         assert result.steps_completed == step
         assert result.finished_at == request.at + config.request_timeout_us
+
+    def test_phase2_first_attach_sends_the_pinned_requests(self):
+        config = load_config("phase2")
+        lab = build_lab(config)
+        lab.bring_links_open()
+        mme = lab.node("mme")
+        taps = [lab.sim.attach_tap(mme, lab.node(label)) for label in ("hss", "pcrf")]
+        assert lab.attach_subscriber(config.subscribers[0]).success
+        sent = [(r.at, r.dst.label, r.data.hex()) for t in taps for r in t.records if r.src == mme]
+        assert sent == PHASE2_FIRST_ATTACH_REQUESTS
 
     def test_only_the_mme_holds_the_request_timeout(self):
         text = core_lab_text().replace("seed = 11\n", "seed = 11\nrequest_timeout_s = 0.015\n")
