@@ -1,5 +1,7 @@
 """Config parsing: section format, built-ins, phase gating, error reporting."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from diamlab.config import (
     parse_campaign_config,
     parse_sections,
 )
-from diamlab.elements import ElementKind
+from diamlab.elements import ElementKind, PolicyRule
 
 from tests.labs import duo_lab_text
 
@@ -229,6 +231,17 @@ class TestCampaignAssembly:
         "\n[attack fuzz]\ntarget = target\ncases = 1\n"
     )
 
+    KNOWN = {
+        "[campaign]": "phase, seed, output, topology, watchdog_interval_s, request_timeout_s",
+        "[node target]": "kind, service_rate, queue_capacity, failure_threshold_s",
+        "[link attacker target]": "latency_ms, loss, protected",
+        "[subscriber s1]": "location, profile.*",
+        "[rule r1]": "subscriber, qos_class",
+        "[attack flood]": "target, rate_tps, duration_s, degraded_threshold",
+        "[attack intercept]": "link, avp_codes",
+        "[attack fuzz]": "target, ops, cases, seed",
+    }
+
     @pytest.mark.parametrize(
         "header, key",
         [
@@ -250,7 +263,92 @@ class TestCampaignAssembly:
         lines.insert(at, f"{key} = 5")
         with pytest.raises(ConfigError) as info:
             parse_campaign_config("\n".join(lines))
-        assert str(info.value).startswith(f"<config>:{at + 1}: unknown key {key!r} (known: ")
+        known = self.KNOWN[header]
+        assert str(info.value) == f"<config>:{at + 1}: unknown key {key!r} (known: {known})"
+
+    EVERY_KEY = """
+[campaign]
+phase = custom
+seed = 5
+output = every-out
+watchdog_interval_s = 12.5
+request_timeout_s = 0.25
+
+[node attacker]
+kind = AttackBox
+service_rate = 250
+queue_capacity = 7
+failure_threshold_s = 9
+
+[node target]
+kind = TargetServer
+
+[link attacker target]
+latency_ms = 3
+loss = 0.25
+protected = yes
+
+[subscriber s1]
+location = area-1
+profile.tier = gold
+profile.plan = x
+
+[rule r1]
+subscriber = s1
+qos_class = 5
+
+[attack flood]
+target = target
+rate_tps = 10
+duration_s = 2
+degraded_threshold = 0.5
+
+[attack intercept]
+link = target attacker
+avp_codes = location, 268
+
+[attack fuzz]
+target = target
+ops = truncate, flip_flag
+cases = 4
+seed = 11
+"""
+
+    def test_every_key_set_to_a_non_default_value_is_echoed(self):
+        config = parse_campaign_config(self.EVERY_KEY)
+        expected = {
+            "source": "<config>",
+            "phase": "custom",
+            "seed": 5,
+            "output": "every-out",
+            "watchdog_interval_s": 12.5,
+            "request_timeout_s": 0.25,
+            "nodes": [
+                {"label": "attacker", "kind": "AttackBox", "service_rate": 250.0,
+                 "queue_capacity": 7, "failure_threshold_s": 9.0},
+                {"label": "target", "kind": "TargetServer", "service_rate": 1000.0,
+                 "queue_capacity": 100, "failure_threshold_s": 3600.0},
+            ],
+            "links": [
+                {"a": "attacker", "b": "target", "latency_ms": 3.0, "loss_probability": 0.25,
+                 "protected": True},
+            ],
+            "subscribers": [
+                {"id": "s1", "location": "area-1", "profile": {"tier": "gold", "plan": "x"}},
+            ],
+            "attacks": [
+                {"kind": "flood", "target": "target", "rate_tps": 10.0, "duration_s": 2.0,
+                 "degraded_answer_ratio": 0.5},
+                {"kind": "intercept", "link": ["target", "attacker"],
+                 "avp_codes": [dct.AVP_LOCATION, dct.AVP_RESULT_CODE]},
+                {"kind": "fuzz", "target": "target", "cases": 4, "ops": ["truncate", "flip_flag"],
+                 "seed": 11},
+            ],
+        }
+        echo = config.echo_dict()
+        assert echo == expected
+        assert json.dumps(echo) == json.dumps(expected)  # the key order too
+        assert config.rules == (PolicyRule("r1", "s1", 5),)  # rules are not echoed
 
     def test_link_attributes(self):
         text = minimal(extra="latency_ms = 3\nloss = 0.25\nprotected = yes")
@@ -558,6 +656,9 @@ _LINES = [
     "[link target target]", "[link attacker ghost]", "[attack flood]", "[attack fuzz]",
     "[attack intercept]", "[attack]", "[subscriber s1]", "[rule r1]", "[node]", "[link a]",
     "kind = HSS", "target = target", "topology = phase2", "x = 1", "# c", "",
+    "loss = 0.5", "protected = yes", "degraded_threshold = 0.5", "ops = flip_flag", "seed = 5",
+    "watchdog_interval_s = 1", "request_timeout_s = 0.5", "qos_class = 3",
+    "failure_threshold_s = 2",
 ]
 _OPS = ["revalue"] * 5 + ["delete", "insert", "insert", "insert-text"] + ["repeat-section"] * 2
 
