@@ -14,7 +14,7 @@ is a pure function of its config.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Optional, TypeVar, Union
 
@@ -22,15 +22,7 @@ from . import attacks
 from . import dictionary as dct
 from .attacks import AttackSpec, FloodSpec, FuzzSpec, InterceptSpec, MutationOp
 from .codec import U32_MAX
-from .elements import (
-    DEFAULT_QOS_CLASS,
-    ElementCapacity,
-    ElementKind,
-    Lab,
-    PolicyRule,
-    SubscriberRecord,
-    first_of_kind,
-)
+from .elements import ElementCapacity, ElementKind, Lab, PolicyRule, SubscriberRecord, first_of_kind
 from .peer import PeerConfig
 from .simnet import US_PER_S, LinkSpec, TopologySpec
 from .taxonomy import Impact, Origin, TaxonomyLabel, Technique
@@ -42,10 +34,17 @@ MAX_SEED = 2**64 - 1
 MAX_TEXT_BYTES = 2**20
 
 T = TypeVar("T")
+Labels = dict[str, ElementKind]  # node label -> kind, in node order
+_KIND_NAMES = {k.value: k for k in ElementKind}
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _seed_error(seed: int) -> Optional[str]:
+    """Why `seed` is refused (random.Random(-5) draws as Random(5)), or None."""
+    return None if 0 <= seed <= MAX_SEED else f"seed {seed} must fit in 64 bits"
 
 
 @dataclass
@@ -68,6 +67,111 @@ class Section:
             return make(*args, **kwargs)
         except ValueError as exc:
             raise self.error(str(exc)) from None
+
+    # The readers a key table names: each turns the text of `key`, which the
+    # section sets, into the value of the key's field, or raises a
+    # ConfigError located at the key's line. `labels` are the nodes so far.
+
+    def get_text(self, key: str, labels: Labels) -> str:
+        return self.values[key]
+
+    def get_int(self, key: str, labels: Labels) -> int:
+        try:
+            return int(self.values[key])
+        except ValueError:
+            raise self.error(f"{key} must be an integer", key) from None
+
+    def get_float(self, key: str, labels: Labels) -> float:
+        try:
+            value = float(self.values[key])
+        except ValueError:
+            raise self.error(f"{key} must be a number", key) from None
+        if not math.isfinite(value):
+            raise self.error(f"{key} must be a finite number", key)
+        return value
+
+    def get_bool(self, key: str, labels: Labels) -> bool:
+        value = self.values[key].lower()
+        if value in ("true", "yes", "1"):
+            return True
+        if value in ("false", "no", "0"):
+            return False
+        raise self.error(f"{key} must be true/false", key)
+
+    def get_interval_us(self, key: str, labels: Labels) -> int:
+        """A time given in seconds, as the whole microseconds the simulation's clock waits out."""
+        us = self.get_float(key, labels) * US_PER_S
+        if not math.isfinite(us):
+            raise self.error(f"{key} is too large", key)
+        us = round(us)
+        if us < 1:
+            raise self.error(f"{key} must be at least 1 microsecond", key)
+        return us
+
+    def get_seed(self, key: str, labels: Labels) -> int:
+        seed = self.get_int(key, labels)
+        error = _seed_error(seed)
+        if error:
+            raise self.error(error, key)
+        return seed
+
+    def get_phase(self, key: str, labels: Labels) -> str:
+        if self.values[key] not in ("phase1", "phase2", "custom"):
+            raise self.error(f"{key} must be phase1/phase2/custom", key)
+        return self.values[key]
+
+    def get_path(self, key: str, labels: Labels) -> str:
+        if not self.values[key]:  # an empty path would write the report into the working directory
+            raise self.error(f"{key} must be a non-empty path", key)
+        return self.values[key]
+
+    def get_builtin(self, key: str, labels: Labels) -> str:
+        if self.values[key] not in BUILTIN_CONFIGS:
+            raise self.error(f"unknown built-in {self.values[key]!r}", key)
+        return self.values[key]
+
+    def get_kind(self, key: str, labels: Labels) -> ElementKind:
+        if self.values[key] not in _KIND_NAMES:
+            raise self.error(f"unknown element kind {self.values[key]!r}", key)
+        return _KIND_NAMES[self.values[key]]
+
+    def get_profile(self, key: str, labels: Labels) -> dict[str, str]:
+        prefix = key[:-1]  # every key that starts with it, named by the rest of its name
+        return {k[len(prefix) :]: v for k, v in self.values.items() if k.startswith(prefix)}
+
+    def get_target(self, key: str, labels: Labels) -> str:
+        if self.values[key] not in labels:
+            raise self.error(f"unknown {self.args[0]} target {self.values[key]!r}", key)
+        return self.values[key]
+
+    def get_link(self, key: str, labels: Labels) -> tuple[str, str]:
+        ends = self.values[key].split()
+        if len(ends) != 2:
+            raise self.error(f"{key} must name two nodes", key)
+        for label in ends:
+            if label not in labels:
+                raise self.error(f"unknown node {label!r}", key)
+        return (ends[0], ends[1])
+
+    def get_avp_codes(self, key: str, labels: Labels) -> tuple[int, ...]:
+        codes = []
+        code_for_name = dct.BUILTIN_DICTIONARY.code_for_name
+        for item in self.values[key].split(","):
+            item = item.strip()
+            # isascii: str.isdigit() also accepts digits that int() refuses, such as "²"
+            code = int(item) if item.isascii() and item.isdigit() else code_for_name(item)
+            if code is None:
+                raise self.error(f"unknown AVP name {item!r}", key)
+            if code > U32_MAX:
+                raise self.error(f"AVP code {code} is above {U32_MAX}", key)
+            codes.append(code)
+        return tuple(codes)
+
+    def get_ops(self, key: str, labels: Labels) -> tuple[MutationOp, ...]:
+        try:
+            return tuple(MutationOp(o.strip()) for o in self.values[key].split(",") if o.strip())
+        except ValueError as exc:
+            raise self.error(str(exc), key) from None
 
 
 def parse_sections(text: str, source: str = "<config>") -> list[Section]:
@@ -104,128 +208,138 @@ def parse_sections(text: str, source: str = "<config>") -> list[Section]:
     return sections
 
 
-def _get_int(sec: Section, key: str, default: Optional[int] = None) -> Optional[int]:
-    if key not in sec.values:
-        return default
-    try:
-        return int(sec.values[key])
-    except ValueError:
-        raise sec.error(f"{key} must be an integer", key) from None
+def _seconds(us: int) -> float:
+    return us / US_PER_S
 
 
-def _get_float(sec: Section, key: str, default: Optional[float] = None) -> Optional[float]:
-    if key not in sec.values:
-        return default
-    try:
-        value = float(sec.values[key])
-    except ValueError:
-        raise sec.error(f"{key} must be a number", key) from None
-    if not math.isfinite(value):
-        raise sec.error(f"{key} must be a finite number", key)
-    return value
-
-
-def _get_interval_us(sec: Section, key: str, default_us: int) -> int:
-    """A time given in seconds, as the whole microseconds the simulation's clock waits out."""
-    if key not in sec.values:
-        return default_us
-    us = _get_float(sec, key) * US_PER_S
-    if not math.isfinite(us):
-        raise sec.error(f"{key} is too large", key)
-    us = round(us)
-    if us < 1:
-        raise sec.error(f"{key} must be at least 1 microsecond", key)
-    return us
-
-
-def _seed_error(seed: int) -> Optional[str]:
-    """Why `seed` is refused (random.Random(-5) draws as Random(5)), or None."""
-    return None if 0 <= seed <= MAX_SEED else f"seed {seed} must fit in 64 bits"
-
-
-def _get_seed(sec: Section) -> Optional[int]:
-    seed = _get_int(sec, "seed")
-    error = None if seed is None else _seed_error(seed)
-    if error:
-        raise sec.error(error, "seed")
-    return seed
-
-
-def _get_bool(sec: Section, key: str, default: bool = False) -> bool:
-    if key not in sec.values:
-        return default
-    value = sec.values[key].lower()
-    if value in ("true", "yes", "1"):
-        return True
-    if value in ("false", "no", "0"):
-        return False
-    raise sec.error(f"{key} must be true/false", key)
-
-
-def _check_keys(sec: Section, known: tuple[str, ...]) -> None:
-    """Refuse a key the section does not read: a misspelt key would leave its
-    default in place silently. A known key ending in `*` stands for every
-    key that starts with the rest of it."""
-    for key in sec.values:
-        if key not in known and not any(
-            k.endswith("*") and key.startswith(k[:-1]) for k in known
-        ):
-            raise sec.error(f"unknown key {key!r} (known: {', '.join(known)})", key)
-
-
-def _require(sec: Section, key: str, get: Optional[Callable] = None):
-    """The value of a required key, converted by `get` (one of the `_get_*`) if given."""
-    if key not in sec.values:
-        raise sec.error(f"[{sec.kind}] section is missing required field {key!r}")
-    return get(sec, key) if get else sec.values[key]
+# --- key tables --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
+class Key:
+    """A key table's row: config key `name` (`x.*` stands for every `x.` key)
+    sets value-type field `field` to `read(section, name, labels)`. A key
+    left out leaves the field's default, or is an error if `required` (for
+    the reason `why`). The config echo shows `show(value)` under `echo`
+    or else `name`."""
+
+    name: str
+    field: str
+    read: Callable[[Section, str, Labels], object]
+    required: bool = False
+    echo: str = ""
+    show: Optional[Callable[[object], object]] = None
+    why: str = ""
+
+
+class Schema:
+    """A section kind's key table, over the value type whose fields its rows
+    set. Rows are read, and listed as known keys, in row order; the echo
+    follows the value type's field order."""
+
+    def __init__(self, type_: type, *keys: Key):
+        self.type = type_
+        self.keys = keys
+        self._rows = tuple((key, key.name.endswith("*")) for key in keys)  # (row, wildcard)
+        self._names = frozenset(key.name for key in keys)
+        self._prefixes = tuple(key.name[:-1] for key, wild in self._rows if wild)
+        self._known = ", ".join(key.name for key in keys)
+        self._echoed = [
+            (key.echo or key.name, key.field, key.show)
+            for f in fields(type_) for key in keys if key.field == f.name
+        ]
+
+    def read(self, sec: Section, labels: Labels, **given: object) -> dict[str, object]:
+        """`given`, and the fields of the other rows that `sec` sets. A key the
+        table lacks is refused: a misspelling would leave a default in place."""
+        values = sec.values
+        for name in values:
+            if name not in self._names and not name.startswith(self._prefixes):
+                raise sec.error(f"unknown key {name!r} (known: {self._known})", name)
+        for key, wildcard in self._rows:
+            if key.field in given:
+                continue
+            if wildcard or key.name in values:
+                given[key.field] = key.read(sec, key.name, labels)
+            elif key.required:
+                why = f" ({key.why})" if key.why else ""
+                raise sec.error(f"[{sec.kind}] section is missing required field {key.name!r}{why}")
+        return given
+
+    def echo(self, value: object) -> dict:
+        return {
+            name: show(getattr(value, field)) if show else getattr(value, field)
+            for name, field, show in self._echoed
+        }
+
+
+@dataclass(frozen=True, kw_only=True)
 class CampaignConfig:
     source: str
     phase: str
     seed: int
-    output_path: str
+    output_path: str = "campaign-out"
     topology: TopologySpec
-    kinds: dict[str, ElementKind]
+    kinds: Labels
     capacities: dict[str, ElementCapacity]
     subscribers: tuple[SubscriberRecord, ...]
     rules: tuple[PolicyRule, ...]
     attacks: tuple[AttackSpec, ...]
-    watchdog_interval_us: int
-    request_timeout_us: int
+    watchdog_interval_us: int = PeerConfig.watchdog_interval_us
+    request_timeout_us: int = 2 * US_PER_S
 
     def echo_dict(self) -> dict:
         """Configuration echo embedded in reports (resolved, deterministic)."""
         return {
             "source": self.source,
-            "phase": self.phase,
-            "seed": self.seed,
-            "output": self.output_path,
-            "watchdog_interval_s": self.watchdog_interval_us / US_PER_S,
-            "request_timeout_s": self.request_timeout_us / US_PER_S,
+            **_CAMPAIGN.echo(self),
             "nodes": [
-                {"label": label, "kind": self.kinds[label].value, **asdict(self.capacities[label])}
-                for label in self.topology.nodes
+                {"label": label, "kind": kind.value, **_NODE.echo(self.capacities[label])}
+                for label, kind in self.kinds.items()
             ],
-            "links": [asdict(link) for link in self.topology.links],
-            "subscribers": [
-                {"id": s.subscriber_id, "location": s.location, "profile": dict(s.profile)}
-                for s in self.subscribers
-            ],
-            "attacks": [{"kind": a.kind, **ATTACK_KINDS[a.kind].echo(a)} for a in self.attacks],
+            "links": [{"a": link.a, "b": link.b, **_LINK.echo(link)} for link in self.topology.links],
+            "subscribers": [{"id": s.subscriber_id, **_SUBSCRIBER.echo(s)} for s in self.subscribers],
+            "attacks": [{"kind": a.kind, **ATTACK_KINDS[a.kind].keys.echo(a)} for a in self.attacks],
         }
 
 
-_KIND_NAMES = {k.value: k for k in ElementKind}
-# [node] keys, named as the ElementCapacity fields they set
-_CAPACITY_KEYS = (
-    ("service_rate", _get_float),
-    ("queue_capacity", _get_int),
-    ("failure_threshold_s", _get_float),
+_NO_WALL_CLOCK = "campaigns are reproducible; there is no wall-clock default"
+_CAMPAIGN = Schema(
+    CampaignConfig,
+    Key("phase", "phase", Section.get_phase, required=True),
+    Key("seed", "seed", Section.get_seed, required=True, why=_NO_WALL_CLOCK),
+    Key("output", "output_path", Section.get_path),
+    # the built-in whose topology sections are spliced in
+    Key("topology", "splice", Section.get_builtin),
+    Key("watchdog_interval_s", "watchdog_interval_us", Section.get_interval_us, show=_seconds),
+    Key("request_timeout_s", "request_timeout_us", Section.get_interval_us, show=_seconds),
 )
-_NODE_KEYS = ("kind", *(key for key, _ in _CAPACITY_KEYS))
+# `kind` sets no ElementCapacity field: the node's kind is kept apart, in CampaignConfig.kinds
+_NODE = Schema(
+    ElementCapacity,
+    Key("kind", "kind", Section.get_kind, required=True),
+    Key("service_rate", "service_rate", Section.get_float),
+    Key("queue_capacity", "queue_capacity", Section.get_int),
+    Key("failure_threshold_s", "failure_threshold_s", Section.get_float),
+)
+_LINK = Schema(
+    LinkSpec,
+    Key("latency_ms", "latency_ms", Section.get_float),
+    Key("loss", "loss_probability", Section.get_float, echo="loss_probability"),
+    Key("protected", "protected", Section.get_bool),
+)
+_SUBSCRIBER = Schema(
+    SubscriberRecord,
+    Key("location", "location", Section.get_text, required=True),
+    Key("profile.*", "profile", Section.get_profile, echo="profile", show=dict),
+)
+_RULE = Schema(
+    PolicyRule,
+    Key("subscriber", "subscriber_id", Section.get_text, required=True),
+    Key("qos_class", "qos_class", Section.get_int),
+)
 _CORE_KINDS = {ElementKind.HSS, ElementKind.MME, ElementKind.PCRF}
+_TOPOLOGY_KINDS = ("node", "link", "subscriber", "rule")  # the sections a built-in splices in
 
 
 # --- attack kinds ------------------------------------------------------------
@@ -236,6 +350,7 @@ class AttackKind:
     """Everything config and campaign know about one attack kind.
 
     A new kind is a spec class and a runner in `attacks` plus one entry here.
+    `keys` is the key table of its [attack] section, over its spec class.
     `path_error(spec, config)` names what the config forbids or the topology
     lacks for the attack to run (phase1's TargetServer rule, a link to send
     or tap on), or returns None; the parser locates it at the [attack] line.
@@ -245,69 +360,10 @@ class AttackKind:
     over `attacks.run_*` (a profiler, a test double) sees every call.
     """
 
-    spec: type
-    parse: Callable[[Section, dict[str, ElementKind]], AttackSpec]
-    echo: Callable[[AttackSpec], dict]  # the report's config echo, less "kind"
+    keys: Schema
     path_error: Callable[[AttackSpec, CampaignConfig], Optional[str]]
     run: Callable[[Lab, AttackSpec, int], tuple]
     label: Callable[[attacks.Finding], TaxonomyLabel]  # the finding's taxonomy cell
-
-
-def _target(sec: Section, labels: dict[str, ElementKind]) -> str:
-    target = _require(sec, "target")
-    if target not in labels:
-        raise sec.error(f"unknown {sec.args[0]} target {target!r}", "target")
-    return target
-
-
-def _parse_flood(sec: Section, labels: dict[str, ElementKind]) -> FloodSpec:
-    _check_keys(sec, ("target", "rate_tps", "duration_s", "degraded_threshold"))
-    return sec.build(
-        FloodSpec,
-        target=_target(sec, labels),
-        rate_tps=_require(sec, "rate_tps", _get_float),
-        duration_s=_require(sec, "duration_s", _get_float),
-        degraded_answer_ratio=_get_float(
-            sec, "degraded_threshold", FloodSpec.degraded_answer_ratio
-        ),
-    )
-
-
-def _parse_intercept(sec: Section, labels: dict[str, ElementKind]) -> InterceptSpec:
-    _check_keys(sec, ("link", "avp_codes"))
-    link_value = _require(sec, "link").split()
-    if len(link_value) != 2:
-        raise sec.error("link must name two nodes", "link")
-    for label in link_value:
-        if label not in labels:
-            raise sec.error(f"unknown node {label!r}", "link")
-    codes = []
-    code_for_name = dct.BUILTIN_DICTIONARY.code_for_name
-    for item in _require(sec, "avp_codes").split(","):
-        item = item.strip()
-        # isascii: str.isdigit() also accepts digits that int() refuses, such as "²"
-        code = int(item) if item.isascii() and item.isdigit() else code_for_name(item)
-        if code is None:
-            raise sec.error(f"unknown AVP name {item!r}", "avp_codes")
-        if code > U32_MAX:
-            raise sec.error(f"AVP code {code} is above {U32_MAX}", "avp_codes")
-        codes.append(code)
-    return InterceptSpec(link=(link_value[0], link_value[1]), avp_codes=tuple(codes))
-
-
-def _parse_fuzz(sec: Section, labels: dict[str, ElementKind]) -> FuzzSpec:
-    _check_keys(sec, ("target", "ops", "cases", "seed"))
-    target = _target(sec, labels)
-    ops: tuple[MutationOp, ...] = FuzzSpec.ops
-    if "ops" in sec.values:
-        names = [o.strip() for o in sec.values["ops"].split(",") if o.strip()]
-        try:
-            ops = tuple(MutationOp(name) for name in names)
-        except ValueError as exc:
-            raise sec.error(str(exc), "ops") from None
-    cases = _require(sec, "cases", _get_int)
-    seed = _get_seed(sec)
-    return sec.build(FuzzSpec, target=target, case_count=cases, ops=ops, seed=seed)
 
 
 def _linked(config: CampaignConfig, a: Optional[str], b: Optional[str]) -> bool:
@@ -362,17 +418,19 @@ def _fuzz_label(finding: attacks.Finding) -> TaxonomyLabel:
 
 
 ATTACK_KINDS: dict[str, AttackKind] = {
-    entry.spec.kind: entry
+    entry.keys.type.kind: entry
     for entry in (
         AttackKind(
-            spec=FloodSpec,
-            parse=_parse_flood,
-            echo=lambda spec: {
-                "target": spec.target,
-                "rate_tps": spec.rate_tps,
-                "duration_s": spec.duration_s,
-                "degraded_answer_ratio": spec.degraded_answer_ratio,
-            },
+            keys=Schema(
+                FloodSpec,
+                Key("target", "target", Section.get_target, required=True),
+                Key("rate_tps", "rate_tps", Section.get_float, required=True),
+                Key("duration_s", "duration_s", Section.get_float, required=True),
+                Key(
+                    "degraded_threshold", "degraded_answer_ratio", Section.get_float,
+                    echo="degraded_answer_ratio",
+                ),
+            ),
             path_error=_sent_from_attack_box,
             run=lambda lab, spec, seed: (*attacks.run_flood(lab, spec), None),
             label=lambda finding: TaxonomyLabel(
@@ -380,9 +438,11 @@ ATTACK_KINDS: dict[str, AttackKind] = {
             ),
         ),
         AttackKind(
-            spec=InterceptSpec,
-            parse=_parse_intercept,
-            echo=lambda spec: {"link": list(spec.link), "avp_codes": list(spec.avp_codes)},
+            keys=Schema(
+                InterceptSpec,
+                Key("link", "link", Section.get_link, required=True, show=list),
+                Key("avp_codes", "avp_codes", Section.get_avp_codes, required=True, show=list),
+            ),
             path_error=_intercept_path_error,
             run=lambda lab, spec, seed: attacks.run_intercept(lab, spec),
             label=lambda finding: TaxonomyLabel(
@@ -390,14 +450,13 @@ ATTACK_KINDS: dict[str, AttackKind] = {
             ),
         ),
         AttackKind(
-            spec=FuzzSpec,
-            parse=_parse_fuzz,
-            echo=lambda spec: {
-                "target": spec.target,
-                "cases": spec.case_count,
-                "ops": [op.value for op in spec.ops],
-                "seed": spec.seed,
-            },
+            keys=Schema(
+                FuzzSpec,
+                Key("target", "target", Section.get_target, required=True),
+                Key("ops", "ops", Section.get_ops, show=lambda ops: [op.value for op in ops]),
+                Key("cases", "case_count", Section.get_int, required=True),
+                Key("seed", "seed", Section.get_seed),
+            ),
             path_error=_sent_from_attack_box,
             run=_run_fuzz,
             label=_fuzz_label,
@@ -406,13 +465,13 @@ ATTACK_KINDS: dict[str, AttackKind] = {
 }
 
 
-def _parse_attack(sec: Section, labels: dict[str, ElementKind]) -> AttackSpec:
+def _parse_attack(sec: Section, labels: Labels) -> AttackSpec:
     if len(sec.args) != 1:
         raise sec.error("[attack] needs exactly one kind argument")
     entry = ATTACK_KINDS.get(sec.args[0])
     if entry is None:
         raise sec.error(f"unknown attack kind {sec.args[0]!r}")
-    return entry.parse(sec, labels)
+    return sec.build(entry.keys.type, **entry.keys.read(sec, labels))
 
 
 def parse_campaign_config(
@@ -426,45 +485,24 @@ def parse_campaign_config(
     if len(campaign_secs) != 1:
         raise ConfigError(f"{source}: expected exactly one [campaign] section")
     camp = campaign_secs[0]
-    _check_keys(
-        camp,
-        ("phase", "seed", "output", "topology", "watchdog_interval_s", "request_timeout_s"),
-    )
-    phase = _require(camp, "phase")
-    if phase not in ("phase1", "phase2", "custom"):
-        raise camp.error("phase must be phase1/phase2/custom", "phase")
-    if seed_override is not None:
-        seed, error = seed_override, _seed_error(seed_override)
-        if error:
-            raise ConfigError(f"--seed: {error}")  # the CLI flag that sets the override
-    else:
-        seed = _get_seed(camp)
-        if seed is None:
-            raise camp.error(
-                "[campaign] section is missing required field 'seed'"
-                " (campaigns are reproducible; there is no wall-clock default)"
-            )
-    output_path = camp.values.get("output", "campaign-out")
-    if not output_path:  # an empty path would write the report into the working directory
-        raise camp.error("output must be a non-empty path", "output")
+    preset = {} if seed_override is None else {"seed": seed_override}
+    if preset and (error := _seed_error(seed_override)):
+        raise ConfigError(f"--seed: {error}")  # the CLI flag that sets the override
+    given = _CAMPAIGN.read(camp, {}, **preset)
 
     # `topology = <builtin>` splices the named built-in's topology sections.
-    if "topology" in camp.values:
-        name = camp.values["topology"]
-        if name not in BUILTIN_CONFIGS:
-            raise camp.error(f"unknown built-in {name!r}", "topology")
-        if any(s.kind in ("node", "link", "subscriber", "rule") for s in sections):
+    name = given.pop("splice", None)
+    if name is not None:
+        if any(s.kind in _TOPOLOGY_KINDS for s in sections):
             raise camp.error(
                 f"config declares both topology={name} and its own topology sections", "topology"
             )
         spliced = parse_sections(BUILTIN_CONFIGS[name], source=f"<builtin:{name}>")
-        sections = sections + [
-            s for s in spliced if s.kind in ("node", "link", "subscriber", "rule")
-        ]
+        sections = sections + [s for s in spliced if s.kind in _TOPOLOGY_KINDS]
 
     # Labelled sections are keyed by label (node order is insertion order),
     # so each uniqueness rule is one lookup.
-    kinds: dict[str, ElementKind] = {}
+    kinds: Labels = {}
     capacities: dict[str, ElementCapacity] = {}
     links: list[LinkSpec] = []
     link_lines: dict[frozenset[str], int] = {}  # endpoint pair -> line of its [link]
@@ -482,13 +520,9 @@ def parse_campaign_config(
                 raise sec.error(f"node label is longer than {MAX_TEXT_BYTES} UTF-8 bytes")
             if label in kinds:
                 raise sec.error(f"duplicate node label {label!r}")
-            _check_keys(sec, _NODE_KEYS)
-            kind_name = _require(sec, "kind")
-            if kind_name not in _KIND_NAMES:
-                raise sec.error(f"unknown element kind {kind_name!r}", "kind")
-            kinds[label] = _KIND_NAMES[kind_name]
-            given = {key: get(sec, key) for key, get in _CAPACITY_KEYS if key in sec.values}
-            capacities[label] = sec.build(ElementCapacity, **given)  # its defaults fill the rest
+            node = _NODE.read(sec, kinds)
+            kinds[label] = node.pop("kind")
+            capacities[label] = sec.build(ElementCapacity, **node)
         elif sec.kind == "link":
             if len(sec.args) != 2:
                 raise sec.error("[link] needs two node labels")
@@ -505,40 +539,30 @@ def parse_campaign_config(
                     f" (first declared on line {link_lines[pair]})"
                 )
             link_lines[pair] = sec.line
-            _check_keys(sec, ("latency_ms", "loss", "protected"))
-            latency_ms = _get_float(sec, "latency_ms", LinkSpec.latency_ms)
-            loss = _get_float(sec, "loss", LinkSpec.loss_probability)
-            protected = _get_bool(sec, "protected", LinkSpec.protected)
-            links.append(sec.build(LinkSpec, a, b, latency_ms, loss, protected))
+            links.append(sec.build(LinkSpec, **_LINK.read(sec, kinds, a=a, b=b)))
         elif sec.kind == "subscriber":
             if len(sec.args) != 1:
                 raise sec.error("[subscriber] needs one id argument")
             sid = sec.args[0]
             if sid in subscribers:
                 raise sec.error(f"duplicate subscriber {sid!r}")
-            _check_keys(sec, ("location", "profile.*"))
-            location = _require(sec, "location")
-            given = {key: value for key, value in sec.values.items() if key.startswith("profile.")}
-            written = "".join((sid, location, *given, *given.values()))
+            record = SubscriberRecord(**_SUBSCRIBER.read(sec, kinds, subscriber_id=sid))
+            # the location and profile.* values, and the profile.* keys
+            profile_keys = (key for key in sec.values if key != "location")
+            written = "".join((sid, *sec.values.values(), *profile_keys))
             if len(written.encode()) > MAX_TEXT_BYTES:
                 raise sec.error(
                     "subscriber id, location and profile.* keys and values are longer"
                     f" than {MAX_TEXT_BYTES} UTF-8 bytes"
                 )
-            profile = {key[len("profile.") :]: value for key, value in given.items()}
-            subscribers[sid] = SubscriberRecord(sid, location, profile)
+            subscribers[sid] = record
         elif sec.kind == "rule":
             if len(sec.args) != 1:
                 raise sec.error("[rule] needs one id argument")
             rule_id = sec.args[0]
             if rule_id in rules:
                 raise sec.error(f"duplicate rule {rule_id!r}")
-            _check_keys(sec, ("subscriber", "qos_class"))
-            rules[rule_id] = PolicyRule(
-                rule_id=rule_id,
-                subscriber_id=_require(sec, "subscriber"),
-                qos_class=_get_int(sec, "qos_class", DEFAULT_QOS_CLASS),
-            )
+            rules[rule_id] = PolicyRule(**_RULE.read(sec, kinds, rule_id=rule_id))
         elif sec.kind == "attack":
             pass  # handled below, in order, after labels are known
         else:
@@ -547,19 +571,13 @@ def parse_campaign_config(
     attack_secs = [s for s in sections if s.kind == "attack"]
     config = CampaignConfig(
         source=source,
-        phase=phase,
-        seed=seed,
-        output_path=output_path,
         topology=TopologySpec(nodes=tuple(kinds), links=tuple(links)),
         kinds=kinds,
         capacities=capacities,
         subscribers=tuple(subscribers.values()),
         rules=tuple(rules.values()),
         attacks=tuple(_parse_attack(s, kinds) for s in attack_secs),
-        watchdog_interval_us=_get_interval_us(
-            camp, "watchdog_interval_s", PeerConfig.watchdog_interval_us
-        ),
-        request_timeout_us=_get_interval_us(camp, "request_timeout_s", 2 * US_PER_S),
+        **given,
     )
     _validate_phase(config)
     for sec, spec in zip(attack_secs, config.attacks):

@@ -154,7 +154,7 @@ class SubscriberRecord:
 class PolicyRule:
     rule_id: str
     subscriber_id: str
-    qos_class: int
+    qos_class: int = DEFAULT_QOS_CLASS
 
 
 class Admission(Enum):

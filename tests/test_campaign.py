@@ -607,10 +607,10 @@ class TestAttackKinds:
     @pytest.mark.parametrize("kind", sorted(ATTACK_KINDS))
     def test_readme_example_parses_echoes_runs_and_classifies(self, kind, tmp_path):
         entry = ATTACK_KINDS[kind]
-        assert entry.spec.kind == kind
+        assert entry.keys.type.kind == kind
         config = parse_campaign_config(duo_lab_text() + readme_attack_section(kind))
         (spec,) = config.attacks
-        assert type(spec) is entry.spec
+        assert type(spec) is entry.keys.type
         assert config.echo_dict()["attacks"][0]["kind"] == kind
         run = run_campaign(config, out_dir=str(tmp_path))
         assert run.report.attacks[0]["kind"] == kind
