@@ -551,7 +551,8 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
     ab.on_wire_answer = on_wire_answer
 
     def target_drops() -> int:
-        return target.parse_drops + target.fsm_drops + target.dropped_failed_inbound
+        failed = target.dropped_failed_inbound + target.dropped_failed_base
+        return target.parse_drops + target.fsm_drops + failed
 
     def judge(case: bytes, hbh: int, codes: dict[str, int]) -> str:
         """Send one case and run until it is answered, dropped, crashes the

@@ -251,7 +251,8 @@ class Element:
         self.queued_total = 0
         self.dropped_overflow = 0
         self.dropped_at_failure = 0
-        self.dropped_failed_inbound = 0
+        self.dropped_failed_inbound = 0  # application messages a failed element drops
+        self.dropped_failed_base = 0  # and base-protocol ones (CER, DWR, DPR and answers)
         self.stray_answers = 0
 
     # -- wiring --------------------------------------------------------------
@@ -307,7 +308,14 @@ class Element:
     def on_message(self, sim: Simulation, src: NodeId, payload: bytes | Message, now: int) -> None:
         # Per message, so the test reads the field: a property call costs ~10x as much.
         if self.failed_at is not None:
-            self.dropped_failed_inbound += 1
+            if isinstance(payload, Message):
+                code = payload.header.command_code
+            else:  # wire bytes: the command code is header bytes 5 to 7
+                code = int.from_bytes(payload[5:8], "big")
+            if code in _BASE_EVENT_KINDS:
+                self.dropped_failed_base += 1
+            else:
+                self.dropped_failed_inbound += 1
             return
         # A carried Message is its own strict decode; bytes take the decoder.
         if isinstance(payload, Message):

@@ -3,6 +3,7 @@
 import heapq
 import itertools
 import math
+import sys
 from collections import Counter, deque
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diamlab import codec
 from diamlab import dictionary as dct
 from diamlab.attacks import (
     ALL_MUTATION_OPS,
@@ -233,14 +235,22 @@ class TestFlood:
         assert findings[0].evidence["element_failed"] is True
 
     def test_conservation(self):
-        _, lab = make_lab(duo_lab_text(service_rate=200, queue_capacity=20))
-        result, _ = run_flood(lab, FloodSpec(target="target", rate_tps=400, duration_s=5))
-        assert result.offered == result.answered + result.dropped + result.in_flight
-        target = lab.element("target")
-        element_side = (
-            target.dropped_overflow + target.dropped_at_failure + target.dropped_failed_inbound
-        )
-        assert result.dropped == element_side  # loss-free link: every drop is the element's
+        cases = [
+            (dict(service_rate=200, queue_capacity=20), 400, 5),
+            # fails after 2 s and outlasts a watchdog interval: the DWRs the
+            # failed target drops are not flood requests
+            (dict(service_rate=100, queue_capacity=10, failure_threshold_s=2), 200, 70),
+        ]
+        for capacity, rate_tps, duration_s in cases:
+            _, lab = make_lab(duo_lab_text(**capacity))
+            spec = FloodSpec(target="target", rate_tps=rate_tps, duration_s=duration_s)
+            result, _ = run_flood(lab, spec)
+            assert result.offered == result.answered + result.dropped + result.in_flight
+            target = lab.element("target")
+            element_side = (
+                target.dropped_overflow + target.dropped_at_failure + target.dropped_failed_inbound
+            )
+            assert result.dropped == element_side  # loss-free link: every drop is the element's
 
     def test_send_timers_left_by_a_flood_do_not_feed_the_next(self):
         _, lab = make_lab(duo_lab_text(queue_capacity=0, latency_ms=0.1))
@@ -295,6 +305,71 @@ class TestFlood:
         for finding in findings:
             if finding.severity is Severity.OUTAGE:
                 assert lab.element("target").failed
+
+
+# Simulated work per flood request, as exact counts over the flood's offered
+# requests: a change to any of them shows here, and the change that makes it
+# says why. Each case floods the duo lab for 1 s at `rate` TPS over
+# `latency_ms` links. "served" has a capacity of the rate and a queue of
+# 1,000, "overloaded" half the rate and a queue of 100. "idle" sends 10
+# requests to a capacity of 0.001 TPS: the sampler and watchdog timers of its
+# long drain outweigh the requests (with the two events that open the link,
+# the lab processes 104,591).
+_COST_CASES = {
+    # id: (rate, latency_ms, service_rate, queue_capacity,
+    #      (offered, events, heap pushes, build_message, encode_message, decode_message))
+    "500-served": (500, 5, 500, 1000, (500, 1510, 1510, 1000, 0, 0)),
+    "500-overloaded": (500, 5, 250, 100, (500, 1705, 1705, 850, 0, 0)),
+    "2000-served": (2000, 5, 2000, 1000, (2000, 6006, 6006, 4000, 0, 0)),
+    "2000-overloaded": (2000, 5, 1000, 100, (2000, 6205, 6205, 3100, 0, 0)),
+    "8000-served": (8000, 5, 8000, 1000, (8000, 24006, 24006, 16000, 0, 0)),
+    "8000-overloaded": (8000, 5, 4000, 100, (8000, 24205, 24205, 12100, 0, 0)),
+    # sends 31 or 32 us apart against a token every 31.25 us: each request
+    # also waits for a drain timer
+    "32000-served": (32000, 5, 32000, 1000, (32000, 128005, 128005, 64000, 0, 0)),
+    "32000-overloaded": (32000, 5, 16000, 100, (32000, 95951, 95951, 47973, 0, 0)),
+    "8000-served-1ms": (8000, 1, 8000, 1000, (8000, 24006, 24006, 16000, 0, 0)),
+    "8000-served-100ms": (8000, 100, 8000, 1000, (8000, 24006, 24006, 16000, 0, 0)),
+    "8000-served-1000ms": (8000, 1000, 8000, 1000, (8000, 24010, 24010, 16000, 0, 0)),
+    "idle": (10, 5, 0.001, 100, (10, 104589, 104586, 492, 0, 0)),
+}
+
+
+def count_codec_calls(monkeypatch) -> Counter:
+    """Calls of build_message, encode_message and decode_message from here
+    on, from every diamlab module that bound them by name."""
+    calls = Counter()
+    for name in ("build_message", "encode_message", "decode_message"):
+        function = getattr(codec, name)
+
+        def counted(*args, _name=name, _function=function, **kwargs):
+            calls[_name] += 1
+            return _function(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("diamlab") and getattr(module, name, None) is function:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", list(_COST_CASES))
+def test_cost_per_request(case, monkeypatch):
+    rate, latency_ms, service_rate, queue_capacity, expected = _COST_CASES[case]
+    _, lab = make_lab(
+        duo_lab_text(service_rate=service_rate, queue_capacity=queue_capacity, latency_ms=latency_ms)
+    )
+    calls = count_codec_calls(monkeypatch)
+    sim = lab.sim
+    events, pushes = sim.events_processed, sim._seq
+    result, _ = run_flood(lab, FloodSpec(target="target", rate_tps=rate, duration_s=1))
+    assert (
+        result.offered,
+        sim.events_processed - events,
+        sim._seq - pushes,  # every heap entry, delivery or timer, takes the next _seq
+        calls["build_message"],
+        calls["encode_message"],
+        calls["decode_message"],
+    ) == expected
 
 
 def reference_flood(start, count, rate, latency, service_rate, queue_capacity, threshold_s,
