@@ -29,9 +29,14 @@ def test_overload_sweep_prints_one_row_per_rate():
     out = run_script("overload_sweep.py", "--duration", "0.2")
     rows = [line.split() for line in out.splitlines()[2:] if line.strip()]
     assert len(rows) == 9
-    for rate, offered, answered, dropped, _fluid, _delta in rows:
+    for rate, offered, answered, dropped, _fluid, _delta, events, pushes, host_us in rows:
         assert int(offered) == round(float(rate) * 0.2)
         assert int(offered) == int(answered) + int(dropped)
+        # A request is at least its send timer, its delivery and, if it is
+        # answered, the answer's delivery: a dropped one costs two events.
+        least = 3 if dropped == "0" else 2
+        assert float(events) >= least and float(pushes) >= least
+        assert float(host_us) > 0
 
 
 def test_codec_bench_json_has_every_operation():
