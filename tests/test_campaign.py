@@ -15,7 +15,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from diamlab import attacks
-from diamlab import config as config_module
 from diamlab import dictionary as dct
 from diamlab.attacks import Finding, FloodResult, Severity
 from diamlab.campaign import (
@@ -33,7 +32,6 @@ from diamlab.config import (
     ATTACK_KINDS,
     MAX_TEXT_BYTES,
     ConfigError,
-    Schema,
     load_config,
     parse_campaign_config,
 )
@@ -597,20 +595,6 @@ def readme_attack_section(kind: str) -> str:
     start = text.index(f"[attack {kind}]")
     end = text.find("\n[", start)
     return text[start:] if end < 0 else text[start:end]
-
-
-def test_readme_config_section_names_every_key():
-    # every key of every key table, in the example or in backquotes
-    section = README.read_text().split("## Campaign config format", 1)[1].split("\n## ", 1)[0]
-    tables = [t for t in vars(config_module).values() if isinstance(t, Schema)]
-    tables += [entry.keys for entry in ATTACK_KINDS.values()]
-    names = {key.name for table in tables for key in table.keys}
-    assert len(tables) == 8 and "profile.*" in names
-    missing = [
-        name for name in sorted(names)
-        if f"`{name}`" not in section and f"\n{name} = " not in section
-    ]
-    assert missing == []
 
 
 class TestAttackKinds:

@@ -1,5 +1,6 @@
 """Config parsing: section format, built-ins, phase gating, error reporting."""
 
+import dataclasses
 import json
 
 import pytest
@@ -9,18 +10,22 @@ from hypothesis import strategies as st
 from diamlab import dictionary as dct
 from diamlab.attacks import FloodSpec, FuzzSpec, InterceptSpec, MutationOp
 from diamlab.campaign import build_lab
+from diamlab import config as config_module
 from diamlab.config import (
+    ATTACK_KINDS,
     BUILTIN_CONFIGS,
     MAX_TEXT_BYTES,
     CampaignConfig,
     ConfigError,
     load_config,
+    Schema,
     parse_campaign_config,
     parse_sections,
 )
 from diamlab.elements import ElementKind, PolicyRule
 
 from tests.labs import duo_lab_text
+from tests.test_campaign import README
 
 
 class TestSectionParser:
@@ -66,6 +71,40 @@ class TestSectionParser:
         (section,) = parse_sections("[s]\n")
         with pytest.raises(TypeError):
             section.build(FuzzSpec, target="t", case_count=2, no_such_field=1)
+
+
+# every section kind's key table, attack kinds included
+KEY_TABLES = [t for t in vars(config_module).values() if isinstance(t, Schema)] + [
+    entry.keys for entry in ATTACK_KINDS.values()
+]
+
+
+def test_key_tables_state_required_keys_as_their_value_types_do():
+    # A row is required exactly when its field has no default, so a key left
+    # out always falls back to a default. Node `kind` and campaign `topology`
+    # set no field of the value type; the parser takes their values apart.
+    assert len(KEY_TABLES) == 8
+    apart = set()
+    for table in KEY_TABLES:
+        defaults = {
+            f.name: f.default is not dataclasses.MISSING
+            or f.default_factory is not dataclasses.MISSING
+            for f in dataclasses.fields(table.type)
+        }
+        for key in table.keys:
+            if key.field in defaults:
+                assert key.required is not defaults[key.field], key.name
+            else:
+                apart.add((table.type.__name__, key.name, key.required))
+    assert apart == {("ElementCapacity", "kind", True), ("CampaignConfig", "topology", False)}
+
+
+def test_readme_config_section_names_every_key():
+    # in the complete example, or in backquotes
+    section = README.read_text().split("## Campaign config format", 1)[1].split("\n## ", 1)[0]
+    names = sorted({key.name for table in KEY_TABLES for key in table.keys})
+    assert "profile.*" in names
+    assert [n for n in names if f"`{n}`" not in section and f"\n{n} = " not in section] == []
 
 
 class TestBuiltins:
