@@ -239,10 +239,10 @@ class Schema:
 
     def __init__(self, type_: type, *keys: Key):
         self.type = type_
-        self.keys = keys
-        self._rows = tuple((key, key.name.endswith("*")) for key in keys)  # (row, wildcard)
+        self.rows = keys
+        self._wildcards = tuple((key, key.name.endswith("*")) for key in keys)
         self._names = frozenset(key.name for key in keys)
-        self._prefixes = tuple(key.name[:-1] for key, wild in self._rows if wild)
+        self._prefixes = tuple(key.name[:-1] for key, wildcard in self._wildcards if wildcard)
         self._known = ", ".join(key.name for key in keys)
         self._echoed = [
             (key.echo or key.name, key.field, key.show)
@@ -256,7 +256,7 @@ class Schema:
         for name in values:
             if name not in self._names and not name.startswith(self._prefixes):
                 raise sec.error(f"unknown key {name!r} (known: {self._known})", name)
-        for key, wildcard in self._rows:
+        for key, wildcard in self._wildcards:
             if key.field in given:
                 continue
             if wildcard or key.name in values:

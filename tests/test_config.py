@@ -91,7 +91,7 @@ def test_key_tables_state_required_keys_as_their_value_types_do():
             or f.default_factory is not dataclasses.MISSING
             for f in dataclasses.fields(table.type)
         }
-        for key in table.keys:
+        for key in table.rows:
             if key.field in defaults:
                 assert key.required is not defaults[key.field], key.name
             else:
@@ -102,7 +102,7 @@ def test_key_tables_state_required_keys_as_their_value_types_do():
 def test_readme_config_section_names_every_key():
     # in the complete example, or in backquotes
     section = README.read_text().split("## Campaign config format", 1)[1].split("\n## ", 1)[0]
-    names = sorted({key.name for table in KEY_TABLES for key in table.keys})
+    names = sorted({key.name for table in KEY_TABLES for key in table.rows})
     assert "profile.*" in names
     assert [n for n in names if f"`{n}`" not in section and f"\n{n} = " not in section] == []
 
