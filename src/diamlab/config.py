@@ -2,8 +2,9 @@
 
 One line-oriented format covers both: `[section arg ...]` headers with
 `key = value` lines underneath. Full-line comments start with `#`.
-Section types: campaign, node, link, subscriber, rule, attack. Errors
-always name the source and line number.
+Section types: campaign, node, link, subscriber, rule, attack; each reads
+its keys through one key table (a `Schema`). Errors always name the
+source and line number.
 
 phase1 and phase2 ship as built-in configs (complete text, parsed by the
 same loader as user files) so `run --config phase1` needs nothing on
@@ -237,16 +238,15 @@ class Schema:
     set. Rows are read, and listed as known keys, in row order; the echo
     follows the value type's field order."""
 
-    def __init__(self, type_: type, *keys: Key):
+    def __init__(self, type_: type, *rows: Key):
         self.type = type_
-        self.rows = keys
-        self._wildcards = tuple((key, key.name.endswith("*")) for key in keys)
-        self._names = frozenset(key.name for key in keys)
-        self._prefixes = tuple(key.name[:-1] for key, wildcard in self._wildcards if wildcard)
-        self._known = ", ".join(key.name for key in keys)
+        self.rows = rows
+        self._names = frozenset(key.name for key in rows)
+        self._prefixes = tuple(key.name[:-1] for key in rows if key.name.endswith("*"))
+        self._known = ", ".join(key.name for key in rows)
         self._echoed = [
             (key.echo or key.name, key.field, key.show)
-            for f in fields(type_) for key in keys if key.field == f.name
+            for f in fields(type_) for key in rows if key.field == f.name
         ]
 
     def read(self, sec: Section, labels: Labels, **given: object) -> dict[str, object]:
@@ -256,10 +256,10 @@ class Schema:
         for name in values:
             if name not in self._names and not name.startswith(self._prefixes):
                 raise sec.error(f"unknown key {name!r} (known: {self._known})", name)
-        for key, wildcard in self._wildcards:
+        for key in self.rows:
             if key.field in given:
                 continue
-            if wildcard or key.name in values:
+            if key.name in values or key.name.endswith("*"):
                 given[key.field] = key.read(sec, key.name, labels)
             elif key.required:
                 why = f" ({key.why})" if key.why else ""
