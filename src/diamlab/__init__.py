@@ -18,4 +18,4 @@ from .codec import (  # noqa: F401
     validate_message,
 )
 from .config import CampaignConfig, load_config  # noqa: F401
-from .campaign import Report, classify, render_report, run_campaign  # noqa: F401
+from .campaign import Report, render_report, run_campaign  # noqa: F401

@@ -1,8 +1,9 @@
 """Attack engine: transaction flooding, passive interception, mutation fuzzing.
 
 Each runner takes a built Lab and an attack spec, drives the simulation,
-and returns a structured result plus zero or more Findings. Findings
-leave here without taxonomy labels; the campaign layer classifies them.
+and returns a structured result plus zero or more Findings. A runner
+labels each finding with its taxonomy cell where it decides the finding's
+severity; the campaign layer only numbers findings and reports them.
 
 Fuzzing is mutation-based over a seed corpus of the testbed's own valid
 messages. Mutations are deterministic functions of (bytes, op, draw),
@@ -31,7 +32,7 @@ from .codec import (
 from .elements import AttackBoxElement, Element, Lab, attach_request, result_code_of
 from .peer import APPLICATION_IDS, build_cer, build_dwr
 from .simnet import CaptureRecord, US_PER_S
-from .taxonomy import TaxonomyLabel
+from .taxonomy import Impact, Origin, TaxonomyLabel, Technique
 
 
 class Severity(Enum):
@@ -45,9 +46,9 @@ class Severity(Enum):
 class Finding:
     attack_kind: str  # the `kind` of the spec that produced it
     severity: Severity
+    taxonomy: TaxonomyLabel
     evidence: dict
-    id: int = 0
-    taxonomy: Optional[TaxonomyLabel] = None
+    id: int = 0  # the campaign numbers its findings
 
     def __post_init__(self) -> None:
         if not self.evidence:
@@ -64,7 +65,6 @@ class FloodSpec:
     rate_tps: float
     duration_s: float
     degraded_answer_ratio: float = 0.95
-    settle_grace_s: float = 2.0
 
     def __post_init__(self) -> None:
         if self.rate_tps <= 0:
@@ -324,6 +324,10 @@ class _FloodDriver:
         _count_result_code(self.result_codes, result_code_of(msg))
 
 
+# How long a flood's run settles after the last send and the target's drain time.
+SETTLE_GRACE_US = 2 * US_PER_S
+
+
 def run_flood(lab: Lab, spec: FloodSpec) -> tuple[FloodResult, list[Finding]]:
     """Well-formed echo requests at a constant rate against one element.
 
@@ -342,7 +346,7 @@ def run_flood(lab: Lab, spec: FloodSpec) -> tuple[FloodResult, list[Finding]]:
         sim.clock
         + int(round(spec.duration_s * US_PER_S))
         + int(target.capacity.drain_us)
-        + int(round(spec.settle_grace_s * US_PER_S))
+        + SETTLE_GRACE_US
         + 2 * lab.max_latency_us()
     )
     sim.run_until(horizon)  # past the last send, so no send timer outlives the run
@@ -375,6 +379,9 @@ def run_flood(lab: Lab, spec: FloodSpec) -> tuple[FloodResult, list[Finding]]:
             Finding(
                 attack_kind=spec.kind,
                 severity=severity,
+                taxonomy=TaxonomyLabel(
+                    Origin.EXTERNAL_INTERCONNECT, Technique.FLOODING, Impact.AVAILABILITY
+                ),
                 evidence={
                     "target": spec.target,
                     "rate_tps": spec.rate_tps,
@@ -454,6 +461,9 @@ def run_intercept(
             Finding(
                 attack_kind=spec.kind,
                 severity=Severity.EXPOSURE,
+                taxonomy=TaxonomyLabel(
+                    Origin.EXTERNAL_INTERCONNECT, Technique.INTERCEPTION, Impact.CONFIDENTIALITY
+                ),
                 evidence={
                     "link": f"{spec.link[0]}<->{spec.link[1]}",
                     "records_captured": len(records),
@@ -532,8 +542,9 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
     target's own drop counters (the testbed is omniscient about its
     elements). A crash is the exception the target recorded as its own
     `crash` when its handler raised (see `Element._serve`), which also
-    failed it; that one is a finding. Any other exception is a fault of
-    the testbed and propagates.
+    failed it; that one is a finding, and it names the case the handler
+    raised on, which may have waited in the target's queue past its own
+    timeout. Any other exception is a fault of the testbed and propagates.
     """
     if spec.seed is None:
         raise ValueError("fuzz runs need an explicit seed")
@@ -585,6 +596,7 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
     result_codes: dict[str, dict[str, int]] = {op: {} for op in ops}
     no_op_cases = 0
     findings: list[Finding] = []
+    unanswered: dict[int, tuple[int, MutationOp, bytes]] = {}  # hop-by-hop -> (index, op, case)
 
     for i in range(spec.case_count):
         template = corpus[rng.randrange(len(corpus))]
@@ -595,23 +607,32 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
         case = mutate(base, op, draw)
         if case == base:
             no_op_cases += 1
+        unanswered[hbh] = (i, op, case)
         disposition = judge(case, hbh, result_codes[op.value])
         ab.forget_pending_many(target.node, (hbh,))
+        if hbh in wire_answers:
+            del unanswered[hbh]
 
         per_op = tallies[op.value]
         per_op[disposition] = per_op.get(disposition, 0) + 1
         if disposition == DISPOSITION_CRASH:
             exc = target.crash
-            severity = Severity.OUTAGE
+            severity, impact = Severity.OUTAGE, Impact.AVAILABILITY
             evidence = {"finding_type": "crash", "exception": f"{type(exc).__name__}: {exc}"}
+            # the case may have been queued before this one; None: an earlier attack's request
+            named = unanswered.get(target.crashed_on.header.hop_by_hop_id)
         elif disposition == DISPOSITION_ANSWERED_SUCCESS and isinstance(
             decode_message(case), ParseError
         ):
-            severity, evidence = Severity.INFO, {"finding_type": "accepted-invalid"}
+            severity, impact = Severity.INFO, Impact.INTEGRITY
+            evidence, named = {"finding_type": "accepted-invalid"}, (i, op, case)
         else:
             continue
-        evidence.update(case_index=i, mutation_op=op.value, case_hex=case.hex())
-        findings.append(Finding(spec.kind, severity, evidence))
+        if named is not None:
+            index, named_op, named_case = named
+            evidence.update(case_index=index, mutation_op=named_op.value, case_hex=named_case.hex())
+        label = TaxonomyLabel(Origin.EXTERNAL_INTERCONNECT, Technique.MALFORMED_MESSAGE, impact)
+        findings.append(Finding(spec.kind, severity, label, evidence))
 
     ab.on_wire_answer = None
     result = FuzzResult(

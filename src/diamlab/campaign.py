@@ -1,5 +1,6 @@
 """Campaign execution: build the lab, open the links, run the attacks,
-classify the findings, write the report.
+number the findings (each comes from its runner with its taxonomy label),
+write the report.
 
 A campaign is a pure function of its config (which includes the seed):
 rerunning the same config produces byte-identical report and capture
@@ -22,21 +23,12 @@ from .capture import write_capture
 from .config import ATTACK_KINDS, CampaignConfig
 from .elements import Lab, LabError
 from .simnet import CaptureRecord
-from .taxonomy import TaxonomyLabel
 
 TOOL_VERSION = f"diamlab {__version__}"
 
 
 class CampaignError(RuntimeError):
     pass
-
-
-def classify(finding: Finding) -> TaxonomyLabel:
-    """The taxonomy cell of a finding, by its attack kind's rule in ATTACK_KINDS."""
-    entry = ATTACK_KINDS.get(finding.attack_kind)
-    if entry is None:
-        raise CampaignError(f"no taxonomy rule for attack kind {finding.attack_kind!r}")
-    return entry.label(finding)
 
 
 def to_json(value: object) -> object:
@@ -197,7 +189,6 @@ def run_campaign(config: CampaignConfig, *, out_dir: Optional[str] = None) -> Ca
 
     for i, finding in enumerate(findings, start=1):
         finding.id = i
-        finding.taxonomy = classify(finding)
 
     stats = lab.sim.stats
     report = Report(

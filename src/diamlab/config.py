@@ -26,7 +26,6 @@ from .codec import U32_MAX
 from .elements import ElementCapacity, ElementKind, Lab, PolicyRule, SubscriberRecord, first_of_kind
 from .peer import PeerConfig
 from .simnet import US_PER_S, LinkSpec, TopologySpec
-from .taxonomy import Impact, Origin, TaxonomyLabel, Technique
 
 MAX_SEED = 2**64 - 1
 # Longest node label, and longest subscriber (id, location and profile.* keys
@@ -218,7 +217,7 @@ def _seconds(us: int) -> float:
 
 @dataclass(frozen=True)
 class Key:
-    """A key table's row: config key `name` (`x.*` stands for every `x.` key)
+    """A key table's row: config key `name` (`x.*` stands for every `x.<rest>` key)
     sets value-type field `field` to `read(section, name, labels)`. A key
     left out leaves the field's default, or is an error if `required` (for
     the reason `why`). The config echo shows `show(value)` under `echo`
@@ -241,7 +240,7 @@ class Schema:
     def __init__(self, type_: type, *rows: Key):
         self.type = type_
         self.rows = rows
-        self._names = frozenset(key.name for key in rows)
+        self._names = frozenset(key.name for key in rows if not key.name.endswith("*"))
         self._prefixes = tuple(key.name[:-1] for key in rows if key.name.endswith("*"))
         self._known = ", ".join(key.name for key in rows)
         self._echoed = [
@@ -250,15 +249,15 @@ class Schema:
         ]
 
     def read(self, sec: Section, labels: Labels, **given: object) -> dict[str, object]:
-        """`given`, and the fields of the other rows that `sec` sets. A key the
-        table lacks is refused: a misspelling would leave a default in place."""
+        """`given`, and the fields of the rows that `sec` sets. A key the table
+        lacks is refused: a misspelling would leave a default in place."""
         values = sec.values
         for name in values:
-            if name not in self._names and not name.startswith(self._prefixes):
+            if name not in self._names and not any(
+                name.startswith(p) and name[len(p) :] not in ("", "*") for p in self._prefixes
+            ):
                 raise sec.error(f"unknown key {name!r} (known: {self._known})", name)
         for key in self.rows:
-            if key.field in given:
-                continue
             if key.name in values or key.name.endswith("*"):
                 given[key.field] = key.read(sec, key.name, labels)
             elif key.required:
@@ -355,7 +354,8 @@ class AttackKind:
     lacks for the attack to run (phase1's TargetServer rule, a link to send
     or tap on), or returns None; the parser locates it at the [attack] line.
     `run(lab, spec, seed)` returns (result, findings, capture records or
-    None); `seed` is the campaign's default for a spec that sets none.
+    None); `seed` is the campaign's default for a spec that sets none. The
+    runner labels each finding with its taxonomy cell.
     Runners are looked up in `attacks` at call time, so a wrapper installed
     over `attacks.run_*` (a profiler, a test double) sees every call.
     """
@@ -363,7 +363,6 @@ class AttackKind:
     keys: Schema
     path_error: Callable[[AttackSpec, CampaignConfig], Optional[str]]
     run: Callable[[Lab, AttackSpec, int], tuple]
-    label: Callable[[attacks.Finding], TaxonomyLabel]  # the finding's taxonomy cell
 
 
 def _linked(config: CampaignConfig, a: Optional[str], b: Optional[str]) -> bool:
@@ -411,12 +410,6 @@ def _run_fuzz(lab: Lab, spec: FuzzSpec, seed: int):
     return (*attacks.run_fuzz(lab, spec), None)
 
 
-def _fuzz_label(finding: attacks.Finding) -> TaxonomyLabel:
-    crash = finding.evidence.get("finding_type") == "crash"
-    impact = Impact.AVAILABILITY if crash else Impact.INTEGRITY
-    return TaxonomyLabel(Origin.EXTERNAL_INTERCONNECT, Technique.MALFORMED_MESSAGE, impact)
-
-
 ATTACK_KINDS: dict[str, AttackKind] = {
     entry.keys.type.kind: entry
     for entry in (
@@ -433,9 +426,6 @@ ATTACK_KINDS: dict[str, AttackKind] = {
             ),
             path_error=_sent_from_attack_box,
             run=lambda lab, spec, seed: (*attacks.run_flood(lab, spec), None),
-            label=lambda finding: TaxonomyLabel(
-                Origin.EXTERNAL_INTERCONNECT, Technique.FLOODING, Impact.AVAILABILITY
-            ),
         ),
         AttackKind(
             keys=Schema(
@@ -445,9 +435,6 @@ ATTACK_KINDS: dict[str, AttackKind] = {
             ),
             path_error=_intercept_path_error,
             run=lambda lab, spec, seed: attacks.run_intercept(lab, spec),
-            label=lambda finding: TaxonomyLabel(
-                Origin.EXTERNAL_INTERCONNECT, Technique.INTERCEPTION, Impact.CONFIDENTIALITY
-            ),
         ),
         AttackKind(
             keys=Schema(
@@ -459,7 +446,6 @@ ATTACK_KINDS: dict[str, AttackKind] = {
             ),
             path_error=_sent_from_attack_box,
             run=_run_fuzz,
-            label=_fuzz_label,
         ),
     )
 }
@@ -485,10 +471,11 @@ def parse_campaign_config(
     if len(campaign_secs) != 1:
         raise ConfigError(f"{source}: expected exactly one [campaign] section")
     camp = campaign_secs[0]
-    preset = {} if seed_override is None else {"seed": seed_override}
-    if preset and (error := _seed_error(seed_override)):
+    if seed_override is not None and (error := _seed_error(seed_override)):
         raise ConfigError(f"--seed: {error}")  # the CLI flag that sets the override
-    given = _CAMPAIGN.read(camp, {}, **preset)
+    given = _CAMPAIGN.read(camp, {})
+    if seed_override is not None:  # in place of the text's seed, which its row has checked
+        given["seed"] = seed_override
 
     # `topology = <builtin>` splices the named built-in's topology sections.
     name = given.pop("splice", None)

@@ -22,7 +22,8 @@ nothing for the rest of the run. That makes overload and failure directly
 observable and checkable against a fluid model, and exactly against the
 discrete reference model in the tests. A command handler that raises
 fails its element the same way, through `Element.fail`, and keeps the
-exception as the element's `crash` before it propagates.
+exception as the element's `crash`, and the request it raised on as
+`crashed_on`, before it propagates.
 """
 
 from __future__ import annotations
@@ -238,8 +239,10 @@ class Element:
         self.queue: deque[tuple[NodeId, Message]] = deque()
 
         # failure state: only `fail` writes `failed_at`, only `_serve` writes `crash`
+        # and the request its handler raised on, `crashed_on`
         self.failed_at: Optional[int] = None
         self.crash: Optional[Exception] = None
+        self.crashed_on: Optional[Message] = None
         self._overload_streak = 0
 
         # counters
@@ -269,13 +272,9 @@ class Element:
     # -- peer FSM driving ------------------------------------------------------
 
     def feed_event(self, peer: NodeId, event: PeerEvent, now: int) -> None:
-        """Advance the link to `peer` by `event`; an application event takes
-        `_deliver`, as an application message does in `on_decoded`."""
+        """Advance the link to `peer` by a base-protocol or timer `event`;
+        application messages take `_deliver` from `on_decoded` instead."""
         link = self.links[peer.id]
-        kind = event.kind
-        if kind is EventKind.RCV_REQUEST or kind is EventKind.RCV_ANSWER:
-            self._deliver(link, event.message, now)
-            return
         prev_deadline = link.state.watchdog_deadline
         new_state, actions = handle_event(link.state, event, now, self.peer_config)
         link.state = new_state
@@ -434,12 +433,12 @@ class Element:
 
     def _serve(self, neighbor: NodeId, msg: Message, now: int) -> None:
         """Answer an admitted request, direct or drained. A handler that
-        raises is the element's own crash: it is recorded, the element
-        fails, and the exception propagates."""
+        raises is the element's own crash: it is recorded with the request,
+        the element fails, and the exception propagates."""
         try:
             answer = self.handle_app_request(msg, now)
         except Exception as exc:
-            self.crash = exc
+            self.crash, self.crashed_on = exc, msg
             self.fail(now)
             raise
         self.sim.send(self.node, neighbor, answer)

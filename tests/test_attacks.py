@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diamlab import codec
+from diamlab import attacks, codec
 from diamlab import dictionary as dct
 from diamlab.attacks import (
     ALL_MUTATION_OPS,
@@ -252,10 +252,11 @@ class TestFlood:
             )
             assert result.dropped == element_side  # loss-free link: every drop is the element's
 
-    def test_send_timers_left_by_a_flood_do_not_feed_the_next(self):
+    def test_send_timers_left_by_a_flood_do_not_feed_the_next(self, monkeypatch):
         _, lab = make_lab(duo_lab_text(queue_capacity=0, latency_ms=0.1))
         # 1,500 sends within 1 ms and no settling time: the run ends just after the last
-        first = FloodSpec(target="target", rate_tps=1.5e6, duration_s=0.001, settle_grace_s=0)
+        monkeypatch.setattr(attacks, "SETTLE_GRACE_US", 0)
+        first = FloodSpec(target="target", rate_tps=1.5e6, duration_s=0.001)
         result, _ = run_flood(lab, first)
         assert result.offered == 1500
         second, _ = run_flood(lab, FloodSpec(target="target", rate_tps=100, duration_s=0.05))
@@ -285,16 +286,16 @@ class TestFlood:
         count=st.integers(1, 1500),
         rate=st.floats(0.5, 2e6),
         slack=st.floats(-0.49, 0.49),
-        grace=st.sampled_from([0.0, 2.0]),
+        grace=st.sampled_from([0, attacks.SETTLE_GRACE_US]),
     )
     @settings(max_examples=40, deadline=None)
     def test_no_send_timer_outlives_the_flood(self, count, rate, slack, grace):
         # the tightest horizon: no queue to drain, no latency, optionally no settling
         _, lab = make_lab(duo_lab_text(queue_capacity=0, latency_ms=0))
-        spec = FloodSpec(
-            target="target", rate_tps=rate, duration_s=(count + slack) / rate, settle_grace_s=grace
-        )
-        result, _ = run_flood(lab, spec)
+        spec = FloodSpec(target="target", rate_tps=rate, duration_s=(count + slack) / rate)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(attacks, "SETTLE_GRACE_US", grace)
+            result, _ = run_flood(lab, spec)
         assert result.offered == spec.count
         timers = [e[3] for e in lab.sim._queue if e[2] is None]
         assert [t for t in timers if getattr(t, "__func__", None) is _FloodDriver.send] == []
@@ -772,25 +773,56 @@ class TestFuzz:
 
     def test_a_crash_with_a_request_queued_fails_the_target_through_fail(self):
         _, lab = make_lab(duo_lab_text(service_rate=0.2, queue_capacity=10))
-        target = lab.element("target")
-        serve = target.handle_app_request
-        bug, called_at = RuntimeError("rigged handler bug"), []
+        ab, target = lab.attack_box(), lab.element("target")
+        serve, send_raw_request = target.handle_app_request, ab.send_raw_request
+        # (time, hop-by-hop id) of each handler call, and of each case in case order
+        bug, called, sent = RuntimeError("rigged handler bug"), [], []
 
         def handler(msg, now):
-            called_at.append(now)
-            if len(called_at) == 2:
+            called.append((now, msg.header.hop_by_hop_id))
+            if len(called) == 2:
                 raise bug
             return serve(msg, now)
 
-        target.handle_app_request = handler
-        result, _ = run_fuzz(
+        def record(dst, data, hop_by_hop_id, on_answer, now):
+            sent.append((now, hop_by_hop_id))
+            return send_raw_request(dst, data, hop_by_hop_id, on_answer, now)
+
+        target.handle_app_request, ab.send_raw_request = handler, record
+        result, (finding,) = run_fuzz(
             lab, FuzzSpec(target="target", case_count=12, ops=(MutationOp.FLIP_FLAG,), seed=3)
         )
         assert result.crash_cases == 1
         assert target.crash is bug
-        assert target.failed_at == called_at[1]
+        crashed_at, raised_on = called[1]
+        assert target.failed_at == crashed_at
         assert not target.queue and target.dropped_at_failure == 1
         assert_conserved(lab)
+        # The handler raised on a case that had waited in the queue past its
+        # timeout, while a later case was being judged: the evidence names it.
+        judged = [hbh for at, hbh in sent if at < crashed_at][-1]
+        assert (raised_on, judged) == (4, 6)
+        case = bytes.fromhex(finding.evidence["case_hex"])
+        assert int.from_bytes(case[12:16], "big") == raised_on
+        assert sent[finding.evidence["case_index"]][1] == raised_on
+        assert finding.evidence["mutation_op"] == "flip_flag"
+
+    def test_a_crash_on_an_earlier_runs_request_names_no_case(self):
+        _, lab = make_lab(duo_lab_text(service_rate=0.2, queue_capacity=10))
+        target = lab.element("target")
+        spec = FuzzSpec(target="target", case_count=4, ops=(MutationOp.FLIP_FLAG,), seed=3)
+        run_fuzz(lab, spec)
+        ((_, stale),) = target.queue  # a case the first run gave up on
+
+        def explode(msg, now):
+            raise RuntimeError("rigged handler bug")
+
+        target.handle_app_request = explode
+        result, (finding,) = run_fuzz(lab, FuzzSpec(target="target", case_count=1, seed=4))
+        assert result.crash_cases == 1 and target.crashed_on is stale
+        assert finding.evidence == {
+            "finding_type": "crash", "exception": "RuntimeError: rigged handler bug"
+        }
 
     def test_accepted_invalid_is_each_case_the_decoder_rejects(self, monkeypatch):
         # A target that answers success to every case, bytes it cannot parse

@@ -1,4 +1,4 @@
-"""Campaign layer: classification, report round-trip, determinism, CLI."""
+"""Campaign layer: report round-trip, determinism, CLI."""
 
 import contextlib
 import copy
@@ -20,7 +20,6 @@ from diamlab.attacks import Finding, FloodResult, Severity
 from diamlab.campaign import (
     CampaignError,
     Report,
-    classify,
     render_report,
     run_campaign,
     to_json,
@@ -63,52 +62,11 @@ def phase2_run(tmp_path_factory):
     return run_campaign(load_config("phase2"), out_dir=str(out))
 
 
-def finding(kind: str, **evidence) -> Finding:
-    evidence = evidence or {"n": 1}
-    return Finding(attack_kind=kind, severity=Severity.INFO, evidence=evidence)
-
-
-class TestClassify:
-    def test_flood(self):
-        assert classify(finding("flood")) == TaxonomyLabel(
-            Origin.EXTERNAL_INTERCONNECT, Technique.FLOODING, Impact.AVAILABILITY
-        )
-
-    def test_intercept(self):
-        assert classify(finding("intercept")) == TaxonomyLabel(
-            Origin.EXTERNAL_INTERCONNECT, Technique.INTERCEPTION, Impact.CONFIDENTIALITY
-        )
-
-    def test_fuzz_crash_is_availability(self):
-        label = classify(finding("fuzz", finding_type="crash"))
-        assert label.technique is Technique.MALFORMED_MESSAGE
-        assert label.impact is Impact.AVAILABILITY
-
-    def test_fuzz_accepted_invalid_is_integrity(self):
-        label = classify(finding("fuzz", finding_type="accepted-invalid"))
-        assert label.impact is Impact.INTEGRITY
-
-    def test_total_over_every_producible_finding(self):
-        producible = [
-            finding("flood"),
-            finding("intercept"),
-            finding("fuzz", finding_type="crash"),
-            finding("fuzz", finding_type="accepted-invalid"),
-        ]
-        for f in producible:
-            label = classify(f)
-            # exactly one value per axis, all from the declared enums
-            assert isinstance(label.origin, Origin)
-            assert isinstance(label.technique, Technique)
-            assert isinstance(label.impact, Impact)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(CampaignError):
-            classify(finding("teleport"))
-
+class TestFinding:
     def test_finding_requires_evidence(self):
+        label = TaxonomyLabel(Origin.EXTERNAL_INTERCONNECT, Technique.FLOODING, Impact.AVAILABILITY)
         with pytest.raises(ValueError):
-            Finding(attack_kind="flood", severity=Severity.INFO, evidence={})
+            Finding(attack_kind="flood", severity=Severity.INFO, taxonomy=label, evidence={})
 
 
 class TestRunCampaign:
@@ -605,7 +563,7 @@ class TestAttackKinds:
         assert [a.kind for a in config.attacks] == ["flood", "intercept", "fuzz"]
 
     @pytest.mark.parametrize("kind", sorted(ATTACK_KINDS))
-    def test_readme_example_parses_echoes_runs_and_classifies(self, kind, tmp_path):
+    def test_readme_example_parses_echoes_and_runs(self, kind, tmp_path):
         entry = ATTACK_KINDS[kind]
         assert entry.keys.type.kind == kind
         config = parse_campaign_config(duo_lab_text() + readme_attack_section(kind))
@@ -616,9 +574,6 @@ class TestAttackKinds:
         assert run.report.attacks[0]["kind"] == kind
         for f in run.findings:
             assert f.attack_kind == kind
-            assert f.taxonomy == entry.label(f)
-        # the fuzz example finds nothing on a healthy target; its rule must still exist
-        assert classify(finding(kind)) == entry.label(finding(kind))
 
     def test_unknown_kind_names_the_line(self):
         text = duo_lab_text() + "\n[attack teleport]\ntarget = target\n"

@@ -289,6 +289,8 @@ class TestCampaignAssembly:
             ("[link attacker target]", "latncy_ms"),
             ("[subscriber s1]", "locaton"),
             ("[subscriber s1]", "profile"),
+            ("[subscriber s1]", "profile."),
+            ("[subscriber s1]", "profile.*"),  # the wildcard row's own name
             ("[rule r1]", "qos"),
             ("[attack flood]", "rate"),
             ("[attack intercept]", "avp_code"),
@@ -521,6 +523,21 @@ def test_out_of_range_seed_override_names_the_flag(seed):
         load_config("phase1", seed_override=seed)
     with pytest.raises(ConfigError, match=rf"^<config>:4: seed {seed} must fit in 64 bits$"):
         parse_campaign_config(FLOOD_LAB.replace("seed = 7", f"seed = {seed}"))
+
+
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ("seed = abc", "<config>:4: seed must be an integer"),
+        ("seed = -1", "<config>:4: seed -1 must fit in 64 bits"),
+        ("", "<config>:2: [campaign] section is missing required field 'seed'"),
+    ],
+)
+def test_seed_override_replaces_only_a_valid_seed(line, error):
+    text = FLOOD_LAB.replace("seed = 7", line)
+    with pytest.raises(ConfigError) as info:
+        parse_campaign_config(text, seed_override=5)
+    assert str(info.value).startswith(error)
 
 
 @pytest.mark.parametrize("line", ["output =", "output =   "])

@@ -503,7 +503,7 @@ class TestPendingTable:
 
     def _feed_answer(self, lab, ab, target, hbh):
         answer = build_message(dct.CMD_ECHO, hop_by_hop_id=hbh)
-        ab.feed_event(target.node, PeerEvent(EventKind.RCV_ANSWER, answer), lab.sim.clock)
+        ab.on_decoded(target.node, answer, lab.sim.clock)
 
     @pytest.mark.parametrize("how", ["stop", "rcv-dpr", "missed-dwas"])
     def test_leaving_open_clears_pending(self, how):
@@ -554,9 +554,9 @@ class TestPendingTable:
     def test_request_with_a_pending_id_does_not_consume_it(self):
         lab, ab, target, link = self._open_duo()
         hbh = self._echo(lab, ab, target)
-        request = build_message(dct.CMD_ECHO, request=True, hop_by_hop_id=hbh)
-        event = PeerEvent(EventKind.RCV_REQUEST, request)
-        ab.feed_event(target.node, event, lab.sim.clock)
+        offered = ab.offered
+        ab.on_decoded(target.node, _probe(hbh=hbh), lab.sim.clock)
+        assert ab.offered == offered + 1  # delivered as a request
         assert self.answers.delivered == []
         assert hbh in link.pending
 
