@@ -278,14 +278,22 @@ class _FloodDriver:
         # bound method each time (~16k held at once by an overloaded target),
         # and `sent_before` can match the flood's entries by identity.
         self.on_answer = self._count_answer
+        # What each send uses and the flood never changes, bound once: the
+        # send timer, the attack box's request sender, the simulation's
+        # scheduler, the target node and the echo codes.
+        self._send = self.send
+        self._send_app_request = ab.send_app_request
+        self._schedule_timer = ab.sim.schedule_timer
+        self._dst = target.node
+        self._command_code = dct.CMD_ECHO
+        self._payload_code = dct.AVP_ECHO_PAYLOAD
 
     def send(self, now: int, i: int) -> None:
         """Send request `i` of the flood and schedule request `i + 1`."""
         self.offered += 1
-        sim = self.ab.sim
-        payload = Avp(dct.AVP_ECHO_PAYLOAD, i.to_bytes(4, "big"))
-        hbh = self.ab.send_app_request(
-            self.target.node, dct.CMD_ECHO, (payload,), self.on_answer, now
+        payload = Avp(self._payload_code, i.to_bytes(4, "big"))
+        hbh = self._send_app_request(
+            self._dst, self._command_code, (payload,), self.on_answer, now
         )
         if hbh is not None:
             self.sent += 1
@@ -294,7 +302,7 @@ class _FloodDriver:
         if i + 1 < self.count:
             # Rounded from the exact schedule, so the error never adds up over the flood.
             at = self.start + round((i + 1) * US_PER_S / self.rate_tps)
-            sim.schedule_timer(at, self.send, i + 1)
+            self._schedule_timer(at, self._send, i + 1)
 
     def sent_before(self, cutoff: float) -> list[int]:
         """Hop-by-hop ids of this flood's unanswered requests sent before `cutoff`.
@@ -563,7 +571,7 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
 
     def target_drops() -> int:
         failed = target.dropped_failed_inbound + target.dropped_failed_base
-        return target.parse_drops + target.fsm_drops + failed
+        return target.parse_drops + target.fsm_drops + target.dropped_overflow + failed
 
     def judge(case: bytes, hbh: int, codes: dict[str, int]) -> str:
         """Send one case and run until it is answered, dropped, crashes the

@@ -418,11 +418,36 @@ class DictEntry:
     data_format: str  # unsigned32, unsigned64, octet-string, utf8-text, address or grouped
 
 
+# The payload length rule of each data format that has one; octet-string
+# and utf8-text take any length.
+_LENGTH_RULES: dict[str, Callable[[bytes], bool]] = {
+    "unsigned32": lambda data: len(data) == 4,
+    "unsigned64": lambda data: len(data) == 8,
+    "address": lambda data: len(data) in (4, 16),
+    # One level deep: the payload must itself be a packed AVP sequence.
+    "grouped": lambda data: not isinstance(_decode_avps(data, 0, len(data)), ParseError),
+}
+
+
 @dataclass(frozen=True)
 class Dictionary:
-    """AVP semantics, keyed by (code, vendor_id); vendor_id None = no vendor."""
+    """AVP semantics, keyed by (code, vendor_id); vendor_id None = no vendor.
+
+    `length_rules` is derived from `entries` once, when the value is built,
+    so `entries` must not change after that. It maps each entry's key to its
+    data format's length rule, or to None for a format that takes any
+    length; `validate_message` reads it alone, with one lookup per AVP.
+    Equality and repr take `entries` alone.
+    """
 
     entries: Mapping[tuple[int, Optional[int]], DictEntry] = field(default_factory=dict)
+    length_rules: Mapping[tuple[int, Optional[int]], Optional[Callable[[bytes], bool]]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        rules = {key: _LENGTH_RULES.get(entry.data_format) for key, entry in self.entries.items()}
+        object.__setattr__(self, "length_rules", rules)
 
     def lookup(self, code: int, vendor_id: Optional[int] = None) -> Optional[DictEntry]:
         return self.entries.get((code, vendor_id))
@@ -446,15 +471,8 @@ class Violation:
     avp_index: int
 
 
-# The payload length rule of each data format that has one; octet-string
-# and utf8-text take any length.
-_LENGTH_RULES: dict[str, Callable[[bytes], bool]] = {
-    "unsigned32": lambda data: len(data) == 4,
-    "unsigned64": lambda data: len(data) == 8,
-    "address": lambda data: len(data) in (4, 16),
-    # One level deep: the payload must itself be a packed AVP sequence.
-    "grouped": lambda data: not isinstance(_decode_avps(data, 0, len(data)), ParseError),
-}
+# What Dictionary.length_rules gives for an AVP the dictionary does not know.
+_UNKNOWN_AVP = object()
 
 
 def validate_message(m: Message, d: Dictionary) -> list[Violation]:
@@ -464,16 +482,16 @@ def validate_message(m: Message, d: Dictionary) -> list[Violation]:
     flag set, or a known AVP whose payload length is illegal for its
     dictionary data format.
     """
-    entries = d.entries
+    rules = d.length_rules
     out: list[Violation] = []
     for i, avp in enumerate(m.avps):
-        entry = entries.get((avp.code, avp.vendor_id))
-        if entry is None:
+        rule = rules.get((avp.code, avp.vendor_id), _UNKNOWN_AVP)
+        if rule is None:
+            continue
+        if rule is _UNKNOWN_AVP:
             if avp.mandatory:
                 out.append(Violation(ViolationKind.UNSUPPORTED_MANDATORY_AVP, avp.code, i))
-            continue
-        rule = _LENGTH_RULES.get(entry.data_format)
-        if rule is not None and not rule(avp.data):
+        elif not rule(avp.data):
             out.append(Violation(ViolationKind.BAD_AVP_LENGTH, avp.code, i))
     return out
 

@@ -226,6 +226,12 @@ class Element:
         self.capacity = capacity
         self.peer_config = peer_config
         self.links: dict[int, PeerLink] = {}
+        # Read per request or per sample and fixed for the element's life, so
+        # read once here: the queue bound, the dictionary requests are validated
+        # against, and the non-empty samples in a row that fail the element.
+        self._queue_capacity = capacity.queue_capacity
+        self._dictionary = dct.BUILTIN_DICTIONARY
+        self._failing_samples = math.ceil(capacity.failure_threshold_s)
 
         # Token-rate service state, in exact integer credit: a token is
         # `_token` credit and a microsecond earns `_rate` (their ratio is
@@ -331,7 +337,7 @@ class Element:
         application traffic, or feed it to the peer FSM if it is not."""
         header = msg.header
         if header.request:
-            violations = validate_message(msg, dct.BUILTIN_DICTIONARY)
+            violations = validate_message(msg, self._dictionary)
             if violations:
                 if any(v.kind is ViolationKind.UNSUPPORTED_MANDATORY_AVP for v in violations):
                     code = dct.RESULT_UNSUPPORTED_MANDATORY_AVP
@@ -366,9 +372,10 @@ class Element:
     # -- capacity model ----------------------------------------------------------
 
     def _accrue(self, now: int) -> None:
-        if now > self._last_accrual:
-            gained = self._rate * (now - self._last_accrual)
-            self._credit = min(self._token, self._credit + gained)
+        last = self._last_accrual
+        if now > last:
+            credit = self._credit + self._rate * (now - last)
+            self._credit = credit if credit < self._token else self._token  # at most one token
             self._last_accrual = now
 
     def admit(self, request: object, now: int) -> Admission:
@@ -380,7 +387,7 @@ class Element:
         if self._credit >= self._token and not self.queue:
             self._credit -= self._token
             return ACCEPTED
-        if len(self.queue) < self.capacity.queue_capacity:
+        if len(self.queue) < self._queue_capacity:
             self.queue.append(request)
             self.queued_total += 1
             self._ensure_drain(now)
@@ -413,7 +420,7 @@ class Element:
             self._overload_streak += 1
         else:
             self._overload_streak = 0
-        if self._overload_streak >= math.ceil(self.capacity.failure_threshold_s):
+        if self._overload_streak >= self._failing_samples:
             self.fail(now)
             return
         self.sim.schedule_timer(now + SAMPLE_INTERVAL_US, self._sample)

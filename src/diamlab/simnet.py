@@ -211,21 +211,30 @@ class Simulation:
         return sum(1 for e in self._queue if e[2] is not None and (link is None or e[2] is link))
 
     def run_until(self, t: int) -> None:
-        """Process every event with timestamp <= t; the clock ends exactly at t."""
+        """Process every event with timestamp <= t; the clock ends exactly at t.
+
+        `events_processed` takes this call's events when it returns, so a
+        handler reads the count as of the call. An event that raises is
+        counted, and the exception propagates with the clock at that event.
+        """
         if t < self.clock:
             raise ValueError(f"cannot run backwards ({t} < {self.clock})")
         queue, handlers, pop = self._queue, self._handlers, heapq.heappop
-        while queue and queue[0][0] <= t:
-            at, _, link, dst, src, item = pop(queue)
-            self.clock = at
-            self.events_processed += 1
-            if link is None:
-                dst(at, *item)  # a timer: dst is the function it fires
-                continue
-            link.delivered += 1
-            handler = handlers.get(dst.id)
-            if handler is not None:
-                handler.on_message(self, src, item, at)
+        processed = 0  # added to events_processed once, when the loop ends
+        try:
+            while queue and queue[0][0] <= t:
+                at, _, link, dst, src, item = pop(queue)
+                self.clock = at
+                processed += 1
+                if link is None:
+                    dst(at, *item)  # a timer: dst is the function it fires
+                    continue
+                link.delivered += 1
+                handler = handlers.get(dst.id)
+                if handler is not None:
+                    handler.on_message(self, src, item, at)
+        finally:
+            self.events_processed += processed
         self.clock = t
 
 

@@ -17,6 +17,7 @@ from diamlab.attacks import (
     ALL_MUTATION_OPS,
     DISPOSITION_ANSWERED_ERROR,
     DISPOSITION_ANSWERED_SUCCESS,
+    DISPOSITION_DROPPED,
     FloodSpec,
     FuzzSpec,
     InterceptSpec,
@@ -770,6 +771,18 @@ class TestFuzz:
         with pytest.raises(KeyError, match="attack box bug"):
             run_fuzz(lab, FuzzSpec(target="target", case_count=5, seed=3))
         assert target.failed_at is None and target.crash is None
+
+    def test_a_case_dropped_on_a_full_queue_is_judged_dropped(self):
+        # no queue and a token every 5 s: a case that finds no token is dropped
+        _, lab = make_lab(duo_lab_text(service_rate=0.2, queue_capacity=0))
+        target = lab.element("target")
+        result, _ = run_fuzz(
+            lab, FuzzSpec(target="target", case_count=6, ops=(MutationOp.FLIP_FLAG,), seed=3)
+        )
+        assert target.dropped_overflow == 2
+        assert result.tallies == {
+            MutationOp.FLIP_FLAG.value: {DISPOSITION_ANSWERED_ERROR: 1, DISPOSITION_DROPPED: 5}
+        }
 
     def test_a_crash_with_a_request_queued_fails_the_target_through_fail(self):
         _, lab = make_lab(duo_lab_text(service_rate=0.2, queue_capacity=10))

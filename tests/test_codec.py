@@ -268,6 +268,12 @@ def tiny_dictionary() -> Dictionary:
 
 
 class TestValidate:
+    def test_dictionaries_with_equal_entries_are_equal(self, tiny_dictionary):
+        copy = Dictionary(entries=dict(tiny_dictionary.entries))
+        assert copy == tiny_dictionary
+        assert repr(copy) == repr(tiny_dictionary)
+        assert copy != Dictionary(entries={(1, None): DictEntry("counter", "unsigned32")})
+
     def test_unknown_mandatory_avp(self, tiny_dictionary):
         msg = build_message(700, avps=[Avp(code=999999, data=b"x", mandatory=True)])
         out = validate_message(msg, tiny_dictionary)

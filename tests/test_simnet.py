@@ -223,6 +223,24 @@ class TestDelivery:
         assert calls == [(200, ()), (300, ("x", 2))]
         assert stats.events_processed == 2 and stats.delivered == 0
 
+    def test_a_timer_that_raises_is_counted_with_the_clock_at_it(self):
+        sim = build_topology(TopologySpec(), seed=0)
+        bug = RuntimeError("timer bug")
+        fired = []
+
+        def explode(now):
+            raise bug
+
+        sim.schedule_timer(100, fired.append)
+        sim.schedule_timer(300, explode)
+        sim.schedule_timer(500, fired.append)
+        with pytest.raises(RuntimeError) as raised:
+            sim.run_until(1000)
+        assert raised.value is bug
+        assert (fired, sim.events_processed, sim.clock) == ([100], 2, 300)
+        sim.run_until(1000)  # the events after it are still queued
+        assert (fired, sim.events_processed, sim.clock) == ([100, 500], 3, 1000)
+
     def test_cannot_schedule_into_past(self):
         sim, _, _ = two_node_sim()
         sim.run_until(1000)
