@@ -226,12 +226,12 @@ class Element:
         self.capacity = capacity
         self.peer_config = peer_config
         self.links: dict[int, PeerLink] = {}
-        # Read per request or per sample and fixed for the element's life, so
-        # read once here: the queue bound, the dictionary requests are validated
-        # against, and the non-empty samples in a row that fail the element.
+        # Read per request and fixed for the element's life, so read once here.
+        # CPython 3.11 specializes reading an instance's attributes only while
+        # it has at most 29 of them; an AttackBoxElement, on every flood's
+        # path, has 29.
         self._queue_capacity = capacity.queue_capacity
         self._dictionary = dct.BUILTIN_DICTIONARY
-        self._failing_samples = math.ceil(capacity.failure_threshold_s)
 
         # Token-rate service state, in exact integer credit: a token is
         # `_token` credit and a microsecond earns `_rate` (their ratio is
@@ -420,7 +420,7 @@ class Element:
             self._overload_streak += 1
         else:
             self._overload_streak = 0
-        if self._overload_streak >= self._failing_samples:
+        if self._overload_streak >= math.ceil(self.capacity.failure_threshold_s):
             self.fail(now)
             return
         self.sim.schedule_timer(now + SAMPLE_INTERVAL_US, self._sample)
@@ -484,9 +484,7 @@ class Element:
         if link.state.phase is not OPEN:
             return None
         hbh = self._alloc_hop_by_hop(link)
-        msg = build_message(
-            command_code, request=True, hop_by_hop_id=hbh, end_to_end_id=hbh, avps=avps
-        )
+        msg = build_message(command_code, avps, 0, hbh, hbh, True)  # see build_message
         register_request(link, PendingRequest(hbh, now, on_answer))
         self.sim.send(self.node, dst, msg)
         return hbh
@@ -521,7 +519,7 @@ class TargetServerElement(Element):
     def handle_app_request(self, msg: Message, now: int) -> Message:
         if msg.header.command_code == dct.CMD_ECHO:
             payload = [a for a in msg.avps if a.code == dct.AVP_ECHO_PAYLOAD]
-            return build_answer(msg, avps=[result_code_avp(dct.RESULT_SUCCESS)] + payload)
+            return build_answer(msg, [result_code_avp(dct.RESULT_SUCCESS)] + payload)
         return super().handle_app_request(msg, now)
 
 

@@ -154,7 +154,9 @@ class PeerConfig:
 DEFAULT_CONFIG = PeerConfig()
 
 
-@dataclass(frozen=True)
+# Slotted: `phase` is read per request, and CPython 3.11 does not specialize
+# reading a field whose class-level default is an Enum member unless it is a slot.
+@dataclass(frozen=True, slots=True)
 class PeerState:
     phase: Phase = Phase.CLOSED
     watchdog_deadline: int = 0

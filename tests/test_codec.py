@@ -463,6 +463,17 @@ class TestBuilders:
         assert ans.header.end_to_end_id == 88
         assert ans.header.command_code == 700
 
+    def test_build_message_takes_the_header_fields_in_their_order(self):
+        # callers pass them by position: the command code, the AVPs, then the
+        # rest of MessageHeader's fields in its order, with its defaults
+        params = list(inspect.signature(build_message).parameters.values())
+        header = dataclasses.fields(MessageHeader)
+        assert [p.name for p in params] == ["command_code", "avps"] + [f.name for f in header[1:]]
+        assert [p.default for p in params[2:]] == [f.default for f in header[1:]]
+        avps = (Avp(code=1, data=b"x"),)
+        positional = build_message(700, avps, 4, 5, 6, True, True, True, True)
+        assert positional == Message(MessageHeader(700, 4, 5, 6, True, True, True, True), avps)
+
     def test_header_dataclass_defaults(self):
         h = MessageHeader(command_code=1)
         assert not (h.request or h.proxiable or h.error or h.retransmit)
