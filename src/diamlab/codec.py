@@ -184,6 +184,10 @@ class Message:
     avps: tuple[Avp, ...] = ()
 
 
+# After the command code and the AVPs come the other header fields, in
+# MessageHeader's order. The callers that build a message per request
+# pass them by position: CPython 3.11 specializes a call with no keyword
+# arguments, ~150 ns less per message.
 def build_message(
     command_code: int,
     avps: Sequence[Avp] = (),
@@ -200,11 +204,6 @@ def build_message(
     This is the canonical constructor: it raises the CodecError that
     encode_message would raise, so every Message it returns stands for
     its own encoding, decode(encode(m)) == m.
-
-    After the command code and the AVPs come the other header fields, in
-    MessageHeader's order. The callers that build a message per request
-    pass them by position: CPython 3.11 specializes a call with no keyword
-    arguments, ~150 ns less per message.
     """
     m = Message(
         MessageHeader(
@@ -418,16 +417,14 @@ class DictEntry:
     data_format: str  # unsigned32, unsigned64, octet-string, utf8-text, address or grouped
 
 
+# `length_rules` is derived from `entries` once, when the value is built,
+# so `entries` must not change after that. It maps each entry's key to its
+# data format's length rule, or to None for a format that takes any
+# length; `validate_message` reads it alone, with one lookup per AVP.
+# Equality and repr take `entries` alone.
 @dataclass(frozen=True)
 class Dictionary:
-    """AVP semantics, keyed by (code, vendor_id); vendor_id None = no vendor.
-
-    `length_rules` is derived from `entries` once, when the value is built,
-    so `entries` must not change after that. It maps each entry's key to its
-    data format's length rule, or to None for a format that takes any
-    length; `validate_message` reads it alone, with one lookup per AVP.
-    Equality and repr take `entries` alone.
-    """
+    """AVP semantics, keyed by (code, vendor_id); vendor_id None = no vendor."""
 
     entries: Mapping[tuple[int, Optional[int]], DictEntry] = field(default_factory=dict)
     length_rules: Mapping[tuple[int, Optional[int]], Optional[Callable[[bytes], bool]]] = field(

@@ -210,13 +210,11 @@ class Simulation:
         """Deliveries still queued: on `link`, or on every link."""
         return sum(1 for e in self._queue if e[2] is not None and (link is None or e[2] is link))
 
+    # `events_processed` takes this call's events when it returns, so a
+    # handler reads the count as of the call. An event that raises is
+    # counted, and the exception propagates with the clock at that event.
     def run_until(self, t: int) -> None:
-        """Process every event with timestamp <= t; the clock ends exactly at t.
-
-        `events_processed` takes this call's events when it returns, so a
-        handler reads the count as of the call. An event that raises is
-        counted, and the exception propagates with the clock at that event.
-        """
+        """Process every event with timestamp <= t; the clock ends exactly at t."""
         if t < self.clock:
             raise ValueError(f"cannot run backwards ({t} < {self.clock})")
         queue, handlers, pop = self._queue, self._handlers, heapq.heappop
