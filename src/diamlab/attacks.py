@@ -549,7 +549,9 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
     `crash` when its handler raised (see `Element._serve`), which also
     failed it; that one is a finding, and it names the case the handler
     raised on, which may have waited in the target's queue past its own
-    timeout. Any other exception is a fault of the testbed and propagates.
+    timeout. The tallies count that case as the crash and the case being
+    judged, which the failed target drops, as dropped. Any other exception
+    is a fault of the testbed and propagates.
     """
     if spec.seed is None:
         raise ValueError("fuzz runs need an explicit seed")
@@ -602,6 +604,7 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
     no_op_cases = 0
     findings: list[Finding] = []
     unanswered: dict[int, tuple[int, MutationOp, bytes]] = {}  # hop-by-hop -> (index, op, case)
+    dispositions: list[str] = []  # of each case, in case order
 
     for i in range(spec.case_count):
         template = corpus[rng.randrange(len(corpus))]
@@ -618,20 +621,30 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
         if hbh in wire_answers:
             del unanswered[hbh]
 
-        per_op = tallies[op.value]
-        per_op[disposition] = per_op.get(disposition, 0) + 1
+        evidence: Optional[dict] = None
         if disposition == DISPOSITION_CRASH:
             exc = target.crash
             severity, impact = Severity.OUTAGE, Impact.AVAILABILITY
             evidence = {"finding_type": "crash", "exception": f"{type(exc).__name__}: {exc}"}
             # the case may have been queued before this one; None: an earlier attack's request
             named = unanswered.get(target.crashed_on.header.hop_by_hop_id)
+            if named is not None and named[0] != i:
+                # That case is tallied crash, and this one dropped: the failed
+                # target drops it, queued or arriving later.
+                index, named_op, _ = named
+                earlier = tallies[named_op.value]
+                earlier[dispositions[index]] -= 1
+                earlier[DISPOSITION_CRASH] = earlier.get(DISPOSITION_CRASH, 0) + 1
+                disposition = DISPOSITION_DROPPED
         elif disposition == DISPOSITION_ANSWERED_SUCCESS and isinstance(
             decode_message(case), ParseError
         ):
             severity, impact = Severity.INFO, Impact.INTEGRITY
             evidence, named = {"finding_type": "accepted-invalid"}, (i, op, case)
-        else:
+        per_op = tallies[op.value]
+        per_op[disposition] = per_op.get(disposition, 0) + 1
+        dispositions.append(disposition)
+        if evidence is None:
             continue
         if named is not None:
             index, named_op, named_case = named
@@ -650,7 +663,7 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
         accepted_invalid_cases=sum(
             f.evidence["finding_type"] == "accepted-invalid" for f in findings
         ),
-        tallies={op: dict(sorted(t.items())) for op, t in tallies.items()},
+        tallies={op: {d: n for d, n in sorted(t.items()) if n} for op, t in tallies.items()},
         result_codes={op: dict(sorted(t.items())) for op, t in result_codes.items()},
     )
     return result, findings

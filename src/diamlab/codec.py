@@ -101,39 +101,45 @@ class ParseError:
 
 
 # Avp, MessageHeader and Message are built once or more per message, so
-# slot_init gives them a positional __init__ in place of the generated one.
-# object.__setattr__, which the frozen dataclass's __init__ calls per field,
-# looks the slot up by name on every call; slot_init's __init__ calls each
-# slot's member descriptor's __set__ directly. Like object.__setattr__, the
-# descriptor passes by the frozen class's __setattr__, which still refuses
-# every write after __init__.
+# slot_init gives them a positional __new__ in place of the generated
+# __init__, whose object.__setattr__ per field CPython 3.11 does not
+# specialize (nor a call of the slot's member descriptor, ~65 ns a field).
+# __new__ builds the object as an instance of a private twin class with the
+# same slots and no __setattr__ of its own, so each `self.<field> = <field>`
+# is a specialized slot store, and then assigns __class__. The class keeps
+# the frozen __setattr__ and __delattr__, which refuse every later write.
+# copy and pickle rebuild a value with cls.__new__(cls, *__getnewargs__()).
 
 
 def slot_init(cls: type) -> type:
-    """Give a frozen, slotted dataclass declared with init=False its __init__.
+    """Give a frozen, slotted dataclass declared with init=False its constructor.
 
-    It takes the fields in order, positionally or by keyword, with the
-    fields' own defaults, and sets each slot through its member
-    descriptor's __set__. Its source is built from the field names and
-    passed to exec, as dataclasses builds its own: on CPython 3.11 a loop
-    over the setters at call time costs ~1.8x as much per MessageHeader,
-    as does the generated __init__.
+    The generated __new__ takes the fields in order, positionally or by
+    keyword, with the fields' own defaults. Its source is built from the
+    field names and passed to exec, as dataclasses builds its own.
     """
-    env: dict[str, object] = {}
-    params, body = [], []
+    env: dict[str, object] = {"_twin": type(cls.__name__, (), {"__slots__": cls.__slots__})}
+    params, stores, values = [], [], []
     for f in fields(cls):
-        env[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
         if f.default is MISSING:
             params.append(f.name)
         else:
             env[f"_default_{f.name}"] = f.default
             params.append(f"{f.name}=_default_{f.name}")
-        body.append(f"\n    _set_{f.name}(self, {f.name})")
-    exec(f"def __init__(self, {', '.join(params)}):{''.join(body)}", env)
-    init = env["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__module__ = cls.__module__
-    cls.__init__ = init
+        stores.append(f"\n    self.{f.name} = {f.name}")
+        values.append(f"self.{f.name}, ")
+    exec(
+        f"def __new__(cls, {', '.join(params)}):\n    self = _twin(){''.join(stores)}"
+        "\n    self.__class__ = cls\n    return self\n"
+        f"def __getnewargs__(self):\n    return ({''.join(values)})",
+        env,
+    )
+    for name in ("__new__", "__getnewargs__"):
+        fn = env[name]
+        fn.__qualname__ = f"{cls.__qualname__}.{name}"
+        fn.__module__ = cls.__module__
+    cls.__new__ = staticmethod(env["__new__"])
+    cls.__getnewargs__ = env["__getnewargs__"]
     return cls
 
 

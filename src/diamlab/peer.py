@@ -115,7 +115,7 @@ class PeerEvent:
 
 
 # Built once per application request, so like codec.Avp it takes the
-# positional __init__ of codec.slot_init instead of the generated one.
+# positional constructor of codec.slot_init instead of the generated __init__.
 @slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class PendingRequest:

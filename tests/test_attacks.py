@@ -17,6 +17,7 @@ from diamlab.attacks import (
     ALL_MUTATION_OPS,
     DISPOSITION_ANSWERED_ERROR,
     DISPOSITION_ANSWERED_SUCCESS,
+    DISPOSITION_CRASH,
     DISPOSITION_DROPPED,
     FloodSpec,
     FuzzSpec,
@@ -784,11 +785,14 @@ class TestFuzz:
             MutationOp.FLIP_FLAG.value: {DISPOSITION_ANSWERED_ERROR: 1, DISPOSITION_DROPPED: 5}
         }
 
-    def test_a_crash_with_a_request_queued_fails_the_target_through_fail(self):
+    def _run_with_a_request_queued_at_the_crash(self):
+        """12 flip_flag cases on a slow target whose handler raises `bug` on
+        its second call; (lab, bug, result, finding, called, sent), where
+        `called` and `sent` hold the (time, hop-by-hop id) of each handler
+        call and of each case in case order."""
         _, lab = make_lab(duo_lab_text(service_rate=0.2, queue_capacity=10))
         ab, target = lab.attack_box(), lab.element("target")
         serve, send_raw_request = target.handle_app_request, ab.send_raw_request
-        # (time, hop-by-hop id) of each handler call, and of each case in case order
         bug, called, sent = RuntimeError("rigged handler bug"), [], []
 
         def handler(msg, now):
@@ -805,6 +809,11 @@ class TestFuzz:
         result, (finding,) = run_fuzz(
             lab, FuzzSpec(target="target", case_count=12, ops=(MutationOp.FLIP_FLAG,), seed=3)
         )
+        return lab, bug, result, finding, called, sent
+
+    def test_a_crash_with_a_request_queued_fails_the_target_through_fail(self):
+        lab, bug, result, finding, called, sent = self._run_with_a_request_queued_at_the_crash()
+        target = lab.element("target")
         assert result.crash_cases == 1
         assert target.crash is bug
         crashed_at, raised_on = called[1]
@@ -820,6 +829,18 @@ class TestFuzz:
         assert sent[finding.evidence["case_index"]][1] == raised_on
         assert finding.evidence["mutation_op"] == "flip_flag"
 
+    def test_a_crash_is_tallied_under_the_case_it_names(self):
+        # Case 2 crashed the target while case 4 was judged: case 2 is the
+        # crash, and case 4, which the failed target dropped, is dropped.
+        _, _, result, finding, _, sent = self._run_with_a_request_queued_at_the_crash()
+        assert finding.evidence["case_index"] == 2 and sent[4][1] == 6
+        assert result.tallies == {
+            MutationOp.FLIP_FLAG.value: {
+                DISPOSITION_ANSWERED_ERROR: 1, DISPOSITION_CRASH: 1, DISPOSITION_DROPPED: 10
+            }
+        }
+        assert result.crash_cases == 1
+
     def test_a_crash_on_an_earlier_runs_request_names_no_case(self):
         _, lab = make_lab(duo_lab_text(service_rate=0.2, queue_capacity=10))
         target = lab.element("target")
@@ -833,6 +854,8 @@ class TestFuzz:
         target.handle_app_request = explode
         result, (finding,) = run_fuzz(lab, FuzzSpec(target="target", case_count=1, seed=4))
         assert result.crash_cases == 1 and target.crashed_on is stale
+        # the judged case keeps the crash, as no case of this run is named
+        assert [t for t in result.tallies.values() if t] == [{DISPOSITION_CRASH: 1}]
         assert finding.evidence == {
             "finding_type": "crash", "exception": "RuntimeError: rigged handler bug"
         }

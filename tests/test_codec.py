@@ -1,7 +1,9 @@
 """Wire codec tests: byte-exact layout oracles, parse errors, round trips."""
 
+import copy
 import dataclasses
 import inspect
+import pickle
 import random
 
 import pytest
@@ -32,10 +34,12 @@ from diamlab.codec import (
     validate_message,
 )
 
+from diamlab import dictionary as dct
 from diamlab.attacks import seed_corpus
 from diamlab.dictionary import BUILTIN_DICTIONARY
 from diamlab.peer import ActionKind, EventKind, PeerAction, PeerEvent, PendingRequest
 
+from tests.labs import duo_lab_text, make_lab
 from tests.strategies import avps, messages, u32
 
 
@@ -614,8 +618,44 @@ class TestValueTypes:
             assert getattr(changed, name) == change.get(name, getattr(value, name))
 
 
+@pytest.mark.parametrize("cls, expected_fields, args, change", VALUE_TYPES, ids=VALUE_TYPE_IDS)
+def test_copy_and_pickle_round_trip(cls, expected_fields, args, change):
+    value = cls(*args)
+    copies = [copy.copy(value), copy.deepcopy(value)]
+    copies += [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert other == value and type(other) is cls
+
+
 @pytest.mark.parametrize("cls", [Avp, MessageHeader, Message, PendingRequest])
 def test_slot_init_is_named_after_its_class(cls):
     # tracebacks and profilers name a function by its module and qualname
-    assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
-    assert cls.__init__.__module__ == cls.__module__
+    assert cls.__new__.__qualname__ == f"{cls.__name__}.__new__"
+    assert cls.__new__.__module__ == cls.__module__
+
+
+def _assert_exact_types(m: Message) -> None:
+    assert type(m) is Message and type(m.header) is MessageHeader
+    assert all(type(a) is Avp for a in m.avps)
+
+
+def test_no_constructor_returns_the_twin_class():
+    # slot_init builds each value as an instance of a private twin class
+    # and then makes it one of its own class: none may escape as the twin.
+    request = build_message(700, [Avp(1, b"x"), Avp(2, b"abcd", 10)], 4, 5, 6, True)
+    values = [
+        request,
+        build_answer(request, [Avp(268, b"\x00\x00\x07\xd1")], error=True),
+        replace_ids(request, 9, 10),
+        decode_message(encode_message(request)),
+        dataclasses.replace(request, header=dataclasses.replace(request.header, error=True)),
+        dataclasses.replace(request, avps=(dataclasses.replace(request.avps[0], code=3),)),
+    ]
+    for m in values:
+        _assert_exact_types(m)
+    _, lab = make_lab(duo_lab_text())
+    ab, target = lab.attack_box(), lab.element("target")
+    hbh = ab.send_app_request(target.node, dct.CMD_ECHO, [], None, lab.sim.clock)
+    pending = ab.peer_link(target.node).pending[hbh]
+    assert type(pending) is PendingRequest
+    assert type(dataclasses.replace(pending, sent_at=1)) is PendingRequest

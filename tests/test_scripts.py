@@ -58,6 +58,19 @@ def test_codec_bench_json_has_every_operation():
             assert rates["min"] > 0
 
 
+def test_codec_bench_against_a_checkout_compares_every_operation():
+    out = run_script(
+        "codec_bench.py", "--against", str(ROOT), "--repeat", "2", "--number", "10", "--json"
+    )
+    results = json.loads(out)
+    assert set(results) == {"echo", "cer"}
+    for per_message in results.values():
+        assert len(per_message) == 6
+        for r in per_message.values():
+            assert set(r) == {"this", "against", "ratio"}
+            assert min(r.values()) > 0
+
+
 def test_bench_record_writes_every_workload(tmp_path):
     out = run_script(
         "bench_record.py", "8", "smoke", "--smoke", "--seconds", "1", "--out-dir", str(tmp_path)
