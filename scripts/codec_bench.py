@@ -119,7 +119,10 @@ def main() -> int:
 
     ops = operations("diamlab")
     if args.against is not None:
-        load_package(args.against.resolve() / "src" / "diamlab", AGAINST_PACKAGE)
+        src = args.against.resolve() / "src" / "diamlab"
+        if not (src / "__init__.py").is_file():
+            parser.error(f"no diamlab sources at {src}")
+        load_package(src, AGAINST_PACKAGE)
         other = operations(AGAINST_PACKAGE)
         compared = {
             name: {
