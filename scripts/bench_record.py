@@ -5,25 +5,28 @@ Runs, each as a subprocess of the checkout under --root:
 - perfbench/run.py for every workload in BENCHMARK.json, untraced and
   traced, the same commands `perfbench/run.py --all` runs (`--all` prints
   tables, not the JSON result lines this file keeps);
-- scripts/codec_bench.py --json.
+- scripts/codec_bench.py --json, and with --against CHECKOUT also
+  scripts/codec_bench.py --json --against CHECKOUT, which times both
+  checkouts' codecs alternately in one process.
 
 The file holds the machine line and git rev perfbench printed, every JSON
 result line, the fuzz_cases_per_s line (median, q1, q3, n) of each
-untraced run that has a fuzz, the codec numbers, and the golden digests
-from perfbench/golden.json of each workload whose run checked them (full
-sizes at the default seed; --smoke checks determinism only). It only
-measures: a failed check is recorded in the results, not acted on. Host
-times move with the machine and its load, so record the two checkouts
-being compared on the same machine, one after the other.
+untraced run that has a fuzz, the codec numbers (and, under
+codec_against, the ratio of each operation's ops/s over CHECKOUT's), and
+the golden digests from perfbench/golden.json of each workload whose run
+checked them (full sizes at the default seed; --smoke checks determinism
+only). It only measures: a failed check is recorded in the results, not
+acted on. Host times move with the machine and its load, so record the
+two checkouts being compared on the same machine, one after the other.
 
 Usage:
     python3 scripts/bench_record.py NN LABEL [--seconds 30] [--smoke]
-        [--root CHECKOUT] [--out-dir DIR]
+        [--root CHECKOUT] [--out-dir DIR] [--against CHECKOUT]
 
 For example, the parent and the change of one perf change:
     git clone -q . /tmp/parent && git -C /tmp/parent checkout -q HEAD~1
     python3 scripts/bench_record.py 8 parent --root /tmp/parent
-    python3 scripts/bench_record.py 8 change
+    python3 scripts/bench_record.py 8 change --against /tmp/parent
 """
 
 import argparse
@@ -60,7 +63,18 @@ def quartiles(line: str) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "n": int(n[2:])}
 
 
-def record(root: Path, seconds: int, smoke: bool) -> tuple[dict, bool]:
+def codec_json(root: Path, smoke: bool, *args: str):
+    """scripts/codec_bench.py --json's result for `root`, or None."""
+    cmd = [sys.executable, "scripts/codec_bench.py", "--json", *args]
+    if smoke:
+        cmd += ["--repeat", "1", "--number", "100"]
+    try:
+        return json.loads(run(cmd, root).stdout)
+    except json.JSONDecodeError:
+        return None
+
+
+def record(root: Path, seconds: int, smoke: bool, against: Path | None) -> tuple[dict, bool]:
     """(the record, whether every subprocess gave a result)."""
     spec = json.loads((root / "BENCHMARK.json").read_text())
     golden = json.loads((root / "perfbench" / "golden.json").read_text())
@@ -91,24 +105,21 @@ def record(root: Path, seconds: int, smoke: bool) -> tuple[dict, bool]:
                     entry["fuzz_cases_per_s"] = quartiles(line)
             print(f"{workload} trace={trace}: exit {proc.returncode}"
                   f" correct={result and result['correct']}", file=sys.stderr)
-    codec_cmd = [sys.executable, "scripts/codec_bench.py", "--json"]
-    if smoke:
-        codec_cmd += ["--repeat", "1", "--number", "100"]
-    proc = run(codec_cmd, root)
-    try:
-        codec = json.loads(proc.stdout)
-    except json.JSONDecodeError:
-        codec, complete = None, False
     git_rev = machine.rpartition("git_rev=")[2] if machine else None
-    return {
+    data = {
         "machine": machine,
         "git_rev": git_rev,
         "seconds": seconds,
         "smoke": smoke,
         "perfbench": runs,
-        "codec_bench": codec,
+        "codec_bench": codec_json(root, smoke),
         "golden_checked": checked,
-    }, complete
+    }
+    complete = complete and data["codec_bench"] is not None
+    if against is not None:
+        data["codec_against"] = codec_json(root, smoke, "--against", str(against))
+        complete = complete and data["codec_against"] is not None
+    return data, complete
 
 
 def main() -> int:
@@ -119,9 +130,14 @@ def main() -> int:
     parser.add_argument("--smoke", action="store_true", help="tiny sizes, for a quick check")
     parser.add_argument("--root", type=Path, default=ROOT, help="the checkout to measure")
     parser.add_argument("--out-dir", type=Path, default=ROOT, help="where the file goes")
+    parser.add_argument(
+        "--against", type=Path, metavar="CHECKOUT",
+        help="also time the codec against CHECKOUT's, in one process",
+    )
     args = parser.parse_args()
 
-    data, complete = record(args.root.resolve(), args.seconds, args.smoke)
+    against = args.against.resolve() if args.against is not None else None
+    data, complete = record(args.root.resolve(), args.seconds, args.smoke, against)
     path = args.out_dir / f"BENCH_{args.nn:02d}_{args.label}.json"
     path.write_text(json.dumps({"label": args.label, **data}, indent=2, sort_keys=True) + "\n")
     print(path)

@@ -65,7 +65,7 @@ def operations(package: str) -> dict[str, dict[str, Callable[[], object]]]:
     }
     cer = peer.build_cer("attacker.lab", [0])
     cer_args = {
-        "command_code": cer.header.command_code,
+        "command_code": dct.CMD_CAPABILITIES_EXCHANGE,
         "request": True,
         "avps": list(cer.avps),
     }

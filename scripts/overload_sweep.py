@@ -6,7 +6,8 @@ Beside the drops, each row gives the flood's cost per offered request:
 simulated events and heap entries pushed (both deterministic), and host
 microseconds (plain wall time, so loose on a host whose speed drifts).
 
-Usage: python scripts/overload_sweep.py [--capacity 1000] [--queue 100] [--duration 5]
+Usage: PYTHONPATH=src python scripts/overload_sweep.py [--capacity 1000] [--queue 100]
+           [--duration 5]
 """
 
 import argparse

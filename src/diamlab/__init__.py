@@ -11,7 +11,6 @@ from .codec import (  # noqa: F401
     Avp,
     Dictionary,
     Message,
-    MessageHeader,
     ParseError,
     decode_message,
     encode_message,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, ClassVar, Optional
 
@@ -196,7 +196,7 @@ def _mut_shuffle_avps(data: bytes, draw: int) -> bytes:
         return data
     order = list(msg.avps)
     random.Random(draw).shuffle(order)
-    return encode_message(Message(header=msg.header, avps=tuple(order)))
+    return encode_message(replace(msg, avps=tuple(order)))
 
 
 _MUTATORS: dict[MutationOp, Callable[[bytes, int], bytes]] = {
@@ -288,7 +288,7 @@ class _FloodDriver:
     def send(self, now: int, i: int) -> None:
         """Send request `i` of the flood and schedule request `i + 1`."""
         self.offered += 1
-        payload = Avp(dct.AVP_ECHO_PAYLOAD, i.to_bytes(4, "big"))
+        payload = Avp.__new__(Avp, dct.AVP_ECHO_PAYLOAD, i.to_bytes(4, "big"))  # see codec.slot_init
         hbh = self.ab.send_app_request(
             self.target.node, dct.CMD_ECHO, (payload,), self.on_answer, now
         )
@@ -564,7 +564,7 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
     wire_answers: dict[int, Optional[int]] = {}  # hop-by-hop -> result code
 
     def on_wire_answer(msg: Message) -> None:
-        wire_answers.setdefault(msg.header.hop_by_hop_id, result_code_of(msg))
+        wire_answers.setdefault(msg.hop_by_hop_id, result_code_of(msg))
 
     ab.on_wire_answer = on_wire_answer
 
@@ -627,7 +627,7 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
             severity, impact = Severity.OUTAGE, Impact.AVAILABILITY
             evidence = {"finding_type": "crash", "exception": f"{type(exc).__name__}: {exc}"}
             # the case may have been queued before this one; None: an earlier attack's request
-            named = unanswered.get(target.crashed_on.header.hop_by_hop_id)
+            named = unanswered.get(target.crashed_on.hop_by_hop_id)
             if named is not None and named[0] != i:
                 # That case is tallied crash, and this one dropped: the failed
                 # target drops it, queued or arriving later.

@@ -26,24 +26,23 @@ from .codec import Message, ParseError, decode_message, validate_message
 from .config import BUILTIN_CONFIGS, ConfigError, load_config, parse_campaign_config
 
 
-def _flag_string(header) -> str:
+def _flag_string(msg: Message) -> str:
     flags = [
-        ("R", header.request),
-        ("P", header.proxiable),
-        ("E", header.error),
-        ("T", header.retransmit),
+        ("R", msg.request),
+        ("P", msg.proxiable),
+        ("E", msg.error),
+        ("T", msg.retransmit),
     ]
     return "".join(name for name, on in flags if on) or "-"
 
 
 def format_message(msg: Message, length: int) -> str:
     """`msg`, decoded from `length` bytes, one line per header and AVP."""
-    h = msg.header
-    cmd_name = dct.COMMAND_NAMES.get(h.command_code, "?")
+    cmd_name = dct.COMMAND_NAMES.get(msg.command_code, "?")
     lines = [
-        f"message command={h.command_code} ({cmd_name}) flags={_flag_string(h)}"
-        f" app={h.application_id} hop_by_hop=0x{h.hop_by_hop_id:08x}"
-        f" end_to_end=0x{h.end_to_end_id:08x} length={length}"
+        f"message command={msg.command_code} ({cmd_name}) flags={_flag_string(msg)}"
+        f" app={msg.application_id} hop_by_hop=0x{msg.hop_by_hop_id:08x}"
+        f" end_to_end=0x{msg.end_to_end_id:08x} length={length}"
     ]
     for avp in msg.avps:
         entry = dct.BUILTIN_DICTIONARY.lookup(avp.code, avp.vendor_id)

@@ -100,15 +100,19 @@ class ParseError:
     offset: int
 
 
-# Avp, MessageHeader and Message are built once or more per message, so
-# slot_init gives them a positional __new__ in place of the generated
-# __init__, whose object.__setattr__ per field CPython 3.11 does not
-# specialize (nor a call of the slot's member descriptor, ~65 ns a field).
+# Avp and Message are built once or more per message, so slot_init gives
+# them a positional __new__ in place of the generated __init__, whose
+# object.__setattr__ per field CPython 3.11 does not specialize (nor a call
+# of the slot's member descriptor, ~65 ns a field).
 # __new__ builds the object as an instance of a private twin class with the
 # same slots and no __setattr__ of its own, so each `self.<field> = <field>`
 # is a specialized slot store, and then assigns __class__. The class keeps
 # the frozen __setattr__ and __delattr__, which refuse every later write.
 # copy and pickle rebuild a value with cls.__new__(cls, *__getnewargs__()).
+# A call of the class itself goes through type.__call__, which CPython 3.11
+# does not specialize for a Python __new__ (~110 ns more per value), so the
+# per-request builds (build_message, the flood's Avp, send_app_request's
+# PendingRequest) call cls.__new__(cls, ...), which returns the same value.
 
 
 def slot_init(cls: type) -> type:
@@ -161,10 +165,14 @@ class Avp:
         return base + len(self.data)
 
 
+# One Diameter message, header fields and AVPs in one value. The fields are
+# build_message's parameters, in its order and with its defaults, so
+# Message(*args) takes the same positional call as build_message(*args).
 @slot_init
 @dataclass(frozen=True, slots=True, init=False)
-class MessageHeader:
+class Message:
     command_code: int
+    avps: tuple[Avp, ...] = ()
     application_id: int = 0
     hop_by_hop_id: int = 0
     end_to_end_id: int = 0
@@ -183,17 +191,9 @@ class MessageHeader:
         )
 
 
-@slot_init
-@dataclass(frozen=True, slots=True, init=False)
-class Message:
-    header: MessageHeader
-    avps: tuple[Avp, ...] = ()
-
-
-# After the command code and the AVPs come the other header fields, in
-# MessageHeader's order. The callers that build a message per request
-# pass them by position: CPython 3.11 specializes a call with no keyword
-# arguments, ~150 ns less per message.
+# The callers that build a message per request pass every argument by
+# position: CPython 3.11 specializes a call with no keyword arguments,
+# ~150 ns less per message.
 def build_message(
     command_code: int,
     avps: Sequence[Avp] = (),
@@ -211,18 +211,9 @@ def build_message(
     encode_message would raise, so every Message it returns stands for
     its own encoding, decode(encode(m)) == m.
     """
-    m = Message(
-        MessageHeader(
-            command_code,
-            application_id,
-            hop_by_hop_id,
-            end_to_end_id,
-            request,
-            proxiable,
-            error,
-            retransmit,
-        ),
-        tuple(avps),
+    m = Message.__new__(
+        Message, command_code, tuple(avps), application_id, hop_by_hop_id, end_to_end_id,
+        request, proxiable, error, retransmit,
     )
     _checked_length(m)
     return m
@@ -230,9 +221,8 @@ def build_message(
 
 def build_answer(req: Message, avps: tuple[Avp, ...] | list[Avp] = (), *, error: bool = False) -> Message:
     """Answer skeleton for a request: same command, echoed correlation ids."""
-    h = req.header
     return build_message(
-        h.command_code, avps, h.application_id, h.hop_by_hop_id, h.end_to_end_id,
+        req.command_code, avps, req.application_id, req.hop_by_hop_id, req.end_to_end_id,
         False, False, error,
     )
 
@@ -296,13 +286,12 @@ def _checked_length(m: Message) -> int:
     AVP are inline comparisons, and only a fault falls through to the
     _check_ids or _checked_avp_length that names it.
     """
-    h = m.header
-    if not 0 <= h.command_code <= _U24_MAX:
-        raise _range_error(h.command_code, _U24_MAX, "command code")
-    if not 0 <= h.application_id <= U32_MAX:
-        raise _range_error(h.application_id, U32_MAX, "application id")
-    if not (0 <= h.hop_by_hop_id <= U32_MAX and 0 <= h.end_to_end_id <= U32_MAX):
-        _check_ids(h.hop_by_hop_id, h.end_to_end_id)  # raises, naming the id
+    if not 0 <= m.command_code <= _U24_MAX:
+        raise _range_error(m.command_code, _U24_MAX, "command code")
+    if not 0 <= m.application_id <= U32_MAX:
+        raise _range_error(m.application_id, U32_MAX, "application id")
+    if not (0 <= m.hop_by_hop_id <= U32_MAX and 0 <= m.end_to_end_id <= U32_MAX):
+        _check_ids(m.hop_by_hop_id, m.end_to_end_id)  # raises, naming the id
     total = HEADER_LEN
     for a in m.avps:
         vendor_id = a.vendor_id
@@ -326,13 +315,12 @@ def encode_message(m: Message) -> bytes:
     (range overflow). A Message from build_message never raises here.
     """
     total = _checked_length(m)
-    h = m.header
     head = _HEADER.pack(
         _VERSION << 24 | total,
-        h.flags_byte << 24 | h.command_code,
-        h.application_id,
-        h.hop_by_hop_id,
-        h.end_to_end_id,
+        m.flags_byte << 24 | m.command_code,
+        m.application_id,
+        m.hop_by_hop_id,
+        m.end_to_end_id,
     )
     return head + b"".join([_pack_avp(a) for a in m.avps])
 
@@ -402,8 +390,9 @@ def decode_message(data: bytes) -> Union[Message, ParseError]:
     avps = _decode_avps(data, HEADER_LEN, declared)
     if isinstance(avps, ParseError):
         return avps
-    header = MessageHeader(
+    return Message(
         second & _U24_MAX,
+        tuple(avps),
         application_id,
         hop_by_hop_id,
         end_to_end_id,
@@ -412,7 +401,6 @@ def decode_message(data: bytes) -> Union[Message, ParseError]:
         bool(flags & FLAG_ERROR),
         bool(flags & FLAG_RETRANSMIT),
     )
-    return Message(header, tuple(avps))
 
 
 # --- dictionary-scoped semantic validation -------------------------------
@@ -509,19 +497,9 @@ def first_avp(m: Message, code: int) -> Optional[Avp]:
 def replace_ids(m: Message, hop_by_hop_id: int, end_to_end_id: int) -> Message:
     """`m` with new correlation ids; the encoder's CodecError for an id out of range."""
     _check_ids(hop_by_hop_id, end_to_end_id)
-    h = m.header
     return Message(
-        MessageHeader(
-            h.command_code,
-            h.application_id,
-            hop_by_hop_id,
-            end_to_end_id,
-            h.request,
-            h.proxiable,
-            h.error,
-            h.retransmit,
-        ),
-        m.avps,
+        m.command_code, m.avps, m.application_id, hop_by_hop_id, end_to_end_id,
+        m.request, m.proxiable, m.error, m.retransmit,
     )
 
 

@@ -300,7 +300,7 @@ class Element:
         kind = action.kind
         if kind in SEND_ACTIONS:
             msg = action.message
-            if msg.header.request:
+            if msg.request:
                 hbh = self._alloc_hop_by_hop(link)
                 msg = replace_ids(msg, hbh, hbh)
             self.sim.send(self.node, link.neighbor, msg)
@@ -314,7 +314,7 @@ class Element:
         # Per message, so the test reads the field: a property call costs ~10x as much.
         if self.failed_at is not None:
             if isinstance(payload, Message):
-                code = payload.header.command_code
+                code = payload.command_code
             else:  # wire bytes: the command code is header bytes 5 to 7
                 code = int.from_bytes(payload[5:8], "big")
             if code in _BASE_EVENT_KINDS:
@@ -335,8 +335,7 @@ class Element:
     def on_decoded(self, src: NodeId, msg: Message, now: int) -> None:
         """Validate a decoded inbound message, then deliver it if it is
         application traffic, or feed it to the peer FSM if it is not."""
-        header = msg.header
-        if header.request:
+        if msg.request:
             violations = validate_message(msg, self._dictionary)
             if violations:
                 if any(v.kind is ViolationKind.UNSUPPORTED_MANDATORY_AVP for v in violations):
@@ -345,11 +344,11 @@ class Element:
                     code = dct.RESULT_INVALID_AVP_LENGTH
                 self.sim.send(self.node, src, _error_answer(msg, code))
                 return
-        kinds = _BASE_EVENT_KINDS.get(header.command_code)
+        kinds = _BASE_EVENT_KINDS.get(msg.command_code)
         if kinds is None:
             self._deliver(self.links[src.id], msg, now)
         else:
-            self.feed_event(src, PeerEvent(kinds[0] if header.request else kinds[1], msg), now)
+            self.feed_event(src, PeerEvent(kinds[0] if msg.request else kinds[1], msg), now)
 
     def _deliver(self, link: PeerLink, msg: Message, now: int) -> None:
         """Application traffic: admit a request, or hand an answer to the
@@ -357,13 +356,13 @@ class Element:
         peer state never changes."""
         if not deliverable(link.state.phase, msg, link.pending):
             self.fsm_drops += 1
-        elif msg.header.request:
+        elif msg.request:
             neighbor = link.neighbor
             if self.admit((neighbor, msg), now) is ACCEPTED:
                 self.direct_served += 1
                 self._serve(neighbor, msg, now)
         else:
-            pending = link.pending.pop(msg.header.hop_by_hop_id)
+            pending = link.pending.pop(msg.hop_by_hop_id)
             if pending.on_answer is None:
                 self.stray_answers += 1
             else:
@@ -485,7 +484,8 @@ class Element:
             return None
         hbh = self._alloc_hop_by_hop(link)
         msg = build_message(command_code, avps, 0, hbh, hbh, True)  # see build_message
-        register_request(link, PendingRequest(hbh, now, on_answer))
+        pending = PendingRequest.__new__(PendingRequest, hbh, now, on_answer)  # see codec.slot_init
+        register_request(link, pending)
         self.sim.send(self.node, dst, msg)
         return hbh
 
@@ -517,7 +517,7 @@ class TargetServerElement(Element):
     kind = ElementKind.TARGET_SERVER
 
     def handle_app_request(self, msg: Message, now: int) -> Message:
-        if msg.header.command_code == dct.CMD_ECHO:
+        if msg.command_code == dct.CMD_ECHO:
             payload = [a for a in msg.avps if a.code == dct.AVP_ECHO_PAYLOAD]
             return build_answer(msg, [result_code_avp(dct.RESULT_SUCCESS)] + payload)
         return super().handle_app_request(msg, now)
@@ -543,8 +543,8 @@ class HssElement(Element):
     def handle_app_request(self, msg: Message, now: int) -> Message:
         """A location update needs the subscriber and location AVPs, a profile
         query the subscriber's; either names a subscriber in the store."""
-        update = msg.header.command_code == dct.CMD_LOCATION_UPDATE
-        if not update and msg.header.command_code != dct.CMD_PROFILE_QUERY:
+        update = msg.command_code == dct.CMD_LOCATION_UPDATE
+        if not update and msg.command_code != dct.CMD_PROFILE_QUERY:
             return super().handle_app_request(msg, now)
         sid_avp = first_avp(msg, dct.AVP_SUBSCRIBER_ID)
         loc_avp = first_avp(msg, dct.AVP_LOCATION) if update else None
@@ -580,7 +580,7 @@ class PcrfElement(Element):
             self.rules[rule.rule_id] = PolicyRule(rule.rule_id, rule.subscriber_id, rule.qos_class)
 
     def handle_app_request(self, msg: Message, now: int) -> Message:
-        if msg.header.command_code != dct.CMD_POLICY_INSTALL:
+        if msg.command_code != dct.CMD_POLICY_INSTALL:
             return super().handle_app_request(msg, now)
         rule_avp = first_avp(msg, dct.AVP_RULE_ID)
         sid_avp = first_avp(msg, dct.AVP_SUBSCRIBER_ID)
@@ -712,7 +712,7 @@ class AttackBoxElement(Element):
         self.on_wire_answer: Optional[Callable[[Message], object]] = None
 
     def on_decoded(self, src: NodeId, msg: Message, now: int) -> None:
-        if self.on_wire_answer is not None and not msg.header.request:
+        if self.on_wire_answer is not None and not msg.request:
             self.on_wire_answer(msg)
         super().on_decoded(src, msg, now)
 

@@ -231,9 +231,7 @@ def register_request(link, pending: PendingRequest) -> None:
 def deliverable(phase: Phase, message: Message, pending: Mapping[int, PendingRequest]) -> bool:
     """Whether application traffic reaches the application: only in Open,
     and an answer only with the pending entry its hop-by-hop id matches."""
-    return phase is OPEN and (
-        message.header.request or message.header.hop_by_hop_id in pending
-    )
+    return phase is OPEN and (message.request or message.hop_by_hop_id in pending)
 
 
 def _drop(state: PeerState, event: PeerEvent) -> tuple[PeerState, list[PeerAction]]:

@@ -16,7 +16,6 @@ from diamlab.codec import (
     Dictionary,
     DictEntry,
     Message,
-    MessageHeader,
     ParseError,
     ParseErrorKind,
     U32_MAX,
@@ -70,9 +69,9 @@ class TestHeaderLayout:
         msg = decode_message(self._hand_encoded_header())
         assert isinstance(msg, Message)
         assert msg.avps == ()
-        assert msg.header.command_code == 700
-        assert msg.header.request and not msg.header.error
-        assert msg.header.hop_by_hop_id == 0x11223344
+        assert msg.command_code == 700
+        assert msg.request and not msg.error
+        assert msg.hop_by_hop_id == 0x11223344
 
     def test_one_avp_with_five_data_bytes(self):
         # AVP: code 2005, mandatory, 5 data bytes -> 8 header + 5 data + 3 pad
@@ -189,7 +188,7 @@ def _built(command_code=700, avps=(), **header):
 
 
 def _hand_built(command_code=700, avps=(), **header):
-    return encode_message(Message(MessageHeader(command_code, **header), tuple(avps)))
+    return encode_message(Message(command_code, tuple(avps), **header))
 
 
 # Each check runs when build_message builds a Message and again when
@@ -386,7 +385,7 @@ class TestValidateEquivalence:
         def check(msg, known, rnd):
             mixed = list(msg.avps) + known
             rnd.shuffle(mixed)
-            m = Message(msg.header, tuple(mixed))
+            m = dataclasses.replace(msg, avps=tuple(mixed))
             for d in (BUILTIN_DICTIONARY, tiny_dictionary):
                 assert validate_message(m, d) == _reference_violations(m, d)
 
@@ -396,13 +395,10 @@ class TestValidateEquivalence:
     @settings(max_examples=300)
     def test_replace_ids_changes_the_ids_alone(self, msg, hbh, e2e, flags):
         request, proxiable, error, retransmit = flags
-        header = dataclasses.replace(
-            msg.header, request=request, proxiable=proxiable, error=error, retransmit=retransmit
+        m = dataclasses.replace(
+            msg, request=request, proxiable=proxiable, error=error, retransmit=retransmit
         )
-        m = Message(header, msg.avps)
-        expected = Message(
-            dataclasses.replace(header, hop_by_hop_id=hbh, end_to_end_id=e2e), m.avps
-        )
+        expected = dataclasses.replace(m, hop_by_hop_id=hbh, end_to_end_id=e2e)
         assert replace_ids(m, hbh, e2e) == expected
 
 
@@ -423,9 +419,8 @@ class TestRoundTripProperties:
     @settings(max_examples=300)
     def test_checked_length_is_the_encoded_length(self, msg):
         assert _checked_length(msg) == len(encode_message(msg))
-        h = msg.header
-        fields = {f.name: getattr(h, f.name) for f in dataclasses.fields(h)}
-        assert build_message(**fields, avps=msg.avps) == msg
+        fields = {f.name: getattr(msg, f.name) for f in dataclasses.fields(msg)}
+        assert build_message(**fields) == msg
 
     @given(avps())
     @settings(max_examples=200)
@@ -462,25 +457,26 @@ class TestBuilders:
     def test_build_answer_echoes_ids(self):
         req = build_message(700, request=True, hop_by_hop_id=77, end_to_end_id=88)
         ans = build_answer(req)
-        assert not ans.header.request
-        assert ans.header.hop_by_hop_id == 77
-        assert ans.header.end_to_end_id == 88
-        assert ans.header.command_code == 700
+        assert not ans.request
+        assert ans.hop_by_hop_id == 77
+        assert ans.end_to_end_id == 88
+        assert ans.command_code == 700
 
-    def test_build_message_takes_the_header_fields_in_their_order(self):
-        # callers pass them by position: the command code, the AVPs, then the
-        # rest of MessageHeader's fields in its order, with its defaults
+    def test_message_fields_are_build_message_parameters_in_order(self):
+        # callers pass them by position, to either constructor, with the same defaults
         params = list(inspect.signature(build_message).parameters.values())
-        header = dataclasses.fields(MessageHeader)
-        assert [p.name for p in params] == ["command_code", "avps"] + [f.name for f in header[1:]]
-        assert [p.default for p in params[2:]] == [f.default for f in header[1:]]
-        avps = (Avp(code=1, data=b"x"),)
-        positional = build_message(700, avps, 4, 5, 6, True, True, True, True)
-        assert positional == Message(MessageHeader(700, 4, 5, 6, True, True, True, True), avps)
+        fields = dataclasses.fields(Message)
+        assert [p.name for p in params] == [f.name for f in fields]
+        assert [p.default for p in params] == [
+            inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+            for f in fields
+        ]
+        args = (700, (Avp(code=1, data=b"x"),), 4, 5, 6, True, True, True, True)
+        assert build_message(*args) == Message(*args)
 
-    def test_header_dataclass_defaults(self):
-        h = MessageHeader(command_code=1)
-        assert not (h.request or h.proxiable or h.error or h.retransmit)
+    def test_message_flag_defaults(self):
+        m = Message(command_code=1)
+        assert not (m.request or m.proxiable or m.error or m.retransmit)
 
     @pytest.mark.parametrize(
         "ids, text",
@@ -509,7 +505,7 @@ class TestBuilders:
             assert str(info.value) == str(expected.value)
 
 
-# The six frozen, slotted value types: their fields, field order and
+# The five frozen, slotted value types: their fields, field order and
 # defaults, constructor arguments in field order, and one field change.
 _MSG = build_message(700, request=True, hop_by_hop_id=3, avps=[Avp(code=1, data=b"x")])
 
@@ -532,9 +528,10 @@ VALUE_TYPES = [
         {"mandatory": False},
     ),
     (
-        MessageHeader,
+        Message,
         [
             ("command_code", dataclasses.MISSING),
+            ("avps", ()),
             ("application_id", 0),
             ("hop_by_hop_id", 0),
             ("end_to_end_id", 0),
@@ -543,14 +540,8 @@ VALUE_TYPES = [
             ("error", False),
             ("retransmit", False),
         ],
-        (700, 4, 5, 6, True, False, True, False),
-        {"hop_by_hop_id": 99},
-    ),
-    (
-        Message,
-        [("header", dataclasses.MISSING), ("avps", ())],
-        (_MSG.header, _MSG.avps),
-        {"avps": ()},
+        (700, _MSG.avps, 4, 5, 6, True, False, True, False),
+        {"hop_by_hop_id": 99, "avps": ()},
     ),
     (
         PeerEvent,
@@ -627,15 +618,26 @@ def test_copy_and_pickle_round_trip(cls, expected_fields, args, change):
         assert other == value and type(other) is cls
 
 
-@pytest.mark.parametrize("cls", [Avp, MessageHeader, Message, PendingRequest])
+SLOT_INIT_TYPES = [Avp, Message, PendingRequest]
+
+
+@pytest.mark.parametrize("cls", SLOT_INIT_TYPES)
 def test_slot_init_is_named_after_its_class(cls):
     # tracebacks and profilers name a function by its module and qualname
     assert cls.__new__.__qualname__ == f"{cls.__name__}.__new__"
     assert cls.__new__.__module__ == cls.__module__
 
 
+@pytest.mark.parametrize("cls", SLOT_INIT_TYPES)
+def test_calling_new_directly_builds_the_same_value(cls):
+    # the per-request builds call cls.__new__ and skip type.__call__
+    args = next(args for c, _, args, _ in VALUE_TYPES if c is cls)
+    value = cls.__new__(cls, *args)
+    assert type(value) is cls and value == cls(*args)
+
+
 def _assert_exact_types(m: Message) -> None:
-    assert type(m) is Message and type(m.header) is MessageHeader
+    assert type(m) is Message
     assert all(type(a) is Avp for a in m.avps)
 
 
@@ -648,7 +650,7 @@ def test_no_constructor_returns_the_twin_class():
         build_answer(request, [Avp(268, b"\x00\x00\x07\xd1")], error=True),
         replace_ids(request, 9, 10),
         decode_message(encode_message(request)),
-        dataclasses.replace(request, header=dataclasses.replace(request.header, error=True)),
+        dataclasses.replace(request, error=True),
         dataclasses.replace(request, avps=(dataclasses.replace(request.avps[0], code=3),)),
     ]
     for m in values:

@@ -185,7 +185,7 @@ class TestTargetServer:
 
         answer = self._ask(lab, encode_message(_probe(command=9999)))
         assert result_code_of(answer) == dct.RESULT_COMMAND_UNSUPPORTED
-        assert answer.header.error  # protocol-level error answers carry the E flag
+        assert answer.error  # protocol-level error answers carry the E flag
 
 
 class TestHss:
@@ -486,7 +486,7 @@ class _Answers:
         self.delivered = []
 
     def __call__(self, pending, msg, now):
-        self.delivered.append((pending, msg.header.hop_by_hop_id))
+        self.delivered.append((pending, msg.hop_by_hop_id))
 
 
 class TestPendingTable:
@@ -601,8 +601,8 @@ class TestPendingTable:
         deadline = link.state.watchdog_deadline
         ab.feed_event(target.node, PeerEvent(EventKind.WATCHDOG_TIMER), deadline)
         lab.sim.run_until(lab.sim.clock + 1)
-        sent = [decode_message(r.data).header for r in tap.records if r.src.id == ab.node.id]
-        assert [(h.command_code, h.hop_by_hop_id) for h in sent] == [
+        sent = [decode_message(r.data) for r in tap.records if r.src.id == ab.node.id]
+        assert [(m.command_code, m.hop_by_hop_id) for m in sent] == [
             (dct.CMD_ECHO, hbh),
             (dct.CMD_DEVICE_WATCHDOG, hbh + 1),
         ]
@@ -665,7 +665,7 @@ class TestDirectDeliveryAgreesWithTheTable:
             assert delivered == (outcome == [ActionKind.DELIVER_TO_APP])
             assert drops == (outcome == [ActionKind.DROP_MESSAGE])
             popped = {hbh: entry for hbh, entry in pending.items() if hbh not in link.pending}
-            answer_delivered = delivered and not msg.header.request
+            answer_delivered = delivered and not msg.request
             assert popped == ({self.HBH: pending[self.HBH]} if answer_delivered else {})
             consumed += len(popped)
             assert link.state is state

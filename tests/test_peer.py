@@ -92,8 +92,8 @@ class TestLifecycleScenarios:
         assert s.phase is Phase.WAIT_CEA
         assert [a.kind for a in actions] == [ActionKind.SEND_CER]
         cer = actions[0].message
-        assert cer.header.command_code == dct.CMD_CAPABILITIES_EXCHANGE
-        assert cer.header.request
+        assert cer.command_code == dct.CMD_CAPABILITIES_EXCHANGE
+        assert cer.request
         s, actions = handle_event(s, PeerEvent(EventKind.RCV_CEA, build_base_answer(cer, "b")), 10)
         assert s.phase is Phase.OPEN and actions == []
         assert s.watchdog_deadline == 10 + WD
@@ -104,8 +104,8 @@ class TestLifecycleScenarios:
         assert s.phase is Phase.OPEN
         assert [a.kind for a in actions] == [ActionKind.SEND_CEA]
         cea = actions[0].message
-        assert cea.header.hop_by_hop_id == 3  # answer echoes the request id
-        assert not cea.header.request
+        assert cea.hop_by_hop_id == 3  # answer echoes the request id
+        assert not cea.request
 
     def test_request_in_wait_cea_is_dropped(self):
         s = PeerState(phase=Phase.WAIT_CEA)
@@ -120,7 +120,7 @@ class TestLifecycleScenarios:
         s2, actions = handle_event(s, PeerEvent(EventKind.RCV_DWR, dwr), 0)
         assert s2.phase is Phase.OPEN
         assert [a.kind for a in actions] == [ActionKind.SEND_DWA]
-        assert actions[0].message.header.hop_by_hop_id == 44
+        assert actions[0].message.hop_by_hop_id == 44
 
     def test_dpr_in_open_answers_and_closes(self):
         s = state_in(Phase.OPEN)
@@ -134,7 +134,7 @@ class TestLifecycleScenarios:
         s, actions = handle_event(s, PeerEvent(EventKind.STOP), 0)
         assert s.phase is Phase.CLOSING
         dpr = actions[0].message
-        assert dpr.header.command_code == dct.CMD_DISCONNECT_PEER
+        assert dpr.command_code == dct.CMD_DISCONNECT_PEER
         dpa = build_base_answer(dpr, "peer.example")
         s, actions = handle_event(s, PeerEvent(EventKind.RCV_DPA, dpa), 0)
         assert s.phase is Phase.CLOSED
@@ -145,8 +145,8 @@ class TestLifecycleScenarios:
         s, dwr = handle_event(state_in(Phase.OPEN), PeerEvent(EventKind.WATCHDOG_TIMER), WD)
         _, dpr = handle_event(s, PeerEvent(EventKind.STOP), WD)
         for action in cer + dwr + dpr:
-            assert action.message.header.request
-            assert action.message.header.hop_by_hop_id == 0
+            assert action.message.request
+            assert action.message.hop_by_hop_id == 0
 
 
 class TestWatchdog:
@@ -226,8 +226,8 @@ class TestBuilders:
     def test_cer_carries_identity_and_applications(self):
         cer = build_cer("attacker.lab", [0, 5])
         decoded = decode_message(encode_message(cer))
-        assert decoded.header.command_code == dct.CMD_CAPABILITIES_EXCHANGE
-        assert decoded.header.request
+        assert decoded.command_code == dct.CMD_CAPABILITIES_EXCHANGE
+        assert decoded.request
         origin = first_avp(decoded, dct.AVP_ORIGIN_HOST)
         assert origin.data == b"attacker.lab"
         apps = [a for a in decoded.avps if a.code == dct.AVP_AUTH_APPLICATION_ID]
@@ -236,8 +236,8 @@ class TestBuilders:
     def test_cea_echoes_hop_by_hop(self):
         cer = replace_ids(build_cer("a.lab", [0]), 99, 98)
         cea = build_base_answer(cer, "b.lab")
-        assert cea.header.hop_by_hop_id == 99
-        assert cea.header.end_to_end_id == 98
+        assert cea.hop_by_hop_id == 99
+        assert cea.end_to_end_id == 98
         assert first_avp(cea, dct.AVP_RESULT_CODE).data == (2001).to_bytes(4, "big")
 
     def test_empty_identity_rejected(self):

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -23,6 +25,25 @@ def run_script(name: str, *args: str, folder: str = "scripts") -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+@pytest.mark.parametrize("name", ["bench_record.py", "codec_bench.py", "overload_sweep.py"])
+def test_usage_line_runs_as_written_from_the_repo_root(name):
+    # The docstring's usage line, with its environment settings and no
+    # other PYTHONPATH, finds everything the script imports.
+    words = (ROOT / "scripts" / name).read_text().split("Usage:", 1)[1].split()
+    python = words.index(f"scripts/{name}") - 1
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env.update(word.split("=", 1) for word in words[:python])
+    proc = subprocess.run(
+        [sys.executable, f"scripts/{name}", "--help"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_overload_sweep_prints_one_row_per_rate():
@@ -73,7 +94,8 @@ def test_codec_bench_against_a_checkout_compares_every_operation():
 
 def test_bench_record_writes_every_workload(tmp_path):
     out = run_script(
-        "bench_record.py", "8", "smoke", "--smoke", "--seconds", "1", "--out-dir", str(tmp_path)
+        "bench_record.py", "8", "smoke", "--smoke", "--seconds", "1", "--out-dir", str(tmp_path),
+        "--against", str(ROOT),
     )
     path = tmp_path / "BENCH_08_smoke.json"
     assert out.strip() == str(path)
@@ -86,6 +108,10 @@ def test_bench_record_writes_every_workload(tmp_path):
     assert all(r["result"]["correct"] for r in record["perfbench"])
     assert record["machine"].startswith("machine: ") and record["git_rev"]
     assert set(record["codec_bench"]) == {"echo", "cer"}
+    compared = [r for per_message in record["codec_against"].values() for r in per_message.values()]
+    assert len(compared) == 12
+    for r in compared:
+        assert set(r) == {"this", "against", "ratio"} and min(r.values()) > 0
     assert record["golden_checked"] == {}  # smoke sizes have no golden digests
     # phase1 is the only workload with a fuzz, and only untraced runs time it
     fuzz = {(r["workload"], r["trace"]): r.get("fuzz_cases_per_s") for r in record["perfbench"]}
@@ -93,6 +119,32 @@ def test_bench_record_writes_every_workload(tmp_path):
     assert set(fuzz.values()) == {None}
     assert set(rate) == {"median", "q1", "q3", "n"}
     assert 0 < rate["q1"] <= rate["median"] <= rate["q3"] and rate["n"] >= 3
+
+
+def test_a_failing_hypothesis_test_is_reported_under_the_repo_warning_filters(tmp_path):
+    # Formatting a failing @given test imports modules that warn on import;
+    # under filterwarnings = error a warning there would end the session
+    # with an INTERNALERROR and run no test after it.
+    (tmp_path / "test_sample.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n"
+        "\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_sample.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout.splitlines()[-1]
 
 
 def test_perfbench_traces_every_target_diamlab_defines():

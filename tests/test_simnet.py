@@ -27,7 +27,6 @@ from diamlab.codec import (
     U32_MAX,
     Avp,
     CodecError,
-    Message,
     build_message,
     decode_message,
     encode_message,
@@ -509,7 +508,7 @@ class TestCarriedMessages:
 
         def skewed(msg, now):
             answer = answer_of(msg, now)
-            return Message(dataclasses.replace(answer.header, **change), answer.avps)
+            return dataclasses.replace(answer, **change)
 
         monkeypatch.setattr(target, "handle_app_request", skewed)
         ab.send_app_request(target.node, dct.CMD_ECHO, [], None, lab.sim.clock)
@@ -533,7 +532,7 @@ class TestCarriedMessages:
         lab.sim.run_until(lab.sim.clock + 100_000)
         assert received == [r.data for r in tap.records] and len(received) == 2
         request, answer = (decode_message(data) for data in received)
-        assert request.header.request and request.header.hop_by_hop_id == hbh
+        assert request.request and request.hop_by_hop_id == hbh
         assert result_code_of(answer) == dct.RESULT_SUCCESS
 
 
