@@ -111,8 +111,11 @@ class ParseError:
 # copy and pickle rebuild a value with cls.__new__(cls, *__getnewargs__()).
 # A call of the class itself goes through type.__call__, which CPython 3.11
 # does not specialize for a Python __new__ (~110 ns more per value), so the
-# per-request builds (build_message, the flood's Avp, send_app_request's
-# PendingRequest) call cls.__new__(cls, ...), which returns the same value.
+# per-message builds (build_message, decode_message, _decode_avps,
+# replace_ids, the flood's Avp, send_app_request's PendingRequest) call
+# cls.__new__(cls, ...), which returns the same value.
+# Each class's source is compiled under its own filename, <module.Class>, so
+# profilers and tracers keep the generated functions of the classes apart.
 
 
 def slot_init(cls: type) -> type:
@@ -132,12 +135,12 @@ def slot_init(cls: type) -> type:
             params.append(f"{f.name}=_default_{f.name}")
         stores.append(f"\n    self.{f.name} = {f.name}")
         values.append(f"self.{f.name}, ")
-    exec(
+    source = (
         f"def __new__(cls, {', '.join(params)}):\n    self = _twin(){''.join(stores)}"
         "\n    self.__class__ = cls\n    return self\n"
-        f"def __getnewargs__(self):\n    return ({''.join(values)})",
-        env,
+        f"def __getnewargs__(self):\n    return ({''.join(values)})"
     )
+    exec(compile(source, f"<{cls.__module__}.{cls.__qualname__}>", "exec"), env)
     for name in ("__new__", "__getnewargs__"):
         fn = env[name]
         fn.__qualname__ = f"{cls.__qualname__}.{name}"
@@ -352,7 +355,8 @@ def _decode_avps(data: bytes, start: int, end: int) -> Union[list[Avp], ParseErr
                 first_nonzero = next(i for i, b in enumerate(pad) if b)
                 return ParseError(ParseErrorKind.BAD_PADDING, off + length + first_nonzero)
         avps.append(
-            Avp(
+            Avp.__new__(
+                Avp,
                 code,
                 bytes(data[off + hdr : off + length]),
                 _U32.unpack_from(data, off + 8)[0] if vendor else None,
@@ -390,7 +394,8 @@ def decode_message(data: bytes) -> Union[Message, ParseError]:
     avps = _decode_avps(data, HEADER_LEN, declared)
     if isinstance(avps, ParseError):
         return avps
-    return Message(
+    return Message.__new__(
+        Message,
         second & _U24_MAX,
         tuple(avps),
         application_id,
@@ -497,8 +502,8 @@ def first_avp(m: Message, code: int) -> Optional[Avp]:
 def replace_ids(m: Message, hop_by_hop_id: int, end_to_end_id: int) -> Message:
     """`m` with new correlation ids; the encoder's CodecError for an id out of range."""
     _check_ids(hop_by_hop_id, end_to_end_id)
-    return Message(
-        m.command_code, m.avps, m.application_id, hop_by_hop_id, end_to_end_id,
+    return Message.__new__(
+        Message, m.command_code, m.avps, m.application_id, hop_by_hop_id, end_to_end_id,
         m.request, m.proxiable, m.error, m.retransmit,
     )
 

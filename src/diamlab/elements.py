@@ -382,10 +382,15 @@ class Element:
         if self.failed_at is not None:  # per request: see on_message
             raise ElementFailedError(f"{self.node.label} has failed; it admits nothing")
         self.offered += 1
-        self._accrue(now)
-        if self._credit >= self._token and not self.queue:
-            self._credit -= self._token
-            return ACCEPTED
+        # Only credit taken at an empty queue admits directly, so only then
+        # is it brought up to date. A queue has its drain scheduled, and the
+        # drain accrues: a capped sum of non-negative amounts, it comes to
+        # the same credit whether or not it is also taken here.
+        if not self.queue:
+            self._accrue(now)
+            if self._credit >= self._token:
+                self._credit -= self._token
+                return ACCEPTED
         if len(self.queue) < self._queue_capacity:
             self.queue.append(request)
             self.queued_total += 1

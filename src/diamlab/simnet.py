@@ -1,11 +1,18 @@
 """Deterministic discrete-event network: clock, links, taps, delivery.
 
-The clock is an integer count of simulated microseconds. Events are
-heap tuples that execute in (timestamp, insertion order) order, so a
-given (topology, seed, scripted inputs) triple always replays to the
-same schedule, the same loss draws, and byte-identical tap streams. The
-single random source is Python's Mersenne Twister (`random.Random`),
-seeded once per simulation.
+The clock is an integer count of simulated microseconds. Events run in
+(timestamp, scheduling order) order, so a given (topology, seed,
+scripted inputs) triple always replays to the same schedule, the same
+loss draws, and byte-identical tap streams. The single random source is
+Python's Mersenne Twister (`random.Random`), seeded once per simulation.
+
+The event set is a calendar keyed by timestamp: a heap of the distinct
+times that have events due, and for each such time one list of its
+events in the order they were scheduled. Timestamps coincide often
+(round rates and latencies), so most events cost a list append and no
+heap entry, and the heap orders plain ints. `run_until` takes a time's
+whole list before it runs it: an event scheduled for that same time
+while the list runs opens a new list, which runs next.
 
 A payload is wire bytes or a `codec.Message`. Elements send the Message
 value itself, built by `codec.build_message` and so standing for its own
@@ -32,7 +39,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .codec import Message, encode_message
 
@@ -126,11 +133,13 @@ class Simulation:
         self.rng = random.Random(seed)
         self.clock: int = 0
         self.events_processed = 0
-        # delivery: (at, seq, Link, dst, src, payload)
-        # timer:    (at, seq, None, fire, None, args)
-        # seq is unique, so comparisons never look past it.
-        self._queue: list[tuple] = []
-        self._seq = 0
+        # _due[at] holds the events due at `at`, in scheduling order:
+        #   delivery: (Link, dst, src, payload)
+        #   timer:    (None, fire, None, args)
+        # and _times is a heap of the keys of _due, each once.
+        self._times: list[int] = []
+        self._due: dict[int, list[tuple]] = {}
+        self._running = False
         self._handlers: dict[int, object] = {}
         # (src.id, dst.id) -> the link between them, both directions
         self._routes: dict[tuple[int, int], Link] = {}
@@ -167,8 +176,12 @@ class Simulation:
         """Call `fire(at, *args)` once the clock reaches `at`."""
         if at < self.clock:
             raise ValueError(f"cannot schedule into the past ({at} < {self.clock})")
-        heapq.heappush(self._queue, (at, self._seq, None, fire, None, args))
-        self._seq += 1
+        bucket = self._due.get(at)
+        if bucket is None:
+            self._due[at] = [(None, fire, None, args)]
+            heapq.heappush(self._times, at)
+        else:
+            bucket.append((None, fire, None, args))
 
     def send(self, src: NodeId, dst: NodeId, payload: Union[bytes, Message]) -> None:
         """Offer a payload to the link; taps see every traversal, loss is drawn after.
@@ -190,8 +203,12 @@ class Simulation:
             link.lost += 1
             return
         at = self.clock + link.latency_us
-        heapq.heappush(self._queue, (at, self._seq, link, dst, src, payload))
-        self._seq += 1
+        bucket = self._due.get(at)
+        if bucket is None:
+            self._due[at] = [(link, dst, src, payload)]
+            heapq.heappush(self._times, at)
+        else:
+            bucket.append((link, dst, src, payload))
 
     def attach_tap(self, a: NodeId, b: NodeId) -> Tap:
         link = self.link_between(a, b)
@@ -204,35 +221,71 @@ class Simulation:
     # -- execution -----------------------------------------------------------
 
     def next_event_at(self) -> Optional[int]:
-        return self._queue[0][0] if self._queue else None
+        return self._times[0] if self._times else None
+
+    def due_events(self) -> Iterator[tuple]:
+        """Every event still due, in the order it will run: (at, link, dst,
+        src, payload) for a delivery, (at, None, fire, None, args) for a timer."""
+        for at in sorted(self._times):
+            for event in self._due[at]:
+                yield (at, *event)
 
     def queued_deliveries(self, link: Optional[Link] = None) -> int:
         """Deliveries still queued: on `link`, or on every link."""
-        return sum(1 for e in self._queue if e[2] is not None and (link is None or e[2] is link))
+        return sum(
+            1 for e in self.due_events() if e[1] is not None and (link is None or e[1] is link)
+        )
 
     # `events_processed` takes this call's events when it returns, so a
     # handler reads the count as of the call. An event that raises is
-    # counted, and the exception propagates with the clock at that event.
+    # counted, and the exception propagates with the clock at that event;
+    # the events due after it stay due, in their order.
+    # A call from inside an event is refused: it would run later times
+    # before the rest of the current one.
     def run_until(self, t: int) -> None:
         """Process every event with timestamp <= t; the clock ends exactly at t."""
+        if self._running:
+            raise ValueError("run_until cannot be called from inside an event")
         if t < self.clock:
             raise ValueError(f"cannot run backwards ({t} < {self.clock})")
-        queue, handlers, pop = self._queue, self._handlers, heapq.heappop
+        times, due, handlers, pop = self._times, self._due, self._handlers, heapq.heappop
         processed = 0  # added to events_processed once, when the loop ends
+        self._running = True
         try:
-            while queue and queue[0][0] <= t:
-                at, _, link, dst, src, item = pop(queue)
+            while times and times[0] <= t:
+                at = pop(times)
+                bucket = due.pop(at)
                 self.clock = at
-                processed += 1
-                if link is None:
-                    dst(at, *item)  # a timer: dst is the function it fires
-                    continue
-                link.delivered += 1
-                handler = handlers.get(dst.id)
-                if handler is not None:
-                    handler.on_message(self, src, item, at)
+                processed += len(bucket)
+                events = iter(bucket)
+                try:
+                    for link, dst, src, item in events:
+                        if link is None:  # a timer: dst is the function it fires
+                            if item:
+                                dst(at, *item)
+                            else:  # a call with no * is specialized, ~140 ns less
+                                dst(at)
+                            continue
+                        link.delivered += 1
+                        handler = handlers.get(dst.id)
+                        if handler is not None:
+                            handler.on_message(self, src, item, at)
+                except BaseException:
+                    # Put the rest of the bucket back, ahead of any events
+                    # scheduled for `at` while it ran.
+                    rest = list(events)
+                    processed -= len(rest)
+                    if rest:
+                        later = due.get(at)
+                        if later is None:
+                            heapq.heappush(times, at)
+                        else:
+                            rest += later
+                        due[at] = rest
+                    raise
         finally:
             self.events_processed += processed
+            self._running = False
         self.clock = t
 
 

@@ -300,7 +300,7 @@ class TestFlood:
             patch.setattr(attacks, "SETTLE_GRACE_US", grace)
             result, _ = run_flood(lab, spec)
         assert result.offered == spec.count
-        timers = [e[3] for e in lab.sim._queue if e[2] is None]
+        timers = [e[2] for e in lab.sim.due_events() if e[1] is None]
         assert [t for t in timers if getattr(t, "__func__", None) is _FloodDriver.send] == []
 
     def test_no_false_outage(self):
@@ -321,7 +321,7 @@ class TestFlood:
 # the lab processes 104,591).
 _COST_CASES = {
     # id: (rate, latency_ms, service_rate, queue_capacity,
-    #      (offered, events, heap pushes, build_message, encode_message, decode_message))
+    #      (offered, events, events scheduled, build_message, encode_message, decode_message))
     "500-served": (500, 5, 500, 1000, (500, 1510, 1510, 1000, 0, 0)),
     "500-overloaded": (500, 5, 250, 100, (500, 1705, 1705, 850, 0, 0)),
     "2000-served": (2000, 5, 2000, 1000, (2000, 6006, 6006, 4000, 0, 0)),
@@ -356,6 +356,11 @@ def count_codec_calls(monkeypatch) -> Counter:
     return calls
 
 
+def events_scheduled(sim) -> int:
+    """Deliveries and timers scheduled so far: each has run or is still due."""
+    return sim.events_processed + sum(1 for _ in sim.due_events())
+
+
 @pytest.mark.parametrize("case", list(_COST_CASES))
 def test_cost_per_request(case, monkeypatch):
     rate, latency_ms, service_rate, queue_capacity, expected = _COST_CASES[case]
@@ -364,12 +369,12 @@ def test_cost_per_request(case, monkeypatch):
     )
     calls = count_codec_calls(monkeypatch)
     sim = lab.sim
-    events, pushes = sim.events_processed, sim._seq
+    events, scheduled = sim.events_processed, events_scheduled(sim)
     result, _ = run_flood(lab, FloodSpec(target="target", rate_tps=rate, duration_s=1))
     assert (
         result.offered,
         sim.events_processed - events,
-        sim._seq - pushes,  # every heap entry, delivery or timer, takes the next _seq
+        events_scheduled(sim) - scheduled,
         calls["build_message"],
         calls["encode_message"],
         calls["decode_message"],

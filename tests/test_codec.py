@@ -1,9 +1,11 @@
 """Wire codec tests: byte-exact layout oracles, parse errors, round trips."""
 
 import copy
+import cProfile
 import dataclasses
 import inspect
 import pickle
+import pstats
 import random
 
 import pytest
@@ -626,6 +628,23 @@ def test_slot_init_is_named_after_its_class(cls):
     # tracebacks and profilers name a function by its module and qualname
     assert cls.__new__.__qualname__ == f"{cls.__name__}.__new__"
     assert cls.__new__.__module__ == cls.__module__
+
+
+def test_profilers_keep_each_generated_new_apart():
+    # each class's __new__ is compiled under its own filename, so profilers,
+    # which key a function by (filename, line, name), give each its own row
+    profile = cProfile.Profile()
+    profile.enable()
+    Avp(1)
+    Message(2)
+    PendingRequest(3, 4)
+    profile.disable()
+    rows = {
+        filename: calls
+        for (filename, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+        if name == "__new__"
+    }
+    assert rows == {f"<{cls.__module__}.{cls.__qualname__}>": 1 for cls in SLOT_INIT_TYPES}
 
 
 @pytest.mark.parametrize("cls", SLOT_INIT_TYPES)

@@ -130,6 +130,31 @@ class TestAdmission:
         assert target.admit(("b", 1), now + 1_000) is Admission.ACCEPTED
         assert target.admit(("c", 2), now + 1_000) is Admission.QUEUED
 
+    def test_a_burst_after_a_long_idle_gap_finds_one_token_and_a_full_queue(self):
+        _, lab = make_lab(duo_lab_text(service_rate=1000, queue_capacity=2))
+        target, sim = lab.element("target"), lab.sim
+        sender = lab.element("attacker").node
+        assert target.admit((sender, _probe(hbh=1)), sim.clock) is Admission.ACCEPTED
+        sim.run_until(sim.clock + 10_000_000)  # 10 s idle: credit stops at one token
+        burst = sim.clock
+        outcomes = [target.admit((sender, _probe(hbh=i)), burst) for i in range(2, 7)]
+        assert outcomes == [
+            Admission.ACCEPTED,
+            Admission.QUEUED,
+            Admission.QUEUED,
+            Admission.DROPPED,
+            Admission.DROPPED,
+        ]
+        # the drain takes one request per token, as each token accrues
+        served = []
+        for t in (999, 1_000, 1_999, 2_000):
+            sim.run_until(burst + t)
+            served.append(target.drained_served)
+        assert served == [0, 1, 1, 2]
+        assert target.admit((sender, _probe(hbh=7)), burst + 2_000) is Admission.QUEUED
+        sim.run_until(burst + 3_000)
+        assert target.drained_served == 3 and not target.queue
+
 
 class TestTargetServer:
     def _ask(self, lab, msg_bytes):

@@ -1,6 +1,7 @@
 """Smoke runs of the scripts under scripts/ and of perfbench/run.py: each
 exits 0 and prints what it promises."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,6 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from diamlab.codec import Avp, Message
+from diamlab.peer import PendingRequest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,14 +54,44 @@ def test_overload_sweep_prints_one_row_per_rate():
     out = run_script("overload_sweep.py", "--duration", "0.2")
     rows = [line.split() for line in out.splitlines()[2:] if line.strip()]
     assert len(rows) == 9
-    for rate, offered, answered, dropped, _fluid, _delta, events, pushes, host_us in rows:
+    for rate, offered, answered, dropped, _fluid, _delta, events, scheduled, host_us in rows:
         assert int(offered) == round(float(rate) * 0.2)
         assert int(offered) == int(answered) + int(dropped)
         # A request is at least its send timer, its delivery and, if it is
         # answered, the answer's delivery: a dropped one costs two events.
         least = 3 if dropped == "0" else 2
-        assert float(events) >= least and float(pushes) >= least
+        assert float(events) >= least and float(scheduled) >= least
         assert float(host_us) > 0
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_overload_sweep_bytecodes_adds_a_column_and_a_table_by_module():
+    out = run_script("overload_sweep.py", "--duration", "0.02", "--bytecodes")
+    sweep, by_module = out.split("\n\n")
+    rows = [line.split() for line in sweep.splitlines()[2:]]
+    assert len(rows) == 9 and all(len(row) == 10 and float(row[-1]) > 0 for row in rows)
+    title, header, *module_rows = by_module.splitlines()
+    assert title.startswith("bytecodes per offered request by module")
+    assert {"attacks", "codec", "elements", "peer", "simnet"} <= set(header.split()[1:])
+    assert [row.split()[0] for row in module_rows] == [row[0] for row in rows]
+
+
+def test_bytecode_counts_are_the_same_in_two_runs_in_one_process():
+    sweep = load_script("overload_sweep.py")
+    first, second = (sweep.flood_bytecodes(1000, 100, 1, 2000, 0.05) for _ in range(2))
+    assert first == second
+    offered, counts = first
+    assert offered == 100
+    assert {"attacks", "codec", "elements", "peer", "simnet"} <= set(counts)
+    # a generated constructor is filed under its class's module
+    for cls, module in ((Avp, "codec"), (Message, "codec"), (PendingRequest, "peer")):
+        assert sweep.module_of(cls.__new__.__code__.co_filename) == module
 
 
 def test_codec_bench_json_has_every_operation():

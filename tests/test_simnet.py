@@ -1,6 +1,7 @@
 """Simulator: determinism, taps, loss accounting, the DCAP capture format."""
 
 import dataclasses
+import heapq
 
 import pytest
 from hypothesis import given, settings
@@ -239,6 +240,139 @@ class TestDelivery:
         assert (fired, sim.events_processed, sim.clock) == ([100], 2, 300)
         sim.run_until(1000)  # the events after it are still queued
         assert (fired, sim.events_processed, sim.clock) == ([100, 500], 3, 1000)
+
+    def test_events_scheduled_for_the_current_time_run_after_those_already_due(self):
+        sim = build_topology(TopologySpec(), seed=0)
+        log = []
+
+        def fire(now, tag, *later):
+            log.append((now, tag))
+            for child in later:
+                sim.schedule_timer(sim.clock, fire, child)
+
+        sim.schedule_timer(100, fire, "a", "d", "e")
+        sim.schedule_timer(100, fire, "b", "f")
+        sim.schedule_timer(100, fire, "c")
+        sim.schedule_timer(101, fire, "g")
+        sim.run_until(100)
+        assert log == [(100, tag) for tag in "abcdef"]
+        assert (sim.events_processed, sim.next_event_at()) == (6, 101)
+
+    def test_zero_latency_deliveries_run_at_the_time_they_are_sent(self):
+        sim, _, _ = two_node_sim(latency_ms=0)
+        a, b = sim.nodes
+        log = []
+
+        class Echo:
+            def on_message(self, sim, src, data, now):
+                log.append((now, data))
+                if len(data) < 4:
+                    sim.send(sim.nodes[1 - src.id], src, data + b"x")
+
+        sim.register_handler(a, Echo())
+        sim.register_handler(b, Echo())
+        sim.run_until(250)
+        sim.send(a, b, b"x")
+        sim.schedule_timer(250, lambda now: log.append((now, "timer")))
+        sim.run_until(250)
+        assert log == [(250, b"x"), (250, "timer"), (250, b"xx"), (250, b"xxx"), (250, b"xxxx")]
+        assert sim.events_processed == 5 and sim.next_event_at() is None
+
+    @pytest.mark.parametrize("schedules_now", [False, True])
+    def test_an_event_that_raises_mid_bucket_leaves_the_rest_due_in_order(self, schedules_now):
+        sim = build_topology(TopologySpec(), seed=0)
+        bug = RuntimeError("timer bug")
+        fired = []
+
+        def explode(now):
+            if schedules_now:
+                sim.schedule_timer(now, fired.append)
+            raise bug
+
+        for fire in (fired.append, explode, fired.append, fired.append):
+            sim.schedule_timer(300, fire)
+        with pytest.raises(RuntimeError) as raised:
+            sim.run_until(1000)
+        assert raised.value is bug
+        assert (fired, sim.events_processed, sim.clock, sim.next_event_at()) == ([300], 2, 300, 300)
+        assert len(list(sim.due_events())) == (3 if schedules_now else 2)
+        sim.run_until(1000)
+        assert fired == [300] * (4 if schedules_now else 3)
+        assert sim.events_processed == (5 if schedules_now else 4)
+
+    def test_the_events_left_due_by_a_raise_run_before_those_scheduled_at_it(self):
+        sim = build_topology(TopologySpec(), seed=0)
+        log = []
+
+        def note(now, tag):
+            log.append(tag)
+
+        def explode(now):
+            sim.schedule_timer(now, note, "scheduled by the raise")
+            raise RuntimeError
+
+        sim.schedule_timer(5, explode)
+        sim.schedule_timer(5, note, "due before the raise")
+        with pytest.raises(RuntimeError):
+            sim.run_until(5)
+        assert list(sim.due_events()) == [
+            (5, None, note, None, ("due before the raise",)),
+            (5, None, note, None, ("scheduled by the raise",)),
+        ]
+        sim.run_until(5)
+        assert log == ["due before the raise", "scheduled by the raise"]
+
+    def test_run_until_refuses_a_call_from_inside_an_event(self):
+        sim = build_topology(TopologySpec(), seed=0)
+        fired = []
+        sim.schedule_timer(10, lambda now: sim.run_until(now))
+        sim.schedule_timer(10, fired.append)
+        with pytest.raises(ValueError, match="inside an event"):
+            sim.run_until(20)
+        assert (sim.events_processed, sim.clock, fired) == (1, 10, [])
+        sim.run_until(20)  # the refusal leaves the loop usable
+        assert (sim.events_processed, sim.clock, fired) == (2, 20, [10])
+
+    @given(
+        roots=st.lists(st.integers(0, 4), min_size=1, max_size=8),
+        delays=st.lists(st.lists(st.integers(0, 2), max_size=3), min_size=1, max_size=8),
+        horizons=st.lists(st.integers(0, 12), max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_events_run_in_time_then_scheduling_order(self, roots, delays, horizons):
+        # Event n, when it fires, schedules one event per delay in
+        # delays[n % len(delays)], n counting schedulings. The reference is
+        # a heap ordered by (time, n).
+        limit = 60
+        sim = build_topology(TopologySpec(), seed=0)
+        order, count = [], [0]
+
+        def fire(now, n):
+            order.append((now, n))
+            for delay in delays[n % len(delays)]:
+                if count[0] < limit:
+                    sim.schedule_timer(now + delay, fire, count[0])
+                    count[0] += 1
+
+        for at in roots:
+            sim.schedule_timer(at, fire, count[0])
+            count[0] += 1
+        for t in sorted(horizons) + [limit * 2 + 4]:  # the last event's latest time
+            sim.run_until(max(t, sim.clock))
+
+        heap, expected, n = [], [], 0
+        for at in roots:
+            heapq.heappush(heap, (at, n))
+            n += 1
+        while heap:
+            now, m = heapq.heappop(heap)
+            expected.append((now, m))
+            for delay in delays[m % len(delays)]:
+                if n < limit:
+                    heapq.heappush(heap, (now + delay, n))
+                    n += 1
+        assert order == expected
+        assert sim.events_processed == len(expected)
 
     def test_cannot_schedule_into_past(self):
         sim, _, _ = two_node_sim()
