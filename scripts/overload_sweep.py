@@ -97,11 +97,6 @@ def count_bytecodes(run: Callable[[], object]) -> Counter:
     return counts
 
 
-def events_scheduled(sim) -> int:
-    """Deliveries and timers scheduled so far: each has run or is still due."""
-    return sim.events_processed + sum(1 for _ in sim.due_events())
-
-
 def open_lab(capacity: float, queue: int, seed: int):
     config = parse_campaign_config(
         LAB_TEMPLATE.format(seed=seed, capacity=capacity, queue=queue), source="<sweep>"
@@ -141,7 +136,7 @@ def main() -> None:
     for rate in rates:
         lab = open_lab(args.capacity, args.queue, args.seed)
         sim = lab.sim
-        events, scheduled = sim.events_processed, events_scheduled(sim)
+        events, scheduled = sim.events_processed, sim.events_scheduled()
         start = time.perf_counter()
         result, _ = run_flood(
             lab, FloodSpec(target="target", rate_tps=rate, duration_s=args.duration)
@@ -154,7 +149,7 @@ def main() -> None:
             f"{rate:8g} {offered:8d} {result.answered:9d}"
             f" {result.dropped:8d} {fluid:8g} {delta:+7g}"
             f" {(sim.events_processed - events) / offered:10.3f}"
-            f" {(events_scheduled(sim) - scheduled) / offered:10.3f} {host_us / offered:11.2f}"
+            f" {(sim.events_scheduled() - scheduled) / offered:10.3f} {host_us / offered:11.2f}"
         )
         if args.bytecodes:
             _, counts = flood_bytecodes(args.capacity, args.queue, args.seed, rate, args.duration)

@@ -220,21 +220,31 @@ class Simulation:
 
     # -- execution -----------------------------------------------------------
 
+    # The reads below are refused from inside an event, as run_until is:
+    # the rest of the running time's list is out of the queue then.
+    def _check_idle(self) -> None:
+        if self._running:
+            raise ValueError("the event queue cannot be read from inside an event")
+
     def next_event_at(self) -> Optional[int]:
+        self._check_idle()
         return self._times[0] if self._times else None
 
     def due_events(self) -> Iterator[tuple]:
         """Every event still due, in the order it will run: (at, link, dst,
         src, payload) for a delivery, (at, None, fire, None, args) for a timer."""
-        for at in sorted(self._times):
-            for event in self._due[at]:
-                yield (at, *event)
+        self._check_idle()
+        return ((at, *event) for at in sorted(self._times) for event in self._due[at])
 
     def queued_deliveries(self, link: Optional[Link] = None) -> int:
         """Deliveries still queued: on `link`, or on every link."""
         return sum(
             1 for e in self.due_events() if e[1] is not None and (link is None or e[1] is link)
         )
+
+    def events_scheduled(self) -> int:
+        """Deliveries and timers scheduled so far: each has run or is still due."""
+        return self.events_processed + sum(1 for _ in self.due_events())
 
     # `events_processed` takes this call's events when it returns, so a
     # handler reads the count as of the call. An event that raises is
@@ -261,10 +271,7 @@ class Simulation:
                 try:
                     for link, dst, src, item in events:
                         if link is None:  # a timer: dst is the function it fires
-                            if item:
-                                dst(at, *item)
-                            else:  # a call with no * is specialized, ~140 ns less
-                                dst(at)
+                            dst(at, *item)
                             continue
                         link.delivered += 1
                         handler = handlers.get(dst.id)

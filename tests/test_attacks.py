@@ -356,11 +356,6 @@ def count_codec_calls(monkeypatch) -> Counter:
     return calls
 
 
-def events_scheduled(sim) -> int:
-    """Deliveries and timers scheduled so far: each has run or is still due."""
-    return sim.events_processed + sum(1 for _ in sim.due_events())
-
-
 @pytest.mark.parametrize("case", list(_COST_CASES))
 def test_cost_per_request(case, monkeypatch):
     rate, latency_ms, service_rate, queue_capacity, expected = _COST_CASES[case]
@@ -369,12 +364,12 @@ def test_cost_per_request(case, monkeypatch):
     )
     calls = count_codec_calls(monkeypatch)
     sim = lab.sim
-    events, scheduled = sim.events_processed, events_scheduled(sim)
+    events, scheduled = sim.events_processed, sim.events_scheduled()
     result, _ = run_flood(lab, FloodSpec(target="target", rate_tps=rate, duration_s=1))
     assert (
         result.offered,
         sim.events_processed - events,
-        events_scheduled(sim) - scheduled,
+        sim.events_scheduled() - scheduled,
         calls["build_message"],
         calls["encode_message"],
         calls["decode_message"],
