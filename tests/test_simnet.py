@@ -322,39 +322,31 @@ class TestDelivery:
         sim.run_until(5)
         assert log == ["due before the raise", "scheduled by the raise"]
 
-    def test_run_until_refuses_a_call_from_inside_an_event(self):
-        sim = build_topology(TopologySpec(), seed=0)
-        fired = []
-        sim.schedule_timer(10, lambda now: sim.run_until(now))
-        sim.schedule_timer(10, fired.append)
-        with pytest.raises(ValueError, match="inside an event"):
-            sim.run_until(20)
-        assert (sim.events_processed, sim.clock, fired) == (1, 10, [])
-        sim.run_until(20)  # the refusal leaves the loop usable
-        assert (sim.events_processed, sim.clock, fired) == (2, 20, [10])
-
     @pytest.mark.parametrize(
-        "read",
+        "call",
         [
+            lambda sim: sim.run_until(sim.clock),
             lambda sim: sim.next_event_at(),
             lambda sim: sim.due_events(),
             lambda sim: sim.queued_deliveries(),
             lambda sim: sim.events_scheduled(),
         ],
-        ids=["next_event_at", "due_events", "queued_deliveries", "events_scheduled"],
+        ids=["run_until", "next_event_at", "due_events", "queued_deliveries", "events_scheduled"],
     )
-    def test_queue_reads_are_refused_from_inside_an_event(self, read):
-        # The rest of the running time's list is out of the queue then, so
-        # a read would miss the event after this one.
+    def test_run_until_and_queue_reads_are_refused_from_inside_an_event(self, call):
+        # The rest of the running time's list is out of the queue then: a
+        # nested run would run later times first, and a read would miss
+        # the event after this one.
         sim = build_topology(TopologySpec(), seed=0)
         fired = []
-        sim.schedule_timer(10, lambda now: read(sim))
+        sim.schedule_timer(10, lambda now: call(sim))
         sim.schedule_timer(10, fired.append)
         with pytest.raises(ValueError, match="inside an event"):
             sim.run_until(20)
-        assert (sim.next_event_at(), sim.events_scheduled(), fired) == (10, 2, [])
-        sim.run_until(20)
-        assert (sim.events_processed, fired) == (2, [10])
+        assert (sim.events_processed, sim.clock, sim.next_event_at(), fired) == (1, 10, 10, [])
+        assert sim.events_scheduled() == 2
+        sim.run_until(20)  # the refusal leaves the loop usable
+        assert (sim.events_processed, sim.clock, fired) == (2, 20, [10])
 
     @given(
         roots=st.lists(st.integers(0, 4), min_size=1, max_size=8),
