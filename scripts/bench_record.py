@@ -7,15 +7,18 @@ Runs, each as a subprocess of the checkout under --root:
   tables, not the JSON result lines this file keeps);
 - scripts/codec_bench.py --json, and with --against CHECKOUT also
   scripts/codec_bench.py --json --against CHECKOUT, which times both
-  checkouts' codecs alternately in one process.
+  checkouts' codecs alternately in one process;
+- the overload_sweep.py next to this file, with --bytecodes --json, on
+  the checkout's source: one counter for every checkout recorded, so two
+  records compare their bytecodes per request by module exactly.
 
 The file holds the machine line and git rev perfbench printed, every JSON
 result line, the fuzz_cases_per_s line (median, q1, q3, n) of each
 untraced run that has a fuzz, the codec numbers (and, under
-codec_against, the ratio of each operation's ops/s over CHECKOUT's), and
-the golden digests from perfbench/golden.json of each workload whose run
-checked them (full sizes at the default seed; --smoke checks determinism
-only). It only measures: a failed check is recorded in the results, not
+codec_against, the ratio of each operation's ops/s over CHECKOUT's), the
+sweep under bytecodes, and the golden digests from perfbench/golden.json
+of each workload whose run checked them (full sizes at the default seed;
+--smoke checks determinism only). It only measures: a failed check is recorded in the results, not
 acted on. Host times move with the machine and its load, so record the
 two checkouts being compared on the same machine, one after the other.
 
@@ -37,6 +40,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SWEEP = Path(__file__).resolve().parent / "overload_sweep.py"
 TIMEOUT_S = 600
 
 
@@ -115,7 +119,10 @@ def record(root: Path, seconds: int, smoke: bool, against: Path | None) -> tuple
         "codec_bench": codec_json(root, smoke),
         "golden_checked": checked,
     }
-    complete = complete and data["codec_bench"] is not None
+    sweep = [sys.executable, str(SWEEP), "--bytecodes", "--json",
+             "--duration", "0.02" if smoke else "0.5"]
+    data["bytecodes"] = last_json(run(sweep, root).stdout)
+    complete = complete and data["codec_bench"] is not None and data["bytecodes"] is not None
     if against is not None:
         data["codec_against"] = codec_json(root, smoke, "--against", str(against))
         complete = complete and data["codec_against"] is not None

@@ -244,10 +244,11 @@ class FloodResult:
         return dict(self.__dict__)
 
 
-def _count_result_code(counts: dict[str, int], code: Optional[int]) -> None:
-    """Tally one answer in a flood's or fuzz op's result-code counts ("none": no code)."""
-    key = str(code) if code is not None else "none"
-    counts[key] = counts.get(key, 0) + 1
+def _render_result_codes(tally: dict[Optional[int], int]) -> dict[str, int]:
+    """A tally of answers by result code (None: no code), as a result keeps
+    it: keyed by the code's text ("none" for None), in order of that text.
+    A run tallies by the int and renders the text once, here."""
+    return dict(sorted(("none" if code is None else str(code), n) for code, n in tally.items()))
 
 
 # Sends between sweeps of expired pending entries. A module name: CPython 3.11
@@ -276,7 +277,7 @@ class _FloodDriver:
         self.sent = 0
         self.answered = 0
         self.latencies: list[int] = []
-        self.result_codes: dict[str, int] = {}
+        self.result_codes: dict[Optional[int], int] = {}
         # One callback object for the whole flood, stored in every pending
         # entry it sends: `self._count_answer` read per send would make a new
         # bound method each time (~16k held at once by an overloaded target),
@@ -326,7 +327,8 @@ class _FloodDriver:
     def _count_answer(self, pending, msg, now) -> None:
         self.answered += 1
         self.latencies.append(now - pending.sent_at)
-        _count_result_code(self.result_codes, result_code_of(msg))
+        code = result_code_of(msg)
+        self.result_codes[code] = self.result_codes.get(code, 0) + 1
 
 
 # How long a flood's run settles after the last send and the target's drain time.
@@ -375,7 +377,7 @@ def run_flood(lab: Lab, spec: FloodSpec) -> tuple[FloodResult, list[Finding]]:
         latency_min_us=min(lat) if lat else None,
         latency_mean_us=round(sum(lat) / len(lat)) if lat else None,
         latency_max_us=max(lat) if lat else None,
-        result_code_counts=dict(sorted(driver.result_codes.items())),
+        result_code_counts=_render_result_codes(driver.result_codes),
     )
     findings: list[Finding] = []
     if target.failed or ratio < spec.degraded_answer_ratio:
@@ -572,7 +574,7 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
         failed = target.dropped_failed_inbound + target.dropped_failed_base
         return target.parse_drops + target.fsm_drops + target.dropped_overflow + failed
 
-    def judge(case: bytes, hbh: int, codes: dict[str, int]) -> str:
+    def judge(case: bytes, hbh: int, codes: dict[Optional[int], int]) -> str:
         """Send one case and run until it is answered, dropped, crashes the
         target or times out; an answer's result code is tallied in `codes`."""
         drops_before = target_drops()
@@ -593,14 +595,14 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
                     return DISPOSITION_CRASH
                 raise
         code = wire_answers[hbh]
-        _count_result_code(codes, code)
+        codes[code] = codes.get(code, 0) + 1
         if code == dct.RESULT_SUCCESS:
             return DISPOSITION_ANSWERED_SUCCESS
         return DISPOSITION_ANSWERED_ERROR
 
     ops = [op.value for op in spec.ops]
     tallies: dict[str, dict[str, int]] = {op: {} for op in ops}
-    result_codes: dict[str, dict[str, int]] = {op: {} for op in ops}
+    result_codes: dict[str, dict[Optional[int], int]] = {op: {} for op in ops}
     no_op_cases = 0
     findings: list[Finding] = []
     unanswered: dict[int, tuple[int, MutationOp, bytes]] = {}  # hop-by-hop -> (index, op, case)
@@ -664,6 +666,6 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
             f.evidence["finding_type"] == "accepted-invalid" for f in findings
         ),
         tallies={op: {d: n for d, n in sorted(t.items()) if n} for op, t in tallies.items()},
-        result_codes={op: dict(sorted(t.items())) for op, t in result_codes.items()},
+        result_codes={op: _render_result_codes(t) for op, t in result_codes.items()},
     )
     return result, findings

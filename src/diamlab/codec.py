@@ -277,6 +277,15 @@ def encode_avp(avp: Avp) -> bytes:
     return _pack_avp(avp)
 
 
+def _check_header(m: Message) -> None:
+    """Raise the CodecError of `m`'s first header field out of range, if any."""
+    if not 0 <= m.command_code <= _U24_MAX:
+        raise _range_error(m.command_code, _U24_MAX, "command code")
+    if not 0 <= m.application_id <= U32_MAX:
+        raise _range_error(m.application_id, U32_MAX, "application id")
+    _check_ids(m.hop_by_hop_id, m.end_to_end_id)
+
+
 def _checked_length(m: Message) -> int:
     """The Message Length encode_message writes for `m`.
 
@@ -285,28 +294,26 @@ def _checked_length(m: Message) -> int:
     end-to-end id, each AVP, the total. Raises CodecError for the first
     value that cannot be represented on the wire.
 
-    In-range values pass with no call per field or AVP: the ids and each
-    AVP are inline comparisons, and only a fault falls through to the
-    _check_ids or _checked_avp_length that names it.
+    In-range values pass with no call per field or AVP: each is tested by
+    its width, `x >> 32` or `x >> 24`, which is non-zero for a value too
+    wide and for a negative one. CPython 3.11 does not specialize a
+    compare with a bound of 2**30 or more, such as U32_MAX. Only a fault
+    falls through to the _check_header or _checked_avp_length that names
+    it, with the range in its text.
     """
-    if not 0 <= m.command_code <= _U24_MAX:
-        raise _range_error(m.command_code, _U24_MAX, "command code")
-    if not 0 <= m.application_id <= U32_MAX:
-        raise _range_error(m.application_id, U32_MAX, "application id")
-    if not (0 <= m.hop_by_hop_id <= U32_MAX and 0 <= m.end_to_end_id <= U32_MAX):
-        _check_ids(m.hop_by_hop_id, m.end_to_end_id)  # raises, naming the id
+    if (
+        m.command_code >> 24 or m.application_id >> 32
+        or m.hop_by_hop_id >> 32 or m.end_to_end_id >> 32
+    ):
+        _check_header(m)  # raises, naming the field
     total = HEADER_LEN
     for a in m.avps:
         vendor_id = a.vendor_id
         length = len(a.data) + (AVP_HEADER_LEN if vendor_id is None else AVP_HEADER_LEN + 4)
-        if not (
-            0 <= a.code <= U32_MAX
-            and length <= _U24_MAX
-            and (vendor_id is None or 0 <= vendor_id <= U32_MAX)
-        ):
+        if a.code >> 32 or length >> 24 or (vendor_id is not None and vendor_id >> 32):
             _checked_avp_length(a)  # raises this AVP's first fault
         total += (length + 3) & ~3
-    if not 0 <= total <= MAX_MESSAGE_LEN:
+    if total > MAX_MESSAGE_LEN:
         raise _range_error(total, MAX_MESSAGE_LEN, "message length")
     return total
 

@@ -201,7 +201,7 @@ def result_code_of(msg: Message) -> Optional[int]:
 
 
 # Base-protocol command code -> (request event, answer event); every other
-# command is application traffic, which `Element._deliver` takes directly.
+# command is application traffic, which `Element.on_decoded` takes directly.
 _BASE_EVENT_KINDS = {
     dct.CMD_CAPABILITIES_EXCHANGE: (EventKind.RCV_CER, EventKind.RCV_CEA),
     dct.CMD_DEVICE_WATCHDOG: (EventKind.RCV_DWR, EventKind.RCV_DWA),
@@ -279,7 +279,7 @@ class Element:
 
     def feed_event(self, peer: NodeId, event: PeerEvent, now: int) -> None:
         """Advance the link to `peer` by a base-protocol or timer `event`;
-        application messages take `_deliver` from `on_decoded` instead."""
+        `on_decoded` delivers application messages itself instead."""
         link = self.links[peer.id]
         prev_deadline = link.state.watchdog_deadline
         new_state, actions = handle_event(link.state, event, now, self.peer_config)
@@ -333,9 +333,14 @@ class Element:
         self.on_decoded(src, msg, now)
 
     def on_decoded(self, src: NodeId, msg: Message, now: int) -> None:
-        """Validate a decoded inbound message, then deliver it if it is
-        application traffic, or feed it to the peer FSM if it is not."""
-        if msg.request:
+        """Validate a decoded inbound message. A base-protocol message then
+        feeds the peer FSM. Application traffic is delivered here, with no
+        event built, if `deliverable`: a request goes to admission, and an
+        answer pops the pending entry it matches and goes to its
+        `on_answer`. Undelivered traffic counts an FSM drop, and the peer
+        state never changes."""
+        request = msg.request
+        if request:
             violations = validate_message(msg, self._dictionary)
             if violations:
                 if any(v.kind is ViolationKind.UNSUPPORTED_MANDATORY_AVP for v in violations):
@@ -345,18 +350,13 @@ class Element:
                 self.sim.send(self.node, src, _error_answer(msg, code))
                 return
         kinds = _BASE_EVENT_KINDS.get(msg.command_code)
-        if kinds is None:
-            self._deliver(self.links[src.id], msg, now)
-        else:
-            self.feed_event(src, PeerEvent(kinds[0] if msg.request else kinds[1], msg), now)
-
-    def _deliver(self, link: PeerLink, msg: Message, now: int) -> None:
-        """Application traffic: admit a request, or hand an answer to the
-        request it matches, if `deliverable`; else count an FSM drop. The
-        peer state never changes."""
+        if kinds is not None:
+            self.feed_event(src, PeerEvent(kinds[0] if request else kinds[1], msg), now)
+            return
+        link = self.links[src.id]
         if not deliverable(link.state.phase, msg, link.pending):
             self.fsm_drops += 1
-        elif msg.request:
+        elif request:
             neighbor = link.neighbor
             if self.admit((neighbor, msg), now) is ACCEPTED:
                 self.direct_served += 1
@@ -523,8 +523,12 @@ class TargetServerElement(Element):
 
     def handle_app_request(self, msg: Message, now: int) -> Message:
         if msg.command_code == dct.CMD_ECHO:
-            payload = [a for a in msg.avps if a.code == dct.AVP_ECHO_PAYLOAD]
-            return build_answer(msg, [result_code_avp(dct.RESULT_SUCCESS)] + payload)
+            # A loop, not a comprehension: CPython 3.11 runs one in a frame of its own.
+            avps = [result_code_avp(dct.RESULT_SUCCESS)]
+            for a in msg.avps:
+                if a.code == dct.AVP_ECHO_PAYLOAD:
+                    avps.append(a)
+            return build_answer(msg, avps)
         return super().handle_app_request(msg, now)
 
 
@@ -694,7 +698,7 @@ class MmeElement(Element):
         self, now: int, run: AttachResult, step: int, dst: NodeId, hbh: int
     ) -> None:
         """Give up on the step's request, unless it was answered: a late answer
-        then finds no pending entry, and `_deliver` drops it as unmatched."""
+        then finds no pending entry, and `on_decoded` drops it as unmatched."""
         if run.success is None and run.steps_completed == step:
             self.forget_pending_many(dst, (hbh,))
             self._finish(run, False, "timeout", now)
@@ -719,7 +723,8 @@ class AttackBoxElement(Element):
     def on_decoded(self, src: NodeId, msg: Message, now: int) -> None:
         if self.on_wire_answer is not None and not msg.request:
             self.on_wire_answer(msg)
-        super().on_decoded(src, msg, now)
+        # A plain call: super() would build an object per message.
+        Element.on_decoded(self, src, msg, now)
 
 
 _ELEMENT_CLASSES: dict[ElementKind, type[Element]] = {

@@ -26,7 +26,7 @@ from diamlab.attacks import (
     MutationOp,
     Severity,
     _FloodDriver,
-    _count_result_code,
+    _render_result_codes,
     as_text,
     mutate,
     run_flood,
@@ -917,10 +917,14 @@ class TestFuzz:
         assert as_text(value) == text
 
     def test_result_codes_are_tallied_by_their_text(self):
-        counts: dict[str, int] = {}
-        for code in [2001, None, 2001, 5001, None, None]:
-            _count_result_code(counts, code)
-        assert counts == {"2001": 2, "none": 3, "5001": 1}
+        tally = Counter([2001, None, 2001, 5001, None, None])
+        assert _render_result_codes(tally) == {"2001": 2, "none": 3, "5001": 1}
+
+    def test_result_codes_are_rendered_in_the_order_of_their_text(self):
+        # 5012 < 10001 as ints, "10001" < "5012" as text; "none" sorts last
+        rendered = _render_result_codes({None: 1, 5012: 2, 10001: 3})
+        assert list(rendered.items()) == [("10001", 3), ("5012", 2), ("none", 1)]
+        assert _render_result_codes({}) == {}
 
     def test_spec_invariants(self):
         with pytest.raises(ValueError):

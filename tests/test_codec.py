@@ -258,6 +258,103 @@ class TestEncodeErrors:
         assert len(raw) == 2**24  # AVP length 2**24 - 1, one padding byte
 
 
+# Values at and around each range bound: build_message's checks test a
+# field by its width (x >> 32), which must agree with the plain range.
+def _around(bound: int):
+    return st.sampled_from([-1, 0, bound, bound + 1, 2**63, True])
+
+
+_U24_MAX = 2**24 - 1
+# Data lengths at and around the AVP length bound (AVP length = data + 8,
+# or + 12 with a vendor id) and the message length bound (one AVP, padded
+# to 4 bytes, after the 20-byte header).
+_DATA_LENGTHS = st.sampled_from(
+    [0, 1, 2**24 - 13, 2**24 - 12, 2**24 - 9, 2**24 - 8, 0xFFFFDC, 0xFFFFDD, 0xFFFFE0, 0xFFFFE1]
+)
+
+
+@st.composite
+def _bound_avps(draw) -> Avp:
+    vendor_id = draw(st.none() | _around(U32_MAX))
+    return Avp(draw(_around(U32_MAX)), bytes(draw(_DATA_LENGTHS)), vendor_id)
+
+
+def _reference_fault(args) -> "str | None":
+    """The CodecError text for build_message(*args), from plain range
+    compares in the layout's order, or None if the value fits the wire."""
+    command_code, avps, application_id, hop_by_hop_id, end_to_end_id = args[:5]
+    header = [
+        (command_code, _U24_MAX, "command code"),
+        (application_id, U32_MAX, "application id"),
+        (hop_by_hop_id, U32_MAX, "hop-by-hop id"),
+        (end_to_end_id, U32_MAX, "end-to-end id"),
+    ]
+    for value, bound, what in header:
+        if not 0 <= value <= bound:
+            return f"{what} {value} out of range [0, {bound}]"
+    total = 20
+    for a in avps:
+        if not 0 <= a.code <= U32_MAX:
+            return f"AVP code {a.code} out of range [0, {U32_MAX}]"
+        if a.vendor_id is not None and not 0 <= a.vendor_id <= U32_MAX:
+            return f"vendor id {a.vendor_id} out of range [0, {U32_MAX}]"
+        length = (8 if a.vendor_id is None else 12) + len(a.data)
+        if length > _U24_MAX:
+            return f"AVP length {length} out of range [0, {_U24_MAX}]"
+        total += -(-length // 4) * 4
+    if total > _U24_MAX:
+        return f"message length {total} out of range [0, {_U24_MAX}]"
+    return None
+
+
+def _in_range(bound: int):
+    return st.sampled_from([0, bound, True])
+
+
+_FLAGS = [st.booleans()] * 4
+
+
+class TestRangeChecksAtTheBounds:
+    @staticmethod
+    def check(args) -> None:
+        fault = _reference_fault(args)
+        if fault is None:
+            m = build_message(*args)
+            assert m == Message(*args)
+            wire = encode_message(m)
+            assert int.from_bytes(wire[1:4], "big") == len(wire)
+            assert decode_message(wire) == m
+            return
+        with pytest.raises(CodecError) as encoded:
+            encode_message(Message(*args))
+        with pytest.raises(CodecError) as built:
+            build_message(*args)
+        assert str(built.value) == str(encoded.value) == fault
+
+    @given(
+        st.tuples(
+            _around(_U24_MAX), st.just(()), _around(U32_MAX), _around(U32_MAX), _around(U32_MAX),
+            *_FLAGS,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_header_fields(self, args):
+        self.check(args)
+
+    # The header in range, so that each AVP's checks are reached.
+    @given(
+        st.tuples(
+            _in_range(_U24_MAX),
+            st.lists(_bound_avps(), min_size=1, max_size=2).map(tuple),
+            _in_range(U32_MAX), _in_range(U32_MAX), _in_range(U32_MAX),
+            *_FLAGS,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_avps(self, args):
+        self.check(args)
+
+
 @pytest.fixture
 def tiny_dictionary() -> Dictionary:
     return Dictionary(

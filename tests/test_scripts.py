@@ -10,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from diamlab.attacks import FloodSpec, run_flood
 from diamlab.codec import Avp, Message
 from diamlab.peer import PendingRequest
+
+from tests.labs import duo_lab_text, make_lab
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -78,8 +81,32 @@ def test_overload_sweep_bytecodes_adds_a_column_and_a_table_by_module():
     assert len(rows) == 9 and all(len(row) == 10 and float(row[-1]) > 0 for row in rows)
     title, header, *module_rows = by_module.splitlines()
     assert title.startswith("bytecodes per offered request by module")
-    assert {"attacks", "codec", "elements", "peer", "simnet"} <= set(header.split()[1:])
-    assert [row.split()[0] for row in module_rows] == [row[0] for row in rows]
+    assert "phase1's fuzz (1000 cases)" in title
+    modules = header.split()[1:]
+    assert {"attacks", "codec", "elements", "peer", "simnet"} <= set(modules)
+    assert modules[-1] == "total"
+    assert [row.split()[0] for row in module_rows] == [row[0] for row in rows] + ["fuzz"]
+    for row, table_row in zip(rows, module_rows):
+        assert table_row.split()[-1] == row[-1]  # the total is the column's value
+    *per_module, total = map(float, module_rows[-1].split()[1:])
+    assert total == pytest.approx(sum(per_module), abs=0.1 * len(per_module))
+
+
+def test_overload_sweep_json_holds_the_rows_and_the_fuzz_row():
+    out = json.loads(run_script("overload_sweep.py", "--duration", "0.02", "--bytecodes", "--json"))
+    assert out["python"] == sys.version.split()[0]
+    assert len(out["rows"]) == 9
+    for row in out["rows"]:
+        assert row["offered"] == row["answered"] + row["dropped"]
+        per_req = row["bytecodes_per_req"]
+        assert {"attacks", "codec", "elements", "peer", "simnet"} <= set(per_req)
+        assert per_req.pop("total") == pytest.approx(sum(per_req.values()))
+    fuzz = out["fuzz"]
+    assert fuzz["cases"] == 1000
+    assert fuzz["bytecodes_per_case"]["total"] > 0
+    # without --bytecodes, no bytecode column and no fuzz row
+    plain = json.loads(run_script("overload_sweep.py", "--duration", "0.02", "--json"))
+    assert "fuzz" not in plain and all("bytecodes_per_req" not in r for r in plain["rows"])
 
 
 def test_bytecode_counts_are_the_same_in_two_runs_in_one_process():
@@ -92,6 +119,34 @@ def test_bytecode_counts_are_the_same_in_two_runs_in_one_process():
     # a generated constructor is filed under its class's module
     for cls, module in ((Avp, "codec"), (Message, "codec"), (PendingRequest, "peer")):
         assert sweep.module_of(cls.__new__.__code__.co_filename) == module
+    first, second = sweep.fuzz_bytecodes(), sweep.fuzz_bytecodes()
+    assert first == second
+    cases, counts = first
+    assert cases == 1000
+    assert {"attacks", "codec", "elements", "peer", "simnet"} <= set(counts)
+
+
+def test_bytecodes_per_answered_request_stay_flat_as_requests_outstanding_grow():
+    # Cost per request does not grow with the requests outstanding: about 2
+    # of them with 1 ms links, all 1,000 with 1,000 ms links. The rate keeps
+    # every send, delivery and answer at a microsecond of its own at both
+    # latencies. Events that share a microsecond run from one list of the
+    # simulation's queue, which costs fewer bytecodes per event: at 2,000
+    # TPS a 1 ms link puts a send, a delivery and an answer in each list, a
+    # 1,000 ms link does not during the flood's first and last seconds.
+    sweep = load_script("overload_sweep.py")
+    per_request = []
+    for latency_ms in (1, 1000):
+        text = duo_lab_text(service_rate=2500, queue_capacity=1000, latency_ms=latency_ms)
+        _, lab = make_lab(text)
+        spec = FloodSpec(target="target", rate_tps=1250.25, duration_s=0.8)
+        results = []
+        counts = sweep.count_bytecodes(lambda: results.append(run_flood(lab, spec)))
+        result = results[0][0]
+        assert result.answered == result.offered == 1000
+        per_request.append(sum(counts.values()) / result.answered)
+    low, high = per_request
+    assert abs(high - low) < 0.01 * low
 
 
 def test_codec_bench_json_has_every_operation():
@@ -153,6 +208,10 @@ def test_bench_record_writes_every_workload(tmp_path):
     assert set(fuzz.values()) == {None}
     assert set(rate) == {"median", "q1", "q3", "n"}
     assert 0 < rate["q1"] <= rate["median"] <= rate["q3"] and rate["n"] >= 3
+    # the bytecode sweep, counted by this checkout's overload_sweep.py
+    sweep = record["bytecodes"]
+    assert len(sweep["rows"]) == 9 and all("bytecodes_per_req" in r for r in sweep["rows"])
+    assert sweep["fuzz"]["cases"] == 1000
 
 
 def test_a_failing_hypothesis_test_is_reported_under_the_repo_warning_filters(tmp_path):
