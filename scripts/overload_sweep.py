@@ -126,8 +126,9 @@ def flood_bytecodes(capacity: float, queue: int, seed: int, rate: float, duratio
 def fuzz_bytecodes():
     """(cases, bytecodes by module) of phase1's fuzz on a fresh phase1 lab,
     with the seed its campaign gives it. The fuzz runs once untraced first,
-    so the counts leave out what the first run in a process fills in
-    (peer.result_code_avp's cache), as each flood's do."""
+    so the counts leave out what only the first run in a process does
+    (filling peer.result_code_avp's cache), as the untraced flood before
+    each rate's traced one does in the sweep."""
     config = load_config("phase1")
     index, spec = next((i, s) for i, s in enumerate(config.attacks) if s.kind == "fuzz")
     spec = replace(spec, seed=_derived_seed(config.seed, index))
