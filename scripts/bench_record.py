@@ -8,15 +8,17 @@ Runs, each as a subprocess of the checkout under --root:
 - scripts/codec_bench.py --json, and with --against CHECKOUT also
   scripts/codec_bench.py --json --against CHECKOUT, which times both
   checkouts' codecs alternately in one process;
-- the overload_sweep.py next to this file, with --bytecodes --json, on
-  the checkout's source: one counter for every checkout recorded, so two
-  records compare their bytecodes per request by module exactly.
+- the overload_sweep.py next to this file, with --bytecodes --adaptive
+  --json, on the checkout's source: one counter for every checkout
+  recorded, so two records compare their bytecodes per request by module
+  exactly, and list the instructions each leaves in adaptive form.
 
 The file holds the machine line and git rev perfbench printed, every JSON
 result line, the fuzz_cases_per_s line (median, q1, q3, n) of each
 untraced run that has a fuzz, the codec numbers (and, under
 codec_against, the ratio of each operation's ops/s over CHECKOUT's), the
-sweep under bytecodes, and the golden digests from perfbench/golden.json
+sweep under bytecodes (its adaptive listings under bytecodes.adaptive),
+and the golden digests from perfbench/golden.json
 of each workload whose run checked them (full sizes at the default seed;
 --smoke checks determinism only). It only measures: a failed check is recorded in the results, not
 acted on. Host times move with the machine and its load, so record the
@@ -119,7 +121,7 @@ def record(root: Path, seconds: int, smoke: bool, against: Path | None) -> tuple
         "codec_bench": codec_json(root, smoke),
         "golden_checked": checked,
     }
-    sweep = [sys.executable, str(SWEEP), "--bytecodes", "--json",
+    sweep = [sys.executable, str(SWEEP), "--bytecodes", "--adaptive", "--json",
              "--duration", "0.02" if smoke else "0.5"]
     data["bytecodes"] = last_json(run(sweep, root).stdout)
     complete = complete and data["codec_bench"] is not None and data["bytecodes"] is not None

@@ -17,21 +17,39 @@ module of the class it was generated for (codec.slot_init), or under
 <string> (dataclasses). Tracing runs about 50 times slower than the flood
 itself, so use short floods.
 
+--adaptive lists the executed instructions of diamlab's code that CPython
+3.11's specializing interpreter (PEP 659) leaves in an unspecialized
+*_ADAPTIVE form after warm runs: each by function, line and offset, with its
+executions per offered request, and their total. It lists the 1x row
+(every request answered), the 4x row (most dropped) and phase1's fuzz, per
+case. Each runs twice, on fresh labs: first traced with f_trace_opcodes,
+for the executions (under tracing 3.11 executes each instruction's base
+form, and specializes nothing), then untraced, to warm the code again, after
+which the forms are read with dis.get_instructions(code, adaptive=True). A CALL after a PRECALL
+specialized for a builtin is left out: the PRECALL makes the call, and an
+untraced run never executes that CALL. A site that sees values of more than
+one type can flip between a specialized and the adaptive form as runs go
+on, and a specialized form whose guard fails goes back to the adaptive one
+only after some misses, so the listing is a snapshot of the forms after the
+warm run, and a longer --duration can list more.
+
 --json prints the same sweep as one JSON object instead: the rows, each
 with its bytecodes per offered request in total and by module under
---bytecodes, and then the fuzz row.
+--bytecodes, then the fuzz row, and the listings under `adaptive`.
 
 Usage: PYTHONPATH=src python scripts/overload_sweep.py [--capacity 1000] [--queue 100]
-           [--duration 5] [--bytecodes] [--json]
+           [--duration 5] [--bytecodes] [--adaptive] [--json]
 """
 
 import argparse
+import dis
 import json
 import os
 import sys
 import time
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -72,29 +90,33 @@ def module_of(filename: str) -> Optional[str]:
     return None
 
 
-def count_bytecodes(run: Callable[[], object]) -> Counter:
-    """Bytecodes executed in diamlab's code while `run()` runs, by module."""
-    counts: Counter = Counter()
-    tracers: dict[str, Callable] = {}  # module -> its opcode counter
-    by_filename: dict[str, Optional[Callable]] = {}
+def function_of(code) -> str:
+    """A code object's qualified name; a generated constructor's with its
+    class (codec.slot_init compiles it under the filename <diamlab.codec.Avp>)."""
+    if code.co_filename.startswith("<diamlab."):
+        return f"{code.co_filename[1:-1].split('.', 2)[2]}.{code.co_qualname}"
+    return code.co_qualname
 
-    def tracer_for(module: str) -> Callable:
-        def count(frame, event, arg):
-            if event == "opcode":
-                counts[module] += 1
-            return count
 
-        return count
+def count_executions(run: Callable[[], object]) -> dict:
+    """Executions of each instruction of diamlab's code while `run()` runs:
+    {id(code): (code, Counter of byte offsets)}. Keyed by id, since two code
+    objects compiled from the same text compare equal."""
+    executed: dict[int, tuple] = {}
 
     def on_call(frame, event, arg):
-        filename = frame.f_code.co_filename
-        if filename not in by_filename:
-            module = module_of(filename)
-            by_filename[filename] = module and tracers.setdefault(module, tracer_for(module))
-        tracer = by_filename[filename]
-        if tracer is not None:
-            frame.f_trace_opcodes = True
-        return tracer
+        code = frame.f_code
+        if module_of(code.co_filename) is None:
+            return None
+        offsets = executed.setdefault(id(code), (code, Counter()))[1]
+
+        def count(frame, event, arg):
+            if event == "opcode":
+                offsets[frame.f_lasti] += 1
+            return count
+
+        frame.f_trace_opcodes = True
+        return count
 
     previous = sys.gettrace()
     sys.settrace(on_call)
@@ -102,7 +124,55 @@ def count_bytecodes(run: Callable[[], object]) -> Counter:
         run()
     finally:
         sys.settrace(previous)
+    return executed
+
+
+def count_bytecodes(run: Callable[[], object]) -> Counter:
+    """Bytecodes executed in diamlab's code while `run()` runs, by module."""
+    counts: Counter = Counter()
+    for code, offsets in count_executions(run).values():
+        counts[module_of(code.co_filename)] += offsets.total()
     return counts
+
+
+# A PRECALL specialized for a builtin makes the whole call and skips its
+# CALL, which then never runs untraced and stays CALL_ADAPTIVE; only these
+# forms leave the CALL to run.
+_PRECALLS_THAT_CALL = {"PRECALL", "PRECALL_ADAPTIVE", "PRECALL_BOUND_METHOD", "PRECALL_PYFUNC"}
+
+
+def adaptive_sites(executed: dict, n: int) -> dict:
+    """The executed instructions of `executed` (count_executions) whose
+    current form is *_ADAPTIVE, with their executions per unit of `n`: the
+    sites, largest first, and their total."""
+    sites = []
+    for code, offsets in executed.values():
+        previous = None
+        for ins in dis.get_instructions(code, adaptive=True):
+            runs = offsets.get(ins.offset)
+            if (
+                runs and ins.opname.endswith("_ADAPTIVE")
+                and not (ins.opname == "CALL_ADAPTIVE" and previous not in _PRECALLS_THAT_CALL)
+            ):
+                sites.append({
+                    "module": module_of(code.co_filename),
+                    "function": function_of(code),
+                    "line": ins.positions.lineno,
+                    "offset": ins.offset,
+                    "opname": ins.opname,
+                    "per_unit": runs / n,
+                })
+            previous = ins.opname
+    sites.sort(key=lambda s: (-s["per_unit"], s["module"], s["function"], s["offset"]))
+    return {"n": n, "total": sum(s["per_unit"] for s in sites), "sites": sites}
+
+
+def adaptive_listing(runs: list[Callable[[], object]], n: int) -> dict:
+    """adaptive_sites of runs[0], counted under sys.settrace, with the forms
+    read after runs[1] warms the same code untraced."""
+    executed = count_executions(runs[0])
+    runs[1]()
+    return adaptive_sites(executed, n)
 
 
 def open_lab(capacity: float, queue: int, seed: int):
@@ -114,30 +184,40 @@ def open_lab(capacity: float, queue: int, seed: int):
     return lab
 
 
+def flood_runs(capacity: float, queue: int, seed: int, rate: float, duration: float, k: int):
+    """k runs of one flood, each on a fresh lab built now."""
+    spec = FloodSpec(target="target", rate_tps=rate, duration_s=duration)
+    return [partial(run_flood, open_lab(capacity, queue, seed), spec) for _ in range(k)]
+
+
 def flood_bytecodes(capacity: float, queue: int, seed: int, rate: float, duration: float):
     """(offered requests, bytecodes by module) of one flood on a fresh lab."""
-    lab = open_lab(capacity, queue, seed)
-    spec = FloodSpec(target="target", rate_tps=rate, duration_s=duration)
     results = []
-    counts = count_bytecodes(lambda: results.append(run_flood(lab, spec)))
+    run = flood_runs(capacity, queue, seed, rate, duration, 1)[0]
+    counts = count_bytecodes(lambda: results.append(run()))
     return results[0][0].offered, counts
 
 
-def fuzz_bytecodes():
-    """(cases, bytecodes by module) of phase1's fuzz on a fresh phase1 lab,
-    with the seed its campaign gives it. The fuzz runs once untraced first,
-    so the counts leave out what only the first run in a process does
-    (filling peer.result_code_avp's cache), as the untraced flood before
-    each rate's traced one does in the sweep."""
+def fuzz_runs(k: int):
+    """(cases, k runs of phase1's fuzz), each on a fresh phase1 lab built
+    now, with the seed its campaign gives the fuzz."""
     config = load_config("phase1")
     index, spec = next((i, s) for i, s in enumerate(config.attacks) if s.kind == "fuzz")
     spec = replace(spec, seed=_derived_seed(config.seed, index))
-    labs = [build_lab(config) for _ in range(2)]
+    labs = [build_lab(config) for _ in range(k)]
     for lab in labs:
         lab.bring_links_open()
-    run_fuzz(labs[0], spec)
-    counts = count_bytecodes(lambda: run_fuzz(labs[1], spec))
-    return spec.case_count, counts
+    return spec.case_count, [partial(run_fuzz, lab, spec) for lab in labs]
+
+
+def fuzz_bytecodes():
+    """(cases, bytecodes by module) of phase1's fuzz. The fuzz runs once
+    untraced first, so the counts leave out what only the first run in a
+    process does (filling caches), as the untraced flood before each rate's
+    traced one does in the sweep."""
+    cases, (warm, traced) = fuzz_runs(2)
+    warm()
+    return cases, count_bytecodes(traced)
 
 
 def per_unit(counts: Counter, n: int) -> dict:
@@ -145,11 +225,17 @@ def per_unit(counts: Counter, n: int) -> dict:
     return {"total": sum(counts.values()) / n, **{m: c / n for m, c in sorted(counts.items())}}
 
 
+# The sweep's rates, as multiples of the capacity, and the rows that
+# --adaptive lists: every request answered, and most dropped.
+RATES = (0.25, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0, 3.0, 4.0)
+ADAPTIVE_RATES = (1.0, 4.0)
+
+
 def sweep(args) -> dict:
-    """The sweep as one JSON-ready value: a row per rate, and the fuzz row
-    under --bytecodes."""
+    """The sweep as one JSON-ready value: a row per rate, the fuzz row under
+    --bytecodes, and the adaptive listings under --adaptive."""
     rows = []
-    for r in (0.25, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0, 3.0, 4.0):
+    for r in RATES:
         rate = r * args.capacity
         lab = open_lab(args.capacity, args.queue, args.seed)
         sim = lab.sim
@@ -186,6 +272,15 @@ def sweep(args) -> dict:
     if args.bytecodes:
         cases, counts = fuzz_bytecodes()
         out["fuzz"] = {"cases": cases, "bytecodes_per_case": per_unit(counts, cases)}
+    if args.adaptive:
+        out["adaptive"] = {}
+        for r in ADAPTIVE_RATES:
+            runs = flood_runs(args.capacity, args.queue, args.seed, r * args.capacity,
+                              args.duration, 2)
+            offered = rows[RATES.index(r)]["offered"]
+            out["adaptive"][f"{r:g}x"] = adaptive_listing(runs, offered)
+        cases, runs = fuzz_runs(2)
+        out["adaptive"]["fuzz"] = adaptive_listing(runs, cases)
     return out
 
 
@@ -220,6 +315,24 @@ def print_table(out: dict) -> None:
             print(f"{label:>8}" + "".join(f" {per.get(m, 0.0):10.1f}" for m in modules))
 
 
+def print_adaptive(out: dict) -> None:
+    print(
+        "\nexecuted instructions left in adaptive form after warm runs, per offered"
+        f" request, and per case of phase1's fuzz (Python {out['python']})"
+    )
+    for label, listing in out["adaptive"].items():
+        sites = listing["sites"]
+        shown = [site for site in sites if site["per_unit"] >= 0.005]
+        unit = "cases" if label == "fuzz" else "requests"
+        print(f"\n{label}: {listing['total']:.1f} in total over {listing['n']} {unit}")
+        for site in shown:
+            print(f"{site['per_unit']:8.2f}  {site['opname']:<22} {site['function']}"
+                  f" ({site['module']}:{site['line']}, offset {site['offset']})")
+        if len(shown) < len(sites):
+            rest = sum(site["per_unit"] for site in sites[len(shown):])
+            print(f"{rest:8.2f}  in {len(sites) - len(shown)} more sites, each under 0.005")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--capacity", type=float, default=1000.0)
@@ -228,13 +341,18 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--bytecodes", action="store_true",
                         help="also count bytecodes per offered request (slow; use a short --duration)")
+    parser.add_argument("--adaptive", action="store_true",
+                        help="also list the executed instructions left in adaptive form"
+                             " (slow; use a short --duration)")
     parser.add_argument("--json", action="store_true", help="print the sweep as one JSON object")
     args = parser.parse_args()
     out = sweep(args)
     if args.json:
         print(json.dumps(out))
-    else:
-        print_table(out)
+        return
+    print_table(out)
+    if args.adaptive:
+        print_adaptive(out)
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from .codec import (
     decode_message,
     encode_avp,
     encode_message,
+    new_avp,
     stamp_ids,
 )
 from .elements import AttackBoxElement, Element, Lab, attach_request, result_code_of
@@ -289,7 +290,7 @@ class _FloodDriver:
     def send(self, now: int, i: int) -> None:
         """Send request `i` of the flood and schedule request `i + 1`."""
         self.offered += 1
-        payload = Avp.__new__(Avp, dct.AVP_ECHO_PAYLOAD, i.to_bytes(4, "big"))  # see codec.slot_init
+        payload = new_avp(Avp, dct.AVP_ECHO_PAYLOAD, i.to_bytes(4, "big"))  # see codec.slot_init
         hbh = self.ab.send_app_request(
             self.target.node, dct.CMD_ECHO, (payload,), self.on_answer, now
         )
@@ -302,7 +303,7 @@ class _FloodDriver:
             at = self.start + round((i + 1) * US_PER_S / self.rate_tps)
             self.sim.schedule_timer(at, self._send, i + 1)
 
-    def sent_before(self, cutoff: float) -> list[int]:
+    def sent_before(self, cutoff: int) -> list[int]:
         """Hop-by-hop ids of this flood's unanswered requests sent before `cutoff`.
 
         The link's pending table is in send order and answers have already
@@ -358,8 +359,10 @@ def run_flood(lab: Lab, spec: FloodSpec) -> tuple[FloodResult, list[Finding]]:
     )
     sim.run_until(horizon)  # past the last send, so no send timer outlives the run
 
-    # Reconcile: anything still pending can no longer be answered.
-    ab.forget_pending_many(target.node, driver.sent_before(math.inf))
+    # Reconcile: anything still pending can no longer be answered. An int
+    # cutoff past every send: the compare with each entry's sent_at stays
+    # specialized, as it is for the reaps, where math.inf would undo that.
+    ab.forget_pending_many(target.node, driver.sent_before(sim.clock + 1))
     dropped = driver.offered - driver.answered
     lat = driver.latencies
     ratio = driver.answered / driver.offered if driver.offered else 1.0
@@ -564,9 +567,13 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
     # Each template is encoded once; a case stamps its ids into the bytes.
     corpus = [encode_message(m) for _, m in seed_corpus(identity=ab.peer_config.identity)]
     wire_answers: dict[int, Optional[int]] = {}  # hop-by-hop -> result code
+    judged = None  # the hop-by-hop id of the case being judged
 
     def on_wire_answer(msg: Message) -> None:
-        wire_answers.setdefault(msg.hop_by_hop_id, result_code_of(msg))
+        hbh = msg.hop_by_hop_id
+        wire_answers.setdefault(hbh, result_code_of(msg))
+        if hbh == judged:
+            sim.halt()  # the case is answered: its run ends with this microsecond
 
     ab.on_wire_answer = on_wire_answer
 
@@ -576,31 +583,29 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
 
     def judge(case: bytes, hbh: int, codes: dict[Optional[int], int]) -> str:
         """Send one case and run until it is answered, dropped, crashes the
-        target or times out; an answer's result code is tallied in `codes`."""
+        target or times out; an answer's result code is tallied in `codes`.
+        The run ends at the answer's microsecond (on_wire_answer halts it),
+        or at the timeout."""
         drops_before = target_drops()
         if not ab.send_raw_request(target.node, case, hbh, _ignore_answer, sim.clock):
             return DISPOSITION_NO_RESPONSE
-        deadline = sim.clock + lab.config.request_timeout_us
-        while hbh not in wire_answers:
-            nxt = sim.next_event_at()
-            if nxt is None or nxt > deadline:
-                sim.run_until(deadline)
-                if target_drops() != drops_before:
-                    return DISPOSITION_DROPPED
-                return DISPOSITION_NO_RESPONSE
-            try:
-                sim.run_until(nxt)
-            except Exception as exc:
-                if exc is target.crash:
-                    return DISPOSITION_CRASH
-                raise
+        try:
+            sim.run_until(sim.clock + lab.config.request_timeout_us)
+        except Exception as exc:
+            if exc is target.crash:
+                return DISPOSITION_CRASH
+            raise
+        if hbh not in wire_answers:
+            if target_drops() != drops_before:
+                return DISPOSITION_DROPPED
+            return DISPOSITION_NO_RESPONSE
         code = wire_answers[hbh]
         codes[code] = codes.get(code, 0) + 1
         if code == dct.RESULT_SUCCESS:
             return DISPOSITION_ANSWERED_SUCCESS
         return DISPOSITION_ANSWERED_ERROR
 
-    ops = [op.value for op in spec.ops]
+    ops = [op.value for op in spec.ops]  # the names, by the index a case draws
     tallies: dict[str, dict[str, int]] = {op: {} for op in ops}
     result_codes: dict[str, dict[Optional[int], int]] = {op: {} for op in ops}
     no_op_cases = 0
@@ -610,15 +615,16 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
 
     for i in range(spec.case_count):
         template = corpus[rng.randrange(len(corpus))]
-        op = spec.ops[rng.randrange(len(spec.ops))]
+        drawn = rng.randrange(len(ops))
+        op, op_name = spec.ops[drawn], ops[drawn]
         draw = rng.getrandbits(32)
-        hbh = ab.alloc_hop_by_hop(target.node)
+        hbh = judged = ab.alloc_hop_by_hop(target.node)
         base = stamp_ids(template, hbh, hbh)
         case = mutate(base, op, draw)
         if case == base:
             no_op_cases += 1
         unanswered[hbh] = (i, op, case)
-        disposition = judge(case, hbh, result_codes[op.value])
+        disposition = judge(case, hbh, result_codes[op_name])
         ab.forget_pending_many(target.node, (hbh,))
         if hbh in wire_answers:
             del unanswered[hbh]
@@ -643,7 +649,7 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
         ):
             severity, impact = Severity.INFO, Impact.INTEGRITY
             evidence, named = {"finding_type": "accepted-invalid"}, (i, op, case)
-        per_op = tallies[op.value]
+        per_op = tallies[op_name]
         per_op[disposition] = per_op.get(disposition, 0) + 1
         dispositions.append(disposition)
         if evidence is None:

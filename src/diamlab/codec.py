@@ -110,10 +110,14 @@ class ParseError:
 # the frozen __setattr__ and __delattr__, which refuse every later write.
 # copy and pickle rebuild a value with cls.__new__(cls, *__getnewargs__()).
 # A call of the class itself goes through type.__call__, which CPython 3.11
-# does not specialize for a Python __new__ (~110 ns more per value), so the
-# per-message builds (build_message, decode_message, _decode_avps,
-# replace_ids, the flood's Avp, send_app_request's PendingRequest) call
-# cls.__new__(cls, ...), which returns the same value.
+# does not specialize for a Python __new__ (~110 ns more per value), nor a
+# read of `cls.__new__`, a static method read through its class. So each
+# such class's __new__ is bound once to a module name next to it (new_avp,
+# new_message, peer.new_pending_request), and the per-message builds
+# (build_message, build_answer, decode_message, _decode_avps, replace_ids,
+# the flood's Avp, the PendingRequest of send_app_request and
+# send_raw_request) call that name with the class: new_message(Message, ...)
+# returns the value Message(...) does.
 # Each class's source is compiled under its own filename, <module.Class>, so
 # profilers and tracers keep the generated functions of the classes apart.
 
@@ -168,6 +172,9 @@ class Avp:
         return base + len(self.data)
 
 
+new_avp = Avp.__new__  # see slot_init
+
+
 # One Diameter message, header fields and AVPs in one value. The fields are
 # build_message's parameters, in its order and with its defaults, so
 # Message(*args) takes the same positional call as build_message(*args).
@@ -194,6 +201,9 @@ class Message:
         )
 
 
+new_message = Message.__new__  # see slot_init
+
+
 # The callers that build a message per request pass every argument by
 # position: CPython 3.11 specializes a call with no keyword arguments,
 # ~150 ns less per message.
@@ -214,7 +224,7 @@ def build_message(
     encode_message would raise, so every Message it returns stands for
     its own encoding, decode(encode(m)) == m.
     """
-    m = Message.__new__(
+    m = new_message(
         Message, command_code, tuple(avps), application_id, hop_by_hop_id, end_to_end_id,
         request, proxiable, error, retransmit,
     )
@@ -222,12 +232,23 @@ def build_message(
     return m
 
 
-def build_answer(req: Message, avps: tuple[Avp, ...] | list[Avp] = (), *, error: bool = False) -> Message:
-    """Answer skeleton for a request: same command, echoed correlation ids."""
-    return build_message(
-        req.command_code, avps, req.application_id, req.hop_by_hop_id, req.end_to_end_id,
-        False, False, error,
+# `error` is a plain parameter: CPython 3.11 specializes no call of a
+# function with keyword-only parameters.
+def build_answer(req: Message, avps: Sequence[Avp] = (), error: bool = False) -> Message:
+    """Answer skeleton for a request: same command, echoed correlation ids.
+
+    `req` comes from build_message, decode_message or replace_ids, so its
+    command code, application id and ids are in range (decode_message reads
+    them from 24- and 32-bit header words), and only the answer's AVPs and
+    total length are checked: the same value and CodecError as
+    build_message with the copied fields.
+    """
+    m = new_message(
+        Message, req.command_code, tuple(avps), req.application_id, req.hop_by_hop_id,
+        req.end_to_end_id, False, False, error, False,
     )
+    _checked_avps_length(m.avps)
+    return m
 
 
 def _range_error(value: int, maximum: int, what: str) -> CodecError:
@@ -289,10 +310,10 @@ def _check_header(m: Message) -> None:
 def _checked_length(m: Message) -> int:
     """The Message Length encode_message writes for `m`.
 
-    Every range check of the encoder lives here, in the order the encoder
-    meets the fields: command code, application id, hop-by-hop id,
-    end-to-end id, each AVP, the total. Raises CodecError for the first
-    value that cannot be represented on the wire.
+    Every range check of the encoder lives here and in _checked_avps_length,
+    in the order the encoder meets the fields: command code, application id,
+    hop-by-hop id, end-to-end id, each AVP, the total. Raises CodecError for
+    the first value that cannot be represented on the wire.
 
     In-range values pass with no call per field or AVP: each is tested by
     its width, `x >> 32` or `x >> 24`, which is non-zero for a value too
@@ -306,8 +327,13 @@ def _checked_length(m: Message) -> int:
         or m.hop_by_hop_id >> 32 or m.end_to_end_id >> 32
     ):
         _check_header(m)  # raises, naming the field
+    return _checked_avps_length(m.avps)
+
+
+def _checked_avps_length(avps: tuple[Avp, ...]) -> int:
+    """The Message Length of a message with `avps`: _checked_length's AVP and total part."""
     total = HEADER_LEN
-    for a in m.avps:
+    for a in avps:
         vendor_id = a.vendor_id
         length = len(a.data) + (AVP_HEADER_LEN if vendor_id is None else AVP_HEADER_LEN + 4)
         if a.code >> 32 or length >> 24 or (vendor_id is not None and vendor_id >> 32):
@@ -362,7 +388,7 @@ def _decode_avps(data: bytes, start: int, end: int) -> Union[list[Avp], ParseErr
                 first_nonzero = next(i for i, b in enumerate(pad) if b)
                 return ParseError(ParseErrorKind.BAD_PADDING, off + length + first_nonzero)
         avps.append(
-            Avp.__new__(
+            new_avp(
                 Avp,
                 code,
                 bytes(data[off + hdr : off + length]),
@@ -401,7 +427,7 @@ def decode_message(data: bytes) -> Union[Message, ParseError]:
     avps = _decode_avps(data, HEADER_LEN, declared)
     if isinstance(avps, ParseError):
         return avps
-    return Message.__new__(
+    return new_message(
         Message,
         second & _U24_MAX,
         tuple(avps),
@@ -509,7 +535,7 @@ def first_avp(m: Message, code: int) -> Optional[Avp]:
 def replace_ids(m: Message, hop_by_hop_id: int, end_to_end_id: int) -> Message:
     """`m` with new correlation ids; the encoder's CodecError for an id out of range."""
     _check_ids(hop_by_hop_id, end_to_end_id)
-    return Message.__new__(
+    return new_message(
         Message, m.command_code, m.avps, m.application_id, hop_by_hop_id, end_to_end_id,
         m.request, m.proxiable, m.error, m.retransmit,
     )

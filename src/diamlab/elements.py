@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
+from operator import is_not
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 from . import dictionary as dct
@@ -63,6 +65,7 @@ from .peer import (
     PendingRequest,
     deliverable,
     handle_event,
+    new_pending_request,
     register_request,
     result_code_avp,
 )
@@ -190,14 +193,21 @@ class PeerLink:
 
 
 def _error_answer(req: Message, result_code: int) -> Message:
-    return build_answer(req, avps=[result_code_avp(result_code)], error=result_code >= 3000)
+    return build_answer(req, [result_code_avp(result_code)], result_code >= 3000)
+
+
+# Read per answer through module names: `result_code_avp` is an lru_cache
+# wrapper, and neither a call of one nor a method read on a class
+# (`int.from_bytes`) is specialized by CPython 3.11.
+_SUCCESS_AVP = result_code_avp(dct.RESULT_SUCCESS)
+_int_from_bytes = int.from_bytes
 
 
 def result_code_of(msg: Message) -> Optional[int]:
     avp = first_avp(msg, dct.AVP_RESULT_CODE)
     if avp is None or len(avp.data) != 4:
         return None
-    return int.from_bytes(avp.data, "big")
+    return _int_from_bytes(avp.data, "big")
 
 
 # Base-protocol command code -> (request event, answer event); every other
@@ -293,7 +303,7 @@ class Element:
             self.sim.schedule_timer(state.watchdog_deadline, self._watchdog, peer)
 
     def _watchdog(self, now: int, peer: NodeId) -> None:
-        if not self.failed:
+        if self.failed_at is None:  # per timer: see on_message
             self.feed_event(peer, PeerEvent(EventKind.WATCHDOG_TIMER), now)
 
     def _execute(self, link: PeerLink, action: PeerAction, now: int) -> None:
@@ -363,10 +373,11 @@ class Element:
                 self._serve(neighbor, msg, now)
         else:
             pending = link.pending.pop(msg.hop_by_hop_id)
-            if pending.on_answer is None:
+            on_answer = pending.on_answer  # a field: a method load of it is not specialized
+            if on_answer is None:
                 self.stray_answers += 1
             else:
-                pending.on_answer(pending, msg, now)
+                on_answer(pending, msg, now)
 
     # -- capacity model ----------------------------------------------------------
 
@@ -418,7 +429,7 @@ class Element:
             self._ensure_drain(now)
 
     def _sample(self, now: int) -> None:
-        if self.failed:
+        if self.failed_at is not None:  # per sample: see on_message
             return
         if self.queue:
             self._overload_streak += 1
@@ -489,7 +500,7 @@ class Element:
             return None
         hbh = self._alloc_hop_by_hop(link)
         msg = build_message(command_code, avps, 0, hbh, hbh, True)  # see build_message
-        pending = PendingRequest.__new__(PendingRequest, hbh, now, on_answer)  # see codec.slot_init
+        pending = new_pending_request(PendingRequest, hbh, now, on_answer)  # see codec.slot_init
         register_request(link, pending)
         self.sim.send(self.node, dst, msg)
         return hbh
@@ -506,14 +517,16 @@ class Element:
         link = self.links[dst.id]
         if link.state.phase is not OPEN:
             return False
-        register_request(link, PendingRequest(hop_by_hop_id, now, on_answer))
+        register_request(link, new_pending_request(PendingRequest, hop_by_hop_id, now, on_answer))
         self.sim.send(self.node, dst, data)
         return True
 
     def forget_pending_many(self, dst: NodeId, hop_by_hop_ids) -> int:
         """Reclaim abandoned pending entries; returns how many existed."""
-        pop = self.links[dst.id].pending.pop
-        return sum(pop(hbh, None) is not None for hbh in hop_by_hop_ids)
+        # Popped and counted in C: a missing entry pops None, and no entry is
+        # None. The count tests identity: `==` would call each entry's __eq__.
+        popped = map(self.links[dst.id].pending.pop, hop_by_hop_ids, repeat(None))
+        return sum(map(is_not, popped, repeat(None)))
 
 
 class TargetServerElement(Element):
@@ -524,7 +537,7 @@ class TargetServerElement(Element):
     def handle_app_request(self, msg: Message, now: int) -> Message:
         if msg.command_code == dct.CMD_ECHO:
             # A loop, not a comprehension: CPython 3.11 runs one in a frame of its own.
-            avps = [result_code_avp(dct.RESULT_SUCCESS)]
+            avps = [_SUCCESS_AVP]
             for a in msg.avps:
                 if a.code == dct.AVP_ECHO_PAYLOAD:
                     avps.append(a)

@@ -130,6 +130,8 @@ class PendingRequest:
     on_answer: Optional[AnswerCallback] = None
 
 
+new_pending_request = PendingRequest.__new__  # see codec.slot_init
+
 AnswerCallback = Callable[[PendingRequest, Message, int], None]
 
 

@@ -12,7 +12,8 @@ events in the order they were scheduled. Timestamps coincide often
 (round rates and latencies), so most events cost a list append and no
 heap entry, and the heap orders plain ints. `run_until` takes a time's
 whole list before it runs it: an event scheduled for that same time
-while the list runs opens a new list, which runs next.
+while the list runs opens a new list, which runs next. An event that calls
+`halt()` ends the running `run_until` once its microsecond's lists have run.
 
 A payload is wire bytes or a `codec.Message`. Elements send the Message
 value itself, built by `codec.build_message` and so standing for its own
@@ -140,6 +141,7 @@ class Simulation:
         self._times: list[int] = []
         self._due: dict[int, list[tuple]] = {}
         self._running = False
+        self._until = 0  # the running run_until's last time: its t, or the halted time
         self._handlers: dict[int, object] = {}
         # (src.id, dst.id) -> the link between them, both directions
         self._routes: dict[tuple[int, int], Link] = {}
@@ -199,7 +201,7 @@ class Simulation:
             record = CaptureRecord(at=self.clock, src=src, dst=dst, data=bytes(payload))
             for tap in link.taps:
                 tap.records.append(record)
-        if link.loss_probability > 0 and self.rng.random() < link.loss_probability:
+        if link.loss_probability > 0.0 and self.rng.random() < link.loss_probability:
             link.lost += 1
             return
         at = self.clock + link.latency_us
@@ -253,16 +255,18 @@ class Simulation:
     # A call from inside an event is refused: it would run later times
     # before the rest of the current one.
     def run_until(self, t: int) -> None:
-        """Process every event with timestamp <= t; the clock ends exactly at t."""
+        """Process every event with timestamp <= t; the clock ends exactly at t,
+        or at the microsecond an event called `halt` in."""
         if self._running:
             raise ValueError("run_until cannot be called from inside an event")
         if t < self.clock:
             raise ValueError(f"cannot run backwards ({t} < {self.clock})")
         times, due, handlers, pop = self._times, self._due, self._handlers, heapq.heappop
         processed = 0  # added to events_processed once, when the loop ends
+        self._until = t
         self._running = True
         try:
-            while times and times[0] <= t:
+            while times and times[0] <= self._until:
                 at = pop(times)
                 bucket = due.pop(at)
                 self.clock = at
@@ -293,7 +297,17 @@ class Simulation:
         finally:
             self.events_processed += processed
             self._running = False
-        self.clock = t
+        self.clock = self._until
+
+    def halt(self) -> None:
+        """End the running `run_until` once the current microsecond's events
+        have run, those scheduled into it meanwhile too; the clock stays there.
+
+        Called from inside an event; ValueError anywhere else.
+        """
+        if not self._running:
+            raise ValueError("halt can only be called from inside an event")
+        self._until = self.clock
 
 
 def build_topology(spec: TopologySpec, seed: int = 0) -> Simulation:

@@ -21,6 +21,7 @@ from diamlab.attacks import (
     DISPOSITION_CRASH,
     DISPOSITION_DROPPED,
     FloodSpec,
+    FuzzResult,
     FuzzSpec,
     InterceptSpec,
     MutationOp,
@@ -321,7 +322,8 @@ class TestFlood:
 # the lab processes 104,591).
 _COST_CASES = {
     # id: (rate, latency_ms, service_rate, queue_capacity,
-    #      (offered, events, events scheduled, build_message, encode_message, decode_message))
+    #      (offered, events, events scheduled, messages built by build_message
+    #       or build_answer, encode_message, decode_message))
     "500-served": (500, 5, 500, 1000, (500, 1510, 1510, 1000, 0, 0)),
     "500-overloaded": (500, 5, 250, 100, (500, 1705, 1705, 850, 0, 0)),
     "2000-served": (2000, 5, 2000, 1000, (2000, 6006, 6006, 4000, 0, 0)),
@@ -340,10 +342,11 @@ _COST_CASES = {
 
 
 def count_codec_calls(monkeypatch) -> Counter:
-    """Calls of build_message, encode_message and decode_message from here
-    on, from every diamlab module that bound them by name."""
+    """Calls of build_message, build_answer, encode_message and
+    decode_message from here on, from every diamlab module that bound them
+    by name."""
     calls = Counter()
-    for name in ("build_message", "encode_message", "decode_message"):
+    for name in ("build_message", "build_answer", "encode_message", "decode_message"):
         function = getattr(codec, name)
 
         def counted(*args, _name=name, _function=function, **kwargs):
@@ -370,7 +373,7 @@ def test_cost_per_request(case, monkeypatch):
         result.offered,
         sim.events_processed - events,
         sim.events_scheduled() - scheduled,
-        calls["build_message"],
+        calls["build_message"] + calls["build_answer"],
         calls["encode_message"],
         calls["decode_message"],
     ) == expected
@@ -896,6 +899,96 @@ class TestFuzz:
         assert [f.evidence["case_index"] for f in findings] == rejected
         assert [f.evidence["case_hex"] for f in findings] == [sent[i][1].hex() for i in rejected]
         assert all(f.severity is Severity.INFO for f in findings)
+
+    # Fuzz runs of every op on the duo lab, each pinned as the fuzz computed
+    # it when a case's run still stepped event time by event time: its
+    # FuzzResult's tallies, result codes, no-op, crash and accepted-invalid
+    # counts, then the final clock and the events processed. Between them
+    # they hold every disposition: "answered" times 2 cases out, "full-queue"
+    # drops 5 on the full queue (a queue of 0 and a token every 5 s), and
+    # "crash" has a target whose handler raises on its second call, with a
+    # queue of 10.
+    _PINNED_FUZZ_RUNS = {
+        "answered": (
+            dict(), 300, 5, None,
+            {
+                "flip_flag": {
+                    "answered-error": 18, "answered-success": 15, "dropped": 8,
+                    "no-response-timeout": 2,
+                },
+                "set_mandatory_unknown_avp": {"answered-error": 42},
+                "truncate": {"dropped": 39},
+                "inflate_length": {"dropped": 51},
+                "corrupt_version": {"dropped": 41},
+                "shuffle_avps": {"answered-error": 23, "answered-success": 24, "dropped": 8},
+                "zero_length_avp": {"dropped": 29},
+            },
+            {
+                "flip_flag": {"2001": 15, "3001": 18},
+                "set_mandatory_unknown_avp": {"5001": 42},
+                "shuffle_avps": {"2001": 24, "3001": 23},
+            },
+            (42, 0, 0), 357_240_000, 1221,
+        ),
+        "full-queue": (
+            dict(service_rate=0.2, queue_capacity=0), 40, 3, None,
+            {
+                "flip_flag": {"answered-error": 1, "answered-success": 2, "dropped": 1},
+                "set_mandatory_unknown_avp": {"answered-error": 5},
+                "truncate": {"dropped": 5},
+                "inflate_length": {"dropped": 5},
+                "corrupt_version": {"dropped": 8},
+                "shuffle_avps": {"answered-error": 2, "answered-success": 1, "dropped": 5},
+                "zero_length_avp": {"dropped": 5},
+            },
+            {
+                "flip_flag": {"2001": 2, "3001": 1},
+                "set_mandatory_unknown_avp": {"5001": 5},
+                "shuffle_avps": {"2001": 1, "3001": 2},
+            },
+            (5, 0, 0), 58_130_000, 177,
+        ),
+        "crash": (
+            dict(service_rate=0.2, queue_capacity=10), 40, 3, 2,
+            {
+                "flip_flag": {"answered-error": 1, "dropped": 3},
+                "set_mandatory_unknown_avp": {"dropped": 5},
+                "truncate": {"dropped": 5},
+                "inflate_length": {"dropped": 5},
+                "corrupt_version": {"dropped": 8},
+                "shuffle_avps": {"crash": 1, "dropped": 7},
+                "zero_length_avp": {"dropped": 5},
+            },
+            {"flip_flag": {"3001": 1}},
+            (5, 1, 0), 77_025_000, 138,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(_PINNED_FUZZ_RUNS))
+    def test_a_fuzz_run_ends_where_it_did_when_each_event_time_was_stepped(self, name):
+        lab_args, cases, seed, crash_on, tallies, codes, counts, clock, events = (
+            self._PINNED_FUZZ_RUNS[name]
+        )
+        _, lab = make_lab(duo_lab_text(**lab_args))
+        target = lab.element("target")
+        if crash_on is not None:
+            serve, calls = target.handle_app_request, []
+
+            def handler(msg, now):
+                calls.append(now)
+                if len(calls) == crash_on:
+                    raise RuntimeError("rigged handler bug")
+                return serve(msg, now)
+
+            target.handle_app_request = handler
+        result, _ = run_fuzz(lab, FuzzSpec(target="target", case_count=cases, seed=seed))
+        ops = [op.value for op in ALL_MUTATION_OPS]
+        assert result == FuzzResult(
+            "target", seed, cases, ops, *counts, tallies, {op: codes.get(op, {}) for op in ops}
+        )
+        assert (lab.sim.clock, lab.sim.events_processed) == (clock, events)
+        if name == "full-queue":
+            assert target.dropped_overflow == 5
 
     def test_fuzz_requires_seed(self):
         _, lab = make_lab(duo_lab_text())

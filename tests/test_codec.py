@@ -30,6 +30,8 @@ from diamlab.codec import (
     decode_message,
     encode_avp,
     encode_message,
+    new_avp,
+    new_message,
     replace_ids,
     stamp_ids,
     validate_message,
@@ -38,7 +40,9 @@ from diamlab.codec import (
 from diamlab import dictionary as dct
 from diamlab.attacks import seed_corpus
 from diamlab.dictionary import BUILTIN_DICTIONARY
-from diamlab.peer import ActionKind, EventKind, PeerAction, PeerEvent, PendingRequest
+from diamlab.peer import (
+    ActionKind, EventKind, PeerAction, PeerEvent, PendingRequest, new_pending_request,
+)
 
 from tests.labs import duo_lab_text, make_lab
 from tests.strategies import avps, messages, u32
@@ -353,6 +357,37 @@ class TestRangeChecksAtTheBounds:
     @settings(max_examples=300, deadline=None)
     def test_avps(self, args):
         self.check(args)
+
+
+    # Requests with their header at its bounds, answer AVPs at and around
+    # theirs: build_answer checks only the AVPs and the total, as its request
+    # came from build_message, decode_message or replace_ids, and it gives
+    # the value and the CodecError of build_message with the copied fields.
+    @given(
+        st.tuples(
+            _in_range(_U24_MAX), st.just(()), _in_range(U32_MAX), _in_range(U32_MAX),
+            _in_range(U32_MAX), st.just(True),
+        ),
+        st.lists(_bound_avps(), max_size=2).map(tuple),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_build_answer_is_build_message_of_the_copied_fields(self, request_args, avps, error):
+        built = build_message(*request_args)
+        for request in (built, decode_message(encode_message(built)), replace_ids(built, 0, U32_MAX)):
+            copied = (
+                request.command_code, avps, request.application_id, request.hop_by_hop_id,
+                request.end_to_end_id, False, False, error,
+            )
+            fault = _reference_fault(copied)
+            if fault is None:
+                assert build_answer(request, avps, error) == build_message(*copied)
+                continue
+            with pytest.raises(CodecError) as answered:
+                build_answer(request, avps, error)
+            with pytest.raises(CodecError) as expected:
+                build_message(*copied)
+            assert str(answered.value) == str(expected.value) == fault
 
 
 @pytest.fixture
@@ -746,10 +781,12 @@ def test_profilers_keep_each_generated_new_apart():
 
 @pytest.mark.parametrize("cls", SLOT_INIT_TYPES)
 def test_calling_new_directly_builds_the_same_value(cls):
-    # the per-request builds call cls.__new__ and skip type.__call__
+    # the per-request builds call cls.__new__, bound to a module name, and skip type.__call__
     args = next(args for c, _, args, _ in VALUE_TYPES if c is cls)
     value = cls.__new__(cls, *args)
     assert type(value) is cls and value == cls(*args)
+    binding = {Avp: new_avp, Message: new_message, PendingRequest: new_pending_request}[cls]
+    assert binding is cls.__new__
 
 
 def _assert_exact_types(m: Message) -> None:

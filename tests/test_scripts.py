@@ -1,6 +1,7 @@
 """Smoke runs of the scripts under scripts/ and of perfbench/run.py: each
 exits 0 and prints what it promises."""
 
+import dis
 import importlib.util
 import json
 import os
@@ -126,6 +127,44 @@ def test_bytecode_counts_are_the_same_in_two_runs_in_one_process():
     assert {"attacks", "codec", "elements", "peer", "simnet"} <= set(counts)
 
 
+def test_overload_sweep_adaptive_lists_the_1x_and_4x_rows_and_the_fuzz():
+    out = json.loads(run_script("overload_sweep.py", "--duration", "0.02", "--adaptive", "--json"))
+    assert "fuzz" not in out  # --adaptive alone adds no bytecode counts
+    listings = out["adaptive"]
+    assert list(listings) == ["1x", "4x", "fuzz"]
+    assert [listings[r]["n"] for r in ("1x", "4x")] == [20, 80]
+    assert listings["fuzz"]["n"] == 1000
+    for listing in listings.values():
+        sites = listing["sites"]
+        assert sites and listing["total"] == pytest.approx(sum(s["per_unit"] for s in sites))
+        for site in sites:
+            assert set(site) == {"module", "function", "line", "offset", "opname", "per_unit"}
+            assert site["opname"].endswith("_ADAPTIVE") and site["per_unit"] > 0
+        assert [s["per_unit"] for s in sites] == sorted((s["per_unit"] for s in sites), reverse=True)
+    text = run_script("overload_sweep.py", "--duration", "0.02", "--adaptive")
+    assert "\n1x: " in text and "\n4x: " in text and "\nfuzz: " in text
+
+
+def test_every_listed_site_is_in_adaptive_form_at_its_offset():
+    sweep = load_script("overload_sweep.py")
+    traced, warm = sweep.flood_runs(1000, 100, 1, 1000, 0.2, 2)
+    executed = sweep.count_executions(traced)
+    warm()
+    listing = sweep.adaptive_sites(executed, 200)
+    assert listing["sites"]
+    forms = {}  # (module, function, offset) -> the opnames there, of every such code object
+    for code, _ in executed.values():
+        instructions = list(dis.get_instructions(code, adaptive=True))
+        for previous, ins in zip([None] + instructions, instructions):
+            key = (sweep.module_of(code.co_filename), sweep.function_of(code), ins.offset)
+            forms.setdefault(key, []).append((previous and previous.opname, ins.opname))
+    for site in listing["sites"]:
+        found = forms[site["module"], site["function"], site["offset"]]
+        assert any(opname == site["opname"] for _, opname in found)
+        if site["opname"] == "CALL_ADAPTIVE":  # its PRECALL leaves the call to it
+            assert any(p in sweep._PRECALLS_THAT_CALL for p, o in found if o == "CALL_ADAPTIVE")
+
+
 def test_bytecodes_per_answered_request_stay_flat_as_requests_outstanding_grow():
     # Cost per request does not grow with the requests outstanding: about 2
     # of them with 1 ms links, all 1,000 with 1,000 ms links. The rate keeps
@@ -212,6 +251,7 @@ def test_bench_record_writes_every_workload(tmp_path):
     sweep = record["bytecodes"]
     assert len(sweep["rows"]) == 9 and all("bytecodes_per_req" in r for r in sweep["rows"])
     assert sweep["fuzz"]["cases"] == 1000
+    assert list(sweep["adaptive"]) == ["1x", "4x", "fuzz"]
 
 
 def test_a_failing_hypothesis_test_is_reported_under_the_repo_warning_filters(tmp_path):

@@ -348,6 +348,16 @@ class TestDelivery:
         sim.run_until(20)  # the refusal leaves the loop usable
         assert (sim.events_processed, sim.clock, fired) == (2, 20, [10])
 
+    def test_cannot_halt_outside_run_until(self):
+        sim = build_topology(TopologySpec(), seed=0)
+        with pytest.raises(ValueError, match="inside an event"):
+            sim.halt()
+        sim.schedule_timer(10, lambda now: None)
+        sim.run_until(20)
+        with pytest.raises(ValueError, match="inside an event"):
+            sim.halt()
+        assert (sim.clock, sim.events_processed) == (20, 1)
+
     @given(
         roots=st.lists(st.integers(0, 4), min_size=1, max_size=8),
         delays=st.lists(st.lists(st.integers(0, 2), max_size=3), min_size=1, max_size=8),
@@ -400,6 +410,77 @@ class TestDelivery:
         sim.run_until(1000)
         with pytest.raises(ValueError):
             sim.run_until(500)
+
+
+class TestHalt:
+    """`halt()`, called from inside an event, ends the running `run_until`
+    once the events of the current microsecond have run."""
+
+    @staticmethod
+    def halting_sim():
+        """A sim whose timer at 100 halts and schedules one more event at
+        100; (sim, log, note), where `note(now, tag)` logs (now, tag)."""
+        sim = build_topology(TopologySpec(), seed=0)
+        log = []
+
+        def note(now, tag):
+            log.append((now, tag))
+
+        def stop(now):
+            note(now, "halt")
+            sim.halt()
+            sim.schedule_timer(now, note, "scheduled after the halt")
+
+        sim.schedule_timer(100, stop)
+        sim.schedule_timer(100, note, "due with the halt")
+        sim.schedule_timer(200, note, "at 200")
+        sim.schedule_timer(101, note, "at 101")
+        return sim, log, note
+
+    def test_it_finishes_the_current_microsecond(self):
+        sim, log, _ = self.halting_sim()
+        sim.run_until(1000)
+        assert log == [(100, "halt"), (100, "due with the halt"), (100, "scheduled after the halt")]
+
+    def test_later_events_stay_due_in_order(self):
+        sim, _, note = self.halting_sim()
+        sim.run_until(1000)
+        assert list(sim.due_events()) == [
+            (101, None, note, None, ("at 101",)),
+            (200, None, note, None, ("at 200",)),
+        ]
+
+    def test_the_clock_stays_at_the_halted_microsecond(self):
+        sim, _, _ = self.halting_sim()
+        sim.run_until(1000)
+        assert (sim.clock, sim.events_processed) == (100, 3)
+
+    def test_the_next_run_until_runs_to_its_own_time(self):
+        sim, log, _ = self.halting_sim()
+        sim.run_until(1000)
+        sim.run_until(150)
+        assert (sim.clock, sim.events_processed, log[-1]) == (150, 4, (101, "at 101"))
+        sim.run_until(1000)
+        assert (sim.clock, sim.events_processed, log[-1]) == (1000, 5, (200, "at 200"))
+
+    def test_an_event_that_raises_after_a_halt_propagates_and_leaves_the_rest_due(self):
+        sim = build_topology(TopologySpec(), seed=0)
+        bug = RuntimeError("timer bug")
+        fired = []
+
+        def explode(now):
+            raise bug
+
+        for fire in (lambda now: sim.halt(), explode, fired.append):
+            sim.schedule_timer(300, fire)
+        sim.schedule_timer(400, fired.append)
+        with pytest.raises(RuntimeError) as raised:
+            sim.run_until(1000)
+        assert raised.value is bug
+        assert (fired, sim.clock, sim.events_processed) == ([], 300, 2)
+        assert [event[0] for event in sim.due_events()] == [300, 400]
+        sim.run_until(1000)
+        assert (fired, sim.clock, sim.events_processed) == ([300, 400], 1000, 4)
 
 
 class TestDeterminism:
