@@ -348,16 +348,6 @@ class TestDelivery:
         sim.run_until(20)  # the refusal leaves the loop usable
         assert (sim.events_processed, sim.clock, fired) == (2, 20, [10])
 
-    def test_cannot_halt_outside_run_until(self):
-        sim = build_topology(TopologySpec(), seed=0)
-        with pytest.raises(ValueError, match="inside an event"):
-            sim.halt()
-        sim.schedule_timer(10, lambda now: None)
-        sim.run_until(20)
-        with pytest.raises(ValueError, match="inside an event"):
-            sim.halt()
-        assert (sim.clock, sim.events_processed) == (20, 1)
-
     @given(
         roots=st.lists(st.integers(0, 4), min_size=1, max_size=8),
         delays=st.lists(st.lists(st.integers(0, 2), max_size=3), min_size=1, max_size=8),
@@ -462,6 +452,16 @@ class TestHalt:
         assert (sim.clock, sim.events_processed, log[-1]) == (150, 4, (101, "at 101"))
         sim.run_until(1000)
         assert (sim.clock, sim.events_processed, log[-1]) == (1000, 5, (200, "at 200"))
+
+    def test_it_is_refused_outside_run_until(self):
+        sim = build_topology(TopologySpec(), seed=0)
+        with pytest.raises(ValueError, match="inside an event"):
+            sim.halt()
+        sim.schedule_timer(10, lambda now: None)
+        sim.run_until(20)
+        with pytest.raises(ValueError, match="inside an event"):
+            sim.halt()
+        assert (sim.clock, sim.events_processed) == (20, 1)
 
     def test_an_event_that_raises_after_a_halt_propagates_and_leaves_the_rest_due(self):
         sim = build_topology(TopologySpec(), seed=0)
