@@ -312,10 +312,10 @@ class _FloodDriver:
         """
         mine = self.on_answer
         ids = []
-        for hbh, request in self.ab.peer_link(self.target.node).pending.items():
-            if request.sent_at >= cutoff:
+        for hbh, (sent_at, on_answer) in self.ab.peer_link(self.target.node).pending.items():
+            if sent_at >= cutoff:
                 break
-            if request.on_answer is mine:
+            if on_answer is mine:
                 ids.append(hbh)
         return ids
 
@@ -325,9 +325,9 @@ class _FloodDriver:
         if dead:
             self.ab.forget_pending_many(self.target.node, dead)
 
-    def _count_answer(self, pending, msg, now) -> None:
+    def _count_answer(self, sent_at, msg, now) -> None:
         self.answered += 1
-        self.latencies.append(now - pending.sent_at)
+        self.latencies.append(now - sent_at)
         code = result_code_of(msg)
         self.result_codes[code] = self.result_codes.get(code, 0) + 1
 
@@ -541,7 +541,7 @@ def seed_corpus(identity: str = "attacker.lab") -> list[tuple[str, Message]]:
     ]
 
 
-def _ignore_answer(pending, msg, now) -> None:
+def _ignore_answer(sent_at, msg, now) -> None:
     """A fuzz case's on_answer: dispositions are judged at the wire, before FSM routing."""
 
 

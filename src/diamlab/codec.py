@@ -100,8 +100,9 @@ class ParseError:
     offset: int
 
 
-# Avp and Message are built once or more per message, so slot_init gives
-# them a positional __new__ in place of the generated __init__, whose
+# Avp and Message are built once or more per message, and peer.PeerAction
+# per base-protocol message and timer, so slot_init gives them a
+# positional __new__ in place of the generated __init__, whose
 # object.__setattr__ per field CPython 3.11 does not specialize (nor a call
 # of the slot's member descriptor, ~65 ns a field).
 # __new__ builds the object as an instance of a private twin class with the
@@ -113,11 +114,11 @@ class ParseError:
 # does not specialize for a Python __new__ (~110 ns more per value), nor a
 # read of `cls.__new__`, a static method read through its class. So each
 # such class's __new__ is bound once to a module name next to it (new_avp,
-# new_message, peer.new_pending_request), and the per-message builds
+# new_message, peer.new_peer_action), and the per-message builds
 # (build_message, build_answer, decode_message, _decode_avps, replace_ids,
-# the flood's Avp, the PendingRequest of send_app_request and
-# send_raw_request) call that name with the class: new_message(Message, ...)
-# returns the value Message(...) does.
+# the flood's Avp, every PeerAction of peer.handle_event) call that name
+# with the class: new_message(Message, ...) returns the value Message(...)
+# does.
 # Each class's source is compiled under its own filename, <module.Class>, so
 # profilers and tracers keep the generated functions of the classes apart.
 

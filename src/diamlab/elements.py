@@ -62,10 +62,9 @@ from .peer import (
     PeerConfig,
     PeerEvent,
     PeerState,
-    PendingRequest,
+    PendingEntry,
     deliverable,
     handle_event,
-    new_pending_request,
     register_request,
     result_code_avp,
 )
@@ -181,14 +180,15 @@ class ElementFailedError(RuntimeError):
 class PeerLink:
     """One end of a peer connection: FSM state plus what changes per request.
 
-    `pending` maps hop-by-hop id to the outstanding request; it is empty
+    `pending` maps the hop-by-hop id of each outstanding request to the
+    pair `(sent_at, on_answer)` (`peer.register_request`); it is empty
     whenever the phase is not Open. `next_hop_by_hop` is the id the next
     request sent on this link carries, wrapping within 32 bits.
     """
 
     neighbor: NodeId
     state: PeerState = field(default_factory=PeerState)
-    pending: dict[int, PendingRequest] = field(default_factory=dict)
+    pending: dict[int, PendingEntry] = field(default_factory=dict)
     next_hop_by_hop: int = 1
 
 
@@ -372,12 +372,11 @@ class Element:
                 self.direct_served += 1
                 self._serve(neighbor, msg, now)
         else:
-            pending = link.pending.pop(msg.hop_by_hop_id)
-            on_answer = pending.on_answer  # a field: a method load of it is not specialized
+            sent_at, on_answer = link.pending.pop(msg.hop_by_hop_id)
             if on_answer is None:
                 self.stray_answers += 1
             else:
-                on_answer(pending, msg, now)
+                on_answer(sent_at, msg, now)
 
     # -- capacity model ----------------------------------------------------------
 
@@ -492,16 +491,15 @@ class Element:
     ) -> Optional[int]:
         """Build, register, and send one application request; None if the link is not Open.
 
-        `on_answer(pending, msg, now)` gets the answer; with None the answer
-        is counted in `stray_answers`.
+        `on_answer(sent_at, msg, now)` gets the answer, `sent_at` being
+        `now` here; with None the answer is counted in `stray_answers`.
         """
         link = self.links[dst.id]
         if link.state.phase is not OPEN:
             return None
         hbh = self._alloc_hop_by_hop(link)
         msg = build_message(command_code, avps, 0, hbh, hbh, True)  # see build_message
-        pending = new_pending_request(PendingRequest, hbh, now, on_answer)  # see codec.slot_init
-        register_request(link, pending)
+        register_request(link, hbh, now, on_answer)
         self.sim.send(self.node, dst, msg)
         return hbh
 
@@ -517,7 +515,7 @@ class Element:
         link = self.links[dst.id]
         if link.state.phase is not OPEN:
             return False
-        register_request(link, new_pending_request(PendingRequest, hop_by_hop_id, now, on_answer))
+        register_request(link, hop_by_hop_id, now, on_answer)
         self.sim.send(self.node, dst, data)
         return True
 
@@ -692,7 +690,7 @@ class MmeElement(Element):
         run.finished_at = now
 
     def _attach_answer(
-        self, run: AttachResult, pending: PendingRequest, msg: Message, now: int
+        self, run: AttachResult, sent_at: int, msg: Message, now: int
     ) -> None:
         """The answer to the run's current step: a step that timed out has no
         pending entry left, so its late answer never gets here."""

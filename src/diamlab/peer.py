@@ -66,17 +66,17 @@ class EventKind(Enum):
     STOP = "Stop"
 
 
-MESSAGE_EVENTS = frozenset(
-    {
-        EventKind.RCV_CER,
-        EventKind.RCV_CEA,
-        EventKind.RCV_DWR,
-        EventKind.RCV_DWA,
-        EventKind.RCV_DPR,
-        EventKind.RCV_DPA,
-        EventKind.RCV_REQUEST,
-        EventKind.RCV_ANSWER,
-    }
+# The events that carry a message. A tuple, like SEND_ACTIONS below, so that
+# PeerEvent's check compares identities instead of calling Enum.__hash__.
+MESSAGE_EVENTS = (
+    EventKind.RCV_CER,
+    EventKind.RCV_CEA,
+    EventKind.RCV_DWR,
+    EventKind.RCV_DWA,
+    EventKind.RCV_DPR,
+    EventKind.RCV_DPA,
+    EventKind.RCV_REQUEST,
+    EventKind.RCV_ANSWER,
 )
 
 
@@ -114,31 +114,23 @@ class PeerEvent:
             raise ValueError(f"event {self.kind.value} message presence mismatch")
 
 
-# Built once per application request, so like codec.Avp it takes the
-# positional constructor of codec.slot_init instead of the generated __init__.
+# A pending entry is the pair (sent_at, on_answer), keyed in the link's table
+# by the request's hop-by-hop id. `on_answer(sent_at, msg, now)` consumes the
+# matching answer; None means nobody waits for it.
+AnswerCallback = Callable[[int, Message, int], None]
+PendingEntry = tuple[int, Optional[AnswerCallback]]
+
+
+# Built for every base-protocol message and timer, so it takes the positional
+# constructor of codec.slot_init, called through the module name below.
 @slot_init
 @dataclass(frozen=True, slots=True, init=False)
-class PendingRequest:
-    """Metadata kept for one outstanding application request.
-
-    `on_answer(pending, msg, now)` consumes the matching answer; None
-    means nobody waits for it.
-    """
-
-    hop_by_hop_id: int
-    sent_at: int
-    on_answer: Optional[AnswerCallback] = None
-
-
-new_pending_request = PendingRequest.__new__  # see codec.slot_init
-
-AnswerCallback = Callable[[PendingRequest, Message, int], None]
-
-
-@dataclass(frozen=True, slots=True)
 class PeerAction:
     kind: ActionKind
     message: Optional[Message] = None
+
+
+new_peer_action = PeerAction.__new__  # see codec.slot_init
 
 
 # What every peer advertises in its CER, and how many watchdog periods in a
@@ -166,7 +158,7 @@ class PeerState:
     missed_dwas: int = 0
 
 
-_NO_PENDING: Mapping[int, PendingRequest] = MappingProxyType({})
+_NO_PENDING: Mapping[int, PendingEntry] = MappingProxyType({})
 
 
 # --- message constructors -------------------------------------------------
@@ -212,8 +204,11 @@ def build_base_answer(
 # --- correlation ----------------------------------------------------------
 
 
-def register_request(link, pending: PendingRequest) -> None:
-    """Record an outstanding application request in `link.pending`, in place.
+def register_request(
+    link, hbh: int, sent_at: int, on_answer: Optional[AnswerCallback]
+) -> None:
+    """Record the request with hop-by-hop id `hbh`, sent at `sent_at`, in
+    `link.pending` as the pair `(sent_at, on_answer)`, in place.
 
     `link` is any holder of a `state: PeerState` and a mutable `pending`
     dict keyed by hop-by-hop id (`elements.PeerLink`). Only legal while Open.
@@ -221,23 +216,22 @@ def register_request(link, pending: PendingRequest) -> None:
     if link.state.phase is not OPEN:
         raise ValueError("pending entries are only allowed in the Open phase")
     table = link.pending
-    hbh = pending.hop_by_hop_id
     if hbh in table:
         raise ValueError(f"duplicate outstanding hop-by-hop id {hbh}")
-    table[hbh] = pending
+    table[hbh] = (sent_at, on_answer)
 
 
 # --- the transition function ----------------------------------------------
 
 
-def deliverable(phase: Phase, message: Message, pending: Mapping[int, PendingRequest]) -> bool:
+def deliverable(phase: Phase, message: Message, pending: Mapping[int, PendingEntry]) -> bool:
     """Whether application traffic reaches the application: only in Open,
     and an answer only with the pending entry its hop-by-hop id matches."""
     return phase is OPEN and (message.request or message.hop_by_hop_id in pending)
 
 
 def _drop(state: PeerState, event: PeerEvent) -> tuple[PeerState, list[PeerAction]]:
-    return state, [PeerAction(ActionKind.DROP_MESSAGE, event.message)]
+    return state, [new_peer_action(PeerAction, ActionKind.DROP_MESSAGE, event.message)]
 
 
 def _ignore(state: PeerState, _event: PeerEvent) -> tuple[PeerState, list[PeerAction]]:
@@ -254,7 +248,7 @@ def handle_event(
     event: PeerEvent,
     now: int,
     config: PeerConfig = DEFAULT_CONFIG,
-    pending: Mapping[int, PendingRequest] = _NO_PENDING,
+    pending: Mapping[int, PendingEntry] = _NO_PENDING,
 ) -> tuple[PeerState, list[PeerAction]]:
     """Advance one peer link by one event.
 
@@ -267,7 +261,7 @@ def handle_event(
     if kind is EventKind.RCV_REQUEST or kind is EventKind.RCV_ANSWER:
         if not deliverable(phase, event.message, pending):
             return _drop(state, event)
-        return state, [PeerAction(ActionKind.DELIVER_TO_APP, event.message)]
+        return state, [new_peer_action(PeerAction, ActionKind.DELIVER_TO_APP, event.message)]
 
     if kind is EventKind.START:
         if phase is Phase.CLOSED:
@@ -278,13 +272,13 @@ def handle_event(
         if phase is Phase.WAIT_CONN_ACK:
             cer = build_cer(config.identity, APPLICATION_IDS)
             new = replace(state, phase=Phase.WAIT_CEA)
-            return new, [PeerAction(ActionKind.SEND_CER, message=cer)]
+            return new, [new_peer_action(PeerAction, ActionKind.SEND_CER, cer)]
         return _ignore(state, event)
 
     if kind is EventKind.RCV_CER:
         if phase is Phase.CLOSED:
             cea = build_base_answer(event.message, config.identity)
-            return _opened(now, config), [PeerAction(ActionKind.SEND_CEA, message=cea)]
+            return _opened(now, config), [new_peer_action(PeerAction, ActionKind.SEND_CEA, cea)]
         return _drop(state, event)
 
     if kind is EventKind.RCV_CEA:
@@ -295,7 +289,7 @@ def handle_event(
     if kind is EventKind.RCV_DWR:
         if phase is Phase.OPEN:
             dwa = build_base_answer(event.message, config.identity)
-            return state, [PeerAction(ActionKind.SEND_DWA, message=dwa)]
+            return state, [new_peer_action(PeerAction, ActionKind.SEND_DWA, dwa)]
         return _drop(state, event)
 
     if kind is EventKind.RCV_DWA:
@@ -307,12 +301,13 @@ def handle_event(
         if phase in (Phase.WAIT_CEA, Phase.OPEN, Phase.CLOSING):
             dpa = build_base_answer(event.message, config.identity)
             new = replace(state, phase=Phase.CLOSING)
-            return new, [PeerAction(ActionKind.SEND_DPA, message=dpa)]
+            return new, [new_peer_action(PeerAction, ActionKind.SEND_DPA, dpa)]
         return _drop(state, event)
 
     if kind is EventKind.RCV_DPA:
         if phase is Phase.CLOSING:
-            return replace(state, phase=Phase.CLOSED), [PeerAction(ActionKind.CLOSE_LINK)]
+            new = replace(state, phase=Phase.CLOSED)
+            return new, [new_peer_action(PeerAction, ActionKind.CLOSE_LINK)]
         return _drop(state, event)
 
     if kind is EventKind.WATCHDOG_TIMER:
@@ -324,7 +319,7 @@ def handle_event(
             missed = state.missed_dwas + 1
             if missed >= MISSED_DWA_LIMIT:
                 new = replace(state, phase=Phase.CLOSED, dwr_outstanding=False)
-                return new, [PeerAction(ActionKind.CLOSE_LINK)]
+                return new, [new_peer_action(PeerAction, ActionKind.CLOSE_LINK)]
         else:
             missed = state.missed_dwas
         dwr = build_dwr(config.identity)
@@ -334,16 +329,16 @@ def handle_event(
             missed_dwas=missed,
             watchdog_deadline=now + config.watchdog_interval_us,
         )
-        return new, [PeerAction(ActionKind.SEND_DWR, message=dwr)]
+        return new, [new_peer_action(PeerAction, ActionKind.SEND_DWR, dwr)]
 
     if kind is EventKind.STOP:
         if phase is Phase.OPEN:
             dpr = build_dpr(config.identity)
             new = replace(state, phase=Phase.CLOSING)
-            return new, [PeerAction(ActionKind.SEND_DPR, message=dpr)]
+            return new, [new_peer_action(PeerAction, ActionKind.SEND_DPR, dpr)]
         if phase in (Phase.WAIT_CONN_ACK, Phase.WAIT_CEA, Phase.CLOSING):
             return replace(state, phase=Phase.CLOSED), [
-                PeerAction(ActionKind.CLOSE_LINK)
+                new_peer_action(PeerAction, ActionKind.CLOSE_LINK)
             ]
         return _ignore(state, event)
 

@@ -1,8 +1,10 @@
 """Attack engine: mutation operators, flood/intercept/fuzz runners."""
 
+import cProfile
 import heapq
 import itertools
 import math
+import pstats
 import sys
 from collections import Counter, deque
 from dataclasses import replace
@@ -47,7 +49,7 @@ from diamlab.codec import (
     ViolationKind,
 )
 
-from diamlab.peer import PendingRequest, result_code_avp
+from diamlab.peer import PeerAction, result_code_avp
 
 from tests.labs import core_lab_text, duo_lab_text, make_lab
 from tests.test_campaign import assert_conserved
@@ -320,25 +322,44 @@ class TestFlood:
 # requests to a capacity of 0.001 TPS: the sampler and watchdog timers of its
 # long drain outweigh the requests (with the two events that open the link,
 # the lab processes 104,591).
+# The last three counts are the frozen values built, as cProfile rows of
+# each class's generated __new__: an answered echo request builds one Avp
+# (its payload) and two Messages (it and its answer), a request dropped on
+# a full queue one Avp and one Message. Nothing else is built per request:
+# the pending entry is a plain pair. Only the idle case's watchdogs build
+# PeerActions, and more Avps and Messages.
 _COST_CASES = {
     # id: (rate, latency_ms, service_rate, queue_capacity,
     #      (offered, events, events scheduled, messages built by build_message
-    #       or build_answer, encode_message, decode_message))
-    "500-served": (500, 5, 500, 1000, (500, 1510, 1510, 1000, 0, 0)),
-    "500-overloaded": (500, 5, 250, 100, (500, 1705, 1705, 850, 0, 0)),
-    "2000-served": (2000, 5, 2000, 1000, (2000, 6006, 6006, 4000, 0, 0)),
-    "2000-overloaded": (2000, 5, 1000, 100, (2000, 6205, 6205, 3100, 0, 0)),
-    "8000-served": (8000, 5, 8000, 1000, (8000, 24006, 24006, 16000, 0, 0)),
-    "8000-overloaded": (8000, 5, 4000, 100, (8000, 24205, 24205, 12100, 0, 0)),
+    #       or build_answer, encode_message, decode_message,
+    #       Avp, Message and PeerAction values built))
+    "500-served": (500, 5, 500, 1000, (500, 1510, 1510, 1000, 0, 0, 500, 1000, 0)),
+    "500-overloaded": (500, 5, 250, 100, (500, 1705, 1705, 850, 0, 0, 500, 850, 0)),
+    "2000-served": (2000, 5, 2000, 1000, (2000, 6006, 6006, 4000, 0, 0, 2000, 4000, 0)),
+    "2000-overloaded": (2000, 5, 1000, 100, (2000, 6205, 6205, 3100, 0, 0, 2000, 3100, 0)),
+    "8000-served": (8000, 5, 8000, 1000, (8000, 24006, 24006, 16000, 0, 0, 8000, 16000, 0)),
+    "8000-overloaded": (8000, 5, 4000, 100, (8000, 24205, 24205, 12100, 0, 0, 8000, 12100, 0)),
     # sends 31 or 32 us apart against a token every 31.25 us: each request
     # also waits for a drain timer
-    "32000-served": (32000, 5, 32000, 1000, (32000, 128005, 128005, 64000, 0, 0)),
-    "32000-overloaded": (32000, 5, 16000, 100, (32000, 95951, 95951, 47973, 0, 0)),
-    "8000-served-1ms": (8000, 1, 8000, 1000, (8000, 24006, 24006, 16000, 0, 0)),
-    "8000-served-100ms": (8000, 100, 8000, 1000, (8000, 24006, 24006, 16000, 0, 0)),
-    "8000-served-1000ms": (8000, 1000, 8000, 1000, (8000, 24010, 24010, 16000, 0, 0)),
-    "idle": (10, 5, 0.001, 100, (10, 104589, 104586, 492, 0, 0)),
+    "32000-served": (
+        32000, 5, 32000, 1000, (32000, 128005, 128005, 64000, 0, 0, 32000, 64000, 0)
+    ),
+    "32000-overloaded": (
+        32000, 5, 16000, 100, (32000, 95951, 95951, 47973, 0, 0, 32000, 47973, 0)
+    ),
+    "8000-served-1ms": (8000, 1, 8000, 1000, (8000, 24006, 24006, 16000, 0, 0, 8000, 16000, 0)),
+    "8000-served-100ms": (
+        8000, 100, 8000, 1000, (8000, 24006, 24006, 16000, 0, 0, 8000, 16000, 0)
+    ),
+    "8000-served-1000ms": (
+        8000, 1000, 8000, 1000, (8000, 24010, 24010, 16000, 0, 0, 8000, 16000, 0)
+    ),
+    "idle": (10, 5, 0.001, 100, (10, 104589, 104586, 492, 0, 0, 488, 732, 479)),
 }
+
+# The filenames the generated __new__ of each codec.slot_init class is
+# compiled under, in the order of the table's last three counts.
+_SLOT_INIT_FILES = [f"<{cls.__module__}.{cls.__qualname__}>" for cls in (Avp, Message, PeerAction)]
 
 
 def count_codec_calls(monkeypatch) -> Counter:
@@ -368,7 +389,17 @@ def test_cost_per_request(case, monkeypatch):
     calls = count_codec_calls(monkeypatch)
     sim = lab.sim
     events, scheduled = sim.events_processed, sim.events_scheduled()
+    profile = cProfile.Profile()
+    profile.enable()
     result, _ = run_flood(lab, FloodSpec(target="target", rate_tps=rate, duration_s=1))
+    profile.disable()
+    # as test_profilers_keep_each_generated_new_apart reads them
+    built = {
+        filename: n
+        for (filename, _, name), (_, n, *_) in pstats.Stats(profile).stats.items()
+        if name == "__new__" and filename.startswith("<diamlab.")
+    }
+    assert set(built) <= set(_SLOT_INIT_FILES)  # no other value type is built
     assert (
         result.offered,
         sim.events_processed - events,
@@ -376,6 +407,7 @@ def test_cost_per_request(case, monkeypatch):
         calls["build_message"] + calls["build_answer"],
         calls["encode_message"],
         calls["decode_message"],
+        *(built.get(filename, 0) for filename in _SLOT_INIT_FILES),
     ) == expected
 
 
@@ -525,13 +557,13 @@ class _StubBox:
 
     def send_app_request(self, dst, command_code, avps, on_answer, now):
         hbh, self.next_id = self.next_id, self.next_id + 1
-        self.pending[hbh] = PendingRequest(hbh, now, on_answer)
+        self.pending[hbh] = (now, on_answer)
         return hbh
 
     def answer(self, hbh, now):
-        pending = self.pending.pop(hbh)
-        if pending.on_answer is not None:
-            pending.on_answer(pending, build_message(dct.CMD_ECHO), now)
+        sent_at, on_answer = self.pending.pop(hbh)
+        if on_answer is not None:
+            on_answer(sent_at, build_message(dct.CMD_ECHO), now)
 
     def forget_pending_many(self, dst, hop_by_hop_ids):
         self.forgotten.append(list(hop_by_hop_ids))
@@ -576,8 +608,8 @@ class TestFloodReap:
             # reference: scan every pending entry of the flood
             expected = [
                 h
-                for h, p in box.pending.items()
-                if p.on_answer == driver.on_answer and now - p.sent_at > timeout
+                for h, (sent_at, on_answer) in box.pending.items()
+                if on_answer == driver.on_answer and now - sent_at > timeout
             ]
             survivors = {h: p for h, p in box.pending.items() if h not in expected}
             box.forgotten.clear()
@@ -606,11 +638,45 @@ class TestFloodCallback:
         driver = _FloodDriver(box, box, 10, start=0, rate_tps=1e6, timeout_us=10**9)
         for i in (1, 2, 3, 4):
             driver.send(i, i)
-        callbacks = [p.on_answer for p in box.pending.values()]
+        callbacks = [on_answer for _, on_answer in box.pending.values()]
         assert len(callbacks) == 4
         assert all(c is driver.on_answer for c in callbacks)
         box.answer(2, 7)
         assert (driver.answered, driver.latencies) == (1, [5])
+
+    def test_latencies_are_each_answers_time_less_its_requests_send_time(self, monkeypatch):
+        # overloaded, so requests wait in the target's queue for different times
+        _, lab = make_lab(duo_lab_text(service_rate=500, queue_capacity=100, latency_ms=5))
+        ab, target = lab.attack_box(), lab.element("target")
+        pending = ab.peer_link(target.node).pending
+        drivers, sent_at, answered_at = [], {}, []
+
+        class Driver(_FloodDriver):
+            def __init__(self, *args):
+                super().__init__(*args)
+                drivers.append(self)
+
+        send_app_request, on_decoded = ab.send_app_request, ab.on_decoded
+
+        def record_send(dst, command_code, avps, on_answer, now):
+            hbh = send_app_request(dst, command_code, avps, on_answer, now)
+            if hbh is not None:
+                sent_at[hbh] = now
+            return hbh
+
+        def record_answer(src, msg, now):
+            if not msg.request and msg.hop_by_hop_id in pending:
+                answered_at.append((msg.hop_by_hop_id, now))
+            on_decoded(src, msg, now)
+
+        monkeypatch.setattr(attacks, "_FloodDriver", Driver)
+        monkeypatch.setattr(ab, "send_app_request", record_send)
+        monkeypatch.setattr(ab, "on_decoded", record_answer)
+        result, _ = run_flood(lab, FloodSpec(target="target", rate_tps=1000, duration_s=0.5))
+        [driver] = drivers
+        assert driver.latencies == [now - sent_at[hbh] for hbh, now in answered_at]
+        assert len(driver.latencies) == result.answered > 0
+        assert len(set(driver.latencies)) > 1
 
 
 class TestIntercept:

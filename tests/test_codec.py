@@ -37,15 +37,21 @@ from diamlab.codec import (
     validate_message,
 )
 
-from diamlab import dictionary as dct
 from diamlab.attacks import seed_corpus
 from diamlab.dictionary import BUILTIN_DICTIONARY
 from diamlab.peer import (
-    ActionKind, EventKind, PeerAction, PeerEvent, PendingRequest, new_pending_request,
+    TRANSITION_MATRIX,
+    ActionKind,
+    EventKind,
+    PeerAction,
+    PeerEvent,
+    PeerState,
+    handle_event,
+    new_peer_action,
 )
 
-from tests.labs import duo_lab_text, make_lab
 from tests.strategies import avps, messages, u32
+from tests.test_peer import message_for
 
 
 class TestHeaderLayout:
@@ -639,13 +645,9 @@ class TestBuilders:
             assert str(info.value) == str(expected.value)
 
 
-# The five frozen, slotted value types: their fields, field order and
+# The four frozen, slotted value types: their fields, field order and
 # defaults, constructor arguments in field order, and one field change.
 _MSG = build_message(700, request=True, hop_by_hop_id=3, avps=[Avp(code=1, data=b"x")])
-
-
-def _ignore_answer(pending, msg, now):
-    pass
 
 
 VALUE_TYPES = [
@@ -682,16 +684,6 @@ VALUE_TYPES = [
         [("kind", dataclasses.MISSING), ("message", None)],
         (EventKind.RCV_REQUEST, _MSG),
         {"kind": EventKind.RCV_ANSWER},
-    ),
-    (
-        PendingRequest,
-        [
-            ("hop_by_hop_id", dataclasses.MISSING),
-            ("sent_at", dataclasses.MISSING),
-            ("on_answer", None),
-        ],
-        (3, 10, _ignore_answer),
-        {"sent_at": 11},
     ),
     (
         PeerAction,
@@ -752,7 +744,7 @@ def test_copy_and_pickle_round_trip(cls, expected_fields, args, change):
         assert other == value and type(other) is cls
 
 
-SLOT_INIT_TYPES = [Avp, Message, PendingRequest]
+SLOT_INIT_TYPES = [Avp, Message, PeerAction]
 
 
 @pytest.mark.parametrize("cls", SLOT_INIT_TYPES)
@@ -769,7 +761,7 @@ def test_profilers_keep_each_generated_new_apart():
     profile.enable()
     Avp(1)
     Message(2)
-    PendingRequest(3, 4)
+    PeerAction(ActionKind.CLOSE_LINK)
     profile.disable()
     rows = {
         filename: calls
@@ -785,7 +777,7 @@ def test_calling_new_directly_builds_the_same_value(cls):
     args = next(args for c, _, args, _ in VALUE_TYPES if c is cls)
     value = cls.__new__(cls, *args)
     assert type(value) is cls and value == cls(*args)
-    binding = {Avp: new_avp, Message: new_message, PendingRequest: new_pending_request}[cls]
+    binding = {Avp: new_avp, Message: new_message, PeerAction: new_peer_action}[cls]
     assert binding is cls.__new__
 
 
@@ -808,9 +800,9 @@ def test_no_constructor_returns_the_twin_class():
     ]
     for m in values:
         _assert_exact_types(m)
-    _, lab = make_lab(duo_lab_text())
-    ab, target = lab.attack_box(), lab.element("target")
-    hbh = ab.send_app_request(target.node, dct.CMD_ECHO, [], None, lab.sim.clock)
-    pending = ab.peer_link(target.node).pending[hbh]
-    assert type(pending) is PendingRequest
-    assert type(dataclasses.replace(pending, sent_at=1)) is PendingRequest
+    # every action the peer state machine returns, over the whole table
+    for phase, kind in TRANSITION_MATRIX:
+        _, actions = handle_event(PeerState(phase), PeerEvent(kind, message_for(kind)), 0)
+        for action in actions:
+            assert type(action) is PeerAction
+            assert type(dataclasses.replace(action, message=None)) is PeerAction

@@ -24,7 +24,6 @@ from diamlab.peer import (
     ActionKind,
     EventKind,
     PeerEvent,
-    PendingRequest,
     Phase,
     build_dpr,
     handle_event,
@@ -505,13 +504,14 @@ class TestFailureModel:
 
 
 class _Answers:
-    """An on_answer callback that records every answer delivered with its entry."""
+    """An on_answer callback that records every answer delivered with its
+    request's send time."""
 
     def __init__(self):
         self.delivered = []
 
-    def __call__(self, pending, msg, now):
-        self.delivered.append((pending, msg.hop_by_hop_id))
+    def __call__(self, sent_at, msg, now):
+        self.delivered.append((sent_at, msg.hop_by_hop_id))
 
 
 class TestPendingTable:
@@ -551,11 +551,11 @@ class TestPendingTable:
 
     def test_matching_answer_pops_entry(self):
         lab, ab, target, link = self._open_duo()
+        sent = lab.sim.clock
         hbh = self._echo(lab, ab, target)
-        entry = link.pending[hbh]
-        assert entry == PendingRequest(hbh, lab.sim.clock, self.answers)
+        assert link.pending[hbh] == (sent, self.answers)
         self._feed_answer(lab, ab, target, hbh)
-        assert self.answers.delivered == [(entry, hbh)]
+        assert self.answers.delivered == [(sent, hbh)]
         assert link.pending == {}
 
     def test_unknown_id_is_no_match(self):
@@ -588,20 +588,57 @@ class TestPendingTable:
     def test_register_outside_open_rejected(self):
         lab, ab, target, _ = self._open_duo()
         with pytest.raises(ValueError):
-            register_request(PeerLink(neighbor=target.node), PendingRequest(1, 0))
+            register_request(PeerLink(neighbor=target.node), 1, 0, None)
 
     def test_duplicate_registration_rejected(self):
         lab, ab, target, link = self._open_duo()
-        register_request(link, PendingRequest(1, 0))
+        register_request(link, 1, 0, None)
         with pytest.raises(ValueError):
-            register_request(link, PendingRequest(1, 0))
+            register_request(link, 1, 0, None)
 
     def test_answer_event_delivers_with_pending(self):
         lab, ab, target, link = self._open_duo()
+        sent = lab.sim.clock
         hbh = self._echo(lab, ab, target)
         lab.sim.run_until(lab.sim.clock + 100_000)  # the target answers over the link
-        [(entry, answered)] = self.answers.delivered
-        assert answered == hbh and entry.on_answer is self.answers
+        [(sent_at, answered)] = self.answers.delivered
+        assert answered == hbh and sent_at == sent
+        assert link.pending == {}
+
+    @pytest.mark.parametrize("raw", [False, True], ids=["send_app_request", "send_raw_request"])
+    def test_a_sent_request_is_kept_as_its_send_time_and_callback(self, raw):
+        lab, ab, target, link = self._open_duo()
+        now = lab.sim.clock
+        if raw:
+            hbh = 41
+            assert ab.send_raw_request(target.node, b"\x01", hbh, self.answers, now)
+        else:
+            hbh = self._echo(lab, ab, target)
+        entry = link.pending[hbh]
+        assert type(entry) is tuple and entry == (now, self.answers)
+        assert entry[1] is self.answers
+
+    def test_an_answer_gets_its_requests_send_time_and_its_own_time(self):
+        lab, ab, target, link = self._open_duo()
+        calls = []
+        register_request(link, 41, 123, lambda *call: calls.append(call))
+        answer = build_message(dct.CMD_ECHO, hop_by_hop_id=41)
+        ab.on_decoded(target.node, answer, 456)
+        assert calls == [(123, answer, 456)]
+        assert 41 not in link.pending
+
+    def test_send_raw_request_refuses_an_outstanding_id(self):
+        lab, ab, target, link = self._open_duo()
+        hbh = self._echo(lab, ab, target)
+        with pytest.raises(ValueError, match="duplicate"):
+            ab.send_raw_request(target.node, b"\x01", hbh, None, lab.sim.clock)
+        assert link.pending[hbh] == (lab.sim.clock, self.answers)
+
+    def test_forget_pending_many_counts_entries_nobody_waits_for(self):
+        # an entry is a pair even with no callback, so it is never None
+        lab, ab, target, link = self._open_duo()
+        ids = [ab.send_app_request(target.node, dct.CMD_ECHO, [], None, 0) for _ in range(2)]
+        assert ab.forget_pending_many(target.node, [*ids, 999]) == 2
         assert link.pending == {}
 
     def test_forget_pending_many_counts_what_existed(self):
@@ -666,7 +703,7 @@ class TestDirectDeliveryAgreesWithTheTable:
         answers = _Answers()
         if case != "unmatched-answer":  # a request finds an entry too, and must leave it
             on_answer = None if case == "matched-answer-nobody-waits" else answers
-            link.pending[self.HBH] = PendingRequest(self.HBH, 0, on_answer)
+            link.pending[self.HBH] = (0, on_answer)
         if case == "request":
             kind, msg = EventKind.RCV_REQUEST, _probe(hbh=self.HBH)
         else:
@@ -695,4 +732,4 @@ class TestDirectDeliveryAgreesWithTheTable:
             consumed += len(popped)
             assert link.state is state
         assert consumed <= 1
-        assert answers.delivered in ([], [(PendingRequest(self.HBH, 0, answers), self.HBH)])
+        assert answers.delivered in ([], [(0, self.HBH)])

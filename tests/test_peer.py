@@ -14,7 +14,6 @@ from diamlab.peer import (
     EventKind,
     PeerEvent,
     PeerState,
-    PendingRequest,
     Phase,
     build_base_answer,
     build_cer,
@@ -77,7 +76,7 @@ class TestTransitionMatrix:
     def test_inputs_are_never_mutated(self, phase, kind):
         state = state_in(phase)
         # an entry the RcvAnswer message matches, so Open/RcvAnswer delivers
-        pending = {12345: PendingRequest(12345, 0)}
+        pending = {12345: (0, None)}
         before = (state.phase, state.watchdog_deadline, dict(pending))
         handle_event(state, PeerEvent(kind, message_for(kind)), 0, DEFAULT_CONFIG, pending)
         assert (state.phase, state.watchdog_deadline, pending) == before
@@ -203,7 +202,7 @@ class TestCorrelation:
     """
 
     def test_answer_matching_the_table_is_delivered_and_leaves_the_table(self):
-        entry = PendingRequest(21, 5, on_answer=lambda pending, msg, now: None)
+        entry = (5, lambda sent_at, msg, now: None)
         pending = {21: entry}
         answer = build_message(dct.CMD_ECHO, hop_by_hop_id=21)
         s = state_in(Phase.OPEN)
@@ -213,7 +212,7 @@ class TestCorrelation:
         assert s2 == s and pending == {21: entry}
 
     def test_answer_outside_open_is_dropped_even_when_it_matches(self):
-        pending = {21: PendingRequest(21, 5)}
+        pending = {21: (5, None)}
         event = PeerEvent(EventKind.RCV_ANSWER, build_message(dct.CMD_ECHO, hop_by_hop_id=21))
         for phase in Phase:
             if phase is Phase.OPEN:

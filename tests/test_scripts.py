@@ -13,7 +13,7 @@ import pytest
 
 from diamlab.attacks import FloodSpec, run_flood
 from diamlab.codec import Avp, Message
-from diamlab.peer import PendingRequest
+from diamlab.peer import PeerAction
 
 from tests.labs import duo_lab_text, make_lab
 
@@ -118,7 +118,7 @@ def test_bytecode_counts_are_the_same_in_two_runs_in_one_process():
     assert offered == 100
     assert {"attacks", "codec", "elements", "peer", "simnet"} <= set(counts)
     # a generated constructor is filed under its class's module
-    for cls, module in ((Avp, "codec"), (Message, "codec"), (PendingRequest, "peer")):
+    for cls, module in ((Avp, "codec"), (Message, "codec"), (PeerAction, "peer")):
         assert sweep.module_of(cls.__new__.__code__.co_filename) == module
     first, second = sweep.fuzz_bytecodes(), sweep.fuzz_bytecodes()
     assert first == second
