@@ -4,7 +4,8 @@
 Two messages: the flood's echo request (one 4-byte Echo-Payload AVP,
 32 bytes on the wire) and a CER (Origin-Host plus one
 Auth-Application-Id). replace_ids restamps the correlation ids of a
-Message, as each CER and DWR is restamped before it is sent; stamp_ids
+Message, as every request a link sends is restamped (the flood's echo
+request, the MME's attach steps, each CER and DWR); stamp_ids
 writes them into encoded bytes, as each fuzz case is stamped from its
 pre-encoded template. Each operation runs in timed batches of --number
 calls; the script prints the median ops/s over --repeat batches, with the

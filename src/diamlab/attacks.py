@@ -27,7 +27,6 @@ from .codec import (
     decode_message,
     encode_avp,
     encode_message,
-    new_avp,
     stamp_ids,
 )
 from .elements import AttackBoxElement, Element, Lab, attach_request, result_code_of
@@ -258,6 +257,14 @@ _REAP_EVERY = 1024
 
 
 class _FloodDriver:
+    """Sends one flood's requests on schedule and counts their answers.
+
+    Every request is the one echo request built and checked when the flood
+    starts (a 4-byte zero Echo-Payload); `send_app_request` gives each send
+    the link's next hop-by-hop id as both ids, so each is a transaction of
+    its own with the same AVPs.
+    """
+
     def __init__(
         self,
         ab: AttackBoxElement,
@@ -279,6 +286,9 @@ class _FloodDriver:
         self.answered = 0
         self.latencies: list[int] = []
         self.result_codes: dict[Optional[int], int] = {}
+        self.request = build_message(
+            dct.CMD_ECHO, (Avp(dct.AVP_ECHO_PAYLOAD, bytes(4)),), 0, 0, 0, True
+        )
         # One callback object for the whole flood, stored in every pending
         # entry it sends: `self._count_answer` read per send would make a new
         # bound method each time (~16k held at once by an overloaded target),
@@ -290,10 +300,7 @@ class _FloodDriver:
     def send(self, now: int, i: int) -> None:
         """Send request `i` of the flood and schedule request `i + 1`."""
         self.offered += 1
-        payload = new_avp(Avp, dct.AVP_ECHO_PAYLOAD, i.to_bytes(4, "big"))  # see codec.slot_init
-        hbh = self.ab.send_app_request(
-            self.target.node, dct.CMD_ECHO, (payload,), self.on_answer, now
-        )
+        hbh = self.ab.send_app_request(self.target.node, self.request, self.on_answer, now)
         if hbh is not None:
             self.sent += 1
         if i % _REAP_EVERY == 0:
@@ -338,6 +345,9 @@ SETTLE_GRACE_US = 2 * US_PER_S
 
 def run_flood(lab: Lab, spec: FloodSpec) -> tuple[FloodResult, list[Finding]]:
     """Well-formed echo requests at a constant rate against one element.
+
+    Each is the flood's one request, built and checked once, sent with the
+    link's next ids (see `_FloodDriver`).
 
     The run settles for a grace period after the last send so queued
     requests drain; whatever is still unanswered then is counted as
@@ -520,8 +530,7 @@ def seed_corpus(identity: str = "attacker.lab") -> list[tuple[str, Message]]:
     templates are the MME's own `attach_request`s."""
 
     def attach_step(name: str, step: int) -> tuple[str, Message]:
-        cmd, avps = attach_request(step, "imsi-001001000000001", "tracking-area-1", "seed-rule")
-        return name, build_message(cmd, request=True, avps=avps)
+        return name, attach_request(step, "imsi-001001000000001", "tracking-area-1", "seed-rule")
 
     return [
         (

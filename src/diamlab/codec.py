@@ -116,9 +116,8 @@ class ParseError:
 # such class's __new__ is bound once to a module name next to it (new_avp,
 # new_message, peer.new_peer_action), and the per-message builds
 # (build_message, build_answer, decode_message, _decode_avps, replace_ids,
-# the flood's Avp, every PeerAction of peer.handle_event) call that name
-# with the class: new_message(Message, ...) returns the value Message(...)
-# does.
+# every PeerAction of peer.handle_event) call that name with the class:
+# new_message(Message, ...) returns the value Message(...) does.
 # Each class's source is compiled under its own filename, <module.Class>, so
 # profilers and tracers keep the generated functions of the classes apart.
 
@@ -257,10 +256,17 @@ def _range_error(value: int, maximum: int, what: str) -> CodecError:
 
 
 def _check_ids(hop_by_hop_id: int, end_to_end_id: int) -> None:
-    if not 0 <= hop_by_hop_id <= U32_MAX:
-        raise _range_error(hop_by_hop_id, U32_MAX, "hop-by-hop id")
-    if not 0 <= end_to_end_id <= U32_MAX:
-        raise _range_error(end_to_end_id, U32_MAX, "end-to-end id")
+    """Raise the CodecError of the first id out of range, if any.
+
+    Each id is tested by its width first, as in _checked_length: a compare
+    with U32_MAX stays unspecialized, and replace_ids and stamp_ids run
+    this once per request or fuzz case. Only a fault reaches the compares.
+    """
+    if hop_by_hop_id >> 32 or end_to_end_id >> 32:
+        if not 0 <= hop_by_hop_id <= U32_MAX:
+            raise _range_error(hop_by_hop_id, U32_MAX, "hop-by-hop id")
+        if not 0 <= end_to_end_id <= U32_MAX:
+            raise _range_error(end_to_end_id, U32_MAX, "end-to-end id")
 
 
 def _checked_avp_length(avp: Avp) -> int:

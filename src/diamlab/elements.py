@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import repeat
 from operator import is_not
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional
 
 from . import dictionary as dct
 from .codec import (
@@ -484,21 +484,27 @@ class Element:
     def send_app_request(
         self,
         dst: NodeId,
-        command_code: int,
-        avps: Sequence[Avp],
+        request: Message,
         on_answer: Optional[AnswerCallback],
         now: int,
     ) -> Optional[int]:
-        """Build, register, and send one application request; None if the link is not Open.
+        """Send `request` with the link's next hop-by-hop id as both its ids, and
+        register it; the id, or None if the link is not Open.
 
-        `on_answer(sent_at, msg, now)` gets the answer, `sent_at` being
-        `now` here; with None the answer is counted in `stray_answers`.
+        `request` comes from `build_message`, which checked every field, so
+        only the new ids are checked (`replace_ids`); one request value can
+        be sent any number of times, each send a transaction of its own. A
+        message whose request flag is clear raises ValueError before an id
+        is taken. `on_answer(sent_at, msg, now)` gets the answer, `sent_at`
+        being `now` here; with None the answer is counted in `stray_answers`.
         """
+        if not request.request:
+            raise ValueError(f"send_app_request: command {request.command_code} is not a request")
         link = self.links[dst.id]
         if link.state.phase is not OPEN:
             return None
         hbh = self._alloc_hop_by_hop(link)
-        msg = build_message(command_code, avps, 0, hbh, hbh, True)  # see build_message
+        msg = replace_ids(request, hbh, hbh)
         register_request(link, hbh, now, on_answer)
         self.sim.send(self.node, dst, msg)
         return hbh
@@ -618,21 +624,21 @@ class PcrfElement(Element):
         return build_answer(msg, avps=[result_code_avp(dct.RESULT_SUCCESS)])
 
 
-def attach_request(
-    step: int, subscriber_id: str, location: str, rule_id: str
-) -> tuple[int, list[Avp]]:
-    """The command code and AVPs of attach step `step` (see `MmeElement._STEPS`):
+def attach_request(step: int, subscriber_id: str, location: str, rule_id: str) -> Message:
+    """The request of attach step `step` (see `MmeElement._STEPS`), with ids 0:
     0 updates the subscriber's location, 1 queries its profile, 2 installs
     its policy rule `rule_id` with the default QoS class."""
     sid = Avp(code=dct.AVP_SUBSCRIBER_ID, data=subscriber_id.encode(), mandatory=True)
     if step == 0:
         loc = Avp(code=dct.AVP_LOCATION, data=location.encode(), mandatory=True)
-        return dct.CMD_LOCATION_UPDATE, [sid, loc]
-    if step == 1:
-        return dct.CMD_PROFILE_QUERY, [sid]
-    rule = Avp(code=dct.AVP_RULE_ID, data=rule_id.encode(), mandatory=True)
-    qos = Avp(code=dct.AVP_QOS_CLASS, data=DEFAULT_QOS_CLASS.to_bytes(4, "big"), mandatory=True)
-    return dct.CMD_POLICY_INSTALL, [rule, sid, qos]
+        cmd, avps = dct.CMD_LOCATION_UPDATE, (sid, loc)
+    elif step == 1:
+        cmd, avps = dct.CMD_PROFILE_QUERY, (sid,)
+    else:
+        rule = Avp(code=dct.AVP_RULE_ID, data=rule_id.encode(), mandatory=True)
+        qos = Avp(code=dct.AVP_QOS_CLASS, data=DEFAULT_QOS_CLASS.to_bytes(4, "big"), mandatory=True)
+        cmd, avps = dct.CMD_POLICY_INSTALL, (rule, sid, qos)
+    return build_message(cmd, avps, 0, 0, 0, True)
 
 
 @dataclass
@@ -672,11 +678,12 @@ class MmeElement(Element):
         return run
 
     def _send_step(self, run: AttachResult, now: int) -> None:
+        """Send the run's current step, built by `attach_request`, and queue its timeout."""
         step = run.steps_completed
         sid = run.subscriber_id
-        cmd, avps = attach_request(step, sid, run.location, f"attach-{sid}")
-        dst = self.pcrf_node if cmd == dct.CMD_POLICY_INSTALL else self.hss_node
-        hbh = self.send_app_request(dst, cmd, avps, partial(self._attach_answer, run), now)
+        request = attach_request(step, sid, run.location, f"attach-{sid}")
+        dst = self.pcrf_node if request.command_code == dct.CMD_POLICY_INSTALL else self.hss_node
+        hbh = self.send_app_request(dst, request, partial(self._attach_answer, run), now)
         if hbh is None:
             self._finish(run, False, "link-not-open", now)
             return
@@ -871,7 +878,8 @@ class Lab:
         rtt = 2 * self.max_latency_us() + 10_000
         for i in range(ECHO_PROBES):
             payload = Avp(code=dct.AVP_ECHO_PAYLOAD, data=f"probe-{i}".encode())
-            ab.send_app_request(target.node, dct.CMD_ECHO, [payload], None, sim.clock)
+            request = build_message(dct.CMD_ECHO, (payload,), 0, 0, 0, True)
+            ab.send_app_request(target.node, request, None, sim.clock)
             sim.run_until(sim.clock + rtt)
 
     def scenario_traffic(self) -> None:

@@ -276,9 +276,9 @@ class TestFlood:
         sent_at = []
         send = ab.send_app_request
 
-        def record(dst, command_code, avps, on_answer, now):
+        def record(dst, request, on_answer, now):
             sent_at.append(now)
-            return send(dst, command_code, avps, on_answer, now)
+            return send(dst, request, on_answer, now)
 
         monkeypatch.setattr(ab, "send_app_request", record)
         start = lab.sim.clock
@@ -306,6 +306,28 @@ class TestFlood:
         timers = [e[2] for e in lab.sim.due_events() if e[1] is None]
         assert [t for t in timers if getattr(t, "__func__", None) is _FloodDriver.send] == []
 
+    def test_a_flood_sends_one_request_with_each_sends_own_ids(self, monkeypatch):
+        # overloaded, so the target also drops requests on its full queue
+        _, lab = make_lab(duo_lab_text(service_rate=500, queue_capacity=100, latency_ms=5))
+        target = lab.element("target")
+        received = []
+        on_message = target.on_message
+
+        def record(sim, src, payload, now):
+            if isinstance(payload, Message) and payload.command_code == dct.CMD_ECHO:
+                received.append(payload)
+            on_message(sim, src, payload, now)
+
+        monkeypatch.setattr(target, "on_message", record)
+        calls = count_codec_calls(monkeypatch)
+        result, _ = run_flood(lab, FloodSpec(target="target", rate_tps=1000, duration_s=0.5))
+        assert calls["build_message"] == 1
+        assert len(received) == result.offered == 500 and target.dropped_overflow > 0
+        assert received[0].avps == (Avp(dct.AVP_ECHO_PAYLOAD, bytes(4)),)
+        assert all(m.request and m.avps is received[0].avps for m in received)
+        assert all(m.hop_by_hop_id == m.end_to_end_id for m in received)
+        assert len({m.hop_by_hop_id for m in received}) == len(received)
+
     def test_no_false_outage(self):
         _, lab = make_lab(duo_lab_text(service_rate=1000, queue_capacity=100))
         _, findings = run_flood(lab, FloodSpec(target="target", rate_tps=1500, duration_s=5))
@@ -323,38 +345,39 @@ class TestFlood:
 # long drain outweigh the requests (with the two events that open the link,
 # the lab processes 104,591).
 # The last three counts are the frozen values built, as cProfile rows of
-# each class's generated __new__: an answered echo request builds one Avp
-# (its payload) and two Messages (it and its answer), a request dropped on
-# a full queue one Avp and one Message. Nothing else is built per request:
-# the pending entry is a plain pair. Only the idle case's watchdogs build
+# each class's generated __new__. The flood builds its one request, one Avp
+# and one Message, when it starts. Then an answered echo request builds two
+# Messages (its send's copy with the link's ids, and its answer), a request
+# dropped on a full queue one. Nothing else is built per request: the
+# pending entry is a plain pair. Only the idle case's watchdogs build
 # PeerActions, and more Avps and Messages.
 _COST_CASES = {
     # id: (rate, latency_ms, service_rate, queue_capacity,
-    #      (offered, events, events scheduled, messages built by build_message
-    #       or build_answer, encode_message, decode_message,
+    #      (offered, events, events scheduled, messages built by build_message,
+    #       build_answer or replace_ids, encode_message, decode_message,
     #       Avp, Message and PeerAction values built))
-    "500-served": (500, 5, 500, 1000, (500, 1510, 1510, 1000, 0, 0, 500, 1000, 0)),
-    "500-overloaded": (500, 5, 250, 100, (500, 1705, 1705, 850, 0, 0, 500, 850, 0)),
-    "2000-served": (2000, 5, 2000, 1000, (2000, 6006, 6006, 4000, 0, 0, 2000, 4000, 0)),
-    "2000-overloaded": (2000, 5, 1000, 100, (2000, 6205, 6205, 3100, 0, 0, 2000, 3100, 0)),
-    "8000-served": (8000, 5, 8000, 1000, (8000, 24006, 24006, 16000, 0, 0, 8000, 16000, 0)),
-    "8000-overloaded": (8000, 5, 4000, 100, (8000, 24205, 24205, 12100, 0, 0, 8000, 12100, 0)),
+    "500-served": (500, 5, 500, 1000, (500, 1510, 1510, 1001, 0, 0, 1, 1001, 0)),
+    "500-overloaded": (500, 5, 250, 100, (500, 1705, 1705, 851, 0, 0, 1, 851, 0)),
+    "2000-served": (2000, 5, 2000, 1000, (2000, 6006, 6006, 4001, 0, 0, 1, 4001, 0)),
+    "2000-overloaded": (2000, 5, 1000, 100, (2000, 6205, 6205, 3101, 0, 0, 1, 3101, 0)),
+    "8000-served": (8000, 5, 8000, 1000, (8000, 24006, 24006, 16001, 0, 0, 1, 16001, 0)),
+    "8000-overloaded": (8000, 5, 4000, 100, (8000, 24205, 24205, 12101, 0, 0, 1, 12101, 0)),
     # sends 31 or 32 us apart against a token every 31.25 us: each request
     # also waits for a drain timer
     "32000-served": (
-        32000, 5, 32000, 1000, (32000, 128005, 128005, 64000, 0, 0, 32000, 64000, 0)
+        32000, 5, 32000, 1000, (32000, 128005, 128005, 64001, 0, 0, 1, 64001, 0)
     ),
     "32000-overloaded": (
-        32000, 5, 16000, 100, (32000, 95951, 95951, 47973, 0, 0, 32000, 47973, 0)
+        32000, 5, 16000, 100, (32000, 95951, 95951, 47974, 0, 0, 1, 47974, 0)
     ),
-    "8000-served-1ms": (8000, 1, 8000, 1000, (8000, 24006, 24006, 16000, 0, 0, 8000, 16000, 0)),
+    "8000-served-1ms": (8000, 1, 8000, 1000, (8000, 24006, 24006, 16001, 0, 0, 1, 16001, 0)),
     "8000-served-100ms": (
-        8000, 100, 8000, 1000, (8000, 24006, 24006, 16000, 0, 0, 8000, 16000, 0)
+        8000, 100, 8000, 1000, (8000, 24006, 24006, 16001, 0, 0, 1, 16001, 0)
     ),
     "8000-served-1000ms": (
-        8000, 1000, 8000, 1000, (8000, 24010, 24010, 16000, 0, 0, 8000, 16000, 0)
+        8000, 1000, 8000, 1000, (8000, 24010, 24010, 16001, 0, 0, 1, 16001, 0)
     ),
-    "idle": (10, 5, 0.001, 100, (10, 104589, 104586, 492, 0, 0, 488, 732, 479)),
+    "idle": (10, 5, 0.001, 100, (10, 104589, 104586, 733, 0, 0, 479, 733, 479)),
 }
 
 # The filenames the generated __new__ of each codec.slot_init class is
@@ -363,11 +386,12 @@ _SLOT_INIT_FILES = [f"<{cls.__module__}.{cls.__qualname__}>" for cls in (Avp, Me
 
 
 def count_codec_calls(monkeypatch) -> Counter:
-    """Calls of build_message, build_answer, encode_message and
+    """Calls of build_message, build_answer, replace_ids, encode_message and
     decode_message from here on, from every diamlab module that bound them
     by name."""
     calls = Counter()
-    for name in ("build_message", "build_answer", "encode_message", "decode_message"):
+    names = ("build_message", "build_answer", "replace_ids", "encode_message", "decode_message")
+    for name in names:
         function = getattr(codec, name)
 
         def counted(*args, _name=name, _function=function, **kwargs):
@@ -404,7 +428,7 @@ def test_cost_per_request(case, monkeypatch):
         result.offered,
         sim.events_processed - events,
         sim.events_scheduled() - scheduled,
-        calls["build_message"] + calls["build_answer"],
+        calls["build_message"] + calls["build_answer"] + calls["replace_ids"],
         calls["encode_message"],
         calls["decode_message"],
         *(built.get(filename, 0) for filename in _SLOT_INIT_FILES),
@@ -540,6 +564,10 @@ class TestCapacityOracle:
         } == counters
 
 
+# A request of another sender than the flood.
+_ECHO_REQUEST = build_message(dct.CMD_ECHO, request=True)
+
+
 class _StubBox:
     """Just enough of an attack box and a simulation to drive a _FloodDriver:
     one pending table, kept in send order like `Element`'s."""
@@ -555,7 +583,7 @@ class _StubBox:
     def peer_link(self, dst):
         return self
 
-    def send_app_request(self, dst, command_code, avps, on_answer, now):
+    def send_app_request(self, dst, request, on_answer, now):
         hbh, self.next_id = self.next_id, self.next_id + 1
         self.pending[hbh] = (now, on_answer)
         return hbh
@@ -596,10 +624,10 @@ class TestFloodReap:
         for i, gap in enumerate(gaps, start=1):  # index 0 would trigger a scheduled reap
             now += gap
             if i - 1 == foreign_at:
-                foreign = box.send_app_request(None, dct.CMD_ECHO, [], None, now)
+                foreign = box.send_app_request(None, _ECHO_REQUEST, None, now)
             driver.send(now, i)
         if foreign_at == len(gaps):
-            foreign = box.send_app_request(None, dct.CMD_ECHO, [], None, now)
+            foreign = box.send_app_request(None, _ECHO_REQUEST, None, now)
         for hbh, was_answered in zip([h for h in box.pending if h != foreign], answered):
             if was_answered:
                 box.answer(hbh, now)
@@ -623,7 +651,7 @@ class TestFloodReap:
         driver = _FloodDriver(box, box, 10, start=0, rate_tps=1e6, timeout_us=10**9)
         for i in (1, 2, 3):
             driver.send(i, i)
-        foreign = box.send_app_request(None, dct.CMD_ECHO, [], None, 4)
+        foreign = box.send_app_request(None, _ECHO_REQUEST, None, 4)
         driver.send(5, 4)
         box.answer(2, 6)
         assert driver.sent_before(4) == [1, 3]
@@ -658,8 +686,8 @@ class TestFloodCallback:
 
         send_app_request, on_decoded = ab.send_app_request, ab.on_decoded
 
-        def record_send(dst, command_code, avps, on_answer, now):
-            hbh = send_app_request(dst, command_code, avps, on_answer, now)
+        def record_send(dst, request, on_answer, now):
+            hbh = send_app_request(dst, request, on_answer, now)
             if hbh is not None:
                 sent_at[hbh] = now
             return hbh

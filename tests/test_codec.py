@@ -4,6 +4,7 @@ import copy
 import cProfile
 import dataclasses
 import inspect
+import itertools
 import pickle
 import pstats
 import random
@@ -631,6 +632,23 @@ class TestBuilders:
         with pytest.raises(CodecError) as info:
             replace_ids(build_message(700), *ids)
         assert str(info.value) == text
+
+    def test_restamped_ids_agree_with_plain_range_compares(self):
+        # replace_ids and stamp_ids test the ids by width (x >> 32) first
+        template = build_message(700, [Avp(1, b"x")], 4, 5, 6, True)
+        data = encode_message(template)
+        values = [-1, 0, U32_MAX, 2**32, 2**63, False, True]
+        for hbh, e2e in itertools.product(values, values):
+            fault = _reference_fault((700, (), 0, hbh, e2e))
+            if fault is None:
+                m = replace_ids(template, hbh, e2e)
+                assert m == Message(700, template.avps, 4, hbh, e2e, True)
+                assert stamp_ids(data, hbh, e2e) == encode_message(m)
+                continue
+            for restamp, arg in ((replace_ids, template), (stamp_ids, data)):
+                with pytest.raises(CodecError) as info:
+                    restamp(arg, hbh, e2e)
+                assert str(info.value) == fault
 
     @pytest.mark.parametrize("template", [pytest.param(t, id=n) for n, t in seed_corpus()])
     def test_stamp_ids_is_encode_of_replace_ids(self, template):

@@ -524,7 +524,7 @@ class TestPendingTable:
         return lab, ab, target, ab.peer_link(target.node)
 
     def _echo(self, lab, ab, target):
-        return ab.send_app_request(target.node, dct.CMD_ECHO, [], self.answers, lab.sim.clock)
+        return ab.send_app_request(target.node, _probe(), self.answers, lab.sim.clock)
 
     def _feed_answer(self, lab, ab, target, hbh):
         answer = build_message(dct.CMD_ECHO, hop_by_hop_id=hbh)
@@ -557,6 +557,14 @@ class TestPendingTable:
         self._feed_answer(lab, ab, target, hbh)
         assert self.answers.delivered == [(sent, hbh)]
         assert link.pending == {}
+
+    def test_an_answer_is_refused_before_an_id_is_taken(self):
+        lab, ab, target, link = self._open_duo()
+        next_id, sends = link.next_hop_by_hop, lab.sim.stats.sends
+        answer = build_message(dct.CMD_ECHO)
+        with pytest.raises(ValueError, match="not a request"):
+            ab.send_app_request(target.node, answer, self.answers, lab.sim.clock)
+        assert (link.next_hop_by_hop, lab.sim.stats.sends, link.pending) == (next_id, sends, {})
 
     def test_unknown_id_is_no_match(self):
         lab, ab, target, link = self._open_duo()
@@ -637,7 +645,7 @@ class TestPendingTable:
     def test_forget_pending_many_counts_entries_nobody_waits_for(self):
         # an entry is a pair even with no callback, so it is never None
         lab, ab, target, link = self._open_duo()
-        ids = [ab.send_app_request(target.node, dct.CMD_ECHO, [], None, 0) for _ in range(2)]
+        ids = [ab.send_app_request(target.node, _probe(), None, 0) for _ in range(2)]
         assert ab.forget_pending_many(target.node, [*ids, 999]) == 2
         assert link.pending == {}
 
@@ -679,7 +687,7 @@ class TestPendingTable:
         for event, send in zip(events, sends):
             now += 1000
             if send:
-                ab.send_app_request(target.node, dct.CMD_ECHO, [], None, now)
+                ab.send_app_request(target.node, _probe(), None, now)
             ab.feed_event(target.node, event, now)
             if link.state.phase is not Phase.OPEN:
                 assert link.pending == {}

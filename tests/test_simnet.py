@@ -705,7 +705,7 @@ class TestCarriedMessages:
         _, lab = make_lab(duo_lab_text())
         ab, target = lab.element("attacker"), lab.element("target")
         before = dict(carry_guard)
-        ab.send_app_request(target.node, dct.CMD_ECHO, [], None, lab.sim.clock)
+        ab.send_app_request(target.node, _echo(), None, lab.sim.clock)
         lab.sim.run_until(lab.sim.clock + 100_000)
         assert carry_guard["message"] - before.get("message", 0) == 2  # request and answer
         assert carry_guard["bytes"] == before.get("bytes", 0)
@@ -719,7 +719,7 @@ class TestCarriedMessages:
         ab.peer_link(target.node).next_hop_by_hop = U32_MAX + 1
         sends = lab.sim.stats.sends
         with pytest.raises(CodecError, match="^hop-by-hop id 4294967296 out of range"):
-            ab.send_app_request(target.node, dct.CMD_ECHO, [], None, lab.sim.clock)
+            ab.send_app_request(target.node, _echo(), None, lab.sim.clock)
         assert lab.sim.stats.sends == sends
 
     @pytest.mark.parametrize(
@@ -741,7 +741,7 @@ class TestCarriedMessages:
             return dataclasses.replace(answer, **change)
 
         monkeypatch.setattr(target, "handle_app_request", skewed)
-        ab.send_app_request(target.node, dct.CMD_ECHO, [], None, lab.sim.clock)
+        ab.send_app_request(target.node, _echo(), None, lab.sim.clock)
         with pytest.raises(CodecError, match="^" + text):
             lab.sim.run_until(lab.sim.clock + 100_000)
 
@@ -758,7 +758,7 @@ class TestCarriedMessages:
                 handler(sim, src, payload, now)
 
             monkeypatch.setattr(elem, "on_message", recording)
-        hbh = ab.send_app_request(target.node, dct.CMD_ECHO, [], None, lab.sim.clock)
+        hbh = ab.send_app_request(target.node, _echo(), None, lab.sim.clock)
         lab.sim.run_until(lab.sim.clock + 100_000)
         assert received == [r.data for r in tap.records] and len(received) == 2
         request, answer = (decode_message(data) for data in received)
