@@ -10,7 +10,8 @@ microseconds (plain wall time, so loose on a host whose speed drifts).
 --bytecodes floods each rate once more under sys.settrace and adds the
 bytecodes executed per offered request in diamlab's code: a total column,
 then a table by module, whose last row, `fuzz`, is per case of phase1's
-fuzz (its 1,000 cases and seed, on a fresh phase1 lab). The count is exact
+fuzz (its 1,000 cases and seed, on a fresh phase1 lab), then a table by
+function, one column per row of the table by module. The count is exact
 and the same in every run of one interpreter version, but it is not time:
 a call into C counts as one. Code compiled from strings is filed under the
 module of the class it was generated for (codec.slot_init), or under
@@ -34,8 +35,9 @@ only after some misses, so the listing is a snapshot of the forms after the
 warm run, and a longer --duration can list more.
 
 --json prints the same sweep as one JSON object instead: the rows, each
-with its bytecodes per offered request in total and by module under
---bytecodes, then the fuzz row, and the listings under `adaptive`.
+with its bytecodes per offered request in total and by module, and by
+function within each module, under --bytecodes, then the fuzz row, and the
+listings under `adaptive`.
 
 Usage: PYTHONPATH=src python scripts/overload_sweep.py [--capacity 1000] [--queue 100]
            [--duration 5] [--bytecodes] [--adaptive] [--json]
@@ -128,10 +130,11 @@ def count_executions(run: Callable[[], object]) -> dict:
 
 
 def count_bytecodes(run: Callable[[], object]) -> Counter:
-    """Bytecodes executed in diamlab's code while `run()` runs, by module."""
+    """Bytecodes executed in diamlab's code while `run()` runs, by
+    (module, function)."""
     counts: Counter = Counter()
     for code, offsets in count_executions(run).values():
-        counts[module_of(code.co_filename)] += offsets.total()
+        counts[module_of(code.co_filename), function_of(code)] += offsets.total()
     return counts
 
 
@@ -191,10 +194,14 @@ def flood_runs(capacity: float, queue: int, seed: int, rate: float, duration: fl
 
 
 def flood_bytecodes(capacity: float, queue: int, seed: int, rate: float, duration: float):
-    """(offered requests, bytecodes by module) of one flood on a fresh lab."""
+    """(offered requests, bytecodes by (module, function)) of one flood on a
+    fresh lab. The same flood runs once untraced first, on a lab of its own,
+    so the counts leave out what only the first run in a process does
+    (filling caches)."""
     results = []
-    run = flood_runs(capacity, queue, seed, rate, duration, 1)[0]
-    counts = count_bytecodes(lambda: results.append(run()))
+    warm, traced = flood_runs(capacity, queue, seed, rate, duration, 2)
+    warm()
+    counts = count_bytecodes(lambda: results.append(traced()))
     return results[0][0].offered, counts
 
 
@@ -211,18 +218,28 @@ def fuzz_runs(k: int):
 
 
 def fuzz_bytecodes():
-    """(cases, bytecodes by module) of phase1's fuzz. The fuzz runs once
-    untraced first, so the counts leave out what only the first run in a
-    process does (filling caches), as the untraced flood before each rate's
-    traced one does in the sweep."""
+    """(cases, bytecodes by (module, function)) of phase1's fuzz, after one
+    untraced run, as flood_bytecodes counts a flood."""
     cases, (warm, traced) = fuzz_runs(2)
     warm()
     return cases, count_bytecodes(traced)
 
 
 def per_unit(counts: Counter, n: int) -> dict:
-    """Bytecodes per request (or case) in total and by module."""
-    return {"total": sum(counts.values()) / n, **{m: c / n for m, c in sorted(counts.items())}}
+    """Bytecodes per request (or case) of count_bytecodes' `counts`, in total and by module."""
+    modules: Counter = Counter()
+    for (module, _), c in counts.items():
+        modules[module] += c
+    return {"total": sum(counts.values()) / n, **{m: c / n for m, c in sorted(modules.items())}}
+
+
+def per_function(counts: Counter, n: int) -> dict:
+    """Bytecodes per request (or case) of count_bytecodes' `counts`, by
+    module and, within it, by function."""
+    out: dict = {}
+    for (module, function), c in sorted(counts.items()):
+        out.setdefault(module, {})[function] = c / n
+    return out
 
 
 # The sweep's rates, as multiples of the capacity, and the rows that
@@ -261,6 +278,7 @@ def sweep(args) -> dict:
         if args.bytecodes:
             _, counts = flood_bytecodes(args.capacity, args.queue, args.seed, rate, args.duration)
             row["bytecodes_per_req"] = per_unit(counts, offered)
+            row["bytecodes_by_function"] = per_function(counts, offered)
         rows.append(row)
     out = {
         "capacity": args.capacity,
@@ -271,7 +289,11 @@ def sweep(args) -> dict:
     }
     if args.bytecodes:
         cases, counts = fuzz_bytecodes()
-        out["fuzz"] = {"cases": cases, "bytecodes_per_case": per_unit(counts, cases)}
+        out["fuzz"] = {
+            "cases": cases,
+            "bytecodes_per_case": per_unit(counts, cases),
+            "bytecodes_by_function": per_function(counts, cases),
+        }
     if args.adaptive:
         out["adaptive"] = {}
         for r in ADAPTIVE_RATES:
@@ -313,6 +335,24 @@ def print_table(out: dict) -> None:
         print(f"{'rate':>8}" + "".join(f" {m:>10}" for m in modules))
         for label, per in table:
             print(f"{label:>8}" + "".join(f" {per.get(m, 0.0):10.1f}" for m in modules))
+        print_functions(out)
+
+
+def print_functions(out: dict) -> None:
+    """The table by function: a line per function, grouped by module, the
+    functions of a module in order of their largest count; a column per
+    row of the table by module."""
+    columns = [row["bytecodes_by_function"] for row in out["rows"]]
+    columns.append(out["fuzz"]["bytecodes_by_function"])
+    labels = [f"{row['rate']:g}" for row in out["rows"]] + ["fuzz"]
+    names = {(m, f) for column in columns for m, per in column.items() for f in per}
+    counts = {name: [column.get(name[0], {}).get(name[1], 0.0) for column in columns]
+              for name in names}
+    width = max(len(f"{m}.{f}") for m, f in names)
+    print("\nbytecodes per offered request by function, and per case of phase1's fuzz in its column")
+    print(f"{'function':<{width}}" + "".join(f" {label:>8}" for label in labels))
+    for m, f in sorted(names, key=lambda name: (name[0], -max(counts[name]), name[1])):
+        print(f"{m + '.' + f:<{width}}" + "".join(f" {c:8.1f}" for c in counts[m, f]))
 
 
 def print_adaptive(out: dict) -> None:

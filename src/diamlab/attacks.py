@@ -286,6 +286,12 @@ class _FloodDriver:
         self.answered = 0
         self.latencies: list[int] = []
         self.result_codes: dict[Optional[int], int] = {}
+        # (answer AVPs, their result code) of the last answer counted. The
+        # code depends only on the tuple, which never changes (Avp and
+        # Message are frozen, and every builder passes bytes data); the memo
+        # keeps it alive, so no other tuple can take its id. The target
+        # shares one answer tuple across the flood's echoes.
+        self._answer_code: tuple[Optional[tuple[Avp, ...]], Optional[int]] = (None, None)
         self.request = build_message(
             dct.CMD_ECHO, (Avp(dct.AVP_ECHO_PAYLOAD, bytes(4)),), 0, 0, 0, True
         )
@@ -297,9 +303,10 @@ class _FloodDriver:
         # The send timer, bound once for the same reason: each send schedules it.
         self._send = self.send
 
-    def send(self, now: int, i: int) -> None:
-        """Send request `i` of the flood and schedule request `i + 1`."""
-        self.offered += 1
+    def send(self, now: int) -> None:
+        """Send the flood's next request, number `offered`, and schedule the one after."""
+        i = self.offered
+        self.offered = i + 1
         hbh = self.ab.send_app_request(self.target.node, self.request, self.on_answer, now)
         if hbh is not None:
             self.sent += 1
@@ -308,7 +315,7 @@ class _FloodDriver:
         if i + 1 < self.count:
             # Rounded from the exact schedule, so the error never adds up over the flood.
             at = self.start + round((i + 1) * US_PER_S / self.rate_tps)
-            self.sim.schedule_timer(at, self._send, i + 1)
+            self.sim.schedule_timer(at, self._send)
 
     def sent_before(self, cutoff: int) -> list[int]:
         """Hop-by-hop ids of this flood's unanswered requests sent before `cutoff`.
@@ -335,7 +342,10 @@ class _FloodDriver:
     def _count_answer(self, sent_at, msg, now) -> None:
         self.answered += 1
         self.latencies.append(now - sent_at)
-        code = result_code_of(msg)
+        avps, code = self._answer_code
+        if avps is not msg.avps:
+            code = result_code_of(msg)
+            self._answer_code = (msg.avps, code)
         self.result_codes[code] = self.result_codes.get(code, 0) + 1
 
 
@@ -359,7 +369,7 @@ def run_flood(lab: Lab, spec: FloodSpec) -> tuple[FloodResult, list[Finding]]:
     driver = _FloodDriver(
         ab, target, spec.count, sim.clock, spec.rate_tps, lab.config.request_timeout_us
     )
-    sim.schedule_timer(sim.clock, driver.send, 0)
+    sim.schedule_timer(sim.clock, driver.send)
     horizon = (
         sim.clock
         + int(round(spec.duration_s * US_PER_S))

@@ -238,10 +238,12 @@ class Element:
         self.links: dict[int, PeerLink] = {}
         # Read per request and fixed for the element's life, so read once here.
         # CPython 3.11 specializes reading an instance's attributes only while
-        # it has at most 29 of them; an AttackBoxElement, on every flood's
-        # path, has 29.
+        # it has at most 29 of them. Both ends of every flood have 29: an
+        # AttackBoxElement, and a TargetServerElement once it has answered an
+        # echo (its `_echo` memo).
         self._queue_capacity = capacity.queue_capacity
-        self._dictionary = dct.BUILTIN_DICTIONARY
+        # The AVP tuple of the last request that validated clean (on_decoded).
+        self._clean_avps: Optional[tuple[Avp, ...]] = None
 
         # Token-rate service state, in exact integer credit: a token is
         # `_token` credit and a microsecond earns `_rate` (their ratio is
@@ -300,9 +302,9 @@ class Element:
             self._execute(link, action, now)
         state = link.state
         if state.phase is OPEN and state.watchdog_deadline != prev_deadline:
-            self.sim.schedule_timer(state.watchdog_deadline, self._watchdog, peer)
+            self.sim.schedule_timer(state.watchdog_deadline, partial(self._watchdog, peer))
 
-    def _watchdog(self, now: int, peer: NodeId) -> None:
+    def _watchdog(self, peer: NodeId, now: int) -> None:
         if self.failed_at is None:  # per timer: see on_message
             self.feed_event(peer, PeerEvent(EventKind.WATCHDOG_TIMER), now)
 
@@ -343,15 +345,20 @@ class Element:
         self.on_decoded(src, msg, now)
 
     def on_decoded(self, src: NodeId, msg: Message, now: int) -> None:
-        """Validate a decoded inbound message. A base-protocol message then
-        feeds the peer FSM. Application traffic is delivered here, with no
-        event built, if `deliverable`: a request goes to admission, and an
-        answer pops the pending entry it matches and goes to its
-        `on_answer`. Undelivered traffic counts an FSM drop, and the peer
-        state never changes."""
+        """Validate a decoded inbound request, unless its AVP tuple is the one
+        the last clean request carried. A base-protocol message then feeds
+        the peer FSM. Application traffic is delivered here, with no event
+        built, if `deliverable`: a request goes to admission, and an answer
+        pops the pending entry it matches and goes to its `on_answer`.
+        Undelivered traffic counts an FSM drop, and the peer state never
+        changes."""
         request = msg.request
-        if request:
-            violations = validate_message(msg, self._dictionary)
+        # Validation reads only the AVP tuple, and its result for a tuple
+        # never changes: Avp and Message are frozen, and every builder passes
+        # bytes data. The memo keeps its tuple alive, so no other tuple can
+        # take its id; a tuple with a violation is never kept.
+        if request and msg.avps is not self._clean_avps:
+            violations = validate_message(msg, dct.BUILTIN_DICTIONARY)
             if violations:
                 if any(v.kind is ViolationKind.UNSUPPORTED_MANDATORY_AVP for v in violations):
                     code = dct.RESULT_UNSUPPORTED_MANDATORY_AVP
@@ -359,6 +366,7 @@ class Element:
                     code = dct.RESULT_INVALID_AVP_LENGTH
                 self.sim.send(self.node, src, _error_answer(msg, code))
                 return
+            self._clean_avps = msg.avps
         kinds = _BASE_EVENT_KINDS.get(msg.command_code)
         if kinds is not None:
             self.feed_event(src, PeerEvent(kinds[0] if request else kinds[1], msg), now)
@@ -412,7 +420,9 @@ class Element:
     def _ensure_drain(self, now: int) -> None:
         if self._drain_scheduled:
             return
-        delay = max(1, -(-(self._token - self._credit) // self._rate))  # ceil, in integers
+        delay = -(-(self._token - self._credit) // self._rate)  # ceil, in integers
+        if delay < 1:  # a compare: CPython 3.11 does not specialize a call of max
+            delay = 1
         self.sim.schedule_timer(now + delay, self._drain)
         self._drain_scheduled = True
 
@@ -538,14 +548,27 @@ class TargetServerElement(Element):
 
     kind = ElementKind.TARGET_SERVER
 
+    # (request AVPs, answer AVPs) of the last echo answered. The answer's
+    # AVPs depend only on the request's tuple, which never changes (Avp and
+    # Message are frozen, and every builder passes bytes data); the memo
+    # keeps that tuple alive, so no other tuple can take its id. A class
+    # default, not an __init__ write: the first echo makes it the
+    # instance's own.
+    _echo: tuple[Optional[tuple[Avp, ...]], tuple[Avp, ...]] = (None, ())
+
     def handle_app_request(self, msg: Message, now: int) -> Message:
         if msg.command_code == dct.CMD_ECHO:
-            # A loop, not a comprehension: CPython 3.11 runs one in a frame of its own.
-            avps = [_SUCCESS_AVP]
-            for a in msg.avps:
-                if a.code == dct.AVP_ECHO_PAYLOAD:
-                    avps.append(a)
-            return build_answer(msg, avps)
+            request_avps, answer_avps = self._echo
+            if request_avps is not msg.avps:
+                # A loop, not a comprehension: CPython 3.11 runs one in a frame of its own.
+                answer = [_SUCCESS_AVP]
+                for a in msg.avps:
+                    if a.code == dct.AVP_ECHO_PAYLOAD:
+                        answer.append(a)
+                answer_avps = tuple(answer)
+                self._echo = (msg.avps, answer_avps)
+            # build_answer keeps a tuple as it is, so every answer shares this one.
+            return build_answer(msg, answer_avps)
         return super().handle_app_request(msg, now)
 
 
@@ -688,7 +711,7 @@ class MmeElement(Element):
             self._finish(run, False, "link-not-open", now)
             return
         self.sim.schedule_timer(
-            now + self.request_timeout_us, self._attach_timeout, run, step, dst, hbh
+            now + self.request_timeout_us, partial(self._attach_timeout, run, step, dst, hbh)
         )
 
     def _finish(self, run: AttachResult, success: bool, reason: str, now: int) -> None:
@@ -713,7 +736,7 @@ class MmeElement(Element):
             self._finish(run, False, name, now)
 
     def _attach_timeout(
-        self, now: int, run: AttachResult, step: int, dst: NodeId, hbh: int
+        self, run: AttachResult, step: int, dst: NodeId, hbh: int, now: int
     ) -> None:
         """Give up on the step's request, unless it was answered: a late answer
         then finds no pending entry, and `on_decoded` drops it as unmatched."""

@@ -22,9 +22,10 @@ decode that would give it back unchanged, unless a tap records the
 traversal. Then it is encoded once, and those bytes are both the capture
 record and what the receiver gets.
 
-A timer is the callable it fires: `schedule_timer(at, fire, *args)`
-queues it, and when its time comes the loop calls `fire(now, *args)`.
-Node handlers see only deliveries.
+A timer is the callable it fires: `schedule_timer(at, fire)` queues it,
+and when its time comes the loop calls `fire(at)`. A timer that needs data
+binds it first (`functools.partial`, or a bound method), so the loop makes
+one plain call per timer. Node handlers see only deliveries.
 
 Links are point-to-point and bidirectional; each direction's route
 resolves, once, to the link's one `Link` record, which counts what
@@ -136,7 +137,7 @@ class Simulation:
         self.events_processed = 0
         # _due[at] holds the events due at `at`, in scheduling order:
         #   delivery: (Link, dst, src, payload)
-        #   timer:    (None, fire, None, args)
+        #   timer:    (None, fire, None, None)
         # and _times is a heap of the keys of _due, each once.
         self._times: list[int] = []
         self._due: dict[int, list[tuple]] = {}
@@ -174,16 +175,16 @@ class Simulation:
 
     # -- scheduling ----------------------------------------------------------
 
-    def schedule_timer(self, at: int, fire: Callable[..., object], *args: object) -> None:
-        """Call `fire(at, *args)` once the clock reaches `at`."""
+    def schedule_timer(self, at: int, fire: Callable[[int], object]) -> None:
+        """Call `fire(at)` once the clock reaches `at`."""
         if at < self.clock:
             raise ValueError(f"cannot schedule into the past ({at} < {self.clock})")
         bucket = self._due.get(at)
         if bucket is None:
-            self._due[at] = [(None, fire, None, args)]
+            self._due[at] = [(None, fire, None, None)]
             heapq.heappush(self._times, at)
         else:
-            bucket.append((None, fire, None, args))
+            bucket.append((None, fire, None, None))
 
     def send(self, src: NodeId, dst: NodeId, payload: Union[bytes, Message]) -> None:
         """Offer a payload to the link; taps see every traversal, loss is drawn after.
@@ -234,7 +235,7 @@ class Simulation:
 
     def due_events(self) -> Iterator[tuple]:
         """Every event still due, in the order it will run: (at, link, dst,
-        src, payload) for a delivery, (at, None, fire, None, args) for a timer."""
+        src, payload) for a delivery, (at, None, fire, None, None) for a timer."""
         self._check_idle()
         return ((at, *event) for at in sorted(self._times) for event in self._due[at])
 
@@ -275,7 +276,7 @@ class Simulation:
                 try:
                     for link, dst, src, item in events:
                         if link is None:  # a timer: dst is the function it fires
-                            dst(at, *item)
+                            dst(at)
                             continue
                         link.delivered += 1
                         handler = handlers.get(dst.id)

@@ -42,13 +42,14 @@ from diamlab.codec import (
     Message,
     ParseError,
     ParseErrorKind,
+    build_answer,
     build_message,
     decode_message,
     encode_message,
     validate_message,
     ViolationKind,
 )
-
+from diamlab.elements import result_code_of
 from diamlab.peer import PeerAction, result_code_avp
 
 from tests.labs import core_lab_text, duo_lab_text, make_lab
@@ -597,7 +598,7 @@ class _StubBox:
         self.forgotten.append(list(hop_by_hop_ids))
         return sum(self.pending.pop(hbh, None) is not None for hbh in hop_by_hop_ids)
 
-    def schedule_timer(self, at, fire, *args):
+    def schedule_timer(self, at, fire):
         pass
 
 
@@ -621,11 +622,12 @@ class TestFloodReap:
         box = _StubBox()
         driver = _FloodDriver(box, box, len(gaps) + 1, start=0, rate_tps=1e6, timeout_us=timeout)
         now = 0
-        for i, gap in enumerate(gaps, start=1):  # index 0 would trigger a scheduled reap
+        for i, gap in enumerate(gaps):
             now += gap
-            if i - 1 == foreign_at:
+            if i == foreign_at:
                 foreign = box.send_app_request(None, _ECHO_REQUEST, None, now)
-            driver.send(now, i)
+            # Send 0 also reaps, and finds nothing: its only flood entry was sent at `now`.
+            driver.send(now)
         if foreign_at == len(gaps):
             foreign = box.send_app_request(None, _ECHO_REQUEST, None, now)
         for hbh, was_answered in zip([h for h in box.pending if h != foreign], answered):
@@ -649,10 +651,10 @@ class TestFloodReap:
     def test_reconcile_forgets_every_flood_entry_and_only_those(self):
         box = _StubBox()
         driver = _FloodDriver(box, box, 10, start=0, rate_tps=1e6, timeout_us=10**9)
-        for i in (1, 2, 3):
-            driver.send(i, i)
+        for now in (1, 2, 3):
+            driver.send(now)
         foreign = box.send_app_request(None, _ECHO_REQUEST, None, 4)
-        driver.send(5, 4)
+        driver.send(5)
         box.answer(2, 6)
         assert driver.sent_before(4) == [1, 3]
         assert driver.sent_before(math.inf) == [1, 3, 5]
@@ -664,13 +666,45 @@ class TestFloodCallback:
     def test_a_flood_stores_one_answer_callback(self):
         box = _StubBox()
         driver = _FloodDriver(box, box, 10, start=0, rate_tps=1e6, timeout_us=10**9)
-        for i in (1, 2, 3, 4):
-            driver.send(i, i)
+        for now in (1, 2, 3, 4):
+            driver.send(now)
         callbacks = [on_answer for _, on_answer in box.pending.values()]
         assert len(callbacks) == 4
         assert all(c is driver.on_answer for c in callbacks)
         box.answer(2, 7)
         assert (driver.answered, driver.latencies) == (1, [5])
+
+    def test_result_code_counts_equal_a_tally_of_every_answer(self, monkeypatch):
+        # The driver reads an answer's result code once per AVP tuple. Here
+        # the target mixes its shared echo answer tuple with error answers
+        # that each have a tuple of their own and bare answers that share
+        # the empty tuple; the reference reads the code of every answer.
+        _, lab = make_lab(duo_lab_text(service_rate=500, queue_capacity=100, latency_ms=5))
+        ab, target = lab.attack_box(), lab.element("target")
+        pending = ab.peer_link(target.node).pending
+        handle_app_request, on_decoded = target.handle_app_request, ab.on_decoded
+        served = itertools.count()
+        reference = Counter()
+
+        def mixed(msg, now):
+            n = next(served)
+            if n % 5 == 0:
+                return build_answer(msg)
+            if n % 3 == 0:
+                return build_answer(msg, [result_code_avp(dct.RESULT_COMMAND_UNSUPPORTED)], True)
+            return handle_app_request(msg, now)
+
+        def tally(src, msg, now):
+            if not msg.request and msg.hop_by_hop_id in pending:
+                reference[result_code_of(msg)] += 1
+            on_decoded(src, msg, now)
+
+        monkeypatch.setattr(target, "handle_app_request", mixed)
+        monkeypatch.setattr(ab, "on_decoded", tally)
+        result, _ = run_flood(lab, FloodSpec(target="target", rate_tps=1000, duration_s=0.5))
+        assert result.result_code_counts == _render_result_codes(reference)
+        assert set(reference) == {None, dct.RESULT_SUCCESS, dct.RESULT_COMMAND_UNSUPPORTED}
+        assert sum(reference.values()) == result.answered
 
     def test_latencies_are_each_answers_time_less_its_requests_send_time(self, monkeypatch):
         # overloaded, so requests wait in the target's queue for different times

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamlab import dictionary as dct
+from diamlab import elements
 from diamlab.campaign import build_lab
 from diamlab.codec import Avp, Message, build_message, decode_message, first_avp
 from diamlab.config import load_config
@@ -210,6 +211,74 @@ class TestTargetServer:
         answer = self._ask(lab, encode_message(_probe(command=9999)))
         assert result_code_of(answer) == dct.RESULT_COMMAND_UNSUPPORTED
         assert answer.error  # protocol-level error answers carry the E flag
+
+
+class TestMemosByAvpTuple:
+    """The target validates a request's AVP tuple, and builds an echo answer's
+    AVPs, once per tuple: a request that carries the last tuple again skips
+    the work, and every other request gets exactly the answer it got before."""
+
+    CLEAN = build_message(
+        dct.CMD_ECHO, (Avp(code=dct.AVP_ECHO_PAYLOAD, data=b"one"),), request=True
+    )
+    UNKNOWN_MANDATORY = build_message(
+        dct.CMD_ECHO,
+        (Avp(code=dct.AVP_ECHO_PAYLOAD, data=b"one"), Avp(code=999_999, data=b"??", mandatory=True)),
+        request=True,
+    )
+
+    @staticmethod
+    def exchange(*requests):
+        """Send each request value from the attack box to the target, one at a
+        time (no tap, so each travels as itself, AVP tuple included); (the
+        answers, in order, and the AVP tuples the target validated)."""
+        _, lab = make_lab(duo_lab_text())
+        sim, ab, target = lab.sim, lab.element("attacker"), lab.element("target")
+        answers = []
+        with pytest.MonkeyPatch.context() as patch:
+            validated = []
+            validate = elements.validate_message
+
+            def counted(msg, dictionary):
+                validated.append(msg.avps)
+                return validate(msg, dictionary)
+
+            patch.setattr(elements, "validate_message", counted)
+            for request in requests:
+                on_answer = lambda sent_at, msg, now: answers.append(msg)
+                assert ab.send_app_request(target.node, request, on_answer, sim.clock)
+                sim.run_until(sim.clock + 100_000)
+        assert len(answers) == len(requests)
+        return answers, validated
+
+    def test_a_clean_tuple_sent_twice_is_validated_once(self):
+        answers, validated = self.exchange(self.CLEAN, self.CLEAN)
+        assert [result_code_of(a) for a in answers] == [dct.RESULT_SUCCESS] * 2
+        assert validated == [self.CLEAN.avps]
+
+    def test_another_tuple_right_after_a_clean_one_is_still_validated(self):
+        answers, validated = self.exchange(self.CLEAN, self.UNKNOWN_MANDATORY)
+        codes = [result_code_of(a) for a in answers]
+        assert codes == [dct.RESULT_SUCCESS, dct.RESULT_UNSUPPORTED_MANDATORY_AVP]
+        assert validated == [self.CLEAN.avps, self.UNKNOWN_MANDATORY.avps]
+
+    def test_a_tuple_with_a_violation_is_validated_and_refused_each_time(self):
+        answers, validated = self.exchange(self.UNKNOWN_MANDATORY, self.UNKNOWN_MANDATORY)
+        codes = [result_code_of(a) for a in answers]
+        assert codes == [dct.RESULT_UNSUPPORTED_MANDATORY_AVP] * 2
+        assert validated == [self.UNKNOWN_MANDATORY.avps] * 2
+
+    def test_each_echo_payload_tuple_gets_its_own_payload_back(self):
+        other = build_message(
+            dct.CMD_ECHO, (Avp(code=dct.AVP_ECHO_PAYLOAD, data=b"two"),), request=True
+        )
+        answers, _ = self.exchange(self.CLEAN, other, self.CLEAN, self.CLEAN)
+        assert [first_avp(a, dct.AVP_ECHO_PAYLOAD).data for a in answers] == [
+            b"one", b"two", b"one", b"one"
+        ]
+        assert all(result_code_of(a) == dct.RESULT_SUCCESS for a in answers)
+        # answers to one request tuple, one after the other, share one AVP tuple
+        assert answers[2].avps is answers[3].avps
 
 
 class TestHss:

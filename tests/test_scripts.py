@@ -77,7 +77,7 @@ def load_script(name: str):
 
 def test_overload_sweep_bytecodes_adds_a_column_and_a_table_by_module():
     out = run_script("overload_sweep.py", "--duration", "0.02", "--bytecodes")
-    sweep, by_module = out.split("\n\n")
+    sweep, by_module, by_function = out.split("\n\n")
     rows = [line.split() for line in sweep.splitlines()[2:]]
     assert len(rows) == 9 and all(len(row) == 10 and float(row[-1]) > 0 for row in rows)
     title, header, *module_rows = by_module.splitlines()
@@ -91,6 +91,28 @@ def test_overload_sweep_bytecodes_adds_a_column_and_a_table_by_module():
         assert table_row.split()[-1] == row[-1]  # the total is the column's value
     *per_module, total = map(float, module_rows[-1].split()[1:])
     assert total == pytest.approx(sum(per_module), abs=0.1 * len(per_module))
+    # the table by function: a column per row of the table by module, and
+    # each module's functions add up to that module's count in every column
+    title, header, *function_rows = by_function.splitlines()
+    assert title.startswith("bytecodes per offered request by function")
+    assert header.split()[1:] == [row.split()[0] for row in module_rows]
+    sums = {}
+    for line in function_rows:
+        name, *counts = line.split()
+        assert name.split(".")[0] in modules
+        column = sums.setdefault(name.split(".")[0], [0.0] * len(counts))
+        column[:] = [a + float(b) for a, b in zip(column, counts)]
+    for i, table_row in enumerate(module_rows):
+        for module, value in zip(modules[:-1], table_row.split()[1:]):
+            listed = sums.get(module, [0.0] * len(module_rows))[i]
+            assert listed == pytest.approx(float(value), abs=0.05 * len(function_rows) + 0.1)
+
+
+def assert_functions_sum_to_their_module(by_function: dict, by_module: dict) -> None:
+    assert set(by_function) == set(by_module)
+    for module, functions in by_function.items():
+        assert functions and min(functions.values()) > 0
+        assert sum(functions.values()) == pytest.approx(by_module[module])
 
 
 def test_overload_sweep_json_holds_the_rows_and_the_fuzz_row():
@@ -102,9 +124,13 @@ def test_overload_sweep_json_holds_the_rows_and_the_fuzz_row():
         per_req = row["bytecodes_per_req"]
         assert {"attacks", "codec", "elements", "peer", "simnet"} <= set(per_req)
         assert per_req.pop("total") == pytest.approx(sum(per_req.values()))
+        assert_functions_sum_to_their_module(row["bytecodes_by_function"], per_req)
     fuzz = out["fuzz"]
     assert fuzz["cases"] == 1000
     assert fuzz["bytecodes_per_case"]["total"] > 0
+    per_case = dict(fuzz["bytecodes_per_case"])
+    del per_case["total"]
+    assert_functions_sum_to_their_module(fuzz["bytecodes_by_function"], per_case)
     # without --bytecodes, no bytecode column and no fuzz row
     plain = json.loads(run_script("overload_sweep.py", "--duration", "0.02", "--json"))
     assert "fuzz" not in plain and all("bytecodes_per_req" not in r for r in plain["rows"])
@@ -116,7 +142,7 @@ def test_bytecode_counts_are_the_same_in_two_runs_in_one_process():
     assert first == second
     offered, counts = first
     assert offered == 100
-    assert {"attacks", "codec", "elements", "peer", "simnet"} <= set(counts)
+    assert {"attacks", "codec", "elements", "peer", "simnet"} <= {m for m, _ in counts}
     # a generated constructor is filed under its class's module
     for cls, module in ((Avp, "codec"), (Message, "codec"), (PeerAction, "peer")):
         assert sweep.module_of(cls.__new__.__code__.co_filename) == module
@@ -124,7 +150,35 @@ def test_bytecode_counts_are_the_same_in_two_runs_in_one_process():
     assert first == second
     cases, counts = first
     assert cases == 1000
-    assert {"attacks", "codec", "elements", "peer", "simnet"} <= set(counts)
+    assert {"attacks", "codec", "elements", "peer", "simnet"} <= {m for m, _ in counts}
+
+
+# Exact bytecodes executed in diamlab's code, each counted after one warm
+# run (overload_sweep.flood_bytecodes, fuzz_bytecodes): the sweep lab's
+# 0.5 s floods at 1x and 4x its capacity (1,000 TPS, queue 100; 500 and
+# 2,000 requests) and phase1's fuzz (1,000 cases). The compiler's output
+# differs between interpreter versions, so each version has its own pins.
+# A change that moves a count re-pins it and says why.
+BYTECODE_PINS = {
+    (3, 11): {"1x": 494_259, "4x": 1_432_854, "fuzz": 1_668_859},
+}
+
+
+def test_bytecode_totals_are_pinned():
+    sweep = load_script("overload_sweep.py")
+    counted = {}
+    for label, rate in (("1x", 1000), ("4x", 4000)):
+        _, counts = sweep.flood_bytecodes(1000, 100, 1, rate, 0.5)
+        counted[label] = sum(counts.values())
+    _, counts = sweep.fuzz_bytecodes()
+    counted["fuzz"] = sum(counts.values())
+    version = sys.version_info[:2]
+    if version not in BYTECODE_PINS:
+        pytest.fail(
+            f"no bytecode pins for Python {version[0]}.{version[1]}:"
+            f" pin BYTECODE_PINS[{version}] = {counted}"
+        )
+    assert counted == BYTECODE_PINS[version]
 
 
 def test_overload_sweep_adaptive_lists_the_1x_and_4x_rows_and_the_fuzz():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import heapq
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -47,7 +48,7 @@ class Recorder:
     def on_message(self, sim, src, data, now):
         self.messages.append((now, src.label, data))
 
-    def fire(self, now, tag):
+    def fire(self, tag, now):
         self.timers.append((now, tag))
 
 
@@ -62,6 +63,14 @@ def two_node_sim(latency_ms=10.0, loss=0.0, protected=False, seed=0):
     sim.register_handler(a, rec_a)
     sim.register_handler(b, rec_b)
     return sim, rec_a, rec_b
+
+
+def timers_due(sim):
+    """(at, function, bound arguments) of each event still due, each a timer
+    made with functools.partial, in the order they will run."""
+    due = list(sim.due_events())
+    assert all(event[1:2] + event[3:] == (None, None, None) for event in due)
+    return [(at, fire.func, fire.args) for at, _, fire, _, _ in due]
 
 
 def chain_sim(seed=3):
@@ -90,7 +99,7 @@ class OrderLog:
     def on_message(self, sim, src, data, now):
         self.log.append(("message", data))
 
-    def fire(self, now, tag):
+    def fire(self, tag, now):
         self.log.append(("timer", tag))
 
 
@@ -201,26 +210,32 @@ class TestDelivery:
             else:
                 # dicts and None cannot be ordered: a comparison would raise TypeError
                 tag = None if i % 4 == 0 else {"i": i}
-                sim.schedule_timer(5_000, order.fire, tag)
+                sim.schedule_timer(5_000, partial(order.fire, tag))
                 expected.append(("timer", tag))
         sim.run_until(5_000)
         assert order.log == expected
 
     def test_timers_fire_in_order(self):
         sim, rec_a, _ = two_node_sim()
-        sim.schedule_timer(500, rec_a.fire, "late")
-        sim.schedule_timer(100, rec_a.fire, "early")
+        sim.schedule_timer(500, partial(rec_a.fire, "late"))
+        sim.schedule_timer(100, partial(rec_a.fire, "early"))
         sim.run_until(1000)
         assert rec_a.timers == [(100, "early"), (500, "late")]
 
-    def test_timer_calls_its_function_with_the_time_and_its_arguments(self):
+    def test_a_timer_is_called_with_exactly_the_time(self):
         sim = build_topology(TopologySpec(), seed=0)
         calls = []
-        sim.schedule_timer(300, lambda now, *args: calls.append((now, args)), "x", 2)
-        sim.schedule_timer(200, lambda now: calls.append((now, ())))
+
+        def fire(*args, **kwargs):
+            calls.append((args, kwargs))
+
+        sim.schedule_timer(300, fire)
+        sim.schedule_timer(200, fire)
+        with pytest.raises(TypeError):  # one form: a timer binds its own data
+            sim.schedule_timer(100, fire, "x")
         sim.run_until(1000)
         stats = sim.stats
-        assert calls == [(200, ()), (300, ("x", 2))]
+        assert calls == [((200,), {}), ((300,), {})]
         assert stats.events_processed == 2 and stats.delivered == 0
 
     def test_a_timer_that_raises_is_counted_with_the_clock_at_it(self):
@@ -245,15 +260,15 @@ class TestDelivery:
         sim = build_topology(TopologySpec(), seed=0)
         log = []
 
-        def fire(now, tag, *later):
+        def fire(tag, later, now):
             log.append((now, tag))
             for child in later:
-                sim.schedule_timer(sim.clock, fire, child)
+                sim.schedule_timer(sim.clock, partial(fire, child, ()))
 
-        sim.schedule_timer(100, fire, "a", "d", "e")
-        sim.schedule_timer(100, fire, "b", "f")
-        sim.schedule_timer(100, fire, "c")
-        sim.schedule_timer(101, fire, "g")
+        sim.schedule_timer(100, partial(fire, "a", ("d", "e")))
+        sim.schedule_timer(100, partial(fire, "b", ("f",)))
+        sim.schedule_timer(100, partial(fire, "c", ()))
+        sim.schedule_timer(101, partial(fire, "g", ()))
         sim.run_until(100)
         assert log == [(100, tag) for tag in "abcdef"]
         assert (sim.events_processed, sim.next_event_at()) == (6, 101)
@@ -304,20 +319,20 @@ class TestDelivery:
         sim = build_topology(TopologySpec(), seed=0)
         log = []
 
-        def note(now, tag):
+        def note(tag, now):
             log.append(tag)
 
         def explode(now):
-            sim.schedule_timer(now, note, "scheduled by the raise")
+            sim.schedule_timer(now, partial(note, "scheduled by the raise"))
             raise RuntimeError
 
         sim.schedule_timer(5, explode)
-        sim.schedule_timer(5, note, "due before the raise")
+        sim.schedule_timer(5, partial(note, "due before the raise"))
         with pytest.raises(RuntimeError):
             sim.run_until(5)
-        assert list(sim.due_events()) == [
-            (5, None, note, None, ("due before the raise",)),
-            (5, None, note, None, ("scheduled by the raise",)),
+        assert timers_due(sim) == [
+            (5, note, ("due before the raise",)),
+            (5, note, ("scheduled by the raise",)),
         ]
         sim.run_until(5)
         assert log == ["due before the raise", "scheduled by the raise"]
@@ -362,15 +377,15 @@ class TestDelivery:
         sim = build_topology(TopologySpec(), seed=0)
         order, count = [], [0]
 
-        def fire(now, n):
+        def fire(n, now):
             order.append((now, n))
             for delay in delays[n % len(delays)]:
                 if count[0] < limit:
-                    sim.schedule_timer(now + delay, fire, count[0])
+                    sim.schedule_timer(now + delay, partial(fire, count[0]))
                     count[0] += 1
 
         for at in roots:
-            sim.schedule_timer(at, fire, count[0])
+            sim.schedule_timer(at, partial(fire, count[0]))
             count[0] += 1
         for t in sorted(horizons) + [limit * 2 + 4]:  # the last event's latest time
             sim.run_until(max(t, sim.clock))
@@ -409,22 +424,22 @@ class TestHalt:
     @staticmethod
     def halting_sim():
         """A sim whose timer at 100 halts and schedules one more event at
-        100; (sim, log, note), where `note(now, tag)` logs (now, tag)."""
+        100; (sim, log, note), where `note(tag, now)` logs (now, tag)."""
         sim = build_topology(TopologySpec(), seed=0)
         log = []
 
-        def note(now, tag):
+        def note(tag, now):
             log.append((now, tag))
 
         def stop(now):
-            note(now, "halt")
+            note("halt", now)
             sim.halt()
-            sim.schedule_timer(now, note, "scheduled after the halt")
+            sim.schedule_timer(now, partial(note, "scheduled after the halt"))
 
         sim.schedule_timer(100, stop)
-        sim.schedule_timer(100, note, "due with the halt")
-        sim.schedule_timer(200, note, "at 200")
-        sim.schedule_timer(101, note, "at 101")
+        sim.schedule_timer(100, partial(note, "due with the halt"))
+        sim.schedule_timer(200, partial(note, "at 200"))
+        sim.schedule_timer(101, partial(note, "at 101"))
         return sim, log, note
 
     def test_it_finishes_the_current_microsecond(self):
@@ -435,10 +450,7 @@ class TestHalt:
     def test_later_events_stay_due_in_order(self):
         sim, _, note = self.halting_sim()
         sim.run_until(1000)
-        assert list(sim.due_events()) == [
-            (101, None, note, None, ("at 101",)),
-            (200, None, note, None, ("at 200",)),
-        ]
+        assert timers_due(sim) == [(101, note, ("at 101",)), (200, note, ("at 200",))]
 
     def test_the_clock_stays_at_the_halted_microsecond(self):
         sim, _, _ = self.halting_sim()
