@@ -91,21 +91,14 @@ def test_overload_sweep_bytecodes_adds_a_column_and_a_table_by_module():
         assert table_row.split()[-1] == row[-1]  # the total is the column's value
     *per_module, total = map(float, module_rows[-1].split()[1:])
     assert total == pytest.approx(sum(per_module), abs=0.1 * len(per_module))
-    # the table by function: a column per row of the table by module, and
-    # each module's functions add up to that module's count in every column
+    # the table by function: a line per module.function, a column per row
+    # of the table by module (the JSON test checks that they add up)
     title, header, *function_rows = by_function.splitlines()
     assert title.startswith("bytecodes per offered request by function")
     assert header.split()[1:] == [row.split()[0] for row in module_rows]
-    sums = {}
     for line in function_rows:
         name, *counts = line.split()
-        assert name.split(".")[0] in modules
-        column = sums.setdefault(name.split(".")[0], [0.0] * len(counts))
-        column[:] = [a + float(b) for a, b in zip(column, counts)]
-    for i, table_row in enumerate(module_rows):
-        for module, value in zip(modules[:-1], table_row.split()[1:]):
-            listed = sums.get(module, [0.0] * len(module_rows))[i]
-            assert listed == pytest.approx(float(value), abs=0.05 * len(function_rows) + 0.1)
+        assert name.split(".")[0] in modules and len(counts) == len(module_rows)
 
 
 def assert_functions_sum_to_their_module(by_function: dict, by_module: dict) -> None:
