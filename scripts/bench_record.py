@@ -5,9 +5,6 @@ Runs, each as a subprocess of the checkout under --root:
 - perfbench/run.py for every workload in BENCHMARK.json, untraced and
   traced, the same commands `perfbench/run.py --all` runs (`--all` prints
   tables, not the JSON result lines this file keeps);
-- scripts/codec_bench.py --json, and with --against CHECKOUT also
-  scripts/codec_bench.py --json --against CHECKOUT, which times both
-  checkouts' codecs alternately in one process;
 - the overload_sweep.py next to this file, with --bytecodes --adaptive
   --json, on the checkout's source: one counter for every checkout
   recorded, so two records compare their bytecodes per request by module
@@ -15,23 +12,26 @@ Runs, each as a subprocess of the checkout under --root:
 
 The file holds the machine line and git rev perfbench printed, every JSON
 result line, the fuzz_cases_per_s line (median, q1, q3, n) of each
-untraced run that has a fuzz, the codec numbers (and, under
-codec_against, the ratio of each operation's ops/s over CHECKOUT's), the
-sweep under bytecodes (its adaptive listings under bytecodes.adaptive),
-and the golden digests from perfbench/golden.json
-of each workload whose run checked them (full sizes at the default seed;
---smoke checks determinism only). It only measures: a failed check is recorded in the results, not
-acted on. Host times move with the machine and its load, so record the
-two checkouts being compared on the same machine, one after the other.
+untraced run that has a fuzz, the sweep under bytecodes (its adaptive
+listings under bytecodes.adaptive), and the golden digests from
+perfbench/golden.json of each workload whose run checked them (full sizes
+at the default seed; --smoke checks determinism only). It only measures: a
+failed check is recorded in the results, not acted on. Host times move with
+the machine and its load, so record the two checkouts being compared on the
+same machine, one after the other.
+
+The cost of a codec operation is read from the traced runs' codec.*
+metrics (calls and host time) and from the sweep's bytecodes by function
+(exact counts).
 
 Usage:
     python3 scripts/bench_record.py NN LABEL [--seconds 30] [--smoke]
-        [--root CHECKOUT] [--out-dir DIR] [--against CHECKOUT]
+        [--root CHECKOUT] [--out-dir DIR]
 
 For example, the parent and the change of one perf change:
     git clone -q . /tmp/parent && git -C /tmp/parent checkout -q HEAD~1
     python3 scripts/bench_record.py 8 parent --root /tmp/parent
-    python3 scripts/bench_record.py 8 change --against /tmp/parent
+    python3 scripts/bench_record.py 8 change
 """
 
 import argparse
@@ -69,18 +69,7 @@ def quartiles(line: str) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "n": int(n[2:])}
 
 
-def codec_json(root: Path, smoke: bool, *args: str):
-    """scripts/codec_bench.py --json's result for `root`, or None."""
-    cmd = [sys.executable, "scripts/codec_bench.py", "--json", *args]
-    if smoke:
-        cmd += ["--repeat", "1", "--number", "100"]
-    try:
-        return json.loads(run(cmd, root).stdout)
-    except json.JSONDecodeError:
-        return None
-
-
-def record(root: Path, seconds: int, smoke: bool, against: Path | None) -> tuple[dict, bool]:
+def record(root: Path, seconds: int, smoke: bool) -> tuple[dict, bool]:
     """(the record, whether every subprocess gave a result)."""
     spec = json.loads((root / "BENCHMARK.json").read_text())
     golden = json.loads((root / "perfbench" / "golden.json").read_text())
@@ -118,17 +107,12 @@ def record(root: Path, seconds: int, smoke: bool, against: Path | None) -> tuple
         "seconds": seconds,
         "smoke": smoke,
         "perfbench": runs,
-        "codec_bench": codec_json(root, smoke),
         "golden_checked": checked,
     }
     sweep = [sys.executable, str(SWEEP), "--bytecodes", "--adaptive", "--json",
              "--duration", "0.02" if smoke else "0.5"]
     data["bytecodes"] = last_json(run(sweep, root).stdout)
-    complete = complete and data["codec_bench"] is not None and data["bytecodes"] is not None
-    if against is not None:
-        data["codec_against"] = codec_json(root, smoke, "--against", str(against))
-        complete = complete and data["codec_against"] is not None
-    return data, complete
+    return data, complete and data["bytecodes"] is not None
 
 
 def main() -> int:
@@ -139,14 +123,9 @@ def main() -> int:
     parser.add_argument("--smoke", action="store_true", help="tiny sizes, for a quick check")
     parser.add_argument("--root", type=Path, default=ROOT, help="the checkout to measure")
     parser.add_argument("--out-dir", type=Path, default=ROOT, help="where the file goes")
-    parser.add_argument(
-        "--against", type=Path, metavar="CHECKOUT",
-        help="also time the codec against CHECKOUT's, in one process",
-    )
     args = parser.parse_args()
 
-    against = args.against.resolve() if args.against is not None else None
-    data, complete = record(args.root.resolve(), args.seconds, args.smoke, against)
+    data, complete = record(args.root.resolve(), args.seconds, args.smoke)
     path = args.out_dir / f"BENCH_{args.nn:02d}_{args.label}.json"
     path.write_text(json.dumps({"label": args.label, **data}, indent=2, sort_keys=True) + "\n")
     print(path)

@@ -604,9 +604,9 @@ class HssElement(Element):
             return _error_answer(msg, dct.RESULT_USER_UNKNOWN)
         if update:
             rec.location = loc_avp.data.decode("utf-8", "replace")
-            return build_answer(msg, avps=[result_code_avp(dct.RESULT_SUCCESS)])
+            return build_answer(msg, avps=[_SUCCESS_AVP])
         avps = [
-            result_code_avp(dct.RESULT_SUCCESS),
+            _SUCCESS_AVP,
             Avp(code=dct.AVP_SUBSCRIBER_ID, data=rec.subscriber_id.encode(), mandatory=True),
             Avp(code=dct.AVP_LOCATION, data=rec.location.encode(), mandatory=True),
         ]
@@ -644,7 +644,7 @@ class PcrfElement(Element):
             subscriber_id=sid_avp.data.decode("utf-8", "replace"),
             qos_class=int.from_bytes(qos_avp.data, "big"),
         )
-        return build_answer(msg, avps=[result_code_avp(dct.RESULT_SUCCESS)])
+        return build_answer(msg, avps=[_SUCCESS_AVP])
 
 
 def attach_request(step: int, subscriber_id: str, location: str, rule_id: str) -> Message:
@@ -849,6 +849,11 @@ class Lab:
             return 0
         return max(l.latency_us for l in self.sim.links.values())
 
+    def round_trip_us(self) -> int:
+        """How long to run for one exchange on the slowest link: twice its
+        latency plus 10 ms."""
+        return 2 * self.max_latency_us() + 10_000
+
     # -- lifecycle ------------------------------------------------------------
 
     def bring_links_open(self) -> None:
@@ -863,7 +868,7 @@ class Lab:
             responder = eb if initiator is ea else ea
             initiator.feed_event(responder.node, PeerEvent(EventKind.START), sim.clock)
             initiator.feed_event(responder.node, PeerEvent(EventKind.CONN_ACK), sim.clock)
-        sim.run_until(sim.clock + 2 * self.max_latency_us() + 10_000)
+        sim.run_until(sim.clock + self.round_trip_us())
         for key in sorted(self.sim.links):
             link = self.sim.links[key]
             for end, other in ((link.a, link.b), (link.b, link.a)):
@@ -898,7 +903,7 @@ class Lab:
         if ab is None or target is None or self.sim.link_between(ab.node, target.node) is None:
             return
         sim = self.sim
-        rtt = 2 * self.max_latency_us() + 10_000
+        rtt = self.round_trip_us()
         for i in range(ECHO_PROBES):
             payload = Avp(code=dct.AVP_ECHO_PAYLOAD, data=f"probe-{i}".encode())
             request = build_message(dct.CMD_ECHO, (payload,), 0, 0, 0, True)

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import difflib
 import hashlib
 import io
 import json
@@ -16,10 +17,11 @@ from hypothesis import strategies as st
 
 from diamlab import attacks
 from diamlab import dictionary as dct
-from diamlab.attacks import Finding, FloodResult, Severity
+from diamlab.attacks import Finding, FloodResult, FloodSpec, Severity
 from diamlab.campaign import (
     CampaignError,
     Report,
+    build_lab,
     render_report,
     run_campaign,
     to_json,
@@ -42,6 +44,7 @@ from tests.labs import core_lab_text, duo_lab_text, make_lab
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 ECHO_HEX = encode_message(
     build_message(dct.CMD_ECHO, request=True, avps=[Avp(code=dct.AVP_ECHO_PAYLOAD, data=b"hi")])
 ).hex()
@@ -294,15 +297,62 @@ class TestDeterminism:
         ).read_bytes()
 
 
-@pytest.mark.parametrize("name", ["phase1", "phase2"])
+def builtin_outputs(workload: str, out_dir: Path) -> dict[str, bytes]:
+    """The outputs perfbench digests for one of its workloads at the lab's
+    own seed, by the names perfbench/golden.json gives them. To regenerate
+    tests/golden/ after a deliberate output change, write each to
+    tests/golden/<workload>/<name>."""
+    config = load_config("phase1" if workload == "flood-overload" else workload)
+    assert json.loads(GOLDEN.read_text())[workload]["seed"] == config.seed
+    if workload == "flood-overload":
+        # perfbench/run.py's flood-overload: the phase1 lab at 8x its capacity for 3 s
+        lab = build_lab(config)
+        lab.bring_links_open()
+        result, _ = attacks.run_flood(lab, FloodSpec("target", rate_tps=8000.0, duration_s=3.0))
+        return {"flood_result": json.dumps(result.to_dict(), sort_keys=True).encode()}
+    run_campaign(config, out_dir=str(out_dir))
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def diff_lines(path: Path) -> list[str]:
+    """The lines to diff of an output: a capture's `decode --capture`
+    listing, any other file's text."""
+    if path.suffix != ".dcap":
+        return path.read_text().splitlines()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["decode", "--capture", str(path)]) == 0
+    return out.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("name", ["phase1", "phase2", "flood-overload"])
 def test_builtin_outputs_match_golden_digests(name, tmp_path):
-    """Every file a built-in campaign writes has the SHA-256 the benchmark pins."""
-    golden = json.loads(GOLDEN.read_text())[name]
-    config = load_config(name)
-    assert golden["seed"] == config.seed
-    run_campaign(config, out_dir=str(tmp_path))
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
-    assert digests == golden["digests"]
+    """Every output of a benchmark workload equals, byte for byte, its
+    committed copy under tests/golden/. A mismatch shows the unified diff
+    of the first file that differs."""
+    outputs = builtin_outputs(name, tmp_path / "out")
+    golden = {p.name: p.read_bytes() for p in sorted((GOLDEN_DIR / name).iterdir())}
+    assert list(outputs) == list(golden)
+    for file, data in outputs.items():
+        if data != golden[file]:
+            ran = tmp_path / file
+            ran.write_bytes(data)
+            diff = difflib.unified_diff(
+                diff_lines(GOLDEN_DIR / name / file), diff_lines(ran),
+                f"golden/{name}/{file}", "ran", lineterm="",
+            )
+            pytest.fail("\n".join(diff) or f"{file}: the bytes differ, the listings do not")
+
+
+def test_golden_digests_are_the_digests_of_the_golden_files():
+    """perfbench/golden.json and tests/golden/ cannot drift apart: each
+    digest is the SHA-256 of the committed file of that name, and every
+    committed file has a digest."""
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(golden)
+    for workload, entry in golden.items():
+        files = {p.name: p.read_bytes() for p in (GOLDEN_DIR / workload).iterdir()}
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+        assert digests == entry["digests"], workload
 
 
 def test_phase2_outputs_do_not_depend_on_the_hash_seed(tmp_path):
