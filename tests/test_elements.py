@@ -29,6 +29,7 @@ from diamlab.peer import (
     build_dpr,
     handle_event,
     register_request,
+    result_code_avp,
 )
 
 from tests.labs import core_lab_text, duo_lab_text, make_lab
@@ -316,6 +317,23 @@ class TestHss:
         answer = hss.handle_app_request(query, 1)
         assert first_avp(answer, dct.AVP_LOCATION).data == b"tracking-area-99"
 
+    def test_success_answers_lead_with_the_success_result_code(self):
+        # an update's answer is the Result-Code alone; a query's puts it first
+        hss = self._hss()
+        sid = Avp(code=dct.AVP_SUBSCRIBER_ID, data=b"imsi-001001000000001", mandatory=True)
+        update = _probe(
+            command=dct.CMD_LOCATION_UPDATE,
+            avps=[sid, Avp(code=dct.AVP_LOCATION, data=b"tracking-area-99", mandatory=True)],
+        )
+        success = result_code_avp(dct.RESULT_SUCCESS)
+        assert hss.handle_app_request(update, 0).avps == (success,)
+        query = _probe(command=dct.CMD_PROFILE_QUERY, avps=[sid])
+        assert hss.handle_app_request(query, 1).avps == (
+            success,
+            sid,
+            Avp(code=dct.AVP_LOCATION, data=b"tracking-area-99", mandatory=True),
+        )
+
     def test_update_unknown_subscriber(self):
         hss = self._hss()
         update = _probe(
@@ -368,6 +386,11 @@ class TestPcrf:
         pcrf = self._pcrf()
         assert result_code_of(pcrf.handle_app_request(self._install(), 0)) == dct.RESULT_SUCCESS
         assert pcrf.rules["r1"].qos_class == 9
+
+    def test_install_answer_is_the_success_result_code_alone(self):
+        pcrf = self._pcrf()
+        answer = pcrf.handle_app_request(self._install(), 0)
+        assert answer.avps == (result_code_avp(dct.RESULT_SUCCESS),)
 
     def test_duplicate_rule_rejected(self):
         pcrf = self._pcrf()
@@ -512,6 +535,13 @@ class TestLinkBringup:
         for link in lab.sim.links.values():
             for end, other in ((link.a, link.b), (link.b, link.a)):
                 assert lab.elements[end.label].peer_link(other).state.phase is Phase.OPEN
+
+    def test_bring_up_runs_one_round_trip_of_the_slowest_link(self):
+        # the core lab's slowest links, mme-hss and mme-pcrf, take 10 ms
+        _, lab = make_lab(core_lab_text(), open_links=False)
+        assert lab.round_trip_us() == 2 * 10_000 + 10_000
+        lab.bring_links_open()
+        assert lab.sim.clock == lab.round_trip_us()
 
     def test_lossy_link_aborts_bringup(self):
         text = duo_lab_text().replace("protected = false", "protected = false\nloss = 1.0")
