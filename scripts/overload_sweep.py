@@ -15,8 +15,8 @@ function, one column per row of the table by module. The count is exact
 and the same in every run of one interpreter version, but it is not time:
 a call into C counts as one. Code compiled from strings is filed under the
 module of the class it was generated for (codec.slot_init), or under
-<string> (dataclasses). Tracing runs about 50 times slower than the flood
-itself, so use short floods.
+<string> (dataclasses), and either is named by its class. Tracing runs
+about 50 times slower than the flood itself, so use short floods.
 
 --adaptive lists the executed instructions of diamlab's code that CPython
 3.11's specializing interpreter (PEP 659) leaves in an unspecialized
@@ -45,6 +45,7 @@ Usage: PYTHONPATH=src python scripts/overload_sweep.py [--capacity 1000] [--queu
 
 import argparse
 import dis
+import gc
 import json
 import os
 import sys
@@ -94,9 +95,17 @@ def module_of(filename: str) -> Optional[str]:
 
 def function_of(code) -> str:
     """A code object's qualified name; a generated constructor's with its
-    class (codec.slot_init compiles it under the filename <diamlab.codec.Avp>)."""
+    class (codec.slot_init compiles it under the filename <diamlab.codec.Avp>),
+    and so is a method compiled from <string>, such as PeerEvent.__init__."""
     if code.co_filename.startswith("<diamlab."):
         return f"{code.co_filename[1:-1].split('.', 2)[2]}.{code.co_qualname}"
+    if code.co_filename == "<string>":
+        # The code is named for the helper that compiled it (dataclasses'
+        # __create_fn__); its function's __qualname__ names the class.
+        names = (
+            f.__qualname__ for f in gc.get_referrers(code) if getattr(f, "__code__", None) is code
+        )
+        return next(names, code.co_qualname)
     return code.co_qualname
 
 

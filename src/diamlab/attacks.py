@@ -283,7 +283,6 @@ class _FloodDriver:
         self.timeout_us = timeout_us
         self.offered = 0
         self.sent = 0
-        self.answered = 0
         self.latencies: list[int] = []
         self.result_codes: dict[Optional[int], int] = {}
         # (answer AVPs, their result code) of the last answer counted. The
@@ -340,7 +339,6 @@ class _FloodDriver:
             self.ab.forget_pending_many(self.target.node, dead)
 
     def _count_answer(self, sent_at, msg, now) -> None:
-        self.answered += 1
         self.latencies.append(now - sent_at)
         avps, code = self._answer_code
         if avps is not msg.avps:
@@ -383,17 +381,17 @@ def run_flood(lab: Lab, spec: FloodSpec) -> tuple[FloodResult, list[Finding]]:
     # cutoff past every send: the compare with each entry's sent_at stays
     # specialized, as it is for the reaps, where math.inf would undo that.
     ab.forget_pending_many(target.node, driver.sent_before(sim.clock + 1))
-    dropped = driver.offered - driver.answered
     lat = driver.latencies
-    ratio = driver.answered / driver.offered if driver.offered else 1.0
+    answered = len(lat)  # one latency per answer counted
+    ratio = answered / driver.offered if driver.offered else 1.0
     result = FloodResult(
         target=spec.target,
         rate_tps=spec.rate_tps,
         duration_s=spec.duration_s,
         offered=driver.offered,
         sent=driver.sent,
-        answered=driver.answered,
-        dropped=dropped,
+        answered=answered,
+        dropped=driver.offered - answered,
         in_flight=0,
         element_failed=target.failed,
         answer_ratio=ratio,

@@ -238,9 +238,9 @@ class Element:
         self.links: dict[int, PeerLink] = {}
         # Read per request and fixed for the element's life, so read once here.
         # CPython 3.11 specializes reading an instance's attributes only while
-        # it has at most 29 of them. Both ends of every flood have 29: an
-        # AttackBoxElement, and a TargetServerElement once it has answered an
-        # echo (its `_echo` memo).
+        # it has at most 29 of them: an MmeElement has 29, every other element
+        # 27 (a TargetServerElement once it has answered an echo, its `_echo`
+        # memo). test_every_element_keeps_at_most_29_attributes checks this.
         self._queue_capacity = capacity.queue_capacity
         # The AVP tuple of the last request that validated clean (on_decoded).
         self._clean_avps: Optional[tuple[Avp, ...]] = None
@@ -253,7 +253,6 @@ class Element:
         self._token = per_token * US_PER_S
         self._credit = self._token  # a burst of one
         self._last_accrual = 0
-        self._drain_scheduled = False
         self.queue: deque[tuple[NodeId, Message]] = deque()
 
         # failure state: only `fail` writes `failed_at`, only `_serve` writes `crash`
@@ -269,7 +268,6 @@ class Element:
         self.offered = 0
         self.direct_served = 0
         self.drained_served = 0
-        self.queued_total = 0
         self.dropped_overflow = 0
         self.dropped_at_failure = 0
         self.dropped_failed_inbound = 0  # application messages a failed element drops
@@ -410,24 +408,22 @@ class Element:
                 self._credit -= self._token
                 return ACCEPTED
         if len(self.queue) < self._queue_capacity:
+            # A drain is due exactly while the queue is non-empty: joining an
+            # empty queue schedules it, and a drain leaving requests the next.
+            if not self.queue:
+                self._schedule_drain(now)
             self.queue.append(request)
-            self.queued_total += 1
-            self._ensure_drain(now)
             return QUEUED
         self.dropped_overflow += 1
         return DROPPED
 
-    def _ensure_drain(self, now: int) -> None:
-        if self._drain_scheduled:
-            return
+    def _schedule_drain(self, now: int) -> None:
         delay = -(-(self._token - self._credit) // self._rate)  # ceil, in integers
         if delay < 1:  # a compare: CPython 3.11 does not specialize a call of max
             delay = 1
         self.sim.schedule_timer(now + delay, self._drain)
-        self._drain_scheduled = True
 
     def _drain(self, now: int) -> None:
-        self._drain_scheduled = False
         self._accrue(now)
         while self._credit >= self._token and self.queue:
             self._credit -= self._token
@@ -435,7 +431,7 @@ class Element:
             self.drained_served += 1
             self._serve(neighbor, msg, now)
         if self.queue:
-            self._ensure_drain(now)
+            self._schedule_drain(now)
 
     def _sample(self, now: int) -> None:
         if self.failed_at is not None:  # per sample: see on_message

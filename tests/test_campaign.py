@@ -224,6 +224,15 @@ def assert_conserved(lab):
     assert stats.sends == stats.delivered + stats.lost + lab.sim.queued_deliveries()
 
 
+def test_every_element_keeps_at_most_29_attributes(phase1_run, phase2_run):
+    # CPython 3.11 specializes reading an instance's attributes only while it
+    # has at most 29 of them (README, on what the request path costs), and
+    # every request reads its element's fields.
+    for run in (phase1_run, phase2_run):
+        counts = {label: len(vars(elem)) for label, elem in run.lab.elements.items()}
+        assert max(counts.values()) <= 29, counts
+
+
 class TestConservation:
     def test_phase1_campaign(self, phase1_run):
         assert_conserved(phase1_run.lab)

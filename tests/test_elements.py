@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamlab import dictionary as dct
-from diamlab import elements
+from diamlab import attacks, elements
 from diamlab.campaign import build_lab
 from diamlab.codec import Avp, Message, build_message, decode_message, first_avp
 from diamlab.config import load_config
@@ -155,6 +155,49 @@ class TestAdmission:
         assert target.admit((sender, _probe(hbh=7)), burst + 2_000) is Admission.QUEUED
         sim.run_until(burst + 3_000)
         assert target.drained_served == 3 and not target.queue
+
+
+def _queue_lengths_checking_drains(sim, target, until):
+    """Run `sim` one event time at a time up to `until`, checking after each
+    that the target has one drain timer due while its queue is non-empty and
+    none while it is empty; the queue lengths seen, in order."""
+    lengths = []
+    while sim.next_event_at() <= until:
+        sim.run_until(sim.next_event_at())
+        drains = sum(1 for event in sim.due_events() if event[2] == target._drain)
+        assert drains == (1 if target.queue else 0), (sim.clock, len(target.queue))
+        lengths.append(len(target.queue))
+    return lengths
+
+
+class TestDrainTimer:
+    def test_an_overloaded_flood_keeps_one_drain_due(self):
+        _, lab = make_lab(duo_lab_text(service_rate=1000, queue_capacity=20))
+        target, sim = lab.element("target"), lab.sim
+        driver = attacks._FloodDriver(
+            lab.attack_box(), target, 400, sim.clock, 4000, lab.config.request_timeout_us
+        )
+        sim.schedule_timer(sim.clock, driver.send)
+        lengths = _queue_lengths_checking_drains(sim, target, sim.clock + 500_000)
+        assert max(lengths) == 20 and lengths[-1] == 0
+        assert target.dropped_overflow > 0 and not target.failed
+
+    def test_a_queue_that_empties_and_refills(self):
+        _, lab = make_lab(duo_lab_text(service_rate=1000, queue_capacity=10))
+        target, sim = lab.element("target"), lab.sim
+        ab = lab.attack_box()
+
+        def burst(now):
+            for _ in range(5):
+                ab.send_app_request(target.node, _probe(), None, now)
+
+        start = sim.clock
+        for k in range(3):  # 5 requests take 4 ms to drain; the bursts are 20 ms apart
+            sim.schedule_timer(start + k * 20_000, burst)
+        lengths = _queue_lengths_checking_drains(sim, target, start + 100_000)
+        refills = sum(1 for a, b in zip(lengths, lengths[1:]) if a == 0 and b > 0)
+        assert refills == 3 and lengths[-1] == 0
+        assert target.drained_served == 12 and target.dropped_overflow == 0
 
 
 class TestTargetServer:
@@ -594,11 +637,14 @@ class TestFailureModel:
                      encode_message(_probe(hbh=i + 10)))
             sim.run_until(sim.clock + 2_000)
         sim.run_until(sim.clock + 3_000_000)
+        # offered = direct + queued + overflow, and each queued request is
+        # drained, dropped at the failure or still queued
         assert target.offered == (
-            target.direct_served + target.queued_total + target.dropped_overflow
-        )
-        assert target.queued_total == (
-            target.drained_served + target.dropped_at_failure + len(target.queue)
+            target.direct_served
+            + target.drained_served
+            + target.dropped_at_failure
+            + len(target.queue)
+            + target.dropped_overflow
         )
 
 
