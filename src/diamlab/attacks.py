@@ -592,8 +592,6 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
         if hbh == judged:
             sim.halt()  # the case is answered: its run ends with this microsecond
 
-    ab.on_wire_answer = on_wire_answer
-
     def target_drops() -> int:
         failed = target.dropped_failed_inbound + target.dropped_failed_base
         return target.parse_drops + target.fsm_drops + target.dropped_overflow + failed
@@ -630,54 +628,58 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
     unanswered: dict[int, tuple[int, MutationOp, bytes]] = {}  # hop-by-hop -> (index, op, case)
     dispositions: list[str] = []  # of each case, in case order
 
-    for i in range(spec.case_count):
-        template = corpus[rng.randrange(len(corpus))]
-        drawn = rng.randrange(len(ops))
-        op, op_name = spec.ops[drawn], ops[drawn]
-        draw = rng.getrandbits(32)
-        hbh = judged = ab.alloc_hop_by_hop(target.node)
-        base = stamp_ids(template, hbh, hbh)
-        case = mutate(base, op, draw)
-        if case == base:
-            no_op_cases += 1
-        unanswered[hbh] = (i, op, case)
-        disposition = judge(case, hbh, result_codes[op_name])
-        ab.forget_pending_many(target.node, (hbh,))
-        if hbh in wire_answers:
-            del unanswered[hbh]
+    ab.on_wire_answer = on_wire_answer
+    try:
+        for i in range(spec.case_count):
+            template = corpus[rng.randrange(len(corpus))]
+            drawn = rng.randrange(len(ops))
+            op, op_name = spec.ops[drawn], ops[drawn]
+            draw = rng.getrandbits(32)
+            hbh = judged = ab.alloc_hop_by_hop(target.node)
+            base = stamp_ids(template, hbh, hbh)
+            case = mutate(base, op, draw)
+            if case == base:
+                no_op_cases += 1
+            unanswered[hbh] = (i, op, case)
+            disposition = judge(case, hbh, result_codes[op_name])
+            ab.forget_pending_many(target.node, (hbh,))
+            if hbh in wire_answers:
+                del unanswered[hbh]
 
-        evidence: Optional[dict] = None
-        if disposition == DISPOSITION_CRASH:
-            exc = target.crash
-            severity, impact = Severity.OUTAGE, Impact.AVAILABILITY
-            evidence = {"finding_type": "crash", "exception": f"{type(exc).__name__}: {exc}"}
-            # the case may have been queued before this one; None: an earlier attack's request
-            named = unanswered.get(target.crashed_on.hop_by_hop_id)
-            if named is not None and named[0] != i:
-                # That case is tallied crash, and this one dropped: the failed
-                # target drops it, queued or arriving later.
-                index, named_op, _ = named
-                earlier = tallies[named_op.value]
-                earlier[dispositions[index]] -= 1
-                earlier[DISPOSITION_CRASH] = earlier.get(DISPOSITION_CRASH, 0) + 1
-                disposition = DISPOSITION_DROPPED
-        elif disposition == DISPOSITION_ANSWERED_SUCCESS and isinstance(
-            decode_message(case), ParseError
-        ):
-            severity, impact = Severity.INFO, Impact.INTEGRITY
-            evidence, named = {"finding_type": "accepted-invalid"}, (i, op, case)
-        per_op = tallies[op_name]
-        per_op[disposition] = per_op.get(disposition, 0) + 1
-        dispositions.append(disposition)
-        if evidence is None:
-            continue
-        if named is not None:
-            index, named_op, named_case = named
-            evidence.update(case_index=index, mutation_op=named_op.value, case_hex=named_case.hex())
-        label = TaxonomyLabel(Origin.EXTERNAL_INTERCONNECT, Technique.MALFORMED_MESSAGE, impact)
-        findings.append(Finding(spec.kind, severity, label, evidence))
-
-    ab.on_wire_answer = None
+            evidence: Optional[dict] = None
+            if disposition == DISPOSITION_CRASH:
+                exc = target.crash
+                severity, impact = Severity.OUTAGE, Impact.AVAILABILITY
+                evidence = {"finding_type": "crash", "exception": f"{type(exc).__name__}: {exc}"}
+                # the case may have been queued before this one; None: an earlier attack's request
+                named = unanswered.get(target.crashed_on.hop_by_hop_id)
+                if named is not None and named[0] != i:
+                    # That case is tallied crash, and this one dropped: the failed
+                    # target drops it, queued or arriving later.
+                    index, named_op, _ = named
+                    earlier = tallies[named_op.value]
+                    earlier[dispositions[index]] -= 1
+                    earlier[DISPOSITION_CRASH] = earlier.get(DISPOSITION_CRASH, 0) + 1
+                    disposition = DISPOSITION_DROPPED
+            elif disposition == DISPOSITION_ANSWERED_SUCCESS and isinstance(
+                decode_message(case), ParseError
+            ):
+                severity, impact = Severity.INFO, Impact.INTEGRITY
+                evidence, named = {"finding_type": "accepted-invalid"}, (i, op, case)
+            per_op = tallies[op_name]
+            per_op[disposition] = per_op.get(disposition, 0) + 1
+            dispositions.append(disposition)
+            if evidence is None:
+                continue
+            if named is not None:
+                index, named_op, named_case = named
+                evidence.update(
+                    case_index=index, mutation_op=named_op.value, case_hex=named_case.hex()
+                )
+            label = TaxonomyLabel(Origin.EXTERNAL_INTERCONNECT, Technique.MALFORMED_MESSAGE, impact)
+            findings.append(Finding(spec.kind, severity, label, evidence))
+    finally:
+        ab.on_wire_answer = None  # also when a testbed fault propagates
     result = FuzzResult(
         target=spec.target,
         seed=spec.seed,

@@ -232,6 +232,13 @@ def build_message(
     return m
 
 
+# The AVP tuple of the last answer build_answer checked, written only after
+# the check passed, so a tuple that raised is never kept. The check's result
+# for a tuple never changes: Avp is frozen, and every builder passes bytes
+# data. The memo keeps its tuple alive, so no other tuple can take its id.
+_checked_answer_avps: Optional[tuple[Avp, ...]] = None
+
+
 # `error` is a plain parameter: CPython 3.11 specializes no call of a
 # function with keyword-only parameters.
 def build_answer(req: Message, avps: Sequence[Avp] = (), error: bool = False) -> Message:
@@ -243,11 +250,15 @@ def build_answer(req: Message, avps: Sequence[Avp] = (), error: bool = False) ->
     total length are checked: the same value and CodecError as
     build_message with the copied fields.
     """
+    global _checked_answer_avps
     m = new_message(
         Message, req.command_code, tuple(avps), req.application_id, req.hop_by_hop_id,
         req.end_to_end_id, False, False, error, False,
     )
-    _checked_avps_length(m.avps)
+    avps = m.avps
+    if avps is not _checked_answer_avps:
+        _checked_avps_length(avps)
+        _checked_answer_avps = avps
     return m
 
 

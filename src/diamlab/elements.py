@@ -223,6 +223,9 @@ class Element:
     """Base node behavior: codec front line, peer FSM, capacity model."""
 
     kind = ElementKind.TARGET_SERVER
+    # Called with every decoded inbound answer before peer-FSM routing, if
+    # set; only a fuzz run sets it, on the attack box (AttackBoxElement).
+    on_wire_answer: Optional[Callable[[Message], object]] = None
 
     def __init__(
         self,
@@ -349,8 +352,10 @@ class Element:
         built, if `deliverable`: a request goes to admission, and an answer
         pops the pending entry it matches and goes to its `on_answer`.
         Undelivered traffic counts an FSM drop, and the peer state never
-        changes."""
+        changes. Every answer first goes to `on_wire_answer`, if set."""
         request = msg.request
+        if not request and self.on_wire_answer is not None:
+            self.on_wire_answer(msg)
         # Validation reads only the AVP tuple, and its result for a tuple
         # never changes: Avp and Message are frozen, and every builder passes
         # bytes data. The memo keeps its tuple alive, so no other tuple can
@@ -755,13 +760,10 @@ class AttackBoxElement(Element):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        # An instance attribute, not only Element's class default: CPython
+        # 3.11 specializes no read of a class attribute through an
+        # instance, and on_decoded reads this one for every answer.
         self.on_wire_answer: Optional[Callable[[Message], object]] = None
-
-    def on_decoded(self, src: NodeId, msg: Message, now: int) -> None:
-        if self.on_wire_answer is not None and not msg.request:
-            self.on_wire_answer(msg)
-        # A plain call: super() would build an object per message.
-        Element.on_decoded(self, src, msg, now)
 
 
 _ELEMENT_CLASSES: dict[ElementKind, type[Element]] = {

@@ -906,6 +906,22 @@ class TestFuzz:
             run_fuzz(lab, FuzzSpec(target="target", case_count=5, seed=3))
         assert target.failed_at is None and target.crash is None
 
+    def test_a_testbed_fault_leaves_no_wire_answer_hook_set(self, monkeypatch):
+        # A hook left set would halt later runs on the failed fuzz's case id.
+        _, lab = make_lab(duo_lab_text())
+        cases = []
+
+        def mutate_until_the_third_case(data, op, draw):
+            cases.append(draw)
+            if len(cases) == 3:
+                raise RuntimeError("mutator bug")
+            return mutate(data, op, draw)
+
+        monkeypatch.setattr(attacks, "mutate", mutate_until_the_third_case)
+        with pytest.raises(RuntimeError, match="mutator bug"):
+            run_fuzz(lab, FuzzSpec(target="target", case_count=5, seed=3))
+        assert lab.attack_box().on_wire_answer is None
+
     def test_a_case_dropped_on_a_full_queue_is_judged_dropped(self):
         # no queue and a token every 5 s: a case that finds no token is dropped
         _, lab = make_lab(duo_lab_text(service_rate=0.2, queue_capacity=0))

@@ -603,6 +603,19 @@ class TestBuilders:
         assert ans.end_to_end_id == 88
         assert ans.command_code == 700
 
+    def test_build_answer_checks_a_tuple_until_it_passes(self):
+        # build_answer skips the check of the last tuple that passed it, and
+        # only that one: a tuple that raised raises again.
+        req = build_message(700, request=True)
+        half = Avp(code=1, data=bytes(2**23))  # two are 16,777,252 bytes on the wire
+        oversized, clean = (half, half), (Avp(code=1, data=b"x"),)
+        for avps in (oversized, oversized, clean, oversized, clean):
+            if avps is clean:
+                assert build_answer(req, avps).avps is clean
+                continue
+            with pytest.raises(CodecError, match="^message length 16777252 out of range"):
+                build_answer(req, avps)
+
     def test_message_fields_are_build_message_parameters_in_order(self):
         # callers pass them by position, to either constructor, with the same defaults
         params = list(inspect.signature(build_message).parameters.values())

@@ -26,7 +26,9 @@ from diamlab.peer import (
     EventKind,
     PeerEvent,
     Phase,
+    build_base_answer,
     build_dpr,
+    build_dwr,
     handle_event,
     register_request,
     result_code_avp,
@@ -779,6 +781,31 @@ class TestPendingTable:
         ab.on_decoded(target.node, answer, 456)
         assert calls == [(123, answer, 456)]
         assert 41 not in link.pending
+
+    def test_every_answer_reaches_the_wire_answer_hook_before_routing(self):
+        # Element.on_decoded calls the hook; the attack box adds no frame of its own.
+        assert "on_decoded" not in vars(elements.AttackBoxElement)
+        dwa = build_base_answer(build_dwr("target.lab"), "target.lab")
+        unmatched = build_message(dct.CMD_ECHO, hop_by_hop_id=999)
+        observed = []
+        for hooked in (True, False):
+            lab, ab, target, link = self._open_duo()
+            seen = []
+            if hooked:
+                ab.on_wire_answer = seen.append
+            before = ab.fsm_drops, ab.offered
+            for msg in (dwa, unmatched, _probe(hbh=7)):
+                ab.on_message(lab.sim, target.node, msg, lab.sim.clock)
+            # the answers, in order; the request does not reach the hook
+            assert seen == ([dwa, unmatched] if hooked else [])
+            # the unmatched answer is one FSM drop, and the request is admitted
+            assert (ab.fsm_drops, ab.offered) == (before[0] + 1, before[1] + 1)
+            lab.sim.run_until(lab.sim.clock + 100_000)  # the target's hook is its class default
+            observed.append(
+                (ab.fsm_drops, ab.offered, target.fsm_drops, link.state, lab.sim.stats)
+            )
+        # the hook only observes: unset, the run ends in the same state
+        assert observed[0] == observed[1]
 
     def test_send_raw_request_refuses_an_outstanding_id(self):
         lab, ab, target, link = self._open_duo()

@@ -158,16 +158,16 @@ def test_bytecode_counts_are_the_same_in_two_runs_in_one_process():
 BYTECODE_PINS = {
     (3, 11): {
         "1x": {
-            "total": 490_756, "<string>": 44, "attacks": 52_350, "codec": 110_703,
-            "elements": 172_350, "peer": 20_500, "simnet": 134_809,
+            "total": 446_346, "<string>": 44, "attacks": 52_350, "codec": 69_793,
+            "elements": 168_850, "peer": 20_500, "simnet": 134_809,
         },
         "4x": {
-            "total": 1_414_286, "<string>": 92, "attacks": 190_254, "codec": 235_003,
-            "elements": 481_334, "peer": 65_200, "simnet": 442_403,
+            "total": 1_363_776, "<string>": 92, "attacks": 190_254, "codec": 185_893,
+            "elements": 479_934, "peer": 65_200, "simnet": 442_403,
         },
         "fuzz": {
-            "total": 1_668_859, "<string>": 30_548, "attacks": 275_698, "codec": 500_820,
-            "elements": 340_020, "peer": 74_854, "simnet": 446_919,
+            "total": 1_667_898, "<string>": 30_548, "attacks": 275_701, "codec": 503_960,
+            "elements": 335_916, "peer": 74_854, "simnet": 446_919,
         },
     },
 }
