@@ -558,10 +558,6 @@ def seed_corpus(identity: str = "attacker.lab") -> list[tuple[str, Message]]:
     ]
 
 
-def _ignore_answer(sent_at, msg, now) -> None:
-    """A fuzz case's on_answer: dispositions are judged at the wire, before FSM routing."""
-
-
 def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
     """Mutation fuzz campaign against one target element, one case at a time.
 
@@ -574,6 +570,10 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
     timeout. The tallies count that case as the crash and the case being
     judged, which the failed target drops, as dropped. Any other exception
     is a fault of the testbed and propagates.
+
+    Each case is a pending request of the attack box's: its answer, a
+    base-protocol one too, reaches the run through the case's entry (see
+    `Element.on_message`).
     """
     if spec.seed is None:
         raise ValueError("fuzz runs need an explicit seed")
@@ -583,14 +583,13 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
     rng = random.Random(spec.seed)
     # Each template is encoded once; a case stamps its ids into the bytes.
     corpus = [encode_message(m) for _, m in seed_corpus(identity=ab.peer_config.identity)]
-    wire_answers: dict[int, Optional[int]] = {}  # hop-by-hop -> result code
-    judged = None  # the hop-by-hop id of the case being judged
+    answers: dict[int, Optional[int]] = {}  # hop-by-hop -> result code, of each case answered
 
-    def on_wire_answer(msg: Message) -> None:
-        hbh = msg.hop_by_hop_id
-        wire_answers.setdefault(hbh, result_code_of(msg))
-        if hbh == judged:
-            sim.halt()  # the case is answered: its run ends with this microsecond
+    def on_answer(sent_at: int, msg: Message, now: int) -> None:
+        # Every case's entry is gone before the next case is sent, so only
+        # the judged case's answer gets here.
+        answers[msg.hop_by_hop_id] = result_code_of(msg)
+        sim.halt()  # the case is answered: its run ends with this microsecond
 
     def target_drops() -> int:
         failed = target.dropped_failed_inbound + target.dropped_failed_base
@@ -599,10 +598,11 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
     def judge(case: bytes, hbh: int, codes: dict[Optional[int], int]) -> str:
         """Send one case and run until it is answered, dropped, crashes the
         target or times out; an answer's result code is tallied in `codes`.
-        The run ends at the answer's microsecond (on_wire_answer halts it),
-        or at the timeout."""
+        The run ends at the answer's microsecond (the case's `on_answer`
+        halts it), or at the timeout. The case's pending entry is forgotten
+        however the run ends, so no answer to it can halt a later run."""
         drops_before = target_drops()
-        if not ab.send_raw_request(target.node, case, hbh, _ignore_answer, sim.clock):
+        if not ab.send_raw_request(target.node, case, hbh, on_answer, sim.clock):
             return DISPOSITION_NO_RESPONSE
         try:
             sim.run_until(sim.clock + lab.config.request_timeout_us)
@@ -610,11 +610,13 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
             if exc is target.crash:
                 return DISPOSITION_CRASH
             raise
-        if hbh not in wire_answers:
+        finally:
+            ab.forget_pending_many(target.node, (hbh,))
+        if hbh not in answers:
             if target_drops() != drops_before:
                 return DISPOSITION_DROPPED
             return DISPOSITION_NO_RESPONSE
-        code = wire_answers[hbh]
+        code = answers[hbh]
         codes[code] = codes.get(code, 0) + 1
         if code == dct.RESULT_SUCCESS:
             return DISPOSITION_ANSWERED_SUCCESS
@@ -628,58 +630,53 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
     unanswered: dict[int, tuple[int, MutationOp, bytes]] = {}  # hop-by-hop -> (index, op, case)
     dispositions: list[str] = []  # of each case, in case order
 
-    ab.on_wire_answer = on_wire_answer
-    try:
-        for i in range(spec.case_count):
-            template = corpus[rng.randrange(len(corpus))]
-            drawn = rng.randrange(len(ops))
-            op, op_name = spec.ops[drawn], ops[drawn]
-            draw = rng.getrandbits(32)
-            hbh = judged = ab.alloc_hop_by_hop(target.node)
-            base = stamp_ids(template, hbh, hbh)
-            case = mutate(base, op, draw)
-            if case == base:
-                no_op_cases += 1
-            unanswered[hbh] = (i, op, case)
-            disposition = judge(case, hbh, result_codes[op_name])
-            ab.forget_pending_many(target.node, (hbh,))
-            if hbh in wire_answers:
-                del unanswered[hbh]
+    for i in range(spec.case_count):
+        template = corpus[rng.randrange(len(corpus))]
+        drawn = rng.randrange(len(ops))
+        op, op_name = spec.ops[drawn], ops[drawn]
+        draw = rng.getrandbits(32)
+        hbh = ab.alloc_hop_by_hop(target.node)
+        base = stamp_ids(template, hbh, hbh)
+        case = mutate(base, op, draw)
+        if case == base:
+            no_op_cases += 1
+        unanswered[hbh] = (i, op, case)
+        disposition = judge(case, hbh, result_codes[op_name])
+        if hbh in answers:
+            del unanswered[hbh]
 
-            evidence: Optional[dict] = None
-            if disposition == DISPOSITION_CRASH:
-                exc = target.crash
-                severity, impact = Severity.OUTAGE, Impact.AVAILABILITY
-                evidence = {"finding_type": "crash", "exception": f"{type(exc).__name__}: {exc}"}
-                # the case may have been queued before this one; None: an earlier attack's request
-                named = unanswered.get(target.crashed_on.hop_by_hop_id)
-                if named is not None and named[0] != i:
-                    # That case is tallied crash, and this one dropped: the failed
-                    # target drops it, queued or arriving later.
-                    index, named_op, _ = named
-                    earlier = tallies[named_op.value]
-                    earlier[dispositions[index]] -= 1
-                    earlier[DISPOSITION_CRASH] = earlier.get(DISPOSITION_CRASH, 0) + 1
-                    disposition = DISPOSITION_DROPPED
-            elif disposition == DISPOSITION_ANSWERED_SUCCESS and isinstance(
-                decode_message(case), ParseError
-            ):
-                severity, impact = Severity.INFO, Impact.INTEGRITY
-                evidence, named = {"finding_type": "accepted-invalid"}, (i, op, case)
-            per_op = tallies[op_name]
-            per_op[disposition] = per_op.get(disposition, 0) + 1
-            dispositions.append(disposition)
-            if evidence is None:
-                continue
-            if named is not None:
-                index, named_op, named_case = named
-                evidence.update(
-                    case_index=index, mutation_op=named_op.value, case_hex=named_case.hex()
-                )
-            label = TaxonomyLabel(Origin.EXTERNAL_INTERCONNECT, Technique.MALFORMED_MESSAGE, impact)
-            findings.append(Finding(spec.kind, severity, label, evidence))
-    finally:
-        ab.on_wire_answer = None  # also when a testbed fault propagates
+        evidence: Optional[dict] = None
+        if disposition == DISPOSITION_CRASH:
+            exc = target.crash
+            severity, impact = Severity.OUTAGE, Impact.AVAILABILITY
+            evidence = {"finding_type": "crash", "exception": f"{type(exc).__name__}: {exc}"}
+            # the case may have been queued before this one; None: an earlier attack's request
+            named = unanswered.get(target.crashed_on.hop_by_hop_id)
+            if named is not None and named[0] != i:
+                # That case is tallied crash, and this one dropped: the failed
+                # target drops it, queued or arriving later.
+                index, named_op, _ = named
+                earlier = tallies[named_op.value]
+                earlier[dispositions[index]] -= 1
+                earlier[DISPOSITION_CRASH] = earlier.get(DISPOSITION_CRASH, 0) + 1
+                disposition = DISPOSITION_DROPPED
+        elif disposition == DISPOSITION_ANSWERED_SUCCESS and isinstance(
+            decode_message(case), ParseError
+        ):
+            severity, impact = Severity.INFO, Impact.INTEGRITY
+            evidence, named = {"finding_type": "accepted-invalid"}, (i, op, case)
+        per_op = tallies[op_name]
+        per_op[disposition] = per_op.get(disposition, 0) + 1
+        dispositions.append(disposition)
+        if evidence is None:
+            continue
+        if named is not None:
+            index, named_op, named_case = named
+            evidence.update(
+                case_index=index, mutation_op=named_op.value, case_hex=named_case.hex()
+            )
+        label = TaxonomyLabel(Origin.EXTERNAL_INTERCONNECT, Technique.MALFORMED_MESSAGE, impact)
+        findings.append(Finding(spec.kind, severity, label, evidence))
     result = FuzzResult(
         target=spec.target,
         seed=spec.seed,

@@ -1,13 +1,14 @@
 """Simulated core elements: target server, HSS, MME, PCRF, attack box.
 
-Every element is one simulation node handler built around the same
-pipeline: decode strictly and validate requests against the dictionary.
-Then base-protocol messages (CER/CEA, DWR/DWA, DPR/DPA) and timers feed
-the peer state machine, and application messages take the direct path,
-judged by `peer.deliverable` and built into no event or action: a
-delivered request goes to the capacity model before the element-specific
-command handler runs, a delivered answer pops its pending entry and goes
-to the entry's `on_answer`, and anything else counts an FSM drop.
+Every element is one simulation node handler whose one method,
+`Element.on_message`, runs the same pipeline: decode strictly and validate
+requests against the dictionary. Then base-protocol messages (CER/CEA,
+DWR/DWA, DPR/DPA) and timers feed the peer state machine, and application
+messages take the direct path, judged by `peer.deliverable` and built into
+no event or action: a delivered request goes to the capacity model before
+the element-specific command handler runs, and anything else counts an FSM
+drop. An answer of either kind that matches a pending entry pops it and
+goes to the entry's `on_answer`, a base-protocol one before the FSM.
 Elements send the Message value itself (see `simnet`): every Message
 they send comes from `build_message`, `build_answer` or `replace_ids`,
 which run the encoder's checks, so it stands for its own encoding and
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import repeat
 from operator import is_not
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from . import dictionary as dct
 from .codec import (
@@ -211,7 +212,7 @@ def result_code_of(msg: Message) -> Optional[int]:
 
 
 # Base-protocol command code -> (request event, answer event); every other
-# command is application traffic, which `Element.on_decoded` takes directly.
+# command is application traffic, which `Element.on_message` takes directly.
 _BASE_EVENT_KINDS = {
     dct.CMD_CAPABILITIES_EXCHANGE: (EventKind.RCV_CER, EventKind.RCV_CEA),
     dct.CMD_DEVICE_WATCHDOG: (EventKind.RCV_DWR, EventKind.RCV_DWA),
@@ -223,9 +224,6 @@ class Element:
     """Base node behavior: codec front line, peer FSM, capacity model."""
 
     kind = ElementKind.TARGET_SERVER
-    # Called with every decoded inbound answer before peer-FSM routing, if
-    # set; only a fuzz run sets it, on the attack box (AttackBoxElement).
-    on_wire_answer: Optional[Callable[[Message], object]] = None
 
     def __init__(
         self,
@@ -241,11 +239,12 @@ class Element:
         self.links: dict[int, PeerLink] = {}
         # Read per request and fixed for the element's life, so read once here.
         # CPython 3.11 specializes reading an instance's attributes only while
-        # it has at most 29 of them: an MmeElement has 29, every other element
-        # 27 (a TargetServerElement once it has answered an echo, its `_echo`
-        # memo). test_every_element_keeps_at_most_29_attributes checks this.
+        # it has at most 29 of them: an MmeElement has 29, an AttackBoxElement
+        # 26 and every other element 27 (a TargetServerElement once it has
+        # answered an echo, its `_echo` memo). The test
+        # test_every_element_keeps_at_most_29_attributes checks this.
         self._queue_capacity = capacity.queue_capacity
-        # The AVP tuple of the last request that validated clean (on_decoded).
+        # The AVP tuple of the last request that validated clean (on_message).
         self._clean_avps: Optional[tuple[Avp, ...]] = None
 
         # Token-rate service state, in exact integer credit: a token is
@@ -292,7 +291,7 @@ class Element:
 
     def feed_event(self, peer: NodeId, event: PeerEvent, now: int) -> None:
         """Advance the link to `peer` by a base-protocol or timer `event`;
-        `on_decoded` delivers application messages itself instead."""
+        `on_message` delivers application messages itself instead."""
         link = self.links[peer.id]
         prev_deadline = link.state.watchdog_deadline
         new_state, actions = handle_event(link.state, event, now, self.peer_config)
@@ -323,7 +322,15 @@ class Element:
 
     # -- simnet handler protocol -----------------------------------------------
 
-    def on_message(self, sim: Simulation, src: NodeId, payload: bytes | Message, now: int) -> None:
+    def on_message(self, src: NodeId, payload: bytes | Message, now: int) -> None:
+        """Deliver one inbound message. A failed element drops it, bytes take
+        the strict decoder, and a request is validated, unless its AVP tuple
+        is the one the last clean request carried. A base-protocol message
+        then feeds the peer FSM. Application traffic is delivered here, with
+        no event built, if `deliverable`: a request goes to admission.
+        Undelivered traffic counts an FSM drop, and the peer state never
+        changes. An answer of either kind that matches a pending entry pops
+        it and goes to its `on_answer`, a base-protocol one before the FSM."""
         # Per message, so the test reads the field: a property call costs ~10x as much.
         if self.failed_at is not None:
             if isinstance(payload, Message):
@@ -337,25 +344,13 @@ class Element:
             return
         # A carried Message is its own strict decode; bytes take the decoder.
         if isinstance(payload, Message):
-            self.on_decoded(src, payload, now)
-            return
-        msg = decode_message(payload)
-        if isinstance(msg, ParseError):
-            self.parse_drops += 1
-            return
-        self.on_decoded(src, msg, now)
-
-    def on_decoded(self, src: NodeId, msg: Message, now: int) -> None:
-        """Validate a decoded inbound request, unless its AVP tuple is the one
-        the last clean request carried. A base-protocol message then feeds
-        the peer FSM. Application traffic is delivered here, with no event
-        built, if `deliverable`: a request goes to admission, and an answer
-        pops the pending entry it matches and goes to its `on_answer`.
-        Undelivered traffic counts an FSM drop, and the peer state never
-        changes. Every answer first goes to `on_wire_answer`, if set."""
+            msg = payload
+        else:
+            msg = decode_message(payload)
+            if isinstance(msg, ParseError):
+                self.parse_drops += 1
+                return
         request = msg.request
-        if not request and self.on_wire_answer is not None:
-            self.on_wire_answer(msg)
         # Validation reads only the AVP tuple, and its result for a tuple
         # never changes: Avp and Message are frozen, and every builder passes
         # bytes data. The memo keeps its tuple alive, so no other tuple can
@@ -370,24 +365,30 @@ class Element:
                 self.sim.send(self.node, src, _error_answer(msg, code))
                 return
             self._clean_avps = msg.avps
+        link = self.links[src.id]
         kinds = _BASE_EVENT_KINDS.get(msg.command_code)
         if kinds is not None:
-            self.feed_event(src, PeerEvent(kinds[0] if request else kinds[1], msg), now)
-            return
-        link = self.links[src.id]
-        if not deliverable(link.state.phase, msg, link.pending):
+            # Only send_raw_request registers a base-protocol request (a fuzz
+            # case): the FSM's own CER, DWR and DPR never enter the table.
+            if request or msg.hop_by_hop_id not in link.pending:
+                self.feed_event(src, PeerEvent(kinds[0] if request else kinds[1], msg), now)
+                return
+        elif not deliverable(link.state.phase, msg, link.pending):
             self.fsm_drops += 1
+            return
         elif request:
             neighbor = link.neighbor
             if self.admit((neighbor, msg), now) is ACCEPTED:
                 self.direct_served += 1
                 self._serve(neighbor, msg, now)
+            return
+        sent_at, on_answer = link.pending.pop(msg.hop_by_hop_id)
+        if on_answer is None:
+            self.stray_answers += 1
         else:
-            sent_at, on_answer = link.pending.pop(msg.hop_by_hop_id)
-            if on_answer is None:
-                self.stray_answers += 1
-            else:
-                on_answer(sent_at, msg, now)
+            on_answer(sent_at, msg, now)
+        if kinds is not None:  # a base-protocol answer, matched: now the FSM
+            self.feed_event(src, PeerEvent(kinds[1], msg), now)
 
     # -- capacity model ----------------------------------------------------------
 
@@ -740,7 +741,7 @@ class MmeElement(Element):
         self, run: AttachResult, step: int, dst: NodeId, hbh: int, now: int
     ) -> None:
         """Give up on the step's request, unless it was answered: a late answer
-        then finds no pending entry, and `on_decoded` drops it as unmatched."""
+        then finds no pending entry, and `on_message` drops it as unmatched."""
         if run.success is None and run.steps_completed == step:
             self.forget_pending_many(dst, (hbh,))
             self._finish(run, False, "timeout", now)
@@ -750,20 +751,13 @@ class AttackBoxElement(Element):
     """Attack traffic source.
 
     An attack drives it by scheduling its own timers and by giving each
-    request it sends the callback that consumes the answer. A fuzz run
-    also sets `on_wire_answer(msg)`, which sees every decoded inbound
-    answer before peer-FSM routing: answers to mutated base-protocol
-    requests come back as CEA/DWA/DPA and never reach an `on_answer`.
+    request it sends the callback that consumes the answer. A fuzz case
+    is such a request whatever its command: an answer to a mutated
+    base-protocol request comes back as a CEA, DWA or DPA, which reaches
+    the case's `on_answer` before the peer FSM (see `Element.on_message`).
     """
 
     kind = ElementKind.ATTACK_BOX
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # An instance attribute, not only Element's class default: CPython
-        # 3.11 specializes no read of a class attribute through an
-        # instance, and on_decoded reads this one for every answer.
-        self.on_wire_answer: Optional[Callable[[Message], object]] = None
 
 
 _ELEMENT_CLASSES: dict[ElementKind, type[Element]] = {

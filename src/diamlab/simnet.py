@@ -25,7 +25,8 @@ record and what the receiver gets.
 A timer is the callable it fires: `schedule_timer(at, fire)` queues it,
 and when its time comes the loop calls `fire(at)`. A timer that needs data
 binds it first (`functools.partial`, or a bound method), so the loop makes
-one plain call per timer. Node handlers see only deliveries.
+one plain call per timer. Node handlers see only deliveries, one
+`on_message(src, payload, now)` call each.
 
 Links are point-to-point and bidirectional; each direction's route
 resolves, once, to the link's one `Link` record, which counts what
@@ -152,11 +153,12 @@ class Simulation:
     # -- wiring ------------------------------------------------------------
 
     def register_handler(self, node: NodeId, handler: object) -> None:
-        """handler must expose on_message(sim, src, payload, now).
+        """handler must expose on_message(src, payload, now).
 
         `payload` is what the sender passed to `send`: bytes, or a Message
-        when no tap recorded the traversal. Timers do not go through the
-        handler: each calls the function it was scheduled with.
+        when no tap recorded the traversal. A handler that needs the
+        simulation holds it itself. Timers do not go through the handler:
+        each calls the function it was scheduled with.
         """
         self._handlers[node.id] = handler
 
@@ -281,7 +283,7 @@ class Simulation:
                         link.delivered += 1
                         handler = handlers.get(dst.id)
                         if handler is not None:
-                            handler.on_message(self, src, item, at)
+                            handler.on_message(src, item, at)
                 except BaseException:
                     # Put the rest of the bucket back, ahead of any events
                     # scheduled for `at` while it ran.

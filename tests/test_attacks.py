@@ -51,6 +51,7 @@ from diamlab.codec import (
 )
 from diamlab.elements import result_code_of
 from diamlab.peer import PeerAction, result_code_avp
+from diamlab.simnet import US_PER_S
 
 from tests.labs import core_lab_text, duo_lab_text, make_lab
 from tests.test_campaign import assert_conserved
@@ -314,10 +315,10 @@ class TestFlood:
         received = []
         on_message = target.on_message
 
-        def record(sim, src, payload, now):
+        def record(src, payload, now):
             if isinstance(payload, Message) and payload.command_code == dct.CMD_ECHO:
                 received.append(payload)
-            on_message(sim, src, payload, now)
+            on_message(src, payload, now)
 
         monkeypatch.setattr(target, "on_message", record)
         calls = count_codec_calls(monkeypatch)
@@ -683,7 +684,7 @@ class TestFloodCallback:
         _, lab = make_lab(duo_lab_text(service_rate=500, queue_capacity=100, latency_ms=5))
         ab, target = lab.attack_box(), lab.element("target")
         pending = ab.peer_link(target.node).pending
-        handle_app_request, on_decoded = target.handle_app_request, ab.on_decoded
+        handle_app_request, on_message = target.handle_app_request, ab.on_message
         served = itertools.count()
         reference = Counter()
 
@@ -698,10 +699,10 @@ class TestFloodCallback:
         def tally(src, msg, now):
             if not msg.request and msg.hop_by_hop_id in pending:
                 reference[result_code_of(msg)] += 1
-            on_decoded(src, msg, now)
+            on_message(src, msg, now)
 
         monkeypatch.setattr(target, "handle_app_request", mixed)
-        monkeypatch.setattr(ab, "on_decoded", tally)
+        monkeypatch.setattr(ab, "on_message", tally)
         result, _ = run_flood(lab, FloodSpec(target="target", rate_tps=1000, duration_s=0.5))
         assert result.result_code_counts == _render_result_codes(reference)
         assert set(reference) == {None, dct.RESULT_SUCCESS, dct.RESULT_COMMAND_UNSUPPORTED}
@@ -719,7 +720,7 @@ class TestFloodCallback:
                 super().__init__(*args)
                 drivers.append(self)
 
-        send_app_request, on_decoded = ab.send_app_request, ab.on_decoded
+        send_app_request, on_message = ab.send_app_request, ab.on_message
 
         def record_send(dst, request, on_answer, now):
             hbh = send_app_request(dst, request, on_answer, now)
@@ -730,11 +731,11 @@ class TestFloodCallback:
         def record_answer(src, msg, now):
             if not msg.request and msg.hop_by_hop_id in pending:
                 answered_at.append((msg.hop_by_hop_id, now))
-            on_decoded(src, msg, now)
+            on_message(src, msg, now)
 
         monkeypatch.setattr(attacks, "_FloodDriver", Driver)
         monkeypatch.setattr(ab, "send_app_request", record_send)
-        monkeypatch.setattr(ab, "on_decoded", record_answer)
+        monkeypatch.setattr(ab, "on_message", record_answer)
         result, _ = run_flood(lab, FloodSpec(target="target", rate_tps=1000, duration_s=0.5))
         [driver] = drivers
         assert driver.latencies == [now - sent_at[hbh] for hbh, now in answered_at]
@@ -819,9 +820,9 @@ class TestIntercept:
         received = Counter()
         on_message = target.on_message
 
-        def spy(sim, src, payload, now):
+        def spy(src, payload, now):
             received[type(payload).__name__] += 1
-            on_message(sim, src, payload, now)
+            on_message(src, payload, now)
 
         monkeypatch.setattr(target, "on_message", spy)
         flood, _ = run_flood(lab, FloodSpec(target="target", rate_tps=1000, duration_s=0.05))
@@ -898,29 +899,33 @@ class TestFuzz:
         _, lab = make_lab(duo_lab_text())
         target = lab.element("target")
 
-        def on_decoded(src, msg, now):
+        def on_message(src, payload, now):
             raise KeyError("attack box bug")
 
-        lab.attack_box().on_decoded = on_decoded
+        lab.attack_box().on_message = on_message
         with pytest.raises(KeyError, match="attack box bug"):
             run_fuzz(lab, FuzzSpec(target="target", case_count=5, seed=3))
         assert target.failed_at is None and target.crash is None
 
-    def test_a_testbed_fault_leaves_no_wire_answer_hook_set(self, monkeypatch):
-        # A hook left set would halt later runs on the failed fuzz's case id.
+    def test_a_testbed_fault_in_a_cases_run_leaves_no_pending_entry(self, monkeypatch):
+        # An entry left behind would halt a later run when an answer to it came.
         _, lab = make_lab(duo_lab_text())
-        cases = []
+        ab, target = lab.attack_box(), lab.element("target")
+        on_message, deliveries = ab.on_message, []
 
-        def mutate_until_the_third_case(data, op, draw):
-            cases.append(draw)
-            if len(cases) == 3:
-                raise RuntimeError("mutator bug")
-            return mutate(data, op, draw)
+        def fail_first(src, payload, now):
+            deliveries.append(payload)
+            if len(deliveries) == 1:
+                raise RuntimeError("attack box bug")
+            on_message(src, payload, now)
 
-        monkeypatch.setattr(attacks, "mutate", mutate_until_the_third_case)
-        with pytest.raises(RuntimeError, match="mutator bug"):
+        monkeypatch.setattr(ab, "on_message", fail_first)
+        with pytest.raises(RuntimeError, match="attack box bug"):
             run_fuzz(lab, FuzzSpec(target="target", case_count=5, seed=3))
-        assert lab.attack_box().on_wire_answer is None
+        assert ab.peer_link(target.node).pending == {}
+        clock = lab.sim.clock
+        lab.sim.run_until(clock + US_PER_S)
+        assert lab.sim.clock == clock + US_PER_S
 
     def test_a_case_dropped_on_a_full_queue_is_judged_dropped(self):
         # no queue and a token every 5 s: a case that finds no token is dropped
@@ -1021,12 +1026,12 @@ class TestFuzz:
             sent.append((hop_by_hop_id, data))
             return send_raw_request(dst, data, hop_by_hop_id, on_answer, now)
 
-        def answer_success(sim, src, payload, now):
+        def answer_success(src, payload, now):
             if isinstance(payload, Message):  # the lab's own traffic
-                return on_message(sim, src, payload, now)
+                return on_message(src, payload, now)
             hbh = sent[-1][0]
             avps = [result_code_avp(dct.RESULT_SUCCESS)]
-            sim.send(target.node, src, build_message(
+            lab.sim.send(target.node, src, build_message(
                 dct.CMD_ECHO, hop_by_hop_id=hbh, end_to_end_id=hbh, avps=avps
             ))
 

@@ -156,12 +156,12 @@ class TestRunCampaign:
         # ones it cannot parse included.
         on_message = TargetServerElement.on_message
 
-        def answer_success(self, sim, src, payload, now):
+        def answer_success(self, src, payload, now):
             if isinstance(payload, Message) or len(payload) < 20:
-                return on_message(self, sim, src, payload, now)
+                return on_message(self, src, payload, now)
             hbh = int.from_bytes(payload[12:16], "big")
             avps = [result_code_avp(dct.RESULT_SUCCESS)]
-            sim.send(self.node, src, build_message(
+            self.sim.send(self.node, src, build_message(
                 dct.CMD_ECHO, hop_by_hop_id=hbh, end_to_end_id=hbh, avps=avps
             ))
 

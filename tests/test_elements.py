@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 from diamlab import dictionary as dct
 from diamlab import attacks, elements
 from diamlab.campaign import build_lab
-from diamlab.codec import Avp, Message, build_message, decode_message, first_avp
+from diamlab.codec import (
+    Avp,
+    Message,
+    build_message,
+    decode_message,
+    encode_message,
+    first_avp,
+    replace_ids,
+)
 from diamlab.config import load_config
 from diamlab.elements import (
     Admission,
@@ -675,7 +683,7 @@ class TestPendingTable:
 
     def _feed_answer(self, lab, ab, target, hbh):
         answer = build_message(dct.CMD_ECHO, hop_by_hop_id=hbh)
-        ab.on_decoded(target.node, answer, lab.sim.clock)
+        ab.on_message(target.node, answer, lab.sim.clock)
 
     @pytest.mark.parametrize("how", ["stop", "rcv-dpr", "missed-dwas"])
     def test_leaving_open_clears_pending(self, how):
@@ -735,7 +743,7 @@ class TestPendingTable:
         lab, ab, target, link = self._open_duo()
         hbh = self._echo(lab, ab, target)
         offered = ab.offered
-        ab.on_decoded(target.node, _probe(hbh=hbh), lab.sim.clock)
+        ab.on_message(target.node, _probe(hbh=hbh), lab.sim.clock)
         assert ab.offered == offered + 1  # delivered as a request
         assert self.answers.delivered == []
         assert hbh in link.pending
@@ -778,34 +786,40 @@ class TestPendingTable:
         calls = []
         register_request(link, 41, 123, lambda *call: calls.append(call))
         answer = build_message(dct.CMD_ECHO, hop_by_hop_id=41)
-        ab.on_decoded(target.node, answer, 456)
+        ab.on_message(target.node, answer, 456)
         assert calls == [(123, answer, 456)]
         assert 41 not in link.pending
 
-    def test_every_answer_reaches_the_wire_answer_hook_before_routing(self):
-        # Element.on_decoded calls the hook; the attack box adds no frame of its own.
-        assert "on_decoded" not in vars(elements.AttackBoxElement)
-        dwa = build_base_answer(build_dwr("target.lab"), "target.lab")
-        unmatched = build_message(dct.CMD_ECHO, hop_by_hop_id=999)
-        observed = []
-        for hooked in (True, False):
+    def test_a_base_protocol_answer_goes_to_its_entry_before_the_peer_fsm(self):
+        # A DWR sent with send_raw_request, as a fuzz case is, and the same
+        # bytes sent with no entry: the target's DWA reaches the entry's
+        # callback, and the attack box's FSM sees it the same either way.
+        unmatched = build_base_answer(replace_ids(build_dwr("target.lab"), 999, 999), "target.lab")
+        states = []
+        for registered in (True, False):
             lab, ab, target, link = self._open_duo()
-            seen = []
-            if hooked:
-                ab.on_wire_answer = seen.append
-            before = ab.fsm_drops, ab.offered
-            for msg in (dwa, unmatched, _probe(hbh=7)):
-                ab.on_message(lab.sim, target.node, msg, lab.sim.clock)
-            # the answers, in order; the request does not reach the hook
-            assert seen == ([dwa, unmatched] if hooked else [])
-            # the unmatched answer is one FSM drop, and the request is admitted
-            assert (ab.fsm_drops, ab.offered) == (before[0] + 1, before[1] + 1)
-            lab.sim.run_until(lab.sim.clock + 100_000)  # the target's hook is its class default
-            observed.append(
-                (ab.fsm_drops, ab.offered, target.fsm_drops, link.state, lab.sim.stats)
-            )
-        # the hook only observes: unset, the run ends in the same state
-        assert observed[0] == observed[1]
+            tap = lab.sim.attach_tap(ab.node, target.node)
+            hbh, sent = ab.alloc_hop_by_hop(target.node), lab.sim.clock
+            dwr = encode_message(replace_ids(build_dwr("attacker.lab"), hbh, hbh))
+            calls = []
+            if registered:
+                assert ab.send_raw_request(target.node, dwr, hbh, lambda *c: calls.append(c), sent)
+            else:
+                lab.sim.send(ab.node, target.node, dwr)
+            lab.sim.run_until(sent + lab.round_trip_us())
+            _, answered = tap.records
+            dwa = decode_message(answered.data)
+            assert (dwa.command_code, dwa.request) == (dct.CMD_DEVICE_WATCHDOG, False)
+            expected = [(sent, dwa, answered.at + lab.max_latency_us())] if registered else []
+            assert calls == expected
+            assert link.pending == {}
+            states.append(link.state)
+            register_request(link, 998, lab.sim.clock, lambda *c: calls.append(c))
+            entry = link.pending[998]
+            ab.on_message(target.node, unmatched, lab.sim.clock)
+            assert calls == expected and link.pending == {998: entry}
+            states.append(link.state)
+        assert states[:2] == states[2:]
 
     def test_send_raw_request_refuses_an_outstanding_id(self):
         lab, ab, target, link = self._open_duo()
@@ -866,7 +880,7 @@ class TestPendingTable:
 
 
 class TestDirectDeliveryAgreesWithTheTable:
-    """`Element.on_decoded` takes application messages past the peer state
+    """`Element.on_message` takes application messages past the peer state
     machine: it must reach the outcome `handle_event` gives the same message."""
 
     HBH = 77
@@ -875,7 +889,7 @@ class TestDirectDeliveryAgreesWithTheTable:
         "case", ["request", "matched-answer", "matched-answer-nobody-waits", "unmatched-answer"]
     )
     @pytest.mark.parametrize("phase", list(Phase))
-    def test_on_decoded_delivers_exactly_when_handle_event_does(self, phase, case):
+    def test_on_message_delivers_exactly_when_handle_event_does(self, phase, case):
         _, lab = make_lab(duo_lab_text())
         target, ab = lab.element("target"), lab.element("attacker")
         link = target.peer_link(ab.node)
@@ -901,7 +915,7 @@ class TestDirectDeliveryAgreesWithTheTable:
             outcome = [a.kind for a in actions]
             assert outcome in ([ActionKind.DELIVER_TO_APP], [ActionKind.DROP_MESSAGE])
             before = tally()
-            target.on_decoded(ab.node, msg, now)
+            target.on_message(ab.node, msg, now)
             admitted, answered, strays, drops = (a - b for a, b in zip(tally(), before))
             delivered = admitted + answered + strays
             assert delivered == (outcome == [ActionKind.DELIVER_TO_APP])

@@ -158,16 +158,16 @@ def test_bytecode_counts_are_the_same_in_two_runs_in_one_process():
 BYTECODE_PINS = {
     (3, 11): {
         "1x": {
-            "total": 446_346, "<string>": 44, "attacks": 52_350, "codec": 69_793,
-            "elements": 168_850, "peer": 20_500, "simnet": 134_809,
+            "total": 435_846, "<string>": 44, "attacks": 52_350, "codec": 69_793,
+            "elements": 159_350, "peer": 20_500, "simnet": 133_809,
         },
         "4x": {
-            "total": 1_363_776, "<string>": 92, "attacks": 190_254, "codec": 185_893,
-            "elements": 479_934, "peer": 65_200, "simnet": 442_403,
+            "total": 1_337_176, "<string>": 92, "attacks": 190_254, "codec": 185_893,
+            "elements": 455_934, "peer": 65_200, "simnet": 439_803,
         },
         "fuzz": {
-            "total": 1_667_898, "<string>": 30_548, "attacks": 275_701, "codec": 503_960,
-            "elements": 335_916, "peer": 74_854, "simnet": 446_919,
+            "total": 1_653_211, "<string>": 30_548, "attacks": 271_367, "codec": 503_694,
+            "elements": 327_321, "peer": 74_854, "simnet": 445_427,
         },
     },
 }

@@ -45,7 +45,7 @@ class Recorder:
         self.messages = []
         self.timers = []
 
-    def on_message(self, sim, src, data, now):
+    def on_message(self, src, data, now):
         self.messages.append((now, src.label, data))
 
     def fire(self, tag, now):
@@ -96,7 +96,7 @@ class OrderLog:
     def __init__(self):
         self.log = []
 
-    def on_message(self, sim, src, data, now):
+    def on_message(self, src, data, now):
         self.log.append(("message", data))
 
     def fire(self, tag, now):
@@ -279,7 +279,7 @@ class TestDelivery:
         log = []
 
         class Echo:
-            def on_message(self, sim, src, data, now):
+            def on_message(self, src, data, now):
                 log.append((now, data))
                 if len(data) < 4:
                     sim.send(sim.nodes[1 - src.id], src, data + b"x")
@@ -765,9 +765,9 @@ class TestCarriedMessages:
         for elem in (ab, target):
             handler = elem.on_message
 
-            def recording(sim, src, payload, now, handler=handler):
+            def recording(src, payload, now, handler=handler):
                 received.append(payload)
-                handler(sim, src, payload, now)
+                handler(src, payload, now)
 
             monkeypatch.setattr(elem, "on_message", recording)
         hbh = ab.send_app_request(target.node, _echo(), None, lab.sim.clock)
