@@ -6,6 +6,9 @@ Beside the drops, each row gives the flood's cost per offered request:
 simulated events run and events scheduled (deliveries and timers, each run
 or still due when the flood returns; both deterministic), and host
 microseconds (plain wall time, so loose on a host whose speed drifts).
+After each row's flood, outside its timing, the row's lab is checked with
+campaign.broken_identities: a broken identity ends the sweep with exit
+status 1 and its name.
 
 --bytecodes floods each rate once more under sys.settrace and adds the
 bytecodes executed per offered request in diamlab's code: a total column,
@@ -58,7 +61,7 @@ from typing import Callable, Optional
 
 import diamlab
 from diamlab.attacks import FloodSpec, run_flood, run_fuzz
-from diamlab.campaign import _derived_seed, build_lab
+from diamlab.campaign import _derived_seed, broken_identities, build_lab
 from diamlab.config import load_config, parse_campaign_config
 
 LAB_TEMPLATE = """
@@ -271,6 +274,9 @@ def sweep(args) -> dict:
             lab, FloodSpec(target="target", rate_tps=rate, duration_s=args.duration)
         )
         host_us = (time.perf_counter() - start) * 1e6
+        broken = broken_identities(lab, [result])
+        if broken:
+            sys.exit(f"rate {rate:g}: conservation broken: " + "; ".join(broken))
         fluid = max(0.0, (rate - args.capacity) * args.duration - args.queue)
         offered = result.offered
         row = {

@@ -1,6 +1,7 @@
 """Campaign execution: build the lab, open the links, run the attacks,
-number the findings (each comes from its runner with its taxonomy label),
-write the report.
+check that the finished run conserves every request and message
+(`broken_identities`), number the findings (each comes from its runner with
+its taxonomy label), write the report.
 
 A campaign is a pure function of its config (which includes the seed):
 rerunning the same config produces byte-identical report and capture
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import Optional, get_origin, get_type_hints
 
 from . import __version__
-from .attacks import Finding
+from .attacks import Finding, FuzzResult
 from .capture import write_capture
 from .config import ATTACK_KINDS, CampaignConfig
 from .elements import Lab, LabError
@@ -29,6 +30,48 @@ TOOL_VERSION = f"diamlab {__version__}"
 
 class CampaignError(RuntimeError):
     pass
+
+
+def broken_identities(lab: Lab, results: list[object]) -> list[str]:
+    """The conservation identities a finished run breaks, each named by the
+    element, link or fuzz target it is about; empty when all hold.
+
+    - per element: every offered request was served directly or from the
+      queue, dropped on a full queue or at the failure, or is still queued;
+    - per link: every attempted send was delivered, lost, or is still due;
+    - per fuzz result: the tallies sum to the case count.
+
+    Two identities are left out because they cannot break: the simulation
+    totals (`Simulation.stats` sums the link counters, so the per-link
+    identity implies them), and a flood's offered = answered + dropped
+    (`run_flood` computes dropped as offered - answered).
+    """
+    broken = []
+    for label, elem in lab.elements.items():
+        accounted = (
+            elem.direct_served
+            + elem.drained_served
+            + elem.dropped_overflow
+            + elem.dropped_at_failure
+            + len(elem.queue)
+        )
+        if elem.offered != accounted:
+            broken.append(f"element {label}: offered {elem.offered} != accounted {accounted}")
+    for link in lab.sim.links.values():
+        accounted = link.delivered + link.lost + lab.sim.queued_deliveries(link)
+        if link.attempted != accounted:
+            broken.append(
+                f"link {link.a.label} <-> {link.b.label}:"
+                f" attempted {link.attempted} != delivered + lost + queued {accounted}"
+            )
+    for result in results:
+        if isinstance(result, FuzzResult):
+            total = sum(sum(tally.values()) for tally in result.tallies.values())
+            if total != result.case_count:
+                broken.append(
+                    f"fuzz {result.target}: tallies sum {total} != cases {result.case_count}"
+                )
+    return broken
 
 
 def to_json(value: object) -> object:
@@ -165,7 +208,10 @@ def _derived_seed(campaign_seed: int, attack_index: int) -> int:
 
 def run_campaign(config: CampaignConfig, *, out_dir: Optional[str] = None) -> CampaignRun:
     """Execute every attack in order on a fresh lab, assemble the report and
-    write it, with its captures, to `out_dir` (the config's output by default)."""
+    write it, with its captures, to `out_dir` (the config's output by default).
+
+    A finished run that breaks a conservation identity (`broken_identities`)
+    raises a CampaignError naming each broken one, and nothing is written."""
     if out_dir == "":  # an empty path would write the report into the working directory
         raise CampaignError("the output directory must be a non-empty path")
     try:
@@ -186,6 +232,10 @@ def run_campaign(config: CampaignConfig, *, out_dir: Optional[str] = None) -> Ca
         results.append(result)
         findings.extend(new_findings)
         attack_dicts.append({"kind": spec.kind, "result": to_json(result)})
+
+    broken = broken_identities(lab, results)
+    if broken:
+        raise CampaignError("conservation broken: " + "; ".join(broken))
 
     for i, finding in enumerate(findings, start=1):
         finding.id = i

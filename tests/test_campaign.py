@@ -12,15 +12,16 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from diamlab import attacks
+from diamlab import attacks, elements
 from diamlab import dictionary as dct
 from diamlab.attacks import Finding, FloodResult, FloodSpec, Severity
 from diamlab.campaign import (
     CampaignError,
     Report,
+    broken_identities,
     build_lab,
     render_report,
     run_campaign,
@@ -77,7 +78,8 @@ class TestRunCampaign:
         assert phase1_run.findings == []
         fuzz = phase1_run.report.attacks[0]["result"]
         assert fuzz["crash_cases"] == 0
-        assert sum(sum(d.values()) for d in fuzz["tallies"].values()) == 1000
+        assert fuzz["case_count"] == 1000
+        assert broken_identities(phase1_run.lab, phase1_run.results) == []
 
     def test_phase2_produces_classified_findings(self, phase2_run):
         kinds = {f["attack_kind"]: f for f in phase2_run.report.findings}
@@ -145,7 +147,7 @@ class TestRunCampaign:
                 },
             }
         ]
-        assert_conserved(run.lab)
+        assert broken_identities(run.lab, run.results) == []
         capsys.readouterr()
         assert main(["report", "--input", str(tmp_path / "report.json"), "--format", "text"]) == 0
         assert capsys.readouterr().out == (tmp_path / "report.txt").read_text()
@@ -209,21 +211,6 @@ class TestRunCampaign:
             assert flood.to_dict() == to_json(flood) == run.report.attacks[index]["result"]
 
 
-def assert_conserved(lab):
-    """Every offered request and every sent message is accounted for exactly once."""
-    for label, elem in lab.elements.items():
-        accounted = (
-            elem.direct_served
-            + elem.drained_served
-            + elem.dropped_overflow
-            + elem.dropped_at_failure
-            + len(elem.queue)
-        )
-        assert elem.offered == accounted, label
-    stats = lab.sim.stats
-    assert stats.sends == stats.delivered + stats.lost + lab.sim.queued_deliveries()
-
-
 def test_every_element_keeps_at_most_29_attributes(phase1_run, phase2_run):
     # CPython 3.11 specializes reading an instance's attributes only while it
     # has at most 29 of them (README, on what the request path costs), and
@@ -235,18 +222,98 @@ def test_every_element_keeps_at_most_29_attributes(phase1_run, phase2_run):
 
 class TestConservation:
     def test_phase1_campaign(self, phase1_run):
-        assert_conserved(phase1_run.lab)
+        assert broken_identities(phase1_run.lab, phase1_run.results) == []
 
     def test_phase2_campaign(self, phase2_run):
         assert phase2_run.lab.elements["target"].dropped_at_failure > 0
-        assert_conserved(phase2_run.lab)
+        assert broken_identities(phase2_run.lab, phase2_run.results) == []
 
     def test_flood_at_eight_times_capacity(self):
         _, lab = make_lab(duo_lab_text(service_rate=1000))
-        attacks.run_flood(lab, attacks.FloodSpec(target="target", rate_tps=8000, duration_s=1.0))
+        result, _ = attacks.run_flood(
+            lab, attacks.FloodSpec(target="target", rate_tps=8000, duration_s=1.0)
+        )
         target = lab.elements["target"]
         assert target.offered >= 8000 and target.dropped_overflow > 0
-        assert_conserved(lab)
+        assert broken_identities(lab, [result]) == []
+
+    @pytest.mark.parametrize(
+        "name",
+        ["element target", "link attacker <-> target", "fuzz target"],
+    )
+    def test_each_broken_identity_is_named(self, name, tmp_path):
+        config = parse_campaign_config(
+            duo_lab_text() + "\n[attack fuzz]\ntarget = target\ncases = 20\n"
+        )
+        run = run_campaign(config, out_dir=str(tmp_path))
+        if name.startswith("element"):
+            run.lab.elements["target"].offered += 1
+        elif name.startswith("link"):
+            (link,) = run.lab.sim.links.values()
+            link.lost += 1
+        else:
+            (fuzz,) = run.results
+            tally = next(iter(fuzz.tallies.values()))
+            tally[next(iter(tally))] += 1
+        (broken,) = broken_identities(run.lab, run.results)
+        assert broken.startswith(f"{name}: ")
+
+    @pytest.fixture
+    def fail_uncounted(self, monkeypatch):
+        """An Element.fail that drops the queue without counting it."""
+
+        def fail(self, now):
+            self.failed_at = now
+            self.queue.clear()
+
+        monkeypatch.setattr(elements.Element, "fail", fail)
+
+    def test_a_campaign_that_loses_requests_raises_and_writes_nothing(
+        self, fail_uncounted, tmp_path
+    ):
+        with pytest.raises(CampaignError, match="conservation broken: element target: offered"):
+            run_campaign(load_config("phase2"), out_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_cli_exits_1_naming_the_broken_identity(self, fail_uncounted, tmp_path, capsys):
+        assert main(["run", "--config", "phase2", "--out", str(tmp_path)]) == 1
+        assert "element target: offered" in capsys.readouterr().err
+
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        service_rate=st.sampled_from([10, 100, 1000]),
+        queue_capacity=st.integers(0, 200),
+        failure_threshold_s=st.sampled_from([0.5, 2, 3600]),
+        loss=st.floats(0, 0.2),
+        latency_ms=st.sampled_from([0, 1, 5, 40]),
+        rate_tps=st.integers(10, 3000),
+        duration_s=st.sampled_from([0.1, 0.5, 1]),
+        cases=st.integers(1, 8),
+        fuzz_first=st.booleans(),
+    )
+    def test_lossy_and_failing_labs_conserve(
+        self, tmp_path, service_rate, queue_capacity, failure_threshold_s, loss, latency_ms,
+        rate_tps, duration_s, cases, fuzz_first,
+    ):
+        # no built-in lab has a lossy link: this covers the identities under loss
+        lab = duo_lab_text(
+            service_rate=service_rate,
+            queue_capacity=queue_capacity,
+            failure_threshold_s=failure_threshold_s,
+            latency_ms=latency_ms,
+        ).replace("protected = false", f"protected = false\nloss = {loss!r}")
+        flood = (
+            f"[attack flood]\ntarget = target\nrate_tps = {rate_tps}\nduration_s = {duration_s}\n"
+        )
+        fuzz = f"[attack fuzz]\ntarget = target\ncases = {cases}\n"
+        config = parse_campaign_config(lab + "\n" + (fuzz + flood if fuzz_first else flood + fuzz))
+        try:
+            run_campaign(config, out_dir=str(tmp_path))  # raises on a broken identity
+        except CampaignError as exc:
+            assume("campaign setup failed" not in str(exc))  # a CER was lost
+            raise
 
 
 class TestDeterminism:
