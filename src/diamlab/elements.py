@@ -9,10 +9,11 @@ no event or action: a delivered request goes to the capacity model before
 the element-specific command handler runs, and anything else counts an FSM
 drop. An answer of either kind that matches a pending entry pops it and
 goes to the entry's `on_answer`, a base-protocol one before the FSM.
-Elements send the Message value itself (see `simnet`): every Message
-they send comes from `build_message`, `build_answer` or `replace_ids`,
-which run the encoder's checks, so it stands for its own encoding and
-the receiver skips the decode. Bytes (fuzz cases, raw requests, tapped
+Elements send on the route each `PeerLink` holds, and they send the
+Message value itself (see `simnet`): every Message they send comes from
+`build_message`, `build_answer` or `replace_ids`, which run the
+encoder's checks, so it stands for its own encoding and the receiver
+skips the decode. Bytes (fuzz cases, raw requests, tapped
 traffic) always take the decoder.
 
 The capacity model is a token-rate server (service_rate tokens per
@@ -69,7 +70,7 @@ from .peer import (
     register_request,
     result_code_avp,
 )
-from .simnet import NodeId, Simulation, US_PER_S, build_topology
+from .simnet import NodeId, Route, Simulation, US_PER_S, build_topology
 
 if TYPE_CHECKING:
     from .config import CampaignConfig
@@ -181,13 +182,16 @@ class ElementFailedError(RuntimeError):
 class PeerLink:
     """One end of a peer connection: FSM state plus what changes per request.
 
-    `pending` maps the hop-by-hop id of each outstanding request to the
-    pair `(sent_at, on_answer)` (`peer.register_request`); it is empty
-    whenever the phase is not Open. `next_hop_by_hop` is the id the next
-    request sent on this link carries, wrapping within 32 bits.
+    `route` is the simulation's route to the neighbor (`route.dst`), taken
+    once by `Element.add_link`: everything this end sends, requests and
+    answers alike, goes on it. `pending` maps the hop-by-hop id of each
+    outstanding request to the pair `(sent_at, on_answer)`
+    (`peer.register_request`); it is empty whenever the phase is not Open.
+    `next_hop_by_hop` is the id the next request sent on this link
+    carries, wrapping within 32 bits.
     """
 
-    neighbor: NodeId
+    route: Route
     state: PeerState = field(default_factory=PeerState)
     pending: dict[int, PendingEntry] = field(default_factory=dict)
     next_hop_by_hop: int = 1
@@ -255,7 +259,7 @@ class Element:
         self._token = per_token * US_PER_S
         self._credit = self._token  # a burst of one
         self._last_accrual = 0
-        self.queue: deque[tuple[NodeId, Message]] = deque()
+        self.queue: deque[tuple[PeerLink, Message]] = deque()  # (the link it came in on, request)
 
         # failure state: only `fail` writes `failed_at`, only `_serve` writes `crash`
         # and the request its handler raised on, `crashed_on`
@@ -279,7 +283,7 @@ class Element:
     # -- wiring --------------------------------------------------------------
 
     def add_link(self, neighbor: NodeId) -> None:
-        self.links[neighbor.id] = PeerLink(neighbor=neighbor)
+        self.links[neighbor.id] = PeerLink(self.sim.route(self.node, neighbor))
 
     def peer_link(self, neighbor: NodeId) -> PeerLink:
         return self.links[neighbor.id]
@@ -315,7 +319,7 @@ class Element:
             if msg.request:
                 hbh = self._alloc_hop_by_hop(link)
                 msg = replace_ids(msg, hbh, hbh)
-            self.sim.send(self.node, link.neighbor, msg)
+            self.sim.send(link.route, msg)
         elif kind is ActionKind.DROP_MESSAGE:
             self.fsm_drops += 1
         # CloseLink: the transport is modeled as always up; nothing to tear down.
@@ -362,7 +366,9 @@ class Element:
                     code = dct.RESULT_UNSUPPORTED_MANDATORY_AVP
                 else:
                     code = dct.RESULT_INVALID_AVP_LENGTH
-                self.sim.send(self.node, src, _error_answer(msg, code))
+                # Its own read of the link: the one below runs for every element
+                # class and stays unspecialized, so it is not moved up here.
+                self.sim.send(self.links[src.id].route, _error_answer(msg, code))
                 return
             self._clean_avps = msg.avps
         link = self.links[src.id]
@@ -377,10 +383,9 @@ class Element:
             self.fsm_drops += 1
             return
         elif request:
-            neighbor = link.neighbor
-            if self.admit((neighbor, msg), now) is ACCEPTED:
+            if self.admit((link, msg), now) is ACCEPTED:
                 self.direct_served += 1
-                self._serve(neighbor, msg, now)
+                self._serve(link, msg, now)
             return
         sent_at, on_answer = link.pending.pop(msg.hop_by_hop_id)
         if on_answer is None:
@@ -433,9 +438,9 @@ class Element:
         self._accrue(now)
         while self._credit >= self._token and self.queue:
             self._credit -= self._token
-            neighbor, msg = self.queue.popleft()
+            link, msg = self.queue.popleft()
             self.drained_served += 1
-            self._serve(neighbor, msg, now)
+            self._serve(link, msg, now)
         if self.queue:
             self._schedule_drain(now)
 
@@ -464,17 +469,18 @@ class Element:
         self.dropped_at_failure += len(self.queue)
         self.queue.clear()
 
-    def _serve(self, neighbor: NodeId, msg: Message, now: int) -> None:
-        """Answer an admitted request, direct or drained. A handler that
-        raises is the element's own crash: it is recorded with the request,
-        the element fails, and the exception propagates."""
+    def _serve(self, link: PeerLink, msg: Message, now: int) -> None:
+        """Answer an admitted request, direct or drained, on the link it came
+        in on. A handler that raises is the element's own crash: it is
+        recorded with the request, the element fails, and the exception
+        propagates."""
         try:
             answer = self.handle_app_request(msg, now)
         except Exception as exc:
             self.crash, self.crashed_on = exc, msg
             self.fail(now)
             raise
-        self.sim.send(self.node, neighbor, answer)
+        self.sim.send(link.route, answer)
 
     # -- application layer ---------------------------------------------------------
 
@@ -518,7 +524,7 @@ class Element:
         hbh = self._alloc_hop_by_hop(link)
         msg = replace_ids(request, hbh, hbh)
         register_request(link, hbh, now, on_answer)
-        self.sim.send(self.node, dst, msg)
+        self.sim.send(link.route, msg)
         return hbh
 
     def send_raw_request(
@@ -534,7 +540,7 @@ class Element:
         if link.state.phase is not OPEN:
             return False
         register_request(link, hop_by_hop_id, now, on_answer)
-        self.sim.send(self.node, dst, data)
+        self.sim.send(link.route, data)
         return True
 
     def forget_pending_many(self, dst: NodeId, hop_by_hop_ids) -> int:

@@ -28,12 +28,19 @@ binds it first (`functools.partial`, or a bound method), so the loop makes
 one plain call per timer. Node handlers see only deliveries, one
 `on_message(src, payload, now)` call each.
 
-Links are point-to-point and bidirectional; each direction's route
-resolves, once, to the link's one `Link` record, which counts what
-crosses it and holds its taps. `Simulation.stats` sums those counters
-on demand. A link with protected=True models an encrypted or trusted
-transport: traffic still flows, but taps on it capture nothing. A tap on
-an unprotected link sees every traversal from the moment it is attached.
+Links are point-to-point and bidirectional. Each direction of a link is
+one `Route`, built once with the simulation: the link's one `Link` record
+(which counts what crosses it and holds its taps), the direction's `src`
+and `dst`, and the handler registered for `dst`. A sender takes its route
+once (`Simulation.route`) and sends on it (`send(route, payload)`), so a
+send looks nothing up. The calendar's entries are `(route, payload)` for
+a delivery and `(None, fire)` for a timer, and a delivery calls
+`route.handler.on_message(route.src, payload, now)`; `due_events` lists
+them in a public shape that names the link and both ends.
+`Simulation.stats` sums the link counters on demand. A link with
+protected=True models an encrypted or trusted transport: traffic still
+flows, but taps on it capture nothing. A tap on an unprotected link sees
+every traversal from the moment it is attached.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ US_PER_S = 1_000_000
 
 
 class NoSuchLinkError(ValueError):
-    """send/attach_tap named a node pair with no link between them."""
+    """route/attach_tap named a node pair with no link between them."""
 
 
 @dataclass(frozen=True)
@@ -92,6 +99,18 @@ class Link:
     @property
     def key(self) -> tuple[int, int]:
         return (self.a.id, self.b.id) if self.a.id <= self.b.id else (self.b.id, self.a.id)
+
+
+@dataclass(slots=True, eq=False)
+class Route:
+    """One direction of a link, built once with its simulation: a send on it
+    goes from `src` to `dst` over `link`, and is delivered to `handler`
+    (the object `register_handler` bound to `dst`; None drops it)."""
+
+    link: Link
+    src: NodeId
+    dst: NodeId
+    handler: object = None
 
 
 @dataclass(frozen=True)
@@ -137,33 +156,46 @@ class Simulation:
         self.clock: int = 0
         self.events_processed = 0
         # _due[at] holds the events due at `at`, in scheduling order:
-        #   delivery: (Link, dst, src, payload)
-        #   timer:    (None, fire, None, None)
+        #   delivery: (Route, payload)
+        #   timer:    (None, fire)
         # and _times is a heap of the keys of _due, each once.
         self._times: list[int] = []
         self._due: dict[int, list[tuple]] = {}
         self._running = False
         self._until = 0  # the running run_until's last time: its t, or the halted time
-        self._handlers: dict[int, object] = {}
-        # (src.id, dst.id) -> the link between them, both directions
-        self._routes: dict[tuple[int, int], Link] = {}
+        # (src.id, dst.id) -> the route from src to dst, both directions of each link
+        self._routes: dict[tuple[int, int], Route] = {}
         for link in links:
-            self._routes[(link.a.id, link.b.id)] = self._routes[(link.b.id, link.a.id)] = link
+            self._routes[(link.a.id, link.b.id)] = Route(link, link.a, link.b)
+            self._routes[(link.b.id, link.a.id)] = Route(link, link.b, link.a)
 
     # -- wiring ------------------------------------------------------------
 
     def register_handler(self, node: NodeId, handler: object) -> None:
         """handler must expose on_message(src, payload, now).
 
-        `payload` is what the sender passed to `send`: bytes, or a Message
-        when no tap recorded the traversal. A handler that needs the
-        simulation holds it itself. Timers do not go through the handler:
-        each calls the function it was scheduled with.
+        It is bound into every route that ends at `node`, those already
+        taken by a sender too; the loop reads `handler.on_message` per
+        delivery, so an `on_message` set on the instance later is the one
+        called. `payload` is what the sender passed to `send`: bytes, or a
+        Message when no tap recorded the traversal. A handler that needs
+        the simulation holds it itself. Timers do not go through the
+        handler: each calls the function it was scheduled with.
         """
-        self._handlers[node.id] = handler
+        for route in self._routes.values():
+            if route.dst.id == node.id:
+                route.handler = handler
+
+    def route(self, src: NodeId, dst: NodeId) -> Route:
+        """The route from `src` to `dst`, to send on; NoSuchLinkError if they are not linked."""
+        route = self._routes.get((src.id, dst.id))
+        if route is None:
+            raise NoSuchLinkError(f"no link between {src.label!r} and {dst.label!r}")
+        return route
 
     def link_between(self, a: NodeId, b: NodeId) -> Optional[Link]:
-        return self._routes.get((a.id, b.id))
+        route = self._routes.get((a.id, b.id))
+        return None if route is None else route.link
 
     @property
     def stats(self) -> SimStats:
@@ -183,25 +215,23 @@ class Simulation:
             raise ValueError(f"cannot schedule into the past ({at} < {self.clock})")
         bucket = self._due.get(at)
         if bucket is None:
-            self._due[at] = [(None, fire, None, None)]
+            self._due[at] = [(None, fire)]
             heapq.heappush(self._times, at)
         else:
-            bucket.append((None, fire, None, None))
+            bucket.append((None, fire))
 
-    def send(self, src: NodeId, dst: NodeId, payload: Union[bytes, Message]) -> None:
-        """Offer a payload to the link; taps see every traversal, loss is drawn after.
+    def send(self, route: Route, payload: Union[bytes, Message]) -> None:
+        """Offer a payload to the route's link; taps see every traversal, loss is drawn after.
 
         A Message is encoded only when a capture record needs its bytes (an
         unprotected link with a tap); it then travels as those bytes.
         """
-        link = self._routes.get((src.id, dst.id))
-        if link is None:
-            raise NoSuchLinkError(f"no link between {src.label!r} and {dst.label!r}")
+        link = route.link
         link.attempted += 1
         if link.taps and not link.protected:
             if isinstance(payload, Message):
                 payload = encode_message(payload)
-            record = CaptureRecord(at=self.clock, src=src, dst=dst, data=bytes(payload))
+            record = CaptureRecord(at=self.clock, src=route.src, dst=route.dst, data=bytes(payload))
             for tap in link.taps:
                 tap.records.append(record)
         if link.loss_probability > 0.0 and self.rng.random() < link.loss_probability:
@@ -210,17 +240,14 @@ class Simulation:
         at = self.clock + link.latency_us
         bucket = self._due.get(at)
         if bucket is None:
-            self._due[at] = [(link, dst, src, payload)]
+            self._due[at] = [(route, payload)]
             heapq.heappush(self._times, at)
         else:
-            bucket.append((link, dst, src, payload))
+            bucket.append((route, payload))
 
     def attach_tap(self, a: NodeId, b: NodeId) -> Tap:
-        link = self.link_between(a, b)
-        if link is None:
-            raise NoSuchLinkError(f"no link between {a.label!r} and {b.label!r}")
         tap = Tap()
-        link.taps.append(tap)
+        self.route(a, b).link.taps.append(tap)
         return tap
 
     # -- execution -----------------------------------------------------------
@@ -239,7 +266,13 @@ class Simulation:
         """Every event still due, in the order it will run: (at, link, dst,
         src, payload) for a delivery, (at, None, fire, None, None) for a timer."""
         self._check_idle()
-        return ((at, *event) for at in sorted(self._times) for event in self._due[at])
+        return (
+            (at, None, item, None, None)
+            if route is None
+            else (at, route.link, route.dst, route.src, item)
+            for at in sorted(self._times)
+            for route, item in self._due[at]
+        )
 
     def queued_deliveries(self, link: Optional[Link] = None) -> int:
         """Deliveries still queued: on `link`, or on every link."""
@@ -264,7 +297,7 @@ class Simulation:
             raise ValueError("run_until cannot be called from inside an event")
         if t < self.clock:
             raise ValueError(f"cannot run backwards ({t} < {self.clock})")
-        times, due, handlers, pop = self._times, self._due, self._handlers, heapq.heappop
+        times, due, pop = self._times, self._due, heapq.heappop
         processed = 0  # added to events_processed once, when the loop ends
         self._until = t
         self._running = True
@@ -276,14 +309,14 @@ class Simulation:
                 processed += len(bucket)
                 events = iter(bucket)
                 try:
-                    for link, dst, src, item in events:
-                        if link is None:  # a timer: dst is the function it fires
-                            dst(at)
+                    for route, item in events:
+                        if route is None:  # a timer: item is the function it fires
+                            item(at)
                             continue
-                        link.delivered += 1
-                        handler = handlers.get(dst.id)
+                        route.link.delivered += 1
+                        handler = route.handler
                         if handler is not None:
-                            handler.on_message(src, item, at)
+                            handler.on_message(route.src, item, at)
                 except BaseException:
                     # Put the rest of the bucket back, ahead of any events
                     # scheduled for `at` while it ran.

@@ -24,13 +24,13 @@ def carry_guard(monkeypatch):
     seen = Counter()
     send = Simulation.send
 
-    def guarded(self, src, dst, payload):
+    def guarded(self, route, payload):
         if isinstance(payload, Message):
             assert decode_message(encode_message(payload)) == payload
             seen["message"] += 1
         else:
             seen["bytes"] += 1
-        send(self, src, dst, payload)
+        send(self, route, payload)
 
     monkeypatch.setattr(Simulation, "send", guarded)
     return seen
@@ -42,11 +42,11 @@ def bytes_only(monkeypatch):
     encoded = Counter()
     send = Simulation.send
 
-    def as_bytes(self, src, dst, payload):
+    def as_bytes(self, route, payload):
         if isinstance(payload, Message):
             payload = encode_message(payload)
             encoded["message"] += 1
-        send(self, src, dst, payload)
+        send(self, route, payload)
 
     monkeypatch.setattr(Simulation, "send", as_bytes)
     return encoded

@@ -1042,7 +1042,7 @@ class TestFuzz:
                 return on_message(src, payload, now)
             hbh = sent[-1][0]
             avps = [result_code_avp(dct.RESULT_SUCCESS)]
-            lab.sim.send(target.node, src, build_message(
+            lab.sim.send(lab.sim.route(target.node, src), build_message(
                 dct.CMD_ECHO, hop_by_hop_id=hbh, end_to_end_id=hbh, avps=avps
             ))
 

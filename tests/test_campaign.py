@@ -163,7 +163,7 @@ class TestRunCampaign:
                 return on_message(self, src, payload, now)
             hbh = int.from_bytes(payload[12:16], "big")
             avps = [result_code_avp(dct.RESULT_SUCCESS)]
-            self.sim.send(self.node, src, build_message(
+            self.sim.send(self.sim.route(self.node, src), build_message(
                 dct.CMD_ECHO, hop_by_hop_id=hbh, end_to_end_id=hbh, avps=avps
             ))
 

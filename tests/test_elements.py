@@ -144,7 +144,7 @@ class TestAdmission:
     def test_a_burst_after_a_long_idle_gap_finds_one_token_and_a_full_queue(self):
         _, lab = make_lab(duo_lab_text(service_rate=1000, queue_capacity=2))
         target, sim = lab.element("target"), lab.sim
-        sender = lab.element("attacker").node
+        sender = target.peer_link(lab.node("attacker"))  # the link the requests came in on
         assert target.admit((sender, _probe(hbh=1)), sim.clock) is Admission.ACCEPTED
         sim.run_until(sim.clock + 10_000_000)  # 10 s idle: credit stops at one token
         burst = sim.clock
@@ -216,7 +216,7 @@ class TestTargetServer:
         sim = lab.sim
         ab, target = lab.element("attacker"), lab.element("target")
         tap = sim.attach_tap(ab.node, target.node)
-        sim.send(ab.node, target.node, msg_bytes)
+        sim.send(sim.route(ab.node, target.node), msg_bytes)
         sim.run_until(sim.clock + 100_000)
         answers = [r for r in tap.records if r.src.id == target.node.id]
         if not answers:
@@ -589,6 +589,14 @@ class TestLinkBringup:
             for end, other in ((link.a, link.b), (link.b, link.a)):
                 assert lab.elements[end.label].peer_link(other).state.phase is Phase.OPEN
 
+    def test_each_peer_link_sends_on_its_route_to_the_neighbor_element(self):
+        _, lab = make_lab(core_lab_text(), open_links=False)
+        for elem in lab.elements.values():
+            for link in elem.links.values():
+                route = link.route
+                assert route is lab.sim.route(elem.node, route.dst)
+                assert route.src == elem.node and route.handler is lab.elements[route.dst.label]
+
     def test_bring_up_runs_one_round_trip_of_the_slowest_link(self):
         # the core lab's slowest links, mme-hss and mme-pcrf, take 10 ms
         _, lab = make_lab(core_lab_text(), open_links=False)
@@ -614,7 +622,7 @@ class TestFailureModel:
         from diamlab.codec import encode_message
 
         for i in range(200):
-            sim.send(lab.element("attacker").node, target.node,
+            sim.send(sim.route(lab.element("attacker").node, target.node),
                      encode_message(_probe(hbh=i + 10)))
             sim.run_until(sim.clock + 20_000)
         assert target.failed
@@ -630,7 +638,7 @@ class TestFailureModel:
 
         sim = lab.sim
         for i in range(10):
-            sim.send(lab.element("attacker").node, target.node,
+            sim.send(sim.route(lab.element("attacker").node, target.node),
                      encode_message(_probe(hbh=100 + i)))
         sim.run_until(sim.clock + 1_000_000)
         assert target.direct_served + target.drained_served == served_before
@@ -643,7 +651,7 @@ class TestFailureModel:
         from diamlab.codec import encode_message
 
         for i in range(300):
-            sim.send(lab.element("attacker").node, target.node,
+            sim.send(sim.route(lab.element("attacker").node, target.node),
                      encode_message(_probe(hbh=i + 10)))
             sim.run_until(sim.clock + 2_000)
         sim.run_until(sim.clock + 3_000_000)
@@ -744,7 +752,7 @@ class TestPendingTable:
     def test_register_outside_open_rejected(self):
         lab, ab, target, _ = self._open_duo()
         with pytest.raises(ValueError):
-            register_request(PeerLink(neighbor=target.node), 1, 0, None)
+            register_request(PeerLink(lab.sim.route(ab.node, target.node)), 1, 0, None)
 
     def test_duplicate_registration_rejected(self):
         lab, ab, target, link = self._open_duo()
@@ -798,7 +806,7 @@ class TestPendingTable:
             if registered:
                 assert ab.send_raw_request(target.node, dwr, hbh, lambda *c: calls.append(c), sent)
             else:
-                lab.sim.send(ab.node, target.node, dwr)
+                lab.sim.send(lab.sim.route(ab.node, target.node), dwr)
             lab.sim.run_until(sent + lab.round_trip_us())
             _, answered = tap.records
             dwa = decode_message(answered.data)

@@ -158,16 +158,16 @@ def test_bytecode_counts_are_the_same_in_two_runs_in_one_process():
 BYTECODE_PINS = {
     (3, 11): {
         "1x": {
-            "total": 435_846, "<string>": 44, "attacks": 52_350, "codec": 69_793,
-            "elements": 159_350, "peer": 20_500, "simnet": 133_809,
+            "total": 415_325, "<string>": 44, "attacks": 52_350, "codec": 69_793,
+            "elements": 156_850, "peer": 20_500, "simnet": 115_788,
         },
         "4x": {
-            "total": 1_337_176, "<string>": 92, "attacks": 190_254, "codec": 185_893,
-            "elements": 455_934, "peer": 65_200, "simnet": 439_803,
+            "total": 1_276_559, "<string>": 92, "attacks": 190_254, "codec": 185_893,
+            "elements": 447_334, "peer": 65_200, "simnet": 387_786,
         },
         "fuzz": {
-            "total": 1_653_211, "<string>": 30_548, "attacks": 271_367, "codec": 503_694,
-            "elements": 327_321, "peer": 74_854, "simnet": 445_427,
+            "total": 1_611_855, "<string>": 30_548, "attacks": 271_367, "codec": 503_694,
+            "elements": 325_609, "peer": 74_854, "simnet": 405_783,
         },
     },
 }

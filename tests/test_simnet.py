@@ -149,7 +149,7 @@ class TestDelivery:
     def test_latency_10ms_delivers_at_t_plus_10ms(self):
         sim, _, rec_b = two_node_sim(latency_ms=10)
         a, b = sim.nodes
-        sim.send(a, b, b"hello")
+        sim.send(sim.route(a, b), b"hello")
         sim.run_until(1_000_000)
         assert rec_b.messages == [(10_000, "a", b"hello")]
 
@@ -157,7 +157,7 @@ class TestDelivery:
         sim, _, _ = two_node_sim()
         a, b = sim.nodes
         for _ in range(3):
-            sim.send(a, b, b"x")
+            sim.send(sim.route(a, b), b"x")
         sim.run_until(1_000_000)
         stats = sim.stats
         assert stats.delivered == 3 and stats.lost == 0
@@ -166,7 +166,7 @@ class TestDelivery:
         sim, _, rec_b = two_node_sim(loss=1.0)
         a, b = sim.nodes
         for _ in range(50):
-            sim.send(a, b, b"x")
+            sim.send(sim.route(a, b), b"x")
         sim.run_until(1_000_000)
         stats = sim.stats
         assert rec_b.messages == []
@@ -178,13 +178,13 @@ class TestDelivery:
         sim = build_topology(spec)
         a, _, c = sim.nodes
         with pytest.raises(NoSuchLinkError):
-            sim.send(a, c, b"x")
+            sim.send(sim.route(a, c), b"x")
 
     def test_bidirectional(self):
         sim, rec_a, rec_b = two_node_sim()
         a, b = sim.nodes
-        sim.send(a, b, b"fwd")
-        sim.send(b, a, b"rev")
+        sim.send(sim.route(a, b), b"fwd")
+        sim.send(sim.route(b, a), b"rev")
         sim.run_until(1_000_000)
         assert rec_b.messages[0][2] == b"fwd"
         assert rec_a.messages[0][2] == b"rev"
@@ -193,7 +193,7 @@ class TestDelivery:
         sim, _, rec_b = two_node_sim(latency_ms=5)
         a, b = sim.nodes
         for i in range(4):
-            sim.send(a, b, bytes([i]))  # all delivered at the same instant
+            sim.send(sim.route(a, b), bytes([i]))  # all delivered at the same instant
         sim.run_until(1_000_000)
         assert [m[2] for m in rec_b.messages] == [b"\x00", b"\x01", b"\x02", b"\x03"]
 
@@ -205,7 +205,7 @@ class TestDelivery:
         expected = []
         for i in range(20):
             if i % 2:
-                sim.send(a, b, bytes([i]))
+                sim.send(sim.route(a, b), bytes([i]))
                 expected.append(("message", bytes([i])))
             else:
                 # dicts and None cannot be ordered: a comparison would raise TypeError
@@ -282,12 +282,12 @@ class TestDelivery:
             def on_message(self, src, data, now):
                 log.append((now, data))
                 if len(data) < 4:
-                    sim.send(sim.nodes[1 - src.id], src, data + b"x")
+                    sim.send(sim.route(sim.nodes[1 - src.id], src), data + b"x")
 
         sim.register_handler(a, Echo())
         sim.register_handler(b, Echo())
         sim.run_until(250)
-        sim.send(a, b, b"x")
+        sim.send(sim.route(a, b), b"x")
         sim.schedule_timer(250, lambda now: log.append((now, "timer")))
         sim.run_until(250)
         assert log == [(250, b"x"), (250, "timer"), (250, b"xx"), (250, b"xxx"), (250, b"xxxx")]
@@ -500,7 +500,7 @@ class TestDeterminism:
         sim, _, rec_b = two_node_sim(loss=0.5, seed=seed)
         a, b = sim.nodes
         for _ in range(1000):
-            sim.send(a, b, b"probe")
+            sim.send(sim.route(a, b), b"probe")
         sim.run_until(10_000_000)
         stats = sim.stats
         return stats.delivered, stats.lost, len(rec_b.messages)
@@ -517,7 +517,7 @@ class TestDeterminism:
         sim, _, _ = two_node_sim(loss=0.3, seed=5)
         a, b = sim.nodes
         for _ in range(500):
-            sim.send(a, b, b"x")
+            sim.send(sim.route(a, b), b"x")
         sim.run_until(60_000_000)
         link = sim.link_between(a, b)
         assert link is sim.link_between(b, a)
@@ -530,9 +530,9 @@ class TestDeterminism:
         ab, bc = sim.link_between(a, b), sim.link_between(b, c)
         most_queued = 0
         for _ in range(200):
-            sim.send(a, b, b"x")
-            sim.send(c, b, b"y")
-            sim.send(b, c, b"z")
+            sim.send(sim.route(a, b), b"x")
+            sim.send(sim.route(c, b), b"y")
+            sim.send(sim.route(b, c), b"z")
             sim.run_until(sim.clock + 2_500)
             for link in (ab, bc):
                 queued = sim.queued_deliveries(link)
@@ -561,7 +561,7 @@ class TestMultiLink:
         a, b, c = sim.nodes
         for step in range(40):
             for src, dst in ((a, b), (b, a), (b, c), (c, b)):
-                sim.send(src, dst, step.to_bytes(2, "big"))
+                sim.send(sim.route(src, dst), step.to_bytes(2, "big"))
             sim.run_until(sim.clock + 1_000)
         sim.run_until(sim.clock + 1_000_000)
         delays = {}
@@ -580,7 +580,7 @@ class TestMultiLink:
         sim, _ = chain_sim()
         a, _, c = sim.nodes
         with pytest.raises(NoSuchLinkError, match="no link between 'c' and 'a'"):
-            sim.send(c, a, b"x")
+            sim.send(sim.route(c, a), b"x")
 
     def test_tap_attached_mid_run_sees_later_traversals_of_its_own_link(self):
         sim, _ = chain_sim()
@@ -588,7 +588,7 @@ class TestMultiLink:
 
         def traffic(phase):
             for src, dst in ((a, b), (b, a), (b, c), (c, b)):
-                sim.send(src, dst, phase + src.label.encode() + dst.label.encode())
+                sim.send(sim.route(src, dst), phase + src.label.encode() + dst.label.encode())
             sim.run_until(sim.clock + 20_000)
 
         traffic(b"early:")
@@ -605,13 +605,85 @@ class TestMultiLink:
         assert [r.at for r in tap.records] == [20_000, 20_000, 40_000, 40_000]
 
 
+class TestRoutes:
+    """A send takes the route of one direction of a link; a delivery goes to
+    the handler registered for the route's `dst`, read when it is delivered."""
+
+    def test_route_on_an_unlinked_pair_names_both_labels(self):
+        sim, _ = chain_sim()
+        a, _, c = sim.nodes
+        with pytest.raises(NoSuchLinkError, match="no link between 'a' and 'c'"):
+            sim.route(a, c)
+        assert sim.stats.sends == 0
+
+    def test_a_handler_registered_after_the_route_was_taken_gets_its_deliveries(self):
+        sim = build_topology(TopologySpec(nodes=("a", "b"), links=(LinkSpec("a", "b"),)))
+        a, b = sim.nodes
+        route = sim.route(a, b)
+        sim.send(route, b"queued first")
+        first, second = Recorder(), Recorder()
+        sim.register_handler(b, first)
+        sim.run_until(10_000)
+        sim.register_handler(b, second)  # a later registration replaces it
+        sim.send(route, b"then")
+        sim.run_until(20_000)
+        assert first.messages == [(10_000, "a", b"queued first")]
+        assert second.messages == [(20_000, "a", b"then")]
+
+    def test_an_on_message_set_on_the_instance_after_wiring_is_called(self):
+        sim, _, rec_b = two_node_sim()
+        a, b = sim.nodes
+        route = sim.route(a, b)
+        seen = []
+        rec_b.on_message = lambda src, data, now: seen.append((now, src.label, data))
+        sim.send(route, b"x")
+        sim.run_until(10_000)
+        assert seen == [(10_000, "a", b"x")] and rec_b.messages == []
+
+    def test_a_delivery_to_a_node_with_no_handler_is_counted_and_dropped(self):
+        sim = build_topology(TopologySpec(nodes=("a", "b"), links=(LinkSpec("a", "b"),)))
+        a, b = sim.nodes
+        rec_a = Recorder()
+        sim.register_handler(a, rec_a)
+        sim.send(sim.route(a, b), b"to nobody")
+        sim.send(sim.route(b, a), b"to a")
+        sim.run_until(10_000)
+        link = sim.link_between(a, b)
+        assert (link.attempted, link.delivered, link.lost) == (2, 2, 0)
+        assert sim.stats.events_processed == 2
+        assert rec_a.messages == [(10_000, "b", b"to a")]
+
+    def test_due_events_keep_the_public_tuple_shape(self):
+        sim, _, rec_b = two_node_sim()
+        a, b = sim.nodes
+        fire = partial(rec_b.fire, "t")
+        sim.send(sim.route(a, b), b"x")
+        sim.schedule_timer(5_000, fire)
+        link = sim.link_between(a, b)
+        assert list(sim.due_events()) == [
+            (5_000, None, fire, None, None),
+            (10_000, link, b, a, b"x"),
+        ]
+        assert sim.queued_deliveries(link) == sim.queued_deliveries() == 1
+
+    def test_each_direction_is_one_route_over_the_links_one_record(self):
+        sim, recorders = chain_sim()
+        a, b, c = sim.nodes
+        ab, ba = sim.route(a, b), sim.route(b, a)
+        assert sim.route(a, b) is ab and ab is not ba
+        assert ab.link is ba.link is sim.link_between(a, b)
+        assert (ab.src, ab.dst, ba.src, ba.dst) == (a, b, b, a)
+        assert ab.handler is recorders["b"] and ba.handler is recorders["a"]
+        assert sim.route(c, b).link is sim.link_between(b, c)
+
+
 class TestTaps:
     def test_tap_sees_every_traversal(self):
         sim, _, _ = two_node_sim()
         a, b = sim.nodes
         tap = sim.attach_tap(a, b)
         for i in range(7):
-            sim.send(a, b, bytes([i]))
+            sim.send(sim.route(a, b), bytes([i]))
         sim.run_until(1_000_000)
         assert len(tap.records) == 7
         assert [r.data for r in tap.records] == [bytes([i]) for i in range(7)]
@@ -621,7 +693,7 @@ class TestTaps:
         a, b = sim.nodes
         tap = sim.attach_tap(a, b)
         for _ in range(7):
-            sim.send(a, b, b"x")
+            sim.send(sim.route(a, b), b"x")
         assert len(tap.records) == 7  # offered to the wire, lost downstream
 
     def test_protected_link_yields_nothing(self):
@@ -629,7 +701,7 @@ class TestTaps:
         a, b = sim.nodes
         tap = sim.attach_tap(a, b)
         for _ in range(7):
-            sim.send(a, b, b"x")
+            sim.send(sim.route(a, b), b"x")
         sim.run_until(1_000_000)
         assert tap.records == []
         assert len(rec_b.messages) == 7  # traffic still flows
@@ -638,8 +710,8 @@ class TestTaps:
         sim, _, _ = two_node_sim()
         a, b = sim.nodes
         tap1, tap2 = sim.attach_tap(a, b), sim.attach_tap(b, a)
-        sim.send(a, b, b"one")
-        sim.send(b, a, b"two")
+        sim.send(sim.route(a, b), b"one")
+        sim.send(sim.route(b, a), b"two")
         assert tap1.records == tap2.records
 
     def test_tap_on_missing_link(self):
@@ -652,7 +724,7 @@ class TestTaps:
         a, b = sim.nodes
         tap = sim.attach_tap(a, b)
         sim.run_until(12_345)
-        sim.send(a, b, b"\x01\x02")
+        sim.send(sim.route(a, b), b"\x01\x02")
         rec = tap.records[0]
         assert rec == CaptureRecord(at=12_345, src=a, dst=b, data=b"\x01\x02")
 
@@ -674,7 +746,7 @@ class TestCarriedMessages:
         sim, _, rec_b = two_node_sim()
         a, b = sim.nodes
         msg = _echo()
-        sim.send(a, b, msg)
+        sim.send(sim.route(a, b), msg)
         sim.run_until(1_000_000)
         assert [data for _, _, data in rec_b.messages] == [msg]
         assert rec_b.messages[0][2] is msg
@@ -686,7 +758,7 @@ class TestCarriedMessages:
             sim, _, rec_b = two_node_sim()
             a, b = sim.nodes
             tap = sim.attach_tap(a, b)
-            sim.send(a, b, payload)
+            sim.send(sim.route(a, b), payload)
             sim.run_until(1_000_000)
             streams.append((tap.records, rec_b.messages))
         assert streams[0] == streams[1]
@@ -699,7 +771,7 @@ class TestCarriedMessages:
         a, b = sim.nodes
         tap = sim.attach_tap(a, b)
         msg = _echo()
-        sim.send(a, b, msg)
+        sim.send(sim.route(a, b), msg)
         sim.run_until(1_000_000)
         assert tap.records == []
         assert rec_b.messages == [(10_000, "a", msg)]
@@ -708,7 +780,7 @@ class TestCarriedMessages:
         sim, _, rec_b = two_node_sim(loss=1.0)
         a, b = sim.nodes
         tap = sim.attach_tap(a, b)
-        sim.send(a, b, _echo())
+        sim.send(sim.route(a, b), _echo())
         sim.run_until(1_000_000)
         assert [r.data for r in tap.records] == [encode_message(_echo())]
         assert rec_b.messages == [] and sim.stats.lost == 1
