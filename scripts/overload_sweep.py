@@ -11,10 +11,12 @@ campaign.broken_identities: a broken identity ends the sweep with exit
 status 1 and its name.
 
 --bytecodes floods each rate once more under sys.settrace and adds the
-bytecodes executed per offered request in diamlab's code: a total column,
-then a table by module, whose last row, `fuzz`, is per case of phase1's
-fuzz (its 1,000 cases and seed, on a fresh phase1 lab), then a table by
-function, one column per row of the table by module. The count is exact
+bytecodes executed per offered request in diamlab's code, and the calls
+of its Python functions (each frame entered, a generator's resumption
+too): a column of each, then a table by module with the calls last, whose
+last row, `fuzz`, is per case of phase1's fuzz (its 1,000 cases and seed,
+on a fresh phase1 lab), then a table by function, one column per row of
+the table by module. The count is exact
 and the same in every run of one interpreter version, but it is not time:
 a call into C counts as one. Code compiled from strings is filed under the
 module of the class it was generated for (codec.slot_init), or under
@@ -39,8 +41,8 @@ warm run, and a longer --duration can list more.
 
 --json prints the same sweep as one JSON object instead: the rows, each
 with its bytecodes per offered request in total and by module, and by
-function within each module, under --bytecodes, then the fuzz row, and the
-listings under `adaptive`.
+function within each module, and its calls per offered request, under
+--bytecodes, then the fuzz row, and the listings under `adaptive`.
 
 Usage: PYTHONPATH=src python scripts/overload_sweep.py [--capacity 1000] [--queue 100]
            [--duration 5] [--bytecodes] [--adaptive] [--json]
@@ -112,16 +114,20 @@ def function_of(code) -> str:
     return code.co_qualname
 
 
-def count_executions(run: Callable[[], object]) -> dict:
+def count_executions(run: Callable[[], object], calls: Optional[Counter] = None) -> dict:
     """Executions of each instruction of diamlab's code while `run()` runs:
     {id(code): (code, Counter of byte offsets)}. Keyed by id, since two code
-    objects compiled from the same text compare equal."""
+    objects compiled from the same text compare equal. With `calls`, each
+    frame of diamlab's code entered also counts one there, under the same id."""
     executed: dict[int, tuple] = {}
+    if calls is None:
+        calls = Counter()
 
     def on_call(frame, event, arg):
         code = frame.f_code
         if module_of(code.co_filename) is None:
             return None
+        calls[id(code)] += 1
         offsets = executed.setdefault(id(code), (code, Counter()))[1]
 
         def count(frame, event, arg):
@@ -141,13 +147,14 @@ def count_executions(run: Callable[[], object]) -> dict:
     return executed
 
 
-def count_bytecodes(run: Callable[[], object]) -> Counter:
+def count_bytecodes(run: Callable[[], object]) -> tuple[Counter, int]:
     """Bytecodes executed in diamlab's code while `run()` runs, by
-    (module, function)."""
+    (module, function), and the calls of its Python functions."""
     counts: Counter = Counter()
-    for code, offsets in count_executions(run).values():
+    calls: Counter = Counter()
+    for code, offsets in count_executions(run, calls).values():
         counts[module_of(code.co_filename), function_of(code)] += offsets.total()
-    return counts
+    return counts, calls.total()
 
 
 # A PRECALL specialized for a builtin makes the whole call and skips its
@@ -206,15 +213,15 @@ def flood_runs(capacity: float, queue: int, seed: int, rate: float, duration: fl
 
 
 def flood_bytecodes(capacity: float, queue: int, seed: int, rate: float, duration: float):
-    """(offered requests, bytecodes by (module, function)) of one flood on a
-    fresh lab. The same flood runs once untraced first, on a lab of its own,
-    so the counts leave out what only the first run in a process does
-    (filling caches)."""
+    """(offered requests, bytecodes by (module, function), calls) of one
+    flood on a fresh lab (count_bytecodes). The same flood runs once
+    untraced first, on a lab of its own, so the counts leave out what only
+    the first run in a process does (filling caches)."""
     results = []
     warm, traced = flood_runs(capacity, queue, seed, rate, duration, 2)
     warm()
-    counts = count_bytecodes(lambda: results.append(traced()))
-    return results[0][0].offered, counts
+    counts, calls = count_bytecodes(lambda: results.append(traced()))
+    return results[0][0].offered, counts, calls
 
 
 def fuzz_runs(k: int):
@@ -230,11 +237,11 @@ def fuzz_runs(k: int):
 
 
 def fuzz_bytecodes():
-    """(cases, bytecodes by (module, function)) of phase1's fuzz, after one
-    untraced run, as flood_bytecodes counts a flood."""
+    """(cases, bytecodes by (module, function), calls) of phase1's fuzz,
+    after one untraced run, as flood_bytecodes counts a flood."""
     cases, (warm, traced) = fuzz_runs(2)
     warm()
-    return cases, count_bytecodes(traced)
+    return (cases, *count_bytecodes(traced))
 
 
 def per_unit(counts: Counter, n: int) -> dict:
@@ -291,9 +298,12 @@ def sweep(args) -> dict:
             "host_us_per_req": host_us / offered,
         }
         if args.bytecodes:
-            _, counts = flood_bytecodes(args.capacity, args.queue, args.seed, rate, args.duration)
+            _, counts, calls = flood_bytecodes(
+                args.capacity, args.queue, args.seed, rate, args.duration
+            )
             row["bytecodes_per_req"] = per_unit(counts, offered)
             row["bytecodes_by_function"] = per_function(counts, offered)
+            row["calls_per_req"] = calls / offered
         rows.append(row)
     out = {
         "capacity": args.capacity,
@@ -303,11 +313,12 @@ def sweep(args) -> dict:
         "rows": rows,
     }
     if args.bytecodes:
-        cases, counts = fuzz_bytecodes()
+        cases, counts, calls = fuzz_bytecodes()
         out["fuzz"] = {
             "cases": cases,
             "bytecodes_per_case": per_unit(counts, cases),
             "bytecodes_by_function": per_function(counts, cases),
+            "calls_per_case": calls / cases,
         }
     if args.adaptive:
         out["adaptive"] = {}
@@ -328,7 +339,7 @@ def print_table(out: dict) -> None:
     print(
         f"{'rate':>8} {'offered':>8} {'answered':>9} {'dropped':>8} {'fluid':>8} {'delta':>7}"
         f" {'events/req':>10} {'sched/req':>10} {'host_us/req':>11}"
-        + (f" {'bytecodes/req':>13}" if bytecodes else "")
+        + (f" {'bytecodes/req':>13} {'calls/req':>9}" if bytecodes else "")
     )
     for row in rows:
         print(
@@ -336,20 +347,27 @@ def print_table(out: dict) -> None:
             f" {row['dropped']:8d} {row['fluid']:8g} {row['delta']:+7g}"
             f" {row['events_per_req']:10.3f} {row['sched_per_req']:10.3f}"
             f" {row['host_us_per_req']:11.2f}"
-            + (f" {row['bytecodes_per_req']['total']:13.1f}" if bytecodes else "")
+            + (
+                f" {row['bytecodes_per_req']['total']:13.1f} {row['calls_per_req']:9.2f}"
+                if bytecodes else ""
+            )
         )
     if bytecodes:
         fuzz = out["fuzz"]
-        table = [(f"{row['rate']:g}", row["bytecodes_per_req"]) for row in rows]
-        table.append(("fuzz", fuzz["bytecodes_per_case"]))
-        modules = sorted({m for _, per in table for m in per} - {"total"}) + ["total"]
+        table = [(f"{row['rate']:g}", row["bytecodes_per_req"], row["calls_per_req"])
+                 for row in rows]
+        table.append(("fuzz", fuzz["bytecodes_per_case"], fuzz["calls_per_case"]))
+        modules = sorted({m for _, per, _ in table for m in per} - {"total"}) + ["total"]
         print(
             "\nbytecodes per offered request by module, and per case of phase1's fuzz"
-            f" ({fuzz['cases']} cases) in its row (Python {out['python']})"
+            f" ({fuzz['cases']} cases) in its row, then calls (Python {out['python']})"
         )
-        print(f"{'rate':>8}" + "".join(f" {m:>10}" for m in modules))
-        for label, per in table:
-            print(f"{label:>8}" + "".join(f" {per.get(m, 0.0):10.1f}" for m in modules))
+        print(f"{'rate':>8}" + "".join(f" {m:>10}" for m in modules) + f" {'calls':>8}")
+        for label, per, calls in table:
+            print(
+                f"{label:>8}" + "".join(f" {per.get(m, 0.0):10.1f}" for m in modules)
+                + f" {calls:8.2f}"
+            )
         print_functions(out)
 
 

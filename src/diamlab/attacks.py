@@ -262,7 +262,9 @@ class _FloodDriver:
     Every request is the one echo request built and checked when the flood
     starts (a 4-byte zero Echo-Payload); `send_app_request` gives each send
     the link's next hop-by-hop id as both ids, so each is a transaction of
-    its own with the same AVPs.
+    its own with the same AVPs. It counts the sends it offers and those the
+    attack box refuses, which happens only while the link is not Open; the
+    rest were sent, so a send that goes out counts nothing more.
     """
 
     def __init__(
@@ -282,7 +284,7 @@ class _FloodDriver:
         self.rate_tps = rate_tps
         self.timeout_us = timeout_us
         self.offered = 0
-        self.sent = 0
+        self.refused = 0
         self.latencies: list[int] = []
         self.result_codes: dict[Optional[int], int] = {}
         # (answer AVPs, their result code) of the last answer counted. The
@@ -306,9 +308,8 @@ class _FloodDriver:
         """Send the flood's next request, number `offered`, and schedule the one after."""
         i = self.offered
         self.offered = i + 1
-        hbh = self.ab.send_app_request(self.target.node, self.request, self.on_answer, now)
-        if hbh is not None:
-            self.sent += 1
+        if self.ab.send_app_request(self.target.node, self.request, self.on_answer, now) is None:
+            self.refused += 1
         if i % _REAP_EVERY == 0:
             self.reap(now)
         if i + 1 < self.count:
@@ -389,7 +390,7 @@ def run_flood(lab: Lab, spec: FloodSpec) -> tuple[FloodResult, list[Finding]]:
         rate_tps=spec.rate_tps,
         duration_s=spec.duration_s,
         offered=driver.offered,
-        sent=driver.sent,
+        sent=driver.offered - driver.refused,
         answered=answered,
         dropped=driver.offered - answered,
         in_flight=0,

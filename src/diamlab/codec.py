@@ -88,20 +88,9 @@ class ParseErrorKind(Enum):
     AVP_OVERRUN = "avp_overrun"
 
 
-@dataclass(frozen=True)
-class ParseError:
-    """Structural decode failure: what went wrong and the byte offset.
-
-    bad_padding also covers reserved flag bits: anything the layout
-    requires to be zero but is not.
-    """
-
-    kind: ParseErrorKind
-    offset: int
-
-
-# Avp and Message are built once or more per message, and peer.PeerAction
-# per base-protocol message and timer, so slot_init gives them a
+# Avp and Message are built once or more per message, peer.PeerAction
+# per base-protocol message and timer, and ParseError per malformed message
+# decoded (about one fuzz case in two), so slot_init gives them a
 # positional __new__ in place of the generated __init__, whose
 # object.__setattr__ per field CPython 3.11 does not specialize (nor a call
 # of the slot's member descriptor, ~65 ns a field).
@@ -114,10 +103,10 @@ class ParseError:
 # does not specialize for a Python __new__ (~110 ns more per value), nor a
 # read of `cls.__new__`, a static method read through its class. So each
 # such class's __new__ is bound once to a module name next to it (new_avp,
-# new_message, peer.new_peer_action), and the per-message builds
-# (build_message, build_answer, decode_message, _decode_avps, replace_ids,
-# every PeerAction of peer.handle_event) call that name with the class:
-# new_message(Message, ...) returns the value Message(...) does.
+# new_message, new_parse_error, peer.new_peer_action), and the per-message
+# builds (build_message, build_answer, decode_message, _decode_avps,
+# replace_ids, every PeerAction of peer.handle_event) call that name with
+# the class: new_message(Message, ...) returns the value Message(...) does.
 # Each class's source is compiled under its own filename, <module.Class>, so
 # profilers and tracers keep the generated functions of the classes apart.
 
@@ -173,6 +162,22 @@ class Avp:
 
 
 new_avp = Avp.__new__  # see slot_init
+
+
+@slot_init
+@dataclass(frozen=True, slots=True, init=False)
+class ParseError:
+    """Structural decode failure: what went wrong and the byte offset.
+
+    bad_padding also covers reserved flag bits: anything the layout
+    requires to be zero but is not.
+    """
+
+    kind: ParseErrorKind
+    offset: int
+
+
+new_parse_error = ParseError.__new__  # see slot_init
 
 
 # One Diameter message, header fields and AVPs in one value. The fields are
@@ -270,8 +275,9 @@ def _check_ids(hop_by_hop_id: int, end_to_end_id: int) -> None:
     """Raise the CodecError of the first id out of range, if any.
 
     Each id is tested by its width first, as in _checked_length: a compare
-    with U32_MAX stays unspecialized, and replace_ids and stamp_ids run
-    this once per request or fuzz case. Only a fault reaches the compares.
+    with U32_MAX stays unspecialized. Only a fault reaches the compares.
+    replace_ids and stamp_ids, run once per request or fuzz case, make the
+    width test themselves and call this only on a fault.
     """
     if hop_by_hop_id >> 32 or end_to_end_id >> 32:
         if not 0 <= hop_by_hop_id <= U32_MAX:
@@ -385,26 +391,28 @@ def _decode_avps(data: bytes, start: int, end: int) -> Union[list[Avp], ParseErr
     off = start
     while off < end:
         if end - off < AVP_HEADER_LEN:
-            return ParseError(ParseErrorKind.AVP_OVERRUN, off)
+            return new_parse_error(ParseError, ParseErrorKind.AVP_OVERRUN, off)
         code, word = _AVP_HEADER.unpack_from(data, off)
         flags = word >> 24
         if flags & _AVP_RESERVED_MASK:
-            return ParseError(ParseErrorKind.BAD_PADDING, off + 4)
+            return new_parse_error(ParseError, ParseErrorKind.BAD_PADDING, off + 4)
         length = word & _U24_MAX
         vendor = bool(flags & AVP_FLAG_VENDOR)
         hdr = AVP_HEADER_LEN + 4 if vendor else AVP_HEADER_LEN
         if length < hdr:
-            return ParseError(ParseErrorKind.BAD_LENGTH, off + 5)
+            return new_parse_error(ParseError, ParseErrorKind.BAD_LENGTH, off + 5)
         if off + length > end:
-            return ParseError(ParseErrorKind.AVP_OVERRUN, off)
+            return new_parse_error(ParseError, ParseErrorKind.AVP_OVERRUN, off)
         padded = (length + 3) & ~3
         if off + padded > end:
-            return ParseError(ParseErrorKind.BAD_PADDING, off + length)
+            return new_parse_error(ParseError, ParseErrorKind.BAD_PADDING, off + length)
         if padded != length:
             pad = data[off + length : off + padded]
             if any(pad):
                 first_nonzero = next(i for i, b in enumerate(pad) if b)
-                return ParseError(ParseErrorKind.BAD_PADDING, off + length + first_nonzero)
+                return new_parse_error(
+                    ParseError, ParseErrorKind.BAD_PADDING, off + length + first_nonzero
+                )
         avps.append(
             new_avp(
                 Avp,
@@ -428,20 +436,20 @@ def decode_message(data: bytes) -> Union[Message, ParseError]:
     """
     n = len(data)
     if n < HEADER_LEN:
-        return ParseError(ParseErrorKind.TRUNCATED, n)
+        return new_parse_error(ParseError, ParseErrorKind.TRUNCATED, n)
     first, second, application_id, hop_by_hop_id, end_to_end_id = _HEADER.unpack_from(data)
     if first >> 24 != _VERSION:
-        return ParseError(ParseErrorKind.BAD_VERSION, 0)
+        return new_parse_error(ParseError, ParseErrorKind.BAD_VERSION, 0)
     declared = first & _U24_MAX
     if declared % 4 != 0 or declared < HEADER_LEN:
-        return ParseError(ParseErrorKind.BAD_LENGTH, 1)
+        return new_parse_error(ParseError, ParseErrorKind.BAD_LENGTH, 1)
     if declared > n:
-        return ParseError(ParseErrorKind.TRUNCATED, n)
+        return new_parse_error(ParseError, ParseErrorKind.TRUNCATED, n)
     if declared < n:
-        return ParseError(ParseErrorKind.BAD_LENGTH, 1)
+        return new_parse_error(ParseError, ParseErrorKind.BAD_LENGTH, 1)
     flags = second >> 24
     if flags & _HEADER_RESERVED_MASK:
-        return ParseError(ParseErrorKind.BAD_PADDING, 4)
+        return new_parse_error(ParseError, ParseErrorKind.BAD_PADDING, 4)
     avps = _decode_avps(data, HEADER_LEN, declared)
     if isinstance(avps, ParseError):
         return avps
@@ -552,7 +560,8 @@ def first_avp(m: Message, code: int) -> Optional[Avp]:
 
 def replace_ids(m: Message, hop_by_hop_id: int, end_to_end_id: int) -> Message:
     """`m` with new correlation ids; the encoder's CodecError for an id out of range."""
-    _check_ids(hop_by_hop_id, end_to_end_id)
+    if hop_by_hop_id >> 32 or end_to_end_id >> 32:  # a call only on a fault: see _check_ids
+        _check_ids(hop_by_hop_id, end_to_end_id)
     return new_message(
         Message, m.command_code, m.avps, m.application_id, hop_by_hop_id, end_to_end_id,
         m.request, m.proxiable, m.error, m.retransmit,
@@ -566,5 +575,6 @@ def stamp_ids(data: bytes, hop_by_hop_id: int, end_to_end_id: int) -> bytes:
     end_to_end_id)) for the m that `data` encodes, and the same CodecError
     for an id out of range, without building or encoding a Message.
     """
-    _check_ids(hop_by_hop_id, end_to_end_id)
+    if hop_by_hop_id >> 32 or end_to_end_id >> 32:  # see replace_ids
+        _check_ids(hop_by_hop_id, end_to_end_id)
     return data[:12] + _IDS.pack(hop_by_hop_id, end_to_end_id) + data[HEADER_LEN:]

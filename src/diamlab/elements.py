@@ -4,11 +4,12 @@ Every element is one simulation node handler whose one method,
 `Element.on_message`, runs the same pipeline: decode strictly and validate
 requests against the dictionary. Then base-protocol messages (CER/CEA,
 DWR/DWA, DPR/DPA) and timers feed the peer state machine, and application
-messages take the direct path, judged by `peer.deliverable` and built into
-no event or action: a delivered request goes to the capacity model before
-the element-specific command handler runs, and anything else counts an FSM
-drop. An answer of either kind that matches a pending entry pops it and
-goes to the entry's `on_answer`, a base-protocol one before the FSM.
+messages take the direct path, built into no event or action, where
+`on_message` states the rule of `peer.deliverable` inline: a delivered
+request goes to the capacity model before the element-specific command
+handler runs, and anything else counts an FSM drop. An answer of either
+kind that matches a pending entry pops it and goes to the entry's
+`on_answer`, a base-protocol one before the FSM.
 Elements send on the route each `PeerLink` holds, and they send the
 Message value itself (see `simnet`): every Message they send comes from
 `build_message`, `build_answer` or `replace_ids`, which run the
@@ -65,7 +66,6 @@ from .peer import (
     PeerEvent,
     PeerState,
     PendingEntry,
-    deliverable,
     handle_event,
     register_request,
     result_code_avp,
@@ -331,7 +331,9 @@ class Element:
         the strict decoder, and a request is validated, unless its AVP tuple
         is the one the last clean request carried. A base-protocol message
         then feeds the peer FSM. Application traffic is delivered here, with
-        no event built, if `deliverable`: a request goes to admission.
+        no event built, by `peer.deliverable`'s rule, stated inline (the
+        test TestDirectDeliveryAgreesWithTheTable holds the two equal): a
+        request goes to admission.
         Undelivered traffic counts an FSM drop, and the peer state never
         changes. An answer of either kind that matches a pending entry pops
         it and goes to its `on_answer`, a base-protocol one before the FSM."""
@@ -379,11 +381,11 @@ class Element:
             if request or msg.hop_by_hop_id not in link.pending:
                 self.feed_event(src, PeerEvent(kinds[0] if request else kinds[1], msg), now)
                 return
-        elif not deliverable(link.state.phase, msg, link.pending):
+        elif not (link.state.phase is OPEN and (request or msg.hop_by_hop_id in link.pending)):
             self.fsm_drops += 1
             return
         elif request:
-            if self.admit((link, msg), now) is ACCEPTED:
+            if self.admit(link, msg, now) is ACCEPTED:
                 self.direct_served += 1
                 self._serve(link, msg, now)
             return
@@ -404,8 +406,9 @@ class Element:
             self._credit = credit if credit < self._token else self._token  # at most one token
             self._last_accrual = now
 
-    def admit(self, request: object, now: int) -> Admission:
-        """Admission at `now`: take a token, else join the bounded queue, else drop."""
+    def admit(self, link: PeerLink, request: Message, now: int) -> Admission:
+        """Admission at `now` of `request`, come in on `link`: take a token,
+        else join the bounded queue as `(link, request)`, else drop."""
         if self.failed_at is not None:  # per request: see on_message
             raise ElementFailedError(f"{self.node.label} has failed; it admits nothing")
         self.offered += 1
@@ -423,7 +426,7 @@ class Element:
             # empty queue schedules it, and a drain leaving requests the next.
             if not self.queue:
                 self._schedule_drain(now)
-            self.queue.append(request)
+            self.queue.append((link, request))
             return QUEUED
         self.dropped_overflow += 1
         return DROPPED

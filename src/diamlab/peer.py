@@ -3,12 +3,15 @@
 One PeerState per link endpoint, advanced exclusively through
 `handle_event`, a pure function over the full phase x event table (see
 TRANSITION_MATRIX; the same table appears in the README). Application
-traffic never changes the state: `deliverable` is the one rule for it
-(RFC 6733 section 5.6). The element applies it to each application
-message directly, building no event or action; `handle_event`'s two
-application rows call it too, and stay as the table's executable
-statement of the rule, answering with a `DeliverToApp` that carries the
-message only. Undeliverable traffic is dropped, never an error.
+traffic never changes the state: `deliverable` states the rule for it
+(RFC 6733 section 5.6), and is its reference. `handle_event`'s two
+application rows call it, and stay as the table's executable statement
+of the rule, answering with a `DeliverToApp` that carries the message
+only. The element builds no event or action for an application message:
+`elements.Element.on_message` states the same rule inline, one call
+fewer per message, and the test TestDirectDeliveryAgreesWithTheTable
+holds the two equal in every phase. Undeliverable traffic is dropped,
+never an error.
 
 The table of outstanding requests and the hop-by-hop counter belong to
 the link that owns this state (`elements.PeerLink`), which changes them
@@ -34,8 +37,8 @@ from .codec import Avp, Message, build_answer, build_message, slot_init
 from .simnet import US_PER_S
 
 
-# The per-message path (`deliverable`, `register_request`) reads
-# `Phase.OPEN` through the module name OPEN: on CPython < 3.12 EnumType
+# The per-message path (`register_request`, the element's delivery rule)
+# reads `Phase.OPEN` through the module name OPEN: on CPython < 3.12 EnumType
 # defines __getattr__, so every `Phase.OPEN` read goes through a
 # Python-level slot hook (~100 ns, against ~7 ns for a module global).
 
@@ -226,7 +229,10 @@ def register_request(
 
 def deliverable(phase: Phase, message: Message, pending: Mapping[int, PendingEntry]) -> bool:
     """Whether application traffic reaches the application: only in Open,
-    and an answer only with the pending entry its hop-by-hop id matches."""
+    and an answer only with the pending entry its hop-by-hop id matches.
+
+    The reference statement of the rule; `Element.on_message` states it
+    inline (see the module docstring)."""
     return phase is OPEN and (message.request or message.hop_by_hop_id in pending)
 
 

@@ -51,7 +51,7 @@ from diamlab.codec import (
     ViolationKind,
 )
 from diamlab.elements import result_code_of
-from diamlab.peer import PeerAction, result_code_avp
+from diamlab.peer import PeerAction, Phase, result_code_avp
 from diamlab.simnet import US_PER_S
 
 from tests.labs import core_lab_text, duo_lab_text, make_lab
@@ -280,6 +280,20 @@ class TestFlood:
         assert result.offered == 1500
         second, _ = run_flood(lab, FloodSpec(target="target", rate_tps=100, duration_s=0.05))
         assert second.offered == 5 and second.sent == 5
+
+    def test_a_flood_on_a_link_that_is_not_open_refuses_every_send(self):
+        # The attack box refuses a send while its link is not Open: no
+        # pending entry, nothing on the wire, and every request is dropped.
+        _, lab = make_lab(duo_lab_text(), open_links=False)
+        link = lab.attack_box().peer_link(lab.node("target"))
+        assert link.state.phase is not Phase.OPEN
+        attempted = link.route.link.attempted
+        spec = FloodSpec(target="target", rate_tps=1000, duration_s=0.05)
+        result, _ = run_flood(lab, spec)
+        assert result.offered == spec.count == 50
+        assert (result.sent, result.answered, result.dropped) == (0, 0, result.offered)
+        assert link.pending == {} and link.route.link.attempted == attempted
+        assert lab.element("target").offered == 0
 
     @pytest.mark.parametrize("rate", [235_000, 600_000])
     def test_sends_keep_the_configured_rate(self, rate, monkeypatch):

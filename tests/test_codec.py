@@ -33,6 +33,7 @@ from diamlab.codec import (
     encode_message,
     new_avp,
     new_message,
+    new_parse_error,
     replace_ids,
     stamp_ids,
     validate_message,
@@ -676,7 +677,7 @@ class TestBuilders:
             assert str(info.value) == str(expected.value)
 
 
-# The four frozen, slotted value types: their fields, field order and
+# The five frozen, slotted value types: their fields, field order and
 # defaults, constructor arguments in field order, and one field change.
 _MSG = build_message(700, request=True, hop_by_hop_id=3, avps=[Avp(code=1, data=b"x")])
 
@@ -709,6 +710,12 @@ VALUE_TYPES = [
         ],
         (700, _MSG.avps, 4, 5, 6, True, False, True, False),
         {"hop_by_hop_id": 99, "avps": ()},
+    ),
+    (
+        ParseError,
+        [("kind", dataclasses.MISSING), ("offset", dataclasses.MISSING)],
+        (ParseErrorKind.BAD_LENGTH, 5),
+        {"offset": 9},
     ),
     (
         PeerEvent,
@@ -775,7 +782,7 @@ def test_copy_and_pickle_round_trip(cls, expected_fields, args, change):
         assert other == value and type(other) is cls
 
 
-SLOT_INIT_TYPES = [Avp, Message, PeerAction]
+SLOT_INIT_TYPES = [Avp, Message, ParseError, PeerAction]
 
 
 @pytest.mark.parametrize("cls", SLOT_INIT_TYPES)
@@ -792,6 +799,7 @@ def test_profilers_keep_each_generated_new_apart():
     profile.enable()
     Avp(1)
     Message(2)
+    ParseError(ParseErrorKind.TRUNCATED, 0)
     PeerAction(ActionKind.CLOSE_LINK)
     profile.disable()
     rows = {
@@ -808,7 +816,10 @@ def test_calling_new_directly_builds_the_same_value(cls):
     args = next(args for c, _, args, _ in VALUE_TYPES if c is cls)
     value = cls.__new__(cls, *args)
     assert type(value) is cls and value == cls(*args)
-    binding = {Avp: new_avp, Message: new_message, PeerAction: new_peer_action}[cls]
+    binding = {
+        Avp: new_avp, Message: new_message, ParseError: new_parse_error,
+        PeerAction: new_peer_action,
+    }[cls]
     assert binding is cls.__new__
 
 

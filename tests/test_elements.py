@@ -109,13 +109,13 @@ class TestAdmission:
     def test_first_request_accepted(self):
         _, lab = make_lab(duo_lab_text())
         target = lab.element("target")
-        assert target.admit(("x", None), lab.sim.clock) is Admission.ACCEPTED
+        assert target.admit("x", None, lab.sim.clock) is Admission.ACCEPTED
 
     def test_queue_then_drop(self):
         _, lab = make_lab(duo_lab_text(service_rate=1, queue_capacity=2))
         target = lab.element("target")
         now = lab.sim.clock
-        outcomes = [target.admit(("x", i), now) for i in range(5)]
+        outcomes = [target.admit("x", i, now) for i in range(5)]
         assert outcomes == [
             Admission.ACCEPTED,
             Admission.QUEUED,
@@ -130,25 +130,25 @@ class TestAdmission:
         target = lab.element("target")
         target.fail(lab.sim.clock)
         with pytest.raises(ElementFailedError):
-            target.admit(("x", None), lab.sim.clock)
+            target.admit("x", None, lab.sim.clock)
 
     def test_tokens_refill_at_service_rate(self):
         _, lab = make_lab(duo_lab_text(service_rate=1000))
         target = lab.element("target")
         now = lab.sim.clock
-        assert target.admit(("a", 0), now) is Admission.ACCEPTED
+        assert target.admit("a", 0, now) is Admission.ACCEPTED
         # 1 ms later exactly one token has accrued
-        assert target.admit(("b", 1), now + 1_000) is Admission.ACCEPTED
-        assert target.admit(("c", 2), now + 1_000) is Admission.QUEUED
+        assert target.admit("b", 1, now + 1_000) is Admission.ACCEPTED
+        assert target.admit("c", 2, now + 1_000) is Admission.QUEUED
 
     def test_a_burst_after_a_long_idle_gap_finds_one_token_and_a_full_queue(self):
         _, lab = make_lab(duo_lab_text(service_rate=1000, queue_capacity=2))
         target, sim = lab.element("target"), lab.sim
         sender = target.peer_link(lab.node("attacker"))  # the link the requests came in on
-        assert target.admit((sender, _probe(hbh=1)), sim.clock) is Admission.ACCEPTED
+        assert target.admit(sender, _probe(hbh=1), sim.clock) is Admission.ACCEPTED
         sim.run_until(sim.clock + 10_000_000)  # 10 s idle: credit stops at one token
         burst = sim.clock
-        outcomes = [target.admit((sender, _probe(hbh=i)), burst) for i in range(2, 7)]
+        outcomes = [target.admit(sender, _probe(hbh=i), burst) for i in range(2, 7)]
         assert outcomes == [
             Admission.ACCEPTED,
             Admission.QUEUED,
@@ -162,10 +162,41 @@ class TestAdmission:
             sim.run_until(burst + t)
             served.append(target.drained_served)
         assert served == [0, 1, 1, 2]
-        assert target.admit((sender, _probe(hbh=7)), burst + 2_000) is Admission.QUEUED
+        assert target.admit(sender, _probe(hbh=7), burst + 2_000) is Admission.QUEUED
         sim.run_until(burst + 3_000)
         assert target.drained_served == 3 and not target.queue
 
+
+    def test_only_a_queued_request_is_held_and_it_is_answered_on_its_link(self, monkeypatch):
+        # an accepted or dropped request leaves nothing in the queue
+        _, lab = make_lab(duo_lab_text(service_rate=1000, queue_capacity=0))
+        target = lab.element("target")
+        link = target.peer_link(lab.node("attacker"))
+        assert target.admit(link, _probe(hbh=1), lab.sim.clock) is Admission.ACCEPTED
+        assert not target.queue
+        assert target.admit(link, _probe(hbh=2), lab.sim.clock) is Admission.DROPPED
+        assert not target.queue
+        # a queued one is held with the link it came in on, and its answer goes on that route
+        _, lab = make_lab(duo_lab_text(service_rate=1000, queue_capacity=1))
+        target, sim = lab.element("target"), lab.sim
+        link = target.peer_link(lab.node("attacker"))
+        sent = []
+        send = sim.send
+
+        def record(route, payload):
+            sent.append((route, payload))
+            send(route, payload)
+
+        monkeypatch.setattr(sim, "send", record)
+        now = sim.clock
+        assert target.admit(link, _probe(hbh=1), now) is Admission.ACCEPTED
+        queued = _probe(hbh=2)
+        assert target.admit(link, queued, now) is Admission.QUEUED
+        assert list(target.queue) == [(link, queued)]
+        sim.run_until(now + 1_000)
+        assert target.drained_served == 1 and not target.queue
+        answers = [(route, m.hop_by_hop_id, m.request) for route, m in sent]
+        assert answers == [(link.route, 2, False)]
 
 def _queue_lengths_checking_drains(sim, target, until):
     """Run `sim` one event time at a time up to `until`, checking after each

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from diamlab.attacks import FloodSpec, run_flood
-from diamlab.codec import Avp, Message
+from diamlab.codec import Avp, Message, ParseError
 from diamlab.peer import PeerAction
 
 from tests.labs import duo_lab_text, make_lab
@@ -79,17 +79,21 @@ def test_overload_sweep_bytecodes_adds_a_column_and_a_table_by_module():
     out = run_script("overload_sweep.py", "--duration", "0.02", "--bytecodes")
     sweep, by_module, by_function = out.split("\n\n")
     rows = [line.split() for line in sweep.splitlines()[2:]]
-    assert len(rows) == 9 and all(len(row) == 10 and float(row[-1]) > 0 for row in rows)
+    # the bytecodes column, then the calls column
+    assert len(rows) == 9 and all(len(row) == 11 and float(row[-2]) > 0 for row in rows)
+    assert all(float(row[-1]) > 0 for row in rows)
     title, header, *module_rows = by_module.splitlines()
     assert title.startswith("bytecodes per offered request by module")
     assert "phase1's fuzz (1000 cases)" in title
-    modules = header.split()[1:]
+    *modules, calls = header.split()[1:]
     assert {"attacks", "codec", "elements", "peer", "simnet"} <= set(modules)
-    assert modules[-1] == "total"
+    assert modules[-1] == "total" and calls == "calls"
     assert [row.split()[0] for row in module_rows] == [row[0] for row in rows] + ["fuzz"]
     for row, table_row in zip(rows, module_rows):
-        assert table_row.split()[-1] == row[-1]  # the total is the column's value
-    *per_module, total = map(float, module_rows[-1].split()[1:])
+        # the total and the calls are the columns' values
+        assert table_row.split()[-2:] == row[-2:]
+    *per_module, total, calls = map(float, module_rows[-1].split()[1:])
+    assert calls > 0
     assert total == pytest.approx(sum(per_module), abs=0.1 * len(per_module))
     # the table by function: a line per module.function, a column per row
     # of the table by module (the JSON test checks that they add up)
@@ -118,56 +122,61 @@ def test_overload_sweep_json_holds_the_rows_and_the_fuzz_row():
         assert {"attacks", "codec", "elements", "peer", "simnet"} <= set(per_req)
         assert per_req.pop("total") == pytest.approx(sum(per_req.values()))
         assert_functions_sum_to_their_module(row["bytecodes_by_function"], per_req)
+        assert row["calls_per_req"] > 0
     fuzz = out["fuzz"]
     assert fuzz["cases"] == 1000
-    assert fuzz["bytecodes_per_case"]["total"] > 0
+    assert fuzz["bytecodes_per_case"]["total"] > 0 and fuzz["calls_per_case"] > 0
     per_case = dict(fuzz["bytecodes_per_case"])
     del per_case["total"]
     assert_functions_sum_to_their_module(fuzz["bytecodes_by_function"], per_case)
     # without --bytecodes, no bytecode column and no fuzz row
     plain = json.loads(run_script("overload_sweep.py", "--duration", "0.02", "--json"))
-    assert "fuzz" not in plain and all("bytecodes_per_req" not in r for r in plain["rows"])
+    assert "fuzz" not in plain
+    assert all("bytecodes_per_req" not in r and "calls_per_req" not in r for r in plain["rows"])
 
 
 def test_bytecode_counts_are_the_same_in_two_runs_in_one_process():
     sweep = load_script("overload_sweep.py")
     first, second = (sweep.flood_bytecodes(1000, 100, 1, 2000, 0.05) for _ in range(2))
     assert first == second
-    offered, counts = first
-    assert offered == 100
+    offered, counts, calls = first
+    assert offered == 100 and calls > offered
     assert {"attacks", "codec", "elements", "peer", "simnet"} <= {m for m, _ in counts}
     # a generated constructor is filed under its class's module
-    for cls, module in ((Avp, "codec"), (Message, "codec"), (PeerAction, "peer")):
+    for cls, module in ((Avp, "codec"), (Message, "codec"), (ParseError, "codec"),
+                        (PeerAction, "peer")):
         assert sweep.module_of(cls.__new__.__code__.co_filename) == module
     first, second = sweep.fuzz_bytecodes(), sweep.fuzz_bytecodes()
     assert first == second
-    cases, counts = first
-    assert cases == 1000
+    cases, counts, calls = first
+    assert cases == 1000 and calls > cases
     assert {"attacks", "codec", "elements", "peer", "simnet"} <= {m for m, _ in counts}
-    # a dataclass method compiled from a string is named by its class
-    assert {("<string>", "PeerEvent.__init__"), ("<string>", "ParseError.__init__")} <= set(counts)
+    # a dataclass method compiled from a string is named by its class, and
+    # a generated constructor by its own
+    assert {("<string>", "PeerEvent.__init__"), ("codec", "ParseError.__new__")} <= set(counts)
 
 
 # Exact bytecodes executed in diamlab's code, each counted after one warm
 # run (overload_sweep.flood_bytecodes, fuzz_bytecodes), in total and by
-# module: the sweep lab's 0.5 s floods at 1x and 4x its capacity (1,000
-# TPS, queue 100; 500 and 2,000 requests) and phase1's fuzz (1,000 cases).
+# module, and the calls of its Python functions: the sweep lab's 0.5 s
+# floods at 1x and 4x its capacity (1,000 TPS, queue 100; 500 and 2,000
+# requests) and phase1's fuzz (1,000 cases).
 # The compiler's output differs between interpreter versions, so each
 # version has its own pins. A change that moves a count re-pins it and
 # says why.
 BYTECODE_PINS = {
     (3, 11): {
         "1x": {
-            "total": 415_325, "<string>": 44, "attacks": 52_350, "codec": 69_793,
-            "elements": 156_850, "peer": 20_500, "simnet": 115_788,
+            "total": 397_328, "<string>": 44, "attacks": 47_853, "codec": 65_793,
+            "elements": 157_350, "peer": 10_500, "simnet": 115_788, "calls": 9_043,
         },
         "4x": {
-            "total": 1_276_559, "<string>": 92, "attacks": 190_254, "codec": 185_893,
-            "elements": 447_334, "peer": 65_200, "simnet": 387_786,
+            "total": 1_216_960, "<string>": 92, "attacks": 172_257, "codec": 169_893,
+            "elements": 444_932, "peer": 42_000, "simnet": 387_786, "calls": 26_649,
         },
         "fuzz": {
-            "total": 1_611_855, "<string>": 30_548, "attacks": 271_367, "codec": 503_694,
-            "elements": 325_609, "peer": 74_854, "simnet": 405_783,
+            "total": 1_597_565, "<string>": 20_504, "attacks": 271_367, "codec": 504_150,
+            "elements": 326_311, "peer": 69_450, "simnet": 405_783, "calls": 35_234,
         },
     },
 }
@@ -181,10 +190,11 @@ def test_bytecode_totals_are_pinned():
         "fuzz": sweep.fuzz_bytecodes,
     }
     # per_unit of one unit: the counts themselves, by module and in total
-    counted = {
-        label: {key: int(n) for key, n in sweep.per_unit(run()[1], 1).items()}
-        for label, run in runs.items()
-    }
+    counted = {}
+    for label, run in runs.items():
+        _, counts, calls = run()
+        counted[label] = {key: int(n) for key, n in sweep.per_unit(counts, 1).items()}
+        counted[label]["calls"] = calls
     version = sys.version_info[:2]
     if version not in BYTECODE_PINS:
         pytest.fail(
@@ -247,7 +257,7 @@ def test_bytecodes_per_answered_request_stay_flat_as_requests_outstanding_grow()
         _, lab = make_lab(text)
         spec = FloodSpec(target="target", rate_tps=1250.25, duration_s=0.8)
         results = []
-        counts = sweep.count_bytecodes(lambda: results.append(run_flood(lab, spec)))
+        counts, _ = sweep.count_bytecodes(lambda: results.append(run_flood(lab, spec)))
         result = results[0][0]
         assert result.answered == result.offered == 1000
         per_request.append(sum(counts.values()) / result.answered)
