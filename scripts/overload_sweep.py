@@ -14,9 +14,11 @@ status 1 and its name.
 bytecodes executed per offered request in diamlab's code, and the calls
 of its Python functions (each frame entered, a generator's resumption
 too): a column of each, then a table by module with the calls last, whose
-last row, `fuzz`, is per case of phase1's fuzz (its 1,000 cases and seed,
-on a fresh phase1 lab), then a table by function, one column per row of
-the table by module. The count is exact
+last two rows are `fuzz`, per case of phase1's fuzz (its 1,000 cases and
+seed, on a fresh phase1 lab), and `setup`, for one setup of phase2 as
+perfbench's setup_s times it (load_config, Lab.build and
+bring_links_open), then a table by function, one column per row of the
+table by module. The count is exact
 and the same in every run of one interpreter version, but it is not time:
 a call into C counts as one. Code compiled from strings is filed under the
 module of the class it was generated for (codec.slot_init), or under
@@ -42,7 +44,8 @@ warm run, and a longer --duration can list more.
 --json prints the same sweep as one JSON object instead: the rows, each
 with its bytecodes per offered request in total and by module, and by
 function within each module, and its calls per offered request, under
---bytecodes, then the fuzz row, and the listings under `adaptive`.
+--bytecodes, then the fuzz row and the setup row, and the listings under
+`adaptive`.
 
 Usage: PYTHONPATH=src python scripts/overload_sweep.py [--capacity 1000] [--queue 100]
            [--duration 5] [--bytecodes] [--adaptive] [--json]
@@ -244,6 +247,19 @@ def fuzz_bytecodes():
     return (cases, *count_bytecodes(traced))
 
 
+def setup() -> None:
+    """One setup of phase2, as perfbench's setup_s times it: load_config,
+    Lab.build and bring_links_open."""
+    build_lab(load_config("phase2")).bring_links_open()
+
+
+def setup_bytecodes() -> tuple[Counter, int]:
+    """(bytecodes by (module, function), calls) of one setup, after one
+    untraced setup, as flood_bytecodes counts a flood."""
+    setup()
+    return count_bytecodes(setup)
+
+
 def per_unit(counts: Counter, n: int) -> dict:
     """Bytecodes per request (or case) of count_bytecodes' `counts`, in total and by module."""
     modules: Counter = Counter()
@@ -268,8 +284,8 @@ ADAPTIVE_RATES = (1.0, 4.0)
 
 
 def sweep(args) -> dict:
-    """The sweep as one JSON-ready value: a row per rate, the fuzz row under
-    --bytecodes, and the adaptive listings under --adaptive."""
+    """The sweep as one JSON-ready value: a row per rate, the fuzz and setup
+    rows under --bytecodes, and the adaptive listings under --adaptive."""
     rows = []
     for r in RATES:
         rate = r * args.capacity
@@ -329,6 +345,16 @@ def sweep(args) -> dict:
             out["adaptive"][f"{r:g}x"] = adaptive_listing(runs, offered)
         cases, runs = fuzz_runs(2)
         out["adaptive"]["fuzz"] = adaptive_listing(runs, cases)
+    if args.bytecodes:
+        # Last: a listing depends on the code run before it in the process,
+        # and the setup runs phase2's HSS, MME and PCRF elements through the
+        # code the listings read.
+        counts, calls = setup_bytecodes()
+        out["setup"] = {
+            "bytecodes": per_unit(counts, 1),
+            "bytecodes_by_function": per_function(counts, 1),
+            "calls": calls,
+        }
     return out
 
 
@@ -353,14 +379,16 @@ def print_table(out: dict) -> None:
             )
         )
     if bytecodes:
-        fuzz = out["fuzz"]
+        fuzz, setup_row = out["fuzz"], out["setup"]
         table = [(f"{row['rate']:g}", row["bytecodes_per_req"], row["calls_per_req"])
                  for row in rows]
         table.append(("fuzz", fuzz["bytecodes_per_case"], fuzz["calls_per_case"]))
+        table.append(("setup", setup_row["bytecodes"], setup_row["calls"]))
         modules = sorted({m for _, per, _ in table for m in per} - {"total"}) + ["total"]
         print(
-            "\nbytecodes per offered request by module, and per case of phase1's fuzz"
-            f" ({fuzz['cases']} cases) in its row, then calls (Python {out['python']})"
+            "\nbytecodes per offered request by module, per case of phase1's fuzz"
+            f" ({fuzz['cases']} cases) and per setup of phase2 in their rows, then calls"
+            f" (Python {out['python']})"
         )
         print(f"{'rate':>8}" + "".join(f" {m:>10}" for m in modules) + f" {'calls':>8}")
         for label, per, calls in table:
@@ -377,12 +405,16 @@ def print_functions(out: dict) -> None:
     row of the table by module."""
     columns = [row["bytecodes_by_function"] for row in out["rows"]]
     columns.append(out["fuzz"]["bytecodes_by_function"])
-    labels = [f"{row['rate']:g}" for row in out["rows"]] + ["fuzz"]
+    columns.append(out["setup"]["bytecodes_by_function"])
+    labels = [f"{row['rate']:g}" for row in out["rows"]] + ["fuzz", "setup"]
     names = {(m, f) for column in columns for m, per in column.items() for f in per}
     counts = {name: [column.get(name[0], {}).get(name[1], 0.0) for column in columns]
               for name in names}
     width = max(len(f"{m}.{f}") for m, f in names)
-    print("\nbytecodes per offered request by function, and per case of phase1's fuzz in its column")
+    print(
+        "\nbytecodes per offered request by function, per case of phase1's fuzz and per"
+        " setup of phase2 in their columns"
+    )
     print(f"{'function':<{width}}" + "".join(f" {label:>8}" for label in labels))
     for m, f in sorted(names, key=lambda name: (name[0], -max(counts[name]), name[1])):
         print(f"{m + '.' + f:<{width}}" + "".join(f" {c:8.1f}" for c in counts[m, f]))

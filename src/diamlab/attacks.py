@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, ClassVar, Optional
 
@@ -27,6 +27,7 @@ from .codec import (
     decode_message,
     encode_avp,
     encode_message,
+    new_message,
     stamp_ids,
 )
 from .elements import AttackBoxElement, Element, Lab, attach_request, result_code_of
@@ -196,17 +197,24 @@ def _mut_shuffle_avps(data: bytes, draw: int) -> bytes:
         return data
     order = list(msg.avps)
     random.Random(draw).shuffle(order)
-    return encode_message(replace(msg, avps=tuple(order)))
+    shuffled = new_message(
+        Message, msg.command_code, tuple(order), msg.application_id, msg.hop_by_hop_id,
+        msg.end_to_end_id, msg.request, msg.proxiable, msg.error, msg.retransmit,
+    )
+    return encode_message(shuffled)
 
 
-_MUTATORS: dict[MutationOp, Callable[[bytes, int], bytes]] = {
-    MutationOp.FLIP_FLAG: _mut_flip_flag,
-    MutationOp.SET_MANDATORY_UNKNOWN_AVP: _mut_set_mandatory_unknown_avp,
-    MutationOp.TRUNCATE: _mut_truncate,
-    MutationOp.INFLATE_LENGTH: _mut_inflate_length,
-    MutationOp.CORRUPT_VERSION: _mut_corrupt_version,
-    MutationOp.SHUFFLE_AVPS: _mut_shuffle_avps,
-    MutationOp.ZERO_LENGTH_AVP: _mut_zero_length_avp,
+# Keyed by each op's `_value_`, the member's plain attribute, and read once
+# per case: a dict keyed by the member calls the Python-level Enum.__hash__,
+# and on CPython 3.11 `.value` is a Python-level property.
+_MUTATORS: dict[str, Callable[[bytes, int], bytes]] = {
+    MutationOp.FLIP_FLAG.value: _mut_flip_flag,
+    MutationOp.SET_MANDATORY_UNKNOWN_AVP.value: _mut_set_mandatory_unknown_avp,
+    MutationOp.TRUNCATE.value: _mut_truncate,
+    MutationOp.INFLATE_LENGTH.value: _mut_inflate_length,
+    MutationOp.CORRUPT_VERSION.value: _mut_corrupt_version,
+    MutationOp.SHUFFLE_AVPS.value: _mut_shuffle_avps,
+    MutationOp.ZERO_LENGTH_AVP.value: _mut_zero_length_avp,
 }
 
 
@@ -216,7 +224,7 @@ def mutate(data: bytes, op: MutationOp, draw: int) -> bytes:
     Returns the input unchanged when the operator is a no-op on this
     structure; callers detect that by comparison.
     """
-    return _MUTATORS[op](data, draw)
+    return _MUTATORS[op._value_](data, draw)
 
 
 # --- flooding -----------------------------------------------------------------
@@ -520,6 +528,17 @@ DISPOSITION_DROPPED = "dropped"
 DISPOSITION_NO_RESPONSE = "no-response-timeout"
 DISPOSITION_CRASH = "crash"
 
+# The severity and taxonomy cell of each fuzz finding, built once: run_fuzz
+# reads no member through its Enum class (see the note above peer.Phase).
+_CRASH_FINDING = (
+    Severity.OUTAGE,
+    TaxonomyLabel(Origin.EXTERNAL_INTERCONNECT, Technique.MALFORMED_MESSAGE, Impact.AVAILABILITY),
+)
+_ACCEPTED_INVALID_FINDING = (
+    Severity.INFO,
+    TaxonomyLabel(Origin.EXTERNAL_INTERCONNECT, Technique.MALFORMED_MESSAGE, Impact.INTEGRITY),
+)
+
 
 @dataclass
 class FuzzResult:
@@ -601,7 +620,8 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
         target or times out; an answer's result code is tallied in `codes`.
         The run ends at the answer's microsecond (the case's `on_answer`
         halts it), or at the timeout. The case's pending entry is forgotten
-        however the run ends, so no answer to it can halt a later run."""
+        however the run ends, unless its answer popped it, so no answer to
+        it can halt a later run."""
         drops_before = target_drops()
         if not ab.send_raw_request(target.node, case, hbh, on_answer, sim.clock):
             return DISPOSITION_NO_RESPONSE
@@ -612,7 +632,8 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
                 return DISPOSITION_CRASH
             raise
         finally:
-            ab.forget_pending_many(target.node, (hbh,))
+            if hbh not in answers:  # an answer reaches on_answer only after the pop
+                ab.forget_pending_many(target.node, (hbh,))
         if hbh not in answers:
             if target_drops() != drops_before:
                 return DISPOSITION_DROPPED
@@ -624,6 +645,9 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
         return DISPOSITION_ANSWERED_ERROR
 
     ops = [op.value for op in spec.ops]  # the names, by the index a case draws
+    # Drawn with choice: on CPython 3.11 it draws _randbelow(len(seq)), as
+    # randrange(len(seq)) does, in fewer steps.
+    named_ops = list(zip(spec.ops, ops))
     tallies: dict[str, dict[str, int]] = {op: {} for op in ops}
     result_codes: dict[str, dict[Optional[int], int]] = {op: {} for op in ops}
     no_op_cases = 0
@@ -632,9 +656,8 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
     dispositions: list[str] = []  # of each case, in case order
 
     for i in range(spec.case_count):
-        template = corpus[rng.randrange(len(corpus))]
-        drawn = rng.randrange(len(ops))
-        op, op_name = spec.ops[drawn], ops[drawn]
+        template = rng.choice(corpus)
+        op, op_name = rng.choice(named_ops)
         draw = rng.getrandbits(32)
         hbh = ab.alloc_hop_by_hop(target.node)
         base = stamp_ids(template, hbh, hbh)
@@ -649,7 +672,7 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
         evidence: Optional[dict] = None
         if disposition == DISPOSITION_CRASH:
             exc = target.crash
-            severity, impact = Severity.OUTAGE, Impact.AVAILABILITY
+            severity, label = _CRASH_FINDING
             evidence = {"finding_type": "crash", "exception": f"{type(exc).__name__}: {exc}"}
             # the case may have been queued before this one; None: an earlier attack's request
             named = unanswered.get(target.crashed_on.hop_by_hop_id)
@@ -664,7 +687,7 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
         elif disposition == DISPOSITION_ANSWERED_SUCCESS and isinstance(
             decode_message(case), ParseError
         ):
-            severity, impact = Severity.INFO, Impact.INTEGRITY
+            severity, label = _ACCEPTED_INVALID_FINDING
             evidence, named = {"finding_type": "accepted-invalid"}, (i, op, case)
         per_op = tallies[op_name]
         per_op[disposition] = per_op.get(disposition, 0) + 1
@@ -676,7 +699,6 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
             evidence.update(
                 case_index=index, mutation_op=named_op.value, case_hex=named_case.hex()
             )
-        label = TaxonomyLabel(Origin.EXTERNAL_INTERCONNECT, Technique.MALFORMED_MESSAGE, impact)
         findings.append(Finding(spec.kind, severity, label, evidence))
     result = FuzzResult(
         target=spec.target,

@@ -88,6 +88,32 @@ def to_json(value: object) -> object:
     return value
 
 
+# The keys of each entry of a report's `attacks` and `findings`, as
+# `to_json` writes them, and the type json.load gives each value.
+_ENTRY_KEYS: dict[str, dict[str, type]] = {
+    "attacks": {"kind": str, "result": dict},
+    "findings": {
+        "id": int, "attack_kind": str, "severity": str, "taxonomy": dict, "evidence": dict,
+    },
+}
+_JSON_TYPE_NAMES = {dict: "an object", str: "a string", int: "an integer"}
+
+
+def _entry_error(key: str, index: int, entry: object) -> Optional[str]:
+    """What is wrong with the shape of `entry`, number `index` of the report's
+    `key` list, located by its path (`attacks[0].result: ...`), or None."""
+    where = f"{key}[{index}]"
+    if type(entry) is not dict:
+        return f"{where}: expected an object, got {type(entry).__name__}"
+    for name, kind in _ENTRY_KEYS[key].items():
+        if name not in entry:
+            return f"{where}.{name}: missing"
+        value = entry[name]
+        if type(value) is not kind:  # exact: a JSON boolean is no integer
+            return f"{where}.{name}: expected {_JSON_TYPE_NAMES[kind]}, got {type(value).__name__}"
+    return None
+
+
 @dataclass
 class Report:
     tool_version: str
@@ -100,7 +126,8 @@ class Report:
 
     @classmethod
     def from_dict(cls, d: object) -> "Report":
-        """Inverse of to_json (the parsed JSON); ValueError names a missing or mistyped key."""
+        """Inverse of to_json (the parsed JSON); ValueError names a missing or
+        mistyped key, and the path of a mistyped attack or finding entry."""
         if not isinstance(d, dict):
             raise ValueError(f"expected a JSON object, got {type(d).__name__}")
         hints = get_type_hints(cls)
@@ -108,6 +135,11 @@ class Report:
             kind = get_origin(hint) or hint  # list[dict] -> list
             if not isinstance(d.get(key), kind):
                 raise ValueError(f"{key!r} is missing or not a {kind.__name__}")
+        for key in _ENTRY_KEYS:
+            for index, entry in enumerate(d[key]):
+                error = _entry_error(key, index, entry)
+                if error:
+                    raise ValueError(error)
         return cls(**{key: d[key] for key in hints})
 
     def to_json(self) -> str:

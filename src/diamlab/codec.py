@@ -88,9 +88,16 @@ class ParseErrorKind(Enum):
     AVP_OVERRUN = "avp_overrun"
 
 
+# Read per malformed message decoded, so bound once as module names: on
+# CPython < 3.12 EnumType defines __getattr__, so every `ParseErrorKind.X`
+# read goes through a Python-level slot hook (see the note above peer.Phase).
+TRUNCATED, BAD_VERSION, BAD_LENGTH, BAD_PADDING, AVP_OVERRUN = ParseErrorKind
+
+
 # Avp and Message are built once or more per message, peer.PeerAction
-# per base-protocol message and timer, and ParseError per malformed message
-# decoded (about one fuzz case in two), so slot_init gives them a
+# per base-protocol message and timer, peer.PeerState per transition that
+# changes it, ParseError per malformed message decoded (about one fuzz case
+# in two) and Violation per violation found, so slot_init gives them a
 # positional __new__ in place of the generated __init__, whose
 # object.__setattr__ per field CPython 3.11 does not specialize (nor a call
 # of the slot's member descriptor, ~65 ns a field).
@@ -103,9 +110,10 @@ class ParseErrorKind(Enum):
 # does not specialize for a Python __new__ (~110 ns more per value), nor a
 # read of `cls.__new__`, a static method read through its class. So each
 # such class's __new__ is bound once to a module name next to it (new_avp,
-# new_message, new_parse_error, peer.new_peer_action), and the per-message
-# builds (build_message, build_answer, decode_message, _decode_avps,
-# replace_ids, every PeerAction of peer.handle_event) call that name with
+# new_message, new_parse_error, new_violation, peer.new_peer_action,
+# peer.new_peer_state), and the per-message builds (build_message,
+# build_answer, decode_message, _decode_avps, replace_ids, validate_message,
+# every PeerAction and PeerState of peer.handle_event) call that name with
 # the class: new_message(Message, ...) returns the value Message(...) does.
 # Each class's source is compiled under its own filename, <module.Class>, so
 # profilers and tracers keep the generated functions of the classes apart.
@@ -391,27 +399,27 @@ def _decode_avps(data: bytes, start: int, end: int) -> Union[list[Avp], ParseErr
     off = start
     while off < end:
         if end - off < AVP_HEADER_LEN:
-            return new_parse_error(ParseError, ParseErrorKind.AVP_OVERRUN, off)
+            return new_parse_error(ParseError, AVP_OVERRUN, off)
         code, word = _AVP_HEADER.unpack_from(data, off)
         flags = word >> 24
         if flags & _AVP_RESERVED_MASK:
-            return new_parse_error(ParseError, ParseErrorKind.BAD_PADDING, off + 4)
+            return new_parse_error(ParseError, BAD_PADDING, off + 4)
         length = word & _U24_MAX
         vendor = bool(flags & AVP_FLAG_VENDOR)
         hdr = AVP_HEADER_LEN + 4 if vendor else AVP_HEADER_LEN
         if length < hdr:
-            return new_parse_error(ParseError, ParseErrorKind.BAD_LENGTH, off + 5)
+            return new_parse_error(ParseError, BAD_LENGTH, off + 5)
         if off + length > end:
-            return new_parse_error(ParseError, ParseErrorKind.AVP_OVERRUN, off)
+            return new_parse_error(ParseError, AVP_OVERRUN, off)
         padded = (length + 3) & ~3
         if off + padded > end:
-            return new_parse_error(ParseError, ParseErrorKind.BAD_PADDING, off + length)
+            return new_parse_error(ParseError, BAD_PADDING, off + length)
         if padded != length:
             pad = data[off + length : off + padded]
             if any(pad):
                 first_nonzero = next(i for i, b in enumerate(pad) if b)
                 return new_parse_error(
-                    ParseError, ParseErrorKind.BAD_PADDING, off + length + first_nonzero
+                    ParseError, BAD_PADDING, off + length + first_nonzero
                 )
         avps.append(
             new_avp(
@@ -436,20 +444,20 @@ def decode_message(data: bytes) -> Union[Message, ParseError]:
     """
     n = len(data)
     if n < HEADER_LEN:
-        return new_parse_error(ParseError, ParseErrorKind.TRUNCATED, n)
+        return new_parse_error(ParseError, TRUNCATED, n)
     first, second, application_id, hop_by_hop_id, end_to_end_id = _HEADER.unpack_from(data)
     if first >> 24 != _VERSION:
-        return new_parse_error(ParseError, ParseErrorKind.BAD_VERSION, 0)
+        return new_parse_error(ParseError, BAD_VERSION, 0)
     declared = first & _U24_MAX
     if declared % 4 != 0 or declared < HEADER_LEN:
-        return new_parse_error(ParseError, ParseErrorKind.BAD_LENGTH, 1)
+        return new_parse_error(ParseError, BAD_LENGTH, 1)
     if declared > n:
-        return new_parse_error(ParseError, ParseErrorKind.TRUNCATED, n)
+        return new_parse_error(ParseError, TRUNCATED, n)
     if declared < n:
-        return new_parse_error(ParseError, ParseErrorKind.BAD_LENGTH, 1)
+        return new_parse_error(ParseError, BAD_LENGTH, 1)
     flags = second >> 24
     if flags & _HEADER_RESERVED_MASK:
-        return new_parse_error(ParseError, ParseErrorKind.BAD_PADDING, 4)
+        return new_parse_error(ParseError, BAD_PADDING, 4)
     avps = _decode_avps(data, HEADER_LEN, declared)
     if isinstance(avps, ParseError):
         return avps
@@ -508,11 +516,18 @@ class ViolationKind(Enum):
     BAD_AVP_LENGTH = "bad_avp_length"
 
 
-@dataclass(frozen=True)
+UNSUPPORTED_MANDATORY_AVP, BAD_AVP_LENGTH = ViolationKind  # see TRUNCATED
+
+
+@slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class Violation:
     kind: ViolationKind
     avp_code: int
     avp_index: int
+
+
+new_violation = Violation.__new__  # see slot_init
 
 
 # The payload length rule of each data format that has one; octet-string
@@ -545,9 +560,9 @@ def validate_message(m: Message, d: Dictionary) -> list[Violation]:
             continue
         if rule is _UNKNOWN_AVP:
             if avp.mandatory:
-                out.append(Violation(ViolationKind.UNSUPPORTED_MANDATORY_AVP, avp.code, i))
+                out.append(new_violation(Violation, UNSUPPORTED_MANDATORY_AVP, avp.code, i))
         elif not rule(avp.data):
-            out.append(Violation(ViolationKind.BAD_AVP_LENGTH, avp.code, i))
+            out.append(new_violation(Violation, BAD_AVP_LENGTH, avp.code, i))
     return out
 
 

@@ -23,7 +23,19 @@ from . import attacks
 from . import dictionary as dct
 from .attacks import AttackSpec, FloodSpec, FuzzSpec, InterceptSpec, MutationOp
 from .codec import U32_MAX
-from .elements import ElementCapacity, ElementKind, Lab, PolicyRule, SubscriberRecord, first_of_kind
+from .elements import (
+    ATTACK_BOX,
+    HSS,
+    MME,
+    PCRF,
+    TARGET_SERVER,
+    ElementCapacity,
+    ElementKind,
+    Lab,
+    PolicyRule,
+    SubscriberRecord,
+    first_of_kind,
+)
 from .peer import PeerConfig
 from .simnet import US_PER_S, LinkSpec, TopologySpec
 
@@ -337,7 +349,9 @@ _RULE = Schema(
     Key("subscriber", "subscriber_id", Section.get_text, required=True),
     Key("qos_class", "qos_class", Section.get_int),
 )
-_CORE_KINDS = {ElementKind.HSS, ElementKind.MME, ElementKind.PCRF}
+# A tuple, tested against a lab's kinds by identity: a set of members calls
+# the Python-level Enum.__hash__ for every member it holds or tests.
+_CORE_KINDS = (HSS, MME, PCRF)
 _TOPOLOGY_KINDS = ("node", "link", "subscriber", "rule")  # the sections a built-in splices in
 
 
@@ -370,9 +384,9 @@ def _linked(config: CampaignConfig, a: Optional[str], b: Optional[str]) -> bool:
 
 
 def _sent_from_attack_box(spec: FloodSpec | FuzzSpec, config: CampaignConfig) -> Optional[str]:
-    if config.phase == "phase1" and config.kinds[spec.target] is not ElementKind.TARGET_SERVER:
+    if config.phase == "phase1" and config.kinds[spec.target] is not TARGET_SERVER:
         return f"phase1 permits only TargetServer-directed attacks (got {spec.target!r})"
-    box = first_of_kind(config.kinds, ElementKind.ATTACK_BOX)
+    box = first_of_kind(config.kinds, ATTACK_BOX)
     if box is None:
         return f"{spec.kind} needs an AttackBox node to send from"
     if spec.target == box:
@@ -388,14 +402,14 @@ def _intercept_path_error(spec: InterceptSpec, config: CampaignConfig) -> Option
     MME with subscribers."""
     a, b = spec.link
     kinds = config.kinds
-    if config.phase == "phase1" and ElementKind.TARGET_SERVER not in (kinds[a], kinds[b]):
+    if config.phase == "phase1" and TARGET_SERVER not in (kinds[a], kinds[b]):
         return "phase1 intercepts must tap a TargetServer link"
     if not _linked(config, a, b):
         return f"intercept link {a!r} <-> {b!r} is not a declared link"
-    mme = first_of_kind(config.kinds, ElementKind.MME)
+    mme = first_of_kind(config.kinds, MME)
     if mme is None or not config.subscribers:
         return None
-    for kind in (ElementKind.HSS, ElementKind.PCRF):
+    for kind in (HSS, PCRF):
         if not _linked(config, mme, first_of_kind(config.kinds, kind)):
             return (
                 f"intercept traffic attaches subscribers through MME {mme!r},"
@@ -579,14 +593,14 @@ def _validate_phase(config: CampaignConfig) -> None:
     source = config.source
     if not config.topology.nodes:
         raise ConfigError(f"{source}: config declares no nodes")
-    present = set(config.kinds.values())
+    present = config.kinds.values()
     if config.phase == "phase1":
-        illegal = present & _CORE_KINDS
+        illegal = [k for k in _CORE_KINDS if k in present]
         if illegal:
             names = ", ".join(sorted(k.value for k in illegal))
             raise ConfigError(f"{source}: phase1 config may not declare core elements ({names})")
     if config.phase == "phase2":
-        missing = _CORE_KINDS - present
+        missing = [k for k in _CORE_KINDS if k not in present]
         if missing:
             names = ", ".join(sorted(k.value for k in missing))
             raise ConfigError(f"{source}: phase2 config must declare {names}")

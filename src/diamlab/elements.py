@@ -44,10 +44,10 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 from . import dictionary as dct
 from .codec import (
     U32_MAX,
+    UNSUPPORTED_MANDATORY_AVP,
     Avp,
     Message,
     ParseError,
-    ViolationKind,
     build_answer,
     build_message,
     decode_message,
@@ -56,11 +56,19 @@ from .codec import (
     validate_message,
 )
 from .peer import (
+    CONN_ACK,
+    DROP_MESSAGE,
     OPEN,
+    RCV_CEA,
+    RCV_CER,
+    RCV_DPA,
+    RCV_DPR,
+    RCV_DWA,
+    RCV_DWR,
     SEND_ACTIONS,
-    ActionKind,
+    START,
+    WATCHDOG_TIMER,
     AnswerCallback,
-    EventKind,
     PeerAction,
     PeerConfig,
     PeerEvent,
@@ -101,19 +109,27 @@ class ElementKind(Enum):
     ATTACK_BOX = "AttackBox"
 
 
+# Read per node and per link while a lab is built and brought up, so bound
+# once as module names: see the note above peer.Phase.
+TARGET_SERVER, HSS, MME, PCRF, ATTACK_BOX = ElementKind
+
+
 def first_of_kind(kinds: Mapping[str, ElementKind], kind: ElementKind) -> Optional[str]:
     """The label of the node that plays `kind`'s role in a lab: the first node
     of that kind in node order (`kinds` maps labels to kinds in that order)."""
     return next((label for label, k in kinds.items() if k is kind), None)
 
 
-# Lower value opens the peer connection on a link.
+# Lower value opens the peer connection on a link. Keyed by each kind's
+# `_value_`, the member's plain attribute, as is every table read per node or
+# link: a dict keyed by the member calls the Python-level Enum.__hash__, and on
+# CPython 3.11 `.value` is a Python-level property.
 _INITIATOR_PRIORITY = {
-    ElementKind.ATTACK_BOX: 0,
-    ElementKind.MME: 1,
-    ElementKind.TARGET_SERVER: 2,
-    ElementKind.HSS: 3,
-    ElementKind.PCRF: 4,
+    ATTACK_BOX.value: 0,
+    MME.value: 1,
+    TARGET_SERVER.value: 2,
+    HSS.value: 3,
+    PCRF.value: 4,
 }
 
 
@@ -218,16 +234,16 @@ def result_code_of(msg: Message) -> Optional[int]:
 # Base-protocol command code -> (request event, answer event); every other
 # command is application traffic, which `Element.on_message` takes directly.
 _BASE_EVENT_KINDS = {
-    dct.CMD_CAPABILITIES_EXCHANGE: (EventKind.RCV_CER, EventKind.RCV_CEA),
-    dct.CMD_DEVICE_WATCHDOG: (EventKind.RCV_DWR, EventKind.RCV_DWA),
-    dct.CMD_DISCONNECT_PEER: (EventKind.RCV_DPR, EventKind.RCV_DPA),
+    dct.CMD_CAPABILITIES_EXCHANGE: (RCV_CER, RCV_CEA),
+    dct.CMD_DEVICE_WATCHDOG: (RCV_DWR, RCV_DWA),
+    dct.CMD_DISCONNECT_PEER: (RCV_DPR, RCV_DPA),
 }
 
 
 class Element:
     """Base node behavior: codec front line, peer FSM, capacity model."""
 
-    kind = ElementKind.TARGET_SERVER
+    kind = TARGET_SERVER
 
     def __init__(
         self,
@@ -310,7 +326,7 @@ class Element:
 
     def _watchdog(self, peer: NodeId, now: int) -> None:
         if self.failed_at is None:  # per timer: see on_message
-            self.feed_event(peer, PeerEvent(EventKind.WATCHDOG_TIMER), now)
+            self.feed_event(peer, PeerEvent(WATCHDOG_TIMER), now)
 
     def _execute(self, link: PeerLink, action: PeerAction, now: int) -> None:
         kind = action.kind
@@ -320,7 +336,7 @@ class Element:
                 hbh = self._alloc_hop_by_hop(link)
                 msg = replace_ids(msg, hbh, hbh)
             self.sim.send(link.route, msg)
-        elif kind is ActionKind.DROP_MESSAGE:
+        elif kind is DROP_MESSAGE:
             self.fsm_drops += 1
         # CloseLink: the transport is modeled as always up; nothing to tear down.
 
@@ -364,7 +380,7 @@ class Element:
         if request and msg.avps is not self._clean_avps:
             violations = validate_message(msg, dct.BUILTIN_DICTIONARY)
             if violations:
-                if any(v.kind is ViolationKind.UNSUPPORTED_MANDATORY_AVP for v in violations):
+                if any(v.kind is UNSUPPORTED_MANDATORY_AVP for v in violations):
                     code = dct.RESULT_UNSUPPORTED_MANDATORY_AVP
                 else:
                     code = dct.RESULT_INVALID_AVP_LENGTH
@@ -454,7 +470,8 @@ class Element:
             self._overload_streak += 1
         else:
             self._overload_streak = 0
-        if self._overload_streak >= math.ceil(self.capacity.failure_threshold_s):
+        # For an integer streak, streak >= ceil(threshold) exactly when streak >= threshold.
+        if self._overload_streak >= self.capacity.failure_threshold_s:
             self.fail(now)
             return
         self.sim.schedule_timer(now + SAMPLE_INTERVAL_US, self._sample)
@@ -557,7 +574,7 @@ class Element:
 class TargetServerElement(Element):
     """The standalone fuzzing and flooding target."""
 
-    kind = ElementKind.TARGET_SERVER
+    kind = TARGET_SERVER
 
     # (request AVPs, answer AVPs) of the last echo answered. The answer's
     # AVPs depend only on the request's tuple, which never changes (Avp and
@@ -586,7 +603,7 @@ class TargetServerElement(Element):
 class HssElement(Element):
     """Subscriber store: profile queries and location updates."""
 
-    kind = ElementKind.HSS
+    kind = HSS
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -629,7 +646,7 @@ class HssElement(Element):
 class PcrfElement(Element):
     """Policy rule store: install-once semantics per rule id."""
 
-    kind = ElementKind.PCRF
+    kind = PCRF
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -693,7 +710,7 @@ class MmeElement(Element):
     and timeout hold; the MME keeps no table of runs.
     """
 
-    kind = ElementKind.MME
+    kind = MME
 
     _STEPS = ("location-update", "profile-query", "policy-install")
 
@@ -766,11 +783,12 @@ class AttackBoxElement(Element):
     the case's `on_answer` before the peer FSM (see `Element.on_message`).
     """
 
-    kind = ElementKind.ATTACK_BOX
+    kind = ATTACK_BOX
 
 
-_ELEMENT_CLASSES: dict[ElementKind, type[Element]] = {
-    cls.kind: cls
+# Keyed by each kind's `_value_`: see _INITIATOR_PRIORITY.
+_ELEMENT_CLASSES: dict[str, type[Element]] = {
+    cls.kind.value: cls
     for cls in (TargetServerElement, HssElement, MmeElement, PcrfElement, AttackBoxElement)
 }
 
@@ -792,7 +810,7 @@ class Lab:
         sim = build_topology(config.topology, seed=config.seed)
         elements: dict[str, Element] = {}
         for node in sim.nodes:
-            elem = _ELEMENT_CLASSES[config.kinds[node.label]](
+            elem = _ELEMENT_CLASSES[config.kinds[node.label]._value_](
                 node,
                 sim,
                 capacity=config.capacities[node.label],
@@ -804,9 +822,9 @@ class Lab:
             elements[link.a.label].add_link(link.b)
             elements[link.b.label].add_link(link.a)
         lab = cls(config, sim, elements)
-        hss = lab._role(ElementKind.HSS)
-        pcrf = lab._role(ElementKind.PCRF)
-        mme = lab._role(ElementKind.MME)
+        hss = lab._role(HSS)
+        pcrf = lab._role(PCRF)
+        mme = lab._role(MME)
         if hss is not None:
             hss.seed_subscribers(config.subscribers)
         if pcrf is not None:
@@ -840,7 +858,7 @@ class Lab:
         return None if label is None else self.elements[label]
 
     def attack_box(self) -> AttackBoxElement:
-        elem = self._role(ElementKind.ATTACK_BOX)
+        elem = self._role(ATTACK_BOX)
         if elem is None:
             raise LabError("topology has no AttackBox element")
         return elem
@@ -864,11 +882,11 @@ class Lab:
             link = self.sim.links[key]
             ea, eb = self.elements[link.a.label], self.elements[link.b.label]
             initiator = min(
-                (ea, eb), key=lambda e: (_INITIATOR_PRIORITY[e.kind], e.node.id)
+                (ea, eb), key=lambda e: (_INITIATOR_PRIORITY[e.kind._value_], e.node.id)
             )
             responder = eb if initiator is ea else ea
-            initiator.feed_event(responder.node, PeerEvent(EventKind.START), sim.clock)
-            initiator.feed_event(responder.node, PeerEvent(EventKind.CONN_ACK), sim.clock)
+            initiator.feed_event(responder.node, PeerEvent(START), sim.clock)
+            initiator.feed_event(responder.node, PeerEvent(CONN_ACK), sim.clock)
         sim.run_until(sim.clock + self.round_trip_us())
         for key in sorted(self.sim.links):
             link = self.sim.links[key]
@@ -883,7 +901,7 @@ class Lab:
     # -- scenario traffic ----------------------------------------------------------
 
     def attach_subscriber(self, subscriber: SubscriberRecord) -> AttachResult:
-        mme = self._role(ElementKind.MME)
+        mme = self._role(MME)
         if mme is None:
             raise LabError("attach scenario requires an MME element")
         sim = self.sim
@@ -899,8 +917,8 @@ class Lab:
     def echo_probes(self) -> None:
         """Minimal background traffic when there is no core to attach against:
         the first AttackBox echoes the first TargetServer, if they are linked."""
-        ab = self._role(ElementKind.ATTACK_BOX)
-        target = self._role(ElementKind.TARGET_SERVER)
+        ab = self._role(ATTACK_BOX)
+        target = self._role(TARGET_SERVER)
         if ab is None or target is None or self.sim.link_between(ab.node, target.node) is None:
             return
         sim = self.sim
@@ -912,7 +930,7 @@ class Lab:
             sim.run_until(sim.clock + rtt)
 
     def scenario_traffic(self) -> None:
-        if self._role(ElementKind.MME) is not None and self.config.subscribers:
+        if self._role(MME) is not None and self.config.subscribers:
             self.attach_all()
         else:
             self.echo_probes()

@@ -26,7 +26,7 @@ Timestamps are simulation microseconds throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from types import MappingProxyType
@@ -37,10 +37,12 @@ from .codec import Avp, Message, build_answer, build_message, slot_init
 from .simnet import US_PER_S
 
 
-# The per-message path (`register_request`, the element's delivery rule)
-# reads `Phase.OPEN` through the module name OPEN: on CPython < 3.12 EnumType
-# defines __getattr__, so every `Phase.OPEN` read goes through a
-# Python-level slot hook (~100 ns, against ~7 ns for a module global).
+# Every member that a per-event path reads (`handle_event`, `register_request`,
+# the element's delivery rule and FSM driving) is bound once to a module name
+# of its own, in definition order: on CPython < 3.12 EnumType defines
+# __getattr__, so every `Phase.OPEN` read goes through a Python-level slot
+# hook (~120-160 ns, against ~15 ns for a module global). The test
+# test_every_member_is_bound_under_its_name holds each name to its member.
 
 
 class Phase(Enum):
@@ -51,7 +53,7 @@ class Phase(Enum):
     CLOSING = "Closing"
 
 
-OPEN = Phase.OPEN
+CLOSED, WAIT_CONN_ACK, WAIT_CEA, OPEN, CLOSING = Phase
 
 
 class EventKind(Enum):
@@ -69,17 +71,16 @@ class EventKind(Enum):
     STOP = "Stop"
 
 
+(
+    START, CONN_ACK, RCV_CER, RCV_CEA, RCV_DWR, RCV_DWA, RCV_DPR, RCV_DPA, RCV_REQUEST,
+    RCV_ANSWER, WATCHDOG_TIMER, STOP,
+) = EventKind
+
+
 # The events that carry a message. A tuple, like SEND_ACTIONS below, so that
 # PeerEvent's check compares identities instead of calling Enum.__hash__.
 MESSAGE_EVENTS = (
-    EventKind.RCV_CER,
-    EventKind.RCV_CEA,
-    EventKind.RCV_DWR,
-    EventKind.RCV_DWA,
-    EventKind.RCV_DPR,
-    EventKind.RCV_DPA,
-    EventKind.RCV_REQUEST,
-    EventKind.RCV_ANSWER,
+    RCV_CER, RCV_CEA, RCV_DWR, RCV_DWA, RCV_DPR, RCV_DPA, RCV_REQUEST, RCV_ANSWER,
 )
 
 
@@ -95,16 +96,15 @@ class ActionKind(Enum):
     CLOSE_LINK = "CloseLink"
 
 
+(
+    SEND_CER, SEND_CEA, SEND_DWR, SEND_DWA, SEND_DPR, SEND_DPA, DELIVER_TO_APP, DROP_MESSAGE,
+    CLOSE_LINK,
+) = ActionKind
+
+
 # The actions that put a base-protocol message on the link. A tuple, so
 # that `in` compares identities instead of calling Enum.__hash__.
-SEND_ACTIONS = (
-    ActionKind.SEND_CER,
-    ActionKind.SEND_CEA,
-    ActionKind.SEND_DWR,
-    ActionKind.SEND_DWA,
-    ActionKind.SEND_DPR,
-    ActionKind.SEND_DPA,
-)
+SEND_ACTIONS = (SEND_CER, SEND_CEA, SEND_DWR, SEND_DWA, SEND_DPR, SEND_DPA)
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,12 +153,18 @@ DEFAULT_CONFIG = PeerConfig()
 
 # Slotted: `phase` is read per request, and CPython 3.11 does not specialize
 # reading a field whose class-level default is an Enum member unless it is a slot.
-@dataclass(frozen=True, slots=True)
+# Built at every transition that changes it, so it takes slot_init's positional
+# constructor, as PeerAction does: each transition states every field.
+@slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class PeerState:
-    phase: Phase = Phase.CLOSED
+    phase: Phase = CLOSED
     watchdog_deadline: int = 0
     dwr_outstanding: bool = False
     missed_dwas: int = 0
+
+
+new_peer_state = PeerState.__new__  # see codec.slot_init
 
 
 _NO_PENDING: Mapping[int, PendingEntry] = MappingProxyType({})
@@ -237,7 +243,7 @@ def deliverable(phase: Phase, message: Message, pending: Mapping[int, PendingEnt
 
 
 def _drop(state: PeerState, event: PeerEvent) -> tuple[PeerState, list[PeerAction]]:
-    return state, [new_peer_action(PeerAction, ActionKind.DROP_MESSAGE, event.message)]
+    return state, [new_peer_action(PeerAction, DROP_MESSAGE, event.message)]
 
 
 def _ignore(state: PeerState, _event: PeerEvent) -> tuple[PeerState, list[PeerAction]]:
@@ -246,7 +252,14 @@ def _ignore(state: PeerState, _event: PeerEvent) -> tuple[PeerState, list[PeerAc
 
 def _opened(now: int, config: PeerConfig) -> PeerState:
     """A link that is Open as of `now`: no DWR outstanding, none missed."""
-    return PeerState(OPEN, now + config.watchdog_interval_us)
+    return new_peer_state(PeerState, OPEN, now + config.watchdog_interval_us, False, 0)
+
+
+def _moved(state: PeerState, phase: Phase) -> PeerState:
+    """`state` in `phase`, its watchdog fields kept."""
+    return new_peer_state(
+        PeerState, phase, state.watchdog_deadline, state.dwr_outstanding, state.missed_dwas
+    )
 
 
 def handle_event(
@@ -264,88 +277,79 @@ def handle_event(
     """
     phase, kind = state.phase, event.kind
 
-    if kind is EventKind.RCV_REQUEST or kind is EventKind.RCV_ANSWER:
+    if kind is RCV_REQUEST or kind is RCV_ANSWER:
         if not deliverable(phase, event.message, pending):
             return _drop(state, event)
-        return state, [new_peer_action(PeerAction, ActionKind.DELIVER_TO_APP, event.message)]
+        return state, [new_peer_action(PeerAction, DELIVER_TO_APP, event.message)]
 
-    if kind is EventKind.START:
-        if phase is Phase.CLOSED:
-            return replace(state, phase=Phase.WAIT_CONN_ACK), []
+    if kind is START:
+        if phase is CLOSED:
+            return _moved(state, WAIT_CONN_ACK), []
         return _ignore(state, event)
 
-    if kind is EventKind.CONN_ACK:
-        if phase is Phase.WAIT_CONN_ACK:
+    if kind is CONN_ACK:
+        if phase is WAIT_CONN_ACK:
             cer = build_cer(config.identity, APPLICATION_IDS)
-            new = replace(state, phase=Phase.WAIT_CEA)
-            return new, [new_peer_action(PeerAction, ActionKind.SEND_CER, cer)]
+            return _moved(state, WAIT_CEA), [new_peer_action(PeerAction, SEND_CER, cer)]
         return _ignore(state, event)
 
-    if kind is EventKind.RCV_CER:
-        if phase is Phase.CLOSED:
+    if kind is RCV_CER:
+        if phase is CLOSED:
             cea = build_base_answer(event.message, config.identity)
-            return _opened(now, config), [new_peer_action(PeerAction, ActionKind.SEND_CEA, cea)]
+            return _opened(now, config), [new_peer_action(PeerAction, SEND_CEA, cea)]
         return _drop(state, event)
 
-    if kind is EventKind.RCV_CEA:
-        if phase is Phase.WAIT_CEA:
+    if kind is RCV_CEA:
+        if phase is WAIT_CEA:
             return _opened(now, config), []
         return _drop(state, event)
 
-    if kind is EventKind.RCV_DWR:
-        if phase is Phase.OPEN:
+    if kind is RCV_DWR:
+        if phase is OPEN:
             dwa = build_base_answer(event.message, config.identity)
-            return state, [new_peer_action(PeerAction, ActionKind.SEND_DWA, dwa)]
+            return state, [new_peer_action(PeerAction, SEND_DWA, dwa)]
         return _drop(state, event)
 
-    if kind is EventKind.RCV_DWA:
-        if phase is Phase.OPEN:
+    if kind is RCV_DWA:
+        if phase is OPEN:
             return _opened(now, config), []
         return _drop(state, event)
 
-    if kind is EventKind.RCV_DPR:
-        if phase in (Phase.WAIT_CEA, Phase.OPEN, Phase.CLOSING):
+    if kind is RCV_DPR:
+        if phase is WAIT_CEA or phase is OPEN or phase is CLOSING:
             dpa = build_base_answer(event.message, config.identity)
-            new = replace(state, phase=Phase.CLOSING)
-            return new, [new_peer_action(PeerAction, ActionKind.SEND_DPA, dpa)]
+            return _moved(state, CLOSING), [new_peer_action(PeerAction, SEND_DPA, dpa)]
         return _drop(state, event)
 
-    if kind is EventKind.RCV_DPA:
-        if phase is Phase.CLOSING:
-            new = replace(state, phase=Phase.CLOSED)
-            return new, [new_peer_action(PeerAction, ActionKind.CLOSE_LINK)]
+    if kind is RCV_DPA:
+        if phase is CLOSING:
+            return _moved(state, CLOSED), [new_peer_action(PeerAction, CLOSE_LINK)]
         return _drop(state, event)
 
-    if kind is EventKind.WATCHDOG_TIMER:
-        if phase is not Phase.OPEN:
+    if kind is WATCHDOG_TIMER:
+        if phase is not OPEN:
             return _ignore(state, event)
         if now < state.watchdog_deadline:
             return _ignore(state, event)  # stale timer from a renewed deadline
         if state.dwr_outstanding:
             missed = state.missed_dwas + 1
             if missed >= MISSED_DWA_LIMIT:
-                new = replace(state, phase=Phase.CLOSED, dwr_outstanding=False)
-                return new, [new_peer_action(PeerAction, ActionKind.CLOSE_LINK)]
+                new = new_peer_state(
+                    PeerState, CLOSED, state.watchdog_deadline, False, state.missed_dwas
+                )
+                return new, [new_peer_action(PeerAction, CLOSE_LINK)]
         else:
             missed = state.missed_dwas
         dwr = build_dwr(config.identity)
-        new = replace(
-            state,
-            dwr_outstanding=True,
-            missed_dwas=missed,
-            watchdog_deadline=now + config.watchdog_interval_us,
-        )
-        return new, [new_peer_action(PeerAction, ActionKind.SEND_DWR, dwr)]
+        new = new_peer_state(PeerState, OPEN, now + config.watchdog_interval_us, True, missed)
+        return new, [new_peer_action(PeerAction, SEND_DWR, dwr)]
 
-    if kind is EventKind.STOP:
-        if phase is Phase.OPEN:
+    if kind is STOP:
+        if phase is OPEN:
             dpr = build_dpr(config.identity)
-            new = replace(state, phase=Phase.CLOSING)
-            return new, [new_peer_action(PeerAction, ActionKind.SEND_DPR, dpr)]
-        if phase in (Phase.WAIT_CONN_ACK, Phase.WAIT_CEA, Phase.CLOSING):
-            return replace(state, phase=Phase.CLOSED), [
-                new_peer_action(PeerAction, ActionKind.CLOSE_LINK)
-            ]
+            return _moved(state, CLOSING), [new_peer_action(PeerAction, SEND_DPR, dpr)]
+        if phase is WAIT_CONN_ACK or phase is WAIT_CEA or phase is CLOSING:
+            return _moved(state, CLOSED), [new_peer_action(PeerAction, CLOSE_LINK)]
         return _ignore(state, event)
 
     raise AssertionError(f"unreachable: {kind}")  # pragma: no cover

@@ -51,7 +51,7 @@ from diamlab.codec import (
     ViolationKind,
 )
 from diamlab.elements import result_code_of
-from diamlab.peer import PeerAction, Phase, result_code_avp
+from diamlab.peer import PeerAction, PeerState, Phase, result_code_avp
 from diamlab.simnet import US_PER_S
 
 from tests.labs import core_lab_text, duo_lab_text, make_lab
@@ -371,45 +371,47 @@ class TestFlood:
 # requests to a capacity of 0.001 TPS: the sampler and watchdog timers of its
 # long drain outweigh the requests (with the two events that open the link,
 # the lab processes 104,591).
-# The last three counts are the frozen values built, as cProfile rows of
+# The last four counts are the frozen values built, as cProfile rows of
 # each class's generated __new__. The flood builds its one request, one Avp
 # and one Message, when it starts. Then an answered echo request builds two
 # Messages (its send's copy with the link's ids, and its answer), a request
 # dropped on a full queue one. Nothing else is built per request: the
 # pending entry is a plain pair. Only the idle case's watchdogs build
-# PeerActions, and more Avps and Messages.
+# PeerActions and PeerStates, and more Avps and Messages.
 _COST_CASES = {
     # id: (rate, latency_ms, service_rate, queue_capacity,
     #      (offered, events, events scheduled, messages built by build_message,
     #       build_answer or replace_ids, encode_message, decode_message,
-    #       Avp, Message and PeerAction values built))
-    "500-served": (500, 5, 500, 1000, (500, 1510, 1510, 1001, 0, 0, 1, 1001, 0)),
-    "500-overloaded": (500, 5, 250, 100, (500, 1705, 1705, 851, 0, 0, 1, 851, 0)),
-    "2000-served": (2000, 5, 2000, 1000, (2000, 6006, 6006, 4001, 0, 0, 1, 4001, 0)),
-    "2000-overloaded": (2000, 5, 1000, 100, (2000, 6205, 6205, 3101, 0, 0, 1, 3101, 0)),
-    "8000-served": (8000, 5, 8000, 1000, (8000, 24006, 24006, 16001, 0, 0, 1, 16001, 0)),
-    "8000-overloaded": (8000, 5, 4000, 100, (8000, 24205, 24205, 12101, 0, 0, 1, 12101, 0)),
+    #       Avp, Message, PeerAction and PeerState values built))
+    "500-served": (500, 5, 500, 1000, (500, 1510, 1510, 1001, 0, 0, 1, 1001, 0, 0)),
+    "500-overloaded": (500, 5, 250, 100, (500, 1705, 1705, 851, 0, 0, 1, 851, 0, 0)),
+    "2000-served": (2000, 5, 2000, 1000, (2000, 6006, 6006, 4001, 0, 0, 1, 4001, 0, 0)),
+    "2000-overloaded": (2000, 5, 1000, 100, (2000, 6205, 6205, 3101, 0, 0, 1, 3101, 0, 0)),
+    "8000-served": (8000, 5, 8000, 1000, (8000, 24006, 24006, 16001, 0, 0, 1, 16001, 0, 0)),
+    "8000-overloaded": (8000, 5, 4000, 100, (8000, 24205, 24205, 12101, 0, 0, 1, 12101, 0, 0)),
     # sends 31 or 32 us apart against a token every 31.25 us: each request
     # also waits for a drain timer
     "32000-served": (
-        32000, 5, 32000, 1000, (32000, 128005, 128005, 64001, 0, 0, 1, 64001, 0)
+        32000, 5, 32000, 1000, (32000, 128005, 128005, 64001, 0, 0, 1, 64001, 0, 0)
     ),
     "32000-overloaded": (
-        32000, 5, 16000, 100, (32000, 95951, 95951, 47974, 0, 0, 1, 47974, 0)
+        32000, 5, 16000, 100, (32000, 95951, 95951, 47974, 0, 0, 1, 47974, 0, 0)
     ),
-    "8000-served-1ms": (8000, 1, 8000, 1000, (8000, 24006, 24006, 16001, 0, 0, 1, 16001, 0)),
+    "8000-served-1ms": (8000, 1, 8000, 1000, (8000, 24006, 24006, 16001, 0, 0, 1, 16001, 0, 0)),
     "8000-served-100ms": (
-        8000, 100, 8000, 1000, (8000, 24006, 24006, 16001, 0, 0, 1, 16001, 0)
+        8000, 100, 8000, 1000, (8000, 24006, 24006, 16001, 0, 0, 1, 16001, 0, 0)
     ),
     "8000-served-1000ms": (
-        8000, 1000, 8000, 1000, (8000, 24010, 24010, 16001, 0, 0, 1, 16001, 0)
+        8000, 1000, 8000, 1000, (8000, 24010, 24010, 16001, 0, 0, 1, 16001, 0, 0)
     ),
-    "idle": (10, 5, 0.001, 100, (10, 104589, 104586, 733, 0, 0, 479, 733, 479)),
+    "idle": (10, 5, 0.001, 100, (10, 104589, 104586, 733, 0, 0, 479, 733, 479, 479)),
 }
 
 # The filenames the generated __new__ of each codec.slot_init class is
-# compiled under, in the order of the table's last three counts.
-_SLOT_INIT_FILES = [f"<{cls.__module__}.{cls.__qualname__}>" for cls in (Avp, Message, PeerAction)]
+# compiled under, in the order of the table's last four counts.
+_SLOT_INIT_FILES = [
+    f"<{cls.__module__}.{cls.__qualname__}>" for cls in (Avp, Message, PeerAction, PeerState)
+]
 
 
 def count_codec_calls(monkeypatch) -> Counter:

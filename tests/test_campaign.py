@@ -594,16 +594,25 @@ class TestCli:
             ("missing-stats", "'stats' is missing or not a dict"),
             ("attacks-int", "'attacks' is missing or not a list"),
             ("nodes-of-ints", ""),  # mistyped below the top level: caught while rendering
+            ("result-int", "attacks[0].result: expected an object, got int"),
+            ("finding-list", "findings[0]: expected an object, got list"),
+            ("finding-id-true", "findings[0].id: expected an integer, got bool"),
+            ("attack-kind-missing", "attacks[1].kind: missing"),
         ],
     )
     def test_report_input_that_is_not_a_report_exits_one(
-        self, content, reason, phase1_run, tmp_path, capsys
+        self, content, reason, phase1_run, phase2_run, tmp_path, capsys
     ):
         good = json.loads(phase1_run.report.to_json())
+        finding = json.loads(phase2_run.report.to_json())["findings"][0]
         broken = {
             "missing-stats": {k: v for k, v in good.items() if k != "stats"},
             "attacks-int": {**good, "attacks": 5},
             "nodes-of-ints": {**good, "config": {**good["config"], "nodes": [1]}},
+            "result-int": {**good, "attacks": [{**good["attacks"][0], "result": 5}]},
+            "finding-list": {**good, "findings": [[]]},
+            "finding-id-true": {**good, "findings": [{**finding, "id": True}]},
+            "attack-kind-missing": {**good, "attacks": [good["attacks"][0], {"result": {}}]},
         }
         path = tmp_path / "report.json"
         path.write_text(json.dumps(broken[content]) if content in broken else content)
@@ -666,6 +675,9 @@ def test_report_input_is_total(phase1_run, phase2_run, tmp_path_factory, data, f
     else:
         assert code == 1 and not out.getvalue()
         assert err.getvalue().startswith(f"error: {path} is not a campaign report: ")
+        # a mistyped attack or finding entry is refused by its path
+        # (Report.from_dict), never by an attribute error from rendering it
+        assert "has no attribute" not in err.getvalue()
 
 
 def readme_config() -> str:

@@ -34,6 +34,7 @@ from diamlab.codec import (
     new_avp,
     new_message,
     new_parse_error,
+    new_violation,
     replace_ids,
     stamp_ids,
     validate_message,
@@ -47,9 +48,11 @@ from diamlab.peer import (
     EventKind,
     PeerAction,
     PeerEvent,
+    Phase,
     PeerState,
     handle_event,
     new_peer_action,
+    new_peer_state,
 )
 
 from tests.strategies import avps, messages, u32
@@ -677,7 +680,7 @@ class TestBuilders:
             assert str(info.value) == str(expected.value)
 
 
-# The five frozen, slotted value types: their fields, field order and
+# The seven frozen, slotted value types: their fields, field order and
 # defaults, constructor arguments in field order, and one field change.
 _MSG = build_message(700, request=True, hop_by_hop_id=3, avps=[Avp(code=1, data=b"x")])
 
@@ -728,6 +731,27 @@ VALUE_TYPES = [
         [("kind", dataclasses.MISSING), ("message", None)],
         (ActionKind.DELIVER_TO_APP, _MSG),
         {"message": None},
+    ),
+    (
+        PeerState,
+        [
+            ("phase", Phase.CLOSED),
+            ("watchdog_deadline", 0),
+            ("dwr_outstanding", False),
+            ("missed_dwas", 0),
+        ],
+        (Phase.OPEN, 30_000_000, True, 1),
+        {"phase": Phase.CLOSING, "missed_dwas": 0},
+    ),
+    (
+        Violation,
+        [
+            ("kind", dataclasses.MISSING),
+            ("avp_code", dataclasses.MISSING),
+            ("avp_index", dataclasses.MISSING),
+        ],
+        (ViolationKind.BAD_AVP_LENGTH, 1, 0),
+        {"avp_index": 2},
     ),
 ]
 VALUE_TYPE_IDS = [cls.__name__ for cls, *_ in VALUE_TYPES]
@@ -782,7 +806,7 @@ def test_copy_and_pickle_round_trip(cls, expected_fields, args, change):
         assert other == value and type(other) is cls
 
 
-SLOT_INIT_TYPES = [Avp, Message, ParseError, PeerAction]
+SLOT_INIT_TYPES = [Avp, Message, ParseError, PeerAction, PeerState, Violation]
 
 
 @pytest.mark.parametrize("cls", SLOT_INIT_TYPES)
@@ -801,6 +825,8 @@ def test_profilers_keep_each_generated_new_apart():
     Message(2)
     ParseError(ParseErrorKind.TRUNCATED, 0)
     PeerAction(ActionKind.CLOSE_LINK)
+    PeerState()
+    Violation(ViolationKind.BAD_AVP_LENGTH, 1, 0)
     profile.disable()
     rows = {
         filename: calls
@@ -818,7 +844,7 @@ def test_calling_new_directly_builds_the_same_value(cls):
     assert type(value) is cls and value == cls(*args)
     binding = {
         Avp: new_avp, Message: new_message, ParseError: new_parse_error,
-        PeerAction: new_peer_action,
+        PeerAction: new_peer_action, PeerState: new_peer_state, Violation: new_violation,
     }[cls]
     assert binding is cls.__new__
 
@@ -842,9 +868,15 @@ def test_no_constructor_returns_the_twin_class():
     ]
     for m in values:
         _assert_exact_types(m)
-    # every action the peer state machine returns, over the whole table
+    # every state and action the peer state machine returns, over the whole table
     for phase, kind in TRANSITION_MATRIX:
-        _, actions = handle_event(PeerState(phase), PeerEvent(kind, message_for(kind)), 0)
+        state, actions = handle_event(PeerState(phase), PeerEvent(kind, message_for(kind)), 0)
+        assert type(state) is PeerState
+        assert type(dataclasses.replace(state, missed_dwas=1)) is PeerState
         for action in actions:
             assert type(action) is PeerAction
             assert type(dataclasses.replace(action, message=None)) is PeerAction
+    # every violation validate_message finds
+    unknown = build_message(700, [Avp(999_999, mandatory=True), Avp(268, b"x")])
+    violations = validate_message(unknown, BUILTIN_DICTIONARY)
+    assert len(violations) == 2 and all(type(v) is Violation for v in violations)

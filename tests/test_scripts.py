@@ -84,17 +84,19 @@ def test_overload_sweep_bytecodes_adds_a_column_and_a_table_by_module():
     assert all(float(row[-1]) > 0 for row in rows)
     title, header, *module_rows = by_module.splitlines()
     assert title.startswith("bytecodes per offered request by module")
-    assert "phase1's fuzz (1000 cases)" in title
+    assert "phase1's fuzz (1000 cases)" in title and "setup of phase2" in title
     *modules, calls = header.split()[1:]
-    assert {"attacks", "codec", "elements", "peer", "simnet"} <= set(modules)
+    assert {"attacks", "codec", "config", "elements", "peer", "simnet"} <= set(modules)
     assert modules[-1] == "total" and calls == "calls"
-    assert [row.split()[0] for row in module_rows] == [row[0] for row in rows] + ["fuzz"]
+    labels = [row[0] for row in rows] + ["fuzz", "setup"]
+    assert [row.split()[0] for row in module_rows] == labels
     for row, table_row in zip(rows, module_rows):
         # the total and the calls are the columns' values
         assert table_row.split()[-2:] == row[-2:]
-    *per_module, total, calls = map(float, module_rows[-1].split()[1:])
-    assert calls > 0
-    assert total == pytest.approx(sum(per_module), abs=0.1 * len(per_module))
+    for fuzz_or_setup in module_rows[-2:]:
+        *per_module, total, calls = map(float, fuzz_or_setup.split()[1:])
+        assert calls > 0
+        assert total == pytest.approx(sum(per_module), abs=0.1 * len(per_module))
     # the table by function: a line per module.function, a column per row
     # of the table by module (the JSON test checks that they add up)
     title, header, *function_rows = by_function.splitlines()
@@ -129,9 +131,14 @@ def test_overload_sweep_json_holds_the_rows_and_the_fuzz_row():
     per_case = dict(fuzz["bytecodes_per_case"])
     del per_case["total"]
     assert_functions_sum_to_their_module(fuzz["bytecodes_by_function"], per_case)
-    # without --bytecodes, no bytecode column and no fuzz row
+    setup = out["setup"]
+    per_setup = dict(setup["bytecodes"])
+    assert per_setup.pop("total") == pytest.approx(sum(per_setup.values()))
+    assert {"config", "elements", "peer", "simnet"} <= set(per_setup) and setup["calls"] > 0
+    assert_functions_sum_to_their_module(setup["bytecodes_by_function"], per_setup)
+    # without --bytecodes, no bytecode column and no fuzz or setup row
     plain = json.loads(run_script("overload_sweep.py", "--duration", "0.02", "--json"))
-    assert "fuzz" not in plain
+    assert "fuzz" not in plain and "setup" not in plain
     assert all("bytecodes_per_req" not in r and "calls_per_req" not in r for r in plain["rows"])
 
 
@@ -154,29 +161,38 @@ def test_bytecode_counts_are_the_same_in_two_runs_in_one_process():
     # a dataclass method compiled from a string is named by its class, and
     # a generated constructor by its own
     assert {("<string>", "PeerEvent.__init__"), ("codec", "ParseError.__new__")} <= set(counts)
+    first, second = sweep.setup_bytecodes(), sweep.setup_bytecodes()
+    assert first == second
+    counts, calls = first
+    assert calls > 0 and ("peer", "PeerState.__new__") in counts
 
 
 # Exact bytecodes executed in diamlab's code, each counted after one warm
-# run (overload_sweep.flood_bytecodes, fuzz_bytecodes), in total and by
-# module, and the calls of its Python functions: the sweep lab's 0.5 s
-# floods at 1x and 4x its capacity (1,000 TPS, queue 100; 500 and 2,000
-# requests) and phase1's fuzz (1,000 cases).
+# run (overload_sweep.flood_bytecodes, fuzz_bytecodes, setup_bytecodes), in
+# total and by module, and the calls of its Python functions: the sweep
+# lab's 0.5 s floods at 1x and 4x its capacity (1,000 TPS, queue 100; 500
+# and 2,000 requests), phase1's fuzz (1,000 cases) and one setup of phase2
+# (load_config, Lab.build and bring_links_open).
 # The compiler's output differs between interpreter versions, so each
 # version has its own pins. A change that moves a count re-pins it and
 # says why.
 BYTECODE_PINS = {
     (3, 11): {
         "1x": {
-            "total": 397_328, "<string>": 44, "attacks": 47_853, "codec": 65_793,
-            "elements": 157_350, "peer": 10_500, "simnet": 115_788, "calls": 9_043,
+            "total": 397_311, "<string>": 44, "attacks": 47_853, "codec": 65_793,
+            "elements": 157_333, "peer": 10_500, "simnet": 115_788, "calls": 9_043,
         },
         "4x": {
-            "total": 1_216_960, "<string>": 92, "attacks": 172_257, "codec": 169_893,
-            "elements": 444_932, "peer": 42_000, "simnet": 387_786, "calls": 26_649,
+            "total": 1_216_943, "<string>": 92, "attacks": 172_257, "codec": 169_893,
+            "elements": 444_915, "peer": 42_000, "simnet": 387_786, "calls": 26_649,
         },
         "fuzz": {
-            "total": 1_597_565, "<string>": 20_504, "attacks": 271_367, "codec": 504_150,
-            "elements": 326_311, "peer": 69_450, "simnet": 405_783, "calls": 35_234,
+            "total": 1_555_728, "<string>": 10_816, "attacks": 259_150, "codec": 505_968,
+            "elements": 305_055, "peer": 68_956, "simnet": 405_783, "calls": 34_860,
+        },
+        "setup": {
+            "total": 17_797, "<string>": 1_782, "attacks": 54, "campaign": 6, "codec": 1_671,
+            "config": 7_120, "elements": 3_707, "peer": 1_527, "simnet": 1_930, "calls": 434,
         },
     },
 }
@@ -188,6 +204,7 @@ def test_bytecode_totals_are_pinned():
         "1x": lambda: sweep.flood_bytecodes(1000, 100, 1, 1000, 0.5),
         "4x": lambda: sweep.flood_bytecodes(1000, 100, 1, 4000, 0.5),
         "fuzz": sweep.fuzz_bytecodes,
+        "setup": lambda: (1, *sweep.setup_bytecodes()),
     }
     # per_unit of one unit: the counts themselves, by module and in total
     counted = {}
@@ -294,7 +311,7 @@ def test_bench_record_writes_every_workload(tmp_path):
     # the bytecode sweep, counted by this checkout's overload_sweep.py
     sweep = record["bytecodes"]
     assert len(sweep["rows"]) == 9 and all("bytecodes_per_req" in r for r in sweep["rows"])
-    assert sweep["fuzz"]["cases"] == 1000
+    assert sweep["fuzz"]["cases"] == 1000 and sweep["setup"]["calls"] > 0
     assert list(sweep["adaptive"]) == ["1x", "4x", "fuzz"]
 
 
