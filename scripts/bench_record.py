@@ -5,20 +5,22 @@ Runs, each as a subprocess of the checkout under --root:
 - perfbench/run.py for every workload in BENCHMARK.json, untraced and
   traced, the same commands `perfbench/run.py --all` runs (`--all` prints
   tables, not the JSON result lines this file keeps);
-- the overload_sweep.py next to this file, with --bytecodes --adaptive
-  --json, on the checkout's source: one counter for every checkout
-  recorded, so two records compare their bytecodes per request by module
-  exactly, and list the instructions each leaves in adaptive form.
+- the overload_sweep.py next to this file, with --bytecodes --json, on
+  the checkout's source: one counter for every checkout recorded, so two
+  records compare their bytecodes per request by module exactly. The same
+  traced run of each row, in a fresh interpreter, lists the instructions
+  the row leaves in adaptive form.
 
 The file holds the machine line and git rev perfbench printed, every JSON
 result line, the fuzz_cases_per_s line (median, q1, q3, n) of each
-untraced run that has a fuzz, the sweep under bytecodes (its adaptive
-listings under bytecodes.adaptive), and the golden digests from
-perfbench/golden.json of each workload whose run checked them (full sizes
-at the default seed; --smoke checks determinism only). It only measures: a
-failed check is recorded in the results, not acted on. Host times move with
-the machine and its load, so record the two checkouts being compared on the
-same machine, one after the other.
+untraced run that has a fuzz, the sweep under bytecodes (the adaptive
+listings of its 1x and 4x rows and of the fuzz under bytecodes.adaptive),
+and the golden digests from perfbench/golden.json of each workload whose
+run checked them (full sizes at the default seed; --smoke checks
+determinism only). It only measures: a failed check is recorded in the
+results, not acted on. Host times move with the machine and its load, so
+record the two checkouts being compared on the same machine, one after
+the other.
 
 The cost of a codec operation is read from the traced runs' codec.*
 metrics (calls and host time) and from the sweep's bytecodes by function
@@ -109,7 +111,7 @@ def record(root: Path, seconds: int, smoke: bool) -> tuple[dict, bool]:
         "perfbench": runs,
         "golden_checked": checked,
     }
-    sweep = [sys.executable, str(SWEEP), "--bytecodes", "--adaptive", "--json",
+    sweep = [sys.executable, str(SWEEP), "--bytecodes", "--json",
              "--duration", "0.02" if smoke else "0.5"]
     data["bytecodes"] = last_json(run(sweep, root).stdout)
     return data, complete and data["bytecodes"] is not None

@@ -10,51 +10,56 @@ After each row's flood, outside its timing, the row's lab is checked with
 campaign.broken_identities: a broken identity ends the sweep with exit
 status 1 and its name.
 
---bytecodes floods each rate once more under sys.settrace and adds the
-bytecodes executed per offered request in diamlab's code, and the calls
-of its Python functions (each frame entered, a generator's resumption
-too): a column of each, then a table by module with the calls last, whose
-last two rows are `fuzz`, per case of phase1's fuzz (its 1,000 cases and
-seed, on a fresh phase1 lab), and `setup`, for one setup of phase2 as
-perfbench's setup_s times it (load_config, Lab.build and
-bring_links_open), then a table by function, one column per row of the
-table by module. The count is exact
-and the same in every run of one interpreter version, but it is not time:
-a call into C counts as one. Code compiled from strings is filed under the
-module of the class it was generated for (codec.slot_init), or under
-<string> (dataclasses), and either is named by its class. Tracing runs
-about 50 times slower than the flood itself, so use short floods.
+--bytecodes measures each row again, each in a fresh interpreter (a spawned
+process), so that its numbers depend on that row alone: every rate, then
+`fuzz`, per case of phase1's fuzz (its 1,000 cases and seed, on a fresh
+phase1 lab), and `setup`, for one setup of phase2 as perfbench's setup_s
+times it (load_config, Lab.build and bring_links_open). A row's run is
+built fresh and run three times: untraced, so the counts leave out what
+only the first run in a process does (filling caches); under sys.settrace;
+and untraced again, to warm the code once more.
 
---adaptive lists the executed instructions of diamlab's code that CPython
-3.11's specializing interpreter (PEP 659) leaves in an unspecialized
-*_ADAPTIVE form after warm runs: each by function, line and offset, with its
-executions per offered request, and their total. It lists the 1x row
-(every request answered), the 4x row (most dropped) and phase1's fuzz, per
-case. Each runs twice, on fresh labs: first traced with f_trace_opcodes,
-for the executions (under tracing 3.11 executes each instruction's base
-form, and specializes nothing), then untraced, to warm the code again, after
-which the forms are read with dis.get_instructions(code, adaptive=True). A CALL after a PRECALL
+The traced run gives the bytecodes executed per offered request in
+diamlab's code, and the calls of its Python functions (each frame entered,
+a generator's resumption too): a column of each, then a table by module
+with the calls last, whose last two rows are the fuzz and the setup, then
+a table by function, one column per row of the table by module. The count
+is exact and the same in every run of one interpreter version, but it is
+not time: a call into C counts as one. Code compiled from strings is filed
+under the module of the class it was generated for (codec.slot_init), or
+under <string> (dataclasses), and either is named by its class. Tracing
+runs about 50 times slower than the flood itself, so use short floods.
+
+After the last run, the executed instructions of diamlab's code that
+CPython 3.11's specializing interpreter (PEP 659) leaves in an
+unspecialized *_ADAPTIVE form are listed for the 1x row (every request
+answered), the 4x row (most dropped) and the fuzz: each by function, line
+and offset, with its executions per offered request (or case) in the
+traced run, and their total. Under tracing 3.11 executes each
+instruction's base form and specializes nothing; the forms are read with
+dis.get_instructions(code, adaptive=True). A CALL after a PRECALL
 specialized for a builtin is left out: the PRECALL makes the call, and an
-untraced run never executes that CALL. A site that sees values of more than
-one type can flip between a specialized and the adaptive form as runs go
-on, and a specialized form whose guard fails goes back to the adaptive one
-only after some misses, so the listing is a snapshot of the forms after the
-warm run, and a longer --duration can list more.
+untraced run never executes that CALL. A site that sees values of more
+than one type can flip between a specialized and the adaptive form as runs
+go on, and a specialized form whose guard fails goes back to the adaptive
+one only after some misses, so the listing is a snapshot of the forms
+after the last run, and a longer --duration can list more.
 
 --json prints the same sweep as one JSON object instead: the rows, each
 with its bytecodes per offered request in total and by module, and by
 function within each module, and its calls per offered request, under
---bytecodes, then the fuzz row and the setup row, and the listings under
-`adaptive`.
+--bytecodes, then the fuzz row, the listings under `adaptive`, and the
+setup row.
 
 Usage: PYTHONPATH=src python scripts/overload_sweep.py [--capacity 1000] [--queue 100]
-           [--duration 5] [--bytecodes] [--adaptive] [--json]
+           [--duration 5] [--bytecodes] [--json]
 """
 
 import argparse
 import dis
 import gc
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -150,16 +155,6 @@ def count_executions(run: Callable[[], object], calls: Optional[Counter] = None)
     return executed
 
 
-def count_bytecodes(run: Callable[[], object]) -> tuple[Counter, int]:
-    """Bytecodes executed in diamlab's code while `run()` runs, by
-    (module, function), and the calls of its Python functions."""
-    counts: Counter = Counter()
-    calls: Counter = Counter()
-    for code, offsets in count_executions(run, calls).values():
-        counts[module_of(code.co_filename), function_of(code)] += offsets.total()
-    return counts, calls.total()
-
-
 # A PRECALL specialized for a builtin makes the whole call and skips its
 # CALL, which then never runs untraced and stays CALL_ADAPTIVE; only these
 # forms leave the CALL to run.
@@ -192,14 +187,6 @@ def adaptive_sites(executed: dict, n: int) -> dict:
     return {"n": n, "total": sum(s["per_unit"] for s in sites), "sites": sites}
 
 
-def adaptive_listing(runs: list[Callable[[], object]], n: int) -> dict:
-    """adaptive_sites of runs[0], counted under sys.settrace, with the forms
-    read after runs[1] warms the same code untraced."""
-    executed = count_executions(runs[0])
-    runs[1]()
-    return adaptive_sites(executed, n)
-
-
 def open_lab(capacity: float, queue: int, seed: int):
     config = parse_campaign_config(
         LAB_TEMPLATE.format(seed=seed, capacity=capacity, queue=queue), source="<sweep>"
@@ -209,59 +196,64 @@ def open_lab(capacity: float, queue: int, seed: int):
     return lab
 
 
-def flood_runs(capacity: float, queue: int, seed: int, rate: float, duration: float, k: int):
-    """k runs of one flood, each on a fresh lab built now."""
+# A row's run, as measure takes it: built fresh by each call, with its units
+# (offered requests, fuzz cases or setups).
+Build = Callable[[], tuple[int, Callable[[], object]]]
+
+
+def flood_run(capacity: float, queue: int, seed: int, rate: float, duration: float):
+    """(offered requests, a run of one flood on a fresh lab built now)."""
     spec = FloodSpec(target="target", rate_tps=rate, duration_s=duration)
-    return [partial(run_flood, open_lab(capacity, queue, seed), spec) for _ in range(k)]
+    return spec.count, partial(run_flood, open_lab(capacity, queue, seed), spec)
 
 
-def flood_bytecodes(capacity: float, queue: int, seed: int, rate: float, duration: float):
-    """(offered requests, bytecodes by (module, function), calls) of one
-    flood on a fresh lab (count_bytecodes). The same flood runs once
-    untraced first, on a lab of its own, so the counts leave out what only
-    the first run in a process does (filling caches)."""
-    results = []
-    warm, traced = flood_runs(capacity, queue, seed, rate, duration, 2)
-    warm()
-    counts, calls = count_bytecodes(lambda: results.append(traced()))
-    return results[0][0].offered, counts, calls
-
-
-def fuzz_runs(k: int):
-    """(cases, k runs of phase1's fuzz), each on a fresh phase1 lab built
-    now, with the seed its campaign gives the fuzz."""
+def fuzz_run():
+    """(cases, a run of phase1's fuzz on a fresh phase1 lab built now, with
+    the seed its campaign gives the fuzz)."""
     config = load_config("phase1")
     index, spec = next((i, s) for i, s in enumerate(config.attacks) if s.kind == "fuzz")
     spec = replace(spec, seed=_derived_seed(config.seed, index))
-    labs = [build_lab(config) for _ in range(k)]
-    for lab in labs:
-        lab.bring_links_open()
-    return spec.case_count, [partial(run_fuzz, lab, spec) for lab in labs]
+    lab = build_lab(config)
+    lab.bring_links_open()
+    return spec.case_count, partial(run_fuzz, lab, spec)
 
 
-def fuzz_bytecodes():
-    """(cases, bytecodes by (module, function), calls) of phase1's fuzz,
-    after one untraced run, as flood_bytecodes counts a flood."""
-    cases, (warm, traced) = fuzz_runs(2)
-    warm()
-    return (cases, *count_bytecodes(traced))
+def setup_run():
+    """(1, one setup of phase2, as perfbench's setup_s times it: load_config,
+    Lab.build and bring_links_open)."""
+    return 1, lambda: build_lab(load_config("phase2")).bring_links_open()
 
 
-def setup() -> None:
-    """One setup of phase2, as perfbench's setup_s times it: load_config,
-    Lab.build and bring_links_open."""
-    build_lab(load_config("phase2")).bring_links_open()
+def measure(build: Build) -> dict:
+    """One row measured: its run, built fresh by `build()` each time, runs
+    untraced, then under sys.settrace, then untraced again. Returns the
+    units `n`; the traced run's bytecodes by (module, function) `counts`
+    and `calls` (count_executions); and, read after the last run, the
+    adaptive_sites of the code the traced run executed, under `adaptive`."""
+    build()[1]()
+    n, run = build()
+    calls: Counter = Counter()
+    executed = count_executions(run, calls)
+    build()[1]()
+    counts: Counter = Counter()
+    for code, offsets in executed.values():
+        counts[module_of(code.co_filename), function_of(code)] += offsets.total()
+    return {
+        "n": n, "counts": counts, "calls": calls.total(), "adaptive": adaptive_sites(executed, n),
+    }
 
 
-def setup_bytecodes() -> tuple[Counter, int]:
-    """(bytecodes by (module, function), calls) of one setup, after one
-    untraced setup, as flood_bytecodes counts a flood."""
-    setup()
-    return count_bytecodes(setup)
+def in_fresh_interpreters(function: Callable, args: list) -> list:
+    """[function(a) for a in args], each call made in an interpreter of its
+    own: a spawned process that makes that one call, two at a time. Every
+    process is ended and joined before this returns (the pool's terminate),
+    also when a call raises. `function` and `args` must pickle."""
+    with multiprocessing.get_context("spawn").Pool(2, maxtasksperchild=1) as pool:
+        return pool.map(function, args, chunksize=1)
 
 
 def per_unit(counts: Counter, n: int) -> dict:
-    """Bytecodes per request (or case) of count_bytecodes' `counts`, in total and by module."""
+    """Bytecodes per request (or case) of measure's `counts`, in total and by module."""
     modules: Counter = Counter()
     for (module, _), c in counts.items():
         modules[module] += c
@@ -269,23 +261,23 @@ def per_unit(counts: Counter, n: int) -> dict:
 
 
 def per_function(counts: Counter, n: int) -> dict:
-    """Bytecodes per request (or case) of count_bytecodes' `counts`, by
-    module and, within it, by function."""
+    """Bytecodes per request (or case) of measure's `counts`, by module and,
+    within it, by function."""
     out: dict = {}
     for (module, function), c in sorted(counts.items()):
         out.setdefault(module, {})[function] = c / n
     return out
 
 
-# The sweep's rates, as multiples of the capacity, and the rows that
-# --adaptive lists: every request answered, and most dropped.
+# The sweep's rates, as multiples of the capacity, and the rows whose
+# listings --bytecodes prints: every request answered, and most dropped.
 RATES = (0.25, 0.5, 0.8, 1.0, 1.2, 1.5, 2.0, 3.0, 4.0)
 ADAPTIVE_RATES = (1.0, 4.0)
 
 
 def sweep(args) -> dict:
-    """The sweep as one JSON-ready value: a row per rate, the fuzz and setup
-    rows under --bytecodes, and the adaptive listings under --adaptive."""
+    """The sweep as one JSON-ready value: a row per rate, and under
+    --bytecodes the fuzz row, the adaptive listings and the setup row."""
     rows = []
     for r in RATES:
         rate = r * args.capacity
@@ -302,7 +294,7 @@ def sweep(args) -> dict:
             sys.exit(f"rate {rate:g}: conservation broken: " + "; ".join(broken))
         fluid = max(0.0, (rate - args.capacity) * args.duration - args.queue)
         offered = result.offered
-        row = {
+        rows.append({
             "rate": rate,
             "offered": offered,
             "answered": result.answered,
@@ -312,15 +304,7 @@ def sweep(args) -> dict:
             "events_per_req": (sim.events_processed - events) / offered,
             "sched_per_req": (sim.events_scheduled() - scheduled) / offered,
             "host_us_per_req": host_us / offered,
-        }
-        if args.bytecodes:
-            _, counts, calls = flood_bytecodes(
-                args.capacity, args.queue, args.seed, rate, args.duration
-            )
-            row["bytecodes_per_req"] = per_unit(counts, offered)
-            row["bytecodes_by_function"] = per_function(counts, offered)
-            row["calls_per_req"] = calls / offered
-        rows.append(row)
+        })
     out = {
         "capacity": args.capacity,
         "queue": args.queue,
@@ -328,33 +312,30 @@ def sweep(args) -> dict:
         "python": sys.version.split()[0],
         "rows": rows,
     }
-    if args.bytecodes:
-        cases, counts, calls = fuzz_bytecodes()
-        out["fuzz"] = {
-            "cases": cases,
-            "bytecodes_per_case": per_unit(counts, cases),
-            "bytecodes_by_function": per_function(counts, cases),
-            "calls_per_case": calls / cases,
-        }
-    if args.adaptive:
-        out["adaptive"] = {}
-        for r in ADAPTIVE_RATES:
-            runs = flood_runs(args.capacity, args.queue, args.seed, r * args.capacity,
-                              args.duration, 2)
-            offered = rows[RATES.index(r)]["offered"]
-            out["adaptive"][f"{r:g}x"] = adaptive_listing(runs, offered)
-        cases, runs = fuzz_runs(2)
-        out["adaptive"]["fuzz"] = adaptive_listing(runs, cases)
-    if args.bytecodes:
-        # Last: a listing depends on the code run before it in the process,
-        # and the setup runs phase2's HSS, MME and PCRF elements through the
-        # code the listings read.
-        counts, calls = setup_bytecodes()
-        out["setup"] = {
-            "bytecodes": per_unit(counts, 1),
-            "bytecodes_by_function": per_function(counts, 1),
-            "calls": calls,
-        }
+    if not args.bytecodes:
+        return out
+    builds = [partial(flood_run, args.capacity, args.queue, args.seed, r * args.capacity,
+                      args.duration) for r in RATES]
+    *floods, fuzz, setup = in_fresh_interpreters(measure, builds + [fuzz_run, setup_run])
+    for row, m in zip(rows, floods):
+        row["bytecodes_per_req"] = per_unit(m["counts"], m["n"])
+        row["bytecodes_by_function"] = per_function(m["counts"], m["n"])
+        row["calls_per_req"] = m["calls"] / m["n"]
+    out["fuzz"] = {
+        "cases": fuzz["n"],
+        "bytecodes_per_case": per_unit(fuzz["counts"], fuzz["n"]),
+        "bytecodes_by_function": per_function(fuzz["counts"], fuzz["n"]),
+        "calls_per_case": fuzz["calls"] / fuzz["n"],
+    }
+    out["adaptive"] = {
+        **{f"{r:g}x": m["adaptive"] for r, m in zip(RATES, floods) if r in ADAPTIVE_RATES},
+        "fuzz": fuzz["adaptive"],
+    }
+    out["setup"] = {
+        "bytecodes": per_unit(setup["counts"], 1),
+        "bytecodes_by_function": per_function(setup["counts"], 1),
+        "calls": setup["calls"],
+    }
     return out
 
 
@@ -397,6 +378,7 @@ def print_table(out: dict) -> None:
                 + f" {calls:8.2f}"
             )
         print_functions(out)
+        print_adaptive(out)
 
 
 def print_functions(out: dict) -> None:
@@ -422,7 +404,7 @@ def print_functions(out: dict) -> None:
 
 def print_adaptive(out: dict) -> None:
     print(
-        "\nexecuted instructions left in adaptive form after warm runs, per offered"
+        "\nexecuted instructions left in adaptive form after the last run, per offered"
         f" request, and per case of phase1's fuzz (Python {out['python']})"
     )
     for label, listing in out["adaptive"].items():
@@ -445,10 +427,8 @@ def main() -> None:
     parser.add_argument("--duration", type=float, default=5.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--bytecodes", action="store_true",
-                        help="also count bytecodes per offered request (slow; use a short --duration)")
-    parser.add_argument("--adaptive", action="store_true",
-                        help="also list the executed instructions left in adaptive form"
-                             " (slow; use a short --duration)")
+                        help="also count bytecodes per offered request and list the executed"
+                             " instructions left in adaptive form (slow; use a short --duration)")
     parser.add_argument("--json", action="store_true", help="print the sweep as one JSON object")
     args = parser.parse_args()
     out = sweep(args)
@@ -456,8 +436,6 @@ def main() -> None:
         print(json.dumps(out))
         return
     print_table(out)
-    if args.adaptive:
-        print_adaptive(out)
 
 
 if __name__ == "__main__":

@@ -81,6 +81,8 @@ class FloodSpec:
             raise ValueError("flood rate is too small")
         if self.count == 0:
             raise ValueError("flood size rate_tps * duration_s rounds to zero requests")
+        if not 0 <= self.degraded_answer_ratio <= 1:
+            raise ValueError("flood degraded threshold must be in [0, 1]")
 
     @property
     def count(self) -> int:

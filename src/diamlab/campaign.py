@@ -133,7 +133,7 @@ class Report:
         hints = get_type_hints(cls)
         for key, hint in hints.items():
             kind = get_origin(hint) or hint  # list[dict] -> list
-            if not isinstance(d.get(key), kind):
+            if type(d.get(key)) is not kind:  # exact: a JSON boolean is no integer
                 raise ValueError(f"{key!r} is missing or not a {kind.__name__}")
         for key in _ENTRY_KEYS:
             for index, entry in enumerate(d[key]):

@@ -593,6 +593,7 @@ class TestCli:
             ("not json", "Expecting value"),
             ("missing-stats", "'stats' is missing or not a dict"),
             ("attacks-int", "'attacks' is missing or not a list"),
+            ("seed-true", "'seed' is missing or not a int"),
             ("nodes-of-ints", ""),  # mistyped below the top level: caught while rendering
             ("result-int", "attacks[0].result: expected an object, got int"),
             ("finding-list", "findings[0]: expected an object, got list"),
@@ -608,6 +609,7 @@ class TestCli:
         broken = {
             "missing-stats": {k: v for k, v in good.items() if k != "stats"},
             "attacks-int": {**good, "attacks": 5},
+            "seed-true": {**good, "seed": True},
             "nodes-of-ints": {**good, "config": {**good["config"], "nodes": [1]}},
             "result-int": {**good, "attacks": [{**good["attacks"][0], "result": 5}]},
             "finding-list": {**good, "findings": [[]]},

@@ -2,14 +2,16 @@
 
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diamlab import dictionary as dct
 from diamlab.attacks import FloodSpec, FuzzSpec, InterceptSpec, MutationOp
-from diamlab.campaign import build_lab
+from diamlab.campaign import CampaignError, build_lab, run_campaign
 from diamlab import config as config_module
 from diamlab.config import (
     ATTACK_KINDS,
@@ -23,6 +25,7 @@ from diamlab.config import (
     parse_sections,
 )
 from diamlab.elements import ElementKind, PolicyRule
+from diamlab.simnet import US_PER_S
 
 from tests.labs import duo_lab_text
 from tests.test_campaign import README
@@ -248,12 +251,21 @@ class TestCampaignAssembly:
              "[link attacker target]\nloss = -0.5", "loss_probability must be in"),
             ("[attack flood]", "\n[attack flood]\ntarget = target\nrate_tps = -5\nduration_s = 1\n",
              None, "flood rate must be > 0"),
+            ("[attack flood]",
+             "\n[attack flood]\ntarget = target\nrate_tps = 5\nduration_s = 1\n"
+             "degraded_threshold = -3\n",
+             None, "flood degraded threshold must be in [0, 1]"),
+            ("[attack flood]",
+             "\n[attack flood]\ntarget = target\nrate_tps = 5\nduration_s = 1\n"
+             "degraded_threshold = 1.5\n",
+             None, "flood degraded threshold must be in [0, 1]"),
             ("[attack fuzz]", "\n[attack fuzz]\ntarget = target\ncases = 0\n",
              None, "fuzz case count must be > 0"),
             ("[attack fuzz]", "\n[attack fuzz]\ntarget = target\ncases = 3\nops = ,\n",
              None, "fuzz op set must be non-empty"),
         ],
-        ids=["capacity", "link", "flood", "fuzz-cases", "fuzz-ops"],
+        ids=["capacity", "link", "flood", "flood-threshold-below", "flood-threshold-above",
+             "fuzz-cases", "fuzz-ops"],
     )
     def test_value_type_errors_are_located_at_the_header(self, header, old, new, text):
         config_text = minimal().replace(old, new) if new is not None else minimal() + old
@@ -758,3 +770,71 @@ def test_any_config_text_is_a_config_or_a_located_error(text):
     # whatever parses builds (no deferred ValueError), one link per [link]
     lab = build_lab(config)
     assert len(lab.sim.links) == len(config.topology.links)
+
+
+# --- every config that parses runs, repeats and conserves -------------------
+
+# Some configs parse and then run for hours: 10^20 fuzz cases, a 10^23 us
+# link latency or queue drain time, a 10^12 s request timeout. Until the
+# parser bounds the work a campaign can do, the test below skips a config
+# past any of these caps, each well above the built-in labs' own values.
+MAX_FUZZ_CASES = 1_000
+MAX_FLOOD_REQUESTS = 20_000
+MAX_FLOOD_DURATION_S = 60
+MAX_TIMEOUT_US = 10 * US_PER_S
+MAX_LATENCY_MS = 1_000
+MAX_DRAIN_US = 100 * US_PER_S
+
+
+def is_runaway(config: CampaignConfig) -> bool:
+    """Whether `config` is past a cap above: a pure function of the config."""
+    return (
+        config.request_timeout_us > MAX_TIMEOUT_US
+        or any(link.latency_ms > MAX_LATENCY_MS for link in config.topology.links)
+        or any(cap.drain_us > MAX_DRAIN_US for cap in config.capacities.values())
+        or any(
+            spec.case_count > MAX_FUZZ_CASES for spec in config.attacks if spec.kind == "fuzz"
+        )
+        or any(
+            spec.count > MAX_FLOOD_REQUESTS or spec.duration_s > MAX_FLOOD_DURATION_S
+            for spec in config.attacks if spec.kind == "flood"
+        )
+    )
+
+
+def test_the_runaway_caps_pass_the_built_in_labs():
+    assert not any(is_runaway(load_config(name)) for name in BUILTIN_CONFIGS)
+
+
+def run_twice(config: CampaignConfig) -> list:
+    """What each of two runs of `config` wrote, by file name, or the message
+    of its setup error."""
+    outputs = []
+    for _ in range(2):
+        with tempfile.TemporaryDirectory() as out:
+            try:
+                run_campaign(config, out_dir=out)
+            except CampaignError as exc:
+                # A lossy link can lose its capabilities exchange, and the lab
+                # then fails to open; any other CampaignError is a broken
+                # conservation identity (campaign.broken_identities).
+                assert str(exc).startswith("campaign setup failed: "), exc
+                outputs.append(str(exc))
+            else:
+                outputs.append({path.name: path.read_bytes() for path in Path(out).iterdir()})
+    return outputs
+
+
+@settings(max_examples=500, deadline=None)
+@given(config_texts())
+@example(FLOOD_LAB.replace("latency_ms = 5", "latency_ms = 5\nloss = 0.1"))  # draws from sim.rng
+def test_every_config_that_parses_runs_twice_to_the_same_files(text):
+    try:
+        config = parse_campaign_config(text, source="<fuzz>")
+    except ConfigError:
+        return
+    if is_runaway(config):
+        return
+    first, second = run_twice(config)
+    assert first == second
+    assert isinstance(first, str) or {"report.json", "report.txt"} <= set(first)

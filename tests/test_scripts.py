@@ -2,11 +2,13 @@
 exits 0 and prints what it promises."""
 
 import dis
-import importlib.util
+import importlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -69,15 +71,27 @@ def test_overload_sweep_prints_one_row_per_rate():
 
 
 def load_script(name: str):
-    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    # Imported by name, with scripts/ on sys.path, so that the processes a
+    # script spawns import it too.
+    if str(ROOT / "scripts") not in sys.path:
+        sys.path.insert(0, str(ROOT / "scripts"))
+    return importlib.import_module(name.removesuffix(".py"))
 
 
-def test_overload_sweep_bytecodes_adds_a_column_and_a_table_by_module():
-    out = run_script("overload_sweep.py", "--duration", "0.02", "--bytecodes")
-    sweep, by_module, by_function = out.split("\n\n")
+@pytest.fixture(scope="module")
+def bytecode_sweep_text() -> str:
+    return run_script("overload_sweep.py", "--duration", "0.02", "--bytecodes")
+
+
+@pytest.fixture(scope="module")
+def bytecode_sweep() -> dict:
+    out = run_script("overload_sweep.py", "--duration", "0.02", "--bytecodes", "--json")
+    return json.loads(out)
+
+
+def test_overload_sweep_bytecodes_adds_a_column_and_a_table_by_module(bytecode_sweep_text):
+    # the listings come last (test_overload_sweep_bytecodes_lists_the_1x_and_4x_rows_and_the_fuzz)
+    sweep, by_module, by_function, *_ = bytecode_sweep_text.split("\n\n")
     rows = [line.split() for line in sweep.splitlines()[2:]]
     # the bytecodes column, then the calls column
     assert len(rows) == 9 and all(len(row) == 11 and float(row[-2]) > 0 for row in rows)
@@ -114,8 +128,8 @@ def assert_functions_sum_to_their_module(by_function: dict, by_module: dict) -> 
         assert sum(functions.values()) == pytest.approx(by_module[module])
 
 
-def test_overload_sweep_json_holds_the_rows_and_the_fuzz_row():
-    out = json.loads(run_script("overload_sweep.py", "--duration", "0.02", "--bytecodes", "--json"))
+def test_overload_sweep_json_holds_the_rows_and_the_fuzz_row(bytecode_sweep):
+    out = bytecode_sweep
     assert out["python"] == sys.version.split()[0]
     assert len(out["rows"]) == 9
     for row in out["rows"]:
@@ -142,33 +156,39 @@ def test_overload_sweep_json_holds_the_rows_and_the_fuzz_row():
     assert all("bytecodes_per_req" not in r and "calls_per_req" not in r for r in plain["rows"])
 
 
+def counts_of(measured: dict) -> tuple:
+    """What overload_sweep.measure counted: its listing, which depends on the
+    code run before it in the process, left out."""
+    return measured["n"], measured["counts"], measured["calls"]
+
+
 def test_bytecode_counts_are_the_same_in_two_runs_in_one_process():
     sweep = load_script("overload_sweep.py")
-    first, second = (sweep.flood_bytecodes(1000, 100, 1, 2000, 0.05) for _ in range(2))
-    assert first == second
-    offered, counts, calls = first
-    assert offered == 100 and calls > offered
+    flood = partial(sweep.flood_run, 1000, 100, 1, 2000, 0.05)
+    first, second = (sweep.measure(flood) for _ in range(2))
+    assert counts_of(first) == counts_of(second)
+    counts = first["counts"]
+    assert first["n"] == 100 and first["calls"] > 100
     assert {"attacks", "codec", "elements", "peer", "simnet"} <= {m for m, _ in counts}
     # a generated constructor is filed under its class's module
     for cls, module in ((Avp, "codec"), (Message, "codec"), (ParseError, "codec"),
                         (PeerAction, "peer")):
         assert sweep.module_of(cls.__new__.__code__.co_filename) == module
-    first, second = sweep.fuzz_bytecodes(), sweep.fuzz_bytecodes()
-    assert first == second
-    cases, counts, calls = first
-    assert cases == 1000 and calls > cases
+    first, second = sweep.measure(sweep.fuzz_run), sweep.measure(sweep.fuzz_run)
+    assert counts_of(first) == counts_of(second)
+    counts = first["counts"]
+    assert first["n"] == 1000 and first["calls"] > 1000
     assert {"attacks", "codec", "elements", "peer", "simnet"} <= {m for m, _ in counts}
     # a dataclass method compiled from a string is named by its class, and
     # a generated constructor by its own
     assert {("<string>", "PeerEvent.__init__"), ("codec", "ParseError.__new__")} <= set(counts)
-    first, second = sweep.setup_bytecodes(), sweep.setup_bytecodes()
-    assert first == second
-    counts, calls = first
-    assert calls > 0 and ("peer", "PeerState.__new__") in counts
+    first, second = sweep.measure(sweep.setup_run), sweep.measure(sweep.setup_run)
+    assert counts_of(first) == counts_of(second)
+    assert first["calls"] > 0 and ("peer", "PeerState.__new__") in first["counts"]
 
 
 # Exact bytecodes executed in diamlab's code, each counted after one warm
-# run (overload_sweep.flood_bytecodes, fuzz_bytecodes, setup_bytecodes), in
+# run (overload_sweep.measure of flood_run, fuzz_run and setup_run), in
 # total and by module, and the calls of its Python functions: the sweep
 # lab's 0.5 s floods at 1x and 4x its capacity (1,000 TPS, queue 100; 500
 # and 2,000 requests), phase1's fuzz (1,000 cases) and one setup of phase2
@@ -191,7 +211,7 @@ BYTECODE_PINS = {
             "elements": 305_055, "peer": 68_956, "simnet": 405_783, "calls": 34_860,
         },
         "setup": {
-            "total": 17_797, "<string>": 1_782, "attacks": 54, "campaign": 6, "codec": 1_671,
+            "total": 17_807, "<string>": 1_782, "attacks": 64, "campaign": 6, "codec": 1_671,
             "config": 7_120, "elements": 3_707, "peer": 1_527, "simnet": 1_930, "calls": 434,
         },
     },
@@ -200,18 +220,18 @@ BYTECODE_PINS = {
 
 def test_bytecode_totals_are_pinned():
     sweep = load_script("overload_sweep.py")
-    runs = {
-        "1x": lambda: sweep.flood_bytecodes(1000, 100, 1, 1000, 0.5),
-        "4x": lambda: sweep.flood_bytecodes(1000, 100, 1, 4000, 0.5),
-        "fuzz": sweep.fuzz_bytecodes,
-        "setup": lambda: (1, *sweep.setup_bytecodes()),
+    builds = {
+        "1x": partial(sweep.flood_run, 1000, 100, 1, 1000, 0.5),
+        "4x": partial(sweep.flood_run, 1000, 100, 1, 4000, 0.5),
+        "fuzz": sweep.fuzz_run,
+        "setup": sweep.setup_run,
     }
     # per_unit of one unit: the counts themselves, by module and in total
     counted = {}
-    for label, run in runs.items():
-        _, counts, calls = run()
-        counted[label] = {key: int(n) for key, n in sweep.per_unit(counts, 1).items()}
-        counted[label]["calls"] = calls
+    for label, build in builds.items():
+        measured = sweep.measure(build)
+        counted[label] = {key: int(n) for key, n in sweep.per_unit(measured["counts"], 1).items()}
+        counted[label]["calls"] = measured["calls"]
     version = sys.version_info[:2]
     if version not in BYTECODE_PINS:
         pytest.fail(
@@ -221,10 +241,10 @@ def test_bytecode_totals_are_pinned():
     assert counted == BYTECODE_PINS[version]
 
 
-def test_overload_sweep_adaptive_lists_the_1x_and_4x_rows_and_the_fuzz():
-    out = json.loads(run_script("overload_sweep.py", "--duration", "0.02", "--adaptive", "--json"))
-    assert "fuzz" not in out  # --adaptive alone adds no bytecode counts
-    listings = out["adaptive"]
+def test_overload_sweep_bytecodes_lists_the_1x_and_4x_rows_and_the_fuzz(
+    bytecode_sweep, bytecode_sweep_text
+):
+    listings = bytecode_sweep["adaptive"]
     assert list(listings) == ["1x", "4x", "fuzz"]
     assert [listings[r]["n"] for r in ("1x", "4x")] == [20, 80]
     assert listings["fuzz"]["n"] == 1000
@@ -235,15 +255,25 @@ def test_overload_sweep_adaptive_lists_the_1x_and_4x_rows_and_the_fuzz():
             assert set(site) == {"module", "function", "line", "offset", "opname", "per_unit"}
             assert site["opname"].endswith("_ADAPTIVE") and site["per_unit"] > 0
         assert [s["per_unit"] for s in sites] == sorted((s["per_unit"] for s in sites), reverse=True)
-    text = run_script("overload_sweep.py", "--duration", "0.02", "--adaptive")
-    assert "\n1x: " in text and "\n4x: " in text and "\nfuzz: " in text
+    assert all(f"\n{label}: " in bytecode_sweep_text for label in ("1x", "4x", "fuzz"))
+
+
+def test_a_rows_listing_is_the_same_alone_and_inside_the_sweep(bytecode_sweep):
+    # Each row is measured in an interpreter of its own, so no row's listing
+    # depends on the rows measured before it.
+    sweep = load_script("overload_sweep.py")
+    alone = sweep.in_fresh_interpreters(
+        sweep.measure, [partial(sweep.flood_run, 1000, 100, 1, 1000.0, 0.02)]
+    )
+    assert multiprocessing.active_children() == []
+    assert alone[0]["adaptive"] == bytecode_sweep["adaptive"]["1x"]
 
 
 def test_every_listed_site_is_in_adaptive_form_at_its_offset():
     sweep = load_script("overload_sweep.py")
-    traced, warm = sweep.flood_runs(1000, 100, 1, 1000, 0.2, 2)
+    _, traced = sweep.flood_run(1000, 100, 1, 1000, 0.2)
     executed = sweep.count_executions(traced)
-    warm()
+    sweep.flood_run(1000, 100, 1, 1000, 0.2)[1]()
     listing = sweep.adaptive_sites(executed, 200)
     assert listing["sites"]
     forms = {}  # (module, function, offset) -> the opnames there, of every such code object
@@ -274,10 +304,11 @@ def test_bytecodes_per_answered_request_stay_flat_as_requests_outstanding_grow()
         _, lab = make_lab(text)
         spec = FloodSpec(target="target", rate_tps=1250.25, duration_s=0.8)
         results = []
-        counts, _ = sweep.count_bytecodes(lambda: results.append(run_flood(lab, spec)))
+        executed = sweep.count_executions(lambda: results.append(run_flood(lab, spec)))
         result = results[0][0]
         assert result.answered == result.offered == 1000
-        per_request.append(sum(counts.values()) / result.answered)
+        bytecodes = sum(offsets.total() for _, offsets in executed.values())
+        per_request.append(bytecodes / result.answered)
     low, high = per_request
     assert abs(high - low) < 0.01 * low
 
