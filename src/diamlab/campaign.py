@@ -96,7 +96,21 @@ _ENTRY_KEYS: dict[str, dict[str, type]] = {
         "id": int, "attack_kind": str, "severity": str, "taxonomy": dict, "evidence": dict,
     },
 }
-_JSON_TYPE_NAMES = {dict: "an object", str: "a string", int: "an integer"}
+_JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def _keys_error(where: str, obj: dict, keys: dict[str, type]) -> Optional[str]:
+    """What is wrong with the first of `keys` that `obj` lacks or holds a
+    value of another type in, located by its path (`where` and the key), or
+    None."""
+    for name, kind in keys.items():
+        path = f"{where}.{name}" if where else name
+        if name not in obj:
+            return f"{path}: missing"
+        value = obj[name]
+        if type(value) is not kind:  # exact: a JSON boolean is no integer
+            return f"{path}: expected {_JSON_TYPE_NAMES[kind]}, got {type(value).__name__}"
+    return None
 
 
 def _entry_error(key: str, index: int, entry: object) -> Optional[str]:
@@ -105,13 +119,7 @@ def _entry_error(key: str, index: int, entry: object) -> Optional[str]:
     where = f"{key}[{index}]"
     if type(entry) is not dict:
         return f"{where}: expected an object, got {type(entry).__name__}"
-    for name, kind in _ENTRY_KEYS[key].items():
-        if name not in entry:
-            return f"{where}.{name}: missing"
-        value = entry[name]
-        if type(value) is not kind:  # exact: a JSON boolean is no integer
-            return f"{where}.{name}: expected {_JSON_TYPE_NAMES[kind]}, got {type(value).__name__}"
-    return None
+    return _keys_error(where, entry, _ENTRY_KEYS[key])
 
 
 @dataclass
@@ -126,15 +134,16 @@ class Report:
 
     @classmethod
     def from_dict(cls, d: object) -> "Report":
-        """Inverse of to_json (the parsed JSON); ValueError names a missing or
-        mistyped key, and the path of a mistyped attack or finding entry."""
+        """Inverse of to_json (the parsed JSON); ValueError names the path of
+        a missing or mistyped key, at the top level or in an attack or
+        finding entry."""
         if not isinstance(d, dict):
             raise ValueError(f"expected a JSON object, got {type(d).__name__}")
         hints = get_type_hints(cls)
-        for key, hint in hints.items():
-            kind = get_origin(hint) or hint  # list[dict] -> list
-            if type(d.get(key)) is not kind:  # exact: a JSON boolean is no integer
-                raise ValueError(f"{key!r} is missing or not a {kind.__name__}")
+        # list[dict] -> list
+        error = _keys_error("", d, {key: get_origin(hint) or hint for key, hint in hints.items()})
+        if error:
+            raise ValueError(error)
         for key in _ENTRY_KEYS:
             for index, entry in enumerate(d[key]):
                 error = _entry_error(key, index, entry)

@@ -112,11 +112,31 @@ TRUNCATED, BAD_VERSION, BAD_LENGTH, BAD_PADDING, AVP_OVERRUN = ParseErrorKind
 # such class's __new__ is bound once to a module name next to it (new_avp,
 # new_message, new_parse_error, new_violation, peer.new_peer_action,
 # peer.new_peer_state), and the per-message builds (build_message,
-# build_answer, decode_message, _decode_avps, replace_ids, validate_message,
-# every PeerAction and PeerState of peer.handle_event) call that name with
-# the class: new_message(Message, ...) returns the value Message(...) does.
+# build_answer, decode_message, _decode_avps, validate_message, every
+# PeerAction and PeerState of peer.handle_event) call that name with the
+# class: new_message(Message, ...) returns the value Message(...) does.
+# replace_ids, run per request sent, is generated the same way and builds
+# its Message itself.
 # Each class's source is compiled under its own filename, <module.Class>, so
 # profilers and tracers keep the generated functions of the classes apart.
+
+
+def _build_body(cls: type, value_of: Callable[[str], str], class_expr: str) -> str:
+    """Generated statements that build a `cls` value: `self`, an instance of
+    `_twin`, gets each field f set to the expression value_of(f.name), in
+    field order, becomes a `class_expr` and is returned."""
+    stores = "".join(f"\n    self.{f.name} = {value_of(f.name)}" for f in fields(cls))
+    return f"    self = _twin(){stores}\n    self.__class__ = {class_expr}\n    return self\n"
+
+
+def _generate(cls: type, source: str, env: dict) -> dict:
+    """`env` after running `source`, which builds `cls` values with
+    `_build_body`, in it, with `_twin` bound to a twin class of `cls`. The
+    source is compiled under the filename <module.Class> of `cls`, and each
+    function it defines has `cls`'s module."""
+    env.update(__name__=cls.__module__, _twin=type(cls.__name__, (), {"__slots__": cls.__slots__}))
+    exec(compile(source, f"<{cls.__module__}.{cls.__qualname__}>", "exec"), env)
+    return env
 
 
 def slot_init(cls: type) -> type:
@@ -126,26 +146,22 @@ def slot_init(cls: type) -> type:
     keyword, with the fields' own defaults. Its source is built from the
     field names and passed to exec, as dataclasses builds its own.
     """
-    env: dict[str, object] = {"_twin": type(cls.__name__, (), {"__slots__": cls.__slots__})}
-    params, stores, values = [], [], []
+    env: dict[str, object] = {}
+    params, values = [], []
     for f in fields(cls):
         if f.default is MISSING:
             params.append(f.name)
         else:
             env[f"_default_{f.name}"] = f.default
             params.append(f"{f.name}=_default_{f.name}")
-        stores.append(f"\n    self.{f.name} = {f.name}")
         values.append(f"self.{f.name}, ")
     source = (
-        f"def __new__(cls, {', '.join(params)}):\n    self = _twin(){''.join(stores)}"
-        "\n    self.__class__ = cls\n    return self\n"
+        f"def __new__(cls, {', '.join(params)}):\n{_build_body(cls, lambda name: name, 'cls')}"
         f"def __getnewargs__(self):\n    return ({''.join(values)})"
     )
-    exec(compile(source, f"<{cls.__module__}.{cls.__qualname__}>", "exec"), env)
+    _generate(cls, source, env)
     for name in ("__new__", "__getnewargs__"):
-        fn = env[name]
-        fn.__qualname__ = f"{cls.__qualname__}.{name}"
-        fn.__module__ = cls.__module__
+        env[name].__qualname__ = f"{cls.__qualname__}.{name}"
     cls.__new__ = staticmethod(env["__new__"])
     cls.__getnewargs__ = env["__getnewargs__"]
     return cls
@@ -573,14 +589,24 @@ def first_avp(m: Message, code: int) -> Optional[Avp]:
     return None
 
 
-def replace_ids(m: Message, hop_by_hop_id: int, end_to_end_id: int) -> Message:
-    """`m` with new correlation ids; the encoder's CodecError for an id out of range."""
-    if hop_by_hop_id >> 32 or end_to_end_id >> 32:  # a call only on a fault: see _check_ids
-        _check_ids(hop_by_hop_id, end_to_end_id)
-    return new_message(
-        Message, m.command_code, m.avps, m.application_id, hop_by_hop_id, end_to_end_id,
-        m.request, m.proxiable, m.error, m.retransmit,
-    )
+# Run per request sent, so replace_ids builds its Message in its own frame,
+# as Message.__new__ builds one (see slot_init), not through a call of
+# new_message, a frame more. Its source is generated from Message's fields,
+# and compiled under Message's filename, so profilers file it with
+# Message.__new__.
+replace_ids: Callable[[Message, int, int], Message] = _generate(
+    Message,
+    "def replace_ids(m, hop_by_hop_id, end_to_end_id):\n"
+    '    """`m` with new correlation ids; the encoder\'s CodecError for an id out of range."""\n'
+    "    if hop_by_hop_id >> 32 or end_to_end_id >> 32:  # a call only on a fault: see _check_ids\n"
+    "        _check_ids(hop_by_hop_id, end_to_end_id)\n"
+    + _build_body(
+        Message,
+        lambda name: name if name in ("hop_by_hop_id", "end_to_end_id") else f"m.{name}",
+        "Message",
+    ),
+    {"Message": Message, "_check_ids": _check_ids},
+)["replace_ids"]
 
 
 def stamp_ids(data: bytes, hop_by_hop_id: int, end_to_end_id: int) -> bytes:

@@ -18,7 +18,10 @@ skips the decode. Bytes (fuzz cases, raw requests, tapped
 traffic) always take the decoder.
 
 The capacity model is a token-rate server (service_rate tokens per
-second, burst of one) in front of a bounded FIFO queue. A 1 Hz sampler
+second, burst of one) in front of a bounded FIFO queue. The bucket is one
+integer, the theoretical arrival time of the next token (the virtual-
+scheduling form of the GCRA, ITU-T I.371), so an admission and a drain
+each test one compare, and a drain serves one request. A 1 Hz sampler
 watches the queue: once it has been non-empty at every sample for
 failure_threshold_s consecutive seconds the element fails and answers
 nothing for the rest of the run. That makes overload and failure directly
@@ -261,7 +264,8 @@ class Element:
         # CPython 3.11 specializes reading an instance's attributes only while
         # it has at most 29 of them: an MmeElement has 29, an AttackBoxElement
         # 26 and every other element 27 (a TargetServerElement once it has
-        # answered an echo, its `_echo` memo). The test
+        # answered an echo, its `_echo` memo), the token bucket's one integer
+        # and the bound drain timer among them. The test
         # test_every_element_keeps_at_most_29_attributes checks this.
         self._queue_capacity = capacity.queue_capacity
         # The AVP tuple of the last request that validated clean (on_message).
@@ -270,12 +274,22 @@ class Element:
         # Token-rate service state, in exact integer credit: a token is
         # `_token` credit and a microsecond earns `_rate` (their ratio is
         # service_rate per microsecond, exactly), so fractions of a token
-        # never add up to a hair under a whole one.
+        # never add up to a hair under a whole one. The bucket is one
+        # integer, in the virtual-scheduling form of the GCRA (ITU-T I.371):
+        # `_tat`, the theoretical arrival time of the next token in credit
+        # units (microseconds times `_rate`). A token is there exactly when
+        # `_rate * now >= _tat`, and taking it sets `_tat = _rate * now +
+        # _token`; 0 is a full token (a burst of one) at time 0. The bucket
+        # of credit and last accrual it replaces has X = `_rate * last -
+        # credit`: its accrual is X = max(X, `_rate * now - _token`), its
+        # take X += `_token`, and `_tat` = X + `_token`.
         self._rate, per_token = capacity.service_rate.as_integer_ratio()
         self._token = per_token * US_PER_S
-        self._credit = self._token  # a burst of one
-        self._last_accrual = 0
+        self._tat = 0
         self.queue: deque[tuple[PeerLink, Message]] = deque()  # (the link it came in on, request)
+        # The drain timer, bound once: `self._drain` read per drain scheduled
+        # would make a bound method each time, a read 3.11 does not specialize.
+        self._drain_timer = self._drain
 
         # failure state: only `fail` writes `failed_at`, only `_serve` writes `crash`
         # and the request its handler raised on, `crashed_on`
@@ -415,53 +429,47 @@ class Element:
 
     # -- capacity model ----------------------------------------------------------
 
-    def _accrue(self, now: int) -> None:
-        last = self._last_accrual
-        if now > last:
-            credit = self._credit + self._rate * (now - last)
-            self._credit = credit if credit < self._token else self._token  # at most one token
-            self._last_accrual = now
-
     def admit(self, link: PeerLink, request: Message, now: int) -> Admission:
         """Admission at `now` of `request`, come in on `link`: take a token,
         else join the bounded queue as `(link, request)`, else drop."""
         if self.failed_at is not None:  # per request: see on_message
             raise ElementFailedError(f"{self.node.label} has failed; it admits nothing")
         self.offered += 1
-        # Only credit taken at an empty queue admits directly, so only then
-        # is it brought up to date. A queue has its drain scheduled, and the
-        # drain accrues: a capped sum of non-negative amounts, it comes to
-        # the same credit whether or not it is also taken here.
+        # Only at an empty queue does a request take a token itself: while
+        # requests wait, their drain takes each token as it comes.
         if not self.queue:
-            self._accrue(now)
-            if self._credit >= self._token:
-                self._credit -= self._token
+            credit = self._rate * now
+            if credit >= self._tat:
+                self._tat = credit + self._token
                 return ACCEPTED
         if len(self.queue) < self._queue_capacity:
             # A drain is due exactly while the queue is non-empty: joining an
             # empty queue schedules it, and a drain leaving requests the next.
             if not self.queue:
-                self._schedule_drain(now)
+                self._schedule_drain()
             self.queue.append((link, request))
             return QUEUED
         self.dropped_overflow += 1
         return DROPPED
 
-    def _schedule_drain(self, now: int) -> None:
-        delay = -(-(self._token - self._credit) // self._rate)  # ceil, in integers
-        if delay < 1:  # a compare: CPython 3.11 does not specialize a call of max
-            delay = 1
-        self.sim.schedule_timer(now + delay, self._drain)
+    def _schedule_drain(self) -> None:
+        """Schedule the drain at the microsecond the next token is there,
+        ceil(`_tat / _rate`). Both callers find no token at the time they
+        run (`_rate * now < _tat`), so that microsecond is after it."""
+        self.sim.schedule_timer(-(-self._tat // self._rate), self._drain_timer)
 
     def _drain(self, now: int) -> None:
-        self._accrue(now)
-        while self._credit >= self._token and self.queue:
-            self._credit -= self._token
+        """Serve the request at the head of the queue if a token is there, and
+        schedule the next drain while requests wait. The burst is one token,
+        so one drain serves one request at most."""
+        credit = self._rate * now
+        if credit >= self._tat and self.queue:
+            self._tat = credit + self._token
             link, msg = self.queue.popleft()
             self.drained_served += 1
             self._serve(link, msg, now)
         if self.queue:
-            self._schedule_drain(now)
+            self._schedule_drain()
 
     def _sample(self, now: int) -> None:
         if self.failed_at is not None:  # per sample: see on_message
@@ -512,6 +520,8 @@ class Element:
     # -- client-side sending ----------------------------------------------------------
 
     def _alloc_hop_by_hop(self, link: PeerLink) -> int:
+        """Take the link's next hop-by-hop id. `send_app_request`, run per
+        request, takes it the same way inline."""
         hbh = link.next_hop_by_hop
         link.next_hop_by_hop = (hbh + 1) & U32_MAX
         return hbh
@@ -541,7 +551,8 @@ class Element:
         link = self.links[dst.id]
         if link.state.phase is not OPEN:
             return None
-        hbh = self._alloc_hop_by_hop(link)
+        hbh = link.next_hop_by_hop  # see _alloc_hop_by_hop
+        link.next_hop_by_hop = (hbh + 1) & U32_MAX
         msg = replace_ids(request, hbh, hbh)
         register_request(link, hbh, now, on_answer)
         self.sim.send(link.route, msg)

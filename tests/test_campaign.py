@@ -591,9 +591,9 @@ class TestCli:
             ("[1, 2]", "expected a JSON object, got list"),
             ("3", "expected a JSON object, got int"),
             ("not json", "Expecting value"),
-            ("missing-stats", "'stats' is missing or not a dict"),
-            ("attacks-int", "'attacks' is missing or not a list"),
-            ("seed-true", "'seed' is missing or not a int"),
+            ("missing-stats", "stats: missing"),
+            ("attacks-int", "attacks: expected an array, got int"),
+            ("seed-true", "seed: expected an integer, got bool"),
             ("nodes-of-ints", ""),  # mistyped below the top level: caught while rendering
             ("result-int", "attacks[0].result: expected an object, got int"),
             ("finding-list", "findings[0]: expected an object, got list"),

@@ -42,6 +42,7 @@ from diamlab.peer import (
     result_code_avp,
 )
 
+from diamlab.simnet import US_PER_S
 from tests.labs import core_lab_text, duo_lab_text, make_lab
 from tests.test_peer import event_sequences, state_in
 
@@ -239,6 +240,100 @@ class TestDrainTimer:
         refills = sum(1 for a, b in zip(lengths, lengths[1:]) if a == 0 and b > 0)
         assert refills == 3 and lengths[-1] == 0
         assert target.drained_served == 12 and target.dropped_overflow == 0
+
+
+class _CreditBucket:
+    """Admission as Element kept it before `_tat`: the credit and the
+    microsecond it was last brought up to date, with a queue of
+    `queue_capacity` that the drain serves; the reference for `_tat`. It
+    records each admission's outcome and the microsecond each drain it
+    schedules is due."""
+
+    def __init__(self, service_rate, queue_capacity):
+        self.rate, per_token = service_rate.as_integer_ratio()
+        self.token = per_token * US_PER_S
+        self.credit, self.last = self.token, 0  # a burst of one
+        self.queue_capacity, self.queued, self.served = queue_capacity, 0, 0
+        self.due = None  # the drain due, if any
+        self.drains = []
+
+    def accrue(self, now):
+        if now > self.last:
+            self.credit = min(self.token, self.credit + self.rate * (now - self.last))
+            self.last = now
+
+    def admit(self, now):
+        if not self.queued:
+            self.accrue(now)
+            if self.credit >= self.token:
+                self.credit -= self.token
+                return Admission.ACCEPTED
+        if self.queued < self.queue_capacity:
+            if not self.queued:
+                self.schedule_drain(now)
+            self.queued += 1
+            return Admission.QUEUED
+        return Admission.DROPPED
+
+    def schedule_drain(self, now):
+        self.due = now + max(1, -(-(self.token - self.credit) // self.rate))
+        self.drains.append(self.due)
+
+    def run_until(self, t):
+        while self.due is not None and self.due <= t:
+            now, self.due = self.due, None
+            self.accrue(now)
+            while self.credit >= self.token and self.queued:
+                self.credit -= self.token
+                self.queued -= 1
+                self.served += 1
+            if self.queued:
+                self.schedule_drain(now)
+
+
+class TestAdmissionAgreesWithTheCreditBucket:
+    @given(
+        # 32,000 TPS is 31.25 us a token, and 0.1's integer ratio is
+        # 3602879701896397 / 36028797018963968
+        service_rate=st.one_of(
+            st.sampled_from([32000, 0.1, 1000]),
+            st.integers(1, 50_000),
+            st.floats(0.05, 50_000),
+        ),
+        queue_capacity=st.integers(0, 5),
+        # gaps between arrivals, in tokens' worth of time: whole ones meet
+        # the microsecond a token comes exactly
+        gaps=st.lists(st.one_of(st.integers(0, 3), st.floats(0, 3)), min_size=1, max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_outcomes_and_drain_times_agree(self, service_rate, queue_capacity, gaps):
+        _, lab = make_lab(duo_lab_text(service_rate=service_rate, queue_capacity=queue_capacity))
+        target, sim = lab.element("target"), lab.sim
+        link = target.peer_link(lab.node("attacker"))
+        model = _CreditBucket(target.capacity.service_rate, queue_capacity)
+        drains = []
+        schedule_timer = sim.schedule_timer
+
+        def record(at, fire):
+            if fire == target._drain:
+                drains.append(at)
+            schedule_timer(at, fire)
+
+        sim.schedule_timer = record
+        us_per_token = US_PER_S / target.capacity.service_rate
+        now = sim.clock
+        for i, gap in enumerate(gaps):
+            now += round(gap * us_per_token)
+            sim.run_until(now)
+            model.run_until(now)
+            outcome = target.admit(link, _probe(hbh=i + 1), now)
+            assert (outcome, target.drained_served) == (model.admit(now), model.served)
+            assert drains == model.drains
+        if model.due is not None:
+            model.run_until(math.inf)
+            sim.run_until(model.drains[-1])
+        assert drains == model.drains
+        assert (target.drained_served, len(target.queue)) == (model.served, 0)
 
 
 class TestTargetServer:

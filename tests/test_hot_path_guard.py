@@ -20,7 +20,7 @@ from types import CodeType, ModuleType
 
 import pytest
 
-from diamlab import attacks, codec, elements, peer
+from diamlab import attacks, codec, elements, peer, simnet
 
 HOT_PATHS = [
     peer.handle_event,
@@ -29,6 +29,20 @@ HOT_PATHS = [
     elements.Element._execute,
     elements.Element._watchdog,
     elements.Element._sample,
+    # a flood's request, from its send to its answer counted
+    attacks._FloodDriver.send,
+    attacks._FloodDriver._count_answer,
+    elements.Element.send_app_request,
+    elements.Element.admit,
+    elements.Element._drain,
+    elements.Element._schedule_drain,
+    elements.Element._serve,
+    elements.TargetServerElement.handle_app_request,
+    codec.replace_ids,
+    codec.build_answer,
+    simnet.Simulation.send,
+    simnet.Simulation.schedule_timer,
+    simnet.Simulation.run_until,
     codec.decode_message,
     codec._decode_avps,
     codec.validate_message,

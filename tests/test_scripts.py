@@ -199,20 +199,20 @@ def test_bytecode_counts_are_the_same_in_two_runs_in_one_process():
 BYTECODE_PINS = {
     (3, 11): {
         "1x": {
-            "total": 397_311, "<string>": 44, "attacks": 47_853, "codec": 65_793,
-            "elements": 157_333, "peer": 10_500, "simnet": 115_788, "calls": 9_043,
+            "total": 368_811, "<string>": 44, "attacks": 47_853, "codec": 58_793,
+            "elements": 135_833, "peer": 10_500, "simnet": 115_788, "calls": 7_543,
         },
         "4x": {
-            "total": 1_216_943, "<string>": 92, "attacks": 172_257, "codec": 169_893,
-            "elements": 444_915, "peer": 42_000, "simnet": 387_786, "calls": 26_649,
+            "total": 1_141_128, "<string>": 92, "attacks": 172_257, "codec": 141_893,
+            "elements": 397_100, "peer": 42_000, "simnet": 387_786, "calls": 22_048,
         },
         "fuzz": {
-            "total": 1_555_728, "<string>": 10_816, "attacks": 259_150, "codec": 505_968,
-            "elements": 305_055, "peer": 68_956, "simnet": 405_783, "calls": 34_860,
+            "total": 1_548_112, "<string>": 10_816, "attacks": 259_150, "codec": 505_142,
+            "elements": 298_265, "peer": 68_956, "simnet": 405_783, "calls": 34_607,
         },
         "setup": {
-            "total": 17_807, "<string>": 1_782, "attacks": 64, "campaign": 6, "codec": 1_671,
-            "config": 7_120, "elements": 3_707, "peer": 1_527, "simnet": 1_930, "calls": 434,
+            "total": 17_765, "<string>": 1_782, "attacks": 64, "campaign": 6, "codec": 1_629,
+            "config": 7_120, "elements": 3_707, "peer": 1_527, "simnet": 1_930, "calls": 431,
         },
     },
 }
