@@ -261,11 +261,6 @@ def _render_result_codes(tally: dict[Optional[int], int]) -> dict[str, int]:
     return dict(sorted(("none" if code is None else str(code), n) for code, n in tally.items()))
 
 
-# Sends between sweeps of expired pending entries. A module name: CPython 3.11
-# does not specialize reading a class attribute through an instance.
-_REAP_EVERY = 1024
-
-
 class _FloodDriver:
     """Sends one flood's requests on schedule and counts their answers.
 
@@ -275,6 +270,11 @@ class _FloodDriver:
     its own with the same AVPs. It counts the sends it offers and those the
     attack box refuses, which happens only while the link is not Open; the
     rest were sent, so a send that goes out counts nothing more.
+
+    An answer counts only when it lands within `timeout_us` of its send
+    (`_count_answer`); a later one is ignored, whenever it lands. The
+    driver keeps no table of its own: its requests stay in the link's
+    pending table until answered or until the flood ends (`pending_ids`).
     """
 
     def __init__(
@@ -309,7 +309,7 @@ class _FloodDriver:
         # One callback object for the whole flood, stored in every pending
         # entry it sends: `self._count_answer` read per send would make a new
         # bound method each time (~16k held at once by an overloaded target),
-        # and `sent_before` can match the flood's entries by identity.
+        # and `pending_ids` can match the flood's entries by identity.
         self.on_answer = self._count_answer
         # The send timer, bound once for the same reason: each send schedules it.
         self._send = self.send
@@ -320,37 +320,25 @@ class _FloodDriver:
         self.offered = i + 1
         if self.ab.send_app_request(self.target.node, self.request, self.on_answer, now) is None:
             self.refused += 1
-        if i % _REAP_EVERY == 0:
-            self.reap(now)
         if i + 1 < self.count:
             # Rounded from the exact schedule, so the error never adds up over the flood.
             at = self.start + round((i + 1) * US_PER_S / self.rate_tps)
             self.sim.schedule_timer(at, self._send)
 
-    def sent_before(self, cutoff: int) -> list[int]:
-        """Hop-by-hop ids of this flood's unanswered requests sent before `cutoff`.
+    def pending_ids(self) -> list[int]:
+        """Hop-by-hop ids of this flood's requests still unanswered on the link.
 
-        The link's pending table is in send order and answers have already
-        left it, so they are at its front. Entries of other senders (a probe,
-        a fuzz case) are skipped.
+        Entries of other senders (a probe, a fuzz case) are skipped.
         """
         mine = self.on_answer
-        ids = []
-        for hbh, (sent_at, on_answer) in self.ab.peer_link(self.target.node).pending.items():
-            if sent_at >= cutoff:
-                break
-            if on_answer is mine:
-                ids.append(hbh)
-        return ids
-
-    def reap(self, now: int) -> None:
-        """Give up on requests past the answer timeout; keeps the pending table small."""
-        dead = self.sent_before(now - self.timeout_us)
-        if dead:
-            self.ab.forget_pending_many(self.target.node, dead)
+        pending = self.ab.peer_link(self.target.node).pending
+        return [hbh for hbh, (_, on_answer) in pending.items() if on_answer is mine]
 
     def _count_answer(self, sent_at, msg, now) -> None:
-        self.latencies.append(now - sent_at)
+        latency = now - sent_at
+        if latency > self.timeout_us:
+            return  # too late: the request counts as dropped
+        self.latencies.append(latency)
         avps, code = self._answer_code
         if avps is not msg.avps:
             code = result_code_of(msg)
@@ -369,8 +357,10 @@ def run_flood(lab: Lab, spec: FloodSpec) -> tuple[FloodResult, list[Finding]]:
     link's next ids (see `_FloodDriver`).
 
     The run settles for a grace period after the last send so queued
-    requests drain; whatever is still unanswered then is counted as
-    dropped and its pending entries are reclaimed.
+    requests drain. An answer counts only when it lands within the lab's
+    `request_timeout_us` of its send, so no reported latency exceeds the
+    timeout; every request not answered in time is counted as dropped, and
+    the pending entries still unanswered at the end are reclaimed.
     """
     sim = lab.sim
     ab = lab.attack_box()
@@ -388,10 +378,8 @@ def run_flood(lab: Lab, spec: FloodSpec) -> tuple[FloodResult, list[Finding]]:
     )
     sim.run_until(horizon)  # past the last send, so no send timer outlives the run
 
-    # Reconcile: anything still pending can no longer be answered. An int
-    # cutoff past every send: the compare with each entry's sent_at stays
-    # specialized, as it is for the reaps, where math.inf would undo that.
-    ab.forget_pending_many(target.node, driver.sent_before(sim.clock + 1))
+    # Reconcile: anything still pending can no longer be answered.
+    ab.forget_pending_many(target.node, driver.pending_ids())
     lat = driver.latencies
     answered = len(lat)  # one latency per answer counted
     ratio = answered / driver.offered if driver.offered else 1.0

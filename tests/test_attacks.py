@@ -248,10 +248,13 @@ class TestFlood:
             # fails after 2 s and outlasts a watchdog interval: the DWRs the
             # failed target drops are not flood requests
             (dict(service_rate=100, queue_capacity=10, failure_threshold_s=2), 200, 70),
-            # the target drops nothing, but its 10 s deep queue answers 83
-            # requests that the reap at send 1,024 gave up on (past the
-            # timeout), and the attack box drops those answers
+            # the target drops nothing, but its 10 s deep queue answers
+            # 1,201 requests after the 2 s timeout, and the flood does not
+            # count those answers
             (dict(service_rate=100, queue_capacity=1000), 300, 5),
+            # a 10 s deep queue again, under 1,024 sends and over them
+            (dict(service_rate=10, queue_capacity=100), 50, 5),
+            (dict(service_rate=10, queue_capacity=100), 210, 5),
         ]
         splits = []
         for capacity, rate_tps, duration_s in cases:
@@ -264,12 +267,14 @@ class TestFlood:
             element_side = (
                 target.dropped_overflow + target.dropped_at_failure + target.dropped_failed_inbound
             )
-            # loss-free link: the element dropped the request, or its answer
-            # came too late and the attack box dropped that
-            late = ab.fsm_drops - fsm_drops
+            # loss-free link: the element dropped the request, or served it
+            # and its answer came too late to count
+            late = target.direct_served + target.drained_served - result.answered
             assert result.dropped == element_side + late
+            assert ab.fsm_drops == fsm_drops  # a late answer still finds its request
+            assert result.latency_max_us <= lab.config.request_timeout_us
             splits.append((element_side, late))
-        assert splits == [(980, 0), (13802, 0), (0, 83)]
+        assert splits == [(980, 0), (13802, 0), (0, 1201), (100, 125), (900, 129)]
 
     def test_send_timers_left_by_a_flood_do_not_feed_the_next(self, monkeypatch):
         _, lab = make_lab(duo_lab_text(queue_capacity=0, latency_ms=0.1))
@@ -475,9 +480,9 @@ def reference_flood(start, count, rate, latency, service_rate, queue_capacity, t
     the time the missing token takes. A 1 Hz sample on the lab's grid
     fails the element after ceil(`threshold_s`) non-empty samples in a
     row. Answers come back after `latency`; the flood counts those that
-    land by `horizon`, unless a reap (every 1024th send) gave their
-    request up as older than `timeout`. Due events run in the order they
-    were scheduled. Returns (sent, answered, failed_at, target counters).
+    land by `horizon` and at most `timeout` after their request's send.
+    Due events run in the order they were scheduled. Returns (sent,
+    answered, failed_at, target counters).
     """
     events, seq = [], itertools.count()
 
@@ -487,7 +492,7 @@ def reference_flood(start, count, rate, latency, service_rate, queue_capacity, t
     per_us = Fraction(service_rate) / 1_000_000
     tokens, last, queue, drain_due, streak, failed_at = Fraction(1), 0, deque(), False, 0, None
     n = Counter(offered=0, accepted=0, queued=0, overflow=0, drained=0, at_failure=0)
-    sent_at, answered, reaped = [], set(), set()
+    sent_at, answered = [], 0
     at(1_000_000, "sample")  # the samplers start when the lab is built
     at(start, "send", 0)
     while events and events[0][0] <= horizon:
@@ -495,13 +500,11 @@ def reference_flood(start, count, rate, latency, service_rate, queue_capacity, t
         if kind == "send":
             sent_at.append(now)
             at(now + latency, "arrive", i)
-            if i % 1024 == 0:
-                reaped |= {j for j, t in enumerate(sent_at) if t < now - timeout} - answered
             if i + 1 < count:
                 at(start + round((i + 1) * 1_000_000 / rate), "send", i + 1)
             continue
         if kind == "answer":
-            answered |= {i} - reaped
+            answered += now - sent_at[i] <= timeout
             continue
         if failed_at is not None:
             continue
@@ -533,7 +536,7 @@ def reference_flood(start, count, rate, latency, service_rate, queue_capacity, t
         if queue and not drain_due:
             at(now + max(1, math.ceil((1 - tokens) / per_us)), "drain")
             drain_due = True
-    return len(sent_at), len(answered), failed_at, dict(n)
+    return len(sent_at), answered, failed_at, dict(n)
 
 
 class TestCapacityOracle:
@@ -547,7 +550,7 @@ class TestCapacityOracle:
         latency_ms=st.one_of(st.integers(0, 50), st.floats(0, 50)),
         threshold=st.one_of(st.floats(0.5, 6), st.just(3600)),
     )
-    # a request reaped before its answer lands
+    # an answer that lands after the timeout
     @example(rate=500, duration=4, service_rate=5, queue_capacity=200, latency_ms=5, threshold=3600)
     # token fractions that sum to exactly one (0.884 + 0.116), which floats missed
     @example(rate=3109, duration=0.3943250152677322, service_rate=1000, queue_capacity=200,
@@ -584,6 +587,8 @@ class TestCapacityOracle:
             sent, answered, sent - answered
         )
         assert (result.element_failed, target.failed_at) == (failed_at is not None, failed_at)
+        timeout = lab.config.request_timeout_us
+        assert result.latency_max_us is None or result.latency_max_us <= timeout
         assert {
             "offered": target.offered,
             "accepted": target.direct_served,
@@ -609,7 +614,6 @@ class _StubBox:
         self.sim = self
         self.next_id = 1
         self.pending = {}
-        self.forgotten = []
 
     def peer_link(self, dst):
         return self
@@ -625,59 +629,13 @@ class _StubBox:
             on_answer(sent_at, build_message(dct.CMD_ECHO), now)
 
     def forget_pending_many(self, dst, hop_by_hop_ids):
-        self.forgotten.append(list(hop_by_hop_ids))
         return sum(self.pending.pop(hbh, None) is not None for hbh in hop_by_hop_ids)
 
     def schedule_timer(self, at, fire):
         pass
 
 
-@st.composite
-def flood_histories(draw):
-    """Send times in nondecreasing order, which of them get answered, where a
-    request of another sender goes, two reap times."""
-    gaps = draw(st.lists(st.integers(0, 3_000), min_size=1, max_size=120))
-    answered = draw(st.lists(st.booleans(), min_size=len(gaps), max_size=len(gaps)))
-    foreign_at = draw(st.integers(0, len(gaps)))
-    timeout = draw(st.integers(0, 20_000))
-    waits = draw(st.lists(st.integers(0, 40_000), min_size=2, max_size=2))
-    return gaps, answered, foreign_at, timeout, waits
-
-
-class TestFloodReap:
-    @given(flood_histories())
-    @settings(max_examples=300, deadline=None)
-    def test_fifo_reap_matches_brute_force_scan(self, history):
-        gaps, answered, foreign_at, timeout, waits = history
-        box = _StubBox()
-        driver = _FloodDriver(box, box, len(gaps) + 1, start=0, rate_tps=1e6, timeout_us=timeout)
-        now = 0
-        for i, gap in enumerate(gaps):
-            now += gap
-            if i == foreign_at:
-                foreign = box.send_app_request(None, _ECHO_REQUEST, None, now)
-            # Send 0 also reaps, and finds nothing: its only flood entry was sent at `now`.
-            driver.send(now)
-        if foreign_at == len(gaps):
-            foreign = box.send_app_request(None, _ECHO_REQUEST, None, now)
-        for hbh, was_answered in zip([h for h in box.pending if h != foreign], answered):
-            if was_answered:
-                box.answer(hbh, now)
-        for wait in waits:
-            now += wait
-            # reference: scan every pending entry of the flood
-            expected = [
-                h
-                for h, (sent_at, on_answer) in box.pending.items()
-                if on_answer == driver.on_answer and now - sent_at > timeout
-            ]
-            survivors = {h: p for h, p in box.pending.items() if h not in expected}
-            box.forgotten.clear()
-            driver.reap(now)
-            assert box.forgotten == ([expected] if expected else [])
-            assert box.pending == survivors
-            assert foreign in box.pending  # another sender's request is never reaped
-
+class TestFloodReconcile:
     def test_reconcile_forgets_every_flood_entry_and_only_those(self):
         box = _StubBox()
         driver = _FloodDriver(box, box, 10, start=0, rate_tps=1e6, timeout_us=10**9)
@@ -686,9 +644,8 @@ class TestFloodReap:
         foreign = box.send_app_request(None, _ECHO_REQUEST, None, 4)
         driver.send(5)
         box.answer(2, 6)
-        assert driver.sent_before(4) == [1, 3]
-        assert driver.sent_before(math.inf) == [1, 3, 5]
-        box.forget_pending_many(None, driver.sent_before(math.inf))
+        assert driver.pending_ids() == [1, 3, 5]
+        box.forget_pending_many(None, driver.pending_ids())
         assert list(box.pending) == [foreign]
 
 
@@ -703,6 +660,16 @@ class TestFloodCallback:
         assert all(c is driver.on_answer for c in callbacks)
         box.answer(2, 7)
         assert driver.latencies == [5]
+
+    def test_an_answer_counts_only_within_the_timeout(self):
+        box = _StubBox()
+        driver = _FloodDriver(box, box, 10, start=0, rate_tps=1e6, timeout_us=5)
+        for now in (1, 2):
+            driver.send(now)
+        box.answer(1, 6)  # after exactly the timeout
+        box.answer(2, 8)  # one microsecond past it
+        assert driver.latencies == [5]
+        assert driver.result_codes == {None: 1}
 
     def test_result_code_counts_equal_a_tally_of_every_answer(self, monkeypatch):
         # The driver reads an answer's result code once per AVP tuple. Here

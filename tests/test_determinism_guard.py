@@ -1,8 +1,10 @@
 """Static determinism guard: a campaign is a pure function of its config,
 so no module of diamlab may read the clock, the environment or an
 unseeded random source. The guard reads each module's syntax tree and
-refuses any import of `time`, `datetime`, `os`, `uuid` or `secrets`, and
-any use of `random` other than a seeded `random.Random(<expr>)`."""
+refuses any import of `time`, `datetime`, `os`, `uuid` or `secrets`, any
+use of `random` other than a seeded `random.Random(<expr>)`, and any call
+of the builtins `hash` and `id`, whose values change with the process
+(`PYTHONHASHSEED`, object addresses)."""
 
 import ast
 from pathlib import Path
@@ -11,10 +13,12 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "diamlab"
 FORBIDDEN = {"time", "datetime", "os", "uuid", "secrets"}
+PER_PROCESS_BUILTINS = {"hash", "id"}
 
 
 def violations(source: str) -> list[str]:
-    """Each forbidden import or use of `random` in `source`, as "line N: what"."""
+    """Each forbidden import, use of `random` or call of a per-process
+    builtin in `source`, as "line N: what"."""
     tree = ast.parse(source)
     found = []
     seeded = set()  # the `random` names of `random.Random(<expr>)` calls
@@ -30,7 +34,9 @@ def violations(source: str) -> list[str]:
                 found.append(f"line {node.lineno}: from {node.module} import")
         elif isinstance(node, ast.Call):
             func = node.func
-            if (
+            if isinstance(func, ast.Name) and func.id in PER_PROCESS_BUILTINS:
+                found.append(f"line {node.lineno}: {func.id}() call")
+            elif (
                 isinstance(func, ast.Attribute)
                 and func.attr == "Random"
                 and isinstance(func.value, ast.Name)
@@ -66,6 +72,9 @@ def test_module_reads_no_clock_environment_or_unseeded_randomness(path):
         "import random\nrandom.Random()",
         "import random\nrandom.Random(*seeds)",
         "import random\nrng = random",
+        "import random\nrng = random.Random(hash('diamlab'))",
+        "key = id(message)",
+        "seen = {hash(x) for x in xs}",
     ],
 )
 def test_guard_refuses(source):
@@ -74,3 +83,7 @@ def test_guard_refuses(source):
 
 def test_guard_allows_a_seeded_generator():
     assert violations("import random\nrng = random.Random(seed * 2)\nrng.shuffle(xs)\n") == []
+
+
+def test_guard_allows_hash_and_id_as_attributes():
+    assert violations("digest = sha.hash()\nkey = node.id\nmsg.hash_id(peer.id)\n") == []

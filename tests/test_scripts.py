@@ -199,12 +199,12 @@ def test_bytecode_counts_are_the_same_in_two_runs_in_one_process():
 BYTECODE_PINS = {
     (3, 11): {
         "1x": {
-            "total": 368_811, "<string>": 44, "attacks": 47_853, "codec": 58_793,
-            "elements": 135_833, "peer": 10_500, "simnet": 115_788, "calls": 7_543,
+            "total": 369_258, "<string>": 44, "attacks": 48_306, "codec": 58_793,
+            "elements": 135_827, "peer": 10_500, "simnet": 115_788, "calls": 7_541,
         },
         "4x": {
-            "total": 1_141_128, "<string>": 92, "attacks": 172_257, "codec": 141_893,
-            "elements": 397_100, "peer": 42_000, "simnet": 387_786, "calls": 22_048,
+            "total": 1_122_018, "<string>": 92, "attacks": 153_159, "codec": 141_893,
+            "elements": 397_088, "peer": 42_000, "simnet": 387_786, "calls": 22_043,
         },
         "fuzz": {
             "total": 1_548_112, "<string>": 10_816, "attacks": 259_150, "codec": 505_142,
