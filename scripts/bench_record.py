@@ -11,8 +11,10 @@ Runs, each as a subprocess of the checkout under --root:
   traced run of each row, in a fresh interpreter, lists the instructions
   the row leaves in adaptive form.
 
-The file holds the machine line and git rev perfbench printed, every JSON
-result line, the fuzz_cases_per_s line (median, q1, q3, n) of each
+The file holds the machine line and git rev perfbench printed, a SHA-256
+of the checkout's source (`source_sha256`, see source_digest: the git rev
+is read from .git/HEAD, so it does not tell an uncommitted change from its
+parent), every JSON result line, the fuzz_cases_per_s line (median, q1, q3, n) of each
 untraced run that has a fuzz, the sweep under bytecodes (the adaptive
 listings of its 1x and 4x rows and of the fuzz under bytecodes.adaptive),
 and the golden digests from perfbench/golden.json of each workload whose
@@ -37,6 +39,7 @@ For example, the parent and the change of one perf change:
 """
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -54,6 +57,18 @@ def run(cmd: list[str], root: Path) -> subprocess.CompletedProcess:
     return subprocess.run(
         cmd, cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
     )
+
+
+def source_digest(root: Path) -> str:
+    """SHA-256 of the checkout's src/diamlab/**/*.py: each file's path
+    relative to `root`, its length and its bytes, in the order of the paths."""
+    digest = hashlib.sha256()
+    files = (root / "src" / "diamlab").rglob("*.py")
+    for name, path in sorted((path.relative_to(root).as_posix(), path) for path in files):
+        data = path.read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def last_json(stdout: str):
@@ -106,6 +121,7 @@ def record(root: Path, seconds: int, smoke: bool) -> tuple[dict, bool]:
     data = {
         "machine": machine,
         "git_rev": git_rev,
+        "source_sha256": source_digest(root),
         "seconds": seconds,
         "smoke": smoke,
         "perfbench": runs,

@@ -30,7 +30,7 @@ from .codec import (
     new_message,
     stamp_ids,
 )
-from .elements import AttackBoxElement, Element, Lab, attach_request, result_code_of
+from .elements import Element, Lab, attach_request, result_code_of
 from .peer import APPLICATION_IDS, build_cer, build_dwr
 from .simnet import CaptureRecord, US_PER_S
 from .taxonomy import Impact, Origin, TaxonomyLabel, Technique
@@ -279,7 +279,7 @@ class _FloodDriver:
 
     def __init__(
         self,
-        ab: AttackBoxElement,
+        ab: Element,
         target: Element,
         count: int,
         start: int,

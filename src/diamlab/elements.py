@@ -1,15 +1,23 @@
 """Simulated core elements: target server, HSS, MME, PCRF, attack box.
 
-Every element is one simulation node handler whose one method,
-`Element.on_message`, runs the same pipeline: decode strictly and validate
-requests against the dictionary. Then base-protocol messages (CER/CEA,
-DWR/DWA, DPR/DPA) and timers feed the peer state machine, and application
-messages take the direct path, built into no event or action, where
-`on_message` states the rule of `peer.deliverable` inline: a delivered
-request goes to the capacity model before the element-specific command
-handler runs, and anything else counts an FSM drop. An answer of either
-kind that matches a pending entry pops it and goes to the entry's
-`on_answer`, a base-protocol one before the FSM.
+Every element is one `Element`: all of them run the one Diameter base
+protocol, and they differ only in their application (RFC 6733, section
+2.4), which each element holds as data in `Element.app`. The kinds'
+applications come from one table: the target's echo, the HSS's subscriber
+store, the PCRF's policy rules, the MME's attach flow, and the attack
+box's, which answers every request command-unsupported. One class for
+every kind keeps each per-message site on one type, which CPython 3.11
+specializes (PEP 659); a site that sees two classes stays adaptive.
+
+`Element.on_message` runs the same pipeline on every element: decode
+strictly and validate requests against the dictionary. Then base-protocol
+messages (CER/CEA, DWR/DWA, DPR/DPA) and timers feed the peer state
+machine, and application messages take the direct path, built into no
+event or action, where `on_message` states the rule of `peer.deliverable`
+inline: a delivered request goes to the capacity model before the
+application's `handle_request` answers it, and anything else counts an
+FSM drop. An answer of either kind that matches a pending entry pops it
+and goes to the entry's `on_answer`, a base-protocol one before the FSM.
 Elements send on the route each `PeerLink` holds, and they send the
 Message value itself (see `simnet`): every Message they send comes from
 `build_message`, `build_answer` or `replace_ids`, which run the
@@ -19,17 +27,17 @@ traffic) always take the decoder.
 
 The capacity model is a token-rate server (service_rate tokens per
 second, burst of one) in front of a bounded FIFO queue. The bucket is one
-integer, the theoretical arrival time of the next token (the virtual-
-scheduling form of the GCRA, ITU-T I.371), so an admission and a drain
-each test one compare, and a drain serves one request. A 1 Hz sampler
-watches the queue: once it has been non-empty at every sample for
-failure_threshold_s consecutive seconds the element fails and answers
-nothing for the rest of the run. That makes overload and failure directly
-observable and checkable against a fluid model, and exactly against the
-discrete reference model in the tests. A command handler that raises
-fails its element the same way, through `Element.fail`, and keeps the
-exception as the element's `crash`, and the request it raised on as
-`crashed_on`, before it propagates.
+integer, the microsecond the next token is there (the theoretical arrival
+time of the virtual-scheduling form of the GCRA, ITU-T I.371), so an
+admission and a drain each test one compare, and a drain serves one
+request. A 1 Hz sampler watches the queue: once it has been non-empty at
+every sample for failure_threshold_s consecutive seconds the element fails
+and answers nothing for the rest of the run. That makes overload and
+failure directly observable and checkable against a fluid model, and
+exactly against the discrete reference model in the tests. An application
+handler that raises fails its element the same way, through
+`Element.fail`, and keeps the exception as the element's `crash`, and the
+request it raised on as `crashed_on`, before it propagates.
 """
 
 from __future__ import annotations
@@ -147,8 +155,11 @@ class ElementCapacity:
             raise ValueError("service_rate must be > 0")
         if self.queue_capacity < 0:
             raise ValueError("queue_capacity must be >= 0")
-        if self.failure_threshold_s <= 0:
+        if not self.failure_threshold_s > 0:
             raise ValueError("failure_threshold_s must be > 0")
+        # The sampler compares its streak with the threshold's whole seconds.
+        if not math.isfinite(self.failure_threshold_s):
+            raise ValueError("failure_threshold_s must be finite")
         # The drain timer and the flood's horizon turn these into whole microseconds.
         if not math.isfinite(US_PER_S / self.service_rate):
             raise ValueError("service_rate is too small: one request takes too long to serve")
@@ -244,9 +255,8 @@ _BASE_EVENT_KINDS = {
 
 
 class Element:
-    """Base node behavior: codec front line, peer FSM, capacity model."""
-
-    kind = TARGET_SERVER
+    """One core element of any kind: codec front line, peer FSM, capacity
+    model, and the kind's application in `app`."""
 
     def __init__(
         self,
@@ -254,42 +264,47 @@ class Element:
         sim: Simulation,
         capacity: ElementCapacity,
         peer_config: PeerConfig,
+        app: Application,
     ):
         self.node = node
         self.sim = sim
         self.capacity = capacity
         self.peer_config = peer_config
+        self.app = app
         self.links: dict[int, PeerLink] = {}
         # Read per request and fixed for the element's life, so read once here.
         # CPython 3.11 specializes reading an instance's attributes only while
-        # it has at most 29 of them: an MmeElement has 29, an AttackBoxElement
-        # 26 and every other element 27 (a TargetServerElement once it has
-        # answered an echo, its `_echo` memo), the token bucket's one integer
-        # and the bound drain timer among them. The test
+        # it has at most 29 of them: every element has the same 28, set here
+        # in one order, whatever its kind (what differs is held by `app`),
+        # the token bucket's one integer and the bound drain and sample
+        # timers among them. The test
         # test_every_element_keeps_at_most_29_attributes checks this.
         self._queue_capacity = capacity.queue_capacity
         # The AVP tuple of the last request that validated clean (on_message).
         self._clean_avps: Optional[tuple[Avp, ...]] = None
 
-        # Token-rate service state, in exact integer credit: a token is
-        # `_token` credit and a microsecond earns `_rate` (their ratio is
-        # service_rate per microsecond, exactly), so fractions of a token
-        # never add up to a hair under a whole one. The bucket is one
+        # Token-rate service state, in whole microseconds. The bucket is one
         # integer, in the virtual-scheduling form of the GCRA (ITU-T I.371):
-        # `_tat`, the theoretical arrival time of the next token in credit
-        # units (microseconds times `_rate`). A token is there exactly when
-        # `_rate * now >= _tat`, and taking it sets `_tat = _rate * now +
-        # _token`; 0 is a full token (a burst of one) at time 0. The bucket
-        # of credit and last accrual it replaces has X = `_rate * last -
-        # credit`: its accrual is X = max(X, `_rate * now - _token`), its
-        # take X += `_token`, and `_tat` = X + `_token`.
-        self._rate, per_token = capacity.service_rate.as_integer_ratio()
-        self._token = per_token * US_PER_S
-        self._tat = 0
+        # `_next_us`, the microsecond the next token is there. A token is
+        # there exactly when `now >= _next_us`, and taking it sets
+        # `_next_us = now + _gap_us`; 0 is a full token (a burst of one) at
+        # time 0. With service_rate = rate / per_token exactly, a token
+        # taken at `t` is back once `rate * now >= rate * t + per_token *
+        # US_PER_S`; for integer times that is `now >= t + _gap_us`, the gap
+        # rounded up, because each take restarts from `now`. So fractions of
+        # a token never add up to a hair under a whole one, and each compare
+        # is of two times, which 3.11 specializes while they are below 2**30
+        # microseconds (about 18 simulated minutes), where the product of a
+        # time and the rate's numerator soon passes 2**30.
+        rate, per_token = capacity.service_rate.as_integer_ratio()
+        self._gap_us = -(-per_token * US_PER_S // rate)
+        self._next_us = 0
         self.queue: deque[tuple[PeerLink, Message]] = deque()  # (the link it came in on, request)
-        # The drain timer, bound once: `self._drain` read per drain scheduled
-        # would make a bound method each time, a read 3.11 does not specialize.
+        # The drain and sample timers, bound once: `self._drain` read per
+        # timer scheduled would make a bound method each time, a read 3.11
+        # does not specialize.
         self._drain_timer = self._drain
+        self._sample_timer = self._sample
 
         # failure state: only `fail` writes `failed_at`, only `_serve` writes `crash`
         # and the request its handler raised on, `crashed_on`
@@ -297,6 +312,10 @@ class Element:
         self.crash: Optional[Exception] = None
         self.crashed_on: Optional[Message] = None
         self._overload_streak = 0
+        # For an integer streak, streak >= ceil(threshold) exactly when
+        # streak >= threshold, and an int compare is specialized where an
+        # int against a float is not.
+        self._streak_limit = math.ceil(capacity.failure_threshold_s)
 
         # counters
         self.parse_drops = 0
@@ -319,7 +338,7 @@ class Element:
         return self.links[neighbor.id]
 
     def start_sampler(self) -> None:
-        self.sim.schedule_timer(self.sim.clock + SAMPLE_INTERVAL_US, self._sample)
+        self.sim.schedule_timer(self.sim.clock + SAMPLE_INTERVAL_US, self._sample_timer)
 
     # -- peer FSM driving ------------------------------------------------------
 
@@ -372,7 +391,7 @@ class Element:
             if isinstance(payload, Message):
                 code = payload.command_code
             else:  # wire bytes: the command code is header bytes 5 to 7
-                code = int.from_bytes(payload[5:8], "big")
+                code = _int_from_bytes(payload[5:8], "big")
             if code in _BASE_EVENT_KINDS:
                 self.dropped_failed_base += 1
             else:
@@ -387,6 +406,7 @@ class Element:
                 self.parse_drops += 1
                 return
         request = msg.request
+        link = self.links[src.id]
         # Validation reads only the AVP tuple, and its result for a tuple
         # never changes: Avp and Message are frozen, and every builder passes
         # bytes data. The memo keeps its tuple alive, so no other tuple can
@@ -398,12 +418,9 @@ class Element:
                     code = dct.RESULT_UNSUPPORTED_MANDATORY_AVP
                 else:
                     code = dct.RESULT_INVALID_AVP_LENGTH
-                # Its own read of the link: the one below runs for every element
-                # class and stays unspecialized, so it is not moved up here.
-                self.sim.send(self.links[src.id].route, _error_answer(msg, code))
+                self.sim.send(link.route, _error_answer(msg, code))
                 return
             self._clean_avps = msg.avps
-        link = self.links[src.id]
         kinds = _BASE_EVENT_KINDS.get(msg.command_code)
         if kinds is not None:
             # Only send_raw_request registers a base-protocol request (a fuzz
@@ -438,38 +455,32 @@ class Element:
         # Only at an empty queue does a request take a token itself: while
         # requests wait, their drain takes each token as it comes.
         if not self.queue:
-            credit = self._rate * now
-            if credit >= self._tat:
-                self._tat = credit + self._token
+            if now >= self._next_us:
+                self._next_us = now + self._gap_us
                 return ACCEPTED
         if len(self.queue) < self._queue_capacity:
             # A drain is due exactly while the queue is non-empty: joining an
-            # empty queue schedules it, and a drain leaving requests the next.
+            # empty queue schedules it, at the microsecond the next token is
+            # there, and a drain leaving requests the next. Neither finds a
+            # token when it runs, so that microsecond is after it.
             if not self.queue:
-                self._schedule_drain()
+                self.sim.schedule_timer(self._next_us, self._drain_timer)
             self.queue.append((link, request))
             return QUEUED
         self.dropped_overflow += 1
         return DROPPED
 
-    def _schedule_drain(self) -> None:
-        """Schedule the drain at the microsecond the next token is there,
-        ceil(`_tat / _rate`). Both callers find no token at the time they
-        run (`_rate * now < _tat`), so that microsecond is after it."""
-        self.sim.schedule_timer(-(-self._tat // self._rate), self._drain_timer)
-
     def _drain(self, now: int) -> None:
         """Serve the request at the head of the queue if a token is there, and
         schedule the next drain while requests wait. The burst is one token,
         so one drain serves one request at most."""
-        credit = self._rate * now
-        if credit >= self._tat and self.queue:
-            self._tat = credit + self._token
+        if now >= self._next_us and self.queue:
+            self._next_us = now + self._gap_us
             link, msg = self.queue.popleft()
             self.drained_served += 1
             self._serve(link, msg, now)
         if self.queue:
-            self._schedule_drain()
+            self.sim.schedule_timer(self._next_us, self._drain_timer)
 
     def _sample(self, now: int) -> None:
         if self.failed_at is not None:  # per sample: see on_message
@@ -478,11 +489,10 @@ class Element:
             self._overload_streak += 1
         else:
             self._overload_streak = 0
-        # For an integer streak, streak >= ceil(threshold) exactly when streak >= threshold.
-        if self._overload_streak >= self.capacity.failure_threshold_s:
+        if self._overload_streak >= self._streak_limit:
             self.fail(now)
             return
-        self.sim.schedule_timer(now + SAMPLE_INTERVAL_US, self._sample)
+        self.sim.schedule_timer(now + SAMPLE_INTERVAL_US, self._sample_timer)
 
     @property
     def failed(self) -> bool:
@@ -498,24 +508,17 @@ class Element:
         self.queue.clear()
 
     def _serve(self, link: PeerLink, msg: Message, now: int) -> None:
-        """Answer an admitted request, direct or drained, on the link it came
-        in on. A handler that raises is the element's own crash: it is
-        recorded with the request, the element fails, and the exception
-        propagates."""
+        """Answer an admitted request, direct or drained, by the element's
+        application, on the link it came in on. A handler that raises is the
+        element's own crash: it is recorded with the request, the element
+        fails, and the exception propagates."""
         try:
-            answer = self.handle_app_request(msg, now)
+            answer = self.app.handle_request(msg, now)
         except Exception as exc:
             self.crash, self.crashed_on = exc, msg
             self.fail(now)
             raise
         self.sim.send(link.route, answer)
-
-    # -- application layer ---------------------------------------------------------
-
-    def handle_app_request(self, msg: Message, now: int) -> Message:
-        """The answer to send back; every request gets one. It is sent as the
-        value itself, so it comes from `build_answer` or `build_message`."""
-        return _error_answer(msg, dct.RESULT_COMMAND_UNSUPPORTED)
 
     # -- client-side sending ----------------------------------------------------------
 
@@ -582,20 +585,36 @@ class Element:
         return sum(map(is_not, popped, repeat(None)))
 
 
-class TargetServerElement(Element):
-    """The standalone fuzzing and flooding target."""
+# -- applications ----------------------------------------------------------------
 
-    kind = TARGET_SERVER
 
-    # (request AVPs, answer AVPs) of the last echo answered. The answer's
-    # AVPs depend only on the request's tuple, which never changes (Avp and
-    # Message are frozen, and every builder passes bytes data); the memo
-    # keeps that tuple alive, so no other tuple can take its id. A class
-    # default, not an __init__ write: the first echo makes it the
-    # instance's own.
-    _echo: tuple[Optional[tuple[Avp, ...]], tuple[Avp, ...]] = (None, ())
+def _command_unsupported(msg: Message) -> Message:
+    return _error_answer(msg, dct.RESULT_COMMAND_UNSUPPORTED)
 
-    def handle_app_request(self, msg: Message, now: int) -> Message:
+
+class Application:
+    """A Diameter application (RFC 6733, section 2.4): how an element of one
+    kind answers the requests it admits. This one answers every request
+    command-unsupported; it is the attack box's, and each other kind's
+    application answers so every command it does not serve."""
+
+    def handle_request(self, msg: Message, now: int) -> Message:
+        """The answer to send back; every request gets one. It is sent as the
+        value itself, so it comes from `build_answer` or `build_message`."""
+        return _command_unsupported(msg)
+
+
+class EchoApplication(Application):
+    """The target server's: it answers an echo with the request's payload AVPs."""
+
+    def __init__(self) -> None:
+        # (request AVPs, answer AVPs) of the last echo answered. The answer's
+        # AVPs depend only on the request's tuple, which never changes (Avp
+        # and Message are frozen, and every builder passes bytes data); the
+        # memo keeps that tuple alive, so no other tuple can take its id.
+        self._echo: tuple[Optional[tuple[Avp, ...]], tuple[Avp, ...]] = (None, ())
+
+    def handle_request(self, msg: Message, now: int) -> Message:
         if msg.command_code == dct.CMD_ECHO:
             request_avps, answer_avps = self._echo
             if request_avps is not msg.avps:
@@ -608,16 +627,13 @@ class TargetServerElement(Element):
                 self._echo = (msg.avps, answer_avps)
             # build_answer keeps a tuple as it is, so every answer shares this one.
             return build_answer(msg, answer_avps)
-        return super().handle_app_request(msg, now)
+        return _command_unsupported(msg)
 
 
-class HssElement(Element):
+class HssApplication(Application):
     """Subscriber store: profile queries and location updates."""
 
-    kind = HSS
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self) -> None:
         self.store: dict[str, SubscriberRecord] = {}
 
     def seed_subscribers(self, subscribers: Iterable[SubscriberRecord]) -> None:
@@ -628,12 +644,12 @@ class HssElement(Element):
                 profile=dict(sub.profile),
             )
 
-    def handle_app_request(self, msg: Message, now: int) -> Message:
+    def handle_request(self, msg: Message, now: int) -> Message:
         """A location update needs the subscriber and location AVPs, a profile
         query the subscriber's; either names a subscriber in the store."""
         update = msg.command_code == dct.CMD_LOCATION_UPDATE
         if not update and msg.command_code != dct.CMD_PROFILE_QUERY:
-            return super().handle_app_request(msg, now)
+            return _command_unsupported(msg)
         sid_avp = first_avp(msg, dct.AVP_SUBSCRIBER_ID)
         loc_avp = first_avp(msg, dct.AVP_LOCATION) if update else None
         if sid_avp is None or (update and loc_avp is None):
@@ -654,22 +670,19 @@ class HssElement(Element):
         return build_answer(msg, avps=avps)
 
 
-class PcrfElement(Element):
+class PcrfApplication(Application):
     """Policy rule store: install-once semantics per rule id."""
 
-    kind = PCRF
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self) -> None:
         self.rules: dict[str, PolicyRule] = {}
 
     def seed_rules(self, rules: Iterable[PolicyRule]) -> None:
         for rule in rules:
             self.rules[rule.rule_id] = PolicyRule(rule.rule_id, rule.subscriber_id, rule.qos_class)
 
-    def handle_app_request(self, msg: Message, now: int) -> Message:
+    def handle_request(self, msg: Message, now: int) -> Message:
         if msg.command_code != dct.CMD_POLICY_INSTALL:
-            return super().handle_app_request(msg, now)
+            return _command_unsupported(msg)
         rule_avp = first_avp(msg, dct.AVP_RULE_ID)
         sid_avp = first_avp(msg, dct.AVP_SUBSCRIBER_ID)
         qos_avp = first_avp(msg, dct.AVP_QOS_CLASS)
@@ -687,7 +700,7 @@ class PcrfElement(Element):
 
 
 def attach_request(step: int, subscriber_id: str, location: str, rule_id: str) -> Message:
-    """The request of attach step `step` (see `MmeElement._STEPS`), with ids 0:
+    """The request of attach step `step` (see `MmeApplication._STEPS`), with ids 0:
     0 updates the subscriber's location, 1 queries its profile, 2 installs
     its policy rule `rule_id` with the default QoS class."""
     sid = Avp(code=dct.AVP_SUBSCRIBER_ID, data=subscriber_id.encode(), mandatory=True)
@@ -714,43 +727,41 @@ class AttachResult:
     steps_completed: int = 0
 
 
-class MmeElement(Element):
-    """Attach coordinator: drives HSS and PCRF through the scripted flow.
+class MmeApplication(Application):
+    """Attach coordinator: drives HSS and PCRF through the scripted flow,
+    sending from the MME element that `start_attach` is given.
 
     Each attach is its own `AttachResult`, which each step's answer callback
     and timeout hold; the MME keeps no table of runs.
     """
 
-    kind = MME
-
     _STEPS = ("location-update", "profile-query", "policy-install")
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self) -> None:
         # Lab.build wires these from the config.
         self.hss_node: Optional[NodeId] = None
         self.pcrf_node: Optional[NodeId] = None
         self.request_timeout_us: int
 
-    def start_attach(self, subscriber: SubscriberRecord, now: int) -> AttachResult:
+    def start_attach(self, mme: Element, subscriber: SubscriberRecord, now: int) -> AttachResult:
         if self.hss_node is None or self.pcrf_node is None:
             raise ValueError("attach requires HSS and PCRF in the topology")
         run = AttachResult(subscriber.subscriber_id, subscriber.location, started_at=now)
-        self._send_step(run, now)
+        self._send_step(mme, run, now)
         return run
 
-    def _send_step(self, run: AttachResult, now: int) -> None:
+    def _send_step(self, mme: Element, run: AttachResult, now: int) -> None:
         """Send the run's current step, built by `attach_request`, and queue its timeout."""
         step = run.steps_completed
         sid = run.subscriber_id
         request = attach_request(step, sid, run.location, f"attach-{sid}")
         dst = self.pcrf_node if request.command_code == dct.CMD_POLICY_INSTALL else self.hss_node
-        hbh = self.send_app_request(dst, request, partial(self._attach_answer, run), now)
+        hbh = mme.send_app_request(dst, request, partial(self._attach_answer, mme, run), now)
         if hbh is None:
             self._finish(run, False, "link-not-open", now)
             return
-        self.sim.schedule_timer(
-            now + self.request_timeout_us, partial(self._attach_timeout, run, step, dst, hbh)
+        mme.sim.schedule_timer(
+            now + self.request_timeout_us, partial(self._attach_timeout, mme, run, step, dst, hbh)
         )
 
     def _finish(self, run: AttachResult, success: bool, reason: str, now: int) -> None:
@@ -759,7 +770,7 @@ class MmeElement(Element):
         run.finished_at = now
 
     def _attach_answer(
-        self, run: AttachResult, sent_at: int, msg: Message, now: int
+        self, mme: Element, run: AttachResult, sent_at: int, msg: Message, now: int
     ) -> None:
         """The answer to the run's current step: a step that timed out has no
         pending entry left, so its late answer never gets here."""
@@ -769,38 +780,35 @@ class MmeElement(Element):
             if run.steps_completed == len(self._STEPS):
                 self._finish(run, True, "", now)
             else:
-                self._send_step(run, now)
+                self._send_step(mme, run, now)
         else:
             name = dct.RESULT_NAMES.get(code, str(code))
             self._finish(run, False, name, now)
 
     def _attach_timeout(
-        self, run: AttachResult, step: int, dst: NodeId, hbh: int, now: int
+        self, mme: Element, run: AttachResult, step: int, dst: NodeId, hbh: int, now: int
     ) -> None:
         """Give up on the step's request, unless it was answered: a late answer
         then finds no pending entry, and `on_message` drops it as unmatched."""
         if run.success is None and run.steps_completed == step:
-            self.forget_pending_many(dst, (hbh,))
+            mme.forget_pending_many(dst, (hbh,))
             self._finish(run, False, "timeout", now)
 
 
-class AttackBoxElement(Element):
-    """Attack traffic source.
-
-    An attack drives it by scheduling its own timers and by giving each
-    request it sends the callback that consumes the answer. A fuzz case
-    is such a request whatever its command: an answer to a mutated
-    base-protocol request comes back as a CEA, DWA or DPA, which reaches
-    the case's `on_answer` before the peer FSM (see `Element.on_message`).
-    """
-
-    kind = ATTACK_BOX
-
-
-# Keyed by each kind's `_value_`: see _INITIATOR_PRIORITY.
-_ELEMENT_CLASSES: dict[str, type[Element]] = {
-    cls.kind.value: cls
-    for cls in (TargetServerElement, HssElement, MmeElement, PcrfElement, AttackBoxElement)
+# Each kind's application, made anew for each element of that kind. The
+# attack box's is the plain `Application`: an attack drives it by
+# scheduling its own timers and by giving each request it sends the
+# callback that consumes the answer. A fuzz case is such a request
+# whatever its command: an answer to a mutated base-protocol request comes
+# back as a CEA, DWA or DPA, which reaches the case's `on_answer` before
+# the peer FSM (see `Element.on_message`). Keyed by each kind's `_value_`:
+# see _INITIATOR_PRIORITY.
+_APPLICATIONS: dict[str, type[Application]] = {
+    TARGET_SERVER.value: EchoApplication,
+    HSS.value: HssApplication,
+    MME.value: MmeApplication,
+    PCRF.value: PcrfApplication,
+    ATTACK_BOX.value: Application,
 }
 
 
@@ -821,11 +829,12 @@ class Lab:
         sim = build_topology(config.topology, seed=config.seed)
         elements: dict[str, Element] = {}
         for node in sim.nodes:
-            elem = _ELEMENT_CLASSES[config.kinds[node.label]._value_](
+            elem = Element(
                 node,
                 sim,
-                capacity=config.capacities[node.label],
-                peer_config=PeerConfig(f"{node.label}.lab", config.watchdog_interval_us),
+                config.capacities[node.label],
+                PeerConfig(f"{node.label}.lab", config.watchdog_interval_us),
+                _APPLICATIONS[config.kinds[node.label]._value_](),
             )
             elements[node.label] = elem
             sim.register_handler(node, elem)
@@ -837,13 +846,14 @@ class Lab:
         pcrf = lab._role(PCRF)
         mme = lab._role(MME)
         if hss is not None:
-            hss.seed_subscribers(config.subscribers)
+            hss.app.seed_subscribers(config.subscribers)
         if pcrf is not None:
-            pcrf.seed_rules(config.rules)
+            pcrf.app.seed_rules(config.rules)
         if mme is not None:
-            mme.hss_node = hss.node if hss is not None else None
-            mme.pcrf_node = pcrf.node if pcrf is not None else None
-            mme.request_timeout_us = config.request_timeout_us
+            attach = mme.app
+            attach.hss_node = hss.node if hss is not None else None
+            attach.pcrf_node = pcrf.node if pcrf is not None else None
+            attach.request_timeout_us = config.request_timeout_us
         for elem in elements.values():
             elem.start_sampler()
         return lab
@@ -868,7 +878,7 @@ class Lab:
         label = first_of_kind(self.config.kinds, kind)
         return None if label is None else self.elements[label]
 
-    def attack_box(self) -> AttackBoxElement:
+    def attack_box(self) -> Element:
         elem = self._role(ATTACK_BOX)
         if elem is None:
             raise LabError("topology has no AttackBox element")
@@ -889,11 +899,13 @@ class Lab:
     def bring_links_open(self) -> None:
         """Run capabilities exchange on every link; abort if any fails to open."""
         sim = self.sim
+        kinds = self.config.kinds
         for key in sorted(self.sim.links):
             link = self.sim.links[key]
             ea, eb = self.elements[link.a.label], self.elements[link.b.label]
             initiator = min(
-                (ea, eb), key=lambda e: (_INITIATOR_PRIORITY[e.kind._value_], e.node.id)
+                (ea, eb),
+                key=lambda e: (_INITIATOR_PRIORITY[kinds[e.node.label]._value_], e.node.id),
             )
             responder = eb if initiator is ea else ea
             initiator.feed_event(responder.node, PeerEvent(START), sim.clock)
@@ -916,7 +928,7 @@ class Lab:
         if mme is None:
             raise LabError("attach scenario requires an MME element")
         sim = self.sim
-        run = mme.start_attach(subscriber, sim.clock)
+        run = mme.app.start_attach(mme, subscriber, sim.clock)
         # Each step sent has its own timeout queued, so the run always ends.
         while run.success is None:
             sim.run_until(sim.next_event_at())

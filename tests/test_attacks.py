@@ -679,7 +679,7 @@ class TestFloodCallback:
         _, lab = make_lab(duo_lab_text(service_rate=500, queue_capacity=100, latency_ms=5))
         ab, target = lab.attack_box(), lab.element("target")
         pending = ab.peer_link(target.node).pending
-        handle_app_request, on_message = target.handle_app_request, ab.on_message
+        handle_request, on_message = target.app.handle_request, ab.on_message
         served = itertools.count()
         reference = Counter()
 
@@ -689,14 +689,14 @@ class TestFloodCallback:
                 return build_answer(msg)
             if n % 3 == 0:
                 return build_answer(msg, [result_code_avp(dct.RESULT_COMMAND_UNSUPPORTED)], True)
-            return handle_app_request(msg, now)
+            return handle_request(msg, now)
 
         def tally(src, msg, now):
             if not msg.request and msg.hop_by_hop_id in pending:
                 reference[result_code_of(msg)] += 1
             on_message(src, msg, now)
 
-        monkeypatch.setattr(target, "handle_app_request", mixed)
+        monkeypatch.setattr(target.app, "handle_request", mixed)
         monkeypatch.setattr(ab, "on_message", tally)
         result, _ = run_flood(lab, FloodSpec(target="target", rate_tps=1000, duration_s=0.5))
         assert result.result_code_counts == _render_result_codes(reference)
@@ -874,7 +874,7 @@ class TestFuzz:
         def explode(msg, now):
             raise RuntimeError("rigged parser bug")
 
-        target.handle_app_request = explode
+        target.app.handle_request = explode
         result, findings = run_fuzz(
             lab,
             FuzzSpec(
@@ -941,7 +941,7 @@ class TestFuzz:
         call and of each case in case order."""
         _, lab = make_lab(duo_lab_text(service_rate=0.2, queue_capacity=10))
         ab, target = lab.attack_box(), lab.element("target")
-        serve, send_raw_request = target.handle_app_request, ab.send_raw_request
+        serve, send_raw_request = target.app.handle_request, ab.send_raw_request
         bug, called, sent = RuntimeError("rigged handler bug"), [], []
 
         def handler(msg, now):
@@ -954,7 +954,7 @@ class TestFuzz:
             sent.append((now, hop_by_hop_id))
             return send_raw_request(dst, data, hop_by_hop_id, on_answer, now)
 
-        target.handle_app_request, ab.send_raw_request = handler, record
+        target.app.handle_request, ab.send_raw_request = handler, record
         result, (finding,) = run_fuzz(
             lab, FuzzSpec(target="target", case_count=12, ops=(MutationOp.FLIP_FLAG,), seed=3)
         )
@@ -1000,7 +1000,7 @@ class TestFuzz:
         def explode(msg, now):
             raise RuntimeError("rigged handler bug")
 
-        target.handle_app_request = explode
+        target.app.handle_request = explode
         result, (finding,) = run_fuzz(lab, FuzzSpec(target="target", case_count=1, seed=4))
         assert result.crash_cases == 1 and target.crashed_on is stale
         # the judged case keeps the crash, as no case of this run is named
@@ -1117,7 +1117,7 @@ class TestFuzz:
         _, lab = make_lab(duo_lab_text(**lab_args))
         target = lab.element("target")
         if crash_on is not None:
-            serve, calls = target.handle_app_request, []
+            serve, calls = target.app.handle_request, []
 
             def handler(msg, now):
                 calls.append(now)
@@ -1125,7 +1125,7 @@ class TestFuzz:
                     raise RuntimeError("rigged handler bug")
                 return serve(msg, now)
 
-            target.handle_app_request = handler
+            target.app.handle_request = handler
         result, _ = run_fuzz(lab, FuzzSpec(target="target", case_count=cases, seed=seed))
         ops = [op.value for op in ALL_MUTATION_OPS]
         assert result == FuzzResult(

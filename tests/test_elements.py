@@ -83,6 +83,12 @@ class TestCapacityInvariants:
         with pytest.raises(ValueError):
             ElementCapacity(failure_threshold_s=0)
 
+    @pytest.mark.parametrize("threshold", [math.inf, math.nan])
+    def test_a_failure_threshold_that_is_not_finite_is_rejected(self, threshold):
+        # the sampler compares its streak with the threshold's whole seconds
+        with pytest.raises(ValueError, match="failure_threshold_s must be"):
+            ElementCapacity(failure_threshold_s=threshold)
+
     @pytest.mark.parametrize(
         "kwargs, text",
         [
@@ -472,7 +478,7 @@ class TestHss:
             command=dct.CMD_PROFILE_QUERY,
             avps=[Avp(code=dct.AVP_SUBSCRIBER_ID, data=b"imsi-001001000000001", mandatory=True)],
         )
-        answer = hss.handle_app_request(msg, 0)
+        answer = hss.app.handle_request(msg, 0)
         assert result_code_of(answer) == dct.RESULT_SUCCESS
         assert first_avp(answer, dct.AVP_LOCATION).data == b"tracking-area-7"
 
@@ -482,7 +488,7 @@ class TestHss:
             command=dct.CMD_PROFILE_QUERY,
             avps=[Avp(code=dct.AVP_SUBSCRIBER_ID, data=b"imsi-ghost", mandatory=True)],
         )
-        assert result_code_of(hss.handle_app_request(msg, 0)) == dct.RESULT_USER_UNKNOWN
+        assert result_code_of(hss.app.handle_request(msg, 0)) == dct.RESULT_USER_UNKNOWN
 
     def test_location_update_read_your_writes(self):
         hss = self._hss()
@@ -491,9 +497,9 @@ class TestHss:
             command=dct.CMD_LOCATION_UPDATE,
             avps=[sid, Avp(code=dct.AVP_LOCATION, data=b"tracking-area-99", mandatory=True)],
         )
-        assert result_code_of(hss.handle_app_request(update, 0)) == dct.RESULT_SUCCESS
+        assert result_code_of(hss.app.handle_request(update, 0)) == dct.RESULT_SUCCESS
         query = _probe(command=dct.CMD_PROFILE_QUERY, avps=[sid])
-        answer = hss.handle_app_request(query, 1)
+        answer = hss.app.handle_request(query, 1)
         assert first_avp(answer, dct.AVP_LOCATION).data == b"tracking-area-99"
 
     def test_success_answers_lead_with_the_success_result_code(self):
@@ -505,9 +511,9 @@ class TestHss:
             avps=[sid, Avp(code=dct.AVP_LOCATION, data=b"tracking-area-99", mandatory=True)],
         )
         success = result_code_avp(dct.RESULT_SUCCESS)
-        assert hss.handle_app_request(update, 0).avps == (success,)
+        assert hss.app.handle_request(update, 0).avps == (success,)
         query = _probe(command=dct.CMD_PROFILE_QUERY, avps=[sid])
-        assert hss.handle_app_request(query, 1).avps == (
+        assert hss.app.handle_request(query, 1).avps == (
             success,
             sid,
             Avp(code=dct.AVP_LOCATION, data=b"tracking-area-99", mandatory=True),
@@ -522,7 +528,7 @@ class TestHss:
                 Avp(code=dct.AVP_LOCATION, data=b"anywhere", mandatory=True),
             ],
         )
-        assert result_code_of(hss.handle_app_request(update, 0)) == dct.RESULT_USER_UNKNOWN
+        assert result_code_of(hss.app.handle_request(update, 0)) == dct.RESULT_USER_UNKNOWN
 
     def test_update_without_location_is_missing_avp_before_the_lookup(self):
         hss = self._hss()
@@ -530,19 +536,19 @@ class TestHss:
             command=dct.CMD_LOCATION_UPDATE,
             avps=[Avp(code=dct.AVP_SUBSCRIBER_ID, data=b"imsi-ghost", mandatory=True)],
         )
-        assert result_code_of(hss.handle_app_request(update, 0)) == dct.RESULT_MISSING_AVP
+        assert result_code_of(hss.app.handle_request(update, 0)) == dct.RESULT_MISSING_AVP
 
     def test_missing_subscriber_avp(self):
         hss = self._hss()
         assert (
-            result_code_of(hss.handle_app_request(_probe(command=dct.CMD_PROFILE_QUERY), 0))
+            result_code_of(hss.app.handle_request(_probe(command=dct.CMD_PROFILE_QUERY), 0))
             == dct.RESULT_MISSING_AVP
         )
 
     def test_unsupported_command(self):
         hss = self._hss()
         assert (
-            result_code_of(hss.handle_app_request(_probe(command=dct.CMD_POLICY_INSTALL), 0))
+            result_code_of(hss.app.handle_request(_probe(command=dct.CMD_POLICY_INSTALL), 0))
             == dct.RESULT_COMMAND_UNSUPPORTED
         )
 
@@ -563,33 +569,33 @@ class TestPcrf:
 
     def test_first_install_succeeds(self):
         pcrf = self._pcrf()
-        assert result_code_of(pcrf.handle_app_request(self._install(), 0)) == dct.RESULT_SUCCESS
-        assert pcrf.rules["r1"].qos_class == 9
+        assert result_code_of(pcrf.app.handle_request(self._install(), 0)) == dct.RESULT_SUCCESS
+        assert pcrf.app.rules["r1"].qos_class == 9
 
     def test_install_answer_is_the_success_result_code_alone(self):
         pcrf = self._pcrf()
-        answer = pcrf.handle_app_request(self._install(), 0)
+        answer = pcrf.app.handle_request(self._install(), 0)
         assert answer.avps == (result_code_avp(dct.RESULT_SUCCESS),)
 
     def test_duplicate_rule_rejected(self):
         pcrf = self._pcrf()
-        pcrf.handle_app_request(self._install(), 0)
+        pcrf.app.handle_request(self._install(), 0)
         assert (
-            result_code_of(pcrf.handle_app_request(self._install(), 1))
+            result_code_of(pcrf.app.handle_request(self._install(), 1))
             == dct.RESULT_DUPLICATE_RULE
         )
 
     def test_missing_qos_avp(self):
         pcrf = self._pcrf()
         assert (
-            result_code_of(pcrf.handle_app_request(self._install(qos=False), 0))
+            result_code_of(pcrf.app.handle_request(self._install(qos=False), 0))
             == dct.RESULT_MISSING_AVP
         )
 
     def test_unsupported_command(self):
         pcrf = self._pcrf()
         assert (
-            result_code_of(pcrf.handle_app_request(_probe(command=dct.CMD_ECHO), 0))
+            result_code_of(pcrf.app.handle_request(_probe(command=dct.CMD_ECHO), 0))
             == dct.RESULT_COMMAND_UNSUPPORTED
         )
 
@@ -626,7 +632,7 @@ class TestAttachFlow:
         assert all(r.success for r in results)
         assert all(r.steps_completed == 3 for r in results)
         pcrf = lab.element("pcrf")
-        assert set(pcrf.rules) == {
+        assert set(pcrf.app.rules) == {
             "attach-imsi-001001000000001",
             "attach-imsi-001001000000002",
             "attach-imsi-001001000000003",
@@ -658,8 +664,8 @@ class TestAttachFlow:
     def test_only_the_mme_holds_the_request_timeout(self):
         text = core_lab_text().replace("seed = 11\n", "seed = 11\nrequest_timeout_s = 0.015\n")
         config, lab = make_lab(text)
-        assert lab.element("mme").request_timeout_us == config.request_timeout_us == 15_000
-        holders = [e for e in lab.elements.values() if hasattr(e, "request_timeout_us")]
+        assert lab.element("mme").app.request_timeout_us == config.request_timeout_us == 15_000
+        holders = [e for e in lab.elements.values() if hasattr(e.app, "request_timeout_us")]
         assert holders == [lab.element("mme")]
 
     def test_timed_out_step_leaves_no_pending_entry(self):

@@ -35,9 +35,12 @@ HOT_PATHS = [
     elements.Element.send_app_request,
     elements.Element.admit,
     elements.Element._drain,
-    elements.Element._schedule_drain,
     elements.Element._serve,
-    elements.TargetServerElement.handle_app_request,
+    # each kind's application handler, which _serve calls
+    elements.Application.handle_request,
+    elements.EchoApplication.handle_request,
+    elements.HssApplication.handle_request,
+    elements.PcrfApplication.handle_request,
     codec.replace_ids,
     codec.build_answer,
     simnet.Simulation.send,

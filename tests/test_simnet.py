@@ -818,13 +818,13 @@ class TestCarriedMessages:
         # a handler that skips build_answer can still hand send an int the wire cannot carry
         _, lab = make_lab(duo_lab_text())
         ab, target = lab.element("attacker"), lab.element("target")
-        answer_of = target.handle_app_request
+        answer_of = target.app.handle_request
 
         def skewed(msg, now):
             answer = answer_of(msg, now)
             return dataclasses.replace(answer, **change)
 
-        monkeypatch.setattr(target, "handle_app_request", skewed)
+        monkeypatch.setattr(target.app, "handle_request", skewed)
         ab.send_app_request(target.node, _echo(), None, lab.sim.clock)
         with pytest.raises(CodecError, match="^" + text):
             lab.sim.run_until(lab.sim.clock + 100_000)
