@@ -20,6 +20,10 @@ from typing import Callable, ClassVar, Optional
 
 from . import dictionary as dct
 from .codec import (
+    FLAG_ERROR,
+    FLAG_PROXIABLE,
+    FLAG_REQUEST,
+    FLAG_RETRANSMIT,
     Avp,
     Message,
     ParseError,
@@ -123,6 +127,9 @@ class FuzzSpec:
             raise ValueError("fuzz case count must be > 0")
         if not self.ops:
             raise ValueError("fuzz op set must be non-empty")
+        for i, op in enumerate(self.ops):
+            if op in self.ops[:i]:
+                raise ValueError(f"fuzz op {op.value!r} is listed twice")
 
 
 AttackSpec = FloodSpec | InterceptSpec | FuzzSpec
@@ -130,7 +137,7 @@ AttackSpec = FloodSpec | InterceptSpec | FuzzSpec
 
 # --- mutation operators ------------------------------------------------------
 
-_HEADER_FLAG_BITS = (0x80, 0x40, 0x20, 0x10)
+_HEADER_FLAG_BITS = (FLAG_REQUEST, FLAG_PROXIABLE, FLAG_ERROR, FLAG_RETRANSMIT)
 _UNKNOWN_AVP_CODE_BASE = 900_000
 
 
@@ -544,12 +551,12 @@ class FuzzResult:
 
 
 def seed_corpus(identity: str = "attacker.lab") -> list[tuple[str, Message]]:
-    """Valid messages of the testbed's own protocol surface; the attach
-    templates are the MME's own `attach_request`s."""
-
-    def attach_step(name: str, step: int) -> tuple[str, Message]:
-        return name, attach_request(step, "imsi-001001000000001", "tracking-area-1", "seed-rule")
-
+    """Valid messages of the testbed's own protocol surface, each named; the
+    attach templates are the MME's own `attach_request`s, named by command."""
+    attach = [
+        attach_request(step, "imsi-001001000000001", "tracking-area-1", "seed-rule")
+        for step in (1, 0, 2)
+    ]
     return [
         (
             "echo",
@@ -560,9 +567,7 @@ def seed_corpus(identity: str = "attacker.lab") -> list[tuple[str, Message]]:
             ),
         ),
         ("echo-empty", build_message(dct.CMD_ECHO, request=True)),
-        attach_step("profile-query", 1),
-        attach_step("location-update", 0),
-        attach_step("policy-install", 2),
+        *[(dct.COMMAND_NAMES[msg.command_code], msg) for msg in attach],
         ("cer", build_cer(identity, APPLICATION_IDS)),
         ("dwr", build_dwr(identity)),
     ]
@@ -571,79 +576,55 @@ def seed_corpus(identity: str = "attacker.lab") -> list[tuple[str, Message]]:
 def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
     """Mutation fuzz campaign against one target element, one case at a time.
 
-    Dispositions are judged from the attacker's answers plus the
-    target's own drop counters (the testbed is omniscient about its
-    elements). A crash is the exception the target recorded as its own
-    `crash` when its handler raised (see `Element._serve`), which also
-    failed it; that one is a finding, and it names the case the handler
-    raised on, which may have waited in the target's queue past its own
-    timeout. The tallies count that case as the crash and the case being
-    judged, which the failed target drops, as dropped. Any other exception
-    is a fault of the testbed and propagates.
+    Each case is a pending request of the attack box's, whose answer, a
+    base-protocol one too, reaches the case's `on_answer` (see
+    `Element.on_message`): it keeps the answer and halts the case's run at
+    that microsecond, or else the run ends at the timeout. The case's entry
+    is then popped, so no answer to it can halt a later run, and the case
+    is judged from its answer and the target's own drop counters (the
+    testbed is omniscient about its elements) into one record, in case
+    order: its op name and disposition, plus its bytes while it is
+    unanswered. The tallies are counted from the records after the last case.
 
-    Each case is a pending request of the attack box's: its answer, a
-    base-protocol one too, reaches the run through the case's entry (see
-    `Element.on_message`).
+    A crash is the exception the target recorded as its own `crash` when its
+    handler raised (see `Element._serve`), which also failed it; that one is
+    a finding. It names the unanswered case the handler raised on, which may
+    have waited in the target's queue past its own timeout: that record
+    becomes the crash, and the judged case's, which the failed target drops,
+    dropped. Any other exception is a fault of the testbed and propagates.
     """
     if spec.seed is None:
         raise ValueError("fuzz runs need an explicit seed")
     sim = lab.sim
     ab = lab.attack_box()
     target = lab.element(spec.target)
+    pending = ab.peer_link(target.node).pending
     rng = random.Random(spec.seed)
     # Each template is encoded once; a case stamps its ids into the bytes.
     corpus = [encode_message(m) for _, m in seed_corpus(identity=ab.peer_config.identity)]
-    answers: dict[int, Optional[int]] = {}  # hop-by-hop -> result code, of each case answered
+    answer: Optional[Message] = None  # the judged case's, once it arrives
 
     def on_answer(sent_at: int, msg: Message, now: int) -> None:
         # Every case's entry is gone before the next case is sent, so only
         # the judged case's answer gets here.
-        answers[msg.hop_by_hop_id] = result_code_of(msg)
+        nonlocal answer
+        answer = msg
         sim.halt()  # the case is answered: its run ends with this microsecond
 
     def target_drops() -> int:
         failed = target.dropped_failed_inbound + target.dropped_failed_base
         return target.parse_drops + target.fsm_drops + target.dropped_overflow + failed
 
-    def judge(case: bytes, hbh: int, codes: dict[Optional[int], int]) -> str:
-        """Send one case and run until it is answered, dropped, crashes the
-        target or times out; an answer's result code is tallied in `codes`.
-        The run ends at the answer's microsecond (the case's `on_answer`
-        halts it), or at the timeout. The case's pending entry is forgotten
-        however the run ends, unless its answer popped it, so no answer to
-        it can halt a later run."""
-        drops_before = target_drops()
-        if not ab.send_raw_request(target.node, case, hbh, on_answer, sim.clock):
-            return DISPOSITION_NO_RESPONSE
-        try:
-            sim.run_until(sim.clock + lab.config.request_timeout_us)
-        except Exception as exc:
-            if exc is target.crash:
-                return DISPOSITION_CRASH
-            raise
-        finally:
-            if hbh not in answers:  # an answer reaches on_answer only after the pop
-                ab.forget_pending_many(target.node, (hbh,))
-        if hbh not in answers:
-            if target_drops() != drops_before:
-                return DISPOSITION_DROPPED
-            return DISPOSITION_NO_RESPONSE
-        code = answers[hbh]
-        codes[code] = codes.get(code, 0) + 1
-        if code == dct.RESULT_SUCCESS:
-            return DISPOSITION_ANSWERED_SUCCESS
-        return DISPOSITION_ANSWERED_ERROR
-
     ops = [op.value for op in spec.ops]  # the names, by the index a case draws
     # Drawn with choice: on CPython 3.11 it draws _randbelow(len(seq)), as
     # randrange(len(seq)) does, in fewer steps.
     named_ops = list(zip(spec.ops, ops))
-    tallies: dict[str, dict[str, int]] = {op: {} for op in ops}
     result_codes: dict[str, dict[Optional[int], int]] = {op: {} for op in ops}
     no_op_cases = 0
     findings: list[Finding] = []
-    unanswered: dict[int, tuple[int, MutationOp, bytes]] = {}  # hop-by-hop -> (index, op, case)
-    dispositions: list[str] = []  # of each case, in case order
+    # (op name, disposition, its bytes or None once answered) of each case, in case order
+    records: list[tuple[str, str, Optional[bytes]]] = []
+    index_of: dict[int, int] = {}  # hop-by-hop -> case index, of each case not answered
 
     for i in range(spec.case_count):
         template = rng.choice(corpus)
@@ -654,42 +635,58 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
         case = mutate(base, op, draw)
         if case == base:
             no_op_cases += 1
-        unanswered[hbh] = (i, op, case)
-        disposition = judge(case, hbh, result_codes[op_name])
-        if hbh in answers:
-            del unanswered[hbh]
+        answer = None
+        drops_before = target_drops()
+        crashed = False
+        if ab.send_raw_request(target.node, case, hbh, on_answer, sim.clock):
+            try:
+                sim.run_until(sim.clock + lab.config.request_timeout_us)
+            except Exception as exc:
+                if exc is not target.crash:
+                    raise
+                crashed = True
+            finally:
+                if answer is None:  # an answer reaches on_answer only after the pop
+                    pending.pop(hbh, None)
+        if crashed:
+            disposition = DISPOSITION_CRASH
+        elif answer is not None:
+            code = result_code_of(answer)
+            codes = result_codes[op_name]
+            codes[code] = codes.get(code, 0) + 1
+            disposition = DISPOSITION_ANSWERED_ERROR
+            if code == dct.RESULT_SUCCESS:
+                disposition = DISPOSITION_ANSWERED_SUCCESS
+                if isinstance(decode_message(case), ParseError):
+                    evidence = {"finding_type": "accepted-invalid"}
+                    evidence.update(case_index=i, mutation_op=op_name, case_hex=case.hex())
+                    findings.append(Finding(spec.kind, *_ACCEPTED_INVALID_FINDING, evidence))
+        elif target_drops() != drops_before:
+            disposition = DISPOSITION_DROPPED
+        else:
+            disposition = DISPOSITION_NO_RESPONSE
+        if answer is None:  # a later crash can name only an unanswered case
+            index_of[hbh] = i
+        records.append((op_name, disposition, case if answer is None else None))
+        if not crashed:
+            continue
+        exc = target.crash
+        evidence = {"finding_type": "crash", "exception": f"{type(exc).__name__}: {exc}"}
+        # the case may have been queued before this one; None: an earlier attack's request
+        named = index_of.get(target.crashed_on.hop_by_hop_id)
+        if named is not None:
+            named_op, _, named_case = records[named]
+            # The judged case is dropped, as the failed target drops it, and the named
+            # case is the crash: written second, so a case that names itself stays it.
+            records[i] = (op_name, DISPOSITION_DROPPED, records[i][2])
+            records[named] = (named_op, DISPOSITION_CRASH, named_case)
+            evidence.update(case_index=named, mutation_op=named_op, case_hex=named_case.hex())
+        findings.append(Finding(spec.kind, *_CRASH_FINDING, evidence))
 
-        evidence: Optional[dict] = None
-        if disposition == DISPOSITION_CRASH:
-            exc = target.crash
-            severity, label = _CRASH_FINDING
-            evidence = {"finding_type": "crash", "exception": f"{type(exc).__name__}: {exc}"}
-            # the case may have been queued before this one; None: an earlier attack's request
-            named = unanswered.get(target.crashed_on.hop_by_hop_id)
-            if named is not None and named[0] != i:
-                # That case is tallied crash, and this one dropped: the failed
-                # target drops it, queued or arriving later.
-                index, named_op, _ = named
-                earlier = tallies[named_op.value]
-                earlier[dispositions[index]] -= 1
-                earlier[DISPOSITION_CRASH] = earlier.get(DISPOSITION_CRASH, 0) + 1
-                disposition = DISPOSITION_DROPPED
-        elif disposition == DISPOSITION_ANSWERED_SUCCESS and isinstance(
-            decode_message(case), ParseError
-        ):
-            severity, label = _ACCEPTED_INVALID_FINDING
-            evidence, named = {"finding_type": "accepted-invalid"}, (i, op, case)
+    tallies: dict[str, dict[str, int]] = {op: {} for op in ops}
+    for op_name, disposition, _ in records:
         per_op = tallies[op_name]
         per_op[disposition] = per_op.get(disposition, 0) + 1
-        dispositions.append(disposition)
-        if evidence is None:
-            continue
-        if named is not None:
-            index, named_op, named_case = named
-            evidence.update(
-                case_index=index, mutation_op=named_op.value, case_hex=named_case.hex()
-            )
-        findings.append(Finding(spec.kind, severity, label, evidence))
     result = FuzzResult(
         target=spec.target,
         seed=spec.seed,
@@ -700,7 +697,7 @@ def run_fuzz(lab: Lab, spec: FuzzSpec) -> tuple[FuzzResult, list[Finding]]:
         accepted_invalid_cases=sum(
             f.evidence["finding_type"] == "accepted-invalid" for f in findings
         ),
-        tallies={op: {d: n for d, n in sorted(t.items()) if n} for op, t in tallies.items()},
+        tallies={op: dict(sorted(t.items())) for op, t in tallies.items()},
         result_codes={op: _render_result_codes(t) for op, t in result_codes.items()},
     )
     return result, findings

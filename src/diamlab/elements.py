@@ -96,6 +96,7 @@ if TYPE_CHECKING:
 
 TPS_PER_MILLION_SUBSCRIBERS = 235_000
 DEFAULT_QOS_CLASS = 9
+ATTACH_STEPS = 3  # the MME's attach flow, numbered 0-2 by attach_request
 SAMPLE_INTERVAL_US = US_PER_S  # overload sampling runs at 1 Hz
 ECHO_PROBES = 3  # background echoes in a lab with no core to attach against
 
@@ -700,7 +701,7 @@ class PcrfApplication(Application):
 
 
 def attach_request(step: int, subscriber_id: str, location: str, rule_id: str) -> Message:
-    """The request of attach step `step` (see `MmeApplication._STEPS`), with ids 0:
+    """The request of attach step `step` (0 to `ATTACH_STEPS` - 1), with ids 0:
     0 updates the subscriber's location, 1 queries its profile, 2 installs
     its policy rule `rule_id` with the default QoS class."""
     sid = Avp(code=dct.AVP_SUBSCRIBER_ID, data=subscriber_id.encode(), mandatory=True)
@@ -734,8 +735,6 @@ class MmeApplication(Application):
     Each attach is its own `AttachResult`, which each step's answer callback
     and timeout hold; the MME keeps no table of runs.
     """
-
-    _STEPS = ("location-update", "profile-query", "policy-install")
 
     def __init__(self) -> None:
         # Lab.build wires these from the config.
@@ -777,7 +776,7 @@ class MmeApplication(Application):
         code = result_code_of(msg)
         if code == dct.RESULT_SUCCESS:
             run.steps_completed += 1
-            if run.steps_completed == len(self._STEPS):
+            if run.steps_completed == ATTACH_STEPS:
                 self._finish(run, True, "", now)
             else:
                 self._send_step(mme, run, now)
@@ -791,7 +790,7 @@ class MmeApplication(Application):
         """Give up on the step's request, unless it was answered: a late answer
         then finds no pending entry, and `on_message` drops it as unmatched."""
         if run.success is None and run.steps_completed == step:
-            mme.forget_pending_many(dst, (hbh,))
+            mme.peer_link(dst).pending.pop(hbh, None)
             self._finish(run, False, "timeout", now)
 
 

@@ -1167,6 +1167,11 @@ class TestFuzz:
     def test_spec_invariants(self):
         with pytest.raises(ValueError):
             FuzzSpec(target="t", case_count=0)
+        # a repeat would weigh its op double in the draw and list it twice in FuzzResult.ops
+        flip, cut = MutationOp.FLIP_FLAG, MutationOp.TRUNCATE
+        for ops, repeated in (((flip, flip, cut), flip), ((cut, flip, cut), cut)):
+            with pytest.raises(ValueError, match=rf"^fuzz op '{repeated.value}' is listed twice$"):
+                FuzzSpec(target="t", case_count=1, ops=ops)
         with pytest.raises(ValueError):
             FloodSpec(target="t", rate_tps=0, duration_s=1)
         with pytest.raises(ValueError, match="rounds to zero requests"):

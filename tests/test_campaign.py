@@ -439,22 +439,27 @@ def test_golden_digests_are_the_digests_of_the_golden_files():
         assert digests == entry["digests"], workload
 
 
-def test_phase2_outputs_do_not_depend_on_the_hash_seed(tmp_path):
-    """`python -m diamlab run --config phase2` writes the golden bytes under
+# phase1, the only built-in that runs the fuzz, has no findings and exits
+# 0; phase2 has findings and exits 2
+@pytest.mark.parametrize(
+    "builtin, exit_code", [("phase1", 0), ("phase2", 2)], ids=["phase1", "phase2"]
+)
+def test_builtin_outputs_do_not_depend_on_the_hash_seed(tmp_path, builtin, exit_code):
+    """`python -m diamlab run --config <builtin>` writes the golden bytes under
     PYTHONHASHSEED 0, 1 and 2: no output depends on str or bytes hashing."""
-    golden = json.loads(GOLDEN.read_text())["phase2"]["digests"]
+    golden = json.loads(GOLDEN.read_text())[builtin]["digests"]
     root = GOLDEN.parents[1]
     pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     for hash_seed in ("0", "1", "2"):
         out = tmp_path / hash_seed
         proc = subprocess.run(
-            [sys.executable, "-m", "diamlab", "run", "--config", "phase2", "--out", str(out)],
+            [sys.executable, "-m", "diamlab", "run", "--config", builtin, "--out", str(out)],
             env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": pythonpath},
             capture_output=True,
             text=True,
             timeout=120,
         )
-        assert proc.returncode == 2, proc.stderr  # phase2 has findings
+        assert proc.returncode == exit_code, proc.stderr
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert digests == golden, f"PYTHONHASHSEED={hash_seed}"
 

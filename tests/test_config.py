@@ -263,9 +263,12 @@ class TestCampaignAssembly:
              None, "fuzz case count must be > 0"),
             ("[attack fuzz]", "\n[attack fuzz]\ntarget = target\ncases = 3\nops = ,\n",
              None, "fuzz op set must be non-empty"),
+            ("[attack fuzz]",
+             "\n[attack fuzz]\ntarget = target\ncases = 3\nops = flip_flag, truncate, flip_flag\n",
+             None, "fuzz op 'flip_flag' is listed twice"),
         ],
         ids=["capacity", "link", "flood", "flood-threshold-below", "flood-threshold-above",
-             "fuzz-cases", "fuzz-ops"],
+             "fuzz-cases", "fuzz-ops", "fuzz-ops-repeated"],
     )
     def test_value_type_errors_are_located_at_the_header(self, header, old, new, text):
         config_text = minimal().replace(old, new) if new is not None else minimal() + old

@@ -51,7 +51,7 @@ HOT_PATHS = [
     codec.validate_message,
     attacks.mutate,
     *attacks._MUTATORS.values(),
-    attacks.run_fuzz,  # with its judge and on_answer
+    attacks.run_fuzz,  # with its on_answer and target_drops
     elements.Lab.build.__func__,
     elements.Lab.bring_links_open,
 ]
